@@ -123,17 +123,6 @@ func ClearCappedWithMode(ps []*Participant, targetW, priceCap float64, mode Clea
 	return core.ClearCappedWithMode(ps, targetW, priceCap, mode)
 }
 
-// MarketStats reports the cumulative solver-call counters (full price
-// searches, capped short-circuits) for observability in tests and ops.
-//
-// Deprecated: the counters now live in the default telemetry registry
-// (see MetricsRegistry); read them there, or via InstrumentMarket with a
-// private registry. This shim reads the default registry and will be
-// removed once callers migrate.
-func MarketStats() (priceSearches, cappedShortCircuits int64) {
-	return core.MarketStats()
-}
-
 // InstrumentMarket points the market solvers' counters at reg; nil
 // installs the no-op registry (the zero-overhead benchmark path). The
 // default is the process-wide DefaultMetrics registry.

@@ -27,10 +27,7 @@
 // -benchout writes a machine-readable per-experiment wall-clock report.
 // -stream additionally sweeps the streaming-clear engine (DESIGN.md §11)
 // across market sizes and records sustained update throughput in the
-// report's "stream" section. -engine selects the simulation core the
-// experiments run on (slot or event; tables are bit-identical either
-// way), and -engines times both cores on a sparse long-horizon workload
-// and records per-engine wall clock in the report's "engines" section.
+// report's "stream" section.
 package main
 
 import (
@@ -44,7 +41,6 @@ import (
 
 	"mpr/internal/experiments"
 	"mpr/internal/runner"
-	"mpr/internal/sim"
 	"mpr/internal/telemetry/alerts"
 	"mpr/internal/telemetry/tsdb"
 )
@@ -58,19 +54,16 @@ type benchReport struct {
 	Workers      int                 `json:"workers"`
 	Seed         int64               `json:"seed"`
 	Quick        bool                `json:"quick"`
-	Engine       string              `json:"engine"`
 	Experiments  []benchExpReport    `json:"experiments"`
 	Stream       []benchStreamReport `json:"stream,omitempty"`
-	Engines      []benchEngineReport `json:"engines,omitempty"`
 	TotalSeconds float64             `json:"total_seconds"`
 }
 
 // benchSchema names the -benchout JSON schema. v2 added the optional
-// "stream" section (streaming-clear update throughput); v3 added the
-// "engine" field (which simulation core ran the experiments) and the
-// optional "engines" section (per-engine wall clock on the sparse
-// long-horizon workload).
-const benchSchema = "mprbench/sweep/v3"
+// "stream" section (streaming-clear update throughput); v3 carried an
+// "engine" field and an "engines" section for the two simulation cores
+// of the time; v4 dropped both with the second core.
+const benchSchema = "mprbench/sweep/v4"
 
 type benchExpReport struct {
 	ID      string  `json:"id"`
@@ -88,8 +81,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "sweep worker-pool bound: 0 = GOMAXPROCS, 1 = serial, n > 1 = up to n concurrent cells (tables are identical at any setting)")
 		benchout = flag.String("benchout", "", "write a machine-readable wall-clock report (JSON) to this file")
 		stream   = flag.Bool("stream", false, "sweep the streaming-clear engine's update throughput and include it in -benchout")
-		engine   = flag.String("engine", "", "simulation core for the experiments: slot (default) or event — tables are bit-identical either way")
-		engines  = flag.Bool("engines", false, "time both simulation cores on a sparse long-horizon workload and include per-engine wall clock in -benchout")
 		series   = flag.String("series", "", "export the instrumented timeline run's per-slot series to this file (.csv = CSV, else JSONL) and evaluate the SLO alert rules over it")
 	)
 	flag.Parse()
@@ -118,12 +109,7 @@ func main() {
 		}
 	}
 
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	opts := experiments.Options{Seed: *seed, Quick: *quick, Parallel: *parallel, Engine: eng}
+	opts := experiments.Options{Seed: *seed, Quick: *quick, Parallel: *parallel}
 	workers := *parallel
 	if workers <= 0 {
 		workers = runner.DefaultWorkers()
@@ -135,7 +121,6 @@ func main() {
 		Workers:    workers,
 		Seed:       *seed,
 		Quick:      *quick,
-		Engine:     string(eng),
 	}
 	suiteStart := time.Now()
 	for _, e := range selected {
@@ -172,10 +157,6 @@ func main() {
 	if *stream {
 		report.Stream = runStreamBench()
 		fmt.Println(streamTable(report.Stream))
-	}
-	if *engines {
-		report.Engines = runEngineBench()
-		fmt.Println(engineTable(report.Engines))
 	}
 	report.TotalSeconds = time.Since(suiteStart).Seconds()
 

@@ -41,15 +41,8 @@ func main() {
 		phases   = flag.Float64("phases", 0, "per-job power phase amplitude (0 disables)")
 		series   = flag.Bool("series", false, "plot the power timeline as an ASCII chart")
 		parallel = flag.Int("parallel", 0, "worker-pool bound for multi-algorithm runs: 0 = GOMAXPROCS, 1 = serial")
-		engine   = flag.String("engine", "", "simulation core: slot (default) or event — results are bit-identical, the event core just skips inert slots")
 	)
 	flag.Parse()
-
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	tr, err := loadTrace(*preset, *swf, *days, *seed)
 	if err != nil {
@@ -83,7 +76,6 @@ func main() {
 			Predictive:       *predict,
 			PhaseAmp:         *phases,
 			RecordSeries:     record,
-			Engine:           eng,
 		})
 	})
 	if err != nil {

@@ -691,8 +691,8 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 			m.bidRTT.Record(float64(e.recvNS-e.bcastNS) / 1e9)
 			if e.trace == roundTrace {
 				// The agent echoed our trace ID: link a per-agent
-				// respond_bid span under this round, spanning the shard's
-				// broadcast to this bid's receipt. Old-format agents never
+				// respond_bid span under this round, from the start of the
+				// shard's broadcast to this bid's receipt. Old-format agents never
 				// echo (empty TraceID) and simply stay untraced.
 				m.cfg.Tracer.RecordSpan("respond_bid", roundSpan,
 					e.bcastNS, e.recvNS,

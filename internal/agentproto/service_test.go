@@ -420,6 +420,11 @@ func TestBackpressureCoalescing(t *testing.T) {
 		RoundTimeout: 2 * time.Second,
 		MaxRounds:    1,
 		Telemetry:    reg,
+		// One shard, so the slowpoke holds the flooder's harvest back: a
+		// shard harvests once its own members answered, and with the
+		// default (one shard per core, up to 16) the flooder can sit alone
+		// in a shard that harvests on its first bid.
+		Shards: 1,
 	})
 	_, fc := scriptConn(t, m, WireBinary, Message{Type: MsgHello, JobID: "flooder", Cores: 64, WattsPerCore: 125, MaxFrac: 0.5})
 	_, slowc := scriptConn(t, m, WireJSON, Message{Type: MsgHello, JobID: "slowpoke", Cores: 64, WattsPerCore: 125, MaxFrac: 0.5})

@@ -62,7 +62,7 @@ type shardBid struct {
 // install/deliver commands).
 type shardBatch struct {
 	bids        []shardBid
-	broadcastNS int64 // when this shard finished its price broadcast
+	broadcastNS int64 // when this shard started its price broadcast
 }
 
 type shardCmdKind int
@@ -215,13 +215,16 @@ func (s *shard) runRound(cmd shardCmd) {
 	case <-s.wake:
 	default:
 	}
+	// Stamped before the first write: an early member's bid can arrive
+	// while the loop below is still writing to the rest, and round-trip
+	// times measured from any later instant would go negative for it.
+	broadcastNS := time.Now().UnixNano()
 	live := int32(0)
 	for _, a := range s.members {
 		if s.sendPre(a, cmd.pre, cmd.timeout) {
 			live++
 		}
 	}
-	broadcastNS := time.Now().UnixNano()
 	// The collect timeout starts when the broadcast ends, mirroring the
 	// old collector, so huge shards aren't charged their own send time.
 	timer := time.NewTimer(cmd.timeout)

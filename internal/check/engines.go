@@ -13,20 +13,20 @@ import (
 	"mpr/internal/trace"
 )
 
-// This file is the simulation-engine differential: the fixed-step and
-// event-driven cores (sim.EngineSlot / sim.EngineEvent) must produce
-// bit-identical Results — scalars, per-job timelines, telemetry
-// counters, trace events, and sampled series — on every configuration
-// the simulator accepts. The driver runs both engines over adversarial
-// generated workloads and compares exactly, the same discipline
-// DiffStream applies to the streaming market.
+// This file is the simulator differential: sim.Run, which skips the
+// provably inert slot ranges, and the fixed-step reference
+// sim.RunFixedStep must produce bit-identical Results — scalars, per-job
+// timelines, telemetry counters, trace events, and sampled series — on
+// every configuration the simulator accepts. The driver runs both over
+// adversarial generated workloads and compares exactly, the same
+// discipline DiffStream applies to the streaming market.
 
 // SimTrace generates a small adversarial workload: burst submits that
 // pile jobs onto one slot (queue contention, overlapping overloads),
-// medium strides, and long sparse gaps (the event core's skip regime),
+// medium strides, and long sparse gaps (Run's skip regime),
 // with core demands up to the whole machine and runtimes that are
 // deliberately not whole minutes (fractional remaining work drives the
-// finish-threshold float arithmetic both engines must agree on).
+// finish-threshold float arithmetic stepping and skipping must agree on).
 func (g *Gen) SimTrace() *trace.Trace {
 	totalCores := 8 << g.rng.Intn(4) // 8, 16, 32, or 64
 	n := 4 + g.rng.Intn(40)
@@ -66,8 +66,8 @@ func (g *Gen) SimTrace() *trace.Trace {
 // trace: every algorithm, oversubscription levels that mostly force
 // emergencies, market delays, backfill, participation and bid-factor
 // variation, cost errors, power phases, predictive mode, and the dense
-// series samplers — each a distinct code path the engine differential
-// must pin. Engine and RecordJobs are left for the driver to set.
+// series samplers — each a distinct code path the differential must
+// pin. RecordJobs is left for the driver to set.
 func (g *Gen) SimConfig() sim.Config {
 	algs := []sim.Algorithm{
 		sim.AlgMPRStat, sim.AlgMPRStat, sim.AlgMPRInt,
@@ -127,7 +127,7 @@ func (g *Gen) SimConfig() sim.Config {
 	return cfg
 }
 
-// DiffEngines runs both simulation cores over adversarial generated
+// DiffEngines runs sim.RunFixedStep and sim.Run over adversarial generated
 // configurations and requires bit-identical Results. The returned
 // error, if any, names the reproducing instance seed; the stats report
 // how much overload handling the generated population exercised.
@@ -151,120 +151,116 @@ func diffOneEngines(g *Gen, st *DiffStats) error {
 	st.Instances++
 	cfg := g.SimConfig()
 	cfg.RecordJobs = true
-	run := func(engine sim.Engine) (*sim.Result, error) {
-		c := cfg
-		c.Engine = engine
-		return sim.Run(c)
-	}
-	slot, err := run(sim.EngineSlot)
+	fixed, err := sim.RunFixedStep(cfg)
 	if err != nil {
-		return fmt.Errorf("slot engine: %v", err)
+		return fmt.Errorf("RunFixedStep: %v", err)
 	}
-	event, err := run(sim.EngineEvent)
+	skip, err := sim.Run(cfg)
 	if err != nil {
-		return fmt.Errorf("event engine: %v", err)
+		return fmt.Errorf("Run: %v", err)
 	}
-	st.Participants += slot.JobsTotal
-	st.Emergencies += slot.EmergencyCount
-	st.SimSlots += slot.Slots
-	return CompareEngineResults(slot, event)
+	st.Participants += fixed.JobsTotal
+	st.Emergencies += fixed.EmergencyCount
+	st.SimSlots += fixed.Slots
+	return CompareEngineResults(fixed, skip)
 }
 
-// CompareEngineResults requires the two Results to be bit-identical in
-// every deterministic dimension: scalar statistics (floats compared by
-// bit pattern, not tolerance), per-profile aggregates, per-job
-// timelines, downsampled power series, sampled time-series stores
+// CompareEngineResults requires a RunFixedStep Result and a Run Result
+// to be bit-identical in every deterministic dimension: scalar
+// statistics (floats compared by bit pattern, not tolerance),
+// per-profile aggregates, per-job timelines, downsampled power series,
+// sampled time-series stores
 // (compared on their rendered JSONL export), telemetry snapshots, and
 // trace events. Wall-clock fields (Event.TimeNS, span durations) are
 // the only exclusions: Emit stamps them with real time.
-func CompareEngineResults(slot, event *sim.Result) error {
+func CompareEngineResults(fixed, skip *sim.Result) error {
 	ints := []struct {
 		name string
 		a, b int
 	}{
-		{"Slots", slot.Slots, event.Slots},
-		{"OverloadSlots", slot.OverloadSlots, event.OverloadSlots},
-		{"EmergencyCount", slot.EmergencyCount, event.EmergencyCount},
-		{"EmergencySlots", slot.EmergencySlots, event.EmergencySlots},
-		{"InfeasibleEvents", slot.InfeasibleEvents, event.InfeasibleEvents},
-		{"JobsTotal", slot.JobsTotal, event.JobsTotal},
-		{"JobsCompleted", slot.JobsCompleted, event.JobsCompleted},
-		{"JobsAffected", slot.JobsAffected, event.JobsAffected},
-		{"MarketInvocations", slot.MarketInvocations, event.MarketInvocations},
+		{"Slots", fixed.Slots, skip.Slots},
+		{"OverloadSlots", fixed.OverloadSlots, skip.OverloadSlots},
+		{"EmergencyCount", fixed.EmergencyCount, skip.EmergencyCount},
+		{"EmergencySlots", fixed.EmergencySlots, skip.EmergencySlots},
+		{"InfeasibleEvents", fixed.InfeasibleEvents, skip.InfeasibleEvents},
+		{"JobsTotal", fixed.JobsTotal, skip.JobsTotal},
+		{"JobsCompleted", fixed.JobsCompleted, skip.JobsCompleted},
+		{"JobsAffected", fixed.JobsAffected, skip.JobsAffected},
+		{"MarketInvocations", fixed.MarketInvocations, skip.MarketInvocations},
 	}
 	for _, f := range ints {
 		if f.a != f.b {
-			return fmt.Errorf("%s: slot engine %d, event engine %d", f.name, f.a, f.b)
+			return fmt.Errorf("%s: RunFixedStep %d, Run %d", f.name, f.a, f.b)
 		}
 	}
 	floats := []struct {
 		name string
 		a, b float64
 	}{
-		{"OversubPct", slot.OversubPct, event.OversubPct},
-		{"CapacityW", slot.CapacityW, event.CapacityW},
-		{"PeakW", slot.PeakW, event.PeakW},
-		{"ReductionCoreH", slot.ReductionCoreH, event.ReductionCoreH},
-		{"CostCoreH", slot.CostCoreH, event.CostCoreH},
-		{"PaymentCoreH", slot.PaymentCoreH, event.PaymentCoreH},
-		{"ExtraCapacityCoreH", slot.ExtraCapacityCoreH, event.ExtraCapacityCoreH},
-		{"UsedExtraCoreH", slot.UsedExtraCoreH, event.UsedExtraCoreH},
-		{"MeanRuntimeIncrease", slot.MeanRuntimeIncrease, event.MeanRuntimeIncrease},
-		{"MeanQueueWaitMin", slot.MeanQueueWaitMin, event.MeanQueueWaitMin},
-		{"MeanRounds", slot.MeanRounds, event.MeanRounds},
-		{"MeanClearingPrice", slot.MeanClearingPrice, event.MeanClearingPrice},
+		{"OversubPct", fixed.OversubPct, skip.OversubPct},
+		{"CapacityW", fixed.CapacityW, skip.CapacityW},
+		{"PeakW", fixed.PeakW, skip.PeakW},
+		{"ReductionCoreH", fixed.ReductionCoreH, skip.ReductionCoreH},
+		{"CostCoreH", fixed.CostCoreH, skip.CostCoreH},
+		{"PaymentCoreH", fixed.PaymentCoreH, skip.PaymentCoreH},
+		{"ExtraCapacityCoreH", fixed.ExtraCapacityCoreH, skip.ExtraCapacityCoreH},
+		{"UsedExtraCoreH", fixed.UsedExtraCoreH, skip.UsedExtraCoreH},
+		{"MeanRuntimeIncrease", fixed.MeanRuntimeIncrease, skip.MeanRuntimeIncrease},
+		{"MeanQueueWaitMin", fixed.MeanQueueWaitMin, skip.MeanQueueWaitMin},
+		{"MeanRounds", fixed.MeanRounds, skip.MeanRounds},
+		{"MeanClearingPrice", fixed.MeanClearingPrice, skip.MeanClearingPrice},
 	}
 	for _, f := range floats {
 		if math.Float64bits(f.a) != math.Float64bits(f.b) {
-			return fmt.Errorf("%s: slot engine %v, event engine %v (bits %016x vs %016x)",
+			return fmt.Errorf("%s: RunFixedStep %v, Run %v (bits %016x vs %016x)",
 				f.name, f.a, f.b, math.Float64bits(f.a), math.Float64bits(f.b))
 		}
 	}
-	if !reflect.DeepEqual(slot.PerProfile, event.PerProfile) {
-		return fmt.Errorf("PerProfile diverged: %+v vs %+v", slot.PerProfile, event.PerProfile)
+	if !reflect.DeepEqual(fixed.PerProfile, skip.PerProfile) {
+		return fmt.Errorf("PerProfile diverged: %+v vs %+v", fixed.PerProfile, skip.PerProfile)
 	}
-	if len(slot.Jobs) != len(event.Jobs) {
-		return fmt.Errorf("Jobs length: %d vs %d", len(slot.Jobs), len(event.Jobs))
+	if len(fixed.Jobs) != len(skip.Jobs) {
+		return fmt.Errorf("Jobs length: %d vs %d", len(fixed.Jobs), len(skip.Jobs))
 	}
-	for i := range slot.Jobs {
-		if slot.Jobs[i] != event.Jobs[i] {
-			return fmt.Errorf("job %d diverged: %+v vs %+v", slot.Jobs[i].ID, slot.Jobs[i], event.Jobs[i])
+	for i := range fixed.Jobs {
+		if fixed.Jobs[i] != skip.Jobs[i] {
+			return fmt.Errorf("job %d diverged: %+v vs %+v", fixed.Jobs[i].ID, fixed.Jobs[i], skip.Jobs[i])
 		}
 	}
-	if !reflect.DeepEqual(slot.DemandSeries, event.DemandSeries) {
+	if !reflect.DeepEqual(fixed.DemandSeries, skip.DemandSeries) {
 		return fmt.Errorf("DemandSeries diverged")
 	}
-	if !reflect.DeepEqual(slot.DeliveredSeries, event.DeliveredSeries) {
+	if !reflect.DeepEqual(fixed.DeliveredSeries, skip.DeliveredSeries) {
 		return fmt.Errorf("DeliveredSeries diverged")
 	}
-	if (slot.Series == nil) != (event.Series == nil) {
-		return fmt.Errorf("Series presence: slot %v, event %v", slot.Series != nil, event.Series != nil)
+	if (fixed.Series == nil) != (skip.Series == nil) {
+		return fmt.Errorf("Series presence: fixed %v, skip %v", fixed.Series != nil, skip.Series != nil)
 	}
-	if slot.Series != nil {
-		a, err := renderSeries(slot.Series)
+	if fixed.Series != nil {
+		a, err := renderSeries(fixed.Series)
 		if err != nil {
-			return fmt.Errorf("render slot series: %v", err)
+			return fmt.Errorf("render fixed series: %v", err)
 		}
-		b, err := renderSeries(event.Series)
+		b, err := renderSeries(skip.Series)
 		if err != nil {
-			return fmt.Errorf("render event series: %v", err)
+			return fmt.Errorf("render skip series: %v", err)
 		}
 		if !bytes.Equal(a, b) {
 			return fmt.Errorf("sampled series exports differ (%d vs %d bytes)", len(a), len(b))
 		}
 	}
-	if len(slot.TraceEvents) != len(event.TraceEvents) {
-		return fmt.Errorf("TraceEvents length: %d vs %d", len(slot.TraceEvents), len(event.TraceEvents))
+	if len(fixed.TraceEvents) != len(skip.TraceEvents) {
+		return fmt.Errorf("TraceEvents length: %d vs %d", len(fixed.TraceEvents), len(skip.TraceEvents))
 	}
-	for i := range slot.TraceEvents {
-		a, b := slot.TraceEvents[i], event.TraceEvents[i]
+	for i := range fixed.TraceEvents {
+		a, b := fixed.TraceEvents[i], skip.TraceEvents[i]
 		a.TimeNS, b.TimeNS = 0, 0 // wall clock, stamped by Emit
 		if a != b {
-			return fmt.Errorf("trace event %d diverged: %+v vs %+v", i, a, b)
+			return fmt.Errorf("trace skip %d diverged: %+v vs %+v", i, a, b)
 		}
 	}
-	if !reflect.DeepEqual(slot.Telemetry, event.Telemetry) {
-		return fmt.Errorf("telemetry snapshots diverged: %+v vs %+v", slot.Telemetry, event.Telemetry)
+	if !reflect.DeepEqual(fixed.Telemetry, skip.Telemetry) {
+		return fmt.Errorf("telemetry snapshots diverged: %+v vs %+v", fixed.Telemetry, skip.Telemetry)
 	}
 	return nil
 }

@@ -11,8 +11,8 @@ import (
 
 const diffSeedEngines = 0x5eed_0004
 
-// TestDiffEngines pins the fixed-step and event-driven simulation cores
-// to bit-identical Results over ≥ 1k adversarial configurations: every
+// TestDiffEngines pins sim.Run to the fixed-step reference, bit-identical
+// Results over ≥ 1k adversarial configurations: every
 // algorithm, bursty and sparse arrival mixes, market delays, backfill,
 // phases, predictive mode, and dense sampling.
 func TestDiffEngines(t *testing.T) {
@@ -25,7 +25,7 @@ func TestDiffEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("slot vs event engine: %d instances, %d jobs, %d emergencies, %d simulated slots in %v",
+	t.Logf("RunFixedStep vs Run: %d instances, %d jobs, %d emergencies, %d simulated slots in %v",
 		st.Instances, st.Participants, st.Emergencies, st.SimSlots, time.Since(start))
 	if st.Instances != n {
 		t.Errorf("ran %d instances, want %d", st.Instances, n)
@@ -43,7 +43,7 @@ func TestDiffEngines(t *testing.T) {
 // fuzzSimTrace decodes fuzzer bytes into a workload as (submit-advance,
 // runtime, cores) triples: zero advances pile jobs into bursts (queue
 // contention, overlapping overloads), top-range advances blow up into
-// multi-thousand-slot gaps (the event core's skip regime), and runtimes
+// multi-thousand-slot gaps (Run's skip regime), and runtimes
 // land on non-minute boundaries (fractional remaining work).
 func fuzzSimTrace(data []byte) (*trace.Trace, bool) {
 	const totalCores = 16
@@ -73,8 +73,8 @@ func fuzzSimTrace(data []byte) (*trace.Trace, bool) {
 }
 
 // FuzzEngines interleaves fuzzer-shaped arrivals, finishes, and
-// overloads on twin engines: every mutated workload and configuration
-// must leave the fixed-step and event-driven cores bit-identical.
+// overloads: every mutated workload and configuration must leave sim.Run
+// and the fixed-step reference bit-identical.
 func FuzzEngines(f *testing.F) {
 	// Burst of four jobs at slot 0 (immediate overload), then a sparse
 	// straggler after a long gap.
@@ -101,19 +101,16 @@ func FuzzEngines(f *testing.F) {
 			MarketDelaySlots: int(knobs>>4) % 4,
 			RecordJobs:       true,
 		}
-		run := func(engine sim.Engine) *sim.Result {
-			c := cfg
-			c.Engine = engine
-			res, err := sim.Run(c)
-			if err != nil {
-				t.Fatalf("%s engine: %v", engine, err)
-			}
-			return res
+		fixed, err := sim.RunFixedStep(cfg)
+		if err != nil {
+			t.Fatalf("RunFixedStep: %v", err)
 		}
-		slot := run(sim.EngineSlot)
-		event := run(sim.EngineEvent)
-		if err := CompareEngineResults(slot, event); err != nil {
-			t.Fatalf("engines diverged: %v", err)
+		skip, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if err := CompareEngineResults(fixed, skip); err != nil {
+			t.Fatalf("Run diverged from RunFixedStep: %v", err)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"mpr/internal/check/floats"
 	"mpr/internal/perf"
+	"mpr/internal/telemetry"
 )
 
 // randomPool builds a seeded random participant pool for the differential
@@ -289,12 +290,18 @@ func TestClearCappedShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := uncapped.Price / 2
-	searches0, short0 := MarketStats()
+	// The solver-call counters, read from the default registry the package
+	// is instrumented against unless a test re-points it.
+	marketStats := func() (priceSearches, cappedShortCircuits int64) {
+		r := telemetry.Default()
+		return r.CounterValue(MetricPriceSearches), r.CounterValue(MetricCappedShortCircuits)
+	}
+	searches0, short0 := marketStats()
 	capped, err := ClearCapped(ps, 6000, cap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	searches1, short1 := MarketStats()
+	searches1, short1 := marketStats()
 	if got := searches1 - searches0; got != 0 {
 		t.Errorf("capped branch ran %d full price searches, want 0", got)
 	}
@@ -322,11 +329,11 @@ func TestClearCappedShortCircuit(t *testing.T) {
 		}
 	}
 	// A loose cap must still run exactly one full search.
-	searches0, _ = MarketStats()
+	searches0, _ = marketStats()
 	if _, err := ClearCapped(ps, 6000, uncapped.Price*2); err != nil {
 		t.Fatal(err)
 	}
-	searches1, _ = MarketStats()
+	searches1, _ = marketStats()
 	if searches1-searches0 != 1 {
 		t.Errorf("loose cap ran %d searches, want 1", searches1-searches0)
 	}

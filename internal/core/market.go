@@ -365,7 +365,8 @@ func ClearCapped(ps []*Participant, targetW, priceCap float64) (*ClearingResult,
 // closed-form modes evaluate the aggregate supply at priceCap first —
 // an O(log M) index lookup — and only run a full price search when the
 // cap does not bind; the capped branch therefore performs no MClr solve
-// at all (observable through Rounds = 0 and the MarketStats counters).
+// at all (observable through Rounds = 0 and the MetricPriceSearches /
+// MetricCappedShortCircuits counters).
 // ClearBisection reproduces the original clear-then-discard behaviour.
 func ClearCappedWithMode(ps []*Participant, targetW, priceCap float64, mode ClearMode) (*ClearingResult, error) {
 	if priceCap <= 0 {

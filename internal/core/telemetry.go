@@ -65,16 +65,3 @@ func Instrument(reg *telemetry.Registry) {
 
 // met returns the active instrument handles.
 func met() *coreMetrics { return activeMetrics.Load() }
-
-// MarketStats returns the cumulative solver-call counters: the number of
-// full MClr price searches performed and the number of ClearCapped calls
-// that short-circuited at the price cap without one.
-//
-// Deprecated: the counters now live in the telemetry registry (see
-// MetricPriceSearches, MetricCappedShortCircuits); this shim reads them
-// from telemetry.Default() and sees nothing after Instrument re-points
-// the package at another registry. Prefer Registry.Snapshot.
-func MarketStats() (priceSearches, cappedShortCircuits int64) {
-	r := telemetry.Default()
-	return r.CounterValue(MetricPriceSearches), r.CounterValue(MetricCappedShortCircuits)
-}

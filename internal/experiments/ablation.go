@@ -96,7 +96,7 @@ func runAblationCostShape(o Options) (*Result, error) {
 		key := fmt.Sprintf("a2/%d/%d/%s/%s", o.seed(), o.gaiaDays(), c.algo, c.shape)
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: c.algo,
-			Seed: o.seed(), CostShape: c.shape, Engine: o.Engine,
+			Seed: o.seed(), CostShape: c.shape,
 		}, key)
 	})
 	if err != nil {
@@ -130,7 +130,7 @@ func runAblationBidStrategies(o Options) (*Result, error) {
 		key := fmt.Sprintf("a3/%d/%d/%.2f", o.seed(), o.gaiaDays(), cases[i].factor)
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRStat,
-			Seed: o.seed(), StatBidFactor: cases[i].factor, Engine: o.Engine,
+			Seed: o.seed(), StatBidFactor: cases[i].factor,
 		}, key)
 	})
 	if err != nil {
@@ -168,7 +168,6 @@ func runAblationHysteresis(o Options) (*Result, error) {
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRStat,
 			Seed: o.seed(), BufferFrac: tc.buffer, CooldownSlots: tc.cooldown,
-			Engine: o.Engine,
 		}, key)
 	})
 	if err != nil {
@@ -212,7 +211,7 @@ func runAblationPredictive(o Options) (*Result, error) {
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRInt, Seed: o.seed(),
 			MarketDelaySlots: tc.delay, Predictive: tc.predictive,
-			PredictHorizonSlots: tc.delay + 3, Engine: o.Engine,
+			PredictHorizonSlots: tc.delay + 3,
 		}, key)
 	})
 	if err != nil {

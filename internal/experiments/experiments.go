@@ -39,12 +39,6 @@ type Options struct {
 	// (0 keeps the per-experiment default). Benchmarks and tests use it
 	// to shrink the matrix without touching the experiment logic.
 	Days int
-	// Engine selects the simulation core (sim.EngineSlot, sim.EngineEvent;
-	// empty means the slot engine). Both engines produce bit-identical
-	// Results (internal/check pins this), so every table is engine-
-	// independent; the option exists so wall-clock studies can time the
-	// event core and so CI can run the suite on both.
-	Engine sim.Engine
 }
 
 func (o Options) seed() int64 {
@@ -180,20 +174,16 @@ func cachedTrace(cfg trace.GenConfig) (*trace.Trace, error) {
 
 // cachedRun executes (and caches) a simulation; figures 8, 9, and 11
 // share the same sweep. Concurrent cells with the same key run the
-// simulation exactly once. The engine is folded into the cache key
-// here, centrally, so no call site can forget it: runs under different
-// engines never alias (and "" aliases with the slot engine it means).
+// simulation exactly once.
 func cachedRun(cfg sim.Config, key string) (*sim.Result, error) {
-	engine, err := sim.ParseEngine(string(cfg.Engine))
-	if err != nil {
-		return nil, err
-	}
-	cfg.Engine = engine
-	key = key + "@" + string(engine)
 	return singleflight(simCache, key, func() (*sim.Result, error) {
-		return sim.Run(cfg)
+		return simRun(cfg)
 	})
 }
+
+// simRun is every experiment's way into the simulator; the bit-identity
+// tests swap in the fixed-step reference to hold whole tables to it.
+var simRun = sim.Run
 
 // ResetCaches clears the shared caches (used by benchmarks that want cold
 // runs).
@@ -232,7 +222,6 @@ func gaiaSweep(o Options, oversubs []float64, algos []sim.Algorithm) (map[float6
 			OversubPct: c.x,
 			Algorithm:  c.algo,
 			Seed:       o.seed(),
-			Engine:     o.Engine,
 		}, key)
 	})
 	if err != nil {

@@ -280,7 +280,6 @@ func runPartitioned(o Options) (*Result, error) {
 		uniKey := fmt.Sprintf("gaia/%d/%d/%.1f/%s", o.seed(), o.gaiaDays(), x, sim.AlgMPRStat)
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: x, Algorithm: sim.AlgMPRStat, Seed: o.seed(),
-			Engine: o.Engine,
 		}, uniKey)
 	})
 	if err != nil {
@@ -294,7 +293,7 @@ func runPartitioned(o Options) (*Result, error) {
 		// capacity — the same infrastructure, split in two.
 		return cachedRun(sim.Config{
 			Trace: doms[d], OversubPct: x, Algorithm: sim.AlgMPRStat, Seed: o.seed(),
-			CapacityOverrideW: unis[i/len(doms)].CapacityW / 2, Engine: o.Engine,
+			CapacityOverrideW: unis[i/len(doms)].CapacityW / 2,
 		}, key)
 	})
 	if err != nil {

@@ -38,10 +38,10 @@ func renderResult(res *Result) string {
 // but kept out of this matrix: its 20,000-core clusters dominate the
 // suite's wall clock even at a 2-day horizon, and its sweep structure
 // (trace × algorithm cells over cachedTrace) is the same as f12/f13's.
-// The matrix also crosses both simulation engines: each engine must be
-// worker-count invariant, and — because internal/check pins the engines
-// to bit-identical Results — the event engine's tables must match the
-// slot engine's byte for byte as well.
+// The matrix also crosses sim.Run with the fixed-step reference
+// (simLoops): each must be worker-count invariant, and — because
+// internal/check pins the two to bit-identical Results — the reference's
+// tables must match Run's byte for byte as well.
 func TestSweepBitIdentity(t *testing.T) {
 	ids := []string{"f8", "f9", "x4", "t1"}
 	if !testing.Short() {
@@ -55,24 +55,25 @@ func TestSweepBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want string
-			for _, engine := range sim.Engines() {
+			for i, loop := range simLoops(t) {
 				for _, workers := range []int{1, 4, 16} {
 					// Cold caches each time: with warm caches a second run
 					// would trivially replay memoized results instead of
 					// exercising the worker pool.
 					ResetCaches()
-					res, err := e.Run(Options{Seed: 1, Quick: true, Days: 2, Parallel: workers, Engine: engine})
+					simRun = loop.run
+					res, err := e.Run(Options{Seed: 1, Quick: true, Days: 2, Parallel: workers})
 					if err != nil {
-						t.Fatalf("engine=%s workers=%d: %v", engine, workers, err)
+						t.Fatalf("loop=%s workers=%d: %v", loop.name, workers, err)
 					}
 					got := renderResult(res)
-					if engine == sim.EngineSlot && workers == 1 {
+					if i == 0 && workers == 1 {
 						want = got
 						continue
 					}
 					if got != want {
-						t.Fatalf("engine=%s workers=%d rendering differs from slot serial:\n--- slot serial ---\n%s\n--- engine=%s workers=%d ---\n%s",
-							engine, workers, want, engine, workers, got)
+						t.Fatalf("loop=%s workers=%d rendering differs from Run serial:\n--- Run serial ---\n%s\n--- loop=%s workers=%d ---\n%s",
+							loop.name, workers, want, loop.name, workers, got)
 					}
 				}
 			}
@@ -82,29 +83,31 @@ func TestSweepBitIdentity(t *testing.T) {
 
 // TestSeriesExportBitIdentity extends the determinism contract to the
 // recorded series store itself: the timeline run's raw JSONL export is
-// byte-identical at any worker count and under either engine. This is
-// the property the mprbench -series flag relies on.
+// byte-identical at any worker count, from sim.Run and from the
+// fixed-step reference. This is the property the mprbench -series flag
+// relies on.
 func TestSeriesExportBitIdentity(t *testing.T) {
 	var want string
-	for _, engine := range sim.Engines() {
+	for i, loop := range simLoops(t) {
 		for _, workers := range []int{1, 4, 16} {
 			ResetCaches()
-			res, err := TimelineRun(Options{Seed: 1, Quick: true, Days: 2, Parallel: workers, Engine: engine})
+			simRun = loop.run
+			res, err := TimelineRun(Options{Seed: 1, Quick: true, Days: 2, Parallel: workers})
 			if err != nil {
-				t.Fatalf("engine=%s workers=%d: %v", engine, workers, err)
+				t.Fatalf("loop=%s workers=%d: %v", loop.name, workers, err)
 			}
 			var b strings.Builder
 			if err := tsdb.WriteJSONL(&b, res.Series.Query(tsdb.Query{Resolution: tsdb.ResRaw})); err != nil {
-				t.Fatalf("engine=%s workers=%d export: %v", engine, workers, err)
+				t.Fatalf("loop=%s workers=%d export: %v", loop.name, workers, err)
 			}
 			got := b.String()
-			if engine == sim.EngineSlot && workers == 1 {
+			if i == 0 && workers == 1 {
 				want = got
 				continue
 			}
 			if got != want {
-				t.Fatalf("engine=%s workers=%d series export differs from slot serial (%d vs %d bytes)",
-					engine, workers, len(got), len(want))
+				t.Fatalf("loop=%s workers=%d series export differs from Run serial (%d vs %d bytes)",
+					loop.name, workers, len(got), len(want))
 			}
 		}
 	}
@@ -113,4 +116,17 @@ func TestSeriesExportBitIdentity(t *testing.T) {
 			t.Fatalf("export is missing series %s", name)
 		}
 	}
+}
+
+// simLoop is one way of running a simulation for the experiments.
+type simLoop struct {
+	name string
+	run  func(sim.Config) (*sim.Result, error)
+}
+
+// simLoops lists sim.Run, which every experiment uses, first, then the
+// fixed-step reference, and puts simRun back when the test ends.
+func simLoops(t *testing.T) []simLoop {
+	t.Cleanup(func() { simRun = sim.Run })
+	return []simLoop{{"run", sim.Run}, {"fixed-step", sim.RunFixedStep}}
 }

@@ -158,7 +158,7 @@ func runFig12(o Options) (*Result, error) {
 		key := fmt.Sprintf("f12/%d/%d/%s/%.2f", o.seed(), o.gaiaDays(), c.algo, c.p)
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: c.algo,
-			Seed: o.seed(), Participation: c.p, Engine: o.Engine,
+			Seed: o.seed(), Participation: c.p,
 		}, key)
 	})
 	if err != nil {
@@ -200,7 +200,7 @@ func runFig13(o Options) (*Result, error) {
 		key := fmt.Sprintf("f13/%d/%d/%s/%.2f/%.2f", o.seed(), o.gaiaDays(), c.algo, c.randErr, c.under)
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: c.algo, Seed: o.seed(),
-			CostErrorRand: c.randErr, CostErrorUnder: c.under, Engine: o.Engine,
+			CostErrorRand: c.randErr, CostErrorUnder: c.under,
 		}, key)
 	})
 	if err != nil {
@@ -249,7 +249,6 @@ func runFig14(o Options) (*Result, error) {
 		key := fmt.Sprintf("f14/%s/%d/%d/%.1f/%s", c.name, o.seed(), cfg.Days, c.x, c.algo)
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: c.x, Algorithm: c.algo, Seed: o.seed(),
-			Engine: o.Engine,
 		}, key)
 	})
 	if err != nil {
@@ -288,7 +287,6 @@ func runFig15(o Options) (*Result, error) {
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: x, Algorithm: algo, Seed: o.seed(),
 			Profiles: profiles, CoreModel: power.DefaultGPUCoreModel, AppPower: appPower,
-			Engine: o.Engine,
 		}, key)
 	}
 

@@ -157,7 +157,7 @@ func runPhases(o Options) (*Result, error) {
 		key := fmt.Sprintf("x7/%d/%d/%.2f", o.seed(), o.gaiaDays(), amp)
 		return cachedRun(sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRStat, Seed: o.seed(),
-			PhaseAmp: amp, Engine: o.Engine,
+			PhaseAmp: amp,
 		}, key)
 	})
 	if err != nil {

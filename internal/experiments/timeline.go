@@ -27,7 +27,6 @@ func TimelineRun(o Options) (*sim.Result, error) {
 		// full 92-day horizon the raw ring wraps but the 100× ring still
 		// covers the whole run, which is all the timeline table reads.
 		SampleSeries: true, SeriesCapacity: 1 << 15,
-		Engine: o.Engine,
 	}, key)
 }
 

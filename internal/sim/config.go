@@ -36,39 +36,6 @@ func Algorithms() []Algorithm {
 	return []Algorithm{AlgOPT, AlgEQL, AlgMPRStat, AlgMPRInt}
 }
 
-// Engine selects the simulation core. Both cores drive the identical
-// per-slot transition and produce bit-identical Results; they differ
-// only in which slots they visit (DESIGN.md §14).
-type Engine string
-
-const (
-	// EngineSlot is the fixed-step core: every one-minute slot in the
-	// horizon is processed, whether or not anything can change in it.
-	// The default.
-	EngineSlot Engine = "slot"
-	// EngineEvent is the event-driven core: an indexed min-heap of
-	// timestamped events (arrivals, projected finishes, market orders,
-	// controller/forecast/sampler ticks) picks the slots where state can
-	// change, and the inert ranges between them are replayed in bulk —
-	// cost scales with event count, not simulated time.
-	EngineEvent Engine = "event"
-)
-
-// Engines lists the simulation cores, default first.
-func Engines() []Engine { return []Engine{EngineSlot, EngineEvent} }
-
-// ParseEngine validates an engine name ("" selects the default).
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case "":
-		return EngineSlot, nil
-	case EngineSlot, EngineEvent:
-		return Engine(s), nil
-	default:
-		return "", fmt.Errorf("sim: unknown engine %q (want %q or %q)", s, EngineSlot, EngineEvent)
-	}
-}
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Trace is the workload to replay.
@@ -162,21 +129,21 @@ type Config struct {
 	// rings of the same bucket count).
 	SeriesCapacity int
 	// TraceEvents caps the run's in-memory telemetry event ring (the
-	// clearing-round and emergency trace returned in Result.TraceEvents).
-	// Default 512.
+	// clearing-round and emergency trace returned in Result.TraceEvents)
+	// and its span ring (Result.Spans). Default 64: a Result keeps the
+	// window and callers keep Results (the experiments' cache, the
+	// benchmark's laps), so the default is a tail, not a log — set a size
+	// or a TraceSink to get the whole run.
 	TraceEvents int
 	// TraceSink, when set, receives every telemetry event as one JSON
 	// line — the offline-analysis feed for convergence and emergency
 	// studies.
 	TraceSink io.Writer
-	// Engine selects the simulation core (default EngineSlot). Both
-	// cores produce bit-identical Results; EngineEvent's cost scales
-	// with event count instead of simulated time.
-	Engine Engine
 	// RecordJobs records every job's timeline (submit/start/end slots,
 	// completion, affectedness, final remaining work) into Result.Jobs —
-	// the per-job pinning surface of the engine differential. Off by
-	// default: large traces should not pay the memory.
+	// the per-job pinning surface of the Run-vs-RunFixedStep differential
+	// in internal/check. Off by default: large traces should not pay the
+	// memory.
 	RecordJobs bool
 }
 
@@ -247,13 +214,8 @@ func (c *Config) Normalize() error {
 		c.Interactive.Mode = c.ClearMode
 	}
 	if c.TraceEvents <= 0 {
-		c.TraceEvents = 512
+		c.TraceEvents = 64
 	}
-	engine, err := ParseEngine(string(c.Engine))
-	if err != nil {
-		return err
-	}
-	c.Engine = engine
 	return nil
 }
 

@@ -57,13 +57,12 @@ type simJob struct {
 	phaseOffset float64
 }
 
-// engineState is one run's complete mutable state. Both cores drive the
-// same state through the same per-slot transition, step: the slot core
-// calls it for every slot in the horizon, the event core only for slots
-// where an event makes state change possible and replays the provably
-// inert ranges in bulk (events.go). Everything a slot can read or write
-// lives here, which is what makes the two cores bit-identical by
-// construction rather than by tolerance.
+// engineState is one run's complete mutable state, advanced by the
+// per-slot transition step. Run calls step only for slots where the state
+// can change and replays the provably inert ranges in bulk (skip.go);
+// RunFixedStep, the tests' reference, calls it for every slot. Everything
+// a slot can read or write lives here, which is what makes the two
+// bit-identical by construction rather than by tolerance.
 type engineState struct {
 	cfg *Config
 	res *Result
@@ -76,9 +75,12 @@ type engineState struct {
 
 	seriesStore *tsdb.Store
 
-	jobs     []*simJob
-	byID     map[int]*simJob
-	arrivals map[int][]*simJob
+	jobs []*simJob
+	byID map[int]*simJob
+	// arrivals is jobs in submit-slot order (same-slot jobs in trace
+	// order); nextArrival indexes the first job not yet submitted.
+	arrivals    []*simJob
+	nextArrival int
 
 	peakW float64
 	capW  float64
@@ -87,15 +89,14 @@ type engineState struct {
 	scheduler *sched.Scheduler
 	fc        *forecast.Forecaster
 
-	active         []*simJob
-	emergency      bool
-	price          float64
-	totalRounds    int
-	sumPrice       float64
-	demandSeries   stats.Series
-	deliverSeries  stats.Series
-	baseCapCores   float64
-	remainingStart int
+	active        []*simJob
+	emergency     bool
+	price         float64
+	totalRounds   int
+	sumPrice      float64
+	demandSeries  stats.Series
+	deliverSeries stats.Series
+	baseCapCores  float64
 
 	// Delayed reduction orders (MarketDelaySlots): allocations computed
 	// at declare time but applied later.
@@ -114,34 +115,71 @@ type engineState struct {
 	marketAlgo  bool
 
 	horizon int
-
-	// events is the event core's indexed min-heap (nil under EngineSlot).
-	events *eventHeap
+	// steps counts the slots that went through step — what a run costs,
+	// as opposed to res.Slots, what it simulated.
+	steps int
 }
 
 // Run executes the simulation and returns its result.
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Normalize(); err != nil {
-		return nil, err
-	}
+func Run(cfg Config) (*Result, error) { return drive(cfg, (*engineState).run) }
+
+// RunFixedStep is Run without skip-ahead: every slot of the horizon goes
+// through step, whether or not anything can change in it. It is the
+// reference the tests and internal/check hold Run to, bit for bit; nothing
+// else should call it.
+func RunFixedStep(cfg Config) (*Result, error) { return drive(cfg, (*engineState).runFixedStep) }
+
+func drive(cfg Config, loop func(*engineState) error) (*Result, error) {
 	st, err := newEngineState(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Engine == EngineEvent {
-		err = st.runEvents()
-	} else {
-		err = st.runSlots()
-	}
-	if err != nil {
+	if err := loop(st); err != nil {
 		return nil, err
 	}
 	return st.finish(), nil
 }
 
-// newEngineState builds the run's initial state: jobs, capacity, the
-// emergency controller, the scheduler, observability, and the horizon.
+// run is the simulator's loop: step the slots where something can change,
+// skip the provably inert ranges between them.
+func (st *engineState) run() error {
+	for slot := 0; st.live(slot); {
+		if next := st.quietUntil(slot); next > slot {
+			st.skipTo(slot, next)
+			slot = next
+			continue
+		}
+		if err := st.step(slot); err != nil {
+			return err
+		}
+		slot++
+	}
+	return nil
+}
+
+// runFixedStep is RunFixedStep's loop: step every slot.
+func (st *engineState) runFixedStep() error {
+	for slot := 0; st.live(slot); slot++ {
+		if err := st.step(slot); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// live reports whether the run continues at slot: inside the horizon with
+// a job still to arrive or to finish.
+func (st *engineState) live(slot int) bool {
+	return slot <= st.horizon && (st.nextArrival < len(st.arrivals) || len(st.active) > 0)
+}
+
+// newEngineState validates the configuration and builds the run's
+// initial state: jobs, capacity, the emergency controller, the scheduler,
+// observability, and the horizon.
 func newEngineState(cfg *Config) (*engineState, error) {
+	if err := cfg.Normalize(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Per-run observability: a private registry plus an event tracer whose
@@ -218,32 +256,34 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	horizon := lastSubmit + int(totalMin/float64(cfg.Trace.TotalCores)) + 10*24*60
 
 	byID := make(map[int]*simJob, len(jobs))
-	arrivals := make(map[int][]*simJob)
 	for _, j := range jobs {
 		byID[j.id] = j
-		arrivals[j.submitSlot] = append(arrivals[j.submitSlot], j)
 	}
+	// The trace is ordered by Submit, not by Submit+Wait, so jobs can
+	// reach their submit slot out of trace order; the sort is stable to
+	// keep the trace order among those sharing a slot.
+	arrivals := append([]*simJob(nil), jobs...)
+	sort.SliceStable(arrivals, func(a, b int) bool { return arrivals[a].submitSlot < arrivals[b].submitSlot })
 
 	st := &engineState{
-		cfg:            cfg,
-		res:            res,
-		reg:            reg,
-		tracer:         tracer,
-		runTrace:       runTrace,
-		sm:             sm,
-		smp:            smp,
-		seriesStore:    seriesStore,
-		jobs:           jobs,
-		byID:           byID,
-		arrivals:       arrivals,
-		peakW:          peakW,
-		capW:           capW,
-		ec:             ec,
-		scheduler:      scheduler,
-		baseCapCores:   float64(cfg.Trace.TotalCores) / (1 + cfg.OversubPct/100),
-		remainingStart: len(jobs),
-		marketAlgo:     cfg.Algorithm == AlgMPRStat || cfg.Algorithm == AlgMPRInt,
-		horizon:        horizon,
+		cfg:          cfg,
+		res:          res,
+		reg:          reg,
+		tracer:       tracer,
+		runTrace:     runTrace,
+		sm:           sm,
+		smp:          smp,
+		seriesStore:  seriesStore,
+		jobs:         jobs,
+		byID:         byID,
+		arrivals:     arrivals,
+		peakW:        peakW,
+		capW:         capW,
+		ec:           ec,
+		scheduler:    scheduler,
+		baseCapCores: float64(cfg.Trace.TotalCores) / (1 + cfg.OversubPct/100),
+		marketAlgo:   cfg.Algorithm == AlgMPRStat || cfg.Algorithm == AlgMPRInt,
+		horizon:      horizon,
 	}
 	if cfg.Predictive {
 		// Reactive smoothing: overload anticipation needs the trend to
@@ -261,22 +301,12 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	return st, nil
 }
 
-// runSlots is the fixed-step core: every slot in the horizon is
-// processed, whether or not anything can change in it.
-func (st *engineState) runSlots() error {
-	for slot := 0; slot <= st.horizon && (st.remainingStart > 0 || len(st.active) > 0); slot++ {
-		if err := st.step(slot); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // step advances the simulation by one slot: the complete per-slot
-// transition both cores share.
+// transition.
 func (st *engineState) step(slot int) error {
 	cfg := st.cfg
 	res := st.res
+	st.steps++
 
 	// 1. Finish jobs that completed their work (compacting the
 	// active list in place, preserving deterministic order).
@@ -303,13 +333,13 @@ func (st *engineState) step(slot int) error {
 	// until power recedes, preventing the breach instead of reacting
 	// to it (the strongest form of Section III-D's early
 	// invocation).
-	for _, j := range st.arrivals[slot] {
+	for ; st.nextArrival < len(st.arrivals) && st.arrivals[st.nextArrival].submitSlot == slot; st.nextArrival++ {
+		j := st.arrivals[st.nextArrival]
 		if err := st.scheduler.Submit(sched.Request{
 			ID: j.id, Cores: j.cores, EstRuntime: int64(math.Ceil(j.origMin)),
 		}); err != nil {
 			return err
 		}
-		st.remainingStart--
 	}
 	startBudget := cfg.Trace.TotalCores
 	if cfg.Predictive && st.ec.State() == power.StateNormal {

@@ -16,7 +16,8 @@ type ProfileStats struct {
 }
 
 // JobOutcome is one job's recorded timeline (Config.RecordJobs): the
-// per-job pinning surface of the engine differential in internal/check.
+// per-job pinning surface of the Run-vs-RunFixedStep differential in
+// internal/check.
 type JobOutcome struct {
 	ID         int
 	Cores      int

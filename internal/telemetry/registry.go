@@ -36,7 +36,7 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-global registry. Package-level
 // instrumentation (e.g. the core market counters) registers here unless
-// re-pointed; MarketStats-style legacy shims read from it.
+// re-pointed.
 func Default() *Registry { return defaultRegistry }
 
 // atomicFloat is a float64 updated with atomic bit operations.
@@ -330,7 +330,7 @@ func (r *Registry) CounterFamily(name, help, label string) *CounterFamily {
 }
 
 // CounterValue reads a plain counter by name (0 when absent or nil
-// registry) — the lookup path for legacy shims like core.MarketStats.
+// registry).
 func (r *Registry) CounterValue(name string) int64 {
 	if r == nil {
 		return 0
