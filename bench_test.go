@@ -13,6 +13,7 @@ package mpr
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -454,6 +455,67 @@ func BenchmarkMarketClearBisect1000(b *testing.B) {
 }
 func BenchmarkMarketClearBisect30000(b *testing.B) {
 	benchClearMode(b, 30000, core.ClearBisection)
+}
+
+// benchSpreadPool is benchPool with every bid replaced by the rational
+// answer to a seeded price, so activation keys are (almost) all distinct
+// — benchPool's cooperative bids share one key per profile, which no
+// sort has to work for.
+func benchSpreadPool(b testing.TB, n int) ([]*core.Participant, []core.Bidder, float64) {
+	parts, bidders, target := benchPool(b, n)
+	rng := rand.New(rand.NewSource(14))
+	for i, p := range parts {
+		p.Bid = bidders[i].RespondBid(0.05 + 0.5*rng.Float64())
+	}
+	return parts, bidders, target
+}
+
+// benchClearFresh measures the one-shot core.Clear — validate, build the
+// index (the activation sort), solve — that the manager pays per market
+// and the simulator per differently-sized invocation. 64 sits on the
+// insertion-sort side of core's small-pool cutoff, 400 on the radix side.
+func benchClearFresh(b *testing.B, n int) {
+	parts, _, target := benchSpreadPool(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Clear(parts, target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkClearFresh64(b *testing.B)     { benchClearFresh(b, 64) }
+func BenchmarkClearFresh400(b *testing.B)    { benchClearFresh(b, 400) }
+func BenchmarkClearFresh30000(b *testing.B)  { benchClearFresh(b, 30000) }
+func BenchmarkClearFresh100000(b *testing.B) { benchClearFresh(b, 100000) }
+
+// BenchmarkIndexRefresh16of30000 is the re-sorting Refresh: 16 of 30 000
+// bids double (or halve back) their activation price between refreshes,
+// the shape of an interactive round in which few bidders react.
+func BenchmarkIndexRefresh16of30000(b *testing.B) {
+	const n, batch = 30000, 16
+	parts, _, _ := benchSpreadPool(b, n)
+	ix, err := core.NewMarketIndex(parts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	orig, alt := benchStreamBids(parts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < batch; k++ {
+			j := (i*batch + k) % n
+			bid := alt[j]
+			if (i*batch+k)/n%2 == 1 {
+				bid = orig[j]
+			}
+			if err := ix.SetBid(j, bid); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ix.Refresh()
+	}
 }
 
 func benchInteractive(b *testing.B, cfg core.InteractiveConfig) {

@@ -628,15 +628,21 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 	// participants: each incoming bid is applied incrementally (O(log M))
 	// and publishes a fresh price immediately, instead of waiting for the
 	// round's batch clear. The round iteration itself is unchanged.
+	// The batch mode builds one index per market and sets each round's
+	// merged bids into it, so a round's clear allocates nothing and
+	// re-sorts only when the activation order moved.
 	var stream *core.StreamMarket
+	var index *core.MarketIndex
+	var err error
 	if m.cfg.Streaming {
-		var err error
 		stream, err = core.NewStreamMarket(parts, targetW)
-		if err != nil {
-			mkSpan.End()
-			return nil, err
-		}
 		mkSpan.SetAttr("mode", "streaming")
+	} else {
+		index, err = core.NewMarketIndex(parts)
+	}
+	if err != nil {
+		mkSpan.End()
+		return nil, err
 	}
 
 	merged := make([]mergedBid, len(agents))
@@ -720,6 +726,11 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 				}
 				continue
 			}
+			if err := index.SetBid(i, e.bid); err != nil {
+				m.malformed.Inc()
+				m.logf("agent %s bid rejected: %v", e.jobID, err)
+				continue
+			}
 			parts[i].Bid = e.bid
 		}
 
@@ -728,7 +739,7 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 			// price cached; materializing reductions reuses res's buffers.
 			marketErr = stream.ClearInto(res)
 		} else {
-			res, marketErr = core.Clear(parts, targetW)
+			marketErr = index.ClearInto(res, targetW)
 		}
 		if marketErr != nil {
 			roundSpan.End()

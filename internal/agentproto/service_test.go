@@ -260,6 +260,79 @@ func TestMixedFleetEquilibrium(t *testing.T) {
 	}
 }
 
+// TestNonFiniteBidMalformed: binary frames carry raw float bits, so a
+// hostile agent can put NaN or ±Inf on the wire. Each such bid must be
+// counted malformed and leave the agent on its last known bid (none, for
+// this fresh connection) — the market's per-round prices and orders are
+// bit-identical to the same fleet without the hostile agent, in both
+// clearing modes.
+func TestNonFiniteBidMalformed(t *testing.T) {
+	const targetW = 30000
+	for _, streaming := range []bool{false, true} {
+		run := func(hostile bool) ([]uint64, *MarketOutcome, int64) {
+			tracer, reg := telemetry.NewTracer(4096), telemetry.NewRegistry()
+			m := pipeManager(t, ManagerConfig{RoundTimeout: 2 * time.Second, Shards: 4, Tracer: tracer, Telemetry: reg, Streaming: streaming})
+			specs := fleetSpecs(8)
+			for i := range specs {
+				specs[i].wire = WireBinary
+			}
+			dialFleet(t, m, specs)
+			done := make(chan error, 1)
+			if hostile {
+				_, hc := scriptConn(t, m, WireBinary, Message{Type: MsgHello, JobID: "hostile", Cores: 64, WattsPerCore: 125, MaxFrac: 0.4})
+				waitAgents(t, m, len(specs)+1)
+				go func() {
+					bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+					for {
+						msg, err := hc.Recv()
+						if err != nil || msg.Type == MsgOrder {
+							done <- err
+							return
+						}
+						if msg.Type != MsgPrice {
+							continue
+						}
+						bid := Message{Type: MsgBid, Round: msg.Round, TraceID: msg.TraceID, Delta: 12, B: bad[msg.Round%3]}
+						if msg.Round%2 == 0 {
+							bid.Delta, bid.B = bid.B, 0.35
+						}
+						if err := hc.Send(bid); err != nil {
+							done <- err
+							return
+						}
+					}
+				}()
+			} else {
+				done <- nil
+			}
+			trail, out := marketTrail(t, m, tracer, targetW)
+			if err := <-done; err != nil {
+				t.Fatalf("hostile agent: %v", err)
+			}
+			return trail, out, reg.Snapshot().Counter(MetricMalformed)
+		}
+		wantTrail, want, _ := run(false)
+		trail, out, malformed := run(true)
+		if want.Result.Rounds < 2 {
+			t.Fatalf("streaming=%v: market cleared in %d rounds; the bad bids need ≥2", streaming, want.Result.Rounds)
+		}
+		if malformed != int64(out.Result.Rounds) {
+			t.Errorf("streaming=%v: malformed = %d, want one per round (%d)", streaming, malformed, out.Result.Rounds)
+		}
+		if !reflect.DeepEqual(trail, wantTrail) {
+			t.Errorf("streaming=%v: price trail with non-finite bids diverges:\n got  %v\n want %v", streaming, trail, wantTrail)
+		}
+		if red := out.Orders["hostile"]; red != 0 {
+			t.Errorf("streaming=%v: hostile agent ordered to reduce %v, want 0", streaming, red)
+		}
+		for job, red := range want.Orders {
+			if got := out.Orders[job]; math.Float64bits(got) != math.Float64bits(red) {
+				t.Errorf("streaming=%v: order[%s] = %v, want %v", streaming, job, got, red)
+			}
+		}
+	}
+}
+
 // TestBinaryAgentTCP exercises negotiation over real TCP: a binary fleet
 // registers (version 1), clears a market, and lands in the binary wire
 // counter.

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // MarketIndex is the reusable fast path for MClr. It precomputes, per
 // participant, the weighted supply terms WΔᵢ = WattsPerCoreᵢ·Δᵢ and
@@ -20,12 +17,12 @@ import (
 // and the minimal clearing price solves **exactly** per activation
 // segment: q′ = ΣWb/(ΣWΔ − target). No bisection is needed at all.
 //
-// Costs: O(M log M) one-time build, O(log M) per price solve, O(M) to
-// materialize per-participant reductions. Across simulation steps and
-// MPR-INT rounds the index is reused — SetBid marks changed bids and
-// Refresh re-sorts only when the activation order actually changed
-// (nearly-sorted inputs re-sort in close to O(M)), recomputing the
-// prefix sums in O(M) with no allocation.
+// Costs: O(M) one-time build (a radix sort, see radixOrder), O(log M)
+// per price solve, O(M) to materialize per-participant reductions.
+// Across simulation steps and MPR-INT rounds the index is reused — SetBid
+// marks changed bids and Refresh re-sorts only when the activation order
+// actually changed, recomputing the prefix sums in O(M) with no
+// allocation.
 //
 // A MarketIndex is not safe for concurrent mutation; concurrent calls to
 // the read-only methods (SupplyW, MaxSupplyW) are safe once built.
@@ -105,27 +102,138 @@ func activationKey(b Bid) float64 {
 	return b.B / b.Delta
 }
 
-// Len, Less, Swap implement sort.Interface over the activation order.
-// Ties break on the participant index so the sorted permutation — and
+// isSorted reports whether order still is the (key, index) order. Ties
+// break on the participant index so the sorted permutation — and
 // therefore the floating-point summation order of the prefix sums — is
 // unique regardless of rebuild history.
-func (ix *MarketIndex) Len() int { return len(ix.order) }
-func (ix *MarketIndex) Less(a, b int) bool {
-	ka, kb := ix.key[ix.order[a]], ix.key[ix.order[b]]
-	if ka != kb {
-		return ka < kb
+func (ix *MarketIndex) isSorted() bool {
+	for k := 1; k < len(ix.order); k++ {
+		p, i := ix.order[k-1], ix.order[k]
+		if kp, ki := ix.key[p], ix.key[i]; ki < kp || (ki == kp && i < p) {
+			return false
+		}
 	}
-	return ix.order[a] < ix.order[b]
+	return true
 }
-func (ix *MarketIndex) Swap(a, b int) { ix.order[a], ix.order[b] = ix.order[b], ix.order[a] }
+
+// insertionCutoff is the largest pool sorted by insertion whatever its
+// order. The radix sort pays ~2 µs up front (eight histograms to zero
+// and prefix-sum), which insertion undercuts on distinct random keys up
+// to about here; BenchmarkClearFresh64 and 400 sit on either side.
+const insertionCutoff = 96
+
+// refreshSlack is how far from sorted a larger pool may be and still be
+// re-sorted by insertion: about this many bids out of place, wherever
+// they went. At 30,000 that is 0.4 ms against the radix sort's 1.0 ms
+// (BenchmarkIndexRefresh16of30000), break-even near 64.
+const refreshSlack = 16
+
+// sortOrder sets order to the unique (key, index) permutation. fresh
+// says the current order is the identity (Reset) rather than the order
+// before some bids changed (Refresh).
+func (ix *MarketIndex) sortOrder(fresh bool) {
+	n := len(ix.order)
+	// Insertion sort from the current order. Placing order[k] moves at
+	// most k entries, so a slack of n never runs out; a large pool
+	// hands over to the radix sort as soon as the moves so far exceed
+	// refreshSlack per entry placed — at once on a shuffled order, never
+	// when only a few bids moved.
+	slack := n
+	if n > insertionCutoff {
+		if fresh {
+			ix.radixOrder()
+			return
+		}
+		slack = refreshSlack
+	}
+	order, key := ix.order, ix.key
+	moves := 0
+	for k := 1; k < n; k++ {
+		i, j := order[k], k
+		ki := key[i]
+		for ; j > 0; j-- {
+			p := order[j-1]
+			if kp := key[p]; kp < ki || (kp == ki && p < i) {
+				break
+			}
+			order[j] = p
+		}
+		order[j] = i
+		if moves += k - j; moves > slack*k {
+			ix.radixOrder()
+			return
+		}
+	}
+}
+
+// radixOrder is sortOrder for large pools, in O(M).
+//
+// Activation keys are non-negative and never NaN (Bid.Validate), so
+// their IEEE-754 bits order as unsigned integers once −0 is folded into
+// +0, and a stable LSD byte-radix sort starting from index order lands
+// on exactly the permutation a comparison sort with the index tie-break
+// does. The passes ping-pong between (act, order) and (prefWD, prefWB):
+// rebuild overwrites all three derived arrays right after, so the sort
+// borrows them instead of owning scratch — a retained megabyte counts
+// twice in the GC's heap goal. prefWB carries indices as floats (exact
+// below 2⁵³); slot 0 of the prefix arrays stays the zero it must be.
+// It is a function of its own so that small pools never grow the stack
+// for the 16 KiB of histograms.
+func (ix *MarketIndex) radixOrder() {
+	n := len(ix.order)
+	var hist [8][256]int
+	for i, k := range ix.key {
+		k += 0
+		ix.act[i], ix.order[i] = k, i
+		b := math.Float64bits(k)
+		for d := range hist {
+			hist[d][byte(b>>(8*d))]++
+		}
+	}
+	bK, bI := ix.prefWD[1:], ix.prefWB[1:]
+	inA := true
+	first := math.Float64bits(ix.act[0])
+	for d := range hist {
+		h := &hist[d]
+		if h[byte(first>>(8*d))] == n {
+			continue // every key agrees on this byte
+		}
+		sum := 0
+		for v, c := range h {
+			h[v], sum = sum, sum+c
+		}
+		if inA {
+			radixPass(bK, bI, ix.act, ix.order, h, uint(8*d))
+		} else {
+			radixPass(ix.act, ix.order, bK, bI, h, uint(8*d))
+		}
+		inA = !inA
+	}
+	if !inA {
+		for k := range ix.order {
+			ix.order[k] = int(bI[k])
+		}
+	}
+}
+
+// radixPass scatters the (key, index) pairs of src into dst, stably, by
+// the key byte at shift; off holds each byte value's first dst slot.
+func radixPass[S, D int | float64](dstK []float64, dstI []D, srcK []float64, srcI []S, off *[256]int, shift uint) {
+	for j, k := range srcK {
+		v := byte(math.Float64bits(k) >> shift)
+		p := off[v]
+		off[v] = p + 1
+		dstK[p], dstI[p] = k, D(srcI[j])
+	}
+}
 
 // rebuild re-derives act, the prefix sums, and the supply ceiling from
 // the current bids. When force is false the sort is skipped if the
 // existing order is still valid (the common case when only bid
 // magnitudes, not activation ordering, changed between rounds).
 func (ix *MarketIndex) rebuild(force bool) {
-	if force || !sort.IsSorted(ix) {
-		sort.Sort(ix)
+	if force || !ix.isSorted() {
+		ix.sortOrder(force)
 		ix.sorts++
 	}
 	var wd, wb float64

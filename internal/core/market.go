@@ -43,13 +43,16 @@ type Bid struct {
 	B float64
 }
 
-// Validate checks bid sanity.
+// Validate checks bid sanity: Δ and b finite and non-negative. The
+// comparisons are written so NaN fails them (NaN < 0 is false); a NaN
+// activation key would otherwise sort nowhere and clear the market at
+// price 0.
 func (b Bid) Validate() error {
-	if b.Delta < 0 {
-		return fmt.Errorf("core: bid Δ must be non-negative, got %v", b.Delta)
+	if !(b.Delta >= 0 && b.Delta <= math.MaxFloat64) {
+		return fmt.Errorf("core: bid Δ must be finite and non-negative, got %v", b.Delta)
 	}
-	if b.B < 0 {
-		return fmt.Errorf("core: bid b must be non-negative, got %v", b.B)
+	if !(b.B >= 0 && b.B <= math.MaxFloat64) {
+		return fmt.Errorf("core: bid b must be finite and non-negative, got %v", b.B)
 	}
 	return nil
 }
@@ -228,7 +231,7 @@ func bracketPrice(supplyW func(float64) float64, start, level, cap float64) floa
 // MPR-STAT market. It returns the minimal clearing price whose induced
 // supply meets targetW and the per-participant reductions at that price.
 //
-// Complexity: O(M log M) to build the market index plus O(log M) for the
+// Complexity: O(M) to build the market index plus O(log M) for the
 // exact per-segment price solve (see MarketIndex; reuse the index
 // directly for amortized O(log M) clears). This is the scalability
 // headline of the paper (Fig. 10: sub-second clearing at 30,000 active

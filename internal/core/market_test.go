@@ -102,6 +102,63 @@ func TestBidValidate(t *testing.T) {
 	}
 }
 
+// A NaN or infinite Δ or b passes every `< 0` test, and a NaN activation
+// key used to clear the whole market at price 0 (supply 0, "feasible").
+// Every entry point that takes a bid must refuse it and keep its state.
+func TestNonFiniteBidsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	var bad []Bid
+	for _, v := range []float64{nan, inf, -inf} {
+		bad = append(bad, Bid{Delta: 2, B: v}, Bid{Delta: v, B: 1})
+	}
+	pool := func() []*Participant {
+		return []*Participant{
+			{JobID: "a", Cores: 4, WattsPerCore: 100, Bid: Bid{Delta: 2, B: 0.5}},
+			{JobID: "b", Cores: 4, WattsPerCore: 100, Bid: Bid{Delta: 2, B: 1}},
+		}
+	}
+	const target = 150
+	want, err := Clear(pool(), target)
+	if err != nil || want.Price <= 0 {
+		t.Fatalf("reference clear: %+v, %v", want, err)
+	}
+	for _, b := range bad {
+		if b.Validate() == nil {
+			t.Errorf("%+v validates", b)
+		}
+		ps := append(pool(), &Participant{JobID: "bad", Cores: 4, WattsPerCore: 100, Bid: b})
+		if res, err := Clear(ps, target); err == nil {
+			t.Errorf("Clear with %+v: %+v, want an error", b, res)
+		}
+
+		ix, err := NewMarketIndex(pool())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.SetBid(1, b); err == nil {
+			t.Errorf("SetBid(%+v) accepted", b)
+		}
+		var got ClearingResult
+		if err := ix.ClearInto(&got, target); err != nil || got.Price != want.Price {
+			t.Errorf("index after rejected SetBid(%+v) clears at %v (%v), want %v", b, got.Price, err, want.Price)
+		}
+
+		sm, err := NewStreamMarket(pool(), target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sm.Apply(ParticipantDelta{Index: 1, Bid: b}); err == nil {
+			t.Errorf("Apply(%+v) accepted", b)
+		}
+		if _, _, err := sm.Apply(ParticipantDelta{Index: 2, Bid: b, WattsPerCore: 100}); err == nil {
+			t.Errorf("Apply(append %+v) accepted", b)
+		}
+		if p, _ := sm.Price(); p != want.Price {
+			t.Errorf("stream after rejected Apply(%+v) prices at %v, want %v", b, p, want.Price)
+		}
+	}
+}
+
 func TestActivationPrice(t *testing.T) {
 	if ap := (Bid{Delta: 0.7, B: 0.14}).ActivationPrice(); !floats.AbsEqual(ap, 0.2, 1e-12) {
 		t.Errorf("activation = %v", ap)

@@ -7,7 +7,7 @@ import (
 
 // StreamMarket is the continuously-clearing MClr engine: where
 // MarketIndex amortizes batch rebuilds (any activation-order change
-// costs an O(M log M) re-sort plus an O(M) prefix-sum rebuild), the
+// costs an O(M) re-sort plus an O(M) prefix-sum rebuild), the
 // stream market keeps the participants in an order-statistic structure
 // keyed by activation price, so a single bid insert, update, or removal
 // — including the re-clear that follows it — is O(log M) with zero
