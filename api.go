@@ -58,19 +58,6 @@ const (
 	OPTDual    = core.OPTDual
 )
 
-// ClearMode selects the MClr solver implementation.
-type ClearMode = core.ClearMode
-
-// MClr solver modes: the closed-form segmented solver (default), the
-// legacy bisection search retained as a cross-check, and the streaming
-// treap engine (same prices, solved incrementally).
-const (
-	ClearAuto       = core.ClearAuto
-	ClearClosedForm = core.ClearClosedForm
-	ClearBisection  = core.ClearBisection
-	ClearStreaming  = core.ClearStreaming
-)
-
 // MarketIndex is the reusable MClr fast path: activation-sorted prefix
 // sums giving O(log M) supply evaluation and exact per-segment clearing.
 type MarketIndex = core.MarketIndex
@@ -107,20 +94,10 @@ func Clear(ps []*Participant, targetW float64) (*ClearingResult, error) {
 	return core.Clear(ps, targetW)
 }
 
-// ClearWithMode is Clear with an explicit solver selection.
-func ClearWithMode(ps []*Participant, targetW float64, mode ClearMode) (*ClearingResult, error) {
-	return core.ClearWithMode(ps, targetW, mode)
-}
-
 // ClearCapped clears the market under a manager-side price ceiling (the
 // Table I affordability bound).
 func ClearCapped(ps []*Participant, targetW, priceCap float64) (*ClearingResult, error) {
 	return core.ClearCapped(ps, targetW, priceCap)
-}
-
-// ClearCappedWithMode is ClearCapped with an explicit solver selection.
-func ClearCappedWithMode(ps []*Participant, targetW, priceCap float64, mode ClearMode) (*ClearingResult, error) {
-	return core.ClearCappedWithMode(ps, targetW, priceCap, mode)
 }
 
 // InstrumentMarket points the market solvers' counters at reg; nil

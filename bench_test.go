@@ -165,14 +165,14 @@ func benchClear(b *testing.B, n int) {
 	}
 }
 
-// benchClearMode measures the one-shot clear (validate + build + solve
-// every call) under the given solver.
-func benchClearMode(b *testing.B, n int, mode core.ClearMode) {
+// benchClearOneShot measures the one-shot clear (validate + build +
+// solve every call) under the given solver.
+func benchClearOneShot(b *testing.B, n int, clear func([]*core.Participant, float64) (*core.ClearingResult, error)) {
 	parts, _, target := benchPool(b, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ClearWithMode(parts, target, mode); err != nil {
+		if _, err := clear(parts, target); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -445,16 +445,16 @@ func BenchmarkMarketClear1000(b *testing.B)  { benchClear(b, 1000) }
 func BenchmarkMarketClear10000(b *testing.B) { benchClear(b, 10000) }
 func BenchmarkMarketClear30000(b *testing.B) { benchClear(b, 30000) }
 
-// One-shot closed-form clear (index rebuilt per call) and the legacy
-// bisection solver, for the DESIGN.md solver comparison.
+// One-shot closed-form clear (index rebuilt per call) and the bisection
+// reference, for the DESIGN.md solver comparison.
 func BenchmarkMarketClearFresh30000(b *testing.B) {
-	benchClearMode(b, 30000, core.ClearClosedForm)
+	benchClearOneShot(b, 30000, core.Clear)
 }
 func BenchmarkMarketClearBisect1000(b *testing.B) {
-	benchClearMode(b, 1000, core.ClearBisection)
+	benchClearOneShot(b, 1000, core.ClearBisect)
 }
 func BenchmarkMarketClearBisect30000(b *testing.B) {
-	benchClearMode(b, 30000, core.ClearBisection)
+	benchClearOneShot(b, 30000, core.ClearBisect)
 }
 
 // benchSpreadPool is benchPool with every bid replaced by the rational
@@ -533,13 +533,10 @@ func BenchmarkMarketInteractive1000(b *testing.B) {
 	benchInteractive(b, core.InteractiveConfig{})
 }
 
-// Sequential rebidding and the legacy per-round solver, for comparison
-// against the parallel/indexed default above.
+// Sequential rebidding, for comparison against the parallel default
+// above.
 func BenchmarkMarketInteractive1000Seq(b *testing.B) {
 	benchInteractive(b, core.InteractiveConfig{Workers: 1})
-}
-func BenchmarkMarketInteractive1000Bisect(b *testing.B) {
-	benchInteractive(b, core.InteractiveConfig{Workers: 1, Mode: core.ClearBisection})
 }
 
 func BenchmarkOPTDual1000(b *testing.B) {

@@ -380,10 +380,13 @@ func (m *Manager) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if hello.Cores <= 0 || hello.WattsPerCore <= 0 || hello.MaxFrac <= 0 {
+	// Written so NaN and +Inf fail: mprbin/v1 carries raw float bits, and
+	// one NaN watts-per-core would turn the whole fleet's SuppliedW to NaN.
+	positive := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+	if !positive(hello.Cores) || !positive(hello.WattsPerCore) || !positive(hello.MaxFrac) {
 		m.malformed.Inc()
 		m.rejected.Inc()
-		_ = codec.Send(Message{Type: MsgError, Reason: "hello needs positive cores, watts_per_core, max_frac"})
+		_ = codec.Send(Message{Type: MsgError, Reason: "hello needs finite positive cores, watts_per_core, max_frac"})
 		conn.Close()
 		return
 	}

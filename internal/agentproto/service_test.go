@@ -333,6 +333,61 @@ func TestNonFiniteBidMalformed(t *testing.T) {
 	}
 }
 
+// The same hole at registration: the hello's cores, watts_per_core and
+// max_frac ride the binary wire as raw float bits too, and "x <= 0" lets
+// NaN and +Inf through — one agent registered with NaN watts-per-core
+// turned every later SuppliedW for the whole fleet into NaN. Such hellos
+// must be refused like any other malformed hello (MsgError, counted
+// malformed and rejected), and the market over the rest stays finite.
+func TestNonFiniteHelloRejected(t *testing.T) {
+	m := pipeManager(t, ManagerConfig{RoundTimeout: 2 * time.Second, Telemetry: telemetry.NewRegistry()})
+	specs := fleetSpecs(4)
+	for i := range specs {
+		specs[i].wire = WireBinary
+	}
+	dialFleet(t, m, specs)
+	waitAgents(t, m, len(specs))
+
+	good := Message{Type: MsgHello, Cores: 64, WattsPerCore: 125, MaxFrac: 0.4}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for field, set := range map[string]func(*Message){
+			"cores":          func(h *Message) { h.Cores = v },
+			"watts_per_core": func(h *Message) { h.WattsPerCore = v },
+			"max_frac":       func(h *Message) { h.MaxFrac = v },
+		} {
+			hello := good
+			hello.JobID = "bad-" + field
+			set(&hello)
+			malformed, rejected := m.malformed.Value(), m.rejected.Value()
+			conn, c := scriptConn(t, m, WireBinary, hello)
+			// An accepted hello hears nothing until a market opens.
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if reply, err := c.Recv(); err != nil || reply.Type != MsgError {
+				t.Fatalf("hello with %s = %v: reply %+v, %v; want an error message", field, v, reply, err)
+			}
+			if dm, dr := m.malformed.Value()-malformed, m.rejected.Value()-rejected; dm != 1 || dr != 1 {
+				t.Errorf("hello with %s = %v: malformed +%d, rejected +%d, want +1, +1", field, v, dm, dr)
+			}
+		}
+	}
+	if n := m.AgentCount(); n != len(specs) {
+		t.Fatalf("agents = %d after the refused hellos, want %d", n, len(specs))
+	}
+	out, err := m.RunMarket(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := out.Result.Price; !(p > 0 && p <= math.MaxFloat64) {
+		t.Errorf("clearing price %v, want finite and positive", p)
+	}
+	if w := out.Result.SuppliedW; !(w > 0 && w <= math.MaxFloat64) {
+		t.Errorf("supplied %v W, want finite and positive", w)
+	}
+	if len(out.Orders) != len(specs) {
+		t.Errorf("%d orders, want one per accepted agent (%d)", len(out.Orders), len(specs))
+	}
+}
+
 // TestBinaryAgentTCP exercises negotiation over real TCP: a binary fleet
 // registers (version 1), clears a market, and lands in the binary wire
 // counter.

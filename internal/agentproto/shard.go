@@ -147,7 +147,7 @@ func (s *shard) loop() {
 				s.runRound(cmd)
 			case cmdDeliver:
 				for _, mm := range cmd.msgs {
-					s.sendTo(mm.a, mm.msg, cmd.timeout)
+					s.send(mm.a, cmd.timeout, func() error { return mm.a.codec.Send(mm.msg) })
 				}
 				cmd.reply <- shardBatch{}
 			}
@@ -155,41 +155,19 @@ func (s *shard) loop() {
 	}
 }
 
-// sendTo writes one message on the loop with a per-send deadline (a
-// shared absolute deadline would let one stalled peer poison every
-// member after it in the loop), classifying failures: a write timeout
-// means the peer stopped draining and is evicted (write_stall); any
-// other error is a dead peer.
-func (s *shard) sendTo(a *agentConn, msg Message, timeout time.Duration) bool {
+// send performs one write to a member on the loop — a per-member message
+// through its codec (cmdDeliver) or a round's fleet-shared pre-encoded
+// bytes, raw (runRound) — with a per-send deadline (a shared absolute
+// deadline would let one stalled peer poison every member after it in
+// the loop), classifying failures: a write timeout means the peer
+// stopped draining and is evicted (write_stall); any other error is a
+// dead peer.
+func (s *shard) send(a *agentConn, timeout time.Duration, write func() error) bool {
 	if a.dropped.Load() {
 		return false
 	}
 	_ = a.conn.SetWriteDeadline(time.Now().Add(timeout))
-	err := a.codec.Send(msg)
-	if err == nil {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		s.m.logf("agent %s write stalled: %v", a.hello.JobID, err)
-		s.m.drop(a, ReasonWriteStall, true)
-	} else {
-		s.m.logf("send to %s failed: %v", a.hello.JobID, err)
-		s.m.drop(a, ReasonPeerClosed, false)
-	}
-	return false
-}
-
-// sendPre writes a fleet-shared pre-encoded broadcast to one member: the
-// bytes for the connection's negotiated transport, raw, skipping the
-// per-member re-encode. Deadline handling and failure classification
-// (write_stall eviction vs dead peer) mirror sendTo exactly.
-func (s *shard) sendPre(a *agentConn, pre *encodedMsg, timeout time.Duration) bool {
-	if a.dropped.Load() {
-		return false
-	}
-	_ = a.conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := a.conn.Write(pre.bytesFor(a.wire))
+	err := write()
 	if err == nil {
 		return true
 	}
@@ -221,7 +199,10 @@ func (s *shard) runRound(cmd shardCmd) {
 	broadcastNS := time.Now().UnixNano()
 	live := int32(0)
 	for _, a := range s.members {
-		if s.sendPre(a, cmd.pre, cmd.timeout) {
+		// The bytes for the connection's negotiated transport, skipping
+		// the per-member re-encode.
+		raw := cmd.pre.bytesFor(a.wire)
+		if s.send(a, cmd.timeout, func() error { _, err := a.conn.Write(raw); return err }) {
 			live++
 		}
 	}

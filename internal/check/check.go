@@ -22,7 +22,7 @@
 //
 //   - Differential drivers (diff.go): cross-checks that run thousands of
 //     generated instances through independent solver implementations
-//     (ClearClosedForm vs ClearBisection, capped variants, MPR-INT vs the
+//     (core.Clear vs core.ClearBisect, capped variants, MPR-INT vs the
 //     OPT KKT dual fast path) and fail with the reproducing instance seed
 //     on any disagreement or invariant violation.
 //

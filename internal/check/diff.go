@@ -69,14 +69,14 @@ func instanceSeed(base int64, i int) int64 {
 	return base + int64(i)*1664525
 }
 
-// DiffClearModes cross-checks the closed-form segmented solver against
-// the bisection solver on instances generated instances of up to maxN
-// participants: both must agree on feasibility, clearing price,
-// per-participant reductions, and supplied power to the harness
-// tolerance, and each result must independently satisfy the full
-// invariant catalog. The returned error, if any, names the reproducing
-// instance seed.
-func DiffClearModes(baseSeed int64, instances, maxN int) (DiffStats, error) {
+// DiffSolvers cross-checks the closed-form segmented solver (core.Clear)
+// against the bisection reference (core.ClearBisect) on generated
+// instances of up to maxN participants: both must agree on feasibility,
+// clearing price, per-participant reductions, and supplied power to the
+// harness tolerance, and each result must independently satisfy the
+// full invariant catalog. The returned error, if any, names the
+// reproducing instance seed.
+func DiffSolvers(baseSeed int64, instances, maxN int) (DiffStats, error) {
 	parts, err := runner.MapN(0, instances, func(i int) (DiffStats, error) {
 		seed := instanceSeed(baseSeed, i)
 		g := NewGen(seed)
@@ -100,11 +100,11 @@ func diffOneClear(ps []*core.Participant, target float64, st *DiffStats) error {
 	if len(ps) == 1 {
 		st.Singleton++
 	}
-	cf, err := core.ClearWithMode(ps, target, core.ClearClosedForm)
+	cf, err := core.Clear(ps, target)
 	if err != nil {
 		return fmt.Errorf("closed form: %v", err)
 	}
-	bi, err := core.ClearWithMode(ps, target, core.ClearBisection)
+	bi, err := core.ClearBisect(ps, target)
 	if err != nil {
 		return fmt.Errorf("bisection: %v", err)
 	}
@@ -230,7 +230,7 @@ func drawCap(g *Gen, ps []*core.Participant, target float64) (float64, error) {
 			return minAct / 2, nil
 		}
 	}
-	un, err := core.ClearWithMode(ps, target, core.ClearClosedForm)
+	un, err := core.Clear(ps, target)
 	if err != nil {
 		return 0, fmt.Errorf("uncapped clear for cap draw: %v", err)
 	}
@@ -251,11 +251,11 @@ func drawCap(g *Gen, ps []*core.Participant, target float64) (float64, error) {
 func diffOneCapped(ps []*core.Participant, target, priceCap float64, st *DiffStats) error {
 	st.Instances++
 	st.Participants += len(ps)
-	cf, err := core.ClearCappedWithMode(ps, target, priceCap, core.ClearClosedForm)
+	cf, err := core.ClearCapped(ps, target, priceCap)
 	if err != nil {
 		return fmt.Errorf("closed form: %v", err)
 	}
-	bi, err := core.ClearCappedWithMode(ps, target, priceCap, core.ClearBisection)
+	bi, err := ClearCappedBisect(ps, target, priceCap)
 	if err != nil {
 		return fmt.Errorf("bisection: %v", err)
 	}
@@ -292,7 +292,7 @@ func diffOneCapped(ps []*core.Participant, target, priceCap float64, st *DiffSta
 	}
 	if cf.Rounds == 0 {
 		st.Capped++
-		// Both modes settled at the cap: the materialized supply at the
+		// Both solvers settled at the cap: the materialized supply at the
 		// cap must agree bit for bit (same evaluation, no search).
 		if cf.Price != bi.Price {
 			return fmt.Errorf("capped settlement price %v vs %v", cf.Price, bi.Price)

@@ -24,12 +24,12 @@ func diffInstances(t *testing.T) int {
 	return 6000
 }
 
-// TestDiffClearModes cross-checks the closed-form segmented solver
+// TestDiffSolvers cross-checks the closed-form segmented solver
 // against the bisection solver on thousands of generated instances,
 // asserting both the pairwise agreement and the invariant catalog.
-func TestDiffClearModes(t *testing.T) {
+func TestDiffSolvers(t *testing.T) {
 	start := time.Now()
-	st, err := DiffClearModes(diffSeedClear, diffInstances(t), 96)
+	st, err := DiffSolvers(diffSeedClear, diffInstances(t), 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +48,14 @@ func TestDiffClearModes(t *testing.T) {
 	}
 }
 
-// TestDiffClearModesLargePools widens the pool-size range so breakpoint
+// TestDiffSolversLargePools widens the pool-size range so breakpoint
 // binary searches cross cache-line and recursion-depth regimes; fewer
 // instances, same invariants.
-func TestDiffClearModesLargePools(t *testing.T) {
+func TestDiffSolversLargePools(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large pools skipped in -short")
 	}
-	st, err := DiffClearModes(diffSeedClear+7, 300, 2048)
+	st, err := DiffSolvers(diffSeedClear+7, 300, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}

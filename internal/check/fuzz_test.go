@@ -79,11 +79,11 @@ func FuzzClear(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		cf, err := core.ClearWithMode(ps, target, core.ClearClosedForm)
+		cf, err := core.Clear(ps, target)
 		if err != nil {
 			t.Fatalf("closed form: %v", err)
 		}
-		bi, err := core.ClearWithMode(ps, target, core.ClearBisection)
+		bi, err := core.ClearBisect(ps, target)
 		if err != nil {
 			t.Fatalf("bisection: %v", err)
 		}
@@ -119,11 +119,11 @@ func FuzzClearCapped(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		cf, err := core.ClearCappedWithMode(ps, target, priceCap, core.ClearClosedForm)
+		cf, err := core.ClearCapped(ps, target, priceCap)
 		if err != nil {
 			t.Fatalf("closed form: %v", err)
 		}
-		bi, err := core.ClearCappedWithMode(ps, target, priceCap, core.ClearBisection)
+		bi, err := ClearCappedBisect(ps, target, priceCap)
 		if err != nil {
 			t.Fatalf("bisection: %v", err)
 		}
@@ -133,7 +133,7 @@ func FuzzClearCapped(f *testing.F) {
 		if err := CheckCapped(ps, target, priceCap, bi); err != nil {
 			t.Fatalf("bisection violates invariants: %v", err)
 		}
-		// Sentinel prices differ between the modes on capacity-infeasible
+		// Sentinel prices differ between the solvers on capacity-infeasible
 		// pools and at the cap itself (see diffOneCapped); the universal
 		// agreements are feasibility-independent supply and reductions.
 		maxW := MaxSupplyW(ps)

@@ -16,6 +16,18 @@ import (
 
 const metaInstances = 300
 
+// solvers is the table every relation runs over: the closed form and the
+// bisection reference. exact marks the solver whose summation order is
+// canonical, so its outputs are also held to bit-identity.
+var solvers = []struct {
+	name  string
+	clear func([]*core.Participant, float64) (*core.ClearingResult, error)
+	exact bool
+}{
+	{"closed-form", core.Clear, true},
+	{"bisection", core.ClearBisect, false},
+}
+
 // permute returns ps reordered so out[k] = ps[perm[k]], plus the inverse
 // mapping back to original indices.
 func permute(ps []*core.Participant, rng *rand.Rand) ([]*core.Participant, []int) {
@@ -59,14 +71,14 @@ func TestMetamorphicPermutationInvariance(t *testing.T) {
 		ps := g.Pool(g.PoolSize(64))
 		target := g.Target(MaxSupplyW(ps))
 		qs, perm := permute(ps, rand.New(rand.NewSource(seed^0x5a5a)))
-		for _, mode := range []core.ClearMode{core.ClearClosedForm, core.ClearBisection} {
-			a, err := core.ClearWithMode(ps, target, mode)
+		for _, sv := range solvers {
+			a, err := sv.clear(ps, target)
 			if err != nil {
-				t.Fatalf("seed %d: %v: %v", seed, mode, err)
+				t.Fatalf("seed %d: %v: %v", seed, sv.name, err)
 			}
-			b, err := core.ClearWithMode(qs, target, mode)
+			b, err := sv.clear(qs, target)
 			if err != nil {
-				t.Fatalf("seed %d: %v permuted: %v", seed, mode, err)
+				t.Fatalf("seed %d: %v permuted: %v", seed, sv.name, err)
 			}
 			// Un-permute the reductions so compareClears sees matching
 			// participant order.
@@ -76,9 +88,9 @@ func TestMetamorphicPermutationInvariance(t *testing.T) {
 				back.Reductions[j] = b.Reductions[k]
 			}
 			if err := compareClears(ps, target, a, &back); err != nil {
-				t.Fatalf("seed %d: %v not permutation-invariant: %v", seed, mode, err)
+				t.Fatalf("seed %d: %v not permutation-invariant: %v", seed, sv.name, err)
 			}
-			if mode == core.ClearClosedForm && distinctFiniteKeys(ps) {
+			if sv.exact && distinctFiniteKeys(ps) {
 				if math.Float64bits(a.Price) != math.Float64bits(b.Price) {
 					t.Fatalf("seed %d: closed-form price not bit-identical under permutation: %v vs %v",
 						seed, a.Price, b.Price)
@@ -116,23 +128,23 @@ func TestMetamorphicScaleInvariance(t *testing.T) {
 				cp.WattsPerCore = p.WattsPerCore * scale
 				qs[k] = &cp
 			}
-			for _, mode := range []core.ClearMode{core.ClearClosedForm, core.ClearBisection} {
-				a, err := core.ClearWithMode(ps, target, mode)
+			for _, sv := range solvers {
+				a, err := sv.clear(ps, target)
 				if err != nil {
-					t.Fatalf("seed %d: %v: %v", seed, mode, err)
+					t.Fatalf("seed %d: %v: %v", seed, sv.name, err)
 				}
-				b, err := core.ClearWithMode(qs, target*scale, mode)
+				b, err := sv.clear(qs, target*scale)
 				if err != nil {
-					t.Fatalf("seed %d: %v scaled: %v", seed, mode, err)
+					t.Fatalf("seed %d: %v scaled: %v", seed, sv.name, err)
 				}
 				if math.Float64bits(a.Price) != math.Float64bits(b.Price) {
 					t.Fatalf("seed %d scale %v: %v price not bit-identical: %v vs %v",
-						seed, scale, mode, a.Price, b.Price)
+						seed, scale, sv.name, a.Price, b.Price)
 				}
 				for k := range ps {
 					if math.Float64bits(a.Reductions[k]) != math.Float64bits(b.Reductions[k]) {
 						t.Fatalf("seed %d scale %v: %v reduction[%d] not bit-identical",
-							seed, scale, mode, k)
+							seed, scale, sv.name, k)
 					}
 				}
 			}
@@ -155,7 +167,7 @@ func TestMetamorphicBidScaling(t *testing.T) {
 		if target >= maxW*(1-Tol) {
 			continue
 		}
-		base, err := core.ClearWithMode(ps, target, core.ClearClosedForm)
+		base, err := core.Clear(ps, target)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -169,7 +181,7 @@ func TestMetamorphicBidScaling(t *testing.T) {
 			return qs
 		}
 		// Dyadic factor: bit-exact price scaling in the closed form.
-		dy, err := core.ClearWithMode(scaleBids(4), target, core.ClearClosedForm)
+		dy, err := core.Clear(scaleBids(4), target)
 		if err != nil {
 			t.Fatalf("seed %d: dyadic: %v", seed, err)
 		}
@@ -182,14 +194,14 @@ func TestMetamorphicBidScaling(t *testing.T) {
 			}
 		}
 		// Non-dyadic factor: tolerance-level scaling in both solvers.
-		for _, mode := range []core.ClearMode{core.ClearClosedForm, core.ClearBisection} {
-			r, err := core.ClearWithMode(scaleBids(3), target, mode)
+		for _, sv := range solvers {
+			r, err := sv.clear(scaleBids(3), target)
 			if err != nil {
-				t.Fatalf("seed %d: %v 3×: %v", seed, mode, err)
+				t.Fatalf("seed %d: %v 3×: %v", seed, sv.name, err)
 			}
 			want := 3 * base.Price
 			if d := math.Abs(r.Price - want); d > Tol*(1+want) {
-				t.Fatalf("seed %d: %v price %v under 3× reluctance, want %v", seed, mode, r.Price, want)
+				t.Fatalf("seed %d: %v price %v under 3× reluctance, want %v", seed, sv.name, r.Price, want)
 			}
 		}
 	}

@@ -46,6 +46,31 @@ func SupplyWAt(ps []*core.Participant, q float64) float64 {
 	return w
 }
 
+// ClearCappedBisect is the capped market's reference: clear-then-discard.
+// It runs the full bisection and keeps the outcome when the price is
+// within priceCap; otherwise it settles at the cap with whatever supply
+// the capped price buys — the same materialization core.ClearCapped's
+// short-circuit must match bit for bit.
+func ClearCappedBisect(ps []*core.Participant, targetW, priceCap float64) (*core.ClearingResult, error) {
+	if priceCap <= 0 {
+		return nil, fmt.Errorf("check: price cap must be positive, got %v", priceCap)
+	}
+	res, err := core.ClearBisect(ps, targetW)
+	if err != nil || res.Price <= priceCap {
+		return res, err
+	}
+	var total float64
+	res.Price, res.SuppliedW = priceCap, 0
+	for i, p := range ps {
+		res.Reductions[i] = p.Bid.Supply(priceCap)
+		res.SuppliedW += p.WattsPerCore * res.Reductions[i]
+		total += res.Reductions[i]
+	}
+	res.PayoutRate = priceCap * total
+	res.Feasible = res.SuppliedW >= targetW-1e-9
+	return res, nil
+}
+
 // CheckClearing verifies the full invariant catalog for a one-shot
 // market clearing (MPR-STAT, either solver) of ps at targetW:
 //

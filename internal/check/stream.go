@@ -104,7 +104,7 @@ func diffOneStream(g *Gen, ps []*core.Participant, target float64, updates int, 
 		if err := sm.ClearInto(&got); err != nil {
 			return fmt.Errorf("update %d (%s): stream clear: %v", ordinal, kind, err)
 		}
-		want, err := core.ClearWithMode(twin, sm.Target(), core.ClearClosedForm)
+		want, err := core.Clear(twin, sm.Target())
 		if err != nil {
 			return fmt.Errorf("update %d (%s): batch clear: %v", ordinal, kind, err)
 		}

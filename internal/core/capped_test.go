@@ -1,43 +1,57 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
+
+	"mpr/internal/check"
+	"mpr/internal/core"
 )
 
 // Boundary behaviour of the price-capped market, pinned with hand-solved
 // numbers. Pool: two jobs at 100 W/core — activation prices 0.5 and 1.5,
 // aggregate supply S(q) = 100·(4 − 2/q) on [0.5, 1.5), plus
 // 100·(2 − 3/q) from 1.5 on; capacity 600 W.
-func cappedBoundaryPool() []*Participant {
-	return []*Participant{
-		{JobID: "a", Cores: 8, Bid: Bid{Delta: 4, B: 2}, WattsPerCore: 100, MaxFrac: 0.5},
-		{JobID: "b", Cores: 4, Bid: Bid{Delta: 2, B: 3}, WattsPerCore: 100, MaxFrac: 0.5},
+func cappedBoundaryPool() []*core.Participant {
+	return []*core.Participant{
+		{JobID: "a", Cores: 8, Bid: core.Bid{Delta: 4, B: 2}, WattsPerCore: 100, MaxFrac: 0.5},
+		{JobID: "b", Cores: 4, Bid: core.Bid{Delta: 2, B: 3}, WattsPerCore: 100, MaxFrac: 0.5},
 	}
 }
 
-var cappedModes = []ClearMode{ClearClosedForm, ClearBisection}
+// cappedSolvers is the table every boundary case runs over: ClearCapped
+// and the clear-then-discard bisection reference (an external test
+// package, so it may import the harness that holds it).
+var cappedSolvers = []struct {
+	name       string
+	clear      func(ps []*core.Participant, targetW float64) (*core.ClearingResult, error)
+	capped     func(ps []*core.Participant, targetW, priceCap float64) (*core.ClearingResult, error)
+	closedForm bool
+}{
+	{"closed-form", core.Clear, core.ClearCapped, true},
+	{"bisection", core.ClearBisect, check.ClearCappedBisect, false},
+}
 
 // Target exactly at the cap-limited supply: S(1) = 200 W, so a target of
 // 200 W under a cap of 1 clears feasibly at exactly the cap — the cap
 // does not bind, and the closed form runs a full price search.
 func TestClearCappedTargetExactlyAtCapSupply(t *testing.T) {
 	ps := cappedBoundaryPool()
-	for _, mode := range cappedModes {
-		res, err := ClearCappedWithMode(ps, 200, 1.0, mode)
+	for _, sv := range cappedSolvers {
+		res, err := sv.capped(ps, 200, 1.0)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", sv.name, err)
 		}
 		if !res.Feasible {
-			t.Errorf("%v: target exactly at capped supply reported infeasible", mode)
+			t.Errorf("%v: target exactly at capped supply reported infeasible", sv.name)
 		}
 		if math.Abs(res.Price-1.0) > 1e-9 {
-			t.Errorf("%v: price %v, want 1.0", mode, res.Price)
+			t.Errorf("%v: price %v, want 1.0", sv.name, res.Price)
 		}
 		if math.Abs(res.SuppliedW-200) > 1e-6 {
-			t.Errorf("%v: supplied %v, want 200", mode, res.SuppliedW)
+			t.Errorf("%v: supplied %v, want 200", sv.name, res.SuppliedW)
 		}
-		if mode == ClearClosedForm && res.Rounds != 1 {
+		if sv.closedForm && res.Rounds != 1 {
 			t.Errorf("closed form ran %d rounds, want a full (non-short-circuit) search", res.Rounds)
 		}
 	}
@@ -48,26 +62,26 @@ func TestClearCappedTargetExactlyAtCapSupply(t *testing.T) {
 // form must detect this from one supply lookup (Rounds = 0, no search).
 func TestClearCappedBelowAllActivations(t *testing.T) {
 	ps := cappedBoundaryPool() // lowest activation price 0.5
-	for _, mode := range cappedModes {
-		res, err := ClearCappedWithMode(ps, 150, 0.25, mode)
+	for _, sv := range cappedSolvers {
+		res, err := sv.capped(ps, 150, 0.25)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", sv.name, err)
 		}
 		if res.Feasible {
-			t.Errorf("%v: zero-trade market reported feasible", mode)
+			t.Errorf("%v: zero-trade market reported feasible", sv.name)
 		}
 		if res.Price != 0.25 {
-			t.Errorf("%v: price %v, want the cap 0.25", mode, res.Price)
+			t.Errorf("%v: price %v, want the cap 0.25", sv.name, res.Price)
 		}
 		if res.SuppliedW != 0 || res.PayoutRate != 0 {
-			t.Errorf("%v: supplied %v, payout %v, want 0, 0", mode, res.SuppliedW, res.PayoutRate)
+			t.Errorf("%v: supplied %v, payout %v, want 0, 0", sv.name, res.SuppliedW, res.PayoutRate)
 		}
 		for i, d := range res.Reductions {
 			if d != 0 {
-				t.Errorf("%v: reduction[%d] = %v, want 0", mode, i, d)
+				t.Errorf("%v: reduction[%d] = %v, want 0", sv.name, i, d)
 			}
 		}
-		if mode == ClearClosedForm && res.Rounds != 0 {
+		if sv.closedForm && res.Rounds != 0 {
 			t.Errorf("closed form ran %d rounds, want 0 (cap short-circuit)", res.Rounds)
 		}
 	}
@@ -78,37 +92,37 @@ func TestClearCappedBelowAllActivations(t *testing.T) {
 func TestClearCappedAtUncappedPrice(t *testing.T) {
 	ps := cappedBoundaryPool()
 	target := 250.0
-	for _, mode := range cappedModes {
-		un, err := ClearWithMode(ps, target, mode)
+	for _, sv := range cappedSolvers {
+		un, err := sv.clear(ps, target)
 		if err != nil {
-			t.Fatalf("%v: uncapped: %v", mode, err)
+			t.Fatalf("%v: uncapped: %v", sv.name, err)
 		}
 		if !un.Feasible {
-			t.Fatalf("%v: uncapped clear infeasible", mode)
+			t.Fatalf("%v: uncapped clear infeasible", sv.name)
 		}
-		res, err := ClearCappedWithMode(ps, target, un.Price, mode)
+		res, err := sv.capped(ps, target, un.Price)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", sv.name, err)
 		}
 		if !res.Feasible {
-			t.Errorf("%v: cap at the clearing price reported infeasible", mode)
+			t.Errorf("%v: cap at the clearing price reported infeasible", sv.name)
 		}
 		if math.Abs(res.Price-un.Price) > 1e-9*(1+un.Price) {
-			t.Errorf("%v: price %v, want the uncapped price %v", mode, res.Price, un.Price)
+			t.Errorf("%v: price %v, want the uncapped price %v", sv.name, res.Price, un.Price)
 		}
 		if res.SuppliedW < target-1e-6 {
-			t.Errorf("%v: supplied %v short of %v", mode, res.SuppliedW, target)
+			t.Errorf("%v: supplied %v short of %v", sv.name, res.SuppliedW, target)
 		}
 	}
 }
 
-// A non-positive cap is a caller error in every mode.
+// A non-positive cap is a caller error for both solvers.
 func TestClearCappedRejectsBadCap(t *testing.T) {
 	ps := cappedBoundaryPool()
-	for _, mode := range cappedModes {
+	for _, sv := range cappedSolvers {
 		for _, cap := range []float64{0, -1} {
-			if _, err := ClearCappedWithMode(ps, 100, cap, mode); err == nil {
-				t.Errorf("%v: cap %v accepted", mode, cap)
+			if _, err := sv.capped(ps, 100, cap); err == nil {
+				t.Errorf("%v: cap %v accepted", sv.name, cap)
 			}
 		}
 	}

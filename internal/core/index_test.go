@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -64,11 +65,11 @@ func TestClosedFormMatchesBisection(t *testing.T) {
 				if maxW == 0 { // all-Δ=0 pool: exercise the infeasible path
 					target = 100
 				}
-				cf, err := ClearWithMode(ps, target, ClearClosedForm)
+				cf, err := Clear(ps, target)
 				if err != nil {
 					t.Fatalf("closed form target %v: %v", target, err)
 				}
-				bi, err := ClearWithMode(ps, target, ClearBisection)
+				bi, err := ClearBisect(ps, target)
 				if err != nil {
 					t.Fatalf("bisection target %v: %v", target, err)
 				}
@@ -314,19 +315,26 @@ func TestClearCappedShortCircuit(t *testing.T) {
 	if capped.Price != cap || capped.Feasible {
 		t.Errorf("capped result = %+v", capped)
 	}
-	// The capped outcome must match the legacy clear-then-discard path
-	// bit for bit (both materialize supply at the cap).
-	legacy, err := ClearCappedWithMode(ps, 6000, cap, ClearBisection)
+	// The capped outcome must match clear-then-discard bit for bit: the
+	// bisection reference clears above the cap, so both materialize
+	// supply at the cap.
+	ref, err := ClearBisect(ps, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capped.Price != legacy.Price || capped.SuppliedW != legacy.SuppliedW || capped.Feasible != legacy.Feasible {
-		t.Errorf("short-circuit %+v vs legacy %+v", capped, legacy)
+	if ref.Price <= cap {
+		t.Fatalf("reference price %v does not exceed the cap %v", ref.Price, cap)
 	}
-	for i := range capped.Reductions {
-		if capped.Reductions[i] != legacy.Reductions[i] {
-			t.Errorf("reduction[%d]: %v vs %v", i, capped.Reductions[i], legacy.Reductions[i])
+	var suppliedW float64
+	for i, p := range ps {
+		want := p.Bid.Supply(cap)
+		suppliedW += p.WattsPerCore * want
+		if capped.Reductions[i] != want {
+			t.Errorf("reduction[%d]: %v vs %v", i, capped.Reductions[i], want)
 		}
+	}
+	if capped.SuppliedW != suppliedW {
+		t.Errorf("short-circuit supplied %v vs clear-then-discard %v", capped.SuppliedW, suppliedW)
 	}
 	// A loose cap must still run exactly one full search.
 	searches0, _ = marketStats()
@@ -404,48 +412,55 @@ func TestInteractiveSolverModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The reference is the same price/bid fixpoint iteration under the
+	// default InteractiveConfig, each round cleared by the bisection.
 	ps2, bs2 := interactiveSetup(t, apps, 16)
-	slow, err := ClearInteractive(ps2, bs2, target, InteractiveConfig{Mode: ClearBisection})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Converged != slow.Converged || fast.Rounds != slow.Rounds {
-		t.Errorf("closed form %+v vs bisection %+v", fast, slow)
-	}
-	if !floats.RelEqual(fast.Price, slow.Price, 1e-6) {
-		t.Errorf("equilibrium price %v vs %v", fast.Price, slow.Price)
-	}
-}
-
-func TestClearModeString(t *testing.T) {
-	if ClearAuto.String() != "auto" || ClearClosedForm.String() != "closed-form" ||
-		ClearBisection.String() != "bisection" || ClearMode(9).String() != "unknown" {
-		t.Error("ClearMode strings")
-	}
-}
-
-// Edge parity between the solver modes for the degenerate inputs.
-func TestClearModeEdgeParity(t *testing.T) {
-	for _, mode := range []ClearMode{ClearClosedForm, ClearBisection} {
-		if res, err := ClearWithMode(nil, 0, mode); err != nil || !res.Feasible || res.Price != 0 {
-			t.Errorf("%v: zero target = %+v, %v", mode, res, err)
+	q, rounds, converged := 0.1, 0, false
+	for rounds < 100 && !converged {
+		rounds++
+		for i, b := range bs2 {
+			ps2[i].Bid = b.RespondBid(q)
 		}
-		if _, err := ClearWithMode(nil, 10, mode); err != ErrNoParticipants {
-			t.Errorf("%v: err = %v, want ErrNoParticipants", mode, err)
+		r, err := ClearBisect(ps2, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		converged = math.Abs(r.Price-q) <= 1e-6*math.Max(q, 1e-12)
+		q = r.Price
+	}
+	if fast.Converged != converged || fast.Rounds != rounds {
+		t.Errorf("closed form %+v vs bisection converged=%v rounds=%d", fast, converged, rounds)
+	}
+	if !floats.RelEqual(fast.Price, q, 1e-6) {
+		t.Errorf("equilibrium price %v vs %v", fast.Price, q)
+	}
+}
+
+// Edge parity between the closed form and the bisection reference for
+// the degenerate inputs.
+func TestSolverEdgeParity(t *testing.T) {
+	for name, clear := range map[string]func([]*Participant, float64) (*ClearingResult, error){
+		"closed-form": Clear, "bisection": ClearBisect,
+	} {
+		if res, err := clear(nil, 0); err != nil || !res.Feasible || res.Price != 0 {
+			t.Errorf("%v: zero target = %+v, %v", name, res, err)
+		}
+		if _, err := clear(nil, 10); err != ErrNoParticipants {
+			t.Errorf("%v: err = %v, want ErrNoParticipants", name, err)
 		}
 		bad := &Participant{JobID: "bad", Cores: 1, WattsPerCore: 0, Bid: Bid{Delta: 1}}
-		if _, err := ClearWithMode([]*Participant{bad}, 10, mode); err == nil {
-			t.Errorf("%v: invalid participant accepted", mode)
+		if _, err := clear([]*Participant{bad}, 10); err == nil {
+			t.Errorf("%v: invalid participant accepted", name)
 		}
 		// A pool that can never supply anything: infeasible, saturation
-		// price at the 1e-6 floor in both modes.
+		// price at the 1e-6 floor in both solvers.
 		dead := []*Participant{{JobID: "z", Cores: 4, WattsPerCore: 125, Bid: Bid{Delta: 0, B: 3}}}
-		res, err := ClearWithMode(dead, 50, mode)
+		res, err := clear(dead, 50)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", name, err)
 		}
 		if res.Feasible || res.SuppliedW != 0 || res.Price != 1e-6 {
-			t.Errorf("%v: dead pool result = %+v", mode, res)
+			t.Errorf("%v: dead pool result = %+v", name, res)
 		}
 	}
 }
@@ -470,11 +485,11 @@ func TestClosedFormOnProfilePool(t *testing.T) {
 	}
 	maxW := poolMaxW(ps)
 	for _, frac := range []float64{0.1, 0.4, 0.8, 0.99} {
-		cf, err := ClearWithMode(ps, frac*maxW, ClearClosedForm)
+		cf, err := Clear(ps, frac*maxW)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bi, err := ClearWithMode(ps, frac*maxW, ClearBisection)
+		bi, err := ClearBisect(ps, frac*maxW)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,8 +39,6 @@ type InteractiveConfig struct {
 	// GOMAXPROCS, 1 forces sequential bidding. Results are written by
 	// bidder index, so the outcome is bit-identical to sequential.
 	Workers int
-	// Mode selects the per-round MClr solver (default: closed form).
-	Mode ClearMode
 	// Trace, when set, receives one "int_round" event per manager↔user
 	// exchange (round number, announced price, cleared price, aggregate
 	// supply) — the convergence trajectory of Figs. 9-11. Nil (the
@@ -160,24 +158,12 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 		bidSpan := roundSpan.StartChild("respond_bids")
 		respondBids(bidders, q, bids, cfg.Workers)
 		bidSpan.End()
-		if cfg.Mode == ClearBisection {
-			for i := range workPtrs {
-				workPtrs[i].Bid = bids[i]
-			}
-			r, err := clearBisect(workPtrs, targetW)
-			if err != nil {
-				return nil, err
-			}
-			res = r
-		} else if ix == nil {
+		if ix == nil {
 			for i := range workPtrs {
 				workPtrs[i].Bid = bids[i]
 			}
 			var err error
 			if ix, err = NewMarketIndex(workPtrs); err != nil {
-				return nil, err
-			}
-			if err := ix.ClearInto(res, targetW); err != nil {
 				return nil, err
 			}
 		} else {
@@ -186,9 +172,9 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 					return nil, err
 				}
 			}
-			if err := ix.ClearInto(res, targetW); err != nil {
-				return nil, err
-			}
+		}
+		if err := ix.ClearInto(res, targetW); err != nil {
+			return nil, err
 		}
 		res.Rounds = round
 		cfg.Trace.Emit(telemetry.Event{

@@ -15,7 +15,8 @@
 // bisection: because every supply function is the same scalar-
 // parameterized hyperbola, the clearing price has an exact closed form
 // per activation segment (see MarketIndex in index.go); the bisection
-// survives as a selectable cross-check (ClearBisection).
+// survives as the reference function ClearBisect (bisect.go), which
+// nothing in the system selects.
 // Two market modes are provided: Clear (MPR-STAT, one-shot with
 // static bids) and ClearInteractive (MPR-INT, iterative price/bid exchange
 // that converges to the socially optimal reduction). The package also
@@ -28,8 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"mpr/internal/solver"
 )
 
 // Bid is a user's supply function parameterization for one job:
@@ -119,13 +118,15 @@ type Participant struct {
 // cores: MaxFrac × Cores.
 func (p *Participant) MaxReduction() float64 { return p.MaxFrac * p.Cores }
 
-// Validate checks participant sanity for market clearing.
+// Validate checks participant sanity for market clearing. Like
+// Bid.Validate, the comparisons are written so NaN and ±Inf fail them:
+// one NaN watts-per-core would turn every SuppliedW sum into NaN.
 func (p *Participant) Validate() error {
-	if p.Cores < 0 {
-		return fmt.Errorf("core: participant %s: negative cores", p.JobID)
+	if !(p.Cores >= 0 && p.Cores <= math.MaxFloat64) {
+		return fmt.Errorf("core: participant %s: cores must be finite and non-negative, got %v", p.JobID, p.Cores)
 	}
-	if p.WattsPerCore <= 0 {
-		return fmt.Errorf("core: participant %s: watts-per-core must be positive", p.JobID)
+	if !(p.WattsPerCore > 0 && p.WattsPerCore <= math.MaxFloat64) {
+		return fmt.Errorf("core: participant %s: watts-per-core must be finite and positive, got %v", p.JobID, p.WattsPerCore)
 	}
 	if err := p.Bid.Validate(); err != nil {
 		return fmt.Errorf("core: participant %s: %w", p.JobID, err)
@@ -164,69 +165,6 @@ type ClearingResult struct {
 	Converged bool
 }
 
-// ClearMode selects the MClr solver implementation.
-type ClearMode int
-
-const (
-	// ClearAuto uses the default solver: the closed-form segmented fast
-	// path (see MarketIndex).
-	ClearAuto ClearMode = iota
-	// ClearClosedForm forces the closed-form segmented solver.
-	ClearClosedForm
-	// ClearBisection forces the original O(M·log(1/tol)) bisection
-	// solver — kept as an independent cross-check implementation for the
-	// differential tests and benchmarks.
-	ClearBisection
-	// ClearStreaming routes through the continuously-clearing treap
-	// engine (see StreamMarket): one-shot clears build the stream and
-	// clear once; long-lived callers hold the StreamMarket directly for
-	// O(log M) incremental re-clears per bid update.
-	ClearStreaming
-)
-
-// String names the mode for tables and logs.
-func (m ClearMode) String() string {
-	switch m {
-	case ClearAuto:
-		return "auto"
-	case ClearClosedForm:
-		return "closed-form"
-	case ClearBisection:
-		return "bisection"
-	case ClearStreaming:
-		return "streaming"
-	}
-	return "unknown"
-}
-
-// priceCeiling returns the largest activation price across the pool
-// (with a small positive floor): the price at which every participant
-// has *begun* supplying. Callers that need the aggregate supply to
-// saturate keep doubling from here — see bracketPrice — since each
-// doubling halves every withheld amount b/q.
-func priceCeiling(ps []*Participant) float64 {
-	hi := 1e-6
-	for _, p := range ps {
-		if ap := p.Bid.ActivationPrice(); ap > hi {
-			hi = ap
-		}
-	}
-	return hi
-}
-
-// bracketPrice doubles q from start until supplyW(q) reaches level or q
-// reaches cap. It is the shared bracketing step of the bisection path:
-// the feasible branch brackets the clearing price (level = target, no
-// cap), the infeasible branch finds the saturation price (level =
-// maxW − ε, cap = 1e15).
-func bracketPrice(supplyW func(float64) float64, start, level, cap float64) float64 {
-	q := start
-	for supplyW(q) < level && q < cap {
-		q *= 2
-	}
-	return q
-}
-
 // Clear solves MClr (Eqns. (4)-(5)) for a static set of bids — the
 // MPR-STAT market. It returns the minimal clearing price whose induced
 // supply meets targetW and the per-participant reductions at that price.
@@ -237,120 +175,29 @@ func bracketPrice(supplyW func(float64) float64, start, level, cap float64) floa
 // headline of the paper (Fig. 10: sub-second clearing at 30,000 active
 // jobs), sharpened from the paper's bisection to a closed form.
 func Clear(ps []*Participant, targetW float64) (*ClearingResult, error) {
-	return ClearWithMode(ps, targetW, ClearAuto)
-}
-
-// ClearWithMode solves MClr with an explicit solver choice. ClearAuto
-// and ClearClosedForm run the exact segmented solver; ClearBisection
-// runs the original bisection as an independent cross-check. Both return
-// the same prices, reductions, and feasibility up to the bisection
-// tolerance (property-tested to 1e-9).
-func ClearWithMode(ps []*Participant, targetW float64, mode ClearMode) (*ClearingResult, error) {
-	if mode == ClearBisection {
-		return clearBisect(ps, targetW)
-	}
-	res := &ClearingResult{
-		Reductions: make([]float64, len(ps)),
-		TargetW:    targetW,
-		Feasible:   true,
-		Rounds:     1,
-		Converged:  true,
-	}
 	if targetW <= 0 {
-		return res, nil
+		return noReduction(len(ps), targetW), nil
 	}
 	if len(ps) == 0 {
 		return nil, ErrNoParticipants
-	}
-	if mode == ClearStreaming {
-		sm, err := NewStreamMarket(ps, targetW)
-		if err != nil {
-			return nil, err
-		}
-		met().clearsStream.Inc()
-		if err := sm.ClearInto(res); err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
 	ix, err := NewMarketIndex(ps)
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.ClearInto(res, targetW); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ix.Clear(targetW)
 }
 
-// clearBisect is the original scalar-bisection MClr solver, O(M) per
-// supply evaluation and O(M·log(1/tol)) overall. It is retained verbatim
-// in behaviour as the cross-check path for the closed-form solver.
-func clearBisect(ps []*Participant, targetW float64) (*ClearingResult, error) {
-	res := &ClearingResult{
-		Reductions: make([]float64, len(ps)),
+// noReduction is the outcome of a market with nothing to buy: a
+// non-positive target clears at price 0 with every reduction 0.
+func noReduction(n int, targetW float64) *ClearingResult {
+	return &ClearingResult{
+		Reductions: make([]float64, n),
 		TargetW:    targetW,
 		Feasible:   true,
 		Rounds:     1,
 		Converged:  true,
 	}
-	if targetW <= 0 {
-		return res, nil
-	}
-	if len(ps) == 0 {
-		return nil, ErrNoParticipants
-	}
-	for _, p := range ps {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-	}
-
-	supplyW := func(q float64) float64 {
-		var w float64
-		for _, p := range ps {
-			w += p.WattsPerCore * p.Bid.Supply(q)
-		}
-		return w
-	}
-	maxW := 0.0
-	for _, p := range ps {
-		maxW += p.WattsPerCore * p.Bid.Delta
-	}
-
-	met().clearsBisect.Inc()
-	met().priceSearches.Inc()
-	if maxW < targetW {
-		// Infeasible: every job contributes its maximum; price settles
-		// at the point where supply has saturated.
-		res.Feasible = false
-		q := bracketPrice(supplyW, priceCeiling(ps), maxW-1e-9, 1e15)
-		res.Price = q
-		for i, p := range ps {
-			res.Reductions[i] = p.Bid.Supply(q)
-			res.SuppliedW += p.WattsPerCore * res.Reductions[i]
-		}
-		res.PayoutRate = payout(res.Price, res.Reductions)
-		return res, nil
-	}
-
-	// Bracket the clearing price, then bisect for the minimal feasible q.
-	// The tolerance is tight (1e-13 relative to the bracket) so this path
-	// stays a meaningful 1e-9-level cross-check of the closed form.
-	lo := 0.0
-	hi := bracketPrice(supplyW, priceCeiling(ps), targetW, math.Inf(1))
-	q, ok := solver.BisectMin(func(q float64) float64 { return supplyW(q) - targetW }, lo, hi, 1e-13*hi+1e-15)
-	if !ok {
-		// Cannot happen: maxW >= target and supply(hi) >= target.
-		return nil, fmt.Errorf("core: clearing bisection failed unexpectedly")
-	}
-	res.Price = q
-	for i, p := range ps {
-		res.Reductions[i] = p.Bid.Supply(q)
-		res.SuppliedW += p.WattsPerCore * res.Reductions[i]
-	}
-	res.PayoutRate = payout(res.Price, res.Reductions)
-	return res, nil
 }
 
 // ClearCapped clears the market under a manager-side price ceiling — the
@@ -360,50 +207,18 @@ func clearBisect(ps []*Participant, targetW float64) (*ClearingResult, error) {
 // cap with whatever supply the capped price buys and reports the shortfall
 // through Feasible=false; the manager must cover the remainder by direct
 // capping.
-func ClearCapped(ps []*Participant, targetW, priceCap float64) (*ClearingResult, error) {
-	return ClearCappedWithMode(ps, targetW, priceCap, ClearAuto)
-}
-
-// ClearCappedWithMode is ClearCapped with an explicit solver choice. The
-// closed-form modes evaluate the aggregate supply at priceCap first —
-// an O(log M) index lookup — and only run a full price search when the
-// cap does not bind; the capped branch therefore performs no MClr solve
-// at all (observable through Rounds = 0 and the MetricPriceSearches /
+//
+// The aggregate supply at priceCap is evaluated first — an O(log M)
+// index lookup — and a full price search runs only when the cap does not
+// bind; the capped branch performs no MClr solve at all (observable
+// through Rounds = 0 and the MetricPriceSearches /
 // MetricCappedShortCircuits counters).
-// ClearBisection reproduces the original clear-then-discard behaviour.
-func ClearCappedWithMode(ps []*Participant, targetW, priceCap float64, mode ClearMode) (*ClearingResult, error) {
+func ClearCapped(ps []*Participant, targetW, priceCap float64) (*ClearingResult, error) {
 	if priceCap <= 0 {
 		return nil, fmt.Errorf("core: price cap must be positive, got %v", priceCap)
 	}
-	capResult := func(res *ClearingResult) *ClearingResult {
-		res.Price = priceCap
-		res.SuppliedW = 0
-		for i, p := range ps {
-			res.Reductions[i] = p.Bid.Supply(priceCap)
-			res.SuppliedW += p.WattsPerCore * res.Reductions[i]
-		}
-		res.PayoutRate = payout(priceCap, res.Reductions)
-		res.Feasible = res.SuppliedW >= targetW-1e-9
-		return res
-	}
-	if mode == ClearBisection {
-		res, err := clearBisect(ps, targetW)
-		if err != nil {
-			return nil, err
-		}
-		if res.Price <= priceCap {
-			return res, nil
-		}
-		return capResult(res), nil
-	}
 	if targetW <= 0 {
-		return &ClearingResult{
-			Reductions: make([]float64, len(ps)),
-			TargetW:    targetW,
-			Feasible:   true,
-			Rounds:     1,
-			Converged:  true,
-		}, nil
+		return noReduction(len(ps), targetW), nil
 	}
 	if len(ps) == 0 {
 		return nil, ErrNoParticipants
@@ -417,25 +232,22 @@ func ClearCappedWithMode(ps []*Participant, targetW, priceCap float64, mode Clea
 		// target, so settle at the cap directly without a price search.
 		met().cappedShort.Inc()
 		res := &ClearingResult{
+			Price:      priceCap,
 			Reductions: make([]float64, len(ps)),
 			TargetW:    targetW,
 			Rounds:     0,
 			Converged:  true,
 		}
-		return capResult(res), nil
+		for i, p := range ps {
+			res.Reductions[i] = p.Bid.Supply(priceCap)
+			res.SuppliedW += p.WattsPerCore * res.Reductions[i]
+		}
+		res.PayoutRate = payout(priceCap, res.Reductions)
+		res.Feasible = res.SuppliedW >= targetW-1e-9
+		return res, nil
 	}
 	// The cap is loose: the minimal clearing price is ≤ priceCap.
-	res := &ClearingResult{
-		Reductions: make([]float64, len(ps)),
-		TargetW:    targetW,
-		Feasible:   true,
-		Rounds:     1,
-		Converged:  true,
-	}
-	if err := ix.ClearInto(res, targetW); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ix.Clear(targetW)
 }
 
 func payout(price float64, reductions []float64) float64 {

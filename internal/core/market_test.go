@@ -159,6 +159,55 @@ func TestNonFiniteBidsRejected(t *testing.T) {
 	}
 }
 
+// The same hole on the participant side: NaN compares false with
+// everything, so "Cores < 0" and "WattsPerCore <= 0" let it through, and
+// one NaN watts-per-core made every SuppliedW sum NaN. Every solver
+// entry point and the stream's update and append paths must refuse
+// non-finite cores and watts and leave a built market unchanged.
+func TestNonFiniteParticipantsRejected(t *testing.T) {
+	pool := func() []*Participant {
+		return []*Participant{
+			{JobID: "a", Cores: 4, WattsPerCore: 100, Bid: Bid{Delta: 2, B: 0.5}},
+			{JobID: "b", Cores: 4, WattsPerCore: 100, Bid: Bid{Delta: 2, B: 1}},
+		}
+	}
+	const target = 150
+	sm, err := NewStreamMarket(pool(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := sm.Price()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, bad := range []*Participant{
+			{JobID: "cores", Cores: v, WattsPerCore: 100, Bid: Bid{Delta: 2, B: 1}},
+			{JobID: "watts", Cores: 4, WattsPerCore: v, Bid: Bid{Delta: 2, B: 1}},
+		} {
+			if bad.Validate() == nil {
+				t.Errorf("%s = %v validates", bad.JobID, v)
+			}
+			ps := append(pool(), bad)
+			if res, err := Clear(ps, target); err == nil {
+				t.Errorf("Clear with %s = %v: %+v, want an error", bad.JobID, v, res)
+			}
+			if res, err := ClearBisect(ps, target); err == nil {
+				t.Errorf("ClearBisect with %s = %v: %+v, want an error", bad.JobID, v, res)
+			}
+			if _, err := NewStreamMarket(ps, target); err == nil {
+				t.Errorf("NewStreamMarket with %s = %v accepted", bad.JobID, v)
+			}
+		}
+		for _, idx := range []int{1, 2} { // update, append
+			if _, _, err := sm.Apply(ParticipantDelta{Index: idx, Bid: Bid{Delta: 2, B: 1}, WattsPerCore: v}); err == nil {
+				t.Errorf("Apply(index %d, watts %v) accepted", idx, v)
+			}
+		}
+		var got ClearingResult
+		if err := sm.ClearInto(&got); err != nil || got.Price != want || math.IsNaN(got.SuppliedW) || sm.Len() != 2 {
+			t.Errorf("stream after rejected watts %v: %+v (%v), want price %v over 2 slots", v, got, err, want)
+		}
+	}
+}
+
 func TestActivationPrice(t *testing.T) {
 	if ap := (Bid{Delta: 0.7, B: 0.14}).ActivationPrice(); !floats.AbsEqual(ap, 0.2, 1e-12) {
 		t.Errorf("activation = %v", ap)

@@ -177,8 +177,8 @@ func (sm *StreamMarket) Apply(d ParticipantDelta) (price float64, feasible bool,
 	if d.Index < 0 || d.Index > n || (d.Index == n && d.Remove) {
 		return sm.price, sm.feasible, &ParticipantRangeError{Index: d.Index, Len: n}
 	}
-	if d.WattsPerCore < 0 {
-		return sm.price, sm.feasible, fmt.Errorf("core: watts-per-core must be positive, got %v", d.WattsPerCore)
+	if !(d.WattsPerCore >= 0 && d.WattsPerCore <= math.MaxFloat64) { // written so NaN fails
+		return sm.price, sm.feasible, fmt.Errorf("core: watts-per-core must be finite and positive, got %v", d.WattsPerCore)
 	}
 	if !d.Remove {
 		if err := d.Bid.Validate(); err != nil {
@@ -252,6 +252,7 @@ func (sm *StreamMarket) ClearInto(res *ClearingResult) error {
 	if n == 0 {
 		return ErrNoParticipants
 	}
+	met().clearsStream.Inc()
 	res.Price = sm.price
 	res.Feasible = sm.feasible
 	var total float64

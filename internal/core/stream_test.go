@@ -338,8 +338,10 @@ func TestStreamTreeStaysBalanced(t *testing.T) {
 }
 
 // Edge semantics: zero/negative targets clear trivially, the empty
-// market mirrors the batch ErrNoParticipants contract, and the
-// streaming ClearMode routes one-shot clears through the treap engine.
+// market mirrors the batch ErrNoParticipants contract, and a freshly
+// built stream's one-shot ClearInto matches the batch Clear and is what
+// mpr_core_clears_total{mode="streaming"} counts — per materialized
+// clear, not per Apply.
 func TestStreamEdgesAndMode(t *testing.T) {
 	sm, err := NewStreamMarket(nil, 0)
 	if err != nil {
@@ -355,30 +357,28 @@ func TestStreamEdgesAndMode(t *testing.T) {
 	if err := sm.ClearInto(&res); err != ErrNoParticipants {
 		t.Errorf("err = %v, want ErrNoParticipants", err)
 	}
-	if ClearStreaming.String() != "streaming" {
-		t.Error("ClearStreaming string")
-	}
 
 	rng := rand.New(rand.NewSource(12))
 	ps := randomPool(rng, 64)
 	target := 0.4 * poolMaxW(ps)
-	st, err := ClearWithMode(ps, target, ClearStreaming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf, err := ClearWithMode(ps, target, ClearClosedForm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Feasible != cf.Feasible || !floats.RelEqual(st.Price, cf.Price, 1e-9) {
-		t.Errorf("streaming mode %+v vs closed form %+v", st, cf)
-	}
-
-	// Removing every participant empties the tree; re-activation restores.
 	sm2, err := NewStreamMarket(ps, target)
 	if err != nil {
 		t.Fatal(err)
 	}
+	counted := met().clearsStream.Value()
+	var st ClearingResult
+	if err := sm2.ClearInto(&st); err != nil {
+		t.Fatal(err)
+	}
+	cf, err := Clear(ps, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Feasible != cf.Feasible || !floats.RelEqual(st.Price, cf.Price, 1e-9) {
+		t.Errorf("streaming clear %+v vs closed form %+v", st, cf)
+	}
+
+	// Removing every participant empties the tree; re-activation restores.
 	for i := 0; i < sm2.Len(); i++ {
 		if _, _, err := sm2.Apply(ParticipantDelta{Index: i, Remove: true}); err != nil {
 			t.Fatal(err)
@@ -395,6 +395,9 @@ func TestStreamEdgesAndMode(t *testing.T) {
 		if _, _, err := sm2.Apply(d); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := met().clearsStream.Value() - counted; got != 1 {
+		t.Errorf("streaming clears counted %d after one ClearInto and %d Applies, want 1", got, 2*sm2.Len())
 	}
 	compareStreamToBatch(t, sm2, "after full remove/re-add cycle")
 	if p, _ := sm2.Price(); !floats.RelEqual(p, cf.Price, 1e-9) {

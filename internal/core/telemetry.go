@@ -14,7 +14,9 @@ const (
 	// MetricCappedShortCircuits counts ClearCapped calls settled at the
 	// price cap without running a price search.
 	MetricCappedShortCircuits = "mpr_core_capped_short_circuits_total"
-	// MetricClears counts market clears, labeled by solver mode.
+	// MetricClears counts market clears, labeled by the solver that ran:
+	// "closed_form" (MarketIndex.ClearInto) or "streaming"
+	// (StreamMarket.ClearInto, once per materialized round, not per Apply).
 	MetricClears = "mpr_core_clears_total"
 	// MetricInteractiveRounds is the rounds-to-convergence histogram of
 	// the MPR-INT loop.
@@ -31,7 +33,6 @@ type coreMetrics struct {
 	priceSearches *telemetry.Counter
 	cappedShort   *telemetry.Counter
 	clearsClosed  *telemetry.Counter
-	clearsBisect  *telemetry.Counter
 	clearsStream  *telemetry.Counter
 	intRounds     *telemetry.Histogram
 	intConverged  *telemetry.Counter
@@ -53,7 +54,6 @@ func Instrument(reg *telemetry.Registry) {
 		m.priceSearches = reg.Counter(MetricPriceSearches, "Full MClr price solves (any mode).")
 		m.cappedShort = reg.Counter(MetricCappedShortCircuits, "ClearCapped calls settled at the cap without a price search.")
 		m.clearsClosed = clears.With("closed_form")
-		m.clearsBisect = clears.With("bisection")
 		m.clearsStream = clears.With("streaming")
 		m.intRounds = reg.Histogram(MetricInteractiveRounds, "MPR-INT rounds to convergence.", telemetry.RoundBuckets)
 		outcomes := reg.CounterFamily(MetricInteractiveOutcomes, "Finished interactive markets by outcome.", "outcome")

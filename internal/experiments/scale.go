@@ -108,11 +108,11 @@ func runFig10(o Options) (*Result, error) {
 		}
 		statMS := time.Since(t0).Seconds() * 1000
 
-		// Solver comparison: the legacy bisection search and the amortized
+		// Solver comparison: the paper's bisection search and the amortized
 		// indexed clear (index built once, then reused — the steady-state
 		// cost inside the sim engine and the MPR-INT rounds).
 		t0 = time.Now()
-		if _, err := core.ClearWithMode(parts, target, core.ClearBisection); err != nil {
+		if _, err := core.ClearBisect(parts, target); err != nil {
 			return nil, err
 		}
 		bisectMS := time.Since(t0).Seconds() * 1000

@@ -84,12 +84,6 @@ type Config struct {
 	BufferFrac       float64
 	// Interactive tunes the MPR-INT loop.
 	Interactive core.InteractiveConfig
-	// ClearMode selects the MClr solver for the market algorithms
-	// (default ClearAuto = closed-form segmented solver; ClearBisection
-	// keeps the legacy search, useful as a cross-check; ClearStreaming
-	// routes MPR-STAT clears through the continuously-clearing treap
-	// engine — the same prices, solved incrementally).
-	ClearMode core.ClearMode
 	// Backfill enables EASY backfill in the admission scheduler.
 	Backfill bool
 	// MarketDelaySlots delays the reduction taking effect after an
@@ -209,9 +203,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.PhasePeriodSlots < 2 {
 		return fmt.Errorf("sim: phase period must be at least 2 slots, got %d", c.PhasePeriodSlots)
-	}
-	if c.Interactive.Mode == core.ClearAuto {
-		c.Interactive.Mode = c.ClearMode
 	}
 	if c.TraceEvents <= 0 {
 		c.TraceEvents = 64

@@ -758,7 +758,7 @@ type marketScratch struct {
 	sel     []*simJob
 	allocs  []float64 // alloc knob per selected job, parallel to sel
 	res     core.ClearingResult
-	ix      *core.MarketIndex
+	ix      core.MarketIndex
 }
 
 // computeReduction invokes the configured algorithm against the active
@@ -788,30 +788,17 @@ func computeReduction(cfg *Config, active []*simJob, targetW float64, s *marketS
 	var reductions []float64
 	switch cfg.Algorithm {
 	case AlgMPRStat:
-		if cfg.ClearMode == core.ClearBisection || cfg.ClearMode == core.ClearStreaming {
-			r, cerr := core.ClearWithMode(s.parts, targetW, cfg.ClearMode)
-			if cerr != nil {
-				return 0, 0, false, cerr
-			}
-			reductions, price, feasible, rounds = r.Reductions, r.Price, r.Feasible, r.Rounds
-		} else {
-			// Closed-form fast path: reset the long-lived index over the
-			// current selection and re-clear into the recycled result —
-			// the same segmented solve ClearWithMode runs, minus its
-			// per-call index and result allocations.
-			if s.ix == nil {
-				s.ix, err = core.NewMarketIndex(s.parts)
-			} else {
-				err = s.ix.Reset(s.parts)
-			}
-			if err != nil {
-				return 0, 0, false, err
-			}
-			if cerr := s.ix.ClearInto(&s.res, targetW); cerr != nil {
-				return 0, 0, false, cerr
-			}
-			reductions, price, feasible, rounds = s.res.Reductions, s.res.Price, s.res.Feasible, s.res.Rounds
+		// Reset the long-lived index over the current selection and
+		// re-clear into the recycled result — the segmented solve
+		// core.Clear runs, minus its per-call index and result
+		// allocations.
+		if err := s.ix.Reset(s.parts); err != nil {
+			return 0, 0, false, err
 		}
+		if err := s.ix.ClearInto(&s.res, targetW); err != nil {
+			return 0, 0, false, err
+		}
+		reductions, price, feasible, rounds = s.res.Reductions, s.res.Price, s.res.Feasible, s.res.Rounds
 	case AlgMPRInt:
 		r, cerr := core.ClearInteractive(s.parts, s.bidders, targetW, cfg.Interactive)
 		if cerr != nil {

@@ -55,10 +55,10 @@ func TestMarketInvocationSteadyZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestComputeReductionMatchesClearWithMode pins the scratch fast path to
+// TestComputeReductionMatchesClear pins the scratch fast path to
 // the one-shot solver it replaced: identical prices, feasibility, and
 // allocation knobs, bit for bit.
-func TestComputeReductionMatchesClearWithMode(t *testing.T) {
+func TestComputeReductionMatchesClear(t *testing.T) {
 	cfg, jobs, target := scratchFixture(t, AlgMPRStat)
 	var s marketScratch
 	rounds, price, feasible, err := computeReduction(cfg, jobs, target, &s)
@@ -69,7 +69,7 @@ func TestComputeReductionMatchesClearWithMode(t *testing.T) {
 	for i, j := range jobs {
 		parts[i] = j.part
 	}
-	ref, err := core.ClearWithMode(parts, target, cfg.ClearMode)
+	ref, err := core.Clear(parts, target)
 	if err != nil {
 		t.Fatal(err)
 	}
