@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -730,5 +731,56 @@ func TestStateValidation(t *testing.T) {
 	}
 	if _, err := ReadStateFile(path); err == nil || !strings.Contains(err.Error(), "surprise") {
 		t.Errorf("unknown field accepted: %v", err)
+	}
+}
+
+// TestManagerCloseLeaksNoGoroutines: every goroutine the manager starts —
+// accept loop, shard loops, one reader per connection — is accounted for
+// at shutdown. With agents registered over net.Pipe (both wires) and TCP
+// and a market behind them, Close must bring the process's goroutine
+// count back to what it was before NewManager; the agents' own loops end
+// on the closed connections.
+func TestManagerCloseLeaksNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+
+	m := pipeManager(t, ManagerConfig{Shards: 2, RoundTimeout: 500 * time.Millisecond})
+	prof, err := perf.ProfileByName("XSBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := perf.NewCostModel(prof, 1, perf.CostLinear)
+	var agents []*Agent
+	for i, wire := range []string{WireJSON, WireBinary, WireJSON, WireBinary, WireJSON, WireBinary} {
+		agents = append(agents, dialPipe(t, m, AgentConfig{
+			JobID: "pipe-" + itoa(i), Cores: 32, WattsPerCore: 125, MaxFrac: prof.MaxReduction(),
+			Strategy: &core.RationalBidder{Cores: 32, Model: model},
+			Wire:     wire,
+		}))
+	}
+	for i := 0; i < 4; i++ {
+		agents = append(agents, dialAgent(t, m, "tcp-"+itoa(i), "XSBench", 32))
+	}
+	waitAgents(t, m, len(agents))
+	if _, err := m.RunMarket(500); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for _, a := range agents {
+		select {
+		case <-a.Done():
+		case <-deadline:
+			t.Fatal("an agent's connection outlived Manager.Close")
+		}
+	}
+	for until := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(until) {
+			stacks := make([]byte, 1<<16)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			t.Fatalf("%d goroutines after Close, %d before NewManager:\n%s", runtime.NumGoroutine(), baseline, stacks)
+		}
 	}
 }

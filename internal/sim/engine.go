@@ -24,19 +24,21 @@ type simJob struct {
 	profile *perf.Profile
 	// trueModel prices the user's actual cost; bidModel is the possibly
 	// perturbed model used for bidding (Fig. 13 error studies).
-	trueModel *perf.CostModel
-	bidModel  *perf.CostModel
-	power     power.CoreModel
-	// staticBid is the precomputed MPR-STAT bid.
-	staticBid    core.Bid
+	trueModel    *perf.CostModel
+	bidModel     *perf.CostModel
+	power        power.CoreModel
 	participates bool
 
 	// part and bidder are the job's prebuilt market identities, created
 	// once in buildJobs so each clearing invocation appends pointers
 	// instead of allocating fresh participants and bid closures. The
 	// solvers never mutate them (ClearInteractive works on copies).
+	// part.Bid, the MPR-STAT bid, is the exception: deriveStaticBids
+	// fills it the first time the job is about to enter an MPR-STAT
+	// market and sets hasBid.
 	part   *core.Participant
 	bidder core.Bidder
+	hasBid bool
 	// pstats points at the job's per-profile aggregate in the Result,
 	// hoisting the map lookup out of the per-slot emergency loop.
 	pstats *ProfileStats
@@ -118,6 +120,9 @@ type engineState struct {
 	// steps counts the slots that went through step — what a run costs,
 	// as opposed to res.Slots, what it simulated.
 	steps int
+	// bidsDerived counts the static bids deriveStaticBids computed: the
+	// distinct jobs that ever entered an MPR-STAT market.
+	bidsDerived int
 }
 
 // Run executes the simulation and returns its result.
@@ -462,6 +467,11 @@ func (st *engineState) step(slot int) error {
 		st.lastTargetW = d.TargetW
 		st.scheduler.Halt(true)
 		if cfg.Algorithm != AlgNone {
+			// Static bids are derived before the market span opens, so
+			// the span keeps timing the clear alone.
+			if cfg.Algorithm == AlgMPRStat {
+				st.bidsDerived += deriveStaticBids(cfg, st.active)
+			}
 			// The market runs as a child span of the emergency, under
 			// the "mpr_span" pprof label so CPU profiles attribute
 			// clearing work to the market (not the slot loop).
@@ -665,8 +675,8 @@ func (st *engineState) finish() *Result {
 	return res
 }
 
-// buildJobs assigns application profiles, cost models, participation, and
-// static bids to the trace's jobs.
+// buildJobs assigns application profiles, cost models and participation
+// to the trace's jobs. Static bids come later, from deriveStaticBids.
 func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 	jobs := make([]*simJob, 0, len(cfg.Trace.Jobs))
 	for _, tj := range cfg.Trace.Jobs {
@@ -696,13 +706,9 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 			alloc:        1,
 			phaseOffset:  rng.Float64() * 2 * math.Pi,
 		}
-		coop := core.CooperativeBid(float64(j.cores), bidModel)
-		coop.B *= cfg.StatBidFactor
-		j.staticBid = coop
 		j.part = &core.Participant{
 			JobID:        fmt.Sprint(j.id),
 			Cores:        float64(j.cores),
-			Bid:          j.staticBid,
 			WattsPerCore: j.power.DynamicW,
 			MaxFrac:      j.profile.MaxReduction(),
 			Cost: func(d float64) float64 {
@@ -716,6 +722,25 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 		jobs = append(jobs, j)
 	}
 	return jobs
+}
+
+// deriveStaticBids gives every participating job of active that has no
+// MPR-STAT bid yet its cooperative bid, scaled by cfg.StatBidFactor, and
+// returns how many it derived. Overloads are rare, so most jobs of a trace
+// never enter a market and never pay the ~145 µs solve; the bid is a pure
+// function of (cores, bidModel), so deriving it late changes no result.
+func deriveStaticBids(cfg *Config, active []*simJob) int {
+	n := 0
+	for _, j := range active {
+		if j.hasBid || !j.participates {
+			continue
+		}
+		j.part.Bid = core.CooperativeBid(float64(j.cores), j.bidModel)
+		j.part.Bid.B *= cfg.StatBidFactor
+		j.hasBid = true
+		n++
+	}
+	return n
 }
 
 // peakPower computes the workload's peak unreduced power by event sweep —

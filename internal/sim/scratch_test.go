@@ -6,10 +6,12 @@ import (
 
 	"mpr/internal/core"
 	"mpr/internal/telemetry"
+	"mpr/internal/trace"
 )
 
-// scratchFixture builds a normalized config, its jobs, and a feasible
-// reduction target for direct computeReduction invocations.
+// scratchFixture builds a normalized config, its jobs with their static
+// bids derived the way the engine derives them, and a feasible reduction
+// target for direct computeReduction invocations.
 func scratchFixture(t testing.TB, algo Algorithm) (*Config, []*simJob, float64) {
 	cfg := Config{
 		Trace:      testTrace(t, 11),
@@ -24,6 +26,7 @@ func scratchFixture(t testing.TB, algo Algorithm) (*Config, []*simJob, float64) 
 	if len(jobs) > 256 {
 		jobs = jobs[:256]
 	}
+	deriveStaticBids(&cfg, jobs)
 	var maxW float64
 	for _, j := range jobs {
 		maxW += j.part.WattsPerCore * j.part.MaxFrac * j.part.Cores
@@ -52,6 +55,98 @@ func TestMarketInvocationSteadyZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state market invocation allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestStaticBidsOnDemand is the count gate on static-bid derivation: a run
+// solves core.CooperativeBid only for the jobs that enter an MPR-STAT
+// market, once each, and the bid it files is the one trace load used to
+// precompute. Counting derivations instead of timing runs keeps the gate
+// deterministic on a loaded box.
+func TestStaticBidsOnDemand(t *testing.T) {
+	run := func(cfg Config) *engineState {
+		t.Helper()
+		st, err := newEngineState(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.run(); err != nil {
+			t.Fatal(err)
+		}
+		if st.finish().EmergencyCount == 0 {
+			t.Fatalf("%s on %s: no emergencies — not exercising the market", cfg.Algorithm, cfg.Trace.Name)
+		}
+		return st
+	}
+	// check holds every job of a finished run to the rule: a bid exactly
+	// when the job participates and was active in an emergency (admissions
+	// halt while one is in force, so those are the jobs its markets
+	// selected), and then the bid buildJobs used to file.
+	check := func(st *engineState) (derived int) {
+		t.Helper()
+		stat := st.cfg.Algorithm == AlgMPRStat
+		for _, j := range st.jobs {
+			if want := stat && j.participates && j.affected; j.hasBid != want {
+				t.Fatalf("job %d (participates %v, affected %v): hasBid = %v, want %v",
+					j.id, j.participates, j.affected, j.hasBid, want)
+			}
+			want := core.Bid{}
+			if j.hasBid {
+				derived++
+				want = core.CooperativeBid(float64(j.cores), j.bidModel)
+				want.B *= st.cfg.StatBidFactor
+			}
+			if j.part.Bid != want {
+				t.Fatalf("job %d: bid %+v, want %+v", j.id, j.part.Bid, want)
+			}
+		}
+		if st.bidsDerived != derived {
+			t.Fatalf("bidsDerived = %d, but %d jobs hold a bid", st.bidsDerived, derived)
+		}
+		return derived
+	}
+
+	// The repo benchmark's sim_dense shape: a busy week of the Gaia preset.
+	dense, err := trace.Generate(trace.Presets(1)["gaia"].WithDays(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{AlgMPRInt, AlgOPT, AlgEQL, AlgNone} {
+		st := run(Config{Trace: dense, OversubPct: 15, Algorithm: algo, Seed: 1})
+		if n := check(st); n != 0 {
+			t.Errorf("%s derived %d static bids, want 0", algo, n)
+		}
+	}
+
+	st := run(Config{Trace: dense, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1})
+	n := check(st)
+	t.Logf("dense: MPR-STAT derived %d of %d jobs' bids", n, len(st.jobs))
+	if n == 0 || 2*n >= len(st.jobs) {
+		t.Errorf("dense: derived %d of %d bids, want some and fewer than half (overloads are rare)", n, len(st.jobs))
+	}
+
+	st = run(Config{Trace: dense, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1, Participation: 0.6, StatBidFactor: 1.4})
+	var outside int
+	for _, j := range st.jobs {
+		if !j.participates && j.affected {
+			outside++
+		}
+	}
+	if check(st) == 0 || outside == 0 {
+		t.Errorf("participation 0.6: want bids derived and non-participants caught in emergencies, got %d and %d",
+			st.bidsDerived, outside)
+	}
+
+	st = run(sparseConfig())
+	if n := check(st); n != len(st.jobs) {
+		t.Errorf("sparse: derived %d of %d bids, want all (every burst breaches capacity)", n, len(st.jobs))
+	}
+
+	// A job derives once: the fixture already did, so a second pass over
+	// the same jobs is free.
+	cfg, jobs, _ := scratchFixture(t, AlgMPRStat)
+	if n := deriveStaticBids(cfg, jobs); n != 0 {
+		t.Errorf("second derivation over the same jobs derived %d bids, want 0", n)
 	}
 }
 

@@ -18,7 +18,9 @@
 // putting the trackable range [2^-30 s ≈ 0.93 ns, 2^7 s = 128 s].
 // Out-of-range values clamp into dedicated underflow/overflow buckets and
 // are still counted (and still tracked by Min/Max), so a pathological
-// tail can never silently vanish.
+// tail can never silently vanish. A negative or NaN value is not a
+// latency: it is counted as invalid and kept out of the buckets and of
+// Count/Sum/Min/Max, so one bad sample cannot poison the sum.
 package hdr
 
 import (
@@ -104,7 +106,8 @@ type stripe struct {
 	sumBits atomic.Uint64
 	minBits atomic.Uint64
 	maxBits atomic.Uint64
-	_       [24]byte
+	invalid atomic.Int64
+	_       [16]byte
 }
 
 func (s *stripe) addSum(v float64) {
@@ -161,12 +164,17 @@ func New() *Histogram {
 }
 
 // Record adds one observation. Wait-free, zero-alloc, nil-safe: a few
-// atomic updates on a round-robin-selected stripe.
+// atomic updates on a round-robin-selected stripe. A negative or NaN v
+// only bumps the invalid count.
 func (h *Histogram) Record(v float64) {
 	if h == nil {
 		return
 	}
 	s := &h.stripes[h.rr.Add(1)&(stripes-1)]
+	if !(v >= 0) {
+		s.invalid.Add(1)
+		return
+	}
 	s.counts[bucketOf(v)].Add(1)
 	s.count.Add(1)
 	s.addSum(v)
@@ -203,6 +211,7 @@ func (h *Histogram) Snapshot() Snapshot {
 			snap.Counts[b] += s.counts[b].Load()
 		}
 		snap.Count += s.count.Load()
+		snap.Invalid += s.invalid.Load()
 		snap.Sum += math.Float64frombits(s.sumBits.Load())
 		if min := math.Float64frombits(s.minBits.Load()); min < snap.Min {
 			snap.Min = min
@@ -227,12 +236,15 @@ func (h *Histogram) Quantile(p float64) float64 {
 // Snapshot is a point-in-time copy of a histogram. All histograms share
 // one fixed bucket layout, so snapshots merge by per-bucket addition —
 // the property that lets per-shard recorders fold into fleet quantiles.
+// Invalid counts the negative and NaN samples Record refused; they are in
+// none of the other fields.
 type Snapshot struct {
-	Counts [NumBuckets]int64
-	Count  int64
-	Sum    float64
-	Min    float64
-	Max    float64
+	Counts  [NumBuckets]int64
+	Count   int64
+	Invalid int64
+	Sum     float64
+	Min     float64
+	Max     float64
 }
 
 // Merge folds other into s.
@@ -249,6 +261,7 @@ func (s *Snapshot) Merge(other Snapshot) {
 		}
 	}
 	s.Count += other.Count
+	s.Invalid += other.Invalid
 	s.Sum += other.Sum
 }
 

@@ -196,6 +196,49 @@ func TestClampedRecordsStillCount(t *testing.T) {
 	}
 }
 
+// TestInvalidSamplesCountedApart: a negative or NaN sample is not a
+// latency. It lands in Invalid and nowhere else — before, it was filed in
+// the underflow bucket and added to the sum, which one NaN poisoned for
+// good — and it survives Merge.
+func TestInvalidSamplesCountedApart(t *testing.T) {
+	h := New()
+	h.Record(0.25)
+	for _, v := range []float64{-1e-9, -3, math.Inf(-1), math.NaN()} {
+		h.Record(v)
+	}
+	h.Record(0.75)
+	snap := h.Snapshot()
+	if snap.Invalid != 4 || snap.Count != 2 || h.Count() != 2 {
+		t.Fatalf("invalid/count = %d/%d (Count() %d), want 4/2", snap.Invalid, snap.Count, h.Count())
+	}
+	if snap.Sum != 1 || snap.Min != 0.25 || snap.Max != 0.75 || snap.Mean() != 0.5 {
+		t.Errorf("sum/min/max/mean = %g/%g/%g/%g, want 1/0.25/0.75/0.5", snap.Sum, snap.Min, snap.Max, snap.Mean())
+	}
+	var inBuckets int64
+	for _, c := range snap.Counts {
+		inBuckets += c
+	}
+	if inBuckets != snap.Count || snap.Counts[underflowBucket] != 0 {
+		t.Errorf("buckets hold %d samples (%d underflow), want %d and 0", inBuckets, snap.Counts[underflowBucket], snap.Count)
+	}
+	if q := snap.Quantile(0); q != 0.25 {
+		t.Errorf("Quantile(0) = %g, want the smallest valid sample 0.25", q)
+	}
+
+	// Only invalid samples: still an empty distribution.
+	only := New()
+	only.Record(math.NaN())
+	if s := only.Snapshot(); s.Invalid != 1 || s.Count != 0 || s.Min != 0 || s.Max != 0 || s.Quantile(0.5) != 0 {
+		t.Errorf("invalid-only snapshot = count %d invalid %d min %g max %g", s.Count, s.Invalid, s.Min, s.Max)
+	}
+
+	merged := only.Snapshot()
+	merged.Merge(snap)
+	if merged.Invalid != 5 || merged.Count != 2 || merged.Min != 0.25 || merged.Max != 0.75 {
+		t.Errorf("merged invalid/count/min/max = %d/%d/%g/%g, want 5/2/0.25/0.75", merged.Invalid, merged.Count, merged.Min, merged.Max)
+	}
+}
+
 // TestHDRRecordZeroAlloc is the CI gate: Record must not allocate in
 // steady state.
 func TestHDRRecordZeroAlloc(t *testing.T) {
@@ -204,6 +247,7 @@ func TestHDRRecordZeroAlloc(t *testing.T) {
 	v := 0.001
 	if allocs := testing.AllocsPerRun(1000, func() {
 		h.Record(v)
+		h.Record(-v)
 		v *= 1.0001
 	}); allocs != 0 {
 		t.Fatalf("Record allocates %v per call, want 0", allocs)

@@ -42,7 +42,7 @@ func Default() *Registry { return defaultRegistry }
 // atomicFloat is a float64 updated with atomic bit operations.
 type atomicFloat struct{ bits atomic.Uint64 }
 
-func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
 func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) Add(v float64) {
 	for {
@@ -373,23 +373,25 @@ func (h HistogramSnapshot) Mean() float64 {
 // HDRSummary is the serializable point-in-time digest of an HDR
 // histogram: pre-computed quantiles instead of the ~1200 raw buckets.
 // Consumers needing mergeable full-resolution state take hdr.Snapshot
-// from the histogram handle instead.
+// from the histogram handle instead. Invalid counts negative and NaN
+// samples; they are in no other field.
 type HDRSummary struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
+	Count   int64   `json:"count"`
+	Invalid int64   `json:"invalid"`
+	Sum     float64 `json:"sum"`
+	Min     float64 `json:"min"`
+	Max     float64 `json:"max"`
+	Mean    float64 `json:"mean"`
+	P50     float64 `json:"p50"`
+	P90     float64 `json:"p90"`
+	P99     float64 `json:"p99"`
+	P999    float64 `json:"p999"`
 }
 
 // summarizeHDR digests one HDR snapshot.
 func summarizeHDR(s hdr.Snapshot) HDRSummary {
 	return HDRSummary{
-		Count: s.Count, Sum: s.Sum, Min: s.Min, Max: s.Max, Mean: s.Mean(),
+		Count: s.Count, Invalid: s.Invalid, Sum: s.Sum, Min: s.Min, Max: s.Max, Mean: s.Mean(),
 		P50: s.Quantile(0.50), P90: s.Quantile(0.90),
 		P99: s.Quantile(0.99), P999: s.Quantile(0.999),
 	}
@@ -517,6 +519,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			fmt.Fprintf(&b, "%s_sum %s\n", e.name, formatFloat(sum.Sum))
 			fmt.Fprintf(&b, "%s_count %d\n", e.name, sum.Count)
+			fmt.Fprintf(&b, "%s_invalid %d\n", e.name, sum.Invalid)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
