@@ -375,7 +375,7 @@ func EvaluateTCO(p TCOParams, s TCOScenario) (*TCOBreakdown, error) {
 // --- Telemetry ------------------------------------------------------------
 
 // MetricsRegistry is a stdlib-only metrics registry: atomic counters and
-// gauges, lock-striped histograms, and labeled counter families. A nil
+// gauges, labeled counter families, and log-bucketed HDR histograms. A nil
 // *MetricsRegistry is the no-op registry — every method is safe and free.
 type MetricsRegistry = telemetry.Registry
 
@@ -403,7 +403,7 @@ func NewEventTracer(capacity int) *EventTracer { return telemetry.NewTracer(capa
 // MetricsHandler serves reg as Prometheus text at /metrics and a
 // human-readable clearing-round view at /debug/market (tracer may be nil).
 func MetricsHandler(reg *MetricsRegistry, tracer *EventTracer) http.Handler {
-	return telemetry.Handler(reg, tracer)
+	return telemetry.NewHandler(telemetry.HandlerConfig{Registry: reg, Tracer: tracer})
 }
 
 // --- Experiment harness --------------------------------------------------

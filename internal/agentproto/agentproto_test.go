@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -381,5 +383,88 @@ func TestMarketStreamingOverTCP(t *testing.T) {
 	}
 	if !floats.RelEqual(out.Result.Price, batch.Result.Price, 1e-6) {
 		t.Errorf("streaming price %v vs batch %v", out.Result.Price, batch.Result.Price)
+	}
+}
+
+// countingBidder counts the price messages its agent answered.
+type countingBidder struct {
+	core.Bidder
+	prices *atomic.Int64
+}
+
+func (b countingBidder) RespondBid(price float64) core.Bid {
+	b.prices.Add(1)
+	return b.Bidder.RespondBid(price)
+}
+
+// A non-finite target is refused by the manager's own validation before
+// any shard command — not by the price encoder after the roster was
+// installed — and leaves the manager as it found it: the next finite
+// market lands on the price a fresh manager finds.
+func TestRunMarketRefusesNonFiniteTarget(t *testing.T) {
+	apps := []string{"XSBench", "RSBench", "SimpleMOC", "CoMD"}
+	var prices atomic.Int64
+	fleet := func(t *testing.T, streaming bool) *Manager {
+		m, err := NewManager("127.0.0.1:0", ManagerConfig{RoundTimeout: 500 * time.Millisecond, Streaming: streaming})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		for i, app := range apps {
+			prof, err := perf.ProfileByName(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := Dial(m.Addr(), AgentConfig{
+				JobID: fmt.Sprintf("j%d", i), Cores: 16, WattsPerCore: 125, MaxFrac: prof.MaxReduction(),
+				Strategy: countingBidder{
+					Bidder: &core.RationalBidder{Cores: 16, Model: perf.NewCostModel(prof, 1, perf.CostLinear)},
+					prices: &prices,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { a.Close() })
+		}
+		waitAgents(t, m, len(apps))
+		return m
+	}
+	for _, streaming := range []bool{false, true} {
+		for _, target := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("streaming=%v/%v", streaming, target), func(t *testing.T) {
+				prices.Store(0)
+				m := fleet(t, streaming)
+				out, err := m.RunMarket(target)
+				if err == nil {
+					t.Fatalf("target %v accepted: %+v", target, out.Result)
+				}
+				if !strings.Contains(err.Error(), "target must be finite") || strings.Contains(err.Error(), "encode") {
+					t.Fatalf("refused by %q, want the manager's own target validation", err)
+				}
+				if n := prices.Load(); n != 0 {
+					t.Fatalf("agents answered %d price messages of a refused market", n)
+				}
+				if r := m.curRound.Load(); r != 0 {
+					t.Fatalf("curRound = %d after a refused market, want 0", r)
+				}
+				got, err := m.RunMarket(2000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r := m.curRound.Load(); r != 0 {
+					t.Fatalf("curRound = %d after a finished market, want 0", r)
+				}
+				want, err := fleet(t, streaming).RunMarket(2000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Result.Converged || got.Result.Rounds != want.Result.Rounds ||
+					!floats.RelEqual(got.Result.Price, want.Result.Price, 1e-9) {
+					t.Fatalf("market after a refusal: price %v in %d rounds (converged %v), fresh manager %v in %d",
+						got.Result.Price, got.Result.Rounds, got.Result.Converged, want.Result.Price, want.Result.Rounds)
+				}
+			})
+		}
 	}
 }

@@ -60,15 +60,17 @@ const (
 	MetricWireAgents = "mpr_mgr_wire_agents_total"
 )
 
+// Every market opens at initialPrice (q′₀) and has converged when a round
+// moves the price by at most priceTolerance, relatively.
+const (
+	initialPrice   = 0.1
+	priceTolerance = 1e-4
+)
+
 // ManagerConfig parameterizes the market manager daemon.
 type ManagerConfig struct {
-	// InitialPrice opens each market (q′₀). Default 0.1.
-	InitialPrice float64
 	// MaxRounds bounds the price iterations per market. Default 50.
 	MaxRounds int
-	// Tolerance is the relative price-change convergence threshold.
-	// Default 1e-4.
-	Tolerance float64
 	// RoundTimeout bounds how long the manager waits for each round's
 	// bids — the paper's safety timeout ("e.g., 30 seconds" overall).
 	// It doubles as the write deadline on price/order broadcasts.
@@ -111,14 +113,8 @@ type ManagerConfig struct {
 }
 
 func (c *ManagerConfig) normalize() {
-	if c.InitialPrice <= 0 {
-		c.InitialPrice = 0.1
-	}
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 50
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-4
 	}
 	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = 2 * time.Second
@@ -570,6 +566,9 @@ type mergedBid struct {
 // merged in roster order before the clear, so the clearing price is
 // bit-identical for any shard count and any bid arrival order.
 func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
+	if math.IsNaN(targetW) || math.IsInf(targetW, 0) {
+		return nil, fmt.Errorf("agentproto: market target must be finite, got %v W", targetW)
+	}
 	m.marketMu.Lock()
 	defer m.marketMu.Unlock()
 
@@ -609,7 +608,38 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 	if !m.scatter(shardCmd{kind: cmdInstall, reply: reply}, members) {
 		return nil, fmt.Errorf("agentproto: manager closed")
 	}
+	res, marketTrace, err := m.priceRounds(agents, parts, targetW, reply)
+	if err != nil {
+		return nil, err
+	}
+	clearLabel := "converged"
+	if !res.Converged {
+		clearLabel = "budget_exhausted"
+	}
+	m.cfg.Tracer.Emit(telemetry.Event{Name: "market_clear", Trace: marketTrace, Round: res.Rounds,
+		Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Label: clearLabel})
 
+	out := &MarketOutcome{Result: res, Orders: make(map[string]float64, len(agents)), TraceID: marketTrace}
+	orders := make([][]memberMsg, len(m.shards))
+	for i, a := range agents {
+		red := res.Reductions[i]
+		out.Orders[a.hello.JobID] = red
+		orders[a.shard.id] = append(orders[a.shard.id], memberMsg{a: a, msg: Message{
+			Type:           MsgOrder,
+			Price:          res.Price,
+			ReductionCores: red,
+			PaymentRate:    res.Price * red,
+		}})
+	}
+	m.deliver(orders, reply)
+	return out, nil
+}
+
+// priceRounds iterates the market's price to its fixpoint over the
+// installed roster (parts[i] is agents[i]) and returns the final clear
+// with the market's trace ID. Whichever way it exits, the market span is
+// closed and bids stop being accepted.
+func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, targetW float64, reply chan shardBatch) (*core.ClearingResult, string, error) {
 	// Every market gets a trace ID "m<seq>"; each round extends it to
 	// "m<seq>.r<round>" and stamps that on the price broadcast. Agents
 	// echo it on their bids, which lets the merge below attribute a bid
@@ -626,6 +656,12 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 	mkSpan.SetAttr("target_w", strconv.FormatFloat(targetW, 'g', -1, 64))
 	mkSpan.SetAttr("agents", strconv.Itoa(len(agents)))
 	mkSpan.SetAttr("shards", strconv.Itoa(len(m.shards)))
+	var roundSpan *telemetry.ActiveSpan // non-nil while a round is open
+	defer func() {
+		m.curRound.Store(0)
+		roundSpan.End()
+		mkSpan.End()
+	}()
 
 	// Streaming mode keeps a continuously-clearing engine over the
 	// participants: each incoming bid is applied incrementally (O(log M))
@@ -644,16 +680,14 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 		index, err = core.NewMarketIndex(parts)
 	}
 	if err != nil {
-		mkSpan.End()
-		return nil, err
+		return nil, "", err
 	}
 
 	merged := make([]mergedBid, len(agents))
-	price := m.cfg.InitialPrice
+	price := initialPrice
 	res := &core.ClearingResult{}
 	converged := false
 	rounds := 0
-	var marketErr error
 	for round := 1; round <= m.cfg.MaxRounds; round++ {
 		rounds = round
 		roundTrace := marketTrace + ".r" + strconv.Itoa(round)
@@ -662,10 +696,9 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 		// the shard loops write the shared bytes raw per connection.
 		pre, err := encodeMsg(Message{Type: MsgPrice, Round: round, Price: price, TargetW: targetW, TraceID: roundTrace})
 		if err != nil {
-			mkSpan.End()
-			return nil, err
+			return nil, "", err
 		}
-		roundSpan := mkSpan.StartChild("market_round")
+		roundSpan = mkSpan.StartChild("market_round")
 		roundSpan.SetAttr("trace", roundTrace)
 		bidSpan := roundSpan.StartChild("respond_bids")
 		ok := false
@@ -685,9 +718,7 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 		})
 		bidSpan.End()
 		if !ok {
-			roundSpan.End()
-			mkSpan.End()
-			return nil, fmt.Errorf("agentproto: manager closed")
+			return nil, "", fmt.Errorf("agentproto: manager closed")
 		}
 
 		// Merge in roster order: identical clearing inputs no matter how
@@ -740,27 +771,24 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 		if stream != nil {
 			// The round's clear is already solved — the last Apply left the
 			// price cached; materializing reductions reuses res's buffers.
-			marketErr = stream.ClearInto(res)
+			err = stream.ClearInto(res)
 		} else {
-			marketErr = index.ClearInto(res, targetW)
+			err = index.ClearInto(res, targetW)
 		}
-		if marketErr != nil {
-			roundSpan.End()
-			mkSpan.End()
-			m.curRound.Store(0)
-			return nil, marketErr
+		if err != nil {
+			return nil, "", err
 		}
 		m.rounds.Inc()
 		m.cfg.Tracer.Emit(telemetry.Event{Name: "market_round", Trace: roundTrace, Round: round,
 			Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Value: price})
 		roundSpan.End()
-		if math.Abs(res.Price-price) <= m.cfg.Tolerance*math.Max(price, 1e-12) {
+		roundSpan = nil
+		if math.Abs(res.Price-price) <= priceTolerance*math.Max(price, 1e-12) {
 			converged = true
 			break
 		}
 		price = res.Price
 	}
-	m.curRound.Store(0)
 	res.Rounds = rounds
 	res.Converged = converged
 	m.markets.Inc()
@@ -769,28 +797,7 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 	m.mu.Unlock()
 	mkSpan.SetAttr("rounds", strconv.Itoa(rounds))
 	mkSpan.SetAttr("converged", strconv.FormatBool(converged))
-	mkSpan.End()
-	clearLabel := "converged"
-	if !converged {
-		clearLabel = "budget_exhausted"
-	}
-	m.cfg.Tracer.Emit(telemetry.Event{Name: "market_clear", Trace: marketTrace, Round: rounds,
-		Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Label: clearLabel})
-
-	out := &MarketOutcome{Result: res, Orders: make(map[string]float64, len(agents)), TraceID: marketTrace}
-	orders := make([][]memberMsg, len(m.shards))
-	for i, a := range agents {
-		red := res.Reductions[i]
-		out.Orders[a.hello.JobID] = red
-		orders[a.shard.id] = append(orders[a.shard.id], memberMsg{a: a, msg: Message{
-			Type:           MsgOrder,
-			Price:          res.Price,
-			ReductionCores: red,
-			PaymentRate:    res.Price * red,
-		}})
-	}
-	m.deliver(orders, reply)
-	return out, nil
+	return res, marketTrace, nil
 }
 
 // scatter sends one command per shard (members[i] to shard i, when set)

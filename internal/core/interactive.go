@@ -198,7 +198,7 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 // finishInteractive records the interactive market's outcome metrics.
 func finishInteractive(res *ClearingResult) {
 	m := met()
-	m.intRounds.Observe(float64(res.Rounds))
+	m.intRounds.Record(float64(res.Rounds))
 	if res.Converged {
 		m.intConverged.Inc()
 	} else {

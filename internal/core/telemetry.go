@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"mpr/internal/telemetry"
+	"mpr/internal/telemetry/hdr"
 )
 
 // Metric names the core market registers. Exported as constants so shims,
@@ -34,7 +35,7 @@ type coreMetrics struct {
 	cappedShort   *telemetry.Counter
 	clearsClosed  *telemetry.Counter
 	clearsStream  *telemetry.Counter
-	intRounds     *telemetry.Histogram
+	intRounds     *hdr.Histogram
 	intConverged  *telemetry.Counter
 	intExhausted  *telemetry.Counter
 }
@@ -55,7 +56,7 @@ func Instrument(reg *telemetry.Registry) {
 		m.cappedShort = reg.Counter(MetricCappedShortCircuits, "ClearCapped calls settled at the cap without a price search.")
 		m.clearsClosed = clears.With("closed_form")
 		m.clearsStream = clears.With("streaming")
-		m.intRounds = reg.Histogram(MetricInteractiveRounds, "MPR-INT rounds to convergence.", telemetry.RoundBuckets)
+		m.intRounds = reg.HDR(MetricInteractiveRounds, "MPR-INT rounds to convergence.")
 		outcomes := reg.CounterFamily(MetricInteractiveOutcomes, "Finished interactive markets by outcome.", "outcome")
 		m.intConverged = outcomes.With("converged")
 		m.intExhausted = outcomes.With("budget_exhausted")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpr/internal/telemetry"
+	"mpr/internal/telemetry/hdr"
 )
 
 // Metric names the emergency controller registers.
@@ -125,7 +126,7 @@ type EmergencyController struct {
 
 	// Telemetry handles; all nil (no-op) without a configured registry.
 	overloadW *telemetry.Gauge
-	duration  *telemetry.Histogram
+	duration  *hdr.Histogram
 	declares  *telemetry.Counter
 	raises    *telemetry.Counter
 	lifts     *telemetry.Counter
@@ -140,7 +141,7 @@ func NewEmergencyController(cfg EmergencyConfig) (*EmergencyController, error) {
 	ec := &EmergencyController{cfg: cfg}
 	if reg := cfg.Telemetry; reg != nil {
 		ec.overloadW = reg.Gauge(MetricOverloadW, "Delivered power above capacity in watts (0 within capacity).")
-		ec.duration = reg.Histogram(MetricEmergencyDuration, "Emergency duration in slots, observed at lift.", telemetry.SlotBuckets)
+		ec.duration = reg.HDR(MetricEmergencyDuration, "Emergency duration in slots, observed at lift.")
 		events := reg.CounterFamily(MetricEmergencyEvents, "Emergency controller transitions.", "event")
 		ec.declares = events.With("declare")
 		ec.raises = events.With("raise")
@@ -223,7 +224,7 @@ func (ec *EmergencyController) Step(demandW, deliveredW float64) Decision {
 				ec.targetW = 0
 				ec.emergencySlots = 0
 				ec.lifts.Inc()
-				ec.duration.Observe(float64(ec.activeSlots))
+				ec.duration.Record(float64(ec.activeSlots))
 				ec.activeSlots = 0
 				return Decision{State: ec.state, Lift: true, TargetW: target}
 			}

@@ -61,7 +61,7 @@ func TestEmergencyTelemetryOnsetAndLift(t *testing.T) {
 	if got := eventCount(s, "raise"); got != 0 {
 		t.Fatalf("raises = %d, want 0", got)
 	}
-	h := s.Histogram(MetricEmergencyDuration)
+	h := s.HDR(MetricEmergencyDuration)
 	if h.Count != 1 {
 		t.Fatalf("duration observations = %d, want 1", h.Count)
 	}
@@ -99,7 +99,7 @@ func TestEmergencyTelemetryDurationSpansRaises(t *testing.T) {
 	if got := eventCount(s, "raise"); got != 1 {
 		t.Fatalf("raises = %d, want 1", got)
 	}
-	h := s.Histogram(MetricEmergencyDuration)
+	h := s.HDR(MetricEmergencyDuration)
 	if h.Count != 1 || h.Sum != float64(total) {
 		t.Fatalf("duration = %g slots over %d observations, want %d over 1",
 			h.Sum, h.Count, total)

@@ -382,7 +382,7 @@ func (st *engineState) step(slot int) error {
 			}
 		}
 		st.pendingAllocs = nil
-		st.sm.latency.Observe(float64(slot - st.pendingOrderSlot))
+		st.sm.latency.Record(float64(slot - st.pendingOrderSlot))
 	}
 	var demandW, deliveredW float64
 	if cfg.PhaseAmp > 0 {
@@ -498,7 +498,7 @@ func (st *engineState) step(slot int) error {
 			st.sumPrice += clearPrice
 			st.price = clearPrice
 			st.sm.invocations.Inc()
-			st.sm.rounds.Observe(float64(rounds))
+			st.sm.rounds.Record(float64(rounds))
 			feasLabel := "feasible"
 			if !feasible {
 				res.InfeasibleEvents++
@@ -517,7 +517,7 @@ func (st *engineState) step(slot int) error {
 						st.scheduler.ExtendRuntime(j.id, int64(slot)+int64(math.Ceil(j.remainingMin/speed)))
 					}
 				}
-				st.sm.latency.Observe(0)
+				st.sm.latency.Record(0)
 			} else {
 				// A raise supersedes the in-flight order's content
 				// but must not postpone its delivery — the

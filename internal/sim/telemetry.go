@@ -1,6 +1,9 @@
 package sim
 
-import "mpr/internal/telemetry"
+import (
+	"mpr/internal/telemetry"
+	"mpr/internal/telemetry/hdr"
+)
 
 // Metric names the simulator registers in each run's registry (power
 // controller metrics land in the same registry under the mpr_power_*
@@ -23,15 +26,15 @@ const (
 type simMetrics struct {
 	invocations *telemetry.Counter
 	infeasible  *telemetry.Counter
-	rounds      *telemetry.Histogram
-	latency     *telemetry.Histogram
+	rounds      *hdr.Histogram
+	latency     *hdr.Histogram
 }
 
 func newSimMetrics(reg *telemetry.Registry) simMetrics {
 	return simMetrics{
 		invocations: reg.Counter(MetricMarketInvocations, "Overload-handling algorithm solves."),
 		infeasible:  reg.Counter(MetricInfeasibleClears, "Solves whose supply fell short of the target."),
-		rounds:      reg.Histogram(MetricInteractiveRounds, "Rounds per market invocation.", telemetry.RoundBuckets),
-		latency:     reg.Histogram(MetricReductionLatency, "Slots from reduction order to application.", telemetry.SlotBuckets),
+		rounds:      reg.HDR(MetricInteractiveRounds, "Rounds per market invocation."),
+		latency:     reg.HDR(MetricReductionLatency, "Slots from reduction order to application."),
 	}
 }

@@ -3,11 +3,18 @@ package sim
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"mpr/internal/core"
+	"mpr/internal/perf"
 	"mpr/internal/power"
 	"mpr/internal/telemetry"
+	"mpr/internal/telemetry/flight"
 )
 
 // TestResultTelemetryConsistency cross-checks the telemetry snapshot
@@ -29,17 +36,17 @@ func TestResultTelemetryConsistency(t *testing.T) {
 	if got := s.Counter(MetricInfeasibleClears); got != int64(res.InfeasibleEvents) {
 		t.Fatalf("infeasible clears: snapshot %d, result %d", got, res.InfeasibleEvents)
 	}
-	rounds := s.Histogram(MetricInteractiveRounds)
+	rounds := s.HDR(MetricInteractiveRounds)
 	if rounds.Count != int64(res.MarketInvocations) {
 		t.Fatalf("rounds histogram count %d, invocations %d", rounds.Count, res.MarketInvocations)
 	}
 	if res.MarketInvocations > 0 {
 		wantMean := res.MeanRounds
-		if got := rounds.Mean(); got < wantMean-1e-9 || got > wantMean+1e-9 {
+		if got := rounds.Mean; got < wantMean-1e-9 || got > wantMean+1e-9 {
 			t.Fatalf("rounds mean %g, result MeanRounds %g", got, wantMean)
 		}
 	}
-	lat := s.Histogram(MetricReductionLatency)
+	lat := s.HDR(MetricReductionLatency)
 	if lat.Count != int64(res.MarketInvocations) {
 		t.Fatalf("latency observations %d, invocations %d", lat.Count, res.MarketInvocations)
 	}
@@ -123,5 +130,109 @@ func TestTraceSinkJSONL(t *testing.T) {
 	if clears != res.MarketInvocations {
 		t.Fatalf("sink saw %d market_clear events, result has %d invocations",
 			clears, res.MarketInvocations)
+	}
+}
+
+// TestCountInstrumentsOnEverySurface registers the four count-valued
+// instruments the way production does (core.Instrument, the engine's
+// newSimMetrics, the emergency controller) in one registry and checks
+// each renders as a summary on /metrics, with no _bucket series left, and
+// lands in a flight bundle's hdr_histograms with its exact count and sum.
+func TestCountInstrumentsOnEverySurface(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	core.Instrument(reg)
+	defer core.Instrument(telemetry.Default())
+
+	prof, err := perf.ProfileByName("XSBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := []*core.Participant{{JobID: "a", Cores: 16, WattsPerCore: 125, MaxFrac: prof.MaxReduction()}}
+	bidders := []core.Bidder{&core.RationalBidder{Cores: 16, Model: perf.NewCostModel(prof, 1, perf.CostLinear)}}
+	res, err := core.ClearInteractive(ps, bidders, 300, core.InteractiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sm := newSimMetrics(reg)
+	sm.rounds.Record(float64(res.Rounds))
+	sm.rounds.Record(1)
+	sm.latency.Record(0) // applied in the slot it was ordered
+	sm.latency.Record(2)
+
+	ec, err := power.NewEmergencyController(power.EmergencyConfig{
+		CapacityW: 1000, MinOverloadSlots: 1, CooldownSlots: 1, Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ec.Step(1200, 1200); !d.Declare {
+		t.Fatalf("expected declare, got %+v", d)
+	}
+	slots := 0
+	for lifted := false; !lifted; slots++ {
+		if slots > 200 {
+			t.Fatal("emergency never lifted")
+		}
+		// The reduced system leaves too little headroom to lift for 150
+		// slots, so the emergency outlasts the 128-slot trackable range
+		// and its length lands in overflow.
+		delivered := 900.0
+		if slots >= 150 {
+			delivered = 400
+		}
+		lifted = ec.Step(1200, delivered).Lift
+	}
+
+	want := map[string][2]float64{ // name → {count, sum}
+		core.MetricInteractiveRounds:  {1, float64(res.Rounds)},
+		MetricInteractiveRounds:       {2, float64(res.Rounds) + 1},
+		MetricReductionLatency:        {2, 2},
+		power.MetricEmergencyDuration: {1, float64(slots)},
+	}
+
+	rec := httptest.NewRecorder()
+	telemetry.NewHandler(telemetry.HandlerConfig{Registry: reg}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body, _ := io.ReadAll(rec.Result().Body)
+	text := string(body)
+	if strings.Contains(text, "_bucket") || strings.Contains(text, " histogram\n") {
+		t.Fatalf("/metrics carries a fixed-bucket series:\n%s", text)
+	}
+
+	dir := t.TempDir()
+	fr, err := flight.New(flight.Config{Registry: reg, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := fr.Dump(time.Unix(5000, 0), flight.ReasonManual, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := flight.ReadBundleFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, w := range want {
+		for _, line := range []string{
+			"# TYPE " + name + " summary\n",
+			name + `{quantile="0.5"} `,
+			name + "_count " + fmt.Sprint(w[0]) + "\n",
+			name + "_sum " + fmt.Sprint(w[1]) + "\n",
+		} {
+			if !strings.Contains(text, line) {
+				t.Errorf("/metrics missing %q:\n%s", line, text)
+			}
+		}
+		got, ok := bundle.HDRs[name]
+		if !ok || float64(got.Count) != w[0] || got.Sum != w[1] {
+			t.Errorf("flight bundle hdr_histograms[%s] = %+v (present %v), want count %g sum %g", name, got, ok, w[0], w[1])
+		}
+	}
+	if d := bundle.HDRs[power.MetricEmergencyDuration]; d.Max != float64(slots) || slots < 128 {
+		t.Errorf("emergency of %d slots reads back Max %g, want the overflowed length itself", slots, d.Max)
+	}
+	if l := bundle.HDRs[MetricReductionLatency]; l.Min != 0 {
+		t.Errorf("reduction latency Min = %g, want the underflowed 0", l.Min)
 	}
 }

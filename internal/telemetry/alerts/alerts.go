@@ -264,21 +264,6 @@ func (d *Deduper) Fresh(f Firing) bool {
 	return true
 }
 
-// Dedup filters firings through a fresh Deduper with the given window:
-// the one-shot form for post-hoc evaluation over a full export, where
-// overlapping threshold runs of the same rule should collapse to one
-// firing per window. Order is preserved; the input is not modified.
-func Dedup(firings []Firing, window int64) []Firing {
-	d := NewDeduper(window)
-	out := make([]Firing, 0, len(firings))
-	for _, f := range firings {
-		if d.Fresh(f) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func matchLabels(match, labels map[string]string) bool {
 	for k, v := range match {
 		if labels[k] != v {

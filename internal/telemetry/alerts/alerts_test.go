@@ -257,27 +257,6 @@ func TestDeduperCooldownWindow(t *testing.T) {
 	}
 }
 
-// TestDedupOneShot covers the slice convenience form.
-func TestDedupOneShot(t *testing.T) {
-	in := []Firing{
-		firingAt("R", "s", 0),
-		firingAt("R", "s", 0),  // exact repeat
-		firingAt("R", "s", 30), // within window of 0
-		firingAt("R", "s", 90), // past window
-		firingAt("Q", "s", 10), // other rule
-	}
-	out := Dedup(in, 60)
-	if len(out) != 3 {
-		t.Fatalf("Dedup kept %d firings, want 3: %+v", len(out), out)
-	}
-	if out[0].From != 0 || out[1].From != 90 || out[2].Rule != "Q" {
-		t.Fatalf("Dedup kept wrong firings: %+v", out)
-	}
-	if got := Dedup(in, 0); len(got) != 4 {
-		t.Fatalf("window-0 Dedup kept %d, want 4", len(got))
-	}
-}
-
 // TestRuntimeRulesFire sanity-checks the runtime-health rules over
 // synthetic mpr_rt_* series shaped like a goroutine leak, a heap blowout,
 // and a GC pause regression.

@@ -1,11 +1,10 @@
 // Package hdr is a lock-striped, log-bucketed high-dynamic-range
-// histogram for latency-style measurements. Where the fixed-bucket
-// telemetry.Histogram needs its bounds guessed up front (and answers
-// quantile questions only as coarsely as those guesses), an hdr.Histogram
-// covers roughly 1 ns – 100 s with bounded *relative* error: every power
-// of two in the trackable range is subdivided into 2^subBits linear
-// sub-buckets, so a bucket's width is at most 1/2^subBits (≈3.1%) of the
-// values it holds, at every magnitude.
+// histogram, the repo's one histogram type. No bounds are guessed up
+// front: an hdr.Histogram covers roughly 1 ns – 100 s (or, for the
+// count-valued instruments, 1 to 127 rounds or slots) with bounded
+// *relative* error: every power of two in the trackable range is
+// subdivided into 2^subBits linear sub-buckets, so a bucket's width is at
+// most 1/2^subBits (≈3.1%) of the values it holds, at every magnitude.
 //
 // The layout is fixed — every histogram shares the same bucket
 // boundaries — which makes snapshots mergeable by plain per-bucket
@@ -18,9 +17,13 @@
 // putting the trackable range [2^-30 s ≈ 0.93 ns, 2^7 s = 128 s].
 // Out-of-range values clamp into dedicated underflow/overflow buckets and
 // are still counted (and still tracked by Min/Max), so a pathological
-// tail can never silently vanish. A negative or NaN value is not a
-// latency: it is counted as invalid and kept out of the buckets and of
-// Count/Sum/Min/Max, so one bad sample cannot poison the sum.
+// tail can never silently vanish; Count, Sum and Mean are exact either
+// way. For a count-valued instrument that means a 0 (a reduction applied
+// in its own slot) sits in the underflow bucket and reads back as Min,
+// and an emergency of 128 slots or more sits in overflow and reads back
+// as Max. A negative or NaN value is not a sample: it is counted as
+// invalid and kept out of the buckets and of Count/Sum/Min/Max, so one
+// bad sample cannot poison the sum.
 package hdr
 
 import (
@@ -197,8 +200,7 @@ func (h *Histogram) Count() int64 {
 // Snapshot folds the stripes into a mergeable point-in-time copy.
 // Returns the empty snapshot on a nil histogram. Concurrent Records may
 // land between stripe reads, so a snapshot taken under write load is a
-// consistent-enough view, not a linearizable cut — the same contract as
-// the registry's fixed-bucket histograms.
+// consistent-enough view, not a linearizable cut.
 func (h *Histogram) Snapshot() Snapshot {
 	snap := Snapshot{Min: math.Inf(1), Max: math.Inf(-1)}
 	if h == nil {

@@ -254,6 +254,59 @@ func TestHDRRecordZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHDRSmallIntegerCounts pins what the count-valued instruments
+// (rounds per market, reduction latency and emergency length in slots)
+// get from a layout built for seconds: Count/Sum/Min/Max/Mean are exact
+// for small integers, a 0 sits in the underflow bucket and a count of 128
+// or more in overflow — both still counted and read back as Min and Max —
+// and every quantile is within one bucket of the sorted-sample one.
+func TestHDRSmallIntegerCounts(t *testing.T) {
+	h := New()
+	for v := 100; v >= 0; v-- {
+		h.Record(float64(v))
+	}
+	snap := h.Snapshot()
+	if snap.Count != 101 || snap.Sum != 5050 || snap.Min != 0 || snap.Max != 100 || snap.Mean() != 50 || snap.Invalid != 0 {
+		t.Fatalf("count/sum/min/max/mean/invalid = %d/%g/%g/%g/%g/%d, want 101/5050/0/100/50/0",
+			snap.Count, snap.Sum, snap.Min, snap.Max, snap.Mean(), snap.Invalid)
+	}
+	if snap.Counts[underflowBucket] != 1 || snap.Counts[overflowBucket] != 0 {
+		t.Fatalf("underflow/overflow = %d/%d, want 1/0 (only the 0 is out of range)",
+			snap.Counts[underflowBucket], snap.Counts[overflowBucket])
+	}
+	for v := 1; v <= 100; v++ {
+		if lo, hi := BucketBounds(bucketOf(float64(v))); float64(v) < lo || float64(v) >= hi {
+			t.Fatalf("%d filed in bucket [%g, %g)", v, lo, hi)
+		}
+	}
+	for p := 0.0; p <= 1; p += 1.0 / 64 {
+		// Same rank convention as Quantile: the ⌈p·n⌉-th of 0…100 is its
+		// own rank minus one.
+		want := math.Max(math.Ceil(p*101), 1) - 1
+		if got := snap.Quantile(p); math.Abs(got-want) > want/subCount {
+			t.Errorf("p%g = %g, sorted-sample quantile %g: off by more than one bucket", p*100, got, want)
+		}
+	}
+	if q := snap.Quantile(1.0 / 101); q != 0 {
+		t.Errorf("the lowest rank reads %g, want the 0 back as Min", q)
+	}
+
+	// A long emergency: 128 slots is the first count out of range.
+	h.Record(127)
+	h.Record(128)
+	h.Record(300)
+	snap = h.Snapshot()
+	if snap.Count != 104 || snap.Sum != 5050+127+128+300 || snap.Max != 300 {
+		t.Fatalf("count/sum/max = %d/%g/%g, want 104/5605/300", snap.Count, snap.Sum, snap.Max)
+	}
+	if snap.Counts[overflowBucket] != 2 {
+		t.Fatalf("overflow holds %d samples, want 128 and 300", snap.Counts[overflowBucket])
+	}
+	if q := snap.Quantile(0.999); q != 300 {
+		t.Errorf("p99.9 = %g, want the overflow read back as Max", q)
+	}
+}
+
 func TestConcurrentRecord(t *testing.T) {
 	h := New()
 	const goroutines, per = 8, 10000

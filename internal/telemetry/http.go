@@ -63,12 +63,8 @@ type HandlerConfig struct {
 //	/healthz        uptime / agents / sample freshness (when Health is wired)
 //	/debug/pprof/*  net/http/pprof (when Pprof is set)
 //
-// Histogram bucket semantics in both /metrics forms follow Prometheus:
-// an observation v belongs to the first bucket whose upper bound
-// satisfies v ≤ bound, with an implicit +Inf overflow bucket. The JSON
-// form reports per-bucket (non-cumulative) counts alongside the bounds;
-// the text form reports cumulative _bucket series. HDR histograms render
-// as quantile summaries in both forms (see Registry.HDR).
+// Histograms render as quantile summaries in both /metrics forms (see
+// Registry.HDR).
 //
 // mprd mounts this under its -metrics flag.
 func NewHandler(cfg HandlerConfig) http.Handler {
@@ -164,13 +160,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 	return mux
 }
 
-// Handler returns the surface over just a registry and a tracer — the
-// pre-tsdb signature, kept because mprd's tests and library users mount
-// it directly. Either argument may be nil.
-func Handler(r *Registry, t *Tracer) http.Handler {
-	return NewHandler(HandlerConfig{Registry: r, Tracer: t})
-}
-
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_ = json.NewEncoder(w).Encode(v)
@@ -190,20 +179,16 @@ func writeMetricsJSON(w http.ResponseWriter, r *Registry) {
 	s := r.Snapshot()
 	if s == nil {
 		s = &Snapshot{
-			Counters:   map[string]int64{},
-			Gauges:     map[string]float64{},
-			Histograms: map[string]HistogramSnapshot{},
+			Counters: map[string]int64{},
+			Gauges:   map[string]float64{},
+			HDRs:     map[string]HDRSummary{},
 		}
 	}
-	if s.HDRs == nil {
-		s.HDRs = map[string]HDRSummary{}
-	}
 	writeJSON(w, struct {
-		Counters   map[string]int64             `json:"counters"`
-		Gauges     map[string]float64           `json:"gauges"`
-		Histograms map[string]HistogramSnapshot `json:"histograms"`
-		HDRs       map[string]HDRSummary        `json:"hdr_histograms"`
-	}{s.Counters, s.Gauges, s.Histograms, s.HDRs})
+		Counters map[string]int64      `json:"counters"`
+		Gauges   map[string]float64    `json:"gauges"`
+		HDRs     map[string]HDRSummary `json:"hdr_histograms"`
+	}{s.Counters, s.Gauges, s.HDRs})
 }
 
 func writeDebugMarket(w http.ResponseWriter, r *Registry, t *Tracer) {
@@ -238,17 +223,7 @@ func writeDebugMarket(w http.ResponseWriter, r *Registry, t *Tracer) {
 		for _, name := range sortedKeys(s.Gauges) {
 			fmt.Fprintf(&b, "<tr><td>%s</td><td>%g</td></tr>\n", html.EscapeString(name), s.Gauges[name])
 		}
-		// Histogram rows render the full bucket layout: one "≤bound: n"
-		// cell per non-empty bucket (counts are per-bucket, not
-		// cumulative; the trailing +Inf bucket catches overflow) so the
-		// debug page answers distribution questions, not just mean ones.
-		b.WriteString("</table>\n<h2>Histograms</h2>\n<table border=\"1\" cellpadding=\"3\"><tr><th>name</th><th>count</th><th>mean</th><th>buckets (≤bound: count, non-cumulative)</th></tr>\n")
-		for _, name := range sortedKeys(s.Histograms) {
-			h := s.Histograms[name]
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%.4g</td><td>%s</td></tr>\n",
-				html.EscapeString(name), h.Count, h.Mean(), formatBuckets(h))
-		}
-		b.WriteString("</table>\n<h2>HDR histograms (quantile summaries)</h2>\n<table border=\"1\" cellpadding=\"3\"><tr><th>name</th><th>count</th><th>mean</th><th>min</th><th>p50</th><th>p90</th><th>p99</th><th>p999</th><th>max</th></tr>\n")
+		b.WriteString("</table>\n<h2>Histograms (quantile summaries)</h2>\n<table border=\"1\" cellpadding=\"3\"><tr><th>name</th><th>count</th><th>mean</th><th>min</th><th>p50</th><th>p90</th><th>p99</th><th>p999</th><th>max</th></tr>\n")
 		for _, name := range sortedKeys(s.HDRs) {
 			h := s.HDRs[name]
 			fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%.4g</td><td>%.4g</td><td>%.4g</td><td>%.4g</td><td>%.4g</td><td>%.4g</td><td>%.4g</td></tr>\n",
@@ -258,30 +233,6 @@ func writeDebugMarket(w http.ResponseWriter, r *Registry, t *Tracer) {
 	}
 	b.WriteString("</body></html>\n")
 	_, _ = w.Write([]byte(b.String()))
-}
-
-// formatBuckets renders a fixed-bucket histogram's non-empty buckets as
-// "≤bound: count" cells (the final bucket is the implicit +Inf
-// overflow). Empty histograms render as a dash.
-func formatBuckets(h HistogramSnapshot) string {
-	if h.Count == 0 {
-		return "&mdash;"
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteString(" · ")
-		}
-		bound := "+Inf"
-		if i < len(h.Bounds) {
-			bound = fmt.Sprintf("%g", h.Bounds[i])
-		}
-		fmt.Fprintf(&b, "≤%s: %d", bound, c)
-	}
-	return b.String()
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -22,15 +22,21 @@ func serveGet(t *testing.T, h http.Handler, path string) (*http.Response, string
 	return res, string(body)
 }
 
+// handlerOf is the surface over just a registry and a tracer; either may
+// be nil.
+func handlerOf(r *Registry, t *Tracer) http.Handler {
+	return NewHandler(HandlerConfig{Registry: r, Tracer: t})
+}
+
 func TestHandlerMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mpr_core_price_searches_total", "Full price searches.").Add(7)
-	h := r.Histogram("mpr_agent_bid_rtt_seconds", "Bid RTT.", LatencySecondsBuckets)
-	h.Observe(0.002)
-	h.Observe(0.3)
+	h := r.HDR("mpr_agent_bid_rtt_seconds", "Bid RTT.")
+	h.Record(0.002)
+	h.Record(0.3)
 	tr := NewTracer(16)
 
-	res, body := serveGet(t, Handler(r, tr), "/metrics")
+	res, body := serveGet(t, handlerOf(r, tr), "/metrics")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -39,14 +45,17 @@ func TestHandlerMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"mpr_core_price_searches_total 7",
-		`mpr_agent_bid_rtt_seconds_bucket{le="0.0025"} 1`,
-		`mpr_agent_bid_rtt_seconds_bucket{le="+Inf"} 2`,
+		"# TYPE mpr_agent_bid_rtt_seconds summary",
+		`mpr_agent_bid_rtt_seconds{quantile="0.99"} 0.3`,
 		"mpr_agent_bid_rtt_seconds_sum 0.302",
 		"mpr_agent_bid_rtt_seconds_count 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "histogram") || strings.Contains(body, "_bucket") {
+		t.Fatalf("/metrics carries a fixed-bucket series:\n%s", body)
 	}
 }
 
@@ -60,7 +69,7 @@ func TestHandlerMetricsHDRInvalid(t *testing.T) {
 	h.Record(-0.001)
 	h.Record(math.NaN())
 
-	_, body := serveGet(t, Handler(r, nil), "/metrics")
+	_, body := serveGet(t, handlerOf(r, nil), "/metrics")
 	for _, want := range []string{
 		"mpr_agent_bid_rtt_seconds_sum 0.002\n",
 		"mpr_agent_bid_rtt_seconds_count 1\n",
@@ -71,7 +80,7 @@ func TestHandlerMetricsHDRInvalid(t *testing.T) {
 		}
 	}
 
-	_, body = serveGet(t, Handler(r, nil), "/metrics?format=json")
+	_, body = serveGet(t, handlerOf(r, nil), "/metrics?format=json")
 	var doc struct {
 		HDRs map[string]HDRSummary `json:"hdr_histograms"`
 	}
@@ -92,7 +101,7 @@ func TestHandlerDebugMarketEndpoint(t *testing.T) {
 	run.Emit(Event{Name: "int_round", Round: 1, Price: 0.8, TargetW: 500, SuppliedW: 420})
 	run.Emit(Event{Name: "market_clear", Round: 2, Price: 0.95, TargetW: 500, SuppliedW: 503, Label: "converged"})
 
-	res, body := serveGet(t, Handler(r, tr), "/debug/market")
+	res, body := serveGet(t, handlerOf(r, tr), "/debug/market")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -118,7 +127,8 @@ func TestHandlerMetricsJSONFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mpr_mgr_markets_total", "").Add(3)
 	r.Gauge("mpr_power_budget_w", "").Set(125000)
-	res, body := serveGet(t, Handler(r, nil), "/metrics?format=json")
+	r.HDR("mpr_core_interactive_rounds", "").Record(7)
+	res, body := serveGet(t, handlerOf(r, nil), "/metrics?format=json")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -126,17 +136,26 @@ func TestHandlerMetricsJSONFormat(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	var doc struct {
-		Counters   map[string]int64   `json:"counters"`
-		Gauges     map[string]float64 `json:"gauges"`
-		Histograms map[string]struct {
-			Count int64 `json:"count"`
-		} `json:"histograms"`
+		Counters map[string]int64      `json:"counters"`
+		Gauges   map[string]float64    `json:"gauges"`
+		HDRs     map[string]HDRSummary `json:"hdr_histograms"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
 	if doc.Counters["mpr_mgr_markets_total"] != 3 || doc.Gauges["mpr_power_budget_w"] != 125000 {
 		t.Fatalf("doc = %+v", doc)
+	}
+	if got := doc.HDRs["mpr_core_interactive_rounds"]; got.Count != 1 || got.Sum != 7 || got.Max != 7 {
+		t.Fatalf("hdr summary = %+v, want one sample of 7", got)
+	}
+	if strings.Contains(body, `"histograms"`) {
+		t.Fatalf("JSON form still carries the fixed-bucket key:\n%s", body)
+	}
+	// The nil registry serves the same three keys, empty.
+	_, body = serveGet(t, handlerOf(nil, nil), "/metrics?format=json")
+	if strings.TrimSpace(body) != `{"counters":{},"gauges":{},"hdr_histograms":{}}` {
+		t.Fatalf("nil-registry JSON = %s", body)
 	}
 }
 
@@ -145,7 +164,7 @@ func TestHandlerDebugMarketJSONDropped(t *testing.T) {
 	for i := 0; i < 20; i++ { // 4 past capacity
 		tr.Emit(Event{Name: "int_round", Round: i})
 	}
-	res, body := serveGet(t, Handler(nil, tr), "/debug/market?format=json")
+	res, body := serveGet(t, handlerOf(nil, tr), "/debug/market?format=json")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -163,7 +182,7 @@ func TestHandlerDebugMarketJSONDropped(t *testing.T) {
 		t.Fatalf("events = %d, first round = %d", len(doc.Events), doc.Events[0].Round)
 	}
 	// The HTML form surfaces the same count.
-	_, html := serveGet(t, Handler(nil, tr), "/debug/market")
+	_, html := serveGet(t, handlerOf(nil, tr), "/debug/market")
 	if !strings.Contains(html, "dropped by the ring: 4") {
 		t.Fatal("HTML debug page must show the dropped count")
 	}
@@ -174,7 +193,7 @@ func TestHandlerSpansEndpoint(t *testing.T) {
 	em := tr.StartSpan("emergency", nil)
 	em.StartChild("market_round").End()
 	em.End()
-	res, body := serveGet(t, Handler(nil, tr), "/debug/spans")
+	res, body := serveGet(t, handlerOf(nil, tr), "/debug/spans")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -223,7 +242,7 @@ func TestHandlerHealthzAndSeriesMounts(t *testing.T) {
 		t.Fatal("index must link optional endpoints when mounted")
 	}
 	// Unmounted optional endpoints 404 and are not advertised.
-	bare := Handler(nil, nil)
+	bare := handlerOf(nil, nil)
 	if res, _ := serveGet(t, bare, "/healthz"); res.StatusCode != http.StatusNotFound {
 		t.Fatalf("bare /healthz status = %d", res.StatusCode)
 	}
@@ -262,7 +281,7 @@ func TestHandlerFlightAndRTMounts(t *testing.T) {
 		!strings.Contains(body, "/debug/rt") {
 		t.Fatal("index must link /debug/flight and /debug/rt when mounted")
 	}
-	bare := Handler(nil, nil)
+	bare := handlerOf(nil, nil)
 	if res, _ := serveGet(t, bare, "/debug/flight"); res.StatusCode != http.StatusNotFound {
 		t.Fatalf("bare /debug/flight status = %d", res.StatusCode)
 	}
@@ -272,14 +291,14 @@ func TestHandlerFlightAndRTMounts(t *testing.T) {
 }
 
 func TestHandlerIndexContentType(t *testing.T) {
-	res, _ := serveGet(t, Handler(nil, nil), "/")
+	res, _ := serveGet(t, handlerOf(nil, nil), "/")
 	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Fatalf("index content type = %q", ct)
 	}
 }
 
 func TestHandlerNilRegistryAndTracer(t *testing.T) {
-	h := Handler(nil, nil)
+	h := handlerOf(nil, nil)
 	if res, _ := serveGet(t, h, "/metrics"); res.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status = %d", res.StatusCode)
 	}

@@ -1,13 +1,13 @@
 // Package telemetry is the repo's stdlib-only observability layer: an
 // allocation-conscious metrics registry (atomic counters and gauges,
-// lock-striped histograms with fixed bucket layouts, labeled counter
-// families) plus a structured event tracer (ring-buffered Event records
-// with per-run Trace handles and an optional JSONL sink).
+// labeled counter families, and the lock-striped log-bucketed histograms
+// of the hdr subpackage) plus a structured event tracer (ring-buffered
+// Event records with per-run Trace handles and an optional JSONL sink).
 //
 // Two consumption paths are supported. Experiments and the simulator take
 // a point-in-time Snapshot and ship it inside their results; long-running
 // daemons expose the registry over HTTP in Prometheus text format and the
-// tracer ring as a human-readable debug page (see Handler).
+// tracer ring as a human-readable debug page (see NewHandler).
 //
 // Every instrument is nil-safe: methods on a nil *Registry return nil
 // metrics, and methods on nil metrics are no-ops. A nil registry is
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,61 +101,6 @@ func (g *Gauge) Value() float64 {
 	return g.v.Load()
 }
 
-// histStripes is the number of independent shards an observation can land
-// on. Striping spreads the contended sum/count updates of concurrent
-// writers across cache lines; snapshots fold the stripes back together.
-const histStripes = 8
-
-// histStripe is one shard of a histogram. The trailing pad keeps stripes
-// on separate cache lines so concurrent observers don't false-share.
-type histStripe struct {
-	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	count  atomic.Int64
-	sum    atomicFloat
-	_      [40]byte
-}
-
-// Histogram is a fixed-bucket-layout histogram. Bucket semantics follow
-// Prometheus: an observation v lands in the first bucket whose upper
-// bound satisfies v ≤ bound, with an implicit +Inf overflow bucket.
-type Histogram struct {
-	bounds  []float64
-	stripes [histStripes]histStripe
-	rr      atomic.Uint64 // round-robin stripe selector
-}
-
-// Observe records one observation. No-op on a nil histogram. The bucket
-// is located by binary search over the fixed bounds; the write lands on a
-// round-robin-selected stripe so concurrent observers contend 1/8th as
-// often on the shared sum.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	bi := sort.SearchFloat64s(h.bounds, v)
-	s := &h.stripes[h.rr.Add(1)&(histStripes-1)]
-	s.counts[bi].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
-}
-
-// snapshot folds the stripes into one per-bucket count vector.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	snap := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.bounds)+1),
-	}
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		for b := range s.counts {
-			snap.Counts[b] += s.counts[b].Load()
-		}
-		snap.Count += s.count.Load()
-		snap.Sum += s.sum.Load()
-	}
-	return snap
-}
-
 // CounterFamily is a set of counters sharing a name, distinguished by one
 // label value ("labeled family"). Resolved children are cached; the hot
 // path should resolve once with With and keep the *Counter.
@@ -190,7 +134,6 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindCounterFamily
 	kindHDR
 )
@@ -200,7 +143,6 @@ type metricEntry struct {
 	kind       metricKind
 	counter    *Counter
 	gauge      *Gauge
-	hist       *Histogram
 	family     *CounterFamily
 	hdr        *hdr.Histogram
 }
@@ -271,23 +213,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}).gauge
 }
 
-// Histogram returns the named histogram with the given fixed bucket upper
-// bounds (strictly increasing; +Inf is implicit), creating it on first
-// use. The bounds of an existing histogram are not changed. Returns nil
-// on a nil registry.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.getOrCreate(name, help, kindHistogram, func(e *metricEntry) {
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		for i := range h.stripes {
-			h.stripes[i].counts = make([]atomic.Int64, len(bounds)+1)
-		}
-		e.hist = h
-	}).hist
-}
-
 // HDR returns the named high-dynamic-range histogram (see the hdr
 // subpackage: log-bucketed, ~1 ns–100 s range, ≤3.1% relative error,
 // mergeable snapshots), creating it on first use. HDR histograms render
@@ -352,24 +277,6 @@ func (r *Registry) GaugeValue(name string) float64 {
 	return 0
 }
 
-// HistogramSnapshot is a point-in-time copy of one histogram.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds; Counts has one entry per bound
-	// plus the +Inf overflow bucket and is NOT cumulative.
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
-}
-
-// Mean returns the average observation (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // HDRSummary is the serializable point-in-time digest of an HDR
 // histogram: pre-computed quantiles instead of the ~1200 raw buckets.
 // Consumers needing mergeable full-resolution state take hdr.Snapshot
@@ -401,10 +308,9 @@ func summarizeHDR(s hdr.Snapshot) HDRSummary {
 // for results and offline analysis. Family children appear in Counters
 // under the expanded name `family{label="value"}`.
 type Snapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSnapshot
-	HDRs       map[string]HDRSummary
+	Counters map[string]int64
+	Gauges   map[string]float64
+	HDRs     map[string]HDRSummary
 }
 
 // Counter reads a counter from the snapshot (0 when absent).
@@ -413,14 +319,6 @@ func (s *Snapshot) Counter(name string) int64 {
 		return 0
 	}
 	return s.Counters[name]
-}
-
-// Histogram reads a histogram snapshot (zero value when absent).
-func (s *Snapshot) Histogram(name string) HistogramSnapshot {
-	if s == nil {
-		return HistogramSnapshot{}
-	}
-	return s.Histograms[name]
 }
 
 // HDR reads an HDR summary (zero value when absent).
@@ -440,10 +338,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	entries := append([]*metricEntry(nil), r.ordered...)
 	r.mu.RUnlock()
 	s := &Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-		HDRs:       make(map[string]HDRSummary),
+		Counters: make(map[string]int64),
+		Gauges:   make(map[string]float64),
+		HDRs:     make(map[string]HDRSummary),
 	}
 	for _, e := range entries {
 		switch e.kind {
@@ -451,8 +348,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.Counters[e.name] = e.counter.Value()
 		case kindGauge:
 			s.Gauges[e.name] = e.gauge.Value()
-		case kindHistogram:
-			s.Histograms[e.name] = e.hist.snapshot()
 		case kindHDR:
 			s.HDRs[e.name] = summarizeHDR(e.hdr.Snapshot())
 		case kindCounterFamily:
@@ -468,8 +363,8 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (counters, gauges, and histograms with _bucket/_sum/_count
-// series). A nil registry writes nothing.
+// format (counters, gauges, and HDR histograms as summaries: quantile
+// series plus _sum/_count/_invalid). A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -495,17 +390,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s{%s=%q} %d\n", e.name, f.label, escapeLabel(v), f.children[v].Value())
 			}
 			f.mu.Unlock()
-		case kindHistogram:
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", e.name)
-			snap := e.hist.snapshot()
-			var cum int64
-			for i, bound := range snap.Bounds {
-				cum += snap.Counts[i]
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", e.name, formatFloat(bound), cum)
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", e.name, snap.Count)
-			fmt.Fprintf(&b, "%s_sum %s\n", e.name, formatFloat(snap.Sum))
-			fmt.Fprintf(&b, "%s_count %d\n", e.name, snap.Count)
 		case kindHDR:
 			// HDR histograms expose as summaries: pre-computed quantiles
 			// instead of ~1200 _bucket lines.
@@ -541,17 +425,3 @@ func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	return v
 }
-
-// Common fixed bucket layouts.
-var (
-	// RoundBuckets covers interactive-market round counts (MaxRounds
-	// defaults to 100).
-	RoundBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 100}
-	// LatencySecondsBuckets covers network round-trip and clearing
-	// latencies from 100 µs to ~8 s, exponential.
-	LatencySecondsBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025,
-		0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2, 4, 8}
-	// SlotBuckets covers per-slot durations (emergency length, reduction
-	// latency) in one-minute slots.
-	SlotBuckets = []float64{0, 1, 2, 3, 5, 8, 12, 20, 30, 60, 120, 240, 480}
-)

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"mpr/internal/check/floats"
 )
 
 func TestNilRegistryIsNop(t *testing.T) {
@@ -27,8 +25,11 @@ func TestNilRegistryIsNop(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge must read 0")
 	}
-	h := r.Histogram("z", "", RoundBuckets)
-	h.Observe(2)
+	h := r.HDR("z", "")
+	h.Record(2)
+	if h.Count() != 0 || r.FindHDR("z") != nil {
+		t.Fatal("nil histogram must read empty")
+	}
 	f := r.CounterFamily("w", "", "mode")
 	f.With("a").Inc()
 	if r.Snapshot() != nil {
@@ -82,39 +83,6 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("dual", "")
 }
 
-// TestHistogramBucketEdges pins the Prometheus bucket semantics: an
-// observation equal to an upper bound counts in that bucket (v ≤ le), and
-// anything above the last bound lands in +Inf only.
-func TestHistogramBucketEdges(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.0000001, 2, 4, 4.5, 100} {
-		h.Observe(v)
-	}
-	snap := h.snapshot()
-	// Non-cumulative per-bucket counts, v ≤ le semantics:
-	// {0.5, 1}→(≤1), {1.0000001, 2}→(1,2], {4}→(2,4], {4.5, 100}→+Inf.
-	want := []int64{2, 2, 1, 2}
-	if len(snap.Counts) != len(want) {
-		t.Fatalf("bucket count = %d, want %d", len(snap.Counts), len(want))
-	}
-	for i, w := range want {
-		if snap.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, snap.Counts[i], w, snap.Counts)
-		}
-	}
-	if snap.Count != 7 {
-		t.Fatalf("count = %d, want 7", snap.Count)
-	}
-	wantSum := 0.5 + 1 + 1.0000001 + 2 + 4 + 4.5 + 100
-	if !floats.AbsEqual(snap.Sum, wantSum, 1e-9) {
-		t.Fatalf("sum = %g, want %g", snap.Sum, wantSum)
-	}
-	if !floats.AbsEqual(snap.Mean(), wantSum/7, 1e-9) {
-		t.Fatalf("mean = %g, want %g", snap.Mean(), wantSum/7)
-	}
-}
-
 // TestConcurrentCountersAndHistogram exercises the atomic/striped paths
 // under the race detector and checks nothing is lost.
 func TestConcurrentCountersAndHistogram(t *testing.T) {
@@ -129,13 +97,13 @@ func TestConcurrentCountersAndHistogram(t *testing.T) {
 			// path, as init-time instrumentation does.
 			c := r.Counter("c", "")
 			g := r.Gauge("g", "")
-			h := r.Histogram("h", "", []float64{1, 10, 100})
+			h := r.HDR("h", "")
 			f := r.CounterFamily("f", "", "mode")
 			fc := f.With("m")
 			for j := 0; j < perG; j++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(j % 200))
+				h.Record(float64(j % 200))
 				fc.Inc()
 			}
 		}()
@@ -149,12 +117,16 @@ func TestConcurrentCountersAndHistogram(t *testing.T) {
 		t.Fatalf("gauge = %g, want %d", got, total)
 	}
 	s := r.Snapshot()
-	hs := s.Histogram("h")
+	hs := s.HDR("h")
 	if hs.Count != total {
 		t.Fatalf("histogram count = %d, want %d", hs.Count, total)
 	}
+	// Small integers sum exactly: 8 goroutines × 10 laps of 0…199.
+	if want := float64(goroutines * perG / 200 * (199 * 200 / 2)); hs.Sum != want || hs.Min != 0 || hs.Max != 199 {
+		t.Fatalf("histogram sum/min/max = %g/%g/%g, want %g/0/199", hs.Sum, hs.Min, hs.Max, want)
+	}
 	var bucketSum int64
-	for _, c := range hs.Counts {
+	for _, c := range r.FindHDR("h").Snapshot().Counts {
 		bucketSum += c
 	}
 	if bucketSum != total {
@@ -169,7 +141,7 @@ func TestSnapshotAndFamilyExpansion(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(3)
 	r.Gauge("b", "").Set(7.5)
-	r.Histogram("c", "", []float64{1, 2}).Observe(1.5)
+	r.HDR("c", "").Record(1.5)
 	f := r.CounterFamily("d_total", "", "mode")
 	f.With("closed_form").Add(2)
 	f.With("bisection").Inc()
@@ -180,15 +152,15 @@ func TestSnapshotAndFamilyExpansion(t *testing.T) {
 	if s.Gauges["b"] != 7.5 {
 		t.Fatalf("b = %g", s.Gauges["b"])
 	}
-	if s.Histogram("c").Count != 1 {
-		t.Fatalf("c count = %d", s.Histogram("c").Count)
+	if c := s.HDR("c"); c.Count != 1 || c.Sum != 1.5 || c.Mean != 1.5 {
+		t.Fatalf("c = %+v, want one sample of 1.5", c)
 	}
 	if s.Counter(`d_total{mode="closed_form"}`) != 2 || s.Counter(`d_total{mode="bisection"}`) != 1 {
 		t.Fatalf("family expansion wrong: %v", s.Counters)
 	}
 	// Nil-snapshot reads are safe.
 	var nilSnap *Snapshot
-	if nilSnap.Counter("x") != 0 || nilSnap.Histogram("y").Count != 0 {
+	if nilSnap.Counter("x") != 0 || nilSnap.HDR("y").Count != 0 {
 		t.Fatal("nil snapshot reads must be zero")
 	}
 }
@@ -197,10 +169,10 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mpr_searches_total", "Price searches.").Add(2)
 	r.Gauge("mpr_overload_w", "Overload depth.").Set(120.5)
-	h := r.Histogram("mpr_rounds", "Rounds.", []float64{1, 2, 4})
-	h.Observe(1)
-	h.Observe(3)
-	h.Observe(9)
+	h := r.HDR("mpr_rounds", "Rounds.")
+	h.Record(1)
+	h.Record(3)
+	h.Record(9)
 	fam := r.CounterFamily("mpr_clears_total", "Clears.", "mode")
 	fam.With("closed_form").Add(5)
 	var b strings.Builder
@@ -214,34 +186,20 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"mpr_searches_total 2",
 		"# TYPE mpr_overload_w gauge",
 		"mpr_overload_w 120.5",
-		"# TYPE mpr_rounds histogram",
-		`mpr_rounds_bucket{le="1"} 1`,
-		`mpr_rounds_bucket{le="2"} 1`,
-		`mpr_rounds_bucket{le="4"} 2`, // cumulative: 1 + the 3-observation
-		`mpr_rounds_bucket{le="+Inf"} 3`,
-		"mpr_rounds_sum 13",
-		"mpr_rounds_count 3",
+		"# HELP mpr_rounds Rounds.",
+		"# TYPE mpr_rounds summary",
+		`mpr_rounds{quantile="0.5"} 3.03125`, // rank ⌈0.5·3⌉ = 2: midpoint of 3's bucket [3, 3.0625)
+		`mpr_rounds{quantile="0.999"} 9`,     // 9's bucket midpoint, clamped to Max
+		"mpr_rounds_sum 13\n",
+		"mpr_rounds_count 3\n",
+		"mpr_rounds_invalid 0\n",
 		`mpr_clears_total{mode="closed_form"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// TestObserveAllocFree proves the histogram/counter hot path does not
-// allocate — the property the striped fixed-layout design buys.
-func TestObserveAllocFree(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c", "")
-	g := r.Gauge("g", "")
-	h := r.Histogram("h", "", LatencySecondsBuckets)
-	allocs := testing.AllocsPerRun(500, func() {
-		c.Inc()
-		g.Set(1)
-		h.Observe(0.003)
-	})
-	if allocs != 0 {
-		t.Fatalf("hot path allocates: %v allocs/op", allocs)
+	if strings.Contains(out, "histogram") || strings.Contains(out, "_bucket") {
+		t.Fatalf("exposition still carries a fixed-bucket series:\n%s", out)
 	}
 }

@@ -23,7 +23,7 @@ type Ticker interface {
 // realClock adapts package time.
 type realClock struct{}
 
-func (realClock) Now() time.Time                  { return time.Now() }
+func (realClock) Now() time.Time                   { return time.Now() }
 func (realClock) NewTicker(d time.Duration) Ticker { return &realTicker{time.NewTicker(d)} }
 
 type realTicker struct{ t *time.Ticker }
