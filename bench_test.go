@@ -12,12 +12,14 @@ package mpr
 // print each experiment's tables from the benchmark run.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"testing"
 	"time"
 
+	"mpr/internal/agentproto"
 	"mpr/internal/core"
 	"mpr/internal/experiments"
 	"mpr/internal/perf"
@@ -606,5 +608,29 @@ func BenchmarkRationalBid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rb.RespondBid(0.5)
+	}
+}
+
+// BenchmarkJSONCodecRoundTrip is one interactive round's traffic on the
+// default wire: a traced price and the answering bid, each sent and
+// received through the JSON-lines codec over a bytes.Buffer.
+func BenchmarkJSONCodecRoundTrip(b *testing.B) {
+	var buf bytes.Buffer
+	codec := agentproto.NewCodec(&buf)
+	msgs := [2]agentproto.Message{
+		{Type: agentproto.MsgPrice, Round: 7, Price: 0.1, TargetW: 4000, TraceID: "m12.r7"},
+		{Type: agentproto.MsgBid, Round: 7, TraceID: "m12.r7", Delta: 3.0517578125, B: 0.0732421875},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range msgs {
+			if err := codec.Send(m); err != nil {
+				b.Fatal(err)
+			}
+			if got, err := codec.Recv(); err != nil || got != m {
+				b.Fatalf("round trip of %+v: %+v, %v", m, got, err)
+			}
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package agentproto
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Broadcast fast path.
 //
@@ -14,22 +11,22 @@ import (
 // once per round, in both wire formats, and the shard loops then write
 // the shared bytes raw to each connection according to its negotiated
 // transport. The bytes are produced by the same encoders the per-member
-// path uses (json.Marshal + '\n' is what json.Encoder emits;
-// appendFrame is FrameCodec.Send's encoder), so the wire is
-// byte-identical either way — TestBroadcastBytesIdentical pins this.
+// path uses (appendJSONLine is Codec.Send's encoder, appendFrame is
+// FrameCodec.Send's), so the wire is byte-identical either way —
+// TestBroadcastBytesIdentical pins this.
 
 // encodedMsg is one message pre-encoded for both wire transports. The
 // byte slices are shared across shards and members and must be treated
 // as immutable.
 type encodedMsg struct {
 	msg   Message
-	json  []byte // JSON-lines encoding: marshal plus trailing newline
+	json  []byte // JSON-lines encoding, trailing newline included
 	frame []byte // mprbin/v1 frame
 }
 
 // encodeMsg pre-encodes m for broadcast.
 func encodeMsg(m Message) (*encodedMsg, error) {
-	j, err := json.Marshal(m)
+	j, err := appendJSONLine(nil, &m)
 	if err != nil {
 		return nil, fmt.Errorf("agentproto: encode %s: %w", m.Type, err)
 	}
@@ -37,7 +34,7 @@ func encodeMsg(m Message) (*encodedMsg, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &encodedMsg{msg: m, json: append(j, '\n'), frame: f}, nil
+	return &encodedMsg{msg: m, json: j, frame: f}, nil
 }
 
 // bytesFor picks the encoding for a connection's negotiated transport.

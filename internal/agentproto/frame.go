@@ -116,7 +116,7 @@ func byteMsgType(b byte) (MsgType, error) {
 	case frameError:
 		return MsgError, nil
 	}
-	return "", fmt.Errorf("agentproto: unknown frame type 0x%02x", b)
+	return "", fmt.Errorf("agentproto: %w: unknown frame type 0x%02x", errMalformed, b)
 }
 
 // FrameCodec frames Messages as mprbin/v1 binary frames. Send and Recv
@@ -354,10 +354,12 @@ func (c *FrameCodec) internJob(b []byte) string {
 // decodeErr wraps a field-decode failure. A plain function (not a
 // closure) so the error path costs Recv nothing when frames are healthy.
 func decodeErr(mt MsgType, err error) error {
-	return fmt.Errorf("agentproto: decode %s frame: %w", mt, err)
+	return fmt.Errorf("agentproto: decode %s frame: %w: %w", mt, errMalformed, err)
 }
 
 // Recv reads the next frame, returning io.EOF at a clean end of stream.
+// A frame that arrived but does not decode is an errMalformed; a stream
+// that ends or fails mid-frame is a transport error.
 func (c *FrameCodec) Recv() (Message, error) {
 	hdr := c.hdr[:]
 	if _, err := io.ReadFull(c.r, hdr); err != nil {
@@ -367,7 +369,7 @@ func (c *FrameCodec) Recv() (Message, error) {
 		return Message{}, fmt.Errorf("agentproto: recv frame header: %w", err)
 	}
 	if hdr[0] != frameMagic {
-		return Message{}, fmt.Errorf("agentproto: bad frame magic 0x%02x (stream desynced?)", hdr[0])
+		return Message{}, fmt.Errorf("agentproto: %w: bad frame magic 0x%02x (stream desynced?)", errMalformed, hdr[0])
 	}
 	mt, err := byteMsgType(hdr[1])
 	if err != nil {
@@ -375,7 +377,7 @@ func (c *FrameCodec) Recv() (Message, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[2:6])
 	if n > maxFramePayload {
-		return Message{}, fmt.Errorf("agentproto: frame payload %d exceeds %d-byte cap", n, maxFramePayload)
+		return Message{}, fmt.Errorf("agentproto: %w: frame payload %d exceeds %d-byte cap", errMalformed, n, maxFramePayload)
 	}
 	if cap(c.pay) < int(n) {
 		c.pay = make([]byte, n)
@@ -387,10 +389,10 @@ func (c *FrameCodec) Recv() (Message, error) {
 	fr := frameReader{b: pay}
 	bm, err := fr.u16()
 	if err != nil {
-		return Message{}, fmt.Errorf("agentproto: decode frame: %w", err)
+		return Message{}, fmt.Errorf("agentproto: decode frame: %w: %w", errMalformed, err)
 	}
 	if bm&^uint16(bitsKnown) != 0 {
-		return Message{}, fmt.Errorf("agentproto: frame carries unknown field bits 0x%04x", bm)
+		return Message{}, fmt.Errorf("agentproto: %w: frame carries unknown field bits 0x%04x", errMalformed, bm)
 	}
 	m := Message{Type: mt}
 	if bm&bitJobID != 0 {
@@ -467,7 +469,7 @@ func (c *FrameCodec) Recv() (Message, error) {
 		m.Reason = string(b)
 	}
 	if len(fr.b) != 0 {
-		return Message{}, fmt.Errorf("agentproto: %d trailing bytes after %s frame", len(fr.b), mt)
+		return Message{}, fmt.Errorf("agentproto: %w: %d trailing bytes after %s frame", errMalformed, len(fr.b), mt)
 	}
 	return m, nil
 }

@@ -2,6 +2,7 @@ package agentproto
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -425,6 +426,14 @@ func (m *Manager) serve(conn net.Conn) {
 	for {
 		msg, err := codec.Recv()
 		if err != nil {
+			// EOF and transport errors are a peer that left; bytes that
+			// arrived and did not decode are a protocol violation, and the
+			// stream cannot be resynchronised after one, so the drop below
+			// is the same.
+			if errors.Is(err, errMalformed) {
+				m.malformed.Inc()
+				m.logf("agent %s sent an undecodable message: %v", hello.JobID, err)
+			}
 			break
 		}
 		if msg.Type == MsgBid {

@@ -12,6 +12,7 @@ package agentproto
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -81,10 +82,22 @@ type wireCodec interface {
 	Recv() (Message, error)
 }
 
-// Codec frames Messages as JSON lines on a stream.
+// errMalformed marks a Recv error as bytes that arrived but did not
+// decode into a Message — as opposed to end of stream or a transport
+// failure — so the manager can count the peer's last message as a
+// protocol violation before dropping it. Both codecs wrap it.
+var errMalformed = errors.New("malformed message")
+
+// Codec frames Messages as JSON lines on a stream. Send reuses one
+// buffer, so like FrameCodec it has a single-writer contract: the
+// connection's owner (the shard loop, the agent loop) is the only
+// sender, and the bytes are not referenced once Write returns.
 type Codec struct {
-	enc *json.Encoder
-	sc  *bufio.Scanner
+	w  io.Writer
+	sc *bufio.Scanner
+
+	out       []byte // reused send buffer
+	lastTrace string // one-entry intern cache, as FrameCodec's
 }
 
 // NewCodec wraps a bidirectional stream. The scan buffer starts small
@@ -94,18 +107,25 @@ type Codec struct {
 func NewCodec(rw io.ReadWriter) *Codec {
 	sc := bufio.NewScanner(rw)
 	sc.Buffer(make([]byte, 1024), 64*1024)
-	return &Codec{enc: json.NewEncoder(rw), sc: sc}
+	return &Codec{w: rw, sc: sc}
 }
 
-// Send writes one message.
+// Send writes one message as a single line (one Write call).
 func (c *Codec) Send(m Message) error {
-	if err := c.enc.Encode(m); err != nil {
+	buf, err := appendJSONLine(c.out[:0], &m)
+	if err == nil {
+		c.out = buf[:0]
+		_, err = c.w.Write(buf)
+	}
+	if err != nil {
 		return fmt.Errorf("agentproto: send %s: %w", m.Type, err)
 	}
 	return nil
 }
 
-// Recv reads the next message, returning io.EOF at end of stream.
+// Recv reads the next message, returning io.EOF at end of stream. Lines
+// outside the fast decoder's canonical subset go through encoding/json,
+// which alone decides what is an error.
 func (c *Codec) Recv() (Message, error) {
 	if !c.sc.Scan() {
 		if err := c.sc.Err(); err != nil {
@@ -113,9 +133,12 @@ func (c *Codec) Recv() (Message, error) {
 		}
 		return Message{}, io.EOF
 	}
+	if m, ok := c.decodeJSON(c.sc.Bytes()); ok {
+		return m, nil
+	}
 	var m Message
 	if err := json.Unmarshal(c.sc.Bytes(), &m); err != nil {
-		return Message{}, fmt.Errorf("agentproto: decode: %w", err)
+		return Message{}, fmt.Errorf("agentproto: decode: %w: %w", errMalformed, err)
 	}
 	return m, nil
 }

@@ -784,3 +784,74 @@ func TestManagerCloseLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestUndecodableMessageCountedMalformed: bytes that arrive but do not
+// decode used to end the read loop like a hang-up — the agent dropped as
+// a plain peer_closed with mpr_agent_malformed_messages_total untouched.
+// On both wires such a message now counts malformed exactly once before
+// the unchanged drop, a clean EOF still counts nothing, and the next
+// market over the survivors clears at the price of a fleet whose extra
+// agent simply hung up.
+func TestUndecodableMessageCountedMalformed(t *testing.T) {
+	const targetW = 20000
+	run := func(t *testing.T, wire string, garbage []byte) (price uint64, malformed int64) {
+		reg := telemetry.NewRegistry()
+		m := pipeManager(t, ManagerConfig{RoundTimeout: 2 * time.Second, Shards: 2, Telemetry: reg})
+		specs := fleetSpecs(4)
+		for i := range specs {
+			specs[i].wire = wire
+		}
+		dialFleet(t, m, specs)
+		conn, _ := scriptConn(t, m, wire, Message{Type: MsgHello, JobID: "garbler", Cores: 64, WattsPerCore: 125, MaxFrac: 0.4})
+		waitAgents(t, m, len(specs)+1)
+		if len(garbage) > 0 {
+			if _, err := conn.Write(garbage); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn.Close()
+		waitAgents(t, m, len(specs))
+		out, err := m.RunMarket(targetW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ordered := out.Orders["garbler"]; ordered {
+			t.Error("the dropped agent is still on the market roster")
+		}
+		s := reg.Snapshot()
+		if got := s.Counter(MetricAgentEvents + `{event="disconnect"}`); got != 1 {
+			t.Errorf("disconnects = %d, want 1", got)
+		}
+		if got := m.Evictions(); got != 0 {
+			t.Errorf("evictions = %d, want 0 (an undecodable message is a drop, not an eviction)", got)
+		}
+		if got := s.Gauges[MetricAgentsConnected]; got != float64(len(specs)) {
+			t.Errorf("connected gauge = %g, want %d", got, len(specs))
+		}
+		return math.Float64bits(out.Result.Price), s.Counter(MetricMalformed)
+	}
+	for _, tc := range []struct {
+		name, wire string
+		garbage    []byte
+	}{
+		{"json/not json", WireJSON, []byte("not json\n")},
+		{"json/float out of range", WireJSON, []byte(`{"type":"bid","round":1,"b":1e999}` + "\n")},
+		{"json/truncated object", WireJSON, []byte(`{"type":"bid","round":1`)},
+		{"binary/unknown type byte", WireBinary, []byte{frameMagic, 0x63, 0, 0, 0, 2, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantPrice, cleanMalformed := run(t, tc.wire, nil)
+			if cleanMalformed != 0 {
+				t.Errorf("clean hang-up counted %d malformed, want 0", cleanMalformed)
+			}
+			price, malformed := run(t, tc.wire, tc.garbage)
+			if malformed != 1 {
+				t.Errorf("malformed = %d, want 1", malformed)
+			}
+			if price != wantPrice {
+				t.Errorf("clearing price %v after the undecodable message, %v after a clean hang-up",
+					math.Float64frombits(price), math.Float64frombits(wantPrice))
+			}
+		})
+	}
+}
