@@ -109,6 +109,7 @@ func Run(cfg Config) (*Result, error) {
 	jobs := make([]*drJob, 0, len(cfg.Trace.Jobs))
 	arrivals := map[int][]*drJob{}
 	lastSlot := 0
+	var coop core.CooperativeBids // one solve per profile, not per job
 	for _, tj := range cfg.Trace.Jobs {
 		prof := cfg.Profiles[rng.Intn(len(cfg.Profiles))]
 		model := perf.NewCostModel(prof, 1, perf.CostLinear)
@@ -117,7 +118,7 @@ func Run(cfg Config) (*Result, error) {
 			cores:        tj.Cores,
 			profile:      prof,
 			model:        model,
-			staticBid:    core.CooperativeBid(float64(tj.Cores), model),
+			staticBid:    coop.Bid(float64(tj.Cores), model),
 			remainingMin: float64(tj.Runtime) / 60,
 			alloc:        1,
 		}

@@ -210,11 +210,11 @@ func TestMetamorphicBidScaling(t *testing.T) {
 // TestInteractiveDeterminism pins the regression surface of the parallel
 // rebid fan-out: ClearInteractive must produce bit-for-bit identical
 // prices, round counts, and allocations regardless of the Workers count
-// (the pool of 80 bidders is above parallelBidFloor, so the parallel
+// (the pool of 600 bidders is above parallelBidFloor, so the parallel
 // path actually runs) and regardless of participant order.
 func TestInteractiveDeterminism(t *testing.T) {
 	g := NewGen(0xde7e_12)
-	ps, bidders, _ := g.CostPool(80)
+	ps, bidders, _ := g.CostPool(600)
 	var capW float64
 	for _, p := range ps {
 		capW += p.WattsPerCore * p.MaxReduction()

@@ -106,6 +106,10 @@ type Cluster struct {
 	powerSeries stats.Series
 	reductions  []float64 // integrated δ·seconds per app
 	payments    []float64
+
+	// coop remembers each application's solved cooperative bid across
+	// the run's clears; an app's cost model never changes.
+	coop core.CooperativeBids
 }
 
 // New builds the emulated cluster.
@@ -223,7 +227,7 @@ func (c *Cluster) clearMarket(targetW float64) {
 		parts[i] = &core.Participant{
 			JobID:        a.spec.Name,
 			Cores:        float64(a.spec.Cores),
-			Bid:          core.CooperativeBid(float64(a.spec.Cores), a.model),
+			Bid:          c.coop.Bid(float64(a.spec.Cores), a.model),
 			WattsPerCore: a.wattsPerCoreReduction(),
 			MaxFrac:      1 - FreqMin/FreqMax,
 		}

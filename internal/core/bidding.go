@@ -17,14 +17,23 @@ type RationalBidder struct {
 	Model *perf.CostModel
 }
 
-// RespondBid implements Bidder.
+// RespondBid implements Bidder. The response is a pure function of
+// (*Model, Cores, price): the per-core best response δ* depends on the
+// model and the price alone, and bidFor scales it by Cores. respondBids
+// relies on this to solve δ* once for bidders whose models are equal.
 func (r *RationalBidder) RespondBid(price float64) Bid {
+	return r.bidFor(price, r.Model.GainMaximizingReduction(price))
+}
+
+// bidFor encodes the per-core reduction dStarPC the user wants to supply
+// at price as the job's bid.
+func (r *RationalBidder) bidFor(price, dStarPC float64) Bid {
 	maxPC := r.Model.Profile.MaxReduction()
 	delta := r.Cores * maxPC
 	if delta <= 0 {
 		return Bid{}
 	}
-	dStar := r.Cores * r.Model.GainMaximizingReduction(price)
+	dStar := r.Cores * dStarPC
 	b := price * (delta - dStar)
 	if b < 0 {
 		b = 0
@@ -45,10 +54,16 @@ func (s *StaticBidder) RespondBid(float64) Bid { return s.Fixed }
 // over the entire price range. Formally b = max_q q·(Δ − δ_ref(q)), so
 // that δ_bid(q) = Δ − b/q ≤ δ_ref(q) for all q.
 func CooperativeBid(cores float64, model *perf.CostModel) Bid {
+	return scaleCooperative(cores, model.Profile.MaxReduction(), cooperativePerCore(model))
+}
+
+// cooperativePerCore solves the cooperative bid's reluctance b for one
+// core of the model. It never sees the job's size: a job's bid is this b
+// and the profile's per-core Δ, both times its cores (scaleCooperative).
+func cooperativePerCore(model *perf.CostModel) float64 {
 	maxPC := model.Profile.MaxReduction()
-	delta := cores * maxPC
-	if delta <= 0 {
-		return Bid{}
+	if maxPC <= 0 {
+		return 0
 	}
 	// Beyond the saturation price q_sat = UnitCost(Δ) the reference
 	// supplies the full Δ and the constraint term q·(Δ−δ_ref) vanishes,
@@ -63,8 +78,57 @@ func CooperativeBid(cores float64, model *perf.CostModel) Bid {
 			b = v
 		}
 	}
+	return b
+}
+
+// scaleCooperative sizes a per-core cooperative bid (maxPC, b) to a job
+// of cores cores.
+func scaleCooperative(cores, maxPC, b float64) Bid {
+	delta := cores * maxPC
+	if delta <= 0 {
+		return Bid{}
+	}
 	return Bid{Delta: delta, B: b * cores}
 }
+
+// CooperativeBids derives cooperative bids for a batch of jobs, solving
+// each distinct cost model once: Bid(cores, model) equals
+// CooperativeBid(cores, model) bit for bit, but a model equal (as a
+// value: same profile pointer, α and shape) to one already solved reuses
+// its per-core b. Models are few — a handful of profiles times a handful
+// of α — so they are found by a linear scan; when every model differs
+// (per-job cost error) nothing matches and each Bid is one solve, as
+// without it. The zero value is ready to use; it is not safe for
+// concurrent use.
+type CooperativeBids struct {
+	solved []coopClass
+}
+
+// coopClass is one solved model and its per-core reluctance.
+type coopClass struct {
+	model perf.CostModel
+	b     float64
+}
+
+// Bid returns CooperativeBid(cores, model).
+func (c *CooperativeBids) Bid(cores float64, model *perf.CostModel) Bid {
+	maxPC := model.Profile.MaxReduction()
+	for i := range c.solved {
+		if c.solved[i].model == *model {
+			return scaleCooperative(cores, maxPC, c.solved[i].b)
+		}
+	}
+	b := cooperativePerCore(model)
+	c.solved = append(c.solved, coopClass{*model, b})
+	return scaleCooperative(cores, maxPC, b)
+}
+
+// Solves reports how many distinct models have been solved since the
+// last Reset.
+func (c *CooperativeBids) Solves() int { return len(c.solved) }
+
+// Reset forgets every solved model, keeping the storage.
+func (c *CooperativeBids) Reset() { c.solved = c.solved[:0] }
 
 // ConservativeBid scales the cooperative bid's reluctance up by factor
 // (> 1): the user offers less reduction than its reference at every price,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mpr/internal/check/floats"
@@ -375,7 +376,7 @@ func TestInteractiveDoesNotMutateBids(t *testing.T) {
 // path: same price, rounds, and reductions.
 func TestInteractiveParallelMatchesSequential(t *testing.T) {
 	apps := []string{"XSBench", "RSBench", "SimpleMOC", "CoMD", "HPCCG", "SWFFT", "miniMD", "miniFE"}
-	names := make([]string, 96) // above parallelBidFloor
+	names := make([]string, parallelBidFloor+32)
 	for i := range names {
 		names[i] = apps[i%len(apps)]
 	}
@@ -497,4 +498,83 @@ func TestClosedFormOnProfilePool(t *testing.T) {
 			t.Errorf("frac %v: price %v vs %v", frac, cf.Price, bi.Price)
 		}
 	}
+}
+
+// Clear and ClearCapped borrow their index from a pool: a result must own
+// its Reductions (a later clear may not write into it), an index recycled
+// from a larger or smaller pool must solve as a fresh one does, bit for
+// bit, and concurrent one-shot clears must not share an index.
+func TestOneShotClearsRecycleTheIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	type instance struct {
+		ps     []*Participant
+		target float64
+		want   *ClearingResult
+	}
+	var insts []instance
+	for _, n := range []int{700, 5, 3000, 64, 700} {
+		ps := randomPool(rng, n)
+		ix, err := NewMarketIndex(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := 0.5 * ix.MaxSupplyW()
+		want, err := ix.Clear(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, instance{ps, target, want})
+	}
+	same := func(got, want *ClearingResult) bool {
+		if math.Float64bits(got.Price) != math.Float64bits(want.Price) || got.Feasible != want.Feasible ||
+			len(got.Reductions) != len(want.Reductions) {
+			return false
+		}
+		for i := range want.Reductions {
+			if math.Float64bits(got.Reductions[i]) != math.Float64bits(want.Reductions[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	var kept []*ClearingResult
+	for k, in := range insts {
+		got, err := Clear(in.ps, in.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got, in.want) {
+			t.Fatalf("instance %d: pooled Clear differs from a fresh index", k)
+		}
+		capped, err := ClearCapped(in.ps, in.target, 2*in.want.Price)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(capped, in.want) {
+			t.Fatalf("instance %d: pooled ClearCapped under a loose cap differs from a fresh index", k)
+		}
+		kept = append(kept, got)
+	}
+	for k, got := range kept {
+		if !same(got, insts[k].want) {
+			t.Fatalf("instance %d: result changed after later clears — it does not own its Reductions", k)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				for k, in := range insts {
+					got, err := Clear(in.ps, in.target)
+					if err != nil || !same(got, in.want) {
+						t.Errorf("concurrent Clear of instance %d: %v, or a different result", k, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

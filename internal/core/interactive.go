@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mpr/internal/perf"
 	"mpr/internal/telemetry"
 )
 
@@ -19,6 +20,12 @@ import (
 // (never the same bidder twice at once), so a Bidder must not mutate
 // state shared with other bidders. The package's bidders (RationalBidder,
 // StaticBidder) are read-only during RespondBid and satisfy this.
+//
+// Every Bidder is called once per round, with one exception: a
+// *RationalBidder's response is a pure function of (*Model, Cores, price),
+// so for rational bidders whose models are equal the per-core best
+// response may be computed once and scaled to each one's Cores — the same
+// bid, bit for bit, that its RespondBid returns.
 type Bidder interface {
 	RespondBid(price float64) Bid
 }
@@ -63,14 +70,25 @@ func (c *InteractiveConfig) normalize() {
 }
 
 // parallelBidFloor is the pool size below which the rebid fan-out stays
-// sequential: goroutine startup dwarfs a handful of RespondBid calls.
-const parallelBidFloor = 64
+// sequential: starting and waking the workers costs more than the
+// responses they would take over. Re-measured on a 2-vCPU box once equal
+// models share a solve (it was 64): a pool of all-distinct rational
+// bidders, ~170 ns each, breaks even against two workers near 512
+// (256: 39 µs sequential, 50 µs fanned out; 768: 135 against 102), and a
+// pool sharing eight models, ~12 ns a bidder, is faster sequential at
+// every size tried up to 10,000. The simulator's markets (a few hundred
+// bidders over a handful of models) therefore stay sequential.
+const parallelBidFloor = 512
 
 // respondBids collects every bidder's response to the announced price
 // into out, fanning out across a bounded worker pool when the pool is
 // large enough to pay for it. Workers claim fixed-size chunks of the
 // bidder range and write results by index, so the output is
 // deterministic and bit-identical to the sequential loop.
+//
+// Each worker (the sequential loop is one worker) answers through its own
+// bestResponses, so rational bidders with equal cost models cost one
+// golden-section search per worker per round, not one per bidder.
 func respondBids(bidders []Bidder, price float64, out []Bid, workers int) {
 	n := len(bidders)
 	if workers <= 0 {
@@ -80,8 +98,9 @@ func respondBids(bidders []Bidder, price float64, out []Bid, workers int) {
 		workers = n
 	}
 	if workers <= 1 || n < parallelBidFloor {
+		var br bestResponses
 		for i, b := range bidders {
-			out[i] = b.RespondBid(price)
+			out[i] = br.respond(b, price)
 		}
 		return
 	}
@@ -92,6 +111,7 @@ func respondBids(bidders []Bidder, price float64, out []Bid, workers int) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			var br bestResponses
 			for {
 				start := int(next.Add(chunk)) - chunk
 				if start >= n {
@@ -102,12 +122,53 @@ func respondBids(bidders []Bidder, price float64, out []Bid, workers int) {
 					end = n
 				}
 				for i := start; i < end; i++ {
-					out[i] = bidders[i].RespondBid(price)
+					out[i] = br.respond(bidders[i], price)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// bestResponses is one worker's memory of the per-core best responses it
+// has solved at the one price of a round, keyed by cost-model value. It
+// lives on the worker's stack for one respondBids call — nothing is
+// shared between workers or kept across rounds. (A memo that outlives
+// the call is ROADMAP's "run-scoped memo" item, deliberately not here.)
+type bestResponses struct {
+	n int
+	// alpha[i] is models[i].Alpha, compared first: scanning 16 floats
+	// costs an all-distinct pool ~1 % a round, 16 struct compares 12 %.
+	alpha  [bestResponseSlots]float64
+	models [bestResponseSlots]perf.CostModel
+	dStar  [bestResponseSlots]float64
+}
+
+// bestResponseSlots bounds the models one worker remembers, and so the
+// scan a pool of all-distinct models pays per bidder; models met once the
+// slots are full are solved per bidder.
+const bestResponseSlots = 16
+
+// respond returns b.RespondBid(price). A *RationalBidder whose model
+// equals one this worker already solved reuses that per-core δ*; any
+// other Bidder is simply called.
+func (c *bestResponses) respond(b Bidder, price float64) Bid {
+	r, ok := b.(*RationalBidder)
+	if !ok {
+		return b.RespondBid(price)
+	}
+	m := r.Model
+	for i, a := range c.alpha[:c.n] {
+		if a == m.Alpha && c.models[i] == *m {
+			return r.bidFor(price, c.dStar[i])
+		}
+	}
+	d := m.GainMaximizingReduction(price)
+	if c.n < bestResponseSlots {
+		c.alpha[c.n], c.models[c.n], c.dStar[c.n] = m.Alpha, *m, d
+		c.n++
+	}
+	return r.bidFor(price, d)
 }
 
 // ClearInteractive runs the MPR-INT market: the manager announces a price,

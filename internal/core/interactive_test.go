@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -355,5 +357,113 @@ func TestInteractiveEquilibriumEfficiencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// countingBidder is a custom Bidder that counts its calls; respondBids
+// must call it exactly as it always has, once per round.
+type countingBidder struct {
+	calls atomic.Int64
+	bid   Bid
+}
+
+func (c *countingBidder) RespondBid(price float64) Bid {
+	c.calls.Add(1)
+	return Bid{Delta: c.bid.Delta, B: c.bid.B * price}
+}
+
+// TestRespondBidsSharesClasses pins the sharing rule of the rebid fan-out:
+// rational bidders with equal cost models may share one per-core solve,
+// and nothing else may change — every bid is bit-identical to the
+// bidder's own RespondBid, at any worker count and on both sides of
+// parallelBidFloor; other Bidder types are called once each per round; a
+// NaN-α model equals nothing, itself included, and is solved per bidder.
+func TestRespondBidsSharesClasses(t *testing.T) {
+	profs := perf.CPUProfiles()
+	shared := perf.NewCostModel(profs[0], 1.5, perf.CostLinear)
+	nan := &perf.CostModel{Profile: profs[1], Alpha: math.NaN(), Shape: perf.CostLinear}
+	rng := rand.New(rand.NewSource(20))
+	build := func(n int) ([]Bidder, []*countingBidder) {
+		bs := make([]Bidder, n)
+		var custom []*countingBidder
+		for i := range bs {
+			cores := float64(int(1) << rng.Intn(6))
+			prof := profs[rng.Intn(len(profs))]
+			switch i % 8 {
+			case 0: // one model, shared by pointer
+				bs[i] = &RationalBidder{Cores: cores, Model: shared}
+			case 1, 2: // equal values behind distinct pointers, linear and quadratic
+				shape := perf.CostShape(i%8 - 1)
+				bs[i] = &RationalBidder{Cores: cores, Model: perf.NewCostModel(prof, 2, shape)}
+			case 3, 4: // a model of its own: more of these than a worker remembers
+				bs[i] = &RationalBidder{Cores: cores, Model: perf.NewCostModel(prof, 1+rng.Float64(), perf.CostLinear)}
+			case 5:
+				bs[i] = &StaticBidder{Fixed: Bid{Delta: cores * 0.5, B: rng.Float64()}}
+			case 6:
+				c := &countingBidder{bid: Bid{Delta: cores * 0.4, B: rng.Float64()}}
+				custom = append(custom, c)
+				bs[i] = c
+			case 7:
+				bs[i] = &RationalBidder{Cores: cores, Model: nan}
+			}
+		}
+		return bs, custom
+	}
+	for _, n := range []int{7, parallelBidFloor - 1, parallelBidFloor, 3*parallelBidFloor + 5} {
+		bidders, custom := build(n)
+		out := make([]Bid, n)
+		rounds := 0
+		for _, workers := range []int{1, 2, 7} {
+			for _, price := range []float64{0, 0.05, 0.4, 3} {
+				rounds++
+				respondBids(bidders, price, out, workers)
+				for i, b := range bidders {
+					var want Bid
+					if c, ok := b.(*countingBidder); ok {
+						// Calling it here would add to its count.
+						want = Bid{Delta: c.bid.Delta, B: c.bid.B * price}
+					} else {
+						want = b.RespondBid(price)
+					}
+					if math.Float64bits(out[i].Delta) != math.Float64bits(want.Delta) ||
+						math.Float64bits(out[i].B) != math.Float64bits(want.B) {
+						t.Fatalf("n=%d workers=%d price=%v: bidder %d (%T) bid %+v, its own RespondBid %+v",
+							n, workers, price, i, b, out[i], want)
+					}
+				}
+				for _, c := range custom {
+					if got := c.calls.Load(); got != int64(rounds) {
+						t.Fatalf("n=%d workers=%d: custom bidder called %d times in %d rounds", n, workers, got, rounds)
+					}
+				}
+			}
+		}
+	}
+
+	// The sharing itself, on one worker's memory: equal models cost one
+	// slot, a NaN-α model one per bidder, and a full memory stops taking
+	// models without changing any answer.
+	var br bestResponses
+	a := &RationalBidder{Cores: 4, Model: shared}
+	b := &RationalBidder{Cores: 16, Model: perf.NewCostModel(profs[0], 1.5, perf.CostLinear)}
+	br.respond(a, 0.4)
+	br.respond(b, 0.4)
+	if br.n != 1 {
+		t.Errorf("two bidders with equal models took %d slots, want 1", br.n)
+	}
+	for i := 0; i < 2; i++ {
+		br.respond(&RationalBidder{Cores: 2, Model: nan}, 0.4)
+	}
+	if br.n != 3 {
+		t.Errorf("two NaN-α bidders brought the slots to %d, want 3 (NaN equals nothing)", br.n)
+	}
+	for i := 0; i < 2*bestResponseSlots; i++ {
+		r := &RationalBidder{Cores: 8, Model: perf.NewCostModel(profs[2], 1+float64(i), perf.CostLinear)}
+		if got, want := br.respond(r, 0.4), r.RespondBid(0.4); got != want {
+			t.Fatalf("distinct model %d: %+v, want %+v", i, got, want)
+		}
+	}
+	if br.n != bestResponseSlots {
+		t.Errorf("memory holds %d models, want it full at %d", br.n, bestResponseSlots)
 	}
 }

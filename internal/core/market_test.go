@@ -389,6 +389,43 @@ func TestCooperativeBidNoLossAtAnyPrice(t *testing.T) {
 	}
 }
 
+// CooperativeBids is CooperativeBid with a memory: the same bid, bit for
+// bit, for one solve per distinct model value.
+func TestCooperativeBidsSolvesEachModelOnce(t *testing.T) {
+	var coop CooperativeBids
+	models := 0
+	for pass := 0; pass < 2; pass++ {
+		for _, prof := range perf.CPUProfiles() {
+			for _, alpha := range []float64{0.6, 1, 2.5} {
+				for _, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
+					if pass == 0 {
+						models++
+					}
+					for _, cores := range []float64{0, 1, 3, 64} {
+						// A fresh pointer each time: models match by value.
+						model := perf.NewCostModelUnchecked(prof, alpha, shape)
+						if got, want := coop.Bid(cores, model), CooperativeBid(cores, model); got != want {
+							t.Fatalf("%s α=%v %v × %v cores: %+v, want %+v", prof.Name, alpha, shape, cores, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if coop.Solves() != models {
+		t.Errorf("%d solves for %d distinct models", coop.Solves(), models)
+	}
+	nan := &perf.CostModel{Profile: perf.CPUProfiles()[0], Alpha: math.NaN()}
+	coop.Bid(4, nan)
+	coop.Bid(4, nan)
+	if coop.Solves() != models+2 {
+		t.Errorf("a NaN-α model must be solved every time: %d solves, want %d", coop.Solves(), models+2)
+	}
+	if coop.Reset(); coop.Solves() != 0 {
+		t.Errorf("%d solves after Reset", coop.Solves())
+	}
+}
+
 // A deficient bid must lose money somewhere in the price range — that is
 // what makes it deficient (Fig. 4(a)).
 func TestDeficientBidLosesSomewhere(t *testing.T) {

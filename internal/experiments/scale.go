@@ -25,6 +25,7 @@ func syntheticPool(n int, seed int64) ([]*core.Participant, []core.Bidder) {
 	profiles := perf.CPUProfiles()
 	parts := make([]*core.Participant, n)
 	bidders := make([]core.Bidder, n)
+	var coop core.CooperativeBids // one solve per profile, not per job
 	for i := 0; i < n; i++ {
 		prof := profiles[rng.Intn(len(profiles))]
 		cores := float64(int(1) << rng.Intn(6))
@@ -33,7 +34,7 @@ func syntheticPool(n int, seed int64) ([]*core.Participant, []core.Bidder) {
 		parts[i] = &core.Participant{
 			JobID:        fmt.Sprintf("job%d", i),
 			Cores:        cores,
-			Bid:          core.CooperativeBid(cores, model),
+			Bid:          coop.Bid(cores, model),
 			WattsPerCore: 125,
 			MaxFrac:      prof.MaxReduction(),
 			Cost:         func(d float64) float64 { return c * model.Cost(d/c) },

@@ -121,8 +121,11 @@ type engineState struct {
 	// as opposed to res.Slots, what it simulated.
 	steps int
 	// bidsDerived counts the static bids deriveStaticBids computed: the
-	// distinct jobs that ever entered an MPR-STAT market.
+	// distinct jobs that ever entered an MPR-STAT market. bidSolves counts
+	// the per-core solves behind them: one per distinct bid model per
+	// batch.
 	bidsDerived int
+	bidSolves   int
 }
 
 // Run executes the simulation and returns its result.
@@ -470,7 +473,9 @@ func (st *engineState) step(slot int) error {
 			// Static bids are derived before the market span opens, so
 			// the span keeps timing the clear alone.
 			if cfg.Algorithm == AlgMPRStat {
-				st.bidsDerived += deriveStaticBids(cfg, st.active)
+				derived, solves := deriveStaticBids(cfg, st.active, &st.scratch.coop)
+				st.bidsDerived += derived
+				st.bidSolves += solves
 			}
 			// The market runs as a child span of the emergency, under
 			// the "mpr_span" pprof label so CPU profiles attribute
@@ -726,21 +731,31 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 
 // deriveStaticBids gives every participating job of active that has no
 // MPR-STAT bid yet its cooperative bid, scaled by cfg.StatBidFactor, and
-// returns how many it derived. Overloads are rare, so most jobs of a trace
-// never enter a market and never pay the ~145 µs solve; the bid is a pure
-// function of (cores, bidModel), so deriving it late changes no result.
-func deriveStaticBids(cfg *Config, active []*simJob) int {
-	n := 0
+// returns how many it derived and how many solves that took. Overloads
+// are rare, so most jobs of a trace never enter a market and never get a
+// bid; the bid is a pure function of (cores, bidModel), so deriving it
+// late changes no result. The ~145 µs solve is per core of a cost model,
+// so jobs of this batch whose bid models are equal share one: coop
+// remembers the models solved in this call and nothing from the one
+// before. With a per-job cost error (CostErrorRand) no two models are
+// equal and every job is solved, as it would be without coop.
+//
+// Keeping the solved models for the whole run is ROADMAP's "run-scoped
+// memo" item and waits for the bench-only PR named there: it makes the
+// sparse shape an order of magnitude faster, which the benchmark's
+// retained laps turn into peak-RSS growth. Do not add it here.
+func deriveStaticBids(cfg *Config, active []*simJob, coop *core.CooperativeBids) (derived, solves int) {
+	coop.Reset()
 	for _, j := range active {
 		if j.hasBid || !j.participates {
 			continue
 		}
-		j.part.Bid = core.CooperativeBid(float64(j.cores), j.bidModel)
+		j.part.Bid = coop.Bid(float64(j.cores), j.bidModel)
 		j.part.Bid.B *= cfg.StatBidFactor
 		j.hasBid = true
-		n++
+		derived++
 	}
-	return n
+	return derived, coop.Solves()
 }
 
 // peakPower computes the workload's peak unreduced power by event sweep —
@@ -776,7 +791,9 @@ func peakPower(jobs []*simJob) float64 {
 // participant/bidder/job selections, the per-job allocation knobs, the
 // clearing result (its Reductions slice is recycled by ClearInto), and
 // the long-lived market index. Once the slices reach the pool's steady
-// size, an MPR-STAT invocation allocates nothing.
+// size, an MPR-STAT invocation allocates nothing. coop is
+// deriveStaticBids' per-call memory, emptied at the start of each call;
+// only its storage lives here.
 type marketScratch struct {
 	parts   []*core.Participant
 	bidders []core.Bidder
@@ -784,6 +801,7 @@ type marketScratch struct {
 	allocs  []float64 // alloc knob per selected job, parallel to sel
 	res     core.ClearingResult
 	ix      core.MarketIndex
+	coop    core.CooperativeBids
 }
 
 // computeReduction invokes the configured algorithm against the active

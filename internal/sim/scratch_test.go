@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpr/internal/core"
+	"mpr/internal/perf"
 	"mpr/internal/telemetry"
 	"mpr/internal/trace"
 )
@@ -26,7 +27,7 @@ func scratchFixture(t testing.TB, algo Algorithm) (*Config, []*simJob, float64) 
 	if len(jobs) > 256 {
 		jobs = jobs[:256]
 	}
-	deriveStaticBids(&cfg, jobs)
+	deriveStaticBids(&cfg, jobs, new(core.CooperativeBids))
 	var maxW float64
 	for _, j := range jobs {
 		maxW += j.part.WattsPerCore * j.part.MaxFrac * j.part.Cores
@@ -56,13 +57,25 @@ func TestMarketInvocationSteadyZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state market invocation allocates: %v allocs/op", allocs)
 	}
+	// Nor does the derivation in front of it, once the scratch has seen
+	// as many distinct models as a batch holds.
+	allocs = testing.AllocsPerRun(10, func() {
+		for _, j := range jobs {
+			j.hasBid = false
+		}
+		deriveStaticBids(cfg, jobs, &s.coop)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state static-bid derivation allocates: %v allocs/op", allocs)
+	}
 }
 
 // TestStaticBidsOnDemand is the count gate on static-bid derivation: a run
-// solves core.CooperativeBid only for the jobs that enter an MPR-STAT
-// market, once each, and the bid it files is the one trace load used to
-// precompute. Counting derivations instead of timing runs keeps the gate
-// deterministic on a loaded box.
+// derives a bid only for the jobs that enter an MPR-STAT market, once
+// each, solves the cooperative bid once per distinct bid model per batch
+// (per job when a cost error makes every model distinct), and files the
+// bid core.CooperativeBid gives that job. Counting derivations and solves
+// instead of timing runs keeps the gate deterministic on a loaded box.
 func TestStaticBidsOnDemand(t *testing.T) {
 	run := func(cfg Config) *engineState {
 		t.Helper()
@@ -103,7 +116,21 @@ func TestStaticBidsOnDemand(t *testing.T) {
 		if st.bidsDerived != derived {
 			t.Fatalf("bidsDerived = %d, but %d jobs hold a bid", st.bidsDerived, derived)
 		}
+		if st.bidSolves > derived || (derived > 0) != (st.bidSolves > 0) {
+			t.Fatalf("bidSolves = %d for %d derived bids", st.bidSolves, derived)
+		}
 		return derived
+	}
+	// models counts the distinct bid-model values among the jobs that hold
+	// a bid — the most solves one batch can need.
+	models := func(st *engineState) int {
+		seen := map[perf.CostModel]bool{}
+		for _, j := range st.jobs {
+			if j.hasBid {
+				seen[*j.bidModel] = true
+			}
+		}
+		return len(seen)
 	}
 
 	// The repo benchmark's sim_dense shape: a busy week of the Gaia preset.
@@ -124,6 +151,29 @@ func TestStaticBidsOnDemand(t *testing.T) {
 	if n == 0 || 2*n >= len(st.jobs) {
 		t.Errorf("dense: derived %d of %d bids, want some and fewer than half (overloads are rare)", n, len(st.jobs))
 	}
+	// sharesSolves holds a run without cost error to the sharing rule: at
+	// most one solve per distinct model per market, and far fewer solves
+	// than bids.
+	sharesSolves := func(name string, st *engineState, derived int) {
+		t.Helper()
+		m, inv := models(st), st.res.MarketInvocations
+		t.Logf("%s: %d solves for %d bids (%d models, %d markets)", name, st.bidSolves, derived, m, inv)
+		if st.bidSolves > m*inv || 5*st.bidSolves >= derived {
+			t.Errorf("%s: %d solves for %d bids, want ≤ %d models × %d markets and < bids/5",
+				name, st.bidSolves, derived, m, inv)
+		}
+	}
+	sharesSolves("dense", st, n)
+
+	st = run(Config{Trace: dense, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1, CostShape: perf.CostQuadratic})
+	sharesSolves("dense quadratic", st, check(st))
+
+	// A per-job cost error draws every job its own α: nothing is shared
+	// and the path is the per-job solve.
+	st = run(Config{Trace: dense, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1, CostErrorRand: 0.2})
+	if n := check(st); n == 0 || st.bidSolves != n {
+		t.Errorf("cost error 0.2: %d solves for %d bids, want one each", st.bidSolves, n)
+	}
 
 	st = run(Config{Trace: dense, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1, Participation: 0.6, StatBidFactor: 1.4})
 	var outside int
@@ -132,21 +182,24 @@ func TestStaticBidsOnDemand(t *testing.T) {
 			outside++
 		}
 	}
-	if check(st) == 0 || outside == 0 {
+	n = check(st)
+	if n == 0 || outside == 0 {
 		t.Errorf("participation 0.6: want bids derived and non-participants caught in emergencies, got %d and %d",
 			st.bidsDerived, outside)
 	}
+	sharesSolves("participation 0.6, factor 1.4", st, n)
 
 	st = run(sparseConfig())
 	if n := check(st); n != len(st.jobs) {
 		t.Errorf("sparse: derived %d of %d bids, want all (every burst breaches capacity)", n, len(st.jobs))
 	}
+	t.Logf("sparse: %d solves for %d bids (two new jobs per market: little to share)", st.bidSolves, st.bidsDerived)
 
 	// A job derives once: the fixture already did, so a second pass over
 	// the same jobs is free.
 	cfg, jobs, _ := scratchFixture(t, AlgMPRStat)
-	if n := deriveStaticBids(cfg, jobs); n != 0 {
-		t.Errorf("second derivation over the same jobs derived %d bids, want 0", n)
+	if n, solves := deriveStaticBids(cfg, jobs, new(core.CooperativeBids)); n != 0 || solves != 0 {
+		t.Errorf("second derivation over the same jobs derived %d bids in %d solves, want 0", n, solves)
 	}
 }
 
