@@ -124,6 +124,7 @@ func benchPool(b testing.TB, n int) ([]*core.Participant, []core.Bidder, float64
 	parts := make([]*core.Participant, n)
 	bidders := make([]core.Bidder, n)
 	var maxW float64
+	var coop core.CooperativeBids // one solve per profile, not per job: the same bids
 	for i := 0; i < n; i++ {
 		prof := profiles[i%len(profiles)]
 		model := perf.NewCostModel(prof, 1, perf.CostLinear)
@@ -131,7 +132,7 @@ func benchPool(b testing.TB, n int) ([]*core.Participant, []core.Bidder, float64
 		parts[i] = &core.Participant{
 			JobID:        fmt.Sprintf("j%d", i),
 			Cores:        cores,
-			Bid:          core.CooperativeBid(cores, model),
+			Bid:          coop.Bid(cores, model),
 			WattsPerCore: 125,
 			MaxFrac:      prof.MaxReduction(),
 			Cost:         func(d float64) float64 { return cores * model.Cost(d/cores) },
@@ -311,6 +312,26 @@ func benchBatchUpdate(b *testing.B, n int) {
 		}
 	}
 }
+
+// benchStreamBuild measures NewStreamMarket — validate, derive, order the
+// slots, link the treap, clear once — which the streaming manager pays
+// per market. 8 and 64 sit on the insertion-sort side of core's
+// small-pool cutoff, 400 (the fleets' size) and 100000 on the radix side.
+func benchStreamBuild(b *testing.B, n int) {
+	parts, _, target := benchSpreadPool(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewStreamMarket(parts, target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkStreamBuild8(b *testing.B)      { benchStreamBuild(b, 8) }
+func BenchmarkStreamBuild64(b *testing.B)     { benchStreamBuild(b, 64) }
+func BenchmarkStreamBuild400(b *testing.B)    { benchStreamBuild(b, 400) }
+func BenchmarkStreamBuild100000(b *testing.B) { benchStreamBuild(b, 100000) }
 
 // Streamed update latency vs market size — O(log M), so the three sizes
 // should be within a small constant of each other.

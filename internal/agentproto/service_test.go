@@ -785,6 +785,80 @@ func TestManagerCloseLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
+// openFDs counts the process's open file descriptors, or returns -1 where
+// /proc/self/fd cannot be read.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// TestManagerCloseLeaksNoFDs is the descriptor half of leak-free shutdown:
+// the listener and every accepted socket are closed by Close, and the
+// agents' own ends by their loops once the manager hangs up. With TCP
+// agents registered on both wires, in both shards, streaming on, and a
+// market behind them, the process's descriptor count must come back to
+// what it was before NewManager.
+func TestManagerCloseLeaksNoFDs(t *testing.T) {
+	if openFDs() < 0 {
+		t.Skip("/proc/self/fd is not readable here")
+	}
+	// The first socket of a process also opens the network poller's own
+	// descriptors, which stay: have them open before the baseline.
+	warm, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+	baseline := openFDs()
+
+	m := pipeManager(t, ManagerConfig{Shards: 2, Streaming: true, RoundTimeout: 500 * time.Millisecond})
+	prof, err := perf.ProfileByName("XSBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := perf.NewCostModel(prof, 1, perf.CostLinear)
+	var agents []*Agent
+	for i, wire := range []string{WireJSON, WireBinary, WireJSON, WireBinary, WireJSON, WireBinary} {
+		a, err := Dial(m.Addr(), AgentConfig{
+			JobID: "tcp-" + itoa(i), Cores: 32, WattsPerCore: 125, MaxFrac: prof.MaxReduction(),
+			Strategy: &core.RationalBidder{Cores: 32, Model: model},
+			Wire:     wire,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		agents = append(agents, a)
+	}
+	waitAgents(t, m, len(agents))
+	if got := openFDs(); got < baseline+1+2*len(agents) {
+		t.Fatalf("%d descriptors with a listener and %d connections open, %d before: the count does not see sockets", got, len(agents), baseline)
+	}
+	if _, err := m.RunMarket(500); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for _, a := range agents {
+		select {
+		case <-a.Done():
+		case <-deadline:
+			t.Fatal("an agent's connection outlived Manager.Close")
+		}
+	}
+	for until := time.Now().Add(5 * time.Second); openFDs() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(until) {
+			t.Fatalf("%d descriptors open after Close, %d before NewManager", openFDs(), baseline)
+		}
+	}
+}
+
 // TestUndecodableMessageCountedMalformed: bytes that arrive but do not
 // decode used to end the read loop like a hang-up — the agent dropped as
 // a plain peer_closed with mpr_agent_malformed_messages_total untouched.

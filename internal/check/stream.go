@@ -125,7 +125,9 @@ func diffOneStream(g *Gen, ps []*core.Participant, target float64, updates int, 
 	for u := 1; u <= updates; u++ {
 		st.Updates++
 		if g.rng.Float64() < 0.1 { // target change
-			sm.SetTarget(g.Target(MaxSupplyW(twin)))
+			if _, _, err := sm.SetTarget(g.Target(MaxSupplyW(twin))); err != nil {
+				return fmt.Errorf("update %d (retarget): %v", u, err)
+			}
 			if err := check(u, "retarget"); err != nil {
 				return err
 			}

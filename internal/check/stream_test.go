@@ -227,7 +227,9 @@ func FuzzStreamMarket(f *testing.F) {
 				}
 			}
 			if g.rng.Float64() < 0.15 {
-				sm.SetTarget(g.Target(MaxSupplyW(twin)))
+				if _, _, err := sm.SetTarget(g.Target(MaxSupplyW(twin))); err != nil {
+					t.Fatalf("op %d: retarget: %v", u, err)
+				}
 			}
 			compare(u)
 		}

@@ -128,11 +128,12 @@ const insertionCutoff = 96
 // (BenchmarkIndexRefresh16of30000), break-even near 64.
 const refreshSlack = 16
 
-// sortOrder sets order to the unique (key, index) permutation. fresh
-// says the current order is the identity (Reset) rather than the order
-// before some bids changed (Refresh).
-func (ix *MarketIndex) sortOrder(fresh bool) {
-	n := len(ix.order)
+// sortOrder sets order to the unique (key, index) permutation — the one
+// ordering kernel, MarketIndex's and NewStreamMarket's. fresh says the
+// current order is the identity (a build) rather than the order before
+// some bids changed (Refresh); aK, bK and bI are radixOrder's scratch.
+func sortOrder[I int | int32, S int | int32 | float64](order []I, key []float64, fresh bool, aK, bK []float64, bI []S) {
+	n := len(order)
 	// Insertion sort from the current order. Placing order[k] moves at
 	// most k entries, so a slack of n never runs out; a large pool
 	// hands over to the radix sort as soon as the moves so far exceed
@@ -141,12 +142,11 @@ func (ix *MarketIndex) sortOrder(fresh bool) {
 	slack := n
 	if n > insertionCutoff {
 		if fresh {
-			ix.radixOrder()
+			radixOrder(order, key, aK, bK, bI)
 			return
 		}
 		slack = refreshSlack
 	}
-	order, key := ix.order, ix.key
 	moves := 0
 	for k := 1; k < n; k++ {
 		i, j := order[k], k
@@ -160,7 +160,7 @@ func (ix *MarketIndex) sortOrder(fresh bool) {
 		}
 		order[j] = i
 		if moves += k - j; moves > slack*k {
-			ix.radixOrder()
+			radixOrder(order, key, aK, bK, bI)
 			return
 		}
 	}
@@ -172,30 +172,28 @@ func (ix *MarketIndex) sortOrder(fresh bool) {
 // their IEEE-754 bits order as unsigned integers once −0 is folded into
 // +0, and a stable LSD byte-radix sort starting from index order lands
 // on exactly the permutation a comparison sort with the index tie-break
-// does. The passes ping-pong between (act, order) and (prefWD, prefWB):
-// rebuild overwrites all three derived arrays right after, so the sort
-// borrows them instead of owning scratch — a retained megabyte counts
-// twice in the GC's heap goal. prefWB carries indices as floats (exact
-// below 2⁵³); slot 0 of the prefix arrays stays the zero it must be.
+// does. The passes ping-pong between (aK, order) and (bK, bI). MarketIndex
+// lends act and the prefix sums past slot 0 (which stays the zero it must
+// be): rebuild overwrites all three right after, and a retained megabyte
+// counts twice in the GC's heap goal; there bI carries indices as floats
+// (exact below 2⁵³). aK may be key itself once the caller is done with it.
 // It is a function of its own so that small pools never grow the stack
 // for the 16 KiB of histograms.
-func (ix *MarketIndex) radixOrder() {
-	n := len(ix.order)
+func radixOrder[I int | int32, S int | int32 | float64](order []I, key, aK, bK []float64, bI []S) {
 	var hist [8][256]int
-	for i, k := range ix.key {
+	for i, k := range key {
 		k += 0
-		ix.act[i], ix.order[i] = k, i
+		aK[i], order[i] = k, I(i)
 		b := math.Float64bits(k)
 		for d := range hist {
 			hist[d][byte(b>>(8*d))]++
 		}
 	}
-	bK, bI := ix.prefWD[1:], ix.prefWB[1:]
 	inA := true
-	first := math.Float64bits(ix.act[0])
+	first := math.Float64bits(aK[0])
 	for d := range hist {
 		h := &hist[d]
-		if h[byte(first>>(8*d))] == n {
+		if h[byte(first>>(8*d))] == len(order) {
 			continue // every key agrees on this byte
 		}
 		sum := 0
@@ -203,22 +201,22 @@ func (ix *MarketIndex) radixOrder() {
 			h[v], sum = sum, sum+c
 		}
 		if inA {
-			radixPass(bK, bI, ix.act, ix.order, h, uint(8*d))
+			radixPass(bK, bI, aK, order, h, uint(8*d))
 		} else {
-			radixPass(ix.act, ix.order, bK, bI, h, uint(8*d))
+			radixPass(aK, order, bK, bI, h, uint(8*d))
 		}
 		inA = !inA
 	}
 	if !inA {
-		for k := range ix.order {
-			ix.order[k] = int(bI[k])
+		for k := range order {
+			order[k] = I(bI[k])
 		}
 	}
 }
 
 // radixPass scatters the (key, index) pairs of src into dst, stably, by
 // the key byte at shift; off holds each byte value's first dst slot.
-func radixPass[S, D int | float64](dstK []float64, dstI []D, srcK []float64, srcI []S, off *[256]int, shift uint) {
+func radixPass[S, D int | int32 | float64](dstK []float64, dstI []D, srcK []float64, srcI []S, off *[256]int, shift uint) {
 	for j, k := range srcK {
 		v := byte(math.Float64bits(k) >> shift)
 		p := off[v]
@@ -233,7 +231,7 @@ func radixPass[S, D int | float64](dstK []float64, dstI []D, srcK []float64, src
 // magnitudes, not activation ordering, changed between rounds).
 func (ix *MarketIndex) rebuild(force bool) {
 	if force || !ix.isSorted() {
-		ix.sortOrder(force)
+		sortOrder(ix.order, ix.key, force, ix.act, ix.prefWD[1:], ix.prefWB[1:])
 		ix.sorts++
 	}
 	var wd, wb float64
@@ -419,6 +417,9 @@ func (ix *MarketIndex) Clear(targetW float64) (*ClearingResult, error) {
 // so steady-state clears perform zero heap allocations. Pending SetBid
 // changes are refreshed first.
 func (ix *MarketIndex) ClearInto(res *ClearingResult, targetW float64) error {
+	if !(targetW <= 0 || targetW > 0) { // written so NaN fails
+		return ErrNaNTarget
+	}
 	ix.Refresh()
 	n := len(ix.bids)
 	if cap(res.Reductions) >= n {

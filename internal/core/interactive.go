@@ -196,6 +196,9 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 			Feasible:   true, Converged: true, Rounds: 0,
 		}, nil
 	}
+	if !(targetW > 0) { // NaN: refused before any bidder is asked
+		return nil, ErrNaNTarget
+	}
 	if len(ps) == 0 {
 		return nil, ErrNoParticipants
 	}

@@ -139,6 +139,10 @@ func (p *Participant) Validate() error {
 // participants but a positive reduction target.
 var ErrNoParticipants = errors.New("core: no participants")
 
+// ErrNaNTarget refuses a NaN reduction target at every clearing entry point
+// (it used to clear "feasibly" at a NaN price); ±Inf keeps its ordered answer.
+var ErrNaNTarget = errors.New("core: reduction target is NaN")
+
 // ClearingResult is the outcome of one market clearing.
 type ClearingResult struct {
 	// Price is the market clearing price q′ (incentive per unit resource
@@ -235,7 +239,7 @@ func noReduction(n int, targetW float64) *ClearingResult {
 // through Rounds = 0 and the MetricPriceSearches /
 // MetricCappedShortCircuits counters).
 func ClearCapped(ps []*Participant, targetW, priceCap float64) (*ClearingResult, error) {
-	if priceCap <= 0 {
+	if !(priceCap > 0) { // written so NaN fails
 		return nil, fmt.Errorf("core: price cap must be positive, got %v", priceCap)
 	}
 	if targetW <= 0 {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +209,105 @@ func TestNonFiniteParticipantsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteTargetRefused: a NaN reduction target is refused by every
+// clearing entry point with ErrNaNTarget — it used to come back as a
+// feasible, converged clear at a NaN price (and from ClearInteractive
+// after the whole round budget) — while ±Inf keeps the ordered answer it
+// always had: nothing to buy, or everything and still short.
+func TestNonFiniteTargetRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ps := randomPool(rand.New(rand.NewSource(5)), 40)
+	asked := 0
+	bidders := make([]Bidder, len(ps))
+	for i, p := range ps {
+		bidders[i] = askedBidder{bid: p.Bid, asked: &asked}
+	}
+	ix, err := NewMarketIndex(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := NewStreamMarket(ps, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	price0, feasible0 := sm.Price()
+	res := &ClearingResult{Price: 7}
+
+	refused := map[string]func() error{
+		"Clear":             func() error { _, err := Clear(ps, nan); return err },
+		"ClearCapped":       func() error { _, err := ClearCapped(ps, nan, 5); return err },
+		"MarketIndex.Clear": func() error { _, err := ix.Clear(nan); return err },
+		"MarketIndex.ClearInto": func() error {
+			err := ix.ClearInto(res, nan)
+			if res.Price != 7 {
+				t.Errorf("refused ClearInto wrote into its result: %+v", res)
+			}
+			return err
+		},
+		"NewStreamMarket": func() error { _, err := NewStreamMarket(ps, nan); return err },
+		"SetTarget": func() error {
+			p, f, err := sm.SetTarget(nan)
+			if p != price0 || f != feasible0 || sm.Target() != 100 {
+				t.Errorf("refused SetTarget moved the market: (%v, %v) target %v", p, f, sm.Target())
+			}
+			return err
+		},
+		"ClearInteractive": func() error {
+			_, err := ClearInteractive(ps, bidders, nan, InteractiveConfig{})
+			if asked != 0 {
+				t.Errorf("ClearInteractive asked %d bids before refusing the target", asked)
+			}
+			return err
+		},
+	}
+	for name, call := range refused {
+		if err := call(); !errors.Is(err, ErrNaNTarget) {
+			t.Errorf("%s(NaN target): err = %v, want ErrNaNTarget", name, err)
+		}
+	}
+	if _, err := ClearCapped(ps, 100, nan); err == nil {
+		t.Error("ClearCapped accepted a NaN price cap")
+	}
+
+	// ±Inf is ordered: −Inf is nothing to buy, +Inf infeasible at a
+	// finite saturation price with every job at its maximum.
+	for name, clear := range map[string]func(float64) (*ClearingResult, error){
+		"Clear":       func(w float64) (*ClearingResult, error) { return Clear(ps, w) },
+		"ClearCapped": func(w float64) (*ClearingResult, error) { return ClearCapped(ps, w, 1e15) },
+		"ClearInteractive": func(w float64) (*ClearingResult, error) {
+			return ClearInteractive(ps, bidders, w, InteractiveConfig{MaxRounds: 3})
+		},
+		"StreamMarket": func(w float64) (*ClearingResult, error) {
+			s, err := NewStreamMarket(ps, w)
+			if err != nil {
+				return nil, err
+			}
+			out := &ClearingResult{}
+			return out, s.ClearInto(out)
+		},
+	} {
+		lo, err := clear(-inf)
+		if err != nil || !lo.Feasible || lo.Price != 0 || lo.SuppliedW != 0 {
+			t.Errorf("%s(-Inf) = %+v, %v; want the empty clear", name, lo, err)
+		}
+		hi, err := clear(inf)
+		if err != nil || hi.Feasible || !(hi.Price > 0 && hi.Price <= 1e15) || !(hi.SuppliedW > 0.999*poolMaxW(ps)) {
+			t.Errorf("%s(+Inf) = %+v, %v; want infeasible at a finite saturation price", name, hi, err)
+		}
+	}
+	if p, f, err := sm.SetTarget(inf); err != nil || f || !(p > 0 && p <= 1e15) {
+		t.Errorf("SetTarget(+Inf) = (%v, %v, %v), want infeasible at a finite saturation price", p, f, err)
+	}
+}
+
+// askedBidder answers every price with one bid and counts the asks.
+type askedBidder struct {
+	bid   Bid
+	asked *int
+}
+
+func (a askedBidder) RespondBid(float64) Bid { *a.asked++; return a.bid }
 
 func TestActivationPrice(t *testing.T) {
 	if ap := (Bid{Delta: 0.7, B: 0.14}).ActivationPrice(); !floats.AbsEqual(ap, 0.2, 1e-12) {

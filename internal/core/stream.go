@@ -11,7 +11,7 @@ import (
 // stream market keeps the participants in an order-statistic structure
 // keyed by activation price, so a single bid insert, update, or removal
 // — including the re-clear that follows it — is O(log M) with zero
-// steady-state heap allocations.
+// steady-state heap allocations. Building it is O(M), like the index.
 //
 // The structure is an implicit treap over (activation price, participant
 // index), arena-backed with exactly one node slot per participant (the
@@ -109,9 +109,10 @@ func (e *ParticipantRangeError) Error() string {
 }
 
 // NewStreamMarket validates the participants and builds the streaming
-// market over their current bids, clearing once against targetW. The
-// market keeps its own copy of the bids; later changes to the
-// participants are not seen unless applied via Apply.
+// market over their current bids in O(M) — the treap is constructed from
+// the activation order (see build), not grown by M inserts — clearing once
+// against targetW. The market keeps its own copy of the bids; later changes
+// to the participants are not seen unless applied via Apply.
 func NewStreamMarket(ps []*Participant, targetW float64) (*StreamMarket, error) {
 	for _, p := range ps {
 		if err := p.Validate(); err != nil {
@@ -120,21 +121,62 @@ func NewStreamMarket(ps []*Participant, targetW float64) (*StreamMarket, error) 
 	}
 	n := len(ps)
 	sm := &StreamMarket{
-		target: targetW,
 		watts:  make([]float64, n),
 		bids:   make([]Bid, n),
 		active: make([]bool, n),
 		nodes:  make([]streamNode, n),
 		root:   streamNil,
 	}
+	key, order := make([]float64, n), make([]int32, n)
 	for i, p := range ps {
 		sm.watts[i] = p.WattsPerCore
 		sm.bids[i] = p.Bid
 		sm.active[i] = true
-		sm.link(int32(i))
+		sm.derive(int32(i))
+		key[i], order[i] = activationKey(p.Bid), int32(i)
 	}
-	sm.recompute()
+	sm.build(key, order)
+	if _, _, err := sm.SetTarget(targetW); err != nil {
+		return nil, err
+	}
 	return sm, nil
+}
+
+// build links every derived slot of an empty tree at once, in O(M). The
+// treap's shape is a function of the (key, index) order and the fixed
+// priorities alone, and its aggregates fold by shape, so the Cartesian tree
+// on streamPrio of the slots in the index's order is, bit for bit, what an
+// insert per slot grows. key and order are consumed: sort scratch, then the
+// construction's stack (the right spine) over the part of order already
+// read. A node is pulled once, on leaving the stack with its subtree final.
+func (sm *StreamMarket) build(key []float64, order []int32) {
+	var bK []float64
+	var bI []int32
+	if len(key) > insertionCutoff {
+		bK, bI = make([]float64, len(key)), make([]int32, len(key))
+	}
+	sortOrder(order, key, true, key, bK, bI)
+	top := 0
+	for _, i := range order {
+		if !sm.nodes[i].inTree {
+			continue // Δ = 0: sorted last, never linked
+		}
+		last, prio := streamNil, streamPrio(i)
+		for ; top > 0 && streamPrio(order[top-1]) < prio; top-- {
+			last = order[top-1]
+			sm.pull(last)
+		}
+		sm.nodes[i].left = last
+		if top > 0 {
+			sm.nodes[order[top-1]].right = i
+		}
+		order[top] = i
+		top++
+	}
+	for ; top > 0; top-- {
+		sm.root = order[top-1] // last off is the root
+		sm.pull(sm.root)
+	}
 }
 
 // Len returns the number of participant slots (active or removed).
@@ -159,11 +201,14 @@ func (sm *StreamMarket) MaxSupplyW() float64 {
 }
 
 // SetTarget re-clears the market against a new power-reduction target in
-// O(log M) and returns the new price.
-func (sm *StreamMarket) SetTarget(targetW float64) (price float64, feasible bool) {
+// O(log M) and returns the new price (NaN: ErrNaNTarget, nothing changed).
+func (sm *StreamMarket) SetTarget(targetW float64) (price float64, feasible bool, err error) {
+	if !(targetW <= 0 || targetW > 0) { // written so NaN fails
+		return sm.price, sm.feasible, ErrNaNTarget
+	}
 	sm.target = targetW
 	sm.recompute()
-	return sm.price, sm.feasible
+	return sm.price, sm.feasible, nil
 }
 
 // Apply incorporates one participant delta — bid update, append, or
@@ -411,19 +456,22 @@ func (sm *StreamMarket) maxKey() float64 {
 // link (re)derives slot i's node fields from the current bid and inserts
 // it into the tree when it can ever supply (Δ > 0).
 func (sm *StreamMarket) link(i int32) {
-	nd := &sm.nodes[i]
-	b := sm.bids[i]
-	if b.Delta <= 0 {
-		nd.inTree = false
-		return
+	if sm.derive(i) {
+		sm.pull(i)
+		sm.root = sm.insert(sm.root, i)
 	}
-	nd.key = b.B / b.Delta
-	nd.wd = sm.watts[i] * b.Delta
-	nd.wb = sm.watts[i] * b.B
-	nd.left, nd.right = streamNil, streamNil
-	nd.inTree = true
-	sm.pull(i)
-	sm.root = sm.insert(sm.root, i)
+}
+
+// derive sets slot i's node fields from its current bid — a leaf, not yet
+// linked — and reports whether it belongs in the tree.
+func (sm *StreamMarket) derive(i int32) bool {
+	nd, b := &sm.nodes[i], sm.bids[i]
+	nd.inTree = b.Delta > 0
+	if nd.inTree {
+		nd.key, nd.wd, nd.wb = b.B/b.Delta, sm.watts[i]*b.Delta, sm.watts[i]*b.B
+		nd.left, nd.right = streamNil, streamNil
+	}
+	return nd.inTree
 }
 
 // unlink detaches slot i from the tree if present.

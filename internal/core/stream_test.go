@@ -169,7 +169,9 @@ func TestStreamApplyMatchesBatchAfterEveryUpdate(t *testing.T) {
 			d.Bid = Bid{Delta: 8 * rng.Float64(), B: 5 * rng.Float64()}
 			d.WattsPerCore = 50 + 200*rng.Float64()
 		default: // target change
-			sm.SetTarget(sm.MaxSupplyW() * (0.1 + 1.2*rng.Float64()))
+			if _, _, err := sm.SetTarget(sm.MaxSupplyW() * (0.1 + 1.2*rng.Float64())); err != nil {
+				t.Fatalf("update %d (retarget): %v", u, err)
+			}
 			compareStreamToBatch(t, sm, fmt.Sprintf("update %d (retarget)", u))
 			continue
 		}
@@ -351,7 +353,7 @@ func TestStreamEdgesAndMode(t *testing.T) {
 	if err := sm.ClearInto(&res); err != nil || !res.Feasible || res.Price != 0 {
 		t.Errorf("zero target on empty market: %+v, %v", res, err)
 	}
-	if _, feasible := sm.SetTarget(10); feasible {
+	if _, feasible, err := sm.SetTarget(10); feasible || err != nil {
 		t.Error("empty market feasible at positive target")
 	}
 	if err := sm.ClearInto(&res); err != ErrNoParticipants {

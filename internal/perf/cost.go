@@ -135,7 +135,9 @@ func (cm *CostModel) ReferenceReduction(q float64) float64 {
 // golden-section search suffices.
 func (cm *CostModel) GainMaximizingReduction(q float64) float64 {
 	max := cm.Profile.MaxReduction()
-	if q <= 0 {
+	// Priced out: convex C with C(0) = 0 has C(d) ≥ C′(0)·d, so no reduction
+	// gains and the search's closing test would return this 0 (margin ≫ its rounding).
+	if q <= 0 || q*(1+1e-9) <= cm.Marginal(0) {
 		return 0
 	}
 	gain := func(d float64) float64 { return q*d - cm.Cost(d) }

@@ -2,8 +2,11 @@ package perf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mpr/internal/solver"
 )
 
 func TestCatalogValid(t *testing.T) {
@@ -307,6 +310,79 @@ func TestGainMaximizingMonotoneInPrice(t *testing.T) {
 		}
 		prev = d
 	}
+}
+
+// plainGainMax is GainMaximizingReduction as it was before priced-out
+// bidders skipped the search: the golden-section search at every positive
+// price, then its closing test.
+func plainGainMax(cm *CostModel, q float64) float64 {
+	if q <= 0 {
+		return 0
+	}
+	gain := func(d float64) float64 { return q*d - cm.Cost(d) }
+	d := solver.GoldenMax(gain, 0, cm.Profile.MaxReduction(), 1e-9)
+	if gain(d) <= 0 {
+		return 0
+	}
+	return d
+}
+
+// TestGainMaximizingMatchesPlainSearch: the early return for a price at or
+// below the marginal cost at zero gives, bit for bit, what the search gave
+// — over every profile, α ∈ [0, 3) (0, the Fig. 13 underestimates below 1
+// and the floor 1 among them), both shapes, and prices drawn across the
+// range and within ±1e-6, ±1e-8 and ±1 ulp of the marginal cost and of the
+// early return's own threshold just beneath it.
+func TestGainMaximizingMatchesPlainSearch(t *testing.T) {
+	cases := 400_000
+	if testing.Short() {
+		cases = 40_000
+	}
+	rng := rand.New(rand.NewSource(21))
+	profiles := AllProfiles()
+	early := 0
+	for c := 0; c < cases; c++ {
+		cm := &CostModel{Profile: profiles[rng.Intn(len(profiles))], Alpha: 3 * rng.Float64(), Shape: CostShape(rng.Intn(2))}
+		switch rng.Intn(8) {
+		case 0:
+			cm.Alpha = 0
+		case 1:
+			cm.Alpha = 1
+		}
+		m := cm.Alpha * cm.Profile.Sens // the linear shape's marginal cost at zero
+		q := 2.5 * m * rng.Float64()
+		if near := rng.Intn(16); near < 12 {
+			if q = m; near&1 == 1 {
+				q = m / (1 + 1e-9)
+			}
+			switch near / 2 {
+			case 0:
+				q *= 1 + 1e-6*(2*rng.Float64()-1)
+			case 1:
+				q *= 1 + 1e-8*(2*rng.Float64()-1)
+			case 2:
+				q = math.Nextafter(q, 0)
+			case 3:
+				q = math.Nextafter(q, math.Inf(1))
+			case 4:
+				q *= 1 + 4e-9*(2*rng.Float64()-1)
+			}
+		} else if near == 12 {
+			q = 0.05 + rng.Float64() // the prices markets open and settle at
+		}
+		if q > 0 && q*(1+1e-9) <= cm.Marginal(0) {
+			early++
+		}
+		got, want := cm.GainMaximizingReduction(q), plainGainMax(cm, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d: %s α=%v %v q=%v (C′(0)=%v): δ* = %v, plain search %v",
+				c, cm.Profile.Name, cm.Alpha, cm.Shape, q, cm.Marginal(0), got, want)
+		}
+	}
+	if early < cases/10 {
+		t.Errorf("only %d of %d cases took the early return", early, cases)
+	}
+	t.Logf("%d of %d cases took the early return", early, cases)
 }
 
 func TestFitLogRecoversExact(t *testing.T) {
