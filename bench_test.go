@@ -339,8 +339,11 @@ func BenchmarkStreamApply1000(b *testing.B)    { benchStreamApply(b, 1000) }
 func BenchmarkStreamApply100000(b *testing.B)  { benchStreamApply(b, 100000) }
 func BenchmarkStreamApply1000000(b *testing.B) { benchStreamApply(b, 1000000) }
 
-// The batch counterpart at the gated size, for manual comparison runs.
-func BenchmarkBatchUpdate100000(b *testing.B) { benchBatchUpdate(b, 100000) }
+// The batch counterparts: O(M) per update, the other column of
+// EXPERIMENTS.md's streaming table (100000 is the gated size).
+func BenchmarkBatchUpdate1000(b *testing.B)    { benchBatchUpdate(b, 1000) }
+func BenchmarkBatchUpdate100000(b *testing.B)  { benchBatchUpdate(b, 100000) }
+func BenchmarkBatchUpdate1000000(b *testing.B) { benchBatchUpdate(b, 1000000) }
 
 // TestStreamApplySpeedup is the CI-enforced acceptance gate of the
 // streaming engine: on a 100k-participant market, a streamed

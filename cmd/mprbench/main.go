@@ -25,9 +25,6 @@
 // (-parallel; 0 = GOMAXPROCS, 1 = serial). Tables are bit-identical at
 // any worker count — see DESIGN.md §9 for the determinism contract.
 // -benchout writes a machine-readable per-experiment wall-clock report.
-// -stream additionally sweeps the streaming-clear engine (DESIGN.md §11)
-// across market sizes and records sustained update throughput in the
-// report's "stream" section.
 package main
 
 import (
@@ -48,22 +45,20 @@ import (
 // benchReport is the -benchout JSON schema: enough context to compare
 // runs across machines and worker counts.
 type benchReport struct {
-	Schema       string              `json:"schema"`
-	GoVersion    string              `json:"go_version"`
-	GOMAXPROCS   int                 `json:"gomaxprocs"`
-	Workers      int                 `json:"workers"`
-	Seed         int64               `json:"seed"`
-	Quick        bool                `json:"quick"`
-	Experiments  []benchExpReport    `json:"experiments"`
-	Stream       []benchStreamReport `json:"stream,omitempty"`
-	TotalSeconds float64             `json:"total_seconds"`
+	Schema       string           `json:"schema"`
+	GoVersion    string           `json:"go_version"`
+	GOMAXPROCS   int              `json:"gomaxprocs"`
+	Workers      int              `json:"workers"`
+	Seed         int64            `json:"seed"`
+	Quick        bool             `json:"quick"`
+	Experiments  []benchExpReport `json:"experiments"`
+	TotalSeconds float64          `json:"total_seconds"`
 }
 
-// benchSchema names the -benchout JSON schema. v2 added the optional
-// "stream" section (streaming-clear update throughput); v3 carried an
-// "engine" field and an "engines" section for the two simulation cores
-// of the time; v4 dropped both with the second core.
-const benchSchema = "mprbench/sweep/v4"
+// benchSchema names the -benchout JSON schema: the per-experiment wall
+// clock and nothing else. Strict decoding (schema_test.go) refuses the
+// "stream" and "engine(s)" fields v2–v4 files carried.
+const benchSchema = "mprbench/sweep/v5"
 
 type benchExpReport struct {
 	ID      string  `json:"id"`
@@ -80,7 +75,6 @@ func main() {
 		format   = flag.String("format", "text", "output format: text or markdown")
 		parallel = flag.Int("parallel", 0, "sweep worker-pool bound: 0 = GOMAXPROCS, 1 = serial, n > 1 = up to n concurrent cells (tables are identical at any setting)")
 		benchout = flag.String("benchout", "", "write a machine-readable wall-clock report (JSON) to this file")
-		stream   = flag.Bool("stream", false, "sweep the streaming-clear engine's update throughput and include it in -benchout")
 		series   = flag.String("series", "", "export the instrumented timeline run's per-slot series to this file (.csv = CSV, else JSONL) and evaluate the SLO alert rules over it")
 	)
 	flag.Parse()
@@ -153,10 +147,6 @@ func main() {
 			}
 			fmt.Println()
 		}
-	}
-	if *stream {
-		report.Stream = runStreamBench()
-		fmt.Println(streamTable(report.Stream))
 	}
 	report.TotalSeconds = time.Since(suiteStart).Seconds()
 

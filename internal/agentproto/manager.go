@@ -32,10 +32,6 @@ const (
 	// relative error), so tail quantiles are answerable without guessing
 	// bucket bounds up front.
 	MetricBidRTT = "mpr_agent_bid_rtt_seconds"
-	// MetricShardBidRTT is the per-shard bid RTT HDR family; each shard
-	// registers "mpr_mgr_shard_bid_rtt_seconds{shard=\"<i>\"}" so a hot
-	// or skewed shard is visible next to the fleet-wide histogram.
-	MetricShardBidRTT = "mpr_mgr_shard_bid_rtt_seconds"
 	// MetricMalformed counts protocol violations: bad hellos, unexpected
 	// message types, stale-round bids, and unclearable bids.
 	MetricMalformed = "mpr_agent_malformed_messages_total"
@@ -43,8 +39,10 @@ const (
 	// the price rounds across them.
 	MetricMarkets = "mpr_manager_markets_total"
 	MetricRounds  = "mpr_manager_rounds_total"
-	// MetricBidTimeouts counts rounds that hit the per-round timeout
-	// before every agent answered.
+	// MetricBidTimeouts counts unanswered bid requests: one per roster
+	// member per round that had not bid when its shard harvested, members
+	// that dropped mid-market included — so bids received = agents × rounds
+	// − this.
 	MetricBidTimeouts = "mpr_manager_bid_timeouts_total"
 	// MetricStreamUpdates counts incremental re-clears in streaming
 	// markets: one per incoming bid applied to the stream engine.
@@ -61,12 +59,9 @@ const (
 	MetricWireAgents = "mpr_mgr_wire_agents_total"
 )
 
-// Every market opens at initialPrice (q′₀) and has converged when a round
-// moves the price by at most priceTolerance, relatively.
-const (
-	initialPrice   = 0.1
-	priceTolerance = 1e-4
-)
+// Every market opens at core.OpeningPrice and has converged when a round
+// moves the price by at most priceTolerance, relatively (core.PriceSettled).
+const priceTolerance = 1e-4
 
 // ManagerConfig parameterizes the market manager daemon.
 type ManagerConfig struct {
@@ -264,7 +259,7 @@ func NewManager(addr string, cfg ManagerConfig) (*Manager, error) {
 		m.malformed = reg.Counter(MetricMalformed, "Protocol violations: bad hellos, unexpected types, stale-round or unclearable bids.")
 		m.markets = reg.Counter(MetricMarkets, "Finished RunMarket invocations.")
 		m.rounds = reg.Counter(MetricRounds, "Price rounds across all markets.")
-		m.timeouts = reg.Counter(MetricBidTimeouts, "Rounds that timed out before all bids arrived.")
+		m.timeouts = reg.Counter(MetricBidTimeouts, "Bid requests unanswered at harvest: one per roster member per round.")
 		m.streamUpdates = reg.Counter(MetricStreamUpdates, "Incremental re-clears applied by streaming markets.")
 		m.coalesced = reg.Counter(MetricCoalescedBids, "Bids coalesced away by one-slot per-agent mailboxes.")
 		evictions := reg.CounterFamily(MetricEvictions, "Slow-agent evictions by typed reason.", "reason")
@@ -277,10 +272,6 @@ func NewManager(addr string, cfg ManagerConfig) (*Manager, error) {
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
 		m.shards[i] = newShard(m, i)
-		if reg := cfg.Telemetry; reg != nil {
-			m.shards[i].rtt = reg.HDR(MetricShardBidRTT+`{shard="`+strconv.Itoa(i)+`"}`,
-				"Per-shard RespondBid round-trip latency in seconds (HDR).")
-		}
 		m.wg.Add(1)
 		go m.shards[i].loop()
 	}
@@ -553,27 +544,17 @@ type MarketOutcome struct {
 	TraceID string
 }
 
-// mergedBid is one roster slot's harvested bid for the round in flight.
-type mergedBid struct {
-	has     bool
-	valid   bool
-	jobID   string
-	bid     core.Bid
-	trace   string
-	recvNS  int64
-	bcastNS int64
-}
-
 // RunMarket clears an interactive market for the given power-reduction
 // target over the currently registered agents, sends reduction orders,
 // and returns the outcome.
 //
-// Each round is a scatter/gather over the shards: every shard event loop
+// Each round is a scatter over the shards: every shard event loop
 // broadcasts the price to its members, collects their bids (one-slot
-// mailboxes, coalescing floods to the newest), and hands back a batch at
-// the deadline or as soon as all members answered. The batches are
-// merged in roster order before the clear, so the clearing price is
-// bit-identical for any shard count and any bid arrival order.
+// mailboxes, coalescing floods to the newest), and harvests them into the
+// market's roster slots at the deadline or as soon as all members
+// answered. The slots are applied in roster order before the clear, so
+// the clearing price is bit-identical for any shard count and any bid
+// arrival order.
 func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 	if math.IsNaN(targetW) || math.IsInf(targetW, 0) {
 		return nil, fmt.Errorf("agentproto: market target must be finite, got %v W", targetW)
@@ -613,8 +594,8 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 		members[a.shard.id] = append(members[a.shard.id], a)
 	}
 
-	reply := make(chan shardBatch, len(m.shards))
-	if !m.scatter(shardCmd{kind: cmdInstall, reply: reply}, members) {
+	reply := make(chan struct{}, len(m.shards))
+	if !m.scatter(shardCmd{kind: cmdInstall, members: members, reply: reply}) {
 		return nil, fmt.Errorf("agentproto: manager closed")
 	}
 	res, marketTrace, err := m.priceRounds(agents, parts, targetW, reply)
@@ -640,7 +621,7 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 			PaymentRate:    res.Price * red,
 		}})
 	}
-	m.deliver(orders, reply)
+	m.scatter(shardCmd{kind: cmdDeliver, msgs: orders, timeout: m.cfg.RoundTimeout, reply: reply})
 	return out, nil
 }
 
@@ -648,7 +629,7 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 // installed roster (parts[i] is agents[i]) and returns the final clear
 // with the market's trace ID. Whichever way it exits, the market span is
 // closed and bids stop being accepted.
-func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, targetW float64, reply chan shardBatch) (*core.ClearingResult, string, error) {
+func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, targetW float64, reply chan struct{}) (*core.ClearingResult, string, error) {
 	// Every market gets a trace ID "m<seq>"; each round extends it to
 	// "m<seq>.r<round>" and stamps that on the price broadcast. Agents
 	// echo it on their bids, which lets the merge below attribute a bid
@@ -692,8 +673,8 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 		return nil, "", err
 	}
 
-	merged := make([]mergedBid, len(agents))
-	price := initialPrice
+	slots := make([]roundBid, len(agents))
+	price := core.OpeningPrice
 	res := &core.ClearingResult{}
 	converged := false
 	rounds := 0
@@ -713,17 +694,13 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 		ok := false
 		telemetry.WithPprofLabels("respond_bids", func() {
 			m.curRound.Store(int64(round))
-			cmd := shardCmd{
-				kind:    cmdRound,
-				round:   round,
-				pre:     pre,
-				timeout: m.cfg.RoundTimeout,
-				reply:   reply,
+			// A slot is one round's answer: left set, an agent that went
+			// quiet would have its last bid re-applied and counted again.
+			for i := range slots {
+				slots[i].has = false
 			}
-			for i := range merged {
-				merged[i].has = false
-			}
-			ok = m.gatherRound(cmd, merged)
+			ok = m.scatter(shardCmd{kind: cmdRound, round: round, pre: pre, slots: slots,
+				timeout: m.cfg.RoundTimeout, reply: reply})
 		})
 		bidSpan.End()
 		if !ok {
@@ -732,11 +709,12 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 
 		// Merge in roster order: identical clearing inputs no matter how
 		// bids raced across shards.
-		for i := range merged {
-			e := &merged[i]
+		for i := range slots {
+			e := &slots[i]
 			if !e.has {
 				continue
 			}
+			jobID := agents[i].hello.JobID
 			m.bidRTT.Record(float64(e.recvNS-e.bcastNS) / 1e9)
 			if e.trace == roundTrace {
 				// The agent echoed our trace ID: link a per-agent
@@ -745,7 +723,7 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 				// echo (empty TraceID) and simply stay untraced.
 				m.cfg.Tracer.RecordSpan("respond_bid", roundSpan,
 					e.bcastNS, e.recvNS,
-					telemetry.Attr{Key: "agent", Value: e.jobID},
+					telemetry.Attr{Key: "agent", Value: jobID},
 					telemetry.Attr{Key: "trace", Value: roundTrace})
 			}
 			if !e.valid {
@@ -757,21 +735,21 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 				p, feasible, err := stream.Apply(core.ParticipantDelta{Index: i, Bid: e.bid})
 				if err != nil {
 					m.malformed.Inc()
-					m.logf("agent %s bid rejected: %v", e.jobID, err)
+					m.logf("agent %s bid rejected: %v", jobID, err)
 					continue
 				}
 				parts[i].Bid = e.bid
 				m.streamUpdates.Inc()
 				m.cfg.Tracer.Emit(telemetry.Event{Name: "stream_update", Trace: roundTrace, Round: round,
-					Price: p, TargetW: targetW, Label: e.jobID})
+					Price: p, TargetW: targetW, Label: jobID})
 				if m.cfg.OnStreamUpdate != nil {
-					m.cfg.OnStreamUpdate(e.jobID, round, p, feasible)
+					m.cfg.OnStreamUpdate(jobID, round, p, feasible)
 				}
 				continue
 			}
 			if err := index.SetBid(i, e.bid); err != nil {
 				m.malformed.Inc()
-				m.logf("agent %s bid rejected: %v", e.jobID, err)
+				m.logf("agent %s bid rejected: %v", jobID, err)
 				continue
 			}
 			parts[i].Bid = e.bid
@@ -792,7 +770,7 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 			Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Value: price})
 		roundSpan.End()
 		roundSpan = nil
-		if math.Abs(res.Price-price) <= priceTolerance*math.Max(price, 1e-12) {
+		if core.PriceSettled(price, res.Price, priceTolerance) {
 			converged = true
 			break
 		}
@@ -809,15 +787,12 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 	return res, marketTrace, nil
 }
 
-// scatter sends one command per shard (members[i] to shard i, when set)
-// and waits for all acks. False when the manager shut down mid-flight.
-func (m *Manager) scatter(cmd shardCmd, members [][]*agentConn) bool {
-	for i, s := range m.shards {
-		c := cmd
-		if members != nil {
-			c.members = members[i]
-		}
-		if !s.dispatch(c) {
+// scatter is the one fan-out/fan-in: it hands cmd to every shard loop
+// and waits for all of them to ack on cmd.reply. False when the manager
+// shut down mid-flight.
+func (m *Manager) scatter(cmd shardCmd) bool {
+	for _, s := range m.shards {
+		if !s.dispatch(cmd) {
 			return false
 		}
 	}
@@ -831,52 +806,6 @@ func (m *Manager) scatter(cmd shardCmd, members [][]*agentConn) bool {
 	return true
 }
 
-// gatherRound runs one round across all shards and merges the harvested
-// batches into merged (indexed by roster position).
-func (m *Manager) gatherRound(cmd shardCmd, merged []mergedBid) bool {
-	for _, s := range m.shards {
-		if !s.dispatch(cmd) {
-			return false
-		}
-	}
-	for range m.shards {
-		var batch shardBatch
-		select {
-		case batch = <-cmd.reply:
-		case <-m.stop:
-			return false
-		}
-		for _, b := range batch.bids {
-			merged[b.idx] = mergedBid{
-				has: true, valid: b.valid, jobID: b.jobID,
-				bid: b.bid, trace: b.trace, recvNS: b.recvNS, bcastNS: batch.broadcastNS,
-			}
-		}
-	}
-	return true
-}
-
-// deliver writes per-shard message lists on their event loops.
-func (m *Manager) deliver(msgs [][]memberMsg, reply chan shardBatch) {
-	sent := 0
-	for i, s := range m.shards {
-		if len(msgs[i]) == 0 {
-			continue
-		}
-		if !s.dispatch(shardCmd{kind: cmdDeliver, msgs: msgs[i], timeout: m.cfg.RoundTimeout, reply: reply}) {
-			return
-		}
-		sent++
-	}
-	for ; sent > 0; sent-- {
-		select {
-		case <-reply:
-		case <-m.stop:
-			return
-		}
-	}
-}
-
 // Lift broadcasts the end of the emergency.
 func (m *Manager) Lift() {
 	m.mu.Lock()
@@ -885,5 +814,5 @@ func (m *Manager) Lift() {
 		lifts[a.shard.id] = append(lifts[a.shard.id], memberMsg{a: a, msg: Message{Type: MsgLift}})
 	}
 	m.mu.Unlock()
-	m.deliver(lifts, make(chan shardBatch, len(m.shards)))
+	m.scatter(shardCmd{kind: cmdDeliver, msgs: lifts, timeout: m.cfg.RoundTimeout, reply: make(chan struct{}, len(m.shards))})
 }

@@ -174,17 +174,11 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// mixedTrail runs one market over a fleet with the given wires plus a
-// scripted JSON quitter that bids round 1 and hangs up mid-market. The
-// equilibrium must not depend on the transport mix.
-func mixedTrail(t *testing.T, wires []string) ([]uint64, *MarketOutcome) {
+// mixedMarket runs one market under cfg over a fleet with the given wires
+// plus a scripted JSON quitter that bids round 1 and hangs up mid-market.
+func mixedMarket(t *testing.T, cfg ManagerConfig, wires []string) *MarketOutcome {
 	t.Helper()
-	tracer := telemetry.NewTracer(4096)
-	m := pipeManager(t, ManagerConfig{
-		RoundTimeout: 2 * time.Second,
-		Shards:       4,
-		Tracer:       tracer,
-	})
+	m := pipeManager(t, cfg)
 	specs := fleetSpecs(len(wires))
 	for i := range specs {
 		specs[i].wire = wires[i]
@@ -194,10 +188,11 @@ func mixedTrail(t *testing.T, wires []string) ([]uint64, *MarketOutcome) {
 	// The quitter bids round 1 with a fixed supply function, then closes
 	// mid-market: rounds ≥2 proceed on its round-1 bid (the paper's
 	// timeout rule), identically in every run.
-	_, qc := scriptConn(t, m, WireJSON, Message{Type: MsgHello, JobID: "quitter", Cores: 64, WattsPerCore: 125, MaxFrac: 0.4})
+	qconn, qc := scriptConn(t, m, WireJSON, Message{Type: MsgHello, JobID: "quitter", Cores: 64, WattsPerCore: 125, MaxFrac: 0.4})
 	waitAgents(t, m, len(specs)+1)
 	quitDone := make(chan error, 1)
 	go func() {
+		defer qconn.Close()
 		msg, err := qc.Recv()
 		if err != nil {
 			quitDone <- err
@@ -217,6 +212,16 @@ func mixedTrail(t *testing.T, wires []string) ([]uint64, *MarketOutcome) {
 	if err := <-quitDone; err != nil {
 		t.Fatalf("quitter: %v", err)
 	}
+	return out
+}
+
+// mixedTrail is mixedMarket on four shards, returning the per-round
+// clearing prices too. The equilibrium must not depend on the transport
+// mix.
+func mixedTrail(t *testing.T, wires []string) ([]uint64, *MarketOutcome) {
+	t.Helper()
+	tracer := telemetry.NewTracer(4096)
+	out := mixedMarket(t, ManagerConfig{RoundTimeout: 2 * time.Second, Shards: 4, Tracer: tracer}, wires)
 	var trail []uint64
 	for _, e := range tracer.Events() {
 		if e.Name == "market_round" {
@@ -256,6 +261,53 @@ func TestMixedFleetEquilibrium(t *testing.T) {
 		for job, red := range baseOut.Orders {
 			if got := out.Orders[job]; math.Float64bits(got) != math.Float64bits(red) {
 				t.Errorf("%s fleet: order[%s] = %v, want %v", name, job, got, red)
+			}
+		}
+	}
+}
+
+// TestEveryAnswerCountedOnce: a roster slot is one round's answer. The
+// quitter bids round 1 only, so over a market of r rounds the manager
+// receives n·r + 1 bids, and each must be timed, traced and (streaming)
+// applied exactly once. A slot that outlives its round re-applies an
+// identical bid — invisible in prices, visible only in these counts.
+func TestEveryAnswerCountedOnce(t *testing.T) {
+	const n = 8
+	wires := make([]string, n)
+	for i := range wires {
+		wires[i] = WireJSON
+	}
+	for _, streaming := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			reg := telemetry.NewRegistry()
+			tracer := telemetry.NewTracer(4096)
+			out := mixedMarket(t, ManagerConfig{RoundTimeout: 2 * time.Second, Shards: shards,
+				Streaming: streaming, Telemetry: reg, Tracer: tracer}, wires)
+			if out.Result.Rounds < 2 {
+				t.Fatalf("market cleared in %d rounds; the disconnect needs ≥2", out.Result.Rounds)
+			}
+			bids := int64(n*out.Result.Rounds + 1)
+			var spans, updates int64
+			for _, s := range tracer.Spans() {
+				if s.Name == "respond_bid" {
+					spans++
+				}
+			}
+			if streaming {
+				updates = bids
+			}
+			snap := reg.Snapshot()
+			for _, c := range []struct {
+				what      string
+				got, want int64
+			}{
+				{MetricBidRTT + " count", snap.HDR(MetricBidRTT).Count, bids},
+				{"respond_bid spans", spans, bids},
+				{MetricStreamUpdates, snap.Counter(MetricStreamUpdates), updates},
+			} {
+				if c.got != c.want {
+					t.Errorf("streaming=%v shards=%d: %s = %d, want %d", streaming, shards, c.what, c.got, c.want)
+				}
 			}
 		}
 	}

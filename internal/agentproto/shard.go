@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mpr/internal/core"
-	"mpr/internal/telemetry/hdr"
 )
 
 // DisconnectReason is the typed reason the manager closes an agent
@@ -48,21 +47,16 @@ type mailbox struct {
 	recvNS int64
 }
 
-// shardBid is one harvested bid handed from a shard to RunMarket.
-type shardBid struct {
-	idx    int // roster index for this market
-	jobID  string
-	valid  bool
-	bid    core.Bid
-	trace  string
-	recvNS int64
-}
-
-// shardBatch is a shard's answer to one round (or an empty ack for
-// install/deliver commands).
-type shardBatch struct {
-	bids        []shardBid
-	broadcastNS int64 // when this shard started its price broadcast
+// roundBid is one roster slot of the market in flight: the mailbox its
+// owning shard harvested this round (has is false when the agent did not
+// answer) plus when that shard started its price broadcast. Shards own
+// disjoint roster indices, so each writes its members' slots unlocked and
+// RunMarket reads them once the shard has acked the round. At 64 bytes a
+// slot is a cache line, so neighbours written by different shards barely
+// share one.
+type roundBid struct {
+	mailbox
+	bcastNS int64
 }
 
 type shardCmdKind int
@@ -73,14 +67,17 @@ const (
 	cmdDeliver                     // write prepared messages (orders, lifts)
 )
 
+// shardCmd is the same value for every shard: each takes its own row of
+// the per-shard tables and acks on reply when done.
 type shardCmd struct {
 	kind    shardCmdKind
-	members []*agentConn
+	members [][]*agentConn // cmdInstall: the roster, by shard
 	round   int
 	pre     *encodedMsg // price broadcast for cmdRound, encoded once per fleet
+	slots   []roundBid  // cmdRound: where harvested bids land, by roster index
 	timeout time.Duration
-	msgs    []memberMsg // cmdDeliver payload
-	reply   chan shardBatch
+	msgs    [][]memberMsg // cmdDeliver payload, by shard
+	reply   chan struct{}
 }
 
 type memberMsg struct {
@@ -105,9 +102,6 @@ type shard struct {
 	answered atomic.Int32
 
 	members []*agentConn // market roster slice; loop-owned
-	batch   []shardBid   // reusable harvest buffer; handed out per round
-
-	rtt *hdr.Histogram // per-shard bid RTT (mpr_mgr_shard_bid_rtt_seconds{shard="i"})
 }
 
 func newShard(m *Manager, id int) *shard {
@@ -133,7 +127,7 @@ func (s *shard) loop() {
 		case cmd := <-s.cmds:
 			switch cmd.kind {
 			case cmdInstall:
-				s.members = cmd.members
+				s.members = cmd.members[s.id]
 				// Clear leftover mailboxes so a bid stranded after a prior
 				// market's harvest can never alias a same-numbered round.
 				for _, a := range s.members {
@@ -142,15 +136,14 @@ func (s *shard) loop() {
 					a.mbMu.Unlock()
 					a.missed = 0
 				}
-				cmd.reply <- shardBatch{}
 			case cmdRound:
 				s.runRound(cmd)
 			case cmdDeliver:
-				for _, mm := range cmd.msgs {
+				for _, mm := range cmd.msgs[s.id] {
 					s.send(mm.a, cmd.timeout, func() error { return mm.a.codec.Send(mm.msg) })
 				}
-				cmd.reply <- shardBatch{}
 			}
+			cmd.reply <- struct{}{}
 		}
 	}
 }
@@ -184,9 +177,9 @@ func (s *shard) send(a *agentConn, timeout time.Duration, write func() error) bo
 
 // runRound broadcasts the round's price to the shard's members, waits
 // until every live member has answered (or the round deadline), then
-// harvests the mailboxes into a batch for RunMarket. Deadline-missing
-// members burn one unit of their miss budget and are evicted when it
-// runs out.
+// harvests the mailboxes straight into the market's roster slots.
+// Deadline-missing members burn one unit of their miss budget and are
+// evicted when it runs out.
 func (s *shard) runRound(cmd shardCmd) {
 	s.answered.Store(0)
 	select { // drain a stale doorbell token from a late prior-round bid
@@ -221,7 +214,6 @@ wait:
 	}
 	timer.Stop()
 
-	batch := s.batch[:0]
 	for _, a := range s.members {
 		a.mbMu.Lock()
 		mb := a.mb
@@ -249,12 +241,6 @@ wait:
 			continue
 		}
 		a.missed = 0
-		s.rtt.Record(float64(mb.recvNS-broadcastNS) / 1e9)
-		batch = append(batch, shardBid{
-			idx: a.idx, jobID: a.hello.JobID, valid: mb.valid,
-			bid: mb.bid, trace: mb.trace, recvNS: mb.recvNS,
-		})
+		cmd.slots[a.idx] = roundBid{mailbox: mb, bcastNS: broadcastNS}
 	}
-	s.batch = batch // keep the grown buffer for the next round
-	cmd.reply <- shardBatch{bids: batch, broadcastNS: broadcastNS}
 }

@@ -30,11 +30,18 @@ type Bidder interface {
 	RespondBid(price float64) Bid
 }
 
+// OpeningPrice is the price the manager announces to open every MPR-INT
+// market (q′₀ in Section III-B).
+const OpeningPrice = 0.1
+
+// PriceSettled is the MPR-INT stopping rule: the round's cleared price
+// moved at most tol, relatively, from the price announced for it.
+func PriceSettled(announced, cleared, tol float64) bool {
+	return math.Abs(cleared-announced) <= tol*math.Max(announced, 1e-12)
+}
+
 // InteractiveConfig parameterizes the MPR-INT market loop.
 type InteractiveConfig struct {
-	// InitialPrice is the price the manager announces to open the market
-	// (q′₀ in Section III-B). Default 0.1.
-	InitialPrice float64
 	// MaxRounds bounds the number of manager↔user exchanges; the paper
 	// suggests a timeout (e.g. 30 s) after which the last price stands.
 	// Default 100.
@@ -58,9 +65,6 @@ type InteractiveConfig struct {
 }
 
 func (c *InteractiveConfig) normalize() {
-	if c.InitialPrice <= 0 {
-		c.InitialPrice = 0.1
-	}
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 100
 	}
@@ -212,7 +216,7 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 	}
 	bids := make([]Bid, len(ps))
 
-	q := cfg.InitialPrice
+	q := OpeningPrice
 	var ix *MarketIndex
 	res := &ClearingResult{}
 	for round := 1; round <= cfg.MaxRounds; round++ {
@@ -247,7 +251,7 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 			Value: q, // the price announced this round
 		})
 		roundSpan.End()
-		if math.Abs(res.Price-q) <= cfg.Tolerance*math.Max(q, 1e-12) {
+		if PriceSettled(q, res.Price, cfg.Tolerance) {
 			res.Converged = true
 			finishInteractive(res)
 			return res, nil

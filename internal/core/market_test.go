@@ -452,8 +452,12 @@ func TestSettle(t *testing.T) {
 	if len(ss) != len(ps) {
 		t.Fatalf("settlements = %d", len(ss))
 	}
-	if !floats.AbsEqual(TotalPayment(ss), res.PayoutRate, 1e-9) {
-		t.Errorf("total payment %v != payout rate %v", TotalPayment(ss), res.PayoutRate)
+	var paid float64
+	for _, s := range ss {
+		paid += s.PaymentRate
+	}
+	if !floats.AbsEqual(paid, res.PayoutRate, 1e-9) {
+		t.Errorf("total payment %v != payout rate %v", paid, res.PayoutRate)
 	}
 	for _, s := range ss {
 		if !floats.AbsEqual(s.NetGainRate, s.PaymentRate-s.CostRate, 1e-12) {

@@ -43,15 +43,6 @@ func Settle(ps []*Participant, reductions []float64, price float64) ([]Settlemen
 	return out, nil
 }
 
-// TotalPayment sums the payment rates of a settlement set.
-func TotalPayment(ss []Settlement) float64 {
-	var t float64
-	for _, s := range ss {
-		t += s.PaymentRate
-	}
-	return t
-}
-
 // TotalCost sums the cost rates of a settlement set.
 func TotalCost(ss []Settlement) float64 {
 	var t float64

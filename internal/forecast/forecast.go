@@ -77,12 +77,7 @@ type Forecaster struct {
 	trend  float64
 	season []float64
 	warmup []float64 // first-period buffer; nil once initialized
-	n      int       // observations seen
 	idx    int       // position within the period
-
-	lastPred1 float64 // one-step forecast made at the previous Observe
-	havePred1 bool
-	resVar    float64 // EWMA of squared one-step residuals
 }
 
 // New builds a forecaster.
@@ -97,9 +92,6 @@ func New(cfg Config) (*Forecaster, error) {
 	}, nil
 }
 
-// Observations reports how many samples the forecaster has seen.
-func (f *Forecaster) Observations() int { return f.n }
-
 // Ready reports whether the forecaster has completed its first-period
 // initialization.
 func (f *Forecaster) Ready() bool { return f.warmup == nil }
@@ -111,7 +103,6 @@ func (f *Forecaster) Observe(v float64) {
 	if f.warmup != nil {
 		f.level = v // last value, for pre-initialization predictions
 		f.warmup = append(f.warmup, v)
-		f.n++
 		if len(f.warmup) == c.Period {
 			mean := 0.0
 			for _, w := range f.warmup {
@@ -128,10 +119,6 @@ func (f *Forecaster) Observe(v float64) {
 		}
 		return
 	}
-	if f.havePred1 {
-		r := v - f.lastPred1
-		f.resVar = 0.05*r*r + 0.95*f.resVar
-	}
 	s := f.season[f.idx]
 	deseason := v - s
 	prevLevel := f.level
@@ -139,39 +126,6 @@ func (f *Forecaster) Observe(v float64) {
 	f.trend = c.TrendBeta*(f.level-prevLevel) + (1-c.TrendBeta)*f.trend
 	f.season[f.idx] = c.SeasonGamma*(v-f.level) + (1-c.SeasonGamma)*s
 	f.idx = (f.idx + 1) % c.Period
-	f.n++
-	f.lastPred1 = f.Predict(1)
-	f.havePred1 = true
-}
-
-// ResidualStd estimates the one-step forecast error's standard deviation
-// from an exponentially weighted residual variance.
-func (f *Forecaster) ResidualStd() float64 { return math.Sqrt(f.resVar) }
-
-// PredictUpper returns an upper-confidence forecast: Predict(ahead) plus
-// z one-step standard deviations scaled by √ahead (the random-walk error
-// growth). Overload anticipation uses this so the cleared reduction
-// covers forecast error.
-func (f *Forecaster) PredictUpper(ahead int, z float64) float64 {
-	if ahead < 1 {
-		ahead = 1
-	}
-	return f.Predict(ahead) + z*f.ResidualStd()*math.Sqrt(float64(ahead))
-}
-
-// PredictMaxUpper returns the maximum upper-confidence forecast over the
-// next horizon observations.
-func (f *Forecaster) PredictMaxUpper(horizon int, z float64) float64 {
-	if horizon < 1 {
-		horizon = 1
-	}
-	max := math.Inf(-1)
-	for h := 1; h <= horizon; h++ {
-		if v := f.PredictUpper(h, z); v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // Predict forecasts the value `ahead` observations into the future

@@ -115,9 +115,6 @@ func TestNotReadyFallsBack(t *testing.T) {
 	if !f.Ready() {
 		t.Error("not ready after a full period")
 	}
-	if f.Observations() != 5 {
-		t.Errorf("observations = %d", f.Observations())
-	}
 }
 
 func TestPredictClampsHorizon(t *testing.T) {

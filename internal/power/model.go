@@ -43,9 +43,6 @@ func (m CoreModel) JobPower(cores, speed float64) float64 {
 	return cores * (m.StaticW + speed*m.DynamicW)
 }
 
-// PeakPower returns the draw of `cores` cores at full speed.
-func (m CoreModel) PeakPower(cores float64) float64 { return m.JobPower(cores, 1) }
-
 // ReductionWatts converts a resource reduction of delta cores into the
 // watts saved: resource reduction only scales the dynamic component, so
 // P(δ) = δ·DynamicW (the established linear power-capping model the paper

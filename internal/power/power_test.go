@@ -12,7 +12,7 @@ func TestJobPowerGaiaPeak(t *testing.T) {
 	// Paper: 2012-core peak allocation → 301.8 kW with 25 W static,
 	// 125 W dynamic per core.
 	m := DefaultCPUCoreModel
-	if got := m.PeakPower(2012); !floats.AbsEqual(got, 301800, 1e-6) {
+	if got := m.JobPower(2012, 1); !floats.AbsEqual(got, 301800, 1e-6) {
 		t.Errorf("Gaia peak = %v W, want 301800", got)
 	}
 }

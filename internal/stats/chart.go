@@ -2,47 +2,8 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
-
-// Chart renders small ASCII visualizations for the command-line tools:
-// line charts for power timelines (Figs. 6, 17(a)), horizontal bars for
-// per-application comparisons (Figs. 9(c), 17(b)), and sparklines for
-// compact series previews.
-
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders values as a one-line unicode sparkline.
-func Sparkline(vs []float64) string {
-	if len(vs) == 0 {
-		return ""
-	}
-	lo, hi := vs[0], vs[0]
-	for _, v := range vs {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range vs {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkRunes) {
-			idx = len(sparkRunes) - 1
-		}
-		b.WriteRune(sparkRunes[idx])
-	}
-	return b.String()
-}
 
 // LineChart renders a series as a fixed-size ASCII chart with a y-axis
 // and an optional horizontal threshold line (e.g. the power capacity).
@@ -115,38 +76,6 @@ func LineChart(title string, s *Series, width, height int, threshold float64) st
 			label = strings.Repeat(" ", 8)
 		}
 		fmt.Fprintf(&b, "%s ┤%s\n", label, string(grid[r]))
-	}
-	return b.String()
-}
-
-// BarChart renders labeled horizontal bars scaled to the maximum value.
-func BarChart(title string, labels []string, values []float64, width int) string {
-	if len(labels) != len(values) || len(labels) == 0 || width < 4 {
-		return title + ": (no data)\n"
-	}
-	maxV := values[0]
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	for i, v := range values {
-		n := 0
-		if maxV > 0 {
-			n = int(math.Round(v / maxV * float64(width)))
-		}
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&b, "  %-*s │%s %.4g\n", maxLabel, labels[i], strings.Repeat("█", n), v)
 	}
 	return b.String()
 }

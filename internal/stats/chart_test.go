@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if len([]rune(s)) != 8 {
-		t.Fatalf("len = %d", len([]rune(s)))
-	}
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[7] != '█' {
-		t.Errorf("sparkline = %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline should be empty")
-	}
-	// Constant series: all minimum glyphs, no panic.
-	flat := Sparkline([]float64{5, 5, 5})
-	if len([]rune(flat)) != 3 {
-		t.Errorf("flat sparkline = %q", flat)
-	}
-}
-
 func TestLineChart(t *testing.T) {
 	var s Series
 	for i := int64(0); i < 100; i++ {
@@ -60,26 +41,5 @@ func TestLineChartConstantSeries(t *testing.T) {
 	out := LineChart("", &s, 20, 4, 0)
 	if !strings.Contains(out, "●") {
 		t.Errorf("constant series render:\n%s", out)
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	out := BarChart("apps", []string{"XSBench", "HPCCG"}, []float64{2, 4}, 10)
-	if !strings.Contains(out, "apps") || !strings.Contains(out, "XSBench") {
-		t.Errorf("bar chart:\n%s", out)
-	}
-	// HPCCG (max) gets the full width, XSBench half.
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if strings.Count(lines[2], "█") != 10 {
-		t.Errorf("max bar = %q", lines[2])
-	}
-	if c := strings.Count(lines[1], "█"); c != 5 {
-		t.Errorf("half bar = %d blocks", c)
-	}
-	if out := BarChart("x", []string{"a"}, nil, 10); !strings.Contains(out, "no data") {
-		t.Error("mismatched input should render placeholder")
 	}
 }

@@ -1,49 +1,12 @@
 // Package stats provides the statistical primitives used by the MPR
-// reproduction: empirical CDFs for cluster-utilization analysis (Fig. 1(b)),
-// percentiles, summary statistics, and down-sampled time series for the
-// timeline figures (Figs. 6 and 17).
+// reproduction: empirical CDFs for cluster-utilization analysis (Fig. 1(b))
+// and down-sampled time series for the timeline figures (Figs. 6 and 17).
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// Summary holds the usual scalar statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Stddev float64
-	Sum    float64
-}
-
-// Summarize computes a Summary over xs. An empty sample yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Stddev = math.Sqrt(ss / float64(s.N))
-	return s
-}
 
 // CDF is an empirical cumulative distribution function over a sample.
 type CDF struct {
@@ -181,29 +144,4 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.V))
-}
-
-// FractionAbove reports the fraction of samples strictly above threshold —
-// the "overload percentage of time" metric of Fig. 8(a).
-func (s *Series) FractionAbove(threshold float64) float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range s.V {
-		if v > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.V))
-}
-
-// Percentile computes the p-th percentile (p in [0,100]) of xs without
-// building a CDF. xs is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := NewCDF(xs)
-	return c.Quantile(p / 100)
 }

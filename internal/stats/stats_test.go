@@ -10,26 +10,6 @@ import (
 	"mpr/internal/check/floats"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Sum != 10 {
-		t.Errorf("summary = %+v", s)
-	}
-	if !floats.AbsEqual(s.Mean, 2.5, 1e-12) {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 4)
-	if !floats.AbsEqual(s.Stddev, want, 1e-12) {
-		t.Errorf("stddev = %v, want %v", s.Stddev, want)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-}
-
 func TestCDFAt(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
 	cases := []struct{ x, want float64 }{
@@ -145,14 +125,11 @@ func TestSeries(t *testing.T) {
 	if !floats.AbsEqual(s.Mean(), 4.5, 1e-12) {
 		t.Errorf("mean = %v", s.Mean())
 	}
-	if f := s.FractionAbove(4.5); !floats.AbsEqual(f, 0.5, 1e-12) {
-		t.Errorf("fractionAbove = %v", f)
-	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
-	if s.Max() != 0 || s.Mean() != 0 || s.FractionAbove(0) != 0 {
+	if s.Max() != 0 || s.Mean() != 0 {
 		t.Error("empty series stats should be zero")
 	}
 }
@@ -175,20 +152,6 @@ func TestSeriesDownsample(t *testing.T) {
 	d2 := s.Downsample(1000)
 	if d2.Len() != 100 {
 		t.Errorf("identity downsample len = %d", d2.Len())
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("p50 = %v", p)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
-	}
-	// Ensure input not mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated input")
 	}
 }
 

@@ -37,12 +37,7 @@ type Config struct {
 	// triggers, measured against the firings' From timestamps (Unix
 	// seconds in the daemons). Default 60s; see alerts.Deduper.
 	Cooldown time.Duration
-	// Window is how far back the bundled tsdb window reaches from the
-	// trigger. Default 10 minutes.
-	Window time.Duration
-	// Events bounds the bundled trace-event window (default 256);
 	// Firings bounds the retained alert history (default 64).
-	Events  int
 	Firings int
 	// ConfigEcho is the flag/config echo stored in every bundle.
 	ConfigEcho map[string]string
@@ -51,6 +46,13 @@ type Config struct {
 	// Logf, when set, receives one line per dump (and per failed dump).
 	Logf func(format string, args ...any)
 }
+
+// A bundle carries the last bundleEvents trace events and the tsdb series
+// from bundleWindow before its trigger.
+const (
+	bundleWindow = 10 * time.Minute
+	bundleEvents = 256
+)
 
 // Recorder retains recent telemetry and writes mprflight/v1 bundles on
 // triggers. All methods are safe for concurrent use, and a nil
@@ -93,12 +95,6 @@ type Status struct {
 func New(cfg Config) (*Recorder, error) {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 60 * time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Minute
-	}
-	if cfg.Events <= 0 {
-		cfg.Events = 256
 	}
 	if cfg.Firings <= 0 {
 		cfg.Firings = 64
@@ -254,16 +250,16 @@ func (r *Recorder) buildBundle(now time.Time, reason string, trigger *alerts.Fir
 		b.Gauges = snap.Gauges
 		b.HDRs = snap.HDRs
 	}
-	b.Events = r.cfg.Tracer.Last(r.cfg.Events)
+	b.Events = r.cfg.Tracer.Last(bundleEvents)
 	b.Spans = r.cfg.Tracer.Spans()
 
-	// The tsdb window reaches Window back from the trigger's start (or
+	// The tsdb window reaches bundleWindow back from the trigger's start (or
 	// from now for non-alert dumps) through the present.
 	start := now.Unix()
 	if trigger != nil && trigger.From < start {
 		start = trigger.From
 	}
-	start -= int64(r.cfg.Window / time.Second)
+	start -= int64(bundleWindow / time.Second)
 	if start < 0 {
 		start = 0 // FakeClock tests run near the epoch; 0 means unbounded
 	}
