@@ -315,8 +315,8 @@ func benchBatchUpdate(b *testing.B, n int) {
 
 // benchStreamBuild measures NewStreamMarket — validate, derive, order the
 // slots, link the treap, clear once — which the streaming manager pays
-// per market. 8 and 64 sit on the insertion-sort side of core's
-// small-pool cutoff, 400 (the fleets' size) and 100000 on the radix side.
+// per market. 8 sits on the insertion-sort side of core's small-pool
+// cutoff, 64, 400 (the fleets' size) and 100000 on the bucket-sort side.
 func benchStreamBuild(b *testing.B, n int) {
 	parts, _, target := benchSpreadPool(b, n)
 	b.ReportAllocs()
@@ -498,10 +498,15 @@ func benchSpreadPool(b testing.TB, n int) ([]*core.Participant, []core.Bidder, f
 
 // benchClearFresh measures the one-shot core.Clear — validate, build the
 // index (the activation sort), solve — that the manager pays per market
-// and the simulator per differently-sized invocation. 64 sits on the
-// insertion-sort side of core's small-pool cutoff, 400 on the radix side.
+// and the simulator per differently-sized invocation. 32 sits on the
+// insertion-sort side of core's small-pool cutoff, 64, 128 and 400 on the
+// bucket-sort side.
 func benchClearFresh(b *testing.B, n int) {
 	parts, _, target := benchSpreadPool(b, n)
+	benchClearParts(b, parts, target)
+}
+
+func benchClearParts(b *testing.B, parts []*core.Participant, target float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -511,10 +516,24 @@ func benchClearFresh(b *testing.B, n int) {
 	}
 }
 
+func BenchmarkClearFresh32(b *testing.B)     { benchClearFresh(b, 32) }
 func BenchmarkClearFresh64(b *testing.B)     { benchClearFresh(b, 64) }
+func BenchmarkClearFresh128(b *testing.B)    { benchClearFresh(b, 128) }
 func BenchmarkClearFresh400(b *testing.B)    { benchClearFresh(b, 400) }
 func BenchmarkClearFresh30000(b *testing.B)  { benchClearFresh(b, 30000) }
 func BenchmarkClearFresh100000(b *testing.B) { benchClearFresh(b, 100000) }
+
+// BenchmarkClearFresh30000Outlier is the activation sort's worst case:
+// one bid of the 30,000 activates at 1e300, so spreading the keys' bits
+// evenly over the range crowds all the others into about a hundred
+// buckets, which the sort buckets again.
+func BenchmarkClearFresh30000Outlier(b *testing.B) {
+	parts, _, target := benchSpreadPool(b, 30000)
+	p := *parts[0]
+	p.Bid.B = 1e300 * p.Bid.Delta
+	parts[0] = &p
+	benchClearParts(b, parts, target)
+}
 
 // BenchmarkIndexRefresh16of30000 is the re-sorting Refresh: 16 of 30 000
 // bids double (or halve back) their activation price between refreshes,

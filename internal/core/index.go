@@ -17,7 +17,7 @@ import "math"
 // and the minimal clearing price solves **exactly** per activation
 // segment: q′ = ΣWb/(ΣWΔ − target). No bisection is needed at all.
 //
-// Costs: O(M) one-time build (a radix sort, see radixOrder), O(log M)
+// Costs: O(M) one-time build (a bucket sort, see bucketOrder), O(log M)
 // per price solve, O(M) to materialize per-participant reductions.
 // Across simulation steps and MPR-INT rounds the index is reused — SetBid
 // marks changed bids and Refresh re-sorts only when the activation order
@@ -117,32 +117,32 @@ func (ix *MarketIndex) isSorted() bool {
 }
 
 // insertionCutoff is the largest pool sorted by insertion whatever its
-// order. The radix sort pays ~2 µs up front (eight histograms to zero
-// and prefix-sum), which insertion undercuts on distinct random keys up
-// to about here; BenchmarkClearFresh64 and 400 sit on either side.
-const insertionCutoff = 96
+// order: on distinct random keys the one-shot clear is ~20 % faster by
+// insertion at 32 keys and ~15 % faster by the bucket sort's linear passes
+// at 48 (BenchmarkClearFresh32 and 64 sit on either side).
+const insertionCutoff = 40
 
 // refreshSlack is how far from sorted a larger pool may be and still be
 // re-sorted by insertion: about this many bids out of place, wherever
-// they went. At 30,000 that is 0.4 ms against the radix sort's 1.0 ms
-// (BenchmarkIndexRefresh16of30000), break-even near 64.
+// they went. At 30,000 that costs about what the bucket sort does
+// (BenchmarkIndexRefresh16of30000), so this is the break-even.
 const refreshSlack = 16
 
 // sortOrder sets order to the unique (key, index) permutation — the one
 // ordering kernel, MarketIndex's and NewStreamMarket's. fresh says the
 // current order is the identity (a build) rather than the order before
-// some bids changed (Refresh); aK, bK and bI are radixOrder's scratch.
+// some bids changed (Refresh); aK, bK and bI are bucketOrder's scratch.
 func sortOrder[I int | int32, S int | int32 | float64](order []I, key []float64, fresh bool, aK, bK []float64, bI []S) {
 	n := len(order)
 	// Insertion sort from the current order. Placing order[k] moves at
 	// most k entries, so a slack of n never runs out; a large pool
-	// hands over to the radix sort as soon as the moves so far exceed
+	// hands over to the bucket sort as soon as the moves so far exceed
 	// refreshSlack per entry placed — at once on a shuffled order, never
 	// when only a few bids moved.
 	slack := n
 	if n > insertionCutoff {
 		if fresh {
-			radixOrder(order, key, aK, bK, bI)
+			bucketOrder(order, key, aK, bK, bI)
 			return
 		}
 		slack = refreshSlack
@@ -160,68 +160,114 @@ func sortOrder[I int | int32, S int | int32 | float64](order []I, key []float64,
 		}
 		order[j] = i
 		if moves += k - j; moves > slack*k {
-			radixOrder(order, key, aK, bK, bI)
+			bucketOrder(order, key, aK, bK, bI)
 			return
 		}
 	}
 }
 
-// radixOrder is sortOrder for large pools, in O(M).
-//
-// Activation keys are non-negative and never NaN (Bid.Validate), so
-// their IEEE-754 bits order as unsigned integers once −0 is folded into
-// +0, and a stable LSD byte-radix sort starting from index order lands
-// on exactly the permutation a comparison sort with the index tie-break
-// does. The passes ping-pong between (aK, order) and (bK, bI). MarketIndex
-// lends act and the prefix sums past slot 0 (which stays the zero it must
-// be): rebuild overwrites all three right after, and a retained megabyte
-// counts twice in the GC's heap goal; there bI carries indices as floats
-// (exact below 2⁵³). aK may be key itself once the caller is done with it.
-// It is a function of its own so that small pools never grow the stack
-// for the 16 KiB of histograms.
-func radixOrder[I int | int32, S int | int32 | float64](order []I, key, aK, bK []float64, bI []S) {
-	var hist [8][256]int
+// crowdLimit is how far one insertion may move a key before its bucket
+// counts as crowded and is bucketed again, over its own key range.
+const crowdLimit = 32
+
+// bucketOrder is sortOrder for large pools, in expected O(M): it counts
+// the keys into about one bucket each, with the counts in order, scatters
+// the (key, index) pairs stably from index order into (bK, bI), and settles
+// them there. MarketIndex lends act and the prefix sums past slot 0, which
+// rebuild overwrites right after; bI then carries indices as floats (exact
+// below 2⁵³). aK is written only once key has been read, so it may be key.
+func bucketOrder[I int | int32, S int | int32 | float64](order []I, key, aK, bK []float64, bI []S) {
+	bk := countBuckets(order, key)
 	for i, k := range key {
-		k += 0
-		aK[i], order[i] = k, I(i)
-		b := math.Float64bits(k)
-		for d := range hist {
-			hist[d][byte(b>>(8*d))]++
-		}
+		b := bk.of(k)
+		p := order[b]
+		order[b] = p + 1
+		bK[p], bI[p] = k, S(i)
 	}
-	inA := true
-	first := math.Float64bits(aK[0])
-	for d := range hist {
-		h := &hist[d]
-		if h[byte(first>>(8*d))] == len(order) {
-			continue // every key agrees on this byte
-		}
-		sum := 0
-		for v, c := range h {
-			h[v], sum = sum, sum+c
-		}
-		if inA {
-			radixPass(bK, bI, aK, order, h, uint(8*d))
-		} else {
-			radixPass(aK, order, bK, bI, h, uint(8*d))
-		}
-		inA = !inA
-	}
-	if !inA {
-		for k := range order {
-			order[k] = I(bI[k])
-		}
+	settle(bK, bI, aK, order, bk)
+	for p, x := range bI {
+		order[p] = I(x)
 	}
 }
 
-// radixPass scatters the (key, index) pairs of src into dst, stably, by
-// the key byte at shift; off holds each byte value's first dst slot.
-func radixPass[S, D int | int32 | float64](dstK []float64, dstI []D, srcK []float64, srcI []S, off *[256]int, shift uint) {
-	for j, k := range srcK {
-		v := byte(math.Float64bits(k) >> shift)
-		p := off[v]
-		off[v] = p + 1
-		dstK[p], dstI[p] = k, D(srcI[j])
+// bucketer maps keys to buckets in key order: zero (either sign) to the
+// first, +Inf to the last, and a positive finite key by its IEEE-754 bits,
+// which order as unsigned integers, from the smallest positive key's up.
+type bucketer struct {
+	lo    uint64
+	scale float64
+	last  int
+}
+
+func (bk bucketer) of(k float64) int {
+	switch {
+	case k == 0:
+		return 0
+	case k > math.MaxFloat64:
+		return bk.last
+	}
+	return 1 + int(float64(math.Float64bits(k)-bk.lo)*bk.scale)
+}
+
+// countBuckets spreads keys over as many buckets, and sets cnt[b] to bucket
+// b's first slot in their bucketed order.
+func countBuckets[I int | int32](cnt []I, keys []float64) bucketer {
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, k := range keys {
+		if k > 0 && k <= math.MaxFloat64 {
+			u := math.Float64bits(k)
+			lo, hi = min(lo, u), max(hi, u)
+		}
+	}
+	bk := bucketer{lo, float64(len(keys)-3) / float64(max(hi-lo, 1)), len(keys) - 1}
+	clear(cnt)
+	for _, k := range keys {
+		cnt[bk.of(k)]++
+	}
+	sum := I(0)
+	for b, c := range cnt {
+		cnt[b], sum = sum, sum+c
+	}
+	return bk
+}
+
+// settle insertion-sorts (k, x) by key alone: bk has bucketed them with
+// equal keys in index order, which insertion keeps. A key that moves past
+// more than crowdLimit others has met a crowded bucket, whose run is first
+// bucketed again over its own range — stably, by scattering positions into
+// f with the counts in cnt and gathering the pairs back — and settled.
+func settle[I int | int32, S int | int32 | float64](k []float64, x []S, f []float64, cnt []I, bk bucketer) {
+	for p := 1; p < len(k); p++ {
+		v, y, q := k[p], x[p], p
+		for ; q > 0 && k[q-1] > v; q-- {
+			k[q], x[q] = k[q-1], x[q-1]
+		}
+		k[q], x[q] = v, y
+		if p-q <= crowdLimit {
+			continue
+		}
+		b, s, e := bk.of(v), q, p+1
+		for s > 0 && bk.of(k[s-1]) == b {
+			s--
+		}
+		for e < len(k) && bk.of(k[e]) == b {
+			e++
+		}
+		rk, rx, rf, rc := k[s:e], x[s:e], f[s:e], cnt[s:e]
+		sub := countBuckets(rc, rk)
+		for j, v := range rk {
+			b := sub.of(v)
+			rf[rc[b]] = float64(j)
+			rc[b]++
+		}
+		for i, j := range rf {
+			rf[i], rc[i] = rk[int(j)], I(rx[int(j)])
+		}
+		for i := range rk {
+			rk[i], rx[i] = rf[i], S(rc[i])
+		}
+		settle(rk, rx, rf, rc, sub)
+		p = e - 1
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 	"testing"
 )
 
-// orderOracle is the comparison-sort form of the activation order — what
-// MarketIndex itself was before the radix sort: sort.Sort over
-// (key, index), ties broken on the participant index.
+// orderOracle is the comparison-sort form of the activation order:
+// sort.Sort over (key, index), ties broken on the participant index.
 type orderOracle struct {
 	key   []float64
 	order []int
@@ -71,6 +70,25 @@ func keyBid(k float64) Bid {
 	return Bid{Delta: 1, B: k}
 }
 
+// loneOutlierKey draws uniform keys in [0.05, 0.55] with two far above
+// them, 1e300 and MaxFloat64: spread by bits over the whole range, the
+// cluster crowds into about a three-hundredth of the buckets.
+func loneOutlierKey(rng *rand.Rand, i, n int) float64 {
+	switch i {
+	case n / 3:
+		return 1e300
+	case 2 * n / 3:
+		return math.MaxFloat64
+	}
+	return 0.05 + 0.5*rng.Float64()
+}
+
+// farClustersKey draws half its keys like loneOutlierKey's cluster and half
+// 1e200 times higher: each cluster crowds its own few buckets.
+func farClustersKey(rng *rand.Rand, i, n int) float64 {
+	return (0.05 + 0.5*rng.Float64()) * []float64{1, 1e200}[rng.Intn(2)]
+}
+
 // keyPool builds participants whose activation keys are exactly keys.
 func keyPool(keys []float64) []*Participant {
 	ps := make([]*Participant, len(keys))
@@ -84,11 +102,13 @@ func keyPool(keys []float64) []*Participant {
 	return ps
 }
 
-// TestIndexOrderMatchesOracle: the radix (and, under the cutoff, the
-// insertion) permutation is the sort.Sort oracle's on every edge class
-// of key, at sizes on both sides of the small-pool cutoff, through Reset
-// to a smaller and then a larger pool, and through re-sorting Refreshes
-// that leave the old order shuffled, nearly sorted, and half sorted.
+// TestIndexOrderMatchesOracle: the bucket-sort (and, under the cutoff,
+// the insertion) permutation is the sort.Sort oracle's on every edge class
+// of key — among them the ones that crowd the buckets and make the kernel
+// re-bucket — at sizes on both sides of the small-pool cutoff, through
+// Reset to a smaller and then a larger pool, and through re-sorting
+// Refreshes that leave the old order shuffled, nearly sorted, and half
+// sorted.
 func TestIndexOrderMatchesOracle(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	classes := []struct {
@@ -110,8 +130,10 @@ func TestIndexOrderMatchesOracle(t *testing.T) {
 		{"low byte", func(rng *rand.Rand, i, n int) float64 {
 			return math.Float64frombits(math.Float64bits(1) + uint64(rng.Intn(200)))
 		}},
+		{"lone outlier", loneOutlierKey},
+		{"two far clusters", farClustersKey},
 	}
-	sizes := []int{0, 1, 2, 17, insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 257, 4099}
+	sizes := []int{0, 1, 2, 17, insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 257, 4099, 30000}
 	for _, c := range classes {
 		for _, n := range sizes {
 			rng := rand.New(rand.NewSource(int64(n)))
@@ -142,7 +164,7 @@ func TestIndexOrderMatchesOracle(t *testing.T) {
 			// Refreshes that start re-sorting by insertion from the old
 			// order: three bids moved (to the front, to the back, onto a
 			// tie), which insertion finishes at any size; then the back
-			// half reversed, which a large pool hands to the radix sort
+			// half reversed, which a large pool hands to the bucket sort
 			// midway.
 			if n < 4 {
 				continue
@@ -177,7 +199,7 @@ func TestIndexOrderMatchesOracle(t *testing.T) {
 // FuzzIndexOrder drives the activation sort with raw key bits: two
 // header bytes (tiles, step) and then eight bytes per key. Every key is
 // repeated tiles times, step apart in its last place — exact ties at
-// step 0 — so short inputs still reach the radix side of the cutoff.
+// step 0 — so short inputs still reach the bucket-sort side of the cutoff.
 // Bit patterns that are not a valid b (negative, NaN, +Inf) become −0,
 // or a Δ = 0 bid.
 func FuzzIndexOrder(f *testing.F) {
@@ -230,10 +252,10 @@ func FuzzIndexOrder(f *testing.F) {
 	})
 }
 
-// TestIndexBuildAllocs pins the index's memory to what it was before the
-// radix sort: the struct and seven arrays, 64 bytes per participant, and
-// nothing at all for a Reset onto a pool that fits. The sort's scratch is
-// the derived arrays themselves.
+// TestIndexBuildAllocs pins the index's memory: the struct and seven
+// arrays, 64 bytes per participant, and nothing at all for a Reset onto a
+// pool that fits. The sort's scratch, its bucket counts included, is the
+// derived arrays themselves.
 func TestIndexBuildAllocs(t *testing.T) {
 	const n, runs = 30000, 8
 	ps := randomPool(rand.New(rand.NewSource(3)), n)

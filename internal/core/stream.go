@@ -17,7 +17,7 @@ import (
 // index), arena-backed with exactly one node slot per participant (the
 // arena slot *is* the participant index, so no free list is needed).
 // Each node carries its own weighted terms wΔ = W·Δ and wb = W·b and the
-// subtree aggregates (count, ΣwΔ, Σwb). Treap priorities are a fixed
+// subtree aggregates (ΣwΔ, Σwb). Treap priorities are a fixed
 // hash of the participant index (splitmix64), which makes the tree shape
 // — and therefore the floating-point summation order of the aggregates —
 // a deterministic function of the update history alone: replaying the
@@ -60,11 +60,9 @@ type streamNode struct {
 	key         float64 // activation price b/Δ
 	wd, wb      float64 // W·Δ, W·b for this participant
 	left, right int32   // arena indices; -1 = nil
-	inTree      bool
 
 	// Subtree aggregates, folded left-to-right (left + self + right) so
 	// the summation order is fixed by the tree shape.
-	cnt      int32
 	swd, swb float64
 }
 
@@ -158,7 +156,7 @@ func (sm *StreamMarket) build(key []float64, order []int32) {
 	sortOrder(order, key, true, key, bK, bI)
 	top := 0
 	for _, i := range order {
-		if !sm.nodes[i].inTree {
+		if !sm.linked(i) {
 			continue // Δ = 0: sorted last, never linked
 		}
 		last, prio := streamNil, streamPrio(i)
@@ -466,21 +464,23 @@ func (sm *StreamMarket) link(i int32) {
 // linked — and reports whether it belongs in the tree.
 func (sm *StreamMarket) derive(i int32) bool {
 	nd, b := &sm.nodes[i], sm.bids[i]
-	nd.inTree = b.Delta > 0
-	if nd.inTree {
+	if b.Delta > 0 {
 		nd.key, nd.wd, nd.wb = b.B/b.Delta, sm.watts[i]*b.Delta, sm.watts[i]*b.B
 		nd.left, nd.right = streamNil, streamNil
 	}
-	return nd.inTree
+	return b.Delta > 0
+}
+
+// linked reports whether slot i is in the tree (Apply unlinks it first).
+func (sm *StreamMarket) linked(i int32) bool {
+	return sm.active[i] && sm.bids[i].Delta > 0
 }
 
 // unlink detaches slot i from the tree if present.
 func (sm *StreamMarket) unlink(i int32) {
-	if !sm.nodes[i].inTree {
-		return
+	if sm.linked(i) {
+		sm.root = sm.delete(sm.root, i)
 	}
-	sm.root = sm.delete(sm.root, i)
-	sm.nodes[i].inTree = false
 }
 
 // less orders nodes by (activation price, participant index); the index
@@ -498,20 +498,18 @@ func (sm *StreamMarket) less(a, b int32) bool {
 // left + self + right so the summation order is the tree shape's.
 func (sm *StreamMarket) pull(t int32) {
 	nd := &sm.nodes[t]
-	cnt, swd, swb := int32(1), nd.wd, nd.wb
+	swd, swb := nd.wd, nd.wb
 	if l := nd.left; l != streamNil {
 		ld := &sm.nodes[l]
-		cnt += ld.cnt
 		swd = ld.swd + swd
 		swb = ld.swb + swb
 	}
 	if r := nd.right; r != streamNil {
 		rd := &sm.nodes[r]
-		cnt += rd.cnt
 		swd += rd.swd
 		swb += rd.swb
 	}
-	nd.cnt, nd.swd, nd.swb = cnt, swd, swb
+	nd.swd, nd.swb = swd, swb
 }
 
 // insert adds node n (fields already derived) under t, returning the new
@@ -609,53 +607,49 @@ func (sm *StreamMarket) depth() int {
 // checkInvariants validates the treap ordering, heap property, and
 // aggregate consistency — the white-box test hook.
 func (sm *StreamMarket) checkInvariants() error {
-	var walk func(t int32, lo, hi float64) (int32, float64, float64, error)
-	walk = func(t int32, lo, hi float64) (int32, float64, float64, error) {
+	var walk func(t int32, lo, hi float64) (float64, float64, error)
+	walk = func(t int32, lo, hi float64) (float64, float64, error) {
 		if t == streamNil {
-			return 0, 0, 0, nil
+			return 0, 0, nil
 		}
 		nd := &sm.nodes[t]
-		if !nd.inTree {
-			return 0, 0, 0, fmt.Errorf("node %d linked but not marked inTree", t)
+		if !sm.linked(t) {
+			return 0, 0, fmt.Errorf("node %d in the tree but its slot is inactive or Δ = 0", t)
 		}
 		if nd.key < lo || nd.key > hi {
-			return 0, 0, 0, fmt.Errorf("node %d key %v outside (%v, %v)", t, nd.key, lo, hi)
+			return 0, 0, fmt.Errorf("node %d key %v outside (%v, %v)", t, nd.key, lo, hi)
 		}
 		if l := nd.left; l != streamNil {
 			if streamPrio(l) > streamPrio(t) {
-				return 0, 0, 0, fmt.Errorf("heap violation at %d/%d", t, l)
+				return 0, 0, fmt.Errorf("heap violation at %d/%d", t, l)
 			}
 			if !sm.less(l, t) {
-				return 0, 0, 0, fmt.Errorf("order violation at %d/%d", t, l)
+				return 0, 0, fmt.Errorf("order violation at %d/%d", t, l)
 			}
 		}
 		if r := nd.right; r != streamNil {
 			if streamPrio(r) > streamPrio(t) {
-				return 0, 0, 0, fmt.Errorf("heap violation at %d/%d", t, r)
+				return 0, 0, fmt.Errorf("heap violation at %d/%d", t, r)
 			}
 			if !sm.less(t, r) {
-				return 0, 0, 0, fmt.Errorf("order violation at %d/%d", t, r)
+				return 0, 0, fmt.Errorf("order violation at %d/%d", t, r)
 			}
 		}
-		lc, lwd, lwb, err := walk(nd.left, lo, nd.key)
+		lwd, lwb, err := walk(nd.left, lo, nd.key)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
-		rc, rwd, rwb, err := walk(nd.right, nd.key, hi)
+		rwd, rwb, err := walk(nd.right, nd.key, hi)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
-		cnt := lc + 1 + rc
 		swd := lwd + nd.wd + rwd
 		swb := lwb + nd.wb + rwb
-		if cnt != nd.cnt {
-			return 0, 0, 0, fmt.Errorf("node %d count %d, want %d", t, nd.cnt, cnt)
-		}
 		if math.Abs(swd-nd.swd) > 1e-6*(1+math.Abs(swd)) || math.Abs(swb-nd.swb) > 1e-6*(1+math.Abs(swb)) {
-			return 0, 0, 0, fmt.Errorf("node %d aggregates (%v, %v), want (%v, %v)", t, nd.swd, nd.swb, swd, swb)
+			return 0, 0, fmt.Errorf("node %d aggregates (%v, %v), want (%v, %v)", t, nd.swd, nd.swb, swd, swb)
 		}
-		return cnt, nd.swd, nd.swb, nil
+		return nd.swd, nd.swb, nil
 	}
-	_, _, _, err := walk(sm.root, math.Inf(-1), math.Inf(1))
+	_, _, err := walk(sm.root, math.Inf(-1), math.Inf(1))
 	return err
 }

@@ -49,10 +49,10 @@ func sameStream(got, want *StreamMarket) error {
 	}
 	for i := range want.nodes {
 		g, w := got.nodes[i], want.nodes[i]
-		if g.left != w.left || g.right != w.right || g.inTree != w.inTree || g.cnt != w.cnt ||
+		if g.left != w.left || g.right != w.right || got.linked(int32(i)) != want.linked(int32(i)) ||
 			bits(g.key) != bits(w.key) || bits(g.wd) != bits(w.wd) || bits(g.wb) != bits(w.wb) ||
 			bits(g.swd) != bits(w.swd) || bits(g.swb) != bits(w.swb) {
-			return fmt.Errorf("node %d = %+v, want %+v", i, g, w)
+			return fmt.Errorf("node %d = %+v (linked %v), want %+v (linked %v)", i, g, got.linked(int32(i)), w, want.linked(int32(i)))
 		}
 		if bits(got.watts[i]) != bits(want.watts[i]) || got.bids[i] != want.bids[i] || got.active[i] != want.active[i] {
 			return fmt.Errorf("slot %d = (%v, %+v, %v), want (%v, %+v, %v)", i,
@@ -67,7 +67,8 @@ func sameStream(got, want *StreamMarket) error {
 // both sides of the kernel's small-pool cutoff and on every edge class of
 // bid: ties, b = 0, ±0 keys, Δ = 0 slots among them, keys that overflow
 // to +Inf beside Δ = 0 slots (which sort at +Inf but are never linked),
-// and key orders that follow the priorities up and down (one long spine).
+// keys that crowd the kernel's buckets, and key orders that follow the
+// priorities up and down (one long spine).
 func TestStreamBuildMatchesSequentialLinks(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	classes := []struct {
@@ -96,6 +97,8 @@ func TestStreamBuildMatchesSequentialLinks(t *testing.T) {
 		}},
 		{"sorted", func(rng *rand.Rand, i, n int) Bid { return Bid{Delta: 1, B: float64(i) / 7} }},
 		{"reversed", func(rng *rand.Rand, i, n int) Bid { return Bid{Delta: 1, B: float64(n-i) / 7} }},
+		{"lone outlier", func(rng *rand.Rand, i, n int) Bid { return keyBid(loneOutlierKey(rng, i, n)) }},
+		{"two far clusters", func(rng *rand.Rand, i, n int) Bid { return keyBid(farClustersKey(rng, i, n)) }},
 	}
 	sizes := []int{0, 1, 2, 3, 17, insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 400, 5000, 100000}
 	if testing.Short() {
@@ -162,9 +165,10 @@ func TestStreamBuildMatchesSequentialLinks(t *testing.T) {
 }
 
 // TestStreamBuildAllocs pins the construction's memory: the market and
-// its four arrays (81 bytes a participant), plus the sort's transient
-// scratch — two keys and two int32 indices, 24 bytes a participant in four
-// objects — of which nothing is live once NewStreamMarket has returned.
+// its four arrays (73 bytes a participant: watts 8, bid 16, active 1 and
+// node 48), plus the sort's transient scratch — two keys and two int32
+// indices, 24 bytes a participant in four objects — of which nothing is
+// live once NewStreamMarket has returned.
 func TestStreamBuildAllocs(t *testing.T) {
 	const n, runs = 30000, 8
 	ps := randomPool(rand.New(rand.NewSource(3)), n)
@@ -188,8 +192,8 @@ func TestStreamBuildAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	// Each array is rounded up to whole 8 KiB pages.
 	const page = 8192
-	if got, max := (after.TotalAlloc-before.TotalAlloc)/runs, uint64((81+24)*n+8*page+256); got > max {
-		t.Errorf("NewStreamMarket(%d) allocated %d bytes, want ≤ %d (81·n kept, 24·n scratch, plus rounding)", n, got, max)
+	if got, max := (after.TotalAlloc-before.TotalAlloc)/runs, uint64((73+24)*n+8*page+256); got > max {
+		t.Errorf("NewStreamMarket(%d) allocated %d bytes, want ≤ %d (73·n kept, 24·n scratch, plus rounding)", n, got, max)
 	}
 	sm = nil
 	runtime.GC()
@@ -197,8 +201,8 @@ func TestStreamBuildAllocs(t *testing.T) {
 	build()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if got, max := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(81*n+4*page+4096); got > max {
-		t.Errorf("a built market of %d keeps %d bytes live, want ≤ %d (81·n plus rounding): scratch retained?", n, got, max)
+	if got, max := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(73*n+4*page+4096); got > max {
+		t.Errorf("a built market of %d keeps %d bytes live, want ≤ %d (73·n plus rounding): scratch retained?", n, got, max)
 	}
 	if err := sameStream(sm, linkedStream(ps, 1e5)); err != nil {
 		t.Errorf("constructed ≠ linked: %v", err)
