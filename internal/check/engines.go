@@ -147,10 +147,16 @@ func DiffEngines(baseSeed int64, instances int) (DiffStats, error) {
 	return foldStats(parts), nil
 }
 
+// diffTraceEvents is the event window both runs of a differential retain.
+// A Result keeps no trace by default, and CompareEngineResults would
+// then compare two empty windows.
+const diffTraceEvents = 1024
+
 func diffOneEngines(g *Gen, st *DiffStats) error {
 	st.Instances++
 	cfg := g.SimConfig()
 	cfg.RecordJobs = true
+	cfg.TraceEvents = diffTraceEvents
 	fixed, err := sim.RunFixedStep(cfg)
 	if err != nil {
 		return fmt.Errorf("RunFixedStep: %v", err)
@@ -162,6 +168,7 @@ func diffOneEngines(g *Gen, st *DiffStats) error {
 	st.Participants += fixed.JobsTotal
 	st.Emergencies += fixed.EmergencyCount
 	st.SimSlots += fixed.Slots
+	st.Events += len(fixed.TraceEvents)
 	return CompareEngineResults(fixed, skip)
 }
 

@@ -25,10 +25,15 @@ func TestDiffEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("RunFixedStep vs Run: %d instances, %d jobs, %d emergencies, %d simulated slots in %v",
-		st.Instances, st.Participants, st.Emergencies, st.SimSlots, time.Since(start))
+	t.Logf("RunFixedStep vs Run: %d instances, %d jobs, %d emergencies, %d simulated slots, %d trace events in %v",
+		st.Instances, st.Participants, st.Emergencies, st.SimSlots, st.Events, time.Since(start))
 	if st.Instances != n {
 		t.Errorf("ran %d instances, want %d", st.Instances, n)
+	}
+	// Every run emits events (an emergency at least declares), so an
+	// empty population means the Results kept no window to compare.
+	if st.Events < st.Emergencies {
+		t.Errorf("compared %d trace events across %d emergencies — the event windows were empty", st.Events, st.Emergencies)
 	}
 	// The generated population must actually exercise overload handling,
 	// or the differential pins nothing but idle slot replay.
@@ -100,6 +105,7 @@ func FuzzEngines(f *testing.F) {
 			Backfill:         backfill,
 			MarketDelaySlots: int(knobs>>4) % 4,
 			RecordJobs:       true,
+			TraceEvents:      diffTraceEvents,
 		}
 		fixed, err := sim.RunFixedStep(cfg)
 		if err != nil {

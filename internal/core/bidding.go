@@ -54,31 +54,54 @@ func (s *StaticBidder) RespondBid(float64) Bid { return s.Fixed }
 // over the entire price range. Formally b = max_q q·(Δ − δ_ref(q)), so
 // that δ_bid(q) = Δ − b/q ≤ δ_ref(q) for all q.
 func CooperativeBid(cores float64, model *perf.CostModel) Bid {
-	return scaleCooperative(cores, model.Profile.MaxReduction(), cooperativePerCore(model))
+	b, _ := cooperativePerCore(model)
+	return scaleCooperative(cores, model.Profile.MaxReduction(), b)
 }
 
+// cooperativeSamples is how many prices in (0, q_sat] the cooperative
+// bid's maximum is taken over.
+const cooperativeSamples = 512
+
 // cooperativePerCore solves the cooperative bid's reluctance b for one
-// core of the model. It never sees the job's size: a job's bid is this b
-// and the profile's per-core Δ, both times its cores (scaleCooperative).
-func cooperativePerCore(model *perf.CostModel) float64 {
+// core of the model, as the maximum of q·(Δ − δ_ref(q)) over
+// cooperativeSamples prices, and reports how many of them it evaluated.
+// It never sees the job's size: a job's bid is this b and the profile's
+// per-core Δ, both times its cores (scaleCooperative).
+//
+// A sample is skipped, without running its ReferenceReduction bisection,
+// when q·(Δ − r) ≤ b, r being the last reduction computed at a lower
+// price (0 before the first). The skip is exact: ReferenceReduction is
+// non-decreasing in q — for a fixed midpoint its test UnitCost(mid) ≤ q
+// can only turn true as q grows, so the bisection's bracket at a higher
+// price never lies below the one at a lower price, and its early return
+// gives the largest value, Δ. Rounded subtraction and multiplication by
+// q > 0 are monotone too, so the skipped sample's q·(Δ − δ_ref(q)) is at
+// most q·(Δ − r) ≤ b and could not have raised b: the result is the full
+// scan's bit for bit. (At q ≤ 0, δ_ref is 0 = r and the bound is the
+// sample's value itself.) A NaN bound is never ≤ b, so a NaN model is
+// scanned in full.
+func cooperativePerCore(model *perf.CostModel) (b float64, evaluated int) {
 	maxPC := model.Profile.MaxReduction()
 	if maxPC <= 0 {
-		return 0
+		return 0, 0
 	}
 	// Beyond the saturation price q_sat = UnitCost(Δ) the reference
 	// supplies the full Δ and the constraint term q·(Δ−δ_ref) vanishes,
 	// so the maximum lies in (0, q_sat].
 	qSat := model.UnitCost(maxPC)
-	const samples = 512
-	b := 0.0
-	for i := 1; i <= samples; i++ {
-		q := qSat * float64(i) / samples
-		ref := model.ReferenceReduction(q)
+	ref := 0.0
+	for i := 1; i <= cooperativeSamples; i++ {
+		q := qSat * float64(i) / cooperativeSamples
+		if q*(maxPC-ref) <= b {
+			continue
+		}
+		ref = model.ReferenceReduction(q)
+		evaluated++
 		if v := q * (maxPC - ref); v > b {
 			b = v
 		}
 	}
-	return b
+	return b, evaluated
 }
 
 // scaleCooperative sizes a per-core cooperative bid (maxPC, b) to a job
@@ -118,7 +141,7 @@ func (c *CooperativeBids) Bid(cores float64, model *perf.CostModel) Bid {
 			return scaleCooperative(cores, maxPC, c.solved[i].b)
 		}
 	}
-	b := cooperativePerCore(model)
+	b, _ := cooperativePerCore(model)
 	c.solved = append(c.solved, coopClass{*model, b})
 	return scaleCooperative(cores, maxPC, b)
 }

@@ -1,0 +1,106 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"mpr/internal/perf"
+)
+
+// fullScanCooperative is the cooperative bid's reluctance as the plain
+// scan computes it, one ReferenceReduction per sampled price: the
+// reference cooperativePerCore's pruning must reproduce bit for bit.
+func fullScanCooperative(model *perf.CostModel) float64 {
+	maxPC := model.Profile.MaxReduction()
+	if maxPC <= 0 {
+		return 0
+	}
+	qSat := model.UnitCost(maxPC)
+	b := 0.0
+	for i := 1; i <= cooperativeSamples; i++ {
+		q := qSat * float64(i) / cooperativeSamples
+		ref := model.ReferenceReduction(q)
+		if v := q * (maxPC - ref); v > b {
+			b = v
+		}
+	}
+	return b
+}
+
+// checkPrunedScan requires the pruned scan to return the full scan's b
+// bit for bit, and returns how many samples it evaluated.
+func checkPrunedScan(t *testing.T, model *perf.CostModel) int {
+	t.Helper()
+	got, evaluated := cooperativePerCore(model)
+	if want := fullScanCooperative(model); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s α=%v %v: pruned b = %v, full scan %v", model.Profile.Name, model.Alpha, model.Shape, got, want)
+	}
+	return evaluated
+}
+
+// TestCooperativePruneMatchesFullScan pins the pruning's exactness over
+// random models: every CPU and GPU profile, both cost shapes, and α from
+// 0.3 to 3 — below the paper's α ≥ 1 floor too, as the cost-error
+// studies build them.
+func TestCooperativePruneMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	profiles := perf.AllProfiles()
+	shapes := []perf.CostShape{perf.CostLinear, perf.CostQuadratic}
+	const models = 3000
+	evaluated := 0
+	for i := 0; i < models; i++ {
+		prof := profiles[rng.Intn(len(profiles))]
+		alpha := 0.3 + 2.7*rng.Float64()
+		evaluated += checkPrunedScan(t, perf.NewCostModelUnchecked(prof, alpha, shapes[rng.Intn(len(shapes))]))
+	}
+	t.Logf("%d models: %.1f of %d samples evaluated on average", models, float64(evaluated)/models, cooperativeSamples)
+}
+
+// TestCooperativePruneCount is the count gate on the pruning: how many
+// of the 512 sampled prices still run a ReferenceReduction bisection at
+// the paper's α = 1, for every profile, {linear, quadratic}. The count
+// depends on the profile's Δ alone (its sensitivity scales every price
+// alike), so it is one pair per device. The counts are exact, so a change
+// that loosens the bound shows here even when the bid stays right.
+func TestCooperativePruneCount(t *testing.T) {
+	want := map[perf.Device][2]int{
+		perf.DeviceCPU:     {166, 201},
+		perf.DeviceGPUP40:  {413, 260},
+		perf.DeviceGPU1070: {214, 213},
+		perf.DeviceGPU2080: {214, 213},
+	}
+	for _, prof := range perf.AllProfiles() {
+		for s, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
+			got := checkPrunedScan(t, perf.NewCostModel(prof, 1, shape))
+			if w := want[prof.Device][s]; got != w {
+				t.Errorf("%s %v: %d of %d samples evaluated, want %d", prof.Name, shape, got, cooperativeSamples, w)
+			}
+		}
+	}
+}
+
+// FuzzCooperativePrune checks the pruned scan against the full one on
+// arbitrary valid profiles and cost models. The seeds are the two P40
+// applications, the pruning's worst case.
+func FuzzCooperativePrune(f *testing.F) {
+	for _, name := range []string{"Jacobi", "TeaLeaf"} {
+		prof, err := perf.ProfileByName(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(prof.Sens, prof.MinAlloc, 1.0, false)
+		f.Add(prof.Sens, prof.MinAlloc, 0.5, true)
+	}
+	f.Fuzz(func(t *testing.T, sens, minAlloc, alpha float64, quadratic bool) {
+		prof := &perf.Profile{Name: "fuzz", Sens: sens, MinAlloc: minAlloc}
+		if prof.Validate() != nil || math.IsInf(sens, 0) || !(alpha >= 0 && alpha <= 1e6) {
+			t.Skip()
+		}
+		shape := perf.CostLinear
+		if quadratic {
+			shape = perf.CostQuadratic
+		}
+		checkPrunedScan(t, perf.NewCostModelUnchecked(prof, alpha, shape))
+	})
+}

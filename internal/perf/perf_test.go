@@ -82,20 +82,6 @@ func TestPerformanceCalibration(t *testing.T) {
 	}
 }
 
-func TestProfileCurve(t *testing.T) {
-	p, _ := ProfileByName("CoMD")
-	alloc, perf := p.Curve(8)
-	if len(alloc) != 8 || len(perf) != 8 {
-		t.Fatalf("curve lengths: %d %d", len(alloc), len(perf))
-	}
-	if alloc[0] != p.MinAlloc || alloc[7] != 1 {
-		t.Errorf("curve range: %v..%v", alloc[0], alloc[7])
-	}
-	if perf[7] != 100 {
-		t.Errorf("curve end perf = %v", perf[7])
-	}
-}
-
 // Property: performance is monotone non-decreasing in allocation for all
 // profiles, and speed is performance/100.
 func TestPerformanceMonotone(t *testing.T) {
@@ -141,16 +127,20 @@ func TestExtraExecutionConvex(t *testing.T) {
 }
 
 func TestSensitivityOrdering(t *testing.T) {
+	// Sensitivity is the extra execution at the maximum reduction.
+	sens := func(name string) float64 {
+		p, err := ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.ExtraExecution(p.MaxReduction())
+	}
 	// SimpleMOC must be more sensitive than RSBench (Fig. 9(c) discussion).
-	moc, _ := ProfileByName("SimpleMOC")
-	rs, _ := ProfileByName("RSBench")
-	if moc.Sensitivity() <= rs.Sensitivity() {
-		t.Errorf("SimpleMOC sensitivity %v should exceed RSBench %v", moc.Sensitivity(), rs.Sensitivity())
+	if moc, rs := sens("SimpleMOC"), sens("RSBench"); moc <= rs {
+		t.Errorf("SimpleMOC sensitivity %v should exceed RSBench %v", moc, rs)
 	}
 	// Jacobi is the most sensitive GPU app.
-	jac, _ := ProfileByName("Jacobi")
-	gemm, _ := ProfileByName("GEMM-2080")
-	if jac.Sensitivity() <= gemm.Sensitivity() {
+	if sens("Jacobi") <= sens("GEMM-2080") {
 		t.Errorf("Jacobi should be more sensitive than GEMM-2080")
 	}
 }

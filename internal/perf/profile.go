@@ -120,26 +120,3 @@ func (p *Profile) ExtraExecutionDeriv(delta float64) float64 {
 	om := 1 - delta
 	return p.Sens / (om * om)
 }
-
-// Sensitivity summarizes how sensitive the application is to resource
-// reduction: the extra execution at the maximum supported reduction.
-// Useful for ordering applications as in Fig. 9(c).
-func (p *Profile) Sensitivity() float64 {
-	return p.ExtraExecution(p.MaxReduction())
-}
-
-// Curve samples the performance curve at n evenly spaced allocations in
-// [MinAlloc, 1] for plotting (Figs. 7(a), 15(a)).
-func (p *Profile) Curve(n int) (alloc, perf []float64) {
-	if n < 2 {
-		n = 2
-	}
-	alloc = make([]float64, n)
-	perf = make([]float64, n)
-	for i := 0; i < n; i++ {
-		a := p.MinAlloc + (1-p.MinAlloc)*float64(i)/float64(n-1)
-		alloc[i] = a
-		perf[i] = p.Performance(a)
-	}
-	return alloc, perf
-}

@@ -43,26 +43,6 @@ func (m CoreModel) JobPower(cores, speed float64) float64 {
 	return cores * (m.StaticW + speed*m.DynamicW)
 }
 
-// ReductionWatts converts a resource reduction of delta cores into the
-// watts saved: resource reduction only scales the dynamic component, so
-// P(δ) = δ·DynamicW (the established linear power-capping model the paper
-// relies on for Eqn. (2)).
-func (m CoreModel) ReductionWatts(delta float64) float64 {
-	if delta < 0 {
-		delta = 0
-	}
-	return delta * m.DynamicW
-}
-
-// CoresForWatts inverts ReductionWatts: the resource reduction needed to
-// save the given watts.
-func (m CoreModel) CoresForWatts(watts float64) float64 {
-	if watts <= 0 || m.DynamicW <= 0 {
-		return 0
-	}
-	return watts / m.DynamicW
-}
-
 // Oversubscription describes a capacity plan: the infrastructure capacity
 // is set below the system's peak power demand by the oversubscription
 // percentage (Section IV-A): with x% oversubscription, overload occurs

@@ -30,24 +30,6 @@ func TestJobPowerClamps(t *testing.T) {
 	}
 }
 
-func TestReductionWattsRoundTrip(t *testing.T) {
-	m := DefaultCPUCoreModel
-	prop := func(raw float64) bool {
-		d := math.Abs(math.Mod(raw, 100))
-		w := m.ReductionWatts(d)
-		return floats.AbsEqual(m.CoresForWatts(w), d, 1e-9)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-	if m.ReductionWatts(-3) != 0 {
-		t.Error("negative reduction saves nothing")
-	}
-	if m.CoresForWatts(-10) != 0 {
-		t.Error("negative watts need no cores")
-	}
-}
-
 func TestOversubscriptionCapacity(t *testing.T) {
 	o := Oversubscription{PeakW: 301800, Percent: 20}
 	want := 301800.0 * 100 / 120

@@ -122,16 +122,17 @@ type Config struct {
 	// (default 4096; each series also keeps 10× and 100× downsampled
 	// rings of the same bucket count).
 	SeriesCapacity int
-	// TraceEvents caps the run's in-memory telemetry event ring (the
-	// clearing-round and emergency trace returned in Result.TraceEvents)
-	// and its span ring (Result.Spans). Default 64: a Result keeps the
-	// window and callers keep Results (the experiments' cache, the
-	// benchmark's laps), so the default is a tail, not a log — set a size
-	// or a TraceSink to get the whole run.
+	// TraceEvents, when positive, sizes the run's in-memory telemetry
+	// event ring (the clearing-round and emergency trace returned in
+	// Result.TraceEvents) and its span ring (Result.Spans), each at least
+	// 16. Zero, the default, retains neither: callers keep Results (the
+	// experiments' cache, the benchmark's laps) and no production caller
+	// reads the window, so a run without TraceEvents or TraceSink builds
+	// no tracer at all. Negative is an error.
 	TraceEvents int
 	// TraceSink, when set, receives every telemetry event as one JSON
 	// line — the offline-analysis feed for convergence and emergency
-	// studies.
+	// studies. It sees the whole run whatever TraceEvents retains.
 	TraceSink io.Writer
 	// RecordJobs records every job's timeline (submit/start/end slots,
 	// completion, affectedness, final remaining work) into Result.Jobs —
@@ -204,8 +205,8 @@ func (c *Config) Normalize() error {
 	if c.PhasePeriodSlots < 2 {
 		return fmt.Errorf("sim: phase period must be at least 2 slots, got %d", c.PhasePeriodSlots)
 	}
-	if c.TraceEvents <= 0 {
-		c.TraceEvents = 64
+	if c.TraceEvents < 0 {
+		return fmt.Errorf("sim: trace event window must be non-negative, got %d", c.TraceEvents)
 	}
 	return nil
 }

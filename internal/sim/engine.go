@@ -190,12 +190,15 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Per-run observability: a private registry plus an event tracer whose
-	// retained window and snapshot ship inside the Result. The power
-	// controller registers its gauges/histograms in the same registry.
+	// Per-run observability: a private registry whose snapshot ships
+	// inside the Result, plus an event tracer only when the run asks for a
+	// retained window or a sink. Without one every span and event below is
+	// a nil-handle no-op. The power controller registers its
+	// gauges/histograms in the same registry.
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(cfg.TraceEvents)
-	if cfg.TraceSink != nil {
+	var tracer *telemetry.Tracer
+	if cfg.TraceEvents > 0 || cfg.TraceSink != nil {
+		tracer = telemetry.NewTracer(cfg.TraceEvents)
 		tracer.SetSink(cfg.TraceSink)
 	}
 	runTrace := tracer.StartTrace(string(cfg.Algorithm))
@@ -674,9 +677,11 @@ func (st *engineState) finish() *Result {
 	// run's span set is complete.
 	st.emSpan.End()
 	res.Series = st.seriesStore
-	res.Spans = st.tracer.Spans()
 	res.Telemetry = st.reg.Snapshot()
-	res.TraceEvents = st.tracer.Events()
+	if cfg.TraceEvents > 0 {
+		res.Spans = st.tracer.Spans()
+		res.TraceEvents = st.tracer.Events()
+	}
 	return res
 }
 
@@ -734,16 +739,15 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 // returns how many it derived and how many solves that took. Overloads
 // are rare, so most jobs of a trace never enter a market and never get a
 // bid; the bid is a pure function of (cores, bidModel), so deriving it
-// late changes no result. The ~145 µs solve is per core of a cost model,
-// so jobs of this batch whose bid models are equal share one: coop
+// late changes no result. The solve (≈ 21 µs for XSBench at α = 1 on a
+// 2-vCPU x86-64 box, BenchmarkCooperativeBid) is per core of a cost
+// model, so jobs of this batch whose bid models are equal share one: coop
 // remembers the models solved in this call and nothing from the one
 // before. With a per-job cost error (CostErrorRand) no two models are
 // equal and every job is solved, as it would be without coop.
 //
 // Keeping the solved models for the whole run is ROADMAP's "run-scoped
-// memo" item and waits for the bench-only PR named there: it makes the
-// sparse shape an order of magnitude faster, which the benchmark's
-// retained laps turn into peak-RSS growth. Do not add it here.
+// memo" item and is still deferred; do not add it here.
 func deriveStaticBids(cfg *Config, active []*simJob, coop *core.CooperativeBids) (derived, solves int) {
 	coop.Reset()
 	for _, j := range active {

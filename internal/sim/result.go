@@ -115,7 +115,8 @@ type Result struct {
 
 	// Spans are the run's completed hierarchical trace spans: each
 	// emergency contains its market-invocation children (and, for
-	// MPR-INT, per-round grandchildren with the bid fan-out).
+	// MPR-INT, per-round grandchildren with the bid fan-out). Nil unless
+	// Config.TraceEvents is positive; it caps how many are kept.
 	Spans []telemetry.Span
 
 	// Telemetry is the run's metrics snapshot: market clears and price
@@ -125,8 +126,9 @@ type Result struct {
 	Telemetry *telemetry.Snapshot
 	// TraceEvents is the run's retained telemetry event window
 	// (chronological): emergency declare/raise/lift, per-invocation
-	// market clears, and MPR-INT per-round price trajectories. Capped by
-	// Config.TraceEvents.
+	// market clears, and MPR-INT per-round price trajectories. Nil unless
+	// Config.TraceEvents is positive; it caps how many are kept (a
+	// Config.TraceSink sees them all).
 	TraceEvents []telemetry.Event
 }
 

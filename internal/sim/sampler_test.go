@@ -46,7 +46,7 @@ func TestRunSampleSeries(t *testing.T) {
 	tr := testTrace(t, 3)
 	res, err := Run(Config{
 		Trace: tr, OversubPct: 15, Algorithm: AlgMPRInt, Seed: 7,
-		SampleSeries: true, SeriesCapacity: 1 << 16,
+		SampleSeries: true, SeriesCapacity: 1 << 16, TraceEvents: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,10 @@ func TestRunSampleSeriesExportDeterministic(t *testing.T) {
 
 func TestRunWithoutSampleSeriesHasNoStore(t *testing.T) {
 	tr := testTrace(t, 1)
-	res := runAlgo(t, tr, AlgMPRStat, 15)
+	res, err := Run(Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7, TraceEvents: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Series != nil {
 		t.Fatal("store present without SampleSeries")
 	}

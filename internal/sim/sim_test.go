@@ -300,6 +300,7 @@ func TestConfigValidation(t *testing.T) {
 		{Trace: tr, StatBidFactor: -1},
 		{Trace: tr, CostErrorRand: 1.5},
 		{Trace: tr, CostErrorUnder: 1},
+		{Trace: tr, TraceEvents: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

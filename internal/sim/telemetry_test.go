@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +71,10 @@ func TestResultTelemetryConsistency(t *testing.T) {
 // price trajectories tagged with the run's trace ID.
 func TestResultTraceEvents(t *testing.T) {
 	tr := testTrace(t, 3)
-	res := runAlgo(t, tr, AlgMPRInt, 15)
+	res, err := Run(Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRInt, Seed: 7, TraceEvents: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.TraceEvents) == 0 {
 		t.Fatal("no trace events recorded")
 	}
@@ -83,8 +87,8 @@ func TestResultTraceEvents(t *testing.T) {
 		}
 		lastSeq = e.Seq
 	}
-	// The window may have evicted early events; with the default cap the
-	// tail must still hold market clears and interactive rounds.
+	// The window may have evicted early events; a 64-event tail must
+	// still hold market clears and interactive rounds.
 	if counts["market_clear"] == 0 {
 		t.Fatalf("no market_clear events: %v", counts)
 	}
@@ -130,6 +134,87 @@ func TestTraceSinkJSONL(t *testing.T) {
 	if clears != res.MarketInvocations {
 		t.Fatalf("sink saw %d market_clear events, result has %d invocations",
 			clears, res.MarketInvocations)
+	}
+}
+
+// TestDefaultRunKeepsNoTrace pins tracing as opt-in: a Result keeps no
+// span or event window unless Config.TraceEvents asks for one, a
+// TraceSink alone still streams every event the run emits, and a default
+// Result of the sparse shape stays small enough that callers can keep
+// thousands of them.
+func TestDefaultRunKeepsNoTrace(t *testing.T) {
+	tr := testTrace(t, 3)
+	cfg := Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRInt, Seed: 7}
+	run := func(cfg Config) *Result {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(cfg)
+	if plain.EmergencyCount == 0 {
+		t.Fatal("no emergencies — nothing would be traced")
+	}
+	if plain.Spans != nil || plain.TraceEvents != nil {
+		t.Fatalf("default run retained %d spans and %d events, want none", len(plain.Spans), len(plain.TraceEvents))
+	}
+
+	// The whole run, retained: the window is larger than the run's events.
+	full := cfg
+	full.TraceEvents = 1 << 16
+	all := run(full).TraceEvents
+	if len(all) == 0 || len(all) == full.TraceEvents {
+		t.Fatalf("a %d-event window kept %d events, want the whole run", full.TraceEvents, len(all))
+	}
+	var sink strings.Builder
+	streamed := cfg
+	streamed.TraceSink = &sink
+	res := run(streamed)
+	if res.Spans != nil || res.TraceEvents != nil {
+		t.Fatalf("sink-only run retained %d spans and %d events, want none", len(res.Spans), len(res.TraceEvents))
+	}
+	sc := bufio.NewScanner(strings.NewReader(sink.String()))
+	n := 0
+	for ; sc.Scan(); n++ {
+		var e telemetry.Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		if n >= len(all) {
+			continue
+		}
+		want := all[n]
+		e.TimeNS, want.TimeNS = 0, 0 // wall clock, stamped by Emit
+		if e != want {
+			t.Fatalf("streamed event %d = %+v, retained run has %+v", n, e, want)
+		}
+	}
+	if n != len(all) {
+		t.Fatalf("sink saw %d events, the retained run %d", n, len(all))
+	}
+
+	// Retained bytes per default Result of the sparse shape, averaged over
+	// a few kept Results so the runtime's own allocations round away.
+	sparse := sparseConfig()
+	sparse.RecordJobs = false
+	run(sparse)
+	const kept = 8
+	results := make([]*Result, kept)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range results {
+		results[i] = run(sparse)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perResult := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / kept
+	runtime.KeepAlive(results)
+	t.Logf("a default sparse Result retains %d bytes", perResult)
+	if perResult > 4096 {
+		t.Errorf("a default sparse Result retains %d bytes, want ≤ 4096", perResult)
 	}
 }
 

@@ -8,56 +8,7 @@
 // written to be called millions of times inside the simulator.
 package solver
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoBracket is returned by Bisect when the supplied interval does not
-// bracket a sign change of f.
-var ErrNoBracket = errors.New("solver: interval does not bracket a root")
-
-// ErrMaxIter is returned when an iterative method exhausts its iteration
-// budget before reaching the requested tolerance.
-var ErrMaxIter = errors.New("solver: maximum iterations exceeded")
-
-// DefaultTol is the tolerance used by callers that do not have a more
-// specific accuracy requirement.
-const DefaultTol = 1e-9
-
-// Bisect finds x in [lo, hi] such that f(x) == 0 to within tol, assuming
-// f(lo) and f(hi) have opposite signs. It is robust to non-smooth but
-// monotone f, which is exactly the shape of the market excess-supply
-// function (piecewise smooth because of the [·]+ clamp in the supply
-// function).
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if flo*fhi > 0 {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < 200; i++ {
-		mid := 0.5 * (lo + hi)
-		if hi-lo < tol {
-			return mid, nil
-		}
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if fm*flo < 0 {
-			hi = mid
-		} else {
-			lo, flo = mid, fm
-		}
-	}
-	return 0.5 * (lo + hi), ErrMaxIter
-}
+import "math"
 
 // BisectMin finds the smallest x in [lo, hi] with g(x) >= 0, assuming g is
 // non-decreasing. If g(hi) < 0 it returns hi and false. This is the form of
@@ -320,15 +271,4 @@ func LinearFit(x, y []float64) (slope, intercept float64) {
 	slope = (n*sxy - sx*sy) / den
 	intercept = (sy - slope*sx) / n
 	return slope, intercept
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

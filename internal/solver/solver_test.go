@@ -8,46 +8,29 @@ import (
 	"mpr/internal/check/floats"
 )
 
-func TestBisectLinear(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return 2*x - 3 }, 0, 10, 1e-12)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if !floats.AbsEqual(root, 1.5, 1e-9) {
-		t.Errorf("root = %v, want 1.5", root)
-	}
-}
-
+// A threshold at either end of the interval is returned exactly.
 func TestBisectEndpoints(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if r, err := Bisect(f, 0, 5, 1e-9); err != nil || r != 0 {
-		t.Errorf("root at lo endpoint: got %v, %v", r, err)
+	g := func(x float64) float64 { return x }
+	if x, ok := BisectMin(g, 0, 5, 1e-9); !ok || x != 0 {
+		t.Errorf("threshold at lo endpoint: got %v, %v", x, ok)
 	}
-	if r, err := Bisect(f, -5, 0, 1e-9); err != nil || r != 0 {
-		t.Errorf("root at hi endpoint: got %v, %v", r, err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-9); err != ErrNoBracket {
-		t.Errorf("err = %v, want ErrNoBracket", err)
+	if x, ok := BisectMin(g, -5, 0, 1e-9); !ok || x != 0 {
+		t.Errorf("threshold at hi endpoint: got %v, %v", x, ok)
 	}
 }
 
 func TestBisectNonSmooth(t *testing.T) {
-	// Piecewise function with a kink, like a clamped supply curve.
-	f := func(x float64) float64 {
+	// Piecewise function with a kink and a flat stretch, like a clamped
+	// supply curve minus its target.
+	g := func(x float64) float64 {
 		if x < 2 {
 			return -1
 		}
 		return x - 2
 	}
-	root, err := Bisect(func(x float64) float64 { return f(x) }, 0, 10, 1e-9)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if !floats.AbsEqual(root, 2, 1e-6) {
-		t.Errorf("root = %v, want ~2", root)
+	x, ok := BisectMin(g, 0, 10, 1e-9)
+	if !ok || !floats.AbsEqual(x, 2, 1e-6) {
+		t.Errorf("BisectMin = %v, %v; want ~2, true", x, ok)
 	}
 }
 
@@ -232,11 +215,5 @@ func TestLinearFitDegenerate(t *testing.T) {
 	slope, intercept = LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
 	if slope != 0 || !floats.AbsEqual(intercept, 2, 1e-9) {
 		t.Errorf("degenerate fit = %v, %v; want 0, 2", slope, intercept)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
 	}
 }
