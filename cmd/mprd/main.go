@@ -9,10 +9,10 @@
 // waits for 4 agents, clears one market for a 2 kW reduction, prints the
 // reduction orders, lifts the emergency, and exits. With -target 0 the
 // daemon keeps running and reads reduction targets (watts, one per line)
-// from stdin, clearing one market per line. With -stream the market core
+// from stdin, clearing one market per line. With -stream the manager also
 // re-clears incrementally on every incoming bid (O(log M) per update) and
 // records each intermediate price in the mpr_mgr_stream_price series; the
-// wire protocol and the converged prices are unchanged.
+// wire protocol, the rounds and their prices are unchanged, bit for bit.
 //
 // The daemon accepts both agent wire formats on one port: JSON lines
 // (the original protocol, unchanged byte for byte) and the negotiated

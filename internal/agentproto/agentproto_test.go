@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -311,8 +312,8 @@ func TestStaleBidsDiscarded(t *testing.T) {
 
 // Streaming mode: each incoming bid must trigger an incremental re-clear
 // (one OnStreamUpdate callback and one counted stream update per bid),
-// and the market must land on the same equilibrium as the batch-per-round
-// path over the same agent population.
+// and the market must clear to the same bits as the batch-per-round path
+// over the same agent population.
 func TestMarketStreamingOverTCP(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var updMu sync.Mutex
@@ -381,8 +382,89 @@ func TestMarketStreamingOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !floats.RelEqual(out.Result.Price, batch.Result.Price, 1e-6) {
+	// The round clears through the same index in both modes, so the feed
+	// changes nothing: same price, same orders, bit for bit (the roster is
+	// sorted by job ID, and s<i> and b<i> sort alike).
+	if math.Float64bits(out.Result.Price) != math.Float64bits(batch.Result.Price) {
 		t.Errorf("streaming price %v vs batch %v", out.Result.Price, batch.Result.Price)
+	}
+	for i := range apps {
+		s, b := out.Orders[fmt.Sprintf("s%d", i)], batch.Orders[fmt.Sprintf("b%d", i)]
+		if math.Float64bits(s) != math.Float64bits(b) {
+			t.Errorf("agent %d: streaming order %v vs batch %v", i, s, b)
+		}
+	}
+
+	// A 24-agent pipe fleet, where the treap's summation order has more
+	// room to differ from the index's.
+	fleet := func(streaming bool) ([]uint64, *MarketOutcome) {
+		tracer := telemetry.NewTracer(4096)
+		m := pipeManager(t, ManagerConfig{RoundTimeout: 2 * time.Second, Shards: 4, Tracer: tracer, Streaming: streaming})
+		dialFleet(t, m, fleetSpecs(24))
+		return marketTrail(t, m, tracer, 30000)
+	}
+	batchTrail, batchOut := fleet(false)
+	streamTrail, streamOut := fleet(true)
+	if !reflect.DeepEqual(streamTrail, batchTrail) {
+		t.Errorf("24 agents: streaming price trail %v vs batch %v", streamTrail, batchTrail)
+	}
+	for job, red := range batchOut.Orders {
+		if got := streamOut.Orders[job]; math.Float64bits(got) != math.Float64bits(red) {
+			t.Errorf("24 agents: streaming order[%s] = %v, batch %v", job, got, red)
+		}
+	}
+}
+
+// A market with nothing to buy asks nobody: no price broadcast, Rounds 0,
+// and every agent still receives its zero order.
+func TestNonPositiveTargetAsksNobody(t *testing.T) {
+	var prices, orders atomic.Int64
+	m := pipeManager(t, ManagerConfig{RoundTimeout: 500 * time.Millisecond})
+	specs := fleetSpecs(4)
+	for _, s := range specs {
+		prof, err := perf.ProfileByName(s.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dialPipe(t, m, AgentConfig{
+			JobID: s.job, Cores: s.cores, WattsPerCore: 125, MaxFrac: prof.MaxReduction(),
+			Strategy: countingBidder{
+				Bidder: &core.RationalBidder{Cores: s.cores, Model: perf.NewCostModel(prof, 1, perf.CostLinear)},
+				prices: &prices,
+			},
+			OnOrder: func(red, price, pay float64) {
+				if red != 0 || price != 0 || pay != 0 {
+					t.Errorf("order (%v cores at %v, pay %v) for nothing to buy", red, price, pay)
+				}
+				orders.Add(1)
+			},
+		})
+	}
+	waitAgents(t, m, len(specs))
+	for k, target := range []float64{0, -500} {
+		out, err := m.RunMarket(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Result.Rounds != 0 || !out.Result.Converged || out.Result.Price != 0 || len(out.Orders) != len(specs) {
+			t.Fatalf("target %v: %+v, %d orders", target, out.Result, len(out.Orders))
+		}
+		for job, red := range out.Orders {
+			if red != 0 {
+				t.Fatalf("target %v: %s ordered to reduce %v", target, job, red)
+			}
+		}
+		want := int64((k + 1) * len(specs))
+		deadline := time.Now().Add(2 * time.Second)
+		for orders.Load() < want && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := orders.Load(); got != want {
+			t.Fatalf("target %v: %d orders delivered, want %d", target, got, want)
+		}
+	}
+	if n := prices.Load(); n != 0 {
+		t.Fatalf("agents answered %d prices for nothing to buy", n)
 	}
 }
 

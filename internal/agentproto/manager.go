@@ -59,8 +59,8 @@ const (
 	MetricWireAgents = "mpr_mgr_wire_agents_total"
 )
 
-// Every market opens at core.OpeningPrice and has converged when a round
-// moves the price by at most priceTolerance, relatively (core.PriceSettled).
+// A market has converged when a round moves the price by at most
+// priceTolerance, relatively (core.Iterate's stop rule).
 const priceTolerance = 1e-4
 
 // ManagerConfig parameterizes the market manager daemon.
@@ -91,20 +91,19 @@ type ManagerConfig struct {
 	// and protocol metrics. Nil (the Nop registry) disables them.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, receives one "market_round" event per price
-	// iteration and one "market_clear" per finished market — the feed
-	// behind mprd's /debug/market page.
+	// iteration (trace "m<seq>.r<round>") and one "market_clear" per
+	// finished market — the feed behind mprd's /debug/market page.
 	Tracer *telemetry.Tracer
-	// Streaming switches RunMarket to the continuously-clearing engine:
-	// every incoming bid is applied to a core.StreamMarket and re-clears
-	// the market incrementally in O(log M), so a price is published per
-	// update (one "stream_update" trace event each) instead of only per
-	// round. The wire protocol is unchanged — agents still answer round
-	// price broadcasts — and the round fixpoint iteration is identical;
-	// only the solver underneath the round becomes incremental.
+	// Streaming adds a per-bid price feed: every accepted bid is also
+	// applied to a core.StreamMarket, which re-clears incrementally in
+	// O(log M) and publishes the would-be clearing price (one
+	// "stream_update" trace event each). The wire protocol, the rounds and
+	// the round's clear are unchanged, so a fleet clears to the same bits
+	// with Streaming on or off.
 	Streaming bool
-	// OnStreamUpdate, when set with Streaming, observes every incremental
-	// re-clear: the bidding job, the round, and the new clearing price.
-	// mprd uses it to feed the stream-price time series.
+	// OnStreamUpdate, when set with Streaming, observes every fed bid:
+	// the bidding job, the round, and the would-be clearing price. mprd
+	// uses it to feed the stream-price time series.
 	OnStreamUpdate func(jobID string, round int, price float64, feasible bool)
 }
 
@@ -554,7 +553,8 @@ type MarketOutcome struct {
 // market's roster slots at the deadline or as soon as all members
 // answered. The slots are applied in roster order before the clear, so
 // the clearing price is bit-identical for any shard count and any bid
-// arrival order.
+// arrival order. A non-positive target asks nobody: the outcome has
+// Rounds 0 and every agent is ordered to reduce 0.
 func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 	if math.IsNaN(targetW) || math.IsInf(targetW, 0) {
 		return nil, fmt.Errorf("agentproto: market target must be finite, got %v W", targetW)
@@ -626,15 +626,15 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 }
 
 // priceRounds iterates the market's price to its fixpoint over the
-// installed roster (parts[i] is agents[i]) and returns the final clear
-// with the market's trace ID. Whichever way it exits, the market span is
-// closed and bids stop being accepted.
+// installed roster (parts[i] is agents[i]) through core.Iterate and
+// returns the final clear with the market's trace ID. Whichever way it
+// exits, the market span is closed and bids stop being accepted.
 func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, targetW float64, reply chan struct{}) (*core.ClearingResult, string, error) {
 	// Every market gets a trace ID "m<seq>"; each round extends it to
-	// "m<seq>.r<round>" and stamps that on the price broadcast. Agents
-	// echo it on their bids, which lets the merge below attribute a bid
-	// to the exact broadcast that prompted it and record a per-agent
-	// respond_bid span linked under the round.
+	// "m<seq>.r<round>" and stamps that on the price broadcast and the
+	// round's event. Agents echo it on their bids, which lets the merge
+	// below attribute a bid to the exact broadcast that prompted it and
+	// record a per-agent respond_bid span linked under the round.
 	marketTrace := "m" + strconv.FormatUint(m.marketSeq.Add(1), 10)
 
 	// The market runs as a span tree — market → market_round →
@@ -646,50 +646,41 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 	mkSpan.SetAttr("target_w", strconv.FormatFloat(targetW, 'g', -1, 64))
 	mkSpan.SetAttr("agents", strconv.Itoa(len(agents)))
 	mkSpan.SetAttr("shards", strconv.Itoa(len(m.shards)))
-	var roundSpan *telemetry.ActiveSpan // non-nil while a round is open
 	defer func() {
 		m.curRound.Store(0)
-		roundSpan.End()
 		mkSpan.End()
 	}()
 
-	// Streaming mode keeps a continuously-clearing engine over the
-	// participants: each incoming bid is applied incrementally (O(log M))
-	// and publishes a fresh price immediately, instead of waiting for the
-	// round's batch clear. The round iteration itself is unchanged.
-	// The batch mode builds one index per market and sets each round's
-	// merged bids into it, so a round's clear allocates nothing and
-	// re-sorts only when the activation order moved.
+	// Streaming mode feeds every accepted bid to a continuously-clearing
+	// engine, which publishes the would-be clearing price after each one.
+	// The round itself clears through Iterate's index in both modes.
 	var stream *core.StreamMarket
-	var index *core.MarketIndex
-	var err error
 	if m.cfg.Streaming {
-		stream, err = core.NewStreamMarket(parts, targetW)
+		var err error
+		if stream, err = core.NewStreamMarket(parts, targetW); err != nil {
+			return nil, "", err
+		}
 		mkSpan.SetAttr("mode", "streaming")
-	} else {
-		index, err = core.NewMarketIndex(parts)
-	}
-	if err != nil {
-		return nil, "", err
 	}
 
 	slots := make([]roundBid, len(agents))
-	price := core.OpeningPrice
-	res := &core.ClearingResult{}
-	converged := false
-	rounds := 0
-	for round := 1; round <= m.cfg.MaxRounds; round++ {
-		rounds = round
-		roundTrace := marketTrace + ".r" + strconv.Itoa(round)
+	// Iterate emits a round's event after that round's ask, which set
+	// roundTrace.
+	var roundTrace string
+	emit := func(e telemetry.Event) {
+		e.Trace = roundTrace
+		m.cfg.Tracer.Emit(e)
+	}
+	ask := func(round int, price float64, bids []core.Bid, roundSpan *telemetry.ActiveSpan) error {
+		roundTrace = marketTrace + ".r" + strconv.Itoa(round)
+		roundSpan.SetAttr("trace", roundTrace)
 		// The round's price broadcast is identical for every member, so it
 		// is encoded exactly once per round — in both wire formats — and
 		// the shard loops write the shared bytes raw per connection.
 		pre, err := encodeMsg(Message{Type: MsgPrice, Round: round, Price: price, TargetW: targetW, TraceID: roundTrace})
 		if err != nil {
-			return nil, "", err
+			return err
 		}
-		roundSpan = mkSpan.StartChild("market_round")
-		roundSpan.SetAttr("trace", roundTrace)
 		bidSpan := roundSpan.StartChild("respond_bids")
 		ok := false
 		telemetry.WithPprofLabels("respond_bids", func() {
@@ -704,11 +695,12 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 		})
 		bidSpan.End()
 		if !ok {
-			return nil, "", fmt.Errorf("agentproto: manager closed")
+			return fmt.Errorf("agentproto: manager closed")
 		}
 
 		// Merge in roster order: identical clearing inputs no matter how
-		// bids raced across shards.
+		// bids raced across shards. A member without a valid answer keeps
+		// its last bid.
 		for i := range slots {
 			e := &slots[i]
 			if !e.has {
@@ -727,8 +719,7 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 					telemetry.Attr{Key: "trace", Value: roundTrace})
 			}
 			if !e.valid {
-				// Unclearable bid (counted malformed at receipt): the
-				// agent's previous bid stands.
+				// Unclearable bid (counted malformed at receipt).
 				continue
 			}
 			if stream != nil {
@@ -738,52 +729,29 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 					m.logf("agent %s bid rejected: %v", jobID, err)
 					continue
 				}
-				parts[i].Bid = e.bid
 				m.streamUpdates.Inc()
 				m.cfg.Tracer.Emit(telemetry.Event{Name: "stream_update", Trace: roundTrace, Round: round,
 					Price: p, TargetW: targetW, Label: jobID})
 				if m.cfg.OnStreamUpdate != nil {
 					m.cfg.OnStreamUpdate(jobID, round, p, feasible)
 				}
-				continue
 			}
-			if err := index.SetBid(i, e.bid); err != nil {
-				m.malformed.Inc()
-				m.logf("agent %s bid rejected: %v", jobID, err)
-				continue
-			}
-			parts[i].Bid = e.bid
+			bids[i] = e.bid
 		}
-
-		if stream != nil {
-			// The round's clear is already solved — the last Apply left the
-			// price cached; materializing reductions reuses res's buffers.
-			err = stream.ClearInto(res)
-		} else {
-			err = index.ClearInto(res, targetW)
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		m.rounds.Inc()
-		m.cfg.Tracer.Emit(telemetry.Event{Name: "market_round", Trace: roundTrace, Round: round,
-			Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Value: price})
-		roundSpan.End()
-		roundSpan = nil
-		if core.PriceSettled(price, res.Price, priceTolerance) {
-			converged = true
-			break
-		}
-		price = res.Price
+		return nil
 	}
-	res.Rounds = rounds
-	res.Converged = converged
+
+	res, err := core.Iterate(parts, targetW, m.cfg.MaxRounds, priceTolerance, mkSpan, emit, ask)
+	if err != nil {
+		return nil, "", err
+	}
+	m.rounds.Add(int64(res.Rounds))
 	m.markets.Inc()
 	m.mu.Lock()
 	m.lastPrice = res.Price
 	m.mu.Unlock()
-	mkSpan.SetAttr("rounds", strconv.Itoa(rounds))
-	mkSpan.SetAttr("converged", strconv.FormatBool(converged))
+	mkSpan.SetAttr("rounds", strconv.Itoa(res.Rounds))
+	mkSpan.SetAttr("converged", strconv.FormatBool(res.Converged))
 	return res, marketTrace, nil
 }
 

@@ -30,14 +30,82 @@ type Bidder interface {
 	RespondBid(price float64) Bid
 }
 
-// OpeningPrice is the price the manager announces to open every MPR-INT
+// openingPrice is the price the manager announces to open every MPR-INT
 // market (q′₀ in Section III-B).
-const OpeningPrice = 0.1
+const openingPrice = 0.1
 
-// PriceSettled is the MPR-INT stopping rule: the round's cleared price
+// priceSettled is the MPR-INT stopping rule: the round's cleared price
 // moved at most tol, relatively, from the price announced for it.
-func PriceSettled(announced, cleared, tol float64) bool {
+func priceSettled(announced, cleared, tol float64) bool {
 	return math.Abs(cleared-announced) <= tol*math.Max(announced, 1e-12)
+}
+
+// Iterate is the MPR-INT price iteration q ← MClr(bids(q)) of Section
+// III-B, the one loop behind ClearInteractive and the agentproto manager.
+// It opens at openingPrice and, each round, calls ask(round, q, bids,
+// span) under a "market_round" child of span; ask overwrites bids[i] for
+// every participant i that answered q and leaves the rest alone, so a
+// participant that did not answer clears on its last bid — the paper's
+// proceed-with-last-information rule. The bids start as ps[i].Bid (the
+// last known ones), which are validated; ps is never mutated. Every slot
+// is then set into one MarketIndex and cleared, the round's
+// "market_round" event (announced price in Value) goes to emit, and the
+// loop stops once the cleared price settles within tol of the announced
+// one (Converged) or after maxRounds rounds.
+//
+// A non-positive target asks nobody: it returns Rounds 0 and every
+// reduction 0. An error from ask or the clear ends the round's span and
+// is returned before the round's event.
+func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
+	span *telemetry.ActiveSpan, emit func(telemetry.Event),
+	ask func(round int, q float64, bids []Bid, span *telemetry.ActiveSpan) error) (*ClearingResult, error) {
+	if targetW <= 0 {
+		return &ClearingResult{
+			Reductions: make([]float64, len(ps)),
+			Feasible:   true, Converged: true, Rounds: 0,
+		}, nil
+	}
+	if !(targetW > 0) { // NaN: refused before anyone is asked
+		return nil, ErrNaNTarget
+	}
+	if len(ps) == 0 {
+		return nil, ErrNoParticipants
+	}
+	ix, err := NewMarketIndex(ps)
+	if err != nil {
+		return nil, err
+	}
+	bids := make([]Bid, len(ps))
+	copy(bids, ix.bids) // the validated ps[i].Bid
+
+	q := openingPrice
+	res := &ClearingResult{}
+	for round := 1; round <= maxRounds; round++ {
+		// Span handles are nil-safe, so an uninstrumented market records
+		// and allocates nothing here.
+		roundSpan := span.StartChild("market_round")
+		err := ask(round, q, bids, roundSpan)
+		for i := 0; err == nil && i < len(bids); i++ {
+			err = ix.SetBid(i, bids[i])
+		}
+		if err == nil {
+			err = ix.ClearInto(res, targetW)
+		}
+		if err != nil {
+			roundSpan.End()
+			return nil, err
+		}
+		res.Rounds = round
+		emit(telemetry.Event{Name: "market_round", Round: round,
+			Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Value: q})
+		roundSpan.End()
+		res.Converged = priceSettled(q, res.Price, tol)
+		if res.Converged {
+			break
+		}
+		q = res.Price
+	}
+	return res, nil
 }
 
 // InteractiveConfig parameterizes the MPR-INT market loop.
@@ -53,10 +121,10 @@ type InteractiveConfig struct {
 	// GOMAXPROCS, 1 forces sequential bidding. Results are written by
 	// bidder index, so the outcome is bit-identical to sequential.
 	Workers int
-	// Trace, when set, receives one "int_round" event per manager↔user
+	// Trace, when set, receives one "market_round" event per manager↔user
 	// exchange (round number, announced price, cleared price, aggregate
-	// supply) — the convergence trajectory of Figs. 9-11. Nil (the
-	// default) emits nothing and costs nothing.
+	// supply), stamped with the handle's run ID — the convergence
+	// trajectory of Figs. 9-11. Nil (the default) emits nothing.
 	Trace *telemetry.Trace
 	// Span, when set, is the enclosing trace span: each exchange records
 	// a "market_round" child containing a "respond_bids" grandchild, so
@@ -179,14 +247,13 @@ func (c *bestResponses) respond(b Bidder, price float64) Bid {
 // every user responds with its gain-maximizing bid, the manager re-clears
 // MClr with the fresh bids, and the exchange repeats until the clearing
 // price stabilizes (guaranteed for the paper's supply function when users
-// bid rationally against convex costs) or MaxRounds is exhausted.
+// bid rationally against convex costs) or MaxRounds is exhausted. The loop
+// is Iterate's; every bidder answers every round.
 //
-// ps[i].Bid is ignored and left untouched — bidders[i] supplies job i's
-// bid each round, and all per-round bids live in an internal working set,
-// so the caller's participants are never mutated. Rebidding fans out
-// across cfg.Workers goroutines (bit-identical to sequential), and the
-// per-round MClr solve reuses one MarketIndex across rounds, refreshing
-// only the bids that actually changed. The returned result's Rounds
+// ps[i].Bid seeds the market's index and must be valid; bidders[i]
+// replaces it from round 1 on, in Iterate's working set, so the caller's
+// participants are never mutated. Rebidding fans out across cfg.Workers
+// goroutines (bit-identical to sequential). The returned result's Rounds
 // counts the exchanges and Converged reports whether the price stabilized
 // within the budget.
 func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg InteractiveConfig) (*ClearingResult, error) {
@@ -194,77 +261,16 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 		return nil, fmt.Errorf("core: %d participants but %d bidders", len(ps), len(bidders))
 	}
 	cfg.normalize()
-	if targetW <= 0 {
-		return &ClearingResult{
-			Reductions: make([]float64, len(ps)),
-			Feasible:   true, Converged: true, Rounds: 0,
-		}, nil
-	}
-	if !(targetW > 0) { // NaN: refused before any bidder is asked
-		return nil, ErrNaNTarget
-	}
-	if len(ps) == 0 {
-		return nil, ErrNoParticipants
-	}
-
-	// Working copies: the market operates on these, never on ps.
-	work := make([]Participant, len(ps))
-	workPtrs := make([]*Participant, len(ps))
-	for i, p := range ps {
-		work[i] = *p
-		workPtrs[i] = &work[i]
-	}
-	bids := make([]Bid, len(ps))
-
-	q := OpeningPrice
-	var ix *MarketIndex
-	res := &ClearingResult{}
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		// Span handles are nil-safe, so the uninstrumented path (Span ==
-		// nil, the zero-alloc steady state) records and allocates nothing.
-		roundSpan := cfg.Span.StartChild("market_round")
-		bidSpan := roundSpan.StartChild("respond_bids")
-		respondBids(bidders, q, bids, cfg.Workers)
-		bidSpan.End()
-		if ix == nil {
-			for i := range workPtrs {
-				workPtrs[i].Bid = bids[i]
-			}
-			var err error
-			if ix, err = NewMarketIndex(workPtrs); err != nil {
-				return nil, err
-			}
-		} else {
-			for i := range bids {
-				if err := ix.SetBid(i, bids[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := ix.ClearInto(res, targetW); err != nil {
-			return nil, err
-		}
-		res.Rounds = round
-		cfg.Trace.Emit(telemetry.Event{
-			Name: "int_round", Round: round,
-			Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW,
-			Value: q, // the price announced this round
+	res, err := Iterate(ps, targetW, cfg.MaxRounds, cfg.Tolerance, cfg.Span, cfg.Trace.Emit,
+		func(_ int, q float64, bids []Bid, span *telemetry.ActiveSpan) error {
+			bidSpan := span.StartChild("respond_bids")
+			respondBids(bidders, q, bids, cfg.Workers)
+			bidSpan.End()
+			return nil
 		})
-		roundSpan.End()
-		if PriceSettled(q, res.Price, cfg.Tolerance) {
-			res.Converged = true
-			finishInteractive(res)
-			return res, nil
-		}
-		q = res.Price
+	if err != nil || res.Rounds == 0 {
+		return res, err
 	}
-	res.Converged = false
-	finishInteractive(res)
-	return res, nil
-}
-
-// finishInteractive records the interactive market's outcome metrics.
-func finishInteractive(res *ClearingResult) {
 	m := met()
 	m.intRounds.Record(float64(res.Rounds))
 	if res.Converged {
@@ -272,4 +278,5 @@ func finishInteractive(res *ClearingResult) {
 	} else {
 		m.intExhausted.Inc()
 	}
+	return res, nil
 }

@@ -96,8 +96,9 @@ type Participant struct {
 	JobID string
 	// Cores is the job's current core allocation.
 	Cores float64
-	// Bid is the job's supply function (used by Clear; replaced each
-	// round in ClearInteractive).
+	// Bid is the job's supply function (used by Clear; the last known bid
+	// that seeds ClearInteractive, whose bidders replace it each round in a
+	// working copy).
 	Bid Bid
 	// WattsPerCore converts a resource reduction in cores into watts
 	// saved — the established power-capping model P(δ) = δ·WattsPerCore

@@ -25,7 +25,10 @@ import (
 // batch MarketIndex (whose sums fold in activation order) prices agree
 // to the harness float tolerance, not bit-identically; the differential
 // and metamorphic suites in internal/check enforce that bound after
-// every prefix of randomized update sequences.
+// every prefix of randomized update sequences. That is why no market
+// round clears here: MPR-INT's rounds clear through Iterate's index, and
+// the agentproto manager keeps a StreamMarket only as a per-bid price
+// feed beside them.
 //
 // Clearing uses the same closed-form segment mathematics as MarketIndex:
 // the aggregate supply over the active prefix {i : aᵢ ≤ q} is

@@ -87,7 +87,7 @@ func runFig10(o Options) (*Result, error) {
 	convTbl := stats.NewTable("Fig. 10(b) inset — MPR-INT convergence trajectory (largest pool)",
 		"round", "announced price", "cleared price", "supplied (W)", "price error (%)")
 
-	// The per-round price trajectory is recorded as int_round trace
+	// The per-round price trajectory is recorded as market_round trace
 	// events on the largest pool, ingested into a series store, and read
 	// back as per-round convergence series — the same record/replay path
 	// the post-hoc tooling uses (DESIGN.md §10).
@@ -203,6 +203,6 @@ func runFig10(o Options) (*Result, error) {
 		Notes: []string{
 			"MPR-INT total time charges 500 ms of communication per round, as in the paper",
 			"MPR-STAT uses the closed-form segmented solver; 'MPR-STAT bisect' is the legacy bisection search and 'indexed clear' the per-clear cost once the market index is built (amortized over 100 re-clears)",
-			"the convergence trajectory is regenerated from recorded series: the per-round int_round trace events are ingested into a time-series store and queried back (DESIGN.md §10); price error is the cleared price's deviation from the final (Nash) price",
+			"the convergence trajectory is regenerated from recorded series: the per-round market_round trace events are ingested into a time-series store and queried back (DESIGN.md §10); price error is the cleared price's deviation from the final (Nash) price",
 		}}, nil
 }

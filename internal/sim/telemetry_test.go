@@ -92,12 +92,12 @@ func TestResultTraceEvents(t *testing.T) {
 	if counts["market_clear"] == 0 {
 		t.Fatalf("no market_clear events: %v", counts)
 	}
-	if counts["int_round"] == 0 {
-		t.Fatalf("no int_round events for MPR-INT: %v", counts)
+	if counts["market_round"] == 0 {
+		t.Fatalf("no market_round events for MPR-INT: %v", counts)
 	}
 	for _, e := range res.TraceEvents {
-		if e.Name == "int_round" && e.Trace != string(AlgMPRInt) {
-			t.Fatalf("int_round missing run trace ID: %+v", e)
+		if e.Name == "market_round" && e.Trace != string(AlgMPRInt) {
+			t.Fatalf("market_round missing run trace ID: %+v", e)
 		}
 		if e.Name == "market_clear" && e.Label == "" {
 			t.Fatalf("market_clear without feasibility label: %+v", e)

@@ -98,7 +98,7 @@ func TestHandlerDebugMarketEndpoint(t *testing.T) {
 	r.Gauge("mpr_power_overload_w", "").Set(340)
 	tr := NewTracer(16)
 	run := tr.StartTrace("run-1")
-	run.Emit(Event{Name: "int_round", Round: 1, Price: 0.8, TargetW: 500, SuppliedW: 420})
+	run.Emit(Event{Name: "market_round", Round: 1, Price: 0.8, TargetW: 500, SuppliedW: 420})
 	run.Emit(Event{Name: "market_clear", Round: 2, Price: 0.95, TargetW: 500, SuppliedW: 503, Label: "converged"})
 
 	res, body := serveGet(t, handlerOf(r, tr), "/debug/market")
@@ -109,7 +109,7 @@ func TestHandlerDebugMarketEndpoint(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	for _, want := range []string{
-		"market_clear", "int_round", "run-1", "converged",
+		"market_clear", "market_round", "run-1", "converged",
 		"mpr_sim_market_invocations_total",
 		"mpr_power_overload_w",
 	} {
@@ -118,7 +118,7 @@ func TestHandlerDebugMarketEndpoint(t *testing.T) {
 		}
 	}
 	// Newest event renders first.
-	if strings.Index(body, "market_clear") > strings.Index(body, "int_round") {
+	if strings.Index(body, "market_clear") > strings.Index(body, "market_round") {
 		t.Fatal("/debug/market must render newest events first")
 	}
 }
@@ -162,7 +162,7 @@ func TestHandlerMetricsJSONFormat(t *testing.T) {
 func TestHandlerDebugMarketJSONDropped(t *testing.T) {
 	tr := NewTracer(16)
 	for i := 0; i < 20; i++ { // 4 past capacity
-		tr.Emit(Event{Name: "int_round", Round: i})
+		tr.Emit(Event{Name: "market_round", Round: i})
 	}
 	res, body := serveGet(t, handlerOf(nil, tr), "/debug/market?format=json")
 	if res.StatusCode != http.StatusOK {

@@ -22,7 +22,7 @@ type Event struct {
 	// Trace handle).
 	Trace string `json:"trace,omitempty"`
 	// Name is the event type, e.g. "market_clear", "emergency_declare",
-	// "int_round".
+	// "market_round".
 	Name string `json:"name"`
 	// Slot is the simulator timestep; Round the market round.
 	Slot  int `json:"slot,omitempty"`

@@ -85,7 +85,7 @@ func TestTraceHandleStampsID(t *testing.T) {
 	if run.ID() != "mpr-int" {
 		t.Fatalf("ID = %q", run.ID())
 	}
-	run.Emit(Event{Name: "int_round", Round: 1, Price: 0.5})
+	run.Emit(Event{Name: "market_round", Round: 1, Price: 0.5})
 	evs := tr.Events()
 	if len(evs) != 1 || evs[0].Trace != "mpr-int" {
 		t.Fatalf("trace not stamped: %+v", evs)

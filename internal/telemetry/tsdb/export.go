@@ -115,15 +115,15 @@ func ExportFile(st *Store, q Query, path string) error {
 	return err
 }
 
-// Series names IngestMarketTrace writes, one per int_round field.
+// Series names IngestMarketTrace writes, one per market_round field.
 const (
 	SeriesMarketAnnouncedPrice = "mpr_market_announced_price"
 	SeriesMarketClearedPrice   = "mpr_market_cleared_price"
 	SeriesMarketSuppliedW      = "mpr_market_supplied_w"
 )
 
-// IngestMarketTrace replays the telemetry layer's per-round "int_round"
-// market events into the store as per-trace convergence series (keyed by
+// IngestMarketTrace replays the telemetry layer's per-round
+// "market_round" events into the store as per-trace convergence series (keyed by
 // round): the announced price, the cleared price, and the supplied
 // reduction. This is how the Fig. 10 convergence-trajectory tables are
 // regenerated from recorded series instead of ad-hoc trace scraping.
@@ -134,7 +134,7 @@ func IngestMarketTrace(st *Store, events []telemetry.Event) {
 	type handles struct{ announced, cleared, supplied *Series }
 	byTrace := make(map[string]handles)
 	for _, e := range events {
-		if e.Name != "int_round" {
+		if e.Name != "market_round" {
 			continue
 		}
 		h, ok := byTrace[e.Trace]

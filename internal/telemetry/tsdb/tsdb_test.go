@@ -277,7 +277,7 @@ func TestIngestMarketTrace(t *testing.T) {
 	tr := telemetry.NewTracer(64)
 	run := tr.StartTrace("mpr-int-n3000")
 	for r := 1; r <= 5; r++ {
-		run.Emit(telemetry.Event{Name: "int_round", Round: r,
+		run.Emit(telemetry.Event{Name: "market_round", Round: r,
 			Price: float64(r) * 0.25, Value: float64(r) * 0.125, SuppliedW: float64(r * 100)})
 	}
 	run.Emit(telemetry.Event{Name: "market_clear", Round: 5}) // ignored
