@@ -400,8 +400,9 @@ func DefaultMetrics() *MetricsRegistry { return telemetry.Default() }
 // events (capacity <= 0 selects the default of 256).
 func NewEventTracer(capacity int) *EventTracer { return telemetry.NewTracer(capacity) }
 
-// MetricsHandler serves reg as Prometheus text at /metrics and a
-// human-readable clearing-round view at /debug/market (tracer may be nil).
+// MetricsHandler serves reg as Prometheus text at /metrics and the
+// tracer's last events and spans as JSON at /debug/market and
+// /debug/spans (tracer may be nil).
 func MetricsHandler(reg *MetricsRegistry, tracer *EventTracer) http.Handler {
 	return telemetry.NewHandler(telemetry.HandlerConfig{Registry: reg, Tracer: tracer})
 }

@@ -238,7 +238,7 @@ func TestClearIntoSteadyZeroAlloc(t *testing.T) {
 	}
 }
 
-// --- Streaming incremental clears (DESIGN.md §11) ------------------------
+// --- Streaming incremental clears (DESIGN.md §10) ------------------------
 
 // benchStreamBids precomputes, for every participant, its build-time bid
 // and an alternate with the activation price doubled. Toggling between

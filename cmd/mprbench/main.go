@@ -7,11 +7,11 @@
 //	mprbench -exp t1 -quick=false -seed 7
 //	mprbench -exp f8 -parallel 8 # bound the sweep worker pool
 //	mprbench -exp all -benchout BENCH_sweep.json
-//	mprbench -exp none -series series.csv  # export the recorded timeline
+//	mprbench -exp none -series series.jsonl  # export the recorded timeline
 //
 // -series runs the instrumented Gaia timeline simulation (the run behind
 // Fig. 9's power timeline), exports its per-slot series store to the
-// given file (CSV when the path ends in .csv, JSONL otherwise), and
+// given file as JSONL (one line per point, whatever the file name), and
 // evaluates the simulation SLO alert rules post hoc over the recording.
 // The export is bit-identical at any -parallel setting. Use -exp none to
 // export without running any experiment tables.
@@ -75,7 +75,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text or markdown")
 		parallel = flag.Int("parallel", 0, "sweep worker-pool bound: 0 = GOMAXPROCS, 1 = serial, n > 1 = up to n concurrent cells (tables are identical at any setting)")
 		benchout = flag.String("benchout", "", "write a machine-readable wall-clock report (JSON) to this file")
-		series   = flag.String("series", "", "export the instrumented timeline run's per-slot series to this file (.csv = CSV, else JSONL) and evaluate the SLO alert rules over it")
+		series   = flag.String("series", "", "export the instrumented timeline run's per-slot series to this file as JSONL and evaluate the SLO alert rules over it")
 	)
 	flag.Parse()
 

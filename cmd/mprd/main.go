@@ -28,12 +28,13 @@
 //
 // With -metrics ADDR (e.g. -metrics :9090) the daemon serves its full
 // observability surface over HTTP: Prometheus text (or ?format=json) at
-// /metrics, the last clearing rounds at /debug/market, hierarchical
-// trace spans at /debug/spans, windowed time-series queries at
-// /debug/series, liveness at /healthz, and net/http/pprof under
+// /metrics, the last trace events at /debug/market and hierarchical
+// trace spans at /debug/spans (JSON, each with its dropped count),
+// windowed time-series queries at /debug/series, flight-recorder status
+// at /debug/flight, liveness at /healthz, and net/http/pprof under
 // /debug/pprof/. A wall-clock sampler (-sample) records connected-agent
 // and per-market series; -tracelog and -serieslog persist the event
-// stream and the series store, flushed on shutdown. SIGINT/SIGTERM
+// stream and the series store as JSONL, flushed on shutdown. SIGINT/SIGTERM
 // drain the sampler and flush the sinks before exiting.
 //
 // With -flight DIR the daemon arms its black-box flight recorder: a
@@ -44,8 +45,8 @@
 // /debug/flight/dump — writes a versioned mprflight/v1 bundle into DIR:
 // build info, flag echo, goroutine profile, recent trace events/spans,
 // HDR summaries, alert history, and the series window around the
-// trigger. /debug/flight reports recorder status; /debug/rt the latest
-// runtime snapshot.
+// trigger. /debug/flight reports recorder status, its alert history and
+// the latest runtime snapshot.
 package main
 
 import (
@@ -84,7 +85,7 @@ func run() int {
 		restore   = flag.Bool("restore", false, "restore state from -state at boot; restored agents keep their last bids until they rebid")
 		sample    = flag.Duration("sample", time.Second, "wall-clock series sampling interval")
 		tracelog  = flag.String("tracelog", "", "file receiving every trace event as JSONL (flushed on shutdown)")
-		serieslog = flag.String("serieslog", "", "file receiving the series store on shutdown (.csv for CSV, else JSONL)")
+		serieslog = flag.String("serieslog", "", "file receiving the series store as JSONL on shutdown")
 		flightDir = flag.String("flight", "", "directory receiving mprflight/v1 black-box bundles on alert/SIGQUIT/exit (empty = disabled)")
 		flightCD  = flag.Duration("flight-cooldown", time.Minute, "per-rule suppression window between alert-triggered flight dumps")
 	)
@@ -206,7 +207,7 @@ func run() int {
 			}
 		}()
 		defer srv.Close()
-		log.Printf("telemetry on http://%s/metrics (/debug/market /debug/spans /debug/series /healthz /debug/pprof/)", *metrics)
+		log.Printf("telemetry on http://%s/metrics (/debug/market /debug/spans /debug/series /debug/flight /healthz /debug/pprof/)", *metrics)
 	}
 
 	deadline := time.Now().Add(*wait)

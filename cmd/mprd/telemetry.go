@@ -43,8 +43,8 @@ type obsConfig struct {
 	// TraceLogPath, when set, receives every trace event as one JSON
 	// line (buffered; flushed at shutdown).
 	TraceLogPath string
-	// SeriesLogPath, when set, receives the full series store at
-	// shutdown (CSV when the path ends in .csv, JSONL otherwise).
+	// SeriesLogPath, when set, receives the full series store as JSONL
+	// at shutdown.
 	SeriesLogPath string
 	// AgentCount reports the number of connected agents.
 	AgentCount func() int
@@ -79,6 +79,7 @@ type obs struct {
 	droppedGauge *telemetry.Gauge
 	alertsFired  *telemetry.CounterFamily
 	rules        []alerts.Rule
+	dedup        *alerts.Deduper  // reports each firing once
 	flight       *flight.Recorder // nil when -flight is off (nil-safe)
 
 	sampler   *tsdb.TickerSampler
@@ -118,6 +119,7 @@ func newObs(c obsConfig) (*obs, error) {
 		store:  tsdb.New(0),
 		start:  c.Clock.Now(),
 		rules:  alerts.ManagerRules(),
+		dedup:  alerts.NewDeduper(0),
 	}
 	o.agentsSeries = o.store.Series(seriesAgentsConnected)
 	o.droppedGauge = o.reg.Gauge("mpr_mgr_trace_dropped_events",
@@ -243,7 +245,7 @@ func (o *obs) health() telemetry.Health {
 }
 
 // handler is the daemon's full HTTP surface: /metrics, /debug/market,
-// /debug/spans, /debug/series, /debug/flight, /debug/rt, /healthz, and
+// /debug/spans, /debug/series, /debug/flight, /healthz, and
 // /debug/pprof. The flight endpoints are mounted even without -flight —
 // a nil recorder serves enabled=false and refuses dumps — so probes
 // never depend on configuration.
@@ -253,7 +255,6 @@ func (o *obs) handler() http.Handler {
 		Tracer:   o.tracer,
 		Series:   tsdb.Handler(o.store),
 		Flight:   o.flight.Handler(),
-		RT:       o.flight.RTHandler(),
 		Health:   o.health,
 		Pprof:    true,
 	})
@@ -266,8 +267,8 @@ func (o *obs) recordStreamUpdate(price float64) {
 }
 
 // recordMarket samples a finished market into the series store and
-// evaluates the live SLO rules over the samples just written, logging
-// and counting any firing.
+// evaluates the live SLO rules over every sample since startup, logging
+// and counting each firing once.
 func (o *obs) recordMarket(targetW float64, r *core.ClearingResult) {
 	t := o.cfg.Clock.Now().Unix()
 	o.store.Series(seriesMarketRounds).Append(t, float64(r.Rounds))
@@ -278,8 +279,16 @@ func (o *obs) recordMarket(targetW float64, r *core.ClearingResult) {
 		unmet = 0
 	}
 	o.store.Series(seriesMarketUnmet).Append(t, unmet)
-	firings := alerts.EvalStore(o.rules, o.store, t, 0)
-	for _, f := range firings {
+	// Rules need history: ForSamples and WindowSamples count points, and
+	// at the default 1 s -sample the current second holds at most one.
+	// Re-evaluating that history re-returns old firings; the window-0
+	// deduper reports each (rule, series, From) once, as mprload does.
+	var firings []alerts.Firing
+	for _, f := range alerts.EvalStore(o.rules, o.store, o.start.Unix(), 0) {
+		if !o.dedup.Fresh(f) {
+			continue
+		}
+		firings = append(firings, f)
 		o.alertsFired.With(f.Rule).Inc()
 		o.cfg.Logf("%s — %s", f, f.Help)
 	}

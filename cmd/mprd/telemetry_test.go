@@ -1,10 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +33,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestObsShutdownDrainsAndFlushes(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	seriesPath := filepath.Join(dir, "series.csv")
+	seriesPath := filepath.Join(dir, "series.jsonl")
 	clock := tsdb.NewFakeClock(time.Unix(1000, 0))
 	o, err := newObs(obsConfig{
 		SampleInterval: time.Second,
@@ -70,7 +73,7 @@ func TestObsShutdownDrainsAndFlushes(t *testing.T) {
 		t.Fatalf("series sink missing %s: %q", seriesAgentsConnected, seriesData)
 	}
 	// Every sample saw 3 connected agents.
-	if !strings.Contains(string(seriesData), ",3,") {
+	if !strings.Contains(string(seriesData), `"max":3,`) {
 		t.Fatalf("series export lost the agent count: %q", seriesData)
 	}
 }
@@ -141,5 +144,72 @@ func TestObsRecordMarketFiresAlerts(t *testing.T) {
 	}
 	if len(logged) != 2 {
 		t.Fatalf("logged %d firings, want 2", len(logged))
+	}
+}
+
+// TestObsAlertsSeeHistory: the live rules evaluate every sample since
+// startup, not only the current second. One eviction in 11 samples (9 %)
+// is below EvictionBurst's "> 30 % of the trailing 10" and must not fire;
+// four in the trailing 10 must, and that firing is counted and logged
+// once however many markets re-evaluate it.
+func TestObsAlertsSeeHistory(t *testing.T) {
+	var evictions atomic.Int64
+	var (
+		mu     sync.Mutex
+		logged []string
+	)
+	clock := tsdb.NewFakeClock(time.Unix(3000, 0))
+	o, err := newObs(obsConfig{
+		SampleInterval: time.Second,
+		Evictions:      evictions.Load,
+		Clock:          clock,
+		Logf: func(f string, a ...interface{}) {
+			mu.Lock()
+			defer mu.Unlock()
+			logged = append(logged, fmt.Sprintf(f, a...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.shutdown()
+
+	evictSeries := o.store.Series(seriesEvictions)
+	waitFor(t, "startup sample", func() bool { return evictSeries.Total() >= 1 })
+	tick := func(evict bool) {
+		t.Helper()
+		if evict {
+			evictions.Add(1)
+		}
+		n := evictSeries.Total()
+		clock.Advance(time.Second)
+		waitFor(t, "sample", func() bool { return evictSeries.Total() > n })
+	}
+	fired := func() int64 {
+		return o.reg.Snapshot().Counters[`mpr_mgr_alerts_total{rule="EvictionBurst"}`]
+	}
+	healthy := &core.ClearingResult{Rounds: 5, Price: 0.4, SuppliedW: 1000}
+
+	for i := 0; i < 9; i++ {
+		tick(false)
+	}
+	tick(true) // the 11th sample holds the only eviction
+	o.recordMarket(1000, healthy)
+	if n := fired(); n != 0 {
+		t.Fatalf("1 eviction in 11 samples fired EvictionBurst %d times", n)
+	}
+
+	for i := 0; i < 3; i++ {
+		tick(true) // 4 of the trailing 10 samples evict
+	}
+	o.recordMarket(1000, healthy)
+	o.recordMarket(1000, healthy)
+	if n := fired(); n != 1 {
+		t.Fatalf("4 evictions in the trailing 10 fired EvictionBurst %d times, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 1 || !strings.Contains(logged[0], "ALERT EvictionBurst") {
+		t.Fatalf("logged %q, want one EvictionBurst line", logged)
 	}
 }

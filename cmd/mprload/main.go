@@ -96,7 +96,6 @@ func main() {
 			Tracer:   h.tracer,
 			Series:   tsdb.Handler(h.store),
 			Flight:   h.flight.Handler(),
-			RT:       h.flight.RTHandler(),
 			Pprof:    true,
 		})
 		go func() {

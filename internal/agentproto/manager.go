@@ -92,7 +92,7 @@ type ManagerConfig struct {
 	Telemetry *telemetry.Registry
 	// Tracer, when set, receives one "market_round" event per price
 	// iteration (trace "m<seq>.r<round>") and one "market_clear" per
-	// finished market — the feed behind mprd's /debug/market page.
+	// finished market — the feed behind mprd's /debug/market.
 	Tracer *telemetry.Tracer
 	// Streaming adds a per-bid price feed: every accepted bid is also
 	// applied to a core.StreamMarket, which re-clears incrementally in

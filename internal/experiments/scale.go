@@ -90,7 +90,7 @@ func runFig10(o Options) (*Result, error) {
 	// The per-round price trajectory is recorded as market_round trace
 	// events on the largest pool, ingested into a series store, and read
 	// back as per-round convergence series — the same record/replay path
-	// the post-hoc tooling uses (DESIGN.md §10).
+	// the post-hoc tooling uses (DESIGN.md §7).
 	tracer := telemetry.NewTracer(256)
 	largest := sizes[len(sizes)-1]
 
@@ -203,6 +203,6 @@ func runFig10(o Options) (*Result, error) {
 		Notes: []string{
 			"MPR-INT total time charges 500 ms of communication per round, as in the paper",
 			"MPR-STAT uses the closed-form segmented solver; 'MPR-STAT bisect' is the legacy bisection search and 'indexed clear' the per-clear cost once the market index is built (amortized over 100 re-clears)",
-			"the convergence trajectory is regenerated from recorded series: the per-round market_round trace events are ingested into a time-series store and queried back (DESIGN.md §10); price error is the cleared price's deviation from the final (Nash) price",
+			"the convergence trajectory is regenerated from recorded series: the per-round market_round trace events are ingested into a time-series store and queried back (DESIGN.md §7); price error is the cleared price's deviation from the final (Nash) price",
 		}}, nil
 }

@@ -111,7 +111,7 @@ func runFig9(o Options) (*Result, error) {
 	return &Result{ID: "f9", Title: "Fig. 9",
 		Tables: []*stats.Table{cost, runtime, red15, cost15, timeline},
 		Notes: []string{
-			"the power timeline is read back from the per-slot series the instrumented MPR-INT run records (100-slot downsampled windows; see DESIGN.md §10)",
+			"the power timeline is read back from the per-slot series the instrumented MPR-INT run records (100-slot downsampled windows; see DESIGN.md §7)",
 		}}, nil
 }
 

@@ -110,7 +110,7 @@ type Result struct {
 	// Series is the run's sampled time-series store when
 	// Config.SampleSeries is set: per-slot power, overload, price,
 	// reduction, and bidder series (names in sampler.go) queryable at
-	// raw/10×/100× resolution and exportable as JSONL/CSV.
+	// raw/10×/100× resolution and exportable as JSONL.
 	Series *tsdb.Store
 
 	// Spans are the run's completed hierarchical trace spans: each

@@ -27,11 +27,10 @@ const (
 // BurnFrac for a burn-rate rule (fires when the violating fraction of
 // the trailing WindowSamples exceeds BurnFrac).
 type Rule struct {
-	Name      string            `json:"name"`
-	Series    string            `json:"series"`
-	Match     map[string]string `json:"match,omitempty"`
-	Op        Op                `json:"op"`
-	Threshold float64           `json:"threshold"`
+	Name      string  `json:"name"`
+	Series    string  `json:"series"`
+	Op        Op      `json:"op"`
+	Threshold float64 `json:"threshold"`
 	// ForSamples is the consecutive-violation count a threshold rule
 	// needs before firing (minimum 1).
 	ForSamples int `json:"for_samples,omitempty"`
@@ -102,7 +101,7 @@ func Eval(rules []Rule, data []tsdb.SeriesData) []Firing {
 	var out []Firing
 	for _, r := range rules {
 		for _, sd := range data {
-			if sd.Name != r.Series || !matchLabels(r.Match, sd.Labels) {
+			if sd.Name != r.Series {
 				continue
 			}
 			if r.WindowSamples > 0 {
@@ -123,8 +122,7 @@ func EvalStore(rules []Rule, st *tsdb.Store, start, end int64) []Firing {
 	var out []Firing
 	for _, r := range rules {
 		data := st.Query(tsdb.Query{
-			Name: r.Series, Match: r.Match,
-			Start: start, End: end,
+			Name: r.Series, Start: start, End: end,
 			Resolution: tsdb.ResAuto,
 		})
 		out = append(out, Eval([]Rule{r}, data)...)
@@ -261,15 +259,6 @@ func (d *Deduper) Fresh(f Firing) bool {
 	}
 	d.seen[exact] = true
 	d.lastFrom[key] = f.From
-	return true
-}
-
-func matchLabels(match, labels map[string]string) bool {
-	for k, v := range match {
-		if labels[k] != v {
-			return false
-		}
-	}
 	return true
 }
 

@@ -71,19 +71,17 @@ func TestBurnRateRule(t *testing.T) {
 	}
 }
 
-func TestRuleMatcherAndSeriesNaming(t *testing.T) {
-	rule := Rule{Name: "R", Series: "m", Match: map[string]string{"algo": "int"},
-		Op: GT, Threshold: 1}
+func TestRuleSeriesNaming(t *testing.T) {
+	rule := Rule{Name: "R", Series: "m", Op: GT, Threshold: 1}
 	data := []tsdb.SeriesData{
-		rawSeries("m", map[string]string{"algo": "int"}, []float64{5}),
-		rawSeries("m", map[string]string{"algo": "stat"}, []float64{5}),
+		rawSeries("m", map[string]string{"algo": "int", "node": "n1"}, []float64{5}),
 		rawSeries("other", nil, []float64{5}),
 	}
 	f := Eval([]Rule{rule}, data)
 	if len(f) != 1 {
-		t.Fatalf("firings = %+v, want only the matching series", f)
+		t.Fatalf("firings = %+v, want only the named series", f)
 	}
-	if want := `m{algo="int"}`; f[0].Series != want {
+	if want := `m{algo="int",node="n1"}`; f[0].Series != want {
 		t.Fatalf("series = %q, want %q", f[0].Series, want)
 	}
 	if !strings.Contains(f[0].String(), "ALERT R") {

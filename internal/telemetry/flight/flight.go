@@ -37,8 +37,6 @@ type Config struct {
 	// triggers, measured against the firings' From timestamps (Unix
 	// seconds in the daemons). Default 60s; see alerts.Deduper.
 	Cooldown time.Duration
-	// Firings bounds the retained alert history (default 64).
-	Firings int
 	// ConfigEcho is the flag/config echo stored in every bundle.
 	ConfigEcho map[string]string
 	// Clock overrides time.Now for deterministic tests.
@@ -48,10 +46,12 @@ type Config struct {
 }
 
 // A bundle carries the last bundleEvents trace events and the tsdb series
-// from bundleWindow before its trigger.
+// from bundleWindow before its trigger; the recorder retains the last
+// firingHistory alert firings.
 const (
-	bundleWindow = 10 * time.Minute
-	bundleEvents = 256
+	bundleWindow  = 10 * time.Minute
+	bundleEvents  = 256
+	firingHistory = 64
 )
 
 // Recorder retains recent telemetry and writes mprflight/v1 bundles on
@@ -64,8 +64,7 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	dedup   *alerts.Deduper
-	firings []alerts.Firing // fixed-capacity ring, oldest first once full
-	nFiring uint64          // total firings ever recorded
+	firings telemetry.Ring[alerts.Firing]
 	dumpSeq int
 	last    DumpInfo
 }
@@ -96,9 +95,6 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 60 * time.Second
 	}
-	if cfg.Firings <= 0 {
-		cfg.Firings = 64
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -111,7 +107,7 @@ func New(cfg Config) (*Recorder, error) {
 		cfg:     cfg,
 		rt:      NewRuntimeSampler(cfg.Registry, cfg.Store),
 		dedup:   alerts.NewDeduper(int64(cfg.Cooldown / time.Second)),
-		firings: make([]alerts.Firing, 0, cfg.Firings),
+		firings: telemetry.NewRing[alerts.Firing](firingHistory),
 	}, nil
 }
 
@@ -125,48 +121,21 @@ func (r *Recorder) SampleRuntime(now time.Time) {
 	r.rt.Sample(now)
 }
 
-// RuntimeSnapshot returns the latest runtime-health sample (zero value
-// before the first SampleRuntime or on nil).
-func (r *Recorder) RuntimeSnapshot() RuntimeSnapshot {
-	if r == nil {
-		return RuntimeSnapshot{}
-	}
-	return r.rt.Snapshot()
-}
-
 // RecordFiring retains one firing in the recorder's fixed-capacity
-// history ring (newest last) without any dump decision. Allocation-free
-// once the ring is full; no-op on nil.
+// history ring (newest last) without any dump decision. Allocation-free;
+// no-op on nil.
 func (r *Recorder) RecordFiring(f alerts.Firing) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordLocked(f)
+	r.firings.Push(f)
+	r.mu.Unlock()
 }
 
-func (r *Recorder) recordLocked(f alerts.Firing) {
-	if len(r.firings) < cap(r.firings) {
-		r.firings = append(r.firings, f)
-	} else {
-		r.firings[int(r.nFiring%uint64(cap(r.firings)))] = f
-	}
-	r.nFiring++
-}
-
-// firingsLocked returns the retained history oldest-first.
-func (r *Recorder) firingsLocked() []alerts.Firing {
-	n := len(r.firings)
-	out := make([]alerts.Firing, 0, n)
-	if n < cap(r.firings) {
-		return append(out, r.firings...)
-	}
-	start := r.nFiring
-	for i := uint64(0); i < uint64(n); i++ {
-		out = append(out, r.firings[int((start+i)%uint64(n))])
-	}
-	return out
+// history returns the retained firings oldest-first. Caller holds r.mu.
+func (r *Recorder) history() []alerts.Firing {
+	return r.firings.Last(make([]alerts.Firing, 0, r.firings.Len()), -1)
 }
 
 // OnFirings feeds one evaluation's firings through the recorder: every
@@ -183,7 +152,7 @@ func (r *Recorder) OnFirings(now time.Time, fs []alerts.Firing) (string, error) 
 	r.mu.Lock()
 	var trigger *alerts.Firing
 	for i := range fs {
-		r.recordLocked(fs[i])
+		r.firings.Push(fs[i])
 		if r.dedup.Fresh(fs[i]) && trigger == nil {
 			trigger = &fs[i]
 		}
@@ -274,7 +243,7 @@ func (r *Recorder) buildBundle(now time.Time, reason string, trigger *alerts.Fir
 	r.mu.Lock()
 	r.dumpSeq++
 	b.DumpSeq = r.dumpSeq
-	b.Firings = r.firingsLocked()
+	b.Firings = r.history()
 	r.mu.Unlock()
 	return b
 }
@@ -292,7 +261,7 @@ func (r *Recorder) Status() Status {
 		Cooldown: r.cfg.Cooldown.String(),
 		Dumps:    r.dumpSeq,
 		Last:     r.last,
-		Firings:  r.firingsLocked(),
+		Firings:  r.history(),
 	}
 	r.mu.Unlock()
 	st.Runtime = r.rt.Snapshot()

@@ -144,16 +144,16 @@ func TestOnFiringsCooldown(t *testing.T) {
 }
 
 func TestFiringRingWraps(t *testing.T) {
-	rec, err := New(Config{Firings: 4, Clock: func() time.Time { return time.Unix(1, 0) }})
+	rec, err := New(Config{Clock: func() time.Time { return time.Unix(1, 0) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 10; i++ {
+	for i := int64(0); i < firingHistory+6; i++ {
 		rec.RecordFiring(firing("R", i))
 	}
 	st := rec.Status()
-	if len(st.Firings) != 4 {
-		t.Fatalf("retained %d firings, want 4", len(st.Firings))
+	if len(st.Firings) != firingHistory {
+		t.Fatalf("retained %d firings, want %d", len(st.Firings), firingHistory)
 	}
 	for i, f := range st.Firings {
 		if want := int64(6 + i); f.From != want {
@@ -165,12 +165,12 @@ func TestFiringRingWraps(t *testing.T) {
 // TestRecordFiringZeroAlloc gates the steady-state record path: once the
 // history ring is full, retaining another firing must not allocate.
 func TestRecordFiringZeroAlloc(t *testing.T) {
-	rec, err := New(Config{Firings: 8, Clock: func() time.Time { return time.Unix(1, 0) }})
+	rec, err := New(Config{Clock: func() time.Time { return time.Unix(1, 0) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := firing("EvictionBurst", 1000)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < firingHistory; i++ {
 		rec.RecordFiring(f)
 	}
 	avg := testing.AllocsPerRun(200, func() { rec.RecordFiring(f) })
@@ -227,11 +227,11 @@ func TestHTTPSurface(t *testing.T) {
 		t.Errorf("manual bundle invalid: %v", err)
 	}
 
-	// /debug/rt serves the latest runtime snapshot.
+	// The status carries the latest runtime snapshot.
 	rr = httptest.NewRecorder()
-	rec.RTHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/rt", nil))
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"goroutines"`) {
-		t.Errorf("GET /debug/rt = %d %q", rr.Code, rr.Body.String())
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
+	if !strings.Contains(rr.Body.String(), `"goroutines"`) {
+		t.Errorf("GET status has no runtime snapshot: %q", rr.Body.String())
 	}
 
 	// A nil recorder still serves both endpoints.

@@ -48,20 +48,6 @@ func (r *Recorder) Handler() http.Handler {
 	})
 }
 
-// RTHandler serves GET /debug/rt: the latest runtime-health snapshot.
-// A nil recorder (or one that has never sampled) serves the zero
-// snapshot.
-func (r *Recorder) RTHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		writeJSON(w, r.RuntimeSnapshot())
-	})
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)

@@ -34,8 +34,8 @@ const (
 	rmSchedLat    = "/sched/latencies:seconds"
 )
 
-// RuntimeSnapshot is the point-in-time runtime-health digest: the
-// /debug/rt payload and the runtime section of a flight bundle.
+// RuntimeSnapshot is the point-in-time runtime-health digest: the runtime
+// section of GET /debug/flight and of a flight bundle.
 type RuntimeSnapshot struct {
 	UnixNS     int64 `json:"unix_ns"`
 	Goroutines int64 `json:"goroutines"`
@@ -93,7 +93,7 @@ func NewRuntimeSampler(reg *telemetry.Registry, store *tsdb.Store) *RuntimeSampl
 
 // Sample reads the runtime metrics once and publishes them: gauges for
 // scrapes, series points (Unix-second timestamps) for windows and
-// alerts, and the latest snapshot for /debug/rt. No-op on nil.
+// alerts, and the latest snapshot for /debug/flight. No-op on nil.
 func (r *RuntimeSampler) Sample(now time.Time) {
 	if r == nil {
 		return

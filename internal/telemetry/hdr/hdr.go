@@ -185,18 +185,6 @@ func (h *Histogram) Record(v float64) {
 	s.updateMax(v)
 }
 
-// Count returns the number of recorded observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.stripes {
-		n += h.stripes[i].count.Load()
-	}
-	return n
-}
-
 // Snapshot folds the stripes into a mergeable point-in-time copy.
 // Returns the empty snapshot on a nil histogram. Concurrent Records may
 // land between stripe reads, so a snapshot taken under write load is a
@@ -226,13 +214,6 @@ func (h *Histogram) Snapshot() Snapshot {
 		snap.Min, snap.Max = 0, 0
 	}
 	return snap
-}
-
-// Quantile snapshots the histogram and estimates the p-quantile — a
-// convenience for one-off reads; samplers taking several quantiles per
-// tick should Snapshot once and query that.
-func (h *Histogram) Quantile(p float64) float64 {
-	return h.Snapshot().Quantile(p)
 }
 
 // Snapshot is a point-in-time copy of a histogram. All histograms share

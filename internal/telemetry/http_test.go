@@ -92,34 +92,35 @@ func TestHandlerMetricsHDRInvalid(t *testing.T) {
 	}
 }
 
+// TestHandlerDebugMarketEndpoint: /debug/market is one JSON document,
+// chronological, with or without ?format=json — the counters, gauges and
+// HDR summaries it once rendered as HTML tables are /metrics.
 func TestHandlerDebugMarketEndpoint(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("mpr_sim_market_invocations_total", "").Add(2)
-	r.Gauge("mpr_power_overload_w", "").Set(340)
 	tr := NewTracer(16)
 	run := tr.StartTrace("run-1")
 	run.Emit(Event{Name: "market_round", Round: 1, Price: 0.8, TargetW: 500, SuppliedW: 420})
 	run.Emit(Event{Name: "market_clear", Round: 2, Price: 0.95, TargetW: 500, SuppliedW: 503, Label: "converged"})
 
-	res, body := serveGet(t, handlerOf(r, tr), "/debug/market")
+	res, body := serveGet(t, handlerOf(nil, tr), "/debug/market")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
-	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
+	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("content type = %q", ct)
 	}
-	for _, want := range []string{
-		"market_clear", "market_round", "run-1", "converged",
-		"mpr_sim_market_invocations_total",
-		"mpr_power_overload_w",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/debug/market missing %q:\n%s", want, body)
-		}
+	var doc struct {
+		DroppedEvents uint64  `json:"dropped_events"`
+		Events        []Event `json:"events"`
 	}
-	// Newest event renders first.
-	if strings.Index(body, "market_clear") > strings.Index(body, "market_round") {
-		t.Fatal("/debug/market must render newest events first")
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, body)
+	}
+	if len(doc.Events) != 2 || doc.Events[0].Name != "market_round" ||
+		doc.Events[1].Trace != "run-1" || doc.Events[1].Label != "converged" {
+		t.Fatalf("events = %+v", doc.Events)
+	}
+	if _, asJSON := serveGet(t, handlerOf(nil, tr), "/debug/market?format=json"); asJSON != body {
+		t.Fatalf("?format=json differs:\n%s\nvs\n%s", asJSON, body)
 	}
 }
 
@@ -181,11 +182,6 @@ func TestHandlerDebugMarketJSONDropped(t *testing.T) {
 	if len(doc.Events) != 16 || doc.Events[0].Round != 4 {
 		t.Fatalf("events = %d, first round = %d", len(doc.Events), doc.Events[0].Round)
 	}
-	// The HTML form surfaces the same count.
-	_, html := serveGet(t, handlerOf(nil, tr), "/debug/market")
-	if !strings.Contains(html, "dropped by the ring: 4") {
-		t.Fatal("HTML debug page must show the dropped count")
-	}
 }
 
 func TestHandlerSpansEndpoint(t *testing.T) {
@@ -205,6 +201,29 @@ func TestHandlerSpansEndpoint(t *testing.T) {
 	}
 	if len(doc.Spans) != 2 || doc.Spans[1].Name != "emergency" || doc.Spans[0].Parent != doc.Spans[1].ID {
 		t.Fatalf("spans = %+v", doc.Spans)
+	}
+}
+
+// TestHandlerSpansDropped: the span ring overwrites its oldest spans when
+// full, and /debug/spans says how many it lost.
+func TestHandlerSpansDropped(t *testing.T) {
+	tr := NewTracer(16)
+	for i := 0; i < 20; i++ {
+		tr.StartSpan("s", nil).End()
+	}
+	_, body := serveGet(t, handlerOf(nil, tr), "/debug/spans")
+	var doc struct {
+		DroppedSpans *uint64 `json:"dropped_spans"`
+		Spans        []Span  `json:"spans"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, body)
+	}
+	if doc.DroppedSpans == nil || *doc.DroppedSpans != 4 || len(doc.Spans) != 16 {
+		t.Fatalf("dropped_spans = %v, spans = %d; want 4 and 16\n%s", doc.DroppedSpans, len(doc.Spans), body)
+	}
+	if doc.Spans[0].ID != 5 {
+		t.Fatalf("oldest retained span = %d, want 5", doc.Spans[0].ID)
 	}
 }
 
@@ -251,7 +270,7 @@ func TestHandlerHealthzAndSeriesMounts(t *testing.T) {
 	}
 }
 
-func TestHandlerFlightAndRTMounts(t *testing.T) {
+func TestHandlerFlightMounts(t *testing.T) {
 	flight := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if strings.HasSuffix(req.URL.Path, "/dump") {
 			w.Write([]byte(`{"path":"flight-000001-manual.json"}`))
@@ -259,10 +278,7 @@ func TestHandlerFlightAndRTMounts(t *testing.T) {
 		}
 		w.Write([]byte(`{"enabled":true}`))
 	})
-	rt := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{"goroutines":7}`))
-	})
-	h := NewHandler(HandlerConfig{Flight: flight, RT: rt})
+	h := NewHandler(HandlerConfig{Flight: flight})
 	if res, body := serveGet(t, h, "/debug/flight"); res.StatusCode != http.StatusOK ||
 		!strings.Contains(body, `"enabled"`) {
 		t.Fatalf("/debug/flight = %d %q", res.StatusCode, body)
@@ -273,20 +289,17 @@ func TestHandlerFlightAndRTMounts(t *testing.T) {
 		!strings.Contains(body, "flight-000001") {
 		t.Fatalf("/debug/flight/dump = %d %q", res.StatusCode, body)
 	}
-	if res, body := serveGet(t, h, "/debug/rt"); res.StatusCode != http.StatusOK ||
-		!strings.Contains(body, `"goroutines"`) {
-		t.Fatalf("/debug/rt = %d %q", res.StatusCode, body)
+	if _, body := serveGet(t, h, "/"); !strings.Contains(body, "/debug/flight") {
+		t.Fatal("index must link /debug/flight when mounted")
 	}
-	if _, body := serveGet(t, h, "/"); !strings.Contains(body, "/debug/flight") ||
-		!strings.Contains(body, "/debug/rt") {
-		t.Fatal("index must link /debug/flight and /debug/rt when mounted")
+	// The runtime snapshot is the runtime field of /debug/flight; there is
+	// no /debug/rt.
+	if res, _ := serveGet(t, h, "/debug/rt"); res.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/rt status = %d, want 404", res.StatusCode)
 	}
 	bare := handlerOf(nil, nil)
 	if res, _ := serveGet(t, bare, "/debug/flight"); res.StatusCode != http.StatusNotFound {
 		t.Fatalf("bare /debug/flight status = %d", res.StatusCode)
-	}
-	if res, _ := serveGet(t, bare, "/debug/rt"); res.StatusCode != http.StatusNotFound {
-		t.Fatalf("bare /debug/rt status = %d", res.StatusCode)
 	}
 }
 

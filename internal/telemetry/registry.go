@@ -7,7 +7,7 @@
 // Two consumption paths are supported. Experiments and the simulator take
 // a point-in-time Snapshot and ship it inside their results; long-running
 // daemons expose the registry over HTTP in Prometheus text format and the
-// tracer ring as a human-readable debug page (see NewHandler).
+// tracer's rings as JSON documents (see NewHandler).
 //
 // Every instrument is nil-safe: methods on a nil *Registry return nil
 // metrics, and methods on nil metrics are no-ops. A nil registry is
@@ -38,20 +38,6 @@ var defaultRegistry = NewRegistry()
 // re-pointed.
 func Default() *Registry { return defaultRegistry }
 
-// atomicFloat is a float64 updated with atomic bit operations.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) Add(v float64) {
-	for {
-		old := f.bits.Load()
-		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
 
@@ -74,23 +60,16 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a float metric that can go up and down.
-type Gauge struct{ v atomicFloat }
+// Gauge is a float metric that can go up and down, stored as atomic
+// float64 bits.
+type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v. No-op on a nil gauge.
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(v)
-}
-
-// Add adds v. No-op on a nil gauge.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(v)
+	g.bits.Store(math.Float64bits(v))
 }
 
 // Value returns the current value (0 for nil).
@@ -98,7 +77,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return math.Float64frombits(g.bits.Load())
 }
 
 // CounterFamily is a set of counters sharing a name, distinguished by one

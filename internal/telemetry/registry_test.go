@@ -21,13 +21,12 @@ func TestNilRegistryIsNop(t *testing.T) {
 	}
 	g := r.Gauge("y", "")
 	g.Set(3)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge must read 0")
 	}
 	h := r.HDR("z", "")
 	h.Record(2)
-	if h.Count() != 0 || r.FindHDR("z") != nil {
+	if h.Snapshot().Count != 0 || r.FindHDR("z") != nil {
 		t.Fatal("nil histogram must read empty")
 	}
 	f := r.CounterFamily("w", "", "mode")
@@ -58,8 +57,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("CounterValue = %d, want 5", got)
 	}
 	g := r.Gauge("mpr_test_g", "")
-	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
@@ -102,7 +100,7 @@ func TestConcurrentCountersAndHistogram(t *testing.T) {
 			fc := f.With("m")
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(j))
 				h.Record(float64(j % 200))
 				fc.Inc()
 			}
@@ -113,8 +111,8 @@ func TestConcurrentCountersAndHistogram(t *testing.T) {
 	if got := r.CounterValue("c"); got != total {
 		t.Fatalf("counter = %d, want %d", got, total)
 	}
-	if got := r.GaugeValue("g"); got != total {
-		t.Fatalf("gauge = %g, want %d", got, total)
+	if got := r.GaugeValue("g"); got != perG-1 {
+		t.Fatalf("gauge = %g, want the last value every writer set, %d", got, perG-1)
 	}
 	s := r.Snapshot()
 	hs := s.HDR("h")

@@ -95,16 +95,9 @@ func (s *ActiveSpan) End() {
 		return
 	}
 	s.span.EndNS = time.Now().UnixNano()
-	t := s.t
-	t.mu.Lock()
-	if len(t.spanRing) < cap(t.spanRing) {
-		t.spanRing = append(t.spanRing, s.span)
-	} else {
-		t.spanRing[int(t.spanDone%uint64(cap(t.spanRing)))] = s.span
-		t.droppedSpans++
-	}
-	t.spanDone++
-	t.mu.Unlock()
+	s.t.mu.Lock()
+	s.t.spans.Push(s.span)
+	s.t.mu.Unlock()
 }
 
 // RecordSpan records an externally timed span — one whose start and end
@@ -125,13 +118,7 @@ func (t *Tracer) RecordSpan(name string, parent *ActiveSpan, startNS, endNS int6
 	t.mu.Lock()
 	t.spanSeq++
 	s.ID = t.spanSeq
-	if len(t.spanRing) < cap(t.spanRing) {
-		t.spanRing = append(t.spanRing, s)
-	} else {
-		t.spanRing[int(t.spanDone%uint64(cap(t.spanRing)))] = s
-		t.droppedSpans++
-	}
-	t.spanDone++
+	t.spans.Push(s)
 	t.mu.Unlock()
 	return s.ID
 }
@@ -139,18 +126,20 @@ func (t *Tracer) RecordSpan(name string, parent *ActiveSpan, startNS, endNS int6
 // Spans returns a copy of the retained completed spans in completion
 // order. Nil tracer returns nil.
 func (t *Tracer) Spans() []Span {
+	spans, _ := t.spanWindow()
+	return spans
+}
+
+// spanWindow returns Spans together with how many completed spans the
+// ring has overwritten — the dropped_spans field of /debug/spans.
+func (t *Tracer) spanWindow() ([]Span, uint64) {
 	if t == nil {
-		return nil
+		return nil, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := len(t.spanRing)
-	out := make([]Span, 0, n)
-	start := t.spanDone - uint64(n)
-	for i := uint64(0); i < uint64(n); i++ {
-		out = append(out, t.spanRing[int((start+i)%uint64(cap(t.spanRing)))])
-	}
-	return out
+	n := t.spans.Len()
+	return t.spans.Last(make([]Span, 0, n), n), t.spans.Total() - uint64(n)
 }
 
 // WithPprofLabels runs f with the "mpr_span" profiler label set, so CPU

@@ -43,20 +43,15 @@ type Event struct {
 // every event as one JSON line for offline analysis (the sink path
 // allocates; the ring path does not). A nil *Tracer is the Nop tracer.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Event
-	seq     uint64
-	dropped uint64 // events overwritten before ever being read
-	sink    io.Writer
-	enc     *json.Encoder
+	mu     sync.Mutex
+	events Ring[Event]
+	enc    *json.Encoder
 
 	// Hierarchical spans (see span.go) share the tracer but keep their
 	// own ring — span lifecycles are much longer than event emissions
 	// and must not evict clearing-round events.
-	spanRing     []Span
-	spanSeq      uint64 // span IDs, assigned at StartSpan
-	spanDone     uint64 // completed spans, indexes the ring
-	droppedSpans uint64
+	spans   Ring[Span]
+	spanSeq uint64 // span IDs, assigned at StartSpan
 }
 
 // NewTracer builds a tracer retaining the last size events (minimum 16,
@@ -68,10 +63,7 @@ func NewTracer(size int) *Tracer {
 	if size < 16 {
 		size = 16
 	}
-	return &Tracer{
-		ring:     make([]Event, 0, size),
-		spanRing: make([]Span, 0, size),
-	}
+	return &Tracer{events: NewRing[Event](size), spans: NewRing[Span](size)}
 }
 
 // SetSink attaches a JSONL sink receiving every subsequent event.
@@ -82,7 +74,6 @@ func (t *Tracer) SetSink(w io.Writer) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.sink = w
 	if w != nil {
 		t.enc = json.NewEncoder(w)
 	} else {
@@ -97,17 +88,11 @@ func (t *Tracer) Emit(e Event) {
 		return
 	}
 	t.mu.Lock()
-	t.seq++
-	e.Seq = t.seq
+	e.Seq = t.events.Total() + 1
 	if e.TimeNS == 0 {
 		e.TimeNS = time.Now().UnixNano()
 	}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-	} else {
-		t.ring[int((t.seq-1)%uint64(cap(t.ring)))] = e
-		t.dropped++
-	}
+	t.events.Push(e)
 	enc := t.enc
 	t.mu.Unlock()
 	if enc != nil {
@@ -125,7 +110,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.events.Total() - uint64(t.events.Len())
 }
 
 // Len returns the number of events currently retained.
@@ -135,7 +120,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.events.Len()
 }
 
 // Events returns a chronological copy of the retained window. Nil tracer
@@ -153,17 +138,10 @@ func (t *Tracer) Last(n int) []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := len(t.ring)
-	if n < 0 || n > size {
+	if size := t.events.Len(); n < 0 || n > size {
 		n = size
 	}
-	out := make([]Event, 0, n)
-	// Oldest surviving event: seq t.seq-size+1 at ring index (seq-1)%cap.
-	start := t.seq - uint64(n)
-	for i := uint64(0); i < uint64(n); i++ {
-		out = append(out, t.ring[int((start+i)%uint64(cap(t.ring)))])
-	}
-	return out
+	return t.events.Last(make([]Event, 0, n), n)
 }
 
 // StartTrace returns a handle stamping events with the given trace ID —
@@ -190,12 +168,4 @@ func (tr *Trace) Emit(e Event) {
 	}
 	e.Trace = tr.id
 	tr.t.Emit(e)
-}
-
-// ID returns the handle's trace identifier ("" for nil).
-func (tr *Trace) ID() string {
-	if tr == nil {
-		return ""
-	}
-	return tr.id
 }

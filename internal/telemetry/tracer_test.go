@@ -21,9 +21,6 @@ func TestNilTracerIsNop(t *testing.T) {
 		t.Fatal("nil tracer must hand out the nil trace handle")
 	}
 	h.Emit(Event{Name: "y"}) // must not panic
-	if h.ID() != "" {
-		t.Fatal("nil trace ID must be empty")
-	}
 }
 
 func TestTracerSequenceAndWindow(t *testing.T) {
@@ -82,9 +79,6 @@ func TestTracerWraparound(t *testing.T) {
 func TestTraceHandleStampsID(t *testing.T) {
 	tr := NewTracer(16)
 	run := tr.StartTrace("mpr-int")
-	if run.ID() != "mpr-int" {
-		t.Fatalf("ID = %q", run.ID())
-	}
 	run.Emit(Event{Name: "market_round", Round: 1, Price: 0.5})
 	evs := tr.Events()
 	if len(evs) != 1 || evs[0].Trace != "mpr-int" {

@@ -1,14 +1,9 @@
 package tsdb
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 
 	"mpr/internal/telemetry"
 )
@@ -48,67 +43,14 @@ func WriteJSONL(w io.Writer, data []SeriesData) error {
 	return nil
 }
 
-// WriteCSV writes a flat CSV with one row per bucket. Labels render as a
-// single sorted "k=v;k2=v2" column.
-func WriteCSV(w io.Writer, data []SeriesData) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"name", "labels", "resolution", "start", "end", "min", "max", "sum", "count"}); err != nil {
-		return err
-	}
-	for _, sd := range data {
-		labels := renderLabels(sd.Labels)
-		for _, b := range sd.Points {
-			row := []string{
-				sd.Name, labels, sd.Resolution,
-				strconv.FormatInt(b.Start, 10), strconv.FormatInt(b.End, 10),
-				formatFloat(b.Min), formatFloat(b.Max), formatFloat(b.Sum),
-				strconv.FormatInt(b.Count, 10),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func renderLabels(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%s=%s", k, labels[k])
-	}
-	return b.String()
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// ExportFile renders the query's result to path: CSV when the path ends
-// in ".csv", JSONL otherwise.
+// ExportFile renders the query's result to path as JSONL (WriteJSONL),
+// whatever the file name.
 func ExportFile(st *Store, q Query, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	data := st.Query(q)
-	if strings.HasSuffix(path, ".csv") {
-		err = WriteCSV(f, data)
-	} else {
-		err = WriteJSONL(f, data)
-	}
+	err = WriteJSONL(f, st.Query(q))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

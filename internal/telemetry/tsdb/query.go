@@ -110,53 +110,25 @@ func (q *Query) resolve(s *Series) Resolution {
 	for _, cand := range []struct {
 		res   Resolution
 		level int // -1 = raw
-		n     int
 	}{
-		{ResRaw, -1, s.Len()},
-		{Res10, 0, 0},
-		{Res100, 1, 0},
+		{ResRaw, -1},
+		{Res10, 0},
+		{Res100, 1},
 	} {
-		oldest, ok := s.oldestAt(cand.level)
-		if !ok {
+		oldest, n, wrapped := s.retained(cand.level)
+		if n == 0 {
 			continue
 		}
 		// A ring that has not wrapped still holds everything ever
 		// appended, so it covers any start; a wrapped ring covers the
 		// window only if its oldest survivor predates the start (an
 		// unbounded start — zero — asks for all history).
-		covers := !s.wrappedAt(cand.level) || (q.Start != 0 && oldest <= q.Start)
-		n := cand.n
-		if cand.level >= 0 {
-			n = s.aggLen(cand.level)
-		}
+		covers := !wrapped || (q.Start != 0 && oldest <= q.Start)
 		if covers && n <= budget {
 			return cand.res
 		}
 	}
 	return Res100
-}
-
-// wrappedAt reports whether the ring at level (-1 = raw) has overwritten
-// old data — if not, the ring trivially covers any start.
-func (s *Series) wrappedAt(level int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if level < 0 {
-		return s.rawN > uint64(len(s.raw))
-	}
-	return s.aggN[level] > uint64(len(s.agg[level]))
-}
-
-// aggLen returns the retained bucket count at level, including the
-// partial bucket.
-func (s *Series) aggLen(level int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.agg[level])
-	if s.curN[level] > 0 {
-		n++
-	}
-	return n
 }
 
 // Query renders every matching series' window, sorted by canonical

@@ -24,6 +24,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"mpr/internal/telemetry"
 )
 
 // ratio is the downsampling factor between adjacent resolutions.
@@ -113,12 +115,10 @@ type Series struct {
 	key    string  // canonical name{k="v",...} identity
 
 	mu   sync.Mutex
-	raw  []Point // fixed capacity; wraps at rawN % cap
-	rawN uint64  // total raw appends
-	agg  [aggLevels][]Bucket
-	aggN [aggLevels]uint64 // completed buckets pushed per level
-	cur  [aggLevels]Bucket // partial bucket being filled
-	curN [aggLevels]int    // finer units folded into cur (raw samples / level-0 buckets)
+	raw  telemetry.Ring[Point]
+	agg  [aggLevels]telemetry.Ring[Bucket] // completed buckets per level
+	cur  [aggLevels]Bucket                 // partial bucket being filled
+	curN [aggLevels]int                    // finer units folded into cur (raw samples / level-0 buckets)
 }
 
 // Name returns the series name.
@@ -139,12 +139,7 @@ func (s *Series) Append(t int64, v float64) {
 		return
 	}
 	s.mu.Lock()
-	if len(s.raw) < cap(s.raw) {
-		s.raw = append(s.raw, Point{t, v})
-	} else {
-		s.raw[int(s.rawN%uint64(cap(s.raw)))] = Point{t, v}
-	}
-	s.rawN++
+	s.raw.Push(Point{t, v})
 	s.cur[0].fold(t, v)
 	s.curN[0]++
 	if s.curN[0] == ratio {
@@ -157,12 +152,7 @@ func (s *Series) Append(t int64, v float64) {
 // Caller holds s.mu.
 func (s *Series) pushAgg(level int) {
 	done := s.cur[level]
-	if len(s.agg[level]) < cap(s.agg[level]) {
-		s.agg[level] = append(s.agg[level], done)
-	} else {
-		s.agg[level][int(s.aggN[level]%uint64(cap(s.agg[level])))] = done
-	}
-	s.aggN[level]++
+	s.agg[level].Push(done)
 	s.cur[level] = Bucket{}
 	s.curN[level] = 0
 	if level+1 < aggLevels {
@@ -181,7 +171,7 @@ func (s *Series) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.raw)
+	return s.raw.Len()
 }
 
 // Total returns the number of samples ever appended (including samples
@@ -193,7 +183,7 @@ func (s *Series) Total() uint64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rawN
+	return s.raw.Total()
 }
 
 // Last returns the most recent sample (zero Point when empty).
@@ -203,20 +193,18 @@ func (s *Series) Last() Point {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rawN == 0 {
+	if s.raw.Len() == 0 {
 		return Point{}
 	}
-	return s.raw[int((s.rawN-1)%uint64(cap(s.raw)))]
+	return s.raw.At(s.raw.Len() - 1)
 }
 
 // snapshotRaw copies the retained raw window in chronological order into
 // out (appending), restricted to [start, end].
 func (s *Series) snapshotRaw(out []Bucket, start, end int64) []Bucket {
 	s.mu.Lock()
-	n := len(s.raw)
-	first := s.rawN - uint64(n)
-	for i := 0; i < n; i++ {
-		p := s.raw[int((first+uint64(i))%uint64(cap(s.raw)))]
+	for i := 0; i < s.raw.Len(); i++ {
+		p := s.raw.At(i)
 		if p.T < start || (end != 0 && p.T > end) {
 			continue
 		}
@@ -232,15 +220,11 @@ func (s *Series) snapshotRaw(out []Bucket, start, end int64) []Bucket {
 // never invisible at coarse resolutions.
 func (s *Series) snapshotAgg(out []Bucket, level int, start, end int64) []Bucket {
 	s.mu.Lock()
-	ring := s.agg[level]
-	n := len(ring)
-	first := s.aggN[level] - uint64(n)
-	for i := 0; i < n; i++ {
-		b := ring[int((first+uint64(i))%uint64(cap(ring)))]
-		if b.End < start || (end != 0 && b.Start > end) {
-			continue
+	ring := &s.agg[level]
+	for i := 0; i < ring.Len(); i++ {
+		if b := ring.At(i); b.End >= start && (end == 0 || b.Start <= end) {
+			out = append(out, b)
 		}
-		out = append(out, b)
 	}
 	if s.curN[level] > 0 {
 		b := s.cur[level]
@@ -252,28 +236,31 @@ func (s *Series) snapshotAgg(out []Bucket, level int, start, end int64) []Bucket
 	return out
 }
 
-// oldestAt reports the oldest timestamp retained at the given resolution
-// level (-1 = raw) and whether the series holds any data there at all.
-func (s *Series) oldestAt(level int) (int64, bool) {
+// retained describes the ring at the given resolution level (-1 = raw):
+// the oldest timestamp it holds, how many points a query there renders
+// (the partial bucket included), and whether it has overwritten anything.
+// n == 0 means the series holds no data at that level.
+func (s *Series) retained(level int) (oldest int64, n int, wrapped bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if level < 0 {
-		n := len(s.raw)
-		if n == 0 {
-			return 0, false
+		if n = s.raw.Len(); n > 0 {
+			oldest = s.raw.At(0).T
 		}
-		first := s.rawN - uint64(n)
-		return s.raw[int(first%uint64(cap(s.raw)))].T, true
+		return oldest, n, s.raw.Total() > uint64(n)
 	}
-	ring := s.agg[level]
-	if n := len(ring); n > 0 {
-		first := s.aggN[level] - uint64(n)
-		return ring[int(first%uint64(cap(ring)))].Start, true
+	ring := &s.agg[level]
+	switch {
+	case ring.Len() > 0:
+		oldest = ring.At(0).Start
+	case s.curN[level] > 0:
+		oldest = s.cur[level].Start
 	}
+	n = ring.Len()
 	if s.curN[level] > 0 {
-		return s.cur[level].Start, true
+		n++
 	}
-	return 0, false
+	return oldest, n, ring.Total() > uint64(ring.Len())
 }
 
 // storeStripes shards the series map so concurrent samplers resolving or
@@ -386,10 +373,10 @@ func (st *Store) Series(name string, labels ...Label) *Series {
 		name:   name,
 		labels: ls,
 		key:    key,
-		raw:    make([]Point, 0, st.rawCap),
+		raw:    telemetry.NewRing[Point](st.rawCap),
 	}
 	for i := range s.agg {
-		s.agg[i] = make([]Bucket, 0, st.rawCap)
+		s.agg[i] = telemetry.NewRing[Bucket](st.rawCap)
 	}
 	sp.series[key] = s
 	return s

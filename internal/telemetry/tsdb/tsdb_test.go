@@ -2,6 +2,8 @@ package tsdb
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -236,7 +238,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestExportJSONLAndCSVDeterministic(t *testing.T) {
+func TestExportJSONLDeterministic(t *testing.T) {
 	build := func() *Store {
 		st := New(64)
 		s := st.Series("p", Label{Key: "algo", Value: "int"})
@@ -247,7 +249,7 @@ func TestExportJSONLAndCSVDeterministic(t *testing.T) {
 		}
 		return st
 	}
-	var j1, j2, c1 bytes.Buffer
+	var j1, j2 bytes.Buffer
 	if err := WriteJSONL(&j1, build().Query(Query{Resolution: ResRaw})); err != nil {
 		t.Fatal(err)
 	}
@@ -257,19 +259,22 @@ func TestExportJSONLAndCSVDeterministic(t *testing.T) {
 	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
 		t.Fatal("JSONL export not byte-identical across identical stores")
 	}
-	if err := WriteCSV(&c1, build().Query(Query{Resolution: Res10})); err != nil {
+	// ExportFile writes the same JSONL whatever the file name.
+	path := filepath.Join(t.TempDir(), "series.csv")
+	if err := ExportFile(build(), Query{Resolution: Res10}, path); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(c1.String()), "\n")
-	if lines[0] != "name,labels,resolution,start,end,min,max,sum,count" {
-		t.Fatalf("csv header = %q", lines[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	// 25 samples → two full 10× buckets + one partial, per series.
-	if want := 1 + 2*3; len(lines) != want {
-		t.Fatalf("csv lines = %d, want %d", len(lines), want)
+	if want := 2 * 3; len(lines) != want {
+		t.Fatalf("jsonl lines = %d, want %d", len(lines), want)
 	}
-	if !strings.Contains(c1.String(), "algo=int") {
-		t.Fatal("csv lost the label column")
+	if !strings.HasPrefix(lines[0], `{"name":"p","labels":{"algo":"int"},"resolution":"10x",`) {
+		t.Fatalf("first line = %q", lines[0])
 	}
 }
 
