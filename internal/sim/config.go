@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"mpr/internal/core"
 	"mpr/internal/perf"
@@ -150,6 +151,26 @@ func (c *Config) Normalize() error {
 	if err := c.Trace.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
+	// A NaN slips through every range check below (each comparison is
+	// false) and an infinity through the one-sided ones, so both are
+	// refused first, before any default is filled.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"OversubPct", c.OversubPct},
+		{"CapacityOverrideW", c.CapacityOverrideW},
+		{"Alpha", c.Alpha},
+		{"Participation", c.Participation},
+		{"CostErrorRand", c.CostErrorRand},
+		{"CostErrorUnder", c.CostErrorUnder},
+		{"StatBidFactor", c.StatBidFactor},
+		{"PhaseAmp", c.PhaseAmp},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if c.OversubPct < 0 {
 		return fmt.Errorf("sim: oversubscription must be non-negative, got %v", c.OversubPct)
 	}
@@ -165,6 +186,9 @@ func (c *Config) Normalize() error {
 	}
 	if len(c.Profiles) == 0 {
 		c.Profiles = perf.CPUProfiles()
+	}
+	if c.Alpha < 0 {
+		return fmt.Errorf("sim: cost scale alpha must be non-negative, got %v", c.Alpha)
 	}
 	if c.Alpha == 0 {
 		c.Alpha = 1

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"fmt"
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 
 	"mpr/internal/core"
@@ -19,8 +19,23 @@ import (
 
 // simJob is the engine's per-job state.
 type simJob struct {
+	// The fields every slot reads come first. speed, allocW and finishAt
+	// are pure functions of alloc and the job's progress, cached because
+	// alloc changes a few times per job while the loops run every slot:
+	// setAlloc is alloc's only writer and refreshes speed and allocW;
+	// quietUntil fills finishAt.
+	remainingMin float64
+	alloc        float64 // per-core allocation knob, 1 = full speed
+	speed        float64 // profile.Speed(alloc), the work done per slot
+	allocW       float64 // power.JobPower(cores, alloc), the delivered draw
+	fullW        float64 // power.JobPower(cores, 1), the demanded draw
+	// finishAt is the slot at which step finishes the job if it runs at
+	// unit speed throughout — slot + finishSteps(remainingMin) as of any
+	// slot since the projection — or unprojected.
+	finishAt int
+	cores    int
+
 	id      int
-	cores   int
 	profile *perf.Profile
 	// trueModel prices the user's actual cost; bidModel is the possibly
 	// perturbed model used for bidding (Fig. 13 error studies).
@@ -43,14 +58,12 @@ type simJob struct {
 	// hoisting the map lookup out of the per-slot emergency loop.
 	pstats *ProfileStats
 
-	submitSlot   int
-	remainingMin float64
-	origMin      float64
+	submitSlot int
+	origMin    float64
 
 	running   bool
 	done      bool
 	affected  bool
-	alloc     float64 // per-core allocation knob, 1 = full speed
 	startSlot int
 	endSlot   int
 
@@ -126,6 +139,33 @@ type engineState struct {
 	// batch.
 	bidsDerived int
 	bidSolves   int
+	// allocSets counts setAlloc calls, job starts included; projections
+	// counts the finish slots quietUntil computed. Each setAlloc leaves at
+	// most one projection to make, so projections ≤ allocSets.
+	allocSets   int
+	projections int
+}
+
+// unprojected marks a simJob.finishAt that quietUntil has yet to compute.
+const unprojected = -1
+
+// setAlloc sets j's allocation knob, refreshes the values cached from it
+// and drops j's finish projection, which assumed the old speed.
+func (st *engineState) setAlloc(j *simJob, a float64) {
+	j.alloc = a
+	j.speed = j.profile.Speed(a)
+	j.allocW = j.power.JobPower(float64(j.cores), a)
+	j.finishAt = unprojected
+	st.allocSets++
+}
+
+// applyOrder puts a reduction order's allocation a in force on j at slot
+// and moves j's expected end in the scheduler to match its new speed.
+func (st *engineState) applyOrder(j *simJob, a float64, slot int) {
+	st.setAlloc(j, a)
+	if j.speed > 0 {
+		st.scheduler.ExtendRuntime(j.id, int64(slot)+int64(math.Ceil(j.remainingMin/j.speed)))
+	}
 }
 
 // Run executes the simulation and returns its result.
@@ -273,8 +313,8 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	// The trace is ordered by Submit, not by Submit+Wait, so jobs can
 	// reach their submit slot out of trace order; the sort is stable to
 	// keep the trace order among those sharing a slot.
-	arrivals := append([]*simJob(nil), jobs...)
-	sort.SliceStable(arrivals, func(a, b int) bool { return arrivals[a].submitSlot < arrivals[b].submitSlot })
+	arrivals := slices.Clone(jobs)
+	slices.SortStableFunc(arrivals, func(a, b *simJob) int { return cmp.Compare(a.submitSlot, b.submitSlot) })
 
 	st := &engineState{
 		cfg:          cfg,
@@ -357,7 +397,7 @@ func (st *engineState) step(slot int) error {
 		var runDemand float64
 		maxWPC := cfg.CoreModel.StaticW + cfg.CoreModel.DynamicW
 		for _, j := range st.active {
-			runDemand += j.power.JobPower(float64(j.cores), 1)
+			runDemand += j.fullW
 			if w := j.power.StaticW + j.power.DynamicW; w > maxWPC {
 				maxWPC = w
 			}
@@ -372,7 +412,7 @@ func (st *engineState) step(slot int) error {
 		j := st.byID[req.ID]
 		j.running = true
 		j.startSlot = slot
-		j.alloc = 1
+		st.setAlloc(j, 1)
 		st.active = append(st.active, j)
 	}
 
@@ -381,10 +421,7 @@ func (st *engineState) step(slot int) error {
 	if st.pendingAllocs != nil && slot >= st.pendingApplyAt {
 		for _, j := range st.active {
 			if a, ok := st.pendingAllocs[j.id]; ok {
-				j.alloc = a
-				if speed := j.profile.Speed(a); speed > 0 {
-					st.scheduler.ExtendRuntime(j.id, int64(slot)+int64(math.Ceil(j.remainingMin/speed)))
-				}
+				st.applyOrder(j, a, slot)
 			}
 		}
 		st.pendingAllocs = nil
@@ -403,8 +440,8 @@ func (st *engineState) step(slot int) error {
 		}
 	} else {
 		for _, j := range st.active {
-			demandW += j.power.JobPower(float64(j.cores), 1)
-			deliveredW += j.power.JobPower(float64(j.cores), j.alloc)
+			demandW += j.fullW
+			deliveredW += j.allocW
 		}
 	}
 
@@ -519,11 +556,7 @@ func (st *engineState) step(slot int) error {
 				// Immediate orders apply straight from the scratch
 				// selection — no id-keyed map on the hot path.
 				for i, j := range st.scratch.sel {
-					a := st.scratch.allocs[i]
-					j.alloc = a
-					if speed := j.profile.Speed(a); speed > 0 {
-						st.scheduler.ExtendRuntime(j.id, int64(slot)+int64(math.Ceil(j.remainingMin/speed)))
-					}
+					st.applyOrder(j, st.scratch.allocs[i], slot)
 				}
 				st.sm.latency.Record(0)
 			} else {
@@ -555,7 +588,7 @@ func (st *engineState) step(slot int) error {
 		st.pendingAllocs = nil
 		st.scheduler.Halt(false)
 		for _, j := range st.active {
-			j.alloc = 1
+			st.setAlloc(j, 1)
 		}
 		st.runTrace.Emit(telemetry.Event{Name: "emergency_lift", Slot: slot, TargetW: d.TargetW})
 		st.emSpan.SetAttr("lift_slot", strconv.Itoa(slot))
@@ -563,13 +596,17 @@ func (st *engineState) step(slot int) error {
 		st.emSpan = nil
 	}
 
-	// 5. Per-slot statistics.
+	// 5. Per-slot statistics and 6. progress work, in one pass over the
+	// active jobs: each accumulator still adds in job order.
 	if deliveredW > st.capW {
 		res.OverloadSlots++
 	}
 	if st.emergency {
 		res.EmergencySlots++
-		for _, j := range st.active {
+	}
+	var activeCores float64
+	for _, j := range st.active {
+		if st.emergency {
 			j.affected = true
 			if j.alloc < 1 {
 				x := 1 - j.alloc
@@ -578,21 +615,19 @@ func (st *engineState) step(slot int) error {
 				pay := st.price * deltaCores / 60
 				res.ReductionCoreH += deltaCores / 60
 				res.CostCoreH += cost
-				if cfg.Algorithm == AlgMPRStat || cfg.Algorithm == AlgMPRInt {
+				if st.marketAlgo {
 					res.PaymentCoreH += pay
 				}
 				ps := j.pstats
 				ps.ReductionCoreH += deltaCores / 60
 				ps.CostCoreH += cost
-				if cfg.Algorithm == AlgMPRStat || cfg.Algorithm == AlgMPRInt {
+				if st.marketAlgo {
 					ps.PaymentCoreH += pay
 				}
 			}
 		}
-	}
-	var activeCores float64
-	for _, j := range st.active {
 		activeCores += float64(j.cores)
+		j.remainingMin -= j.speed
 	}
 	if activeCores > st.baseCapCores {
 		res.UsedExtraCoreH += (activeCores - st.baseCapCores) / 60
@@ -609,11 +644,6 @@ func (st *engineState) step(slot int) error {
 			}
 		}
 		st.smp.sample(slot, demandW, deliveredW, st.capW, st.price, st.emergency, st.lastTargetW, bidderCount)
-	}
-
-	// 6. Progress work.
-	for _, j := range st.active {
-		j.remainingMin -= j.profile.Speed(j.alloc)
 	}
 	res.Slots = slot + 1
 	return nil
@@ -686,12 +716,20 @@ func (st *engineState) finish() *Result {
 }
 
 // buildJobs assigns application profiles, cost models and participation
-// to the trace's jobs. Static bids come later, from deriveStaticBids.
+// to the trace's jobs. Static bids come later, from deriveStaticBids. The
+// jobs, their market identities and their cost models each live in one
+// backing array, so a run's set-up allocates per slice, not per job.
 func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
-	jobs := make([]*simJob, 0, len(cfg.Trace.Jobs))
-	for _, tj := range cfg.Trace.Jobs {
+	n := len(cfg.Trace.Jobs)
+	jobs := make([]*simJob, n)
+	store := make([]simJob, n)
+	parts := make([]core.Participant, n)
+	bidders := make([]core.RationalBidder, n)
+	models := make([]perf.CostModel, 2*n)
+	for i, tj := range cfg.Trace.Jobs {
 		prof := cfg.Profiles[rng.Intn(len(cfg.Profiles))]
-		trueModel := perf.NewCostModel(prof, cfg.Alpha, cfg.CostShape)
+		trueModel, bidModel := &models[2*i], &models[2*i+1]
+		*trueModel = *perf.NewCostModel(prof, cfg.Alpha, cfg.CostShape)
 		// Bidding-side cost perturbation: linear-in-α scaling captures
 		// both random error and systematic underestimation.
 		bidAlpha := cfg.Alpha
@@ -701,8 +739,9 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 		if cfg.CostErrorUnder > 0 {
 			bidAlpha *= 1 - cfg.CostErrorUnder
 		}
-		bidModel := perf.NewCostModelUnchecked(prof, bidAlpha, cfg.CostShape)
-		j := &simJob{
+		*bidModel = *perf.NewCostModelUnchecked(prof, bidAlpha, cfg.CostShape)
+		j := &store[i]
+		*j = simJob{
 			id:           tj.ID,
 			cores:        tj.Cores,
 			profile:      prof,
@@ -713,11 +752,11 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 			submitSlot:   int(tj.Start() / 60),
 			remainingMin: float64(tj.Runtime) / 60,
 			origMin:      float64(tj.Runtime) / 60,
-			alloc:        1,
 			phaseOffset:  rng.Float64() * 2 * math.Pi,
 		}
-		j.part = &core.Participant{
-			JobID:        fmt.Sprint(j.id),
+		j.fullW = j.power.JobPower(float64(j.cores), 1)
+		parts[i] = core.Participant{
+			JobID:        strconv.Itoa(j.id),
 			Cores:        float64(j.cores),
 			WattsPerCore: j.power.DynamicW,
 			MaxFrac:      j.profile.MaxReduction(),
@@ -728,8 +767,10 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 				return j.trueModel.Marginal(d / float64(j.cores))
 			},
 		}
-		j.bidder = &core.RationalBidder{Cores: float64(j.cores), Model: j.bidModel}
-		jobs = append(jobs, j)
+		j.part = &parts[i]
+		bidders[i] = core.RationalBidder{Cores: float64(j.cores), Model: j.bidModel}
+		j.bidder = &bidders[i]
+		jobs[i] = j
 	}
 	return jobs
 }
@@ -747,7 +788,11 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 // equal and every job is solved, as it would be without coop.
 //
 // Keeping the solved models for the whole run is ROADMAP's "run-scoped
-// memo" item and is still deferred; do not add it here.
+// memo" item and is still deferred; do not add it here. Measured on the
+// sparse benchmark shape it takes 190 solves to 8 and sim_slots_per_s
+// 6.7× up, but the benchmark keeps every lap's Result (≈ 6.5 KB of RSS a
+// lap), so the sparse bundle's peak_rss_mb went 134 → 186 MB, past its
+// 15 % bound: it waits for the benchmark to keep only the last lap.
 func deriveStaticBids(cfg *Config, active []*simJob, coop *core.CooperativeBids) (derived, solves int) {
 	coop.Reset()
 	for _, j := range active {
@@ -771,15 +816,21 @@ func peakPower(jobs []*simJob) float64 {
 	}
 	evs := make([]ev, 0, 2*len(jobs))
 	for _, j := range jobs {
-		w := j.power.JobPower(float64(j.cores), 1)
-		evs = append(evs, ev{j.submitSlot, w}, ev{j.submitSlot + int(math.Ceil(j.origMin)), -w})
+		evs = append(evs, ev{j.submitSlot, j.fullW}, ev{j.submitSlot + int(math.Ceil(j.origMin)), -j.fullW})
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
+	// Releases (negative) before acquisitions at the same slot. Events
+	// equal in (at, dw) are interchangeable, so the sweep below adds the
+	// same sequence whichever order the sort leaves them in.
+	slices.SortFunc(evs, func(a, b ev) int {
+		switch {
+		case a.at != b.at:
+			return cmp.Compare(a.at, b.at)
+		case a.dw < b.dw:
+			return -1
+		case a.dw > b.dw:
+			return 1
 		}
-		// Releases (negative) before acquisitions at the same slot.
-		return evs[a].dw < evs[b].dw
+		return 0
 	})
 	var cur, peak float64
 	for _, e := range evs {

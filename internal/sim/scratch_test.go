@@ -7,7 +7,6 @@ import (
 	"mpr/internal/core"
 	"mpr/internal/perf"
 	"mpr/internal/telemetry"
-	"mpr/internal/trace"
 )
 
 // scratchFixture builds a normalized config, its jobs with their static
@@ -133,11 +132,7 @@ func TestStaticBidsOnDemand(t *testing.T) {
 		return len(seen)
 	}
 
-	// The repo benchmark's sim_dense shape: a busy week of the Gaia preset.
-	dense, err := trace.Generate(trace.Presets(1)["gaia"].WithDays(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := gaiaWeek(t)
 	for _, algo := range []Algorithm{AlgMPRInt, AlgOPT, AlgEQL, AlgNone} {
 		st := run(Config{Trace: dense, OversubPct: 15, Algorithm: algo, Seed: 1})
 		if n := check(st); n != 0 {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"mpr/internal/check/floats"
@@ -306,6 +308,46 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
+	}
+}
+
+// TestConfigRefusesNonFinite: every float knob refuses NaN and ±Inf up
+// front, with the sim: message naming it, and α refuses a negative value.
+// Unchecked, a NaN OversubPct ran with a NaN capacity and no emergencies,
+// a NaN or negative α cleared every market at price 0, a NaN
+// Participation meant nobody bid, and a NaN StatBidFactor failed only
+// inside core.
+func TestConfigRefusesNonFinite(t *testing.T) {
+	tr := sparseTrace(5, 2, 1000, 30)
+	res, err := Run(Config{Trace: tr, OversubPct: 15, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EmergencyCount != 5 {
+		t.Fatalf("valid config: %d emergencies, want one per burst", res.EmergencyCount)
+	}
+	fields := map[string]func(*Config, float64){
+		"OversubPct":        func(c *Config, v float64) { c.OversubPct = v },
+		"CapacityOverrideW": func(c *Config, v float64) { c.CapacityOverrideW = v },
+		"Alpha":             func(c *Config, v float64) { c.Alpha = v },
+		"Participation":     func(c *Config, v float64) { c.Participation = v },
+		"CostErrorRand":     func(c *Config, v float64) { c.CostErrorRand = v },
+		"CostErrorUnder":    func(c *Config, v float64) { c.CostErrorUnder = v },
+		"StatBidFactor":     func(c *Config, v float64) { c.StatBidFactor = v },
+		"PhaseAmp":          func(c *Config, v float64) { c.PhaseAmp = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Trace: tr, OversubPct: 15, Seed: 7}
+			set(&cfg, v)
+			_, err := Run(cfg)
+			if want := "sim: " + name + " must be finite"; err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s = %v: err %v, want %q", name, v, err, want)
+			}
+		}
+	}
+	if _, err := Run(Config{Trace: tr, OversubPct: 15, Seed: 7, Alpha: -2}); err == nil || !strings.Contains(err.Error(), "alpha") {
+		t.Errorf("Alpha = -2: err %v, want the non-negative alpha refusal", err)
 	}
 }
 

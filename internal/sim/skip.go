@@ -20,7 +20,10 @@ import (
 // or the end of the horizon — or slot itself when the slots ahead are
 // not provably inert. Finishes are projected from each job's remaining
 // work at unit speed, which canSkipFrom has just verified, so the
-// projection is exact (see skipProgress).
+// projection is exact (see skipProgress). A projection stays exact for as
+// long as the job keeps unit speed — finishSteps of the remaining work a
+// stepped or skipped slot later is one less — so each job is projected
+// once per setAlloc and kept in finishAt.
 func (st *engineState) quietUntil(slot int) int {
 	next := st.horizon + 1
 	if st.nextArrival < len(st.arrivals) {
@@ -30,7 +33,11 @@ func (st *engineState) quietUntil(slot int) int {
 		return slot
 	}
 	for _, j := range st.active {
-		next = min(next, slot+finishSteps(j.remainingMin))
+		if j.finishAt == unprojected {
+			j.finishAt = slot + finishSteps(j.remainingMin)
+			st.projections++
+		}
+		next = min(next, j.finishAt)
 	}
 	return next
 }
@@ -61,7 +68,7 @@ func (st *engineState) canSkipFrom() bool {
 		if j.alloc != 1 {
 			return false
 		}
-		deliveredW += j.power.JobPower(float64(j.cores), 1)
+		deliveredW += j.fullW
 	}
 	return deliveredW <= st.capW
 }
@@ -125,11 +132,9 @@ func skipProgress(r float64, k int) float64 {
 // Result bit-identical; integer state advances in one move.
 func (st *engineState) skipTo(from, to int) {
 	k := to - from
-	for _, j := range st.active {
-		j.remainingMin = skipProgress(j.remainingMin, k)
-	}
 	var activeCores float64
 	for _, j := range st.active {
+		j.remainingMin = skipProgress(j.remainingMin, k)
 		activeCores += float64(j.cores)
 	}
 	if activeCores > st.baseCapCores {

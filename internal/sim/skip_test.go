@@ -306,6 +306,46 @@ func TestRunSkipsInertSlots(t *testing.T) {
 	}
 }
 
+// TestFinishProjectedPerChange is the count gate on the finish-slot cache:
+// on the dense and the sparse shape Run projects a job's finish at most
+// once per setAlloc (a start is one), however many slots it then steps or
+// skips through. Before the cache every quietUntil past canSkipFrom
+// re-projected every active job. Counting instead of timing keeps the
+// gate deterministic on a loaded box.
+func TestFinishProjectedPerChange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"dense", Config{Trace: gaiaWeek(t), OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1}},
+		{"sparse", sparseConfig()},
+	} {
+		st, err := newEngineState(&tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.run(); err != nil {
+			t.Fatal(err)
+		}
+		res := st.finish()
+		started := 0
+		for _, j := range st.jobs {
+			if j.running || j.done {
+				started++
+			}
+		}
+		t.Logf("%s: %d projections, %d jobs started, %d setAlloc calls, %d of %d slots stepped",
+			tc.name, st.projections, started, st.allocSets, st.steps, res.Slots)
+		if res.EmergencyCount == 0 || st.projections == 0 {
+			t.Fatalf("%s: %d emergencies, %d projections — not exercising the cache", tc.name, res.EmergencyCount, st.projections)
+		}
+		if st.allocSets < started || st.projections > st.allocSets {
+			t.Errorf("%s: %d projections for %d setAlloc calls (%d starts), want at most one per call",
+				tc.name, st.projections, st.allocSets, started)
+		}
+	}
+}
+
 // BenchmarkEngineSparse measures Run and the fixed-step reference on the
 // sparse long-horizon workload (the repo benchmark's sim_sparse row runs
 // the same shape through Run).
@@ -326,6 +366,37 @@ func BenchmarkEngineDense(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchLoops(b, Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7})
+}
+
+// gaiaWeek is the repo benchmark's sim_dense trace: a week of the Gaia
+// preset drawn with seed 1.
+func gaiaWeek(t testing.TB) *trace.Trace {
+	t.Helper()
+	tr, err := trace.Generate(trace.Presets(1)["gaia"].WithDays(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// BenchmarkRunGaiaWeek is one lap of the repo benchmark's sim_dense
+// workload — MPR-INT then MPR-STAT over gaiaWeek at 15 % oversubscription
+// — reported as simulated slots per second like its sim_slots_per_s.
+func BenchmarkRunGaiaWeek(b *testing.B) {
+	tr := gaiaWeek(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	slots := 0
+	for i := 0; i < b.N; i++ {
+		for _, algo := range []Algorithm{AlgMPRInt, AlgMPRStat} {
+			res, err := Run(Config{Trace: tr, OversubPct: 15, Algorithm: algo, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			slots += res.Slots
+		}
+	}
+	b.ReportMetric(float64(slots)/b.Elapsed().Seconds(), "slots/s")
 }
 
 func benchLoops(b *testing.B, cfg Config) {
