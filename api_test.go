@@ -1,10 +1,88 @@
 package mpr
 
 import (
-	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// Every exported facade name has a reader: README.md, a program under
+// examples/, or example_test.go calls it as mpr.<Name>. A name nothing
+// calls belongs in its internal package, not here.
+func TestFacadeNamesHaveReaders(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "api.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						exported = append(exported, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							exported = append(exported, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	readers := []string{"README.md", "example_test.go"}
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			readers = append(readers, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	ref := regexp.MustCompile(`\bmpr\.([A-Z]\w*)`)
+	for _, path := range readers {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(src), -1) {
+			used[m[1]] = true
+		}
+	}
+
+	var unread []string
+	for _, name := range exported {
+		if !used[name] {
+			unread = append(unread, name)
+		}
+	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d facade names have no reader in README.md, examples/ or example_test.go: %s",
+			len(unread), strings.Join(unread, ", "))
+	}
+	if len(exported) < 40 {
+		t.Errorf("parsed only %d exported names from api.go", len(exported))
+	}
+}
 
 // The facade must expose a coherent end-to-end workflow: profile → cost
 // model → bids → market → settlement.
@@ -34,30 +112,6 @@ func TestPublicAPIMarketFlow(t *testing.T) {
 	}
 }
 
-func TestPublicAPITraceRoundTrip(t *testing.T) {
-	tr, err := GenerateTrace(TraceConfig{
-		Name: "api", Seed: 1, TotalCores: 64, Days: 2,
-		JobCount: 100, MeanUtil: 0.6, MaxJobFrac: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSWF(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseSWF(&buf, "api")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Jobs) != len(tr.Jobs) {
-		t.Errorf("round trip lost jobs: %d vs %d", len(back.Jobs), len(tr.Jobs))
-	}
-	if cdf := UtilizationCDF(tr, 60); cdf.Len() == 0 {
-		t.Error("empty utilization CDF")
-	}
-}
-
 func TestPublicAPISimulation(t *testing.T) {
 	tr, err := GenerateTrace(TraceConfig{
 		Name: "api-sim", Seed: 2, TotalCores: 128, Days: 3,
@@ -65,6 +119,9 @@ func TestPublicAPISimulation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cdf := UtilizationCDF(tr, 60); cdf.Len() == 0 {
+		t.Error("empty utilization CDF")
 	}
 	res, err := RunSim(SimConfig{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1})
 	if err != nil {
@@ -76,28 +133,17 @@ func TestPublicAPISimulation(t *testing.T) {
 }
 
 func TestPublicAPIProfiles(t *testing.T) {
-	if len(CPUProfiles()) != 8 || len(GPUProfiles()) != 6 || len(AllProfiles()) != 14 {
-		t.Error("profile counts wrong through the facade")
+	gpus := GPUProfiles()
+	if len(gpus) != 6 {
+		t.Errorf("GPU profiles = %d, want 6", len(gpus))
+	}
+	for _, p := range gpus {
+		if got, err := ProfileByName(p.Name); err != nil || got != p {
+			t.Errorf("ProfileByName(%q) = %v, %v", p.Name, got, err)
+		}
 	}
 	if len(TracePresets(1)) != 4 {
 		t.Error("trace presets wrong through the facade")
-	}
-}
-
-func TestPublicAPIExperiments(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 17 {
-		t.Fatalf("only %d experiments exposed", len(ids))
-	}
-	res, err := RunExperiment("f2", ExperimentOptions{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) == 0 || !strings.Contains(res.Tables[0].String(), "price") {
-		t.Error("f2 experiment output malformed")
-	}
-	if _, err := RunExperiment("bogus", ExperimentOptions{}); err == nil {
-		t.Error("unknown experiment accepted")
 	}
 }
 
@@ -110,19 +156,17 @@ func TestPublicAPICluster(t *testing.T) {
 	if got := c.Result(); got.PowerSeries.Len() != 120 {
 		t.Errorf("power series = %d samples", got.PowerSeries.Len())
 	}
-	if pts, err := FreqSweep(DefaultApps(), 4); err != nil || len(pts) != 16 {
-		t.Errorf("freq sweep: %v, %d points", err, len(pts))
-	}
 }
 
+// The power substrate through the facade: a capacity plan, a per-core
+// power model, and the emergency controller declaring on overload.
 func TestPublicAPIInfrastructure(t *testing.T) {
-	inf, err := NewUniformInfrastructure(10000, 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	o := Oversubscription{PeakW: 10000, Percent: 20}
+	if c := o.Capacity(); c >= 10000 || c <= 0 {
+		t.Errorf("20%% oversubscribed capacity = %v W for a 10 kW peak", c)
 	}
-	inf.SpreadLoad(12000)
-	if _, over := inf.Evaluate(); len(over) == 0 {
-		t.Error("overload not detected through the facade")
+	if DefaultCPUCoreModel.DynamicW <= 0 || DefaultGPUCoreModel.DynamicW <= 0 {
+		t.Error("default core models have no dynamic power")
 	}
 	ec, err := NewEmergencyController(EmergencyConfig{CapacityW: 1000})
 	if err != nil {

@@ -49,7 +49,8 @@ func TestObsShutdownIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "startup sample", func() bool { return o.agentsSeries.Total() >= 1 })
+	o.startSampler()
+	waitFor(t, "startup sample", func() bool { return o.evictions.Total() >= 1 })
 
 	// Two exit paths race shutdown; both must return the same result.
 	var wg sync.WaitGroup
@@ -76,7 +77,7 @@ func TestObsShutdownIdempotent(t *testing.T) {
 		t.Fatalf("repeated shutdown = %v, want %v", err, errs[0])
 	}
 	// The drain ran once: startup sample + one final sample, no more.
-	if got := o.agentsSeries.Total(); got != 2 {
+	if got := o.evictions.Total(); got != 2 {
 		t.Fatalf("samples after double shutdown = %d, want 2 (drain ran twice?)", got)
 	}
 	// Exactly one exit bundle, schema-valid.
@@ -100,39 +101,24 @@ func TestObsShutdownIdempotent(t *testing.T) {
 func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	dir := t.TempDir()
 	clock := tsdb.NewFakeClock(time.Unix(2000, 0))
-	// The sampler goroutine polls these closures from the moment newObs
-	// returns, while the manager is still being constructed below — guard
-	// the handoff.
-	var (
-		mmu sync.Mutex
-		mgr *agentproto.Manager
-	)
-	getM := func() *agentproto.Manager { mmu.Lock(); defer mmu.Unlock(); return mgr }
+	// The sampler polls these closures from its first sample on, so it
+	// starts only once the manager below exists — as in mprd's run.
+	var m *agentproto.Manager
 	o, err := newObs(obsConfig{
 		SampleInterval: time.Second,
 		FlightDir:      dir,
 		FlightCooldown: time.Minute,
-		AgentCount: func() int {
-			if m := getM(); m != nil {
-				return m.AgentCount()
-			}
-			return 0
-		},
-		Evictions: func() int64 {
-			if m := getM(); m != nil {
-				return m.Evictions()
-			}
-			return 0
-		},
-		Clock: clock,
-		Logf:  t.Logf,
+		AgentCount:     func() int { return m.AgentCount() },
+		Evictions:      func() int64 { return m.Evictions() },
+		Clock:          clock,
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.shutdown()
 
-	m, err := agentproto.NewManager("127.0.0.1:0", agentproto.ManagerConfig{
+	m, err = agentproto.NewManager("127.0.0.1:0", agentproto.ManagerConfig{
 		RoundTimeout:     150 * time.Millisecond,
 		EvictAfterMisses: 1,
 		Telemetry:        o.reg,
@@ -143,9 +129,7 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	mmu.Lock()
-	mgr = m
-	mmu.Unlock()
+	o.startSampler()
 
 	dial := func(job string, strat core.Bidder) *agentproto.Agent {
 		t.Helper()
@@ -201,7 +185,7 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	// The rule keeps firing on subsequent markets; the cooldown holds.
 	o.recordMarket(5000, out.Result)
 	clock.Advance(time.Second)
-	waitFor(t, "next sample", func() bool { return o.agentsSeries.Total() >= 3 })
+	waitFor(t, "next sample", func() bool { return o.evictions.Total() >= 3 })
 	o.recordMarket(5000, out.Result)
 	if got := bundlesIn(t, dir, "alert"); len(got) != 1 {
 		t.Fatalf("alert bundles after re-firings = %v, want still exactly 1 (cooldown)", got)

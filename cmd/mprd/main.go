@@ -11,8 +11,8 @@
 // daemon keeps running and reads reduction targets (watts, one per line)
 // from stdin, clearing one market per line. With -stream the manager also
 // re-clears incrementally on every incoming bid (O(log M) per update) and
-// records each intermediate price in the mpr_mgr_stream_price series; the
-// wire protocol, the rounds and their prices are unchanged, bit for bit.
+// emits each intermediate price as a stream_update trace event; the wire
+// protocol, the rounds and their prices are unchanged, bit for bit.
 //
 // The daemon accepts both agent wire formats on one port: JSON lines
 // (the original protocol, unchanged byte for byte) and the negotiated
@@ -32,8 +32,9 @@
 // trace spans at /debug/spans (JSON, each with its dropped count),
 // windowed time-series queries at /debug/series, flight-recorder status
 // at /debug/flight, liveness at /healthz, and net/http/pprof under
-// /debug/pprof/. A wall-clock sampler (-sample) records connected-agent
-// and per-market series; -tracelog and -serieslog persist the event
+// /debug/pprof/. A wall-clock sampler (-sample) records the eviction
+// series and each market its rounds and unmet watts, the series the live
+// alert rules read; -tracelog and -serieslog persist the event
 // stream and the series store as JSONL, flushed on shutdown. SIGINT/SIGTERM
 // drain the sampler and flush the sinks before exiting.
 //
@@ -98,23 +99,15 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// The sampler reads m from its first sample on, so it starts only
+	// once NewManager has returned.
 	var m *agentproto.Manager
 	o, err := newObs(obsConfig{
 		SampleInterval: *sample,
 		TraceLogPath:   *tracelog,
 		SeriesLogPath:  *serieslog,
-		AgentCount: func() int {
-			if m == nil {
-				return 0
-			}
-			return m.AgentCount()
-		},
-		Evictions: func() int64 {
-			if m == nil {
-				return 0
-			}
-			return m.Evictions()
-		},
+		AgentCount:     func() int { return m.AgentCount() },
+		Evictions:      func() int64 { return m.Evictions() },
 		FlightDir:      *flightDir,
 		FlightCooldown: *flightCD,
 		ConfigEcho:     configEcho,
@@ -154,12 +147,7 @@ func run() int {
 		Tracer:           o.tracer,
 		Shards:           *shards,
 		EvictAfterMisses: *evict,
-	}
-	if *stream {
-		mcfg.Streaming = true
-		mcfg.OnStreamUpdate = func(jobID string, round int, price float64, feasible bool) {
-			o.recordStreamUpdate(price)
-		}
+		Streaming:        *stream,
 	}
 	if *restore && *statePath == "" {
 		log.Print("mprd: -restore needs -state")
@@ -171,6 +159,7 @@ func run() int {
 		return 1
 	}
 	defer m.Close()
+	o.startSampler()
 	if *restore {
 		st, err := agentproto.ReadStateFile(*statePath)
 		if err != nil {

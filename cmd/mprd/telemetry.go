@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"mpr/internal/agentproto"
 	"mpr/internal/core"
 	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/alerts"
@@ -16,23 +15,15 @@ import (
 	"mpr/internal/telemetry/tsdb"
 )
 
-// Series the daemon samples (wall-clock Unix-second timestamps).
+// Series the daemon records (wall-clock Unix-second timestamps): exactly
+// the ones alerts.ManagerRules evaluates.
 const (
-	seriesAgentsConnected = "mpr_mgr_agents_connected"
-	seriesMarketRounds    = "mpr_mgr_market_rounds"
-	seriesMarketPrice     = "mpr_mgr_market_price"
-	seriesMarketSupplied  = "mpr_mgr_market_supplied_w"
-	seriesMarketUnmet     = "mpr_mgr_market_unmet_w"
-	// seriesStreamPrice records every incrementally re-cleared price in
-	// streaming mode (-stream): one point per incoming bid, not per round.
-	seriesStreamPrice = "mpr_mgr_stream_price"
-	// seriesBidRTTP99 tracks the p99 of the manager's price→bid HDR
-	// histogram, sampled each tick once the market has registered it.
-	seriesBidRTTP99 = "mpr_mgr_bid_rtt_p99_seconds"
+	seriesMarketRounds = "mpr_mgr_market_rounds"
+	seriesMarketUnmet  = "mpr_mgr_market_unmet_w"
 	// seriesEvictions records slow-agent evictions (deadline-budget +
 	// write-stall) per sampling interval — deltas, not the cumulative
 	// count, so the EvictionBurst manager rule can tell a burst from an
-	// old total. Visible in /debug/series next to the fleet size.
+	// old total.
 	seriesEvictions = "mpr_mgr_evictions"
 )
 
@@ -46,9 +37,9 @@ type obsConfig struct {
 	// SeriesLogPath, when set, receives the full series store as JSONL
 	// at shutdown.
 	SeriesLogPath string
-	// AgentCount reports the number of connected agents.
+	// AgentCount reports the number of connected agents (for /healthz).
 	AgentCount func() int
-	// Evictions reports the cumulative slow-agent evictions (optional).
+	// Evictions reports the cumulative slow-agent evictions.
 	Evictions func() int64
 	// FlightDir, when set, enables the black-box flight recorder: the
 	// runtime-health sampler joins the tick, alerts.RuntimeRules join the
@@ -75,12 +66,11 @@ type obs struct {
 	tracer *telemetry.Tracer
 	store  *tsdb.Store
 
-	agentsSeries *tsdb.Series
-	droppedGauge *telemetry.Gauge
-	alertsFired  *telemetry.CounterFamily
-	rules        []alerts.Rule
-	dedup        *alerts.Deduper  // reports each firing once
-	flight       *flight.Recorder // nil when -flight is off (nil-safe)
+	evictions   *tsdb.Series
+	alertsFired *telemetry.CounterFamily
+	rules       []alerts.Rule
+	dedup       *alerts.Deduper  // reports each firing once
+	flight      *flight.Recorder // nil when -flight is off (nil-safe)
 
 	sampler   *tsdb.TickerSampler
 	start     time.Time
@@ -98,7 +88,9 @@ type obs struct {
 	shutdownErr  error
 }
 
-// newObs builds and starts the runtime; call shutdown to drain it.
+// newObs builds the runtime without starting its sampler: the first
+// sample already calls AgentCount and Evictions, so whatever they read
+// must exist before startSampler. Call shutdown to drain it.
 func newObs(c obsConfig) (*obs, error) {
 	if c.SampleInterval <= 0 {
 		c.SampleInterval = time.Second
@@ -108,6 +100,9 @@ func newObs(c obsConfig) (*obs, error) {
 	}
 	if c.AgentCount == nil {
 		c.AgentCount = func() int { return 0 }
+	}
+	if c.Evictions == nil {
+		c.Evictions = func() int64 { return 0 }
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
@@ -121,9 +116,7 @@ func newObs(c obsConfig) (*obs, error) {
 		rules:  alerts.ManagerRules(),
 		dedup:  alerts.NewDeduper(0),
 	}
-	o.agentsSeries = o.store.Series(seriesAgentsConnected)
-	o.droppedGauge = o.reg.Gauge("mpr_mgr_trace_dropped_events",
-		"Trace events overwritten by the ring before being scraped.")
+	o.evictions = o.store.Series(seriesEvictions)
 	o.alertsFired = o.reg.CounterFamily("mpr_mgr_alerts_total",
 		"SLO alert firings by rule.", "rule")
 	if c.TraceLogPath != "" {
@@ -161,30 +154,24 @@ func newObs(c obsConfig) (*obs, error) {
 		Sample:   o.sample,
 		Flush:    o.flush,
 	}
+	return o, nil
+}
+
+// startSampler launches the wall-clock sampler; its first sample lands
+// at once.
+func (o *obs) startSampler() {
 	ctx, cancel := context.WithCancel(context.Background())
 	o.cancel = cancel
 	o.done = make(chan error, 1)
 	go func() { o.done <- o.sampler.Run(ctx) }()
-	return o, nil
 }
 
 // sample records one wall-clock observation.
 func (o *obs) sample(now time.Time) {
 	o.flight.SampleRuntime(now)
-	o.agentsSeries.Append(now.Unix(), float64(o.cfg.AgentCount()))
-	if o.cfg.Evictions != nil {
-		cur := o.cfg.Evictions()
-		o.store.Series(seriesEvictions).Append(now.Unix(), float64(cur-o.lastEvict))
-		o.lastEvict = cur
-	}
-	o.droppedGauge.Set(float64(o.tracer.Dropped()))
-	// The agentproto manager registers its RTT histogram lazily, so look
-	// it up (never create) each tick and sample the tail once it has data.
-	if h := o.reg.FindHDR(agentproto.MetricBidRTT); h != nil {
-		if snap := h.Snapshot(); snap.Count > 0 {
-			o.store.Series(seriesBidRTTP99).Append(now.Unix(), snap.Quantile(0.99))
-		}
-	}
+	cur := o.cfg.Evictions()
+	o.evictions.Append(now.Unix(), float64(cur-o.lastEvict))
+	o.lastEvict = cur
 }
 
 // flush drains the sinks. The sampler calls it exactly once, after the
@@ -208,13 +195,18 @@ func (o *obs) flush() error {
 }
 
 // shutdown stops the sampler, waits for the final sample + flush, dumps
-// the flight recorder's exit bundle, and returns the flush error.
-// Idempotent: repeated calls (signal path racing the deferred drain)
-// return the first call's error without re-draining.
+// the flight recorder's exit bundle, and returns the flush error. A
+// runtime whose sampler never started only flushes. Idempotent: repeated
+// calls (signal path racing the deferred drain) return the first call's
+// error without re-draining.
 func (o *obs) shutdown() error {
 	o.shutdownOnce.Do(func() {
-		o.cancel()
-		o.shutdownErr = <-o.done
+		if o.done == nil {
+			o.shutdownErr = o.flush()
+		} else {
+			o.cancel()
+			o.shutdownErr = <-o.done
+		}
 		// The exit bundle is cut after the drain so it carries the final
 		// sample; Dump no-ops when -flight is off.
 		if _, err := o.flight.Dump(o.cfg.Clock.Now(), flight.ReasonExit, nil); err != nil && o.shutdownErr == nil {
@@ -260,20 +252,12 @@ func (o *obs) handler() http.Handler {
 	})
 }
 
-// recordStreamUpdate samples one incremental re-clear into the
-// stream-price series — the per-bid observability of streaming mode.
-func (o *obs) recordStreamUpdate(price float64) {
-	o.store.Series(seriesStreamPrice).Append(o.cfg.Clock.Now().Unix(), price)
-}
-
 // recordMarket samples a finished market into the series store and
 // evaluates the live SLO rules over every sample since startup, logging
 // and counting each firing once.
 func (o *obs) recordMarket(targetW float64, r *core.ClearingResult) {
 	t := o.cfg.Clock.Now().Unix()
 	o.store.Series(seriesMarketRounds).Append(t, float64(r.Rounds))
-	o.store.Series(seriesMarketPrice).Append(t, r.Price)
-	o.store.Series(seriesMarketSupplied).Append(t, r.SuppliedW)
 	unmet := targetW - r.SuppliedW
 	if unmet < 0 {
 		unmet = 0

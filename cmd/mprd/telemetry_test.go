@@ -39,23 +39,24 @@ func TestObsShutdownDrainsAndFlushes(t *testing.T) {
 		SampleInterval: time.Second,
 		TraceLogPath:   tracePath,
 		SeriesLogPath:  seriesPath,
-		AgentCount:     func() int { return 3 },
+		Evictions:      func() int64 { return 3 },
 		Clock:          clock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.startSampler()
 	// Startup sample lands without any tick.
-	waitFor(t, "startup sample", func() bool { return o.agentsSeries.Total() >= 1 })
+	waitFor(t, "startup sample", func() bool { return o.evictions.Total() >= 1 })
 	o.tracer.Emit(telemetry.Event{Name: "market_clear", Round: 7})
 	clock.Advance(3 * time.Second)
-	waitFor(t, "ticked samples", func() bool { return o.agentsSeries.Total() >= 4 })
+	waitFor(t, "ticked samples", func() bool { return o.evictions.Total() >= 4 })
 
 	if err := o.shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// Drain adds exactly one final sample.
-	if got := o.agentsSeries.Total(); got != 5 {
+	if got := o.evictions.Total(); got != 5 {
 		t.Fatalf("samples after drain = %d, want 5", got)
 	}
 	traceData, err := os.ReadFile(tracePath)
@@ -69,12 +70,12 @@ func TestObsShutdownDrainsAndFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(seriesData), seriesAgentsConnected) {
-		t.Fatalf("series sink missing %s: %q", seriesAgentsConnected, seriesData)
+	if !strings.Contains(string(seriesData), seriesEvictions) {
+		t.Fatalf("series sink missing %s: %q", seriesEvictions, seriesData)
 	}
-	// Every sample saw 3 connected agents.
-	if !strings.Contains(string(seriesData), `"max":3,`) {
-		t.Fatalf("series export lost the agent count: %q", seriesData)
+	// The startup sample saw all 3 evictions; later deltas are 0.
+	if !strings.Contains(string(seriesData), `"max":3,`) || !strings.Contains(string(seriesData), `"max":0,`) {
+		t.Fatalf("series export lost the eviction deltas: %q", seriesData)
 	}
 }
 
@@ -88,10 +89,11 @@ func TestObsHealthAndHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.startSampler()
 	defer o.shutdown()
-	waitFor(t, "startup sample", func() bool { return o.agentsSeries.Total() >= 1 })
+	waitFor(t, "startup sample", func() bool { return o.evictions.Total() >= 1 })
 	clock.Advance(10 * time.Second)
-	waitFor(t, "ticks", func() bool { return o.agentsSeries.Total() >= 11 })
+	waitFor(t, "ticks", func() bool { return o.evictions.Total() >= 11 })
 
 	h := o.health()
 	if h.Status != "ok" || h.AgentsConnected != 2 {
@@ -172,9 +174,10 @@ func TestObsAlertsSeeHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.startSampler()
 	defer o.shutdown()
 
-	evictSeries := o.store.Series(seriesEvictions)
+	evictSeries := o.evictions
 	waitFor(t, "startup sample", func() bool { return evictSeries.Total() >= 1 })
 	tick := func(evict bool) {
 		t.Helper()

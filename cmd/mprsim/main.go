@@ -24,6 +24,7 @@ import (
 	"mpr/internal/runner"
 	"mpr/internal/sim"
 	"mpr/internal/stats"
+	"mpr/internal/telemetry/tsdb"
 	"mpr/internal/trace"
 )
 
@@ -50,9 +51,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	record := 0
+	// -series samples every slot; the 100× ring gets one bucket per 100
+	// slots of the trace span plus the engine's ten-day drain, so the
+	// chart spans the whole run.
+	seriesCap := 0
 	if *series {
-		record = 110
+		seriesCap = int((tr.Span()/60+10*24*60)/100) + 1
 	}
 	var algos []sim.Algorithm
 	for _, a := range strings.Split(*algo, ",") {
@@ -75,7 +79,8 @@ func main() {
 			MarketDelaySlots: *delay,
 			Predictive:       *predict,
 			PhaseAmp:         *phases,
-			RecordSeries:     record,
+			SampleSeries:     *series,
+			SeriesCapacity:   seriesCap,
 		})
 	})
 	if err != nil {
@@ -84,12 +89,25 @@ func main() {
 	}
 	for _, res := range results {
 		printSummary(res)
-		if *series && res.DeliveredSeries != nil {
+		if *series {
 			fmt.Println(stats.LineChart(
 				fmt.Sprintf("delivered power (W), capacity %.0f W (dashed)", res.CapacityW),
-				res.DeliveredSeries, 100, 14, res.CapacityW))
+				deliveredPower(res), 100, 14, res.CapacityW))
 		}
 	}
+}
+
+// deliveredPower reads the run's sampled delivered-power series as bucket
+// means at the finest resolution that spans the run; LineChart averages
+// them down to its width.
+func deliveredPower(r *sim.Result) *stats.Series {
+	out := &stats.Series{}
+	for _, sd := range r.Series.Query(tsdb.Query{Name: sim.SeriesPowerDeliveredW, Resolution: tsdb.ResAuto}) {
+		for _, b := range sd.Points {
+			out.Append(b.Start, b.Mean())
+		}
+	}
+	return out
 }
 
 func loadTrace(preset, swf string, days int, seed int64) (*trace.Trace, error) {

@@ -21,26 +21,28 @@
 //
 // # Package layout
 //
-// This root package is the public API: a curated facade over the
-// internal implementation packages. The main entry points are:
+// This root package is the public API: a small facade over the internal
+// implementation packages, holding exactly the names README.md and the
+// programs under examples/ call (a test enforces it). The entry points
+// are:
 //
 //   - Market primitives: Bid, Participant, Clear (MPR-STAT),
 //     ClearInteractive (MPR-INT), RationalBidder, CooperativeBid,
-//     SolveOPT and SolveEQL (the paper's baselines), Settle.
-//   - Application models: Profile, CostModel, CPUProfiles, GPUProfiles.
-//   - Power substrate: CoreModel, Oversubscription, EmergencyController,
-//     Infrastructure.
-//   - Workloads: Trace, GenerateTrace, ParseSWF, trace presets for the
-//     Gaia/PIK/RICC/Metacentrum clusters.
+//     SolveOPT (the paper's centralized baseline), Settle.
+//   - Application models: NewCostModel, ProfileByName, GPUProfiles.
+//   - Power substrate: CoreModel, Oversubscription,
+//     NewEmergencyController.
+//   - Workloads: GenerateTrace, UtilizationCDF, and trace presets for
+//     the Gaia/PIK/RICC/Metacentrum clusters.
 //   - Simulation: SimConfig, RunSim — the trace-driven evaluation
 //     engine.
 //   - Prototype: NewCluster — the emulated two-server prototype with
 //     per-core DVFS.
 //   - Distributed market: NewManager and DialAgent — the manager↔agent
 //     TCP protocol for interactive bidding.
-//   - Experiments: RunExperiment regenerates any of the paper's tables
-//     and figures by ID.
+//   - Carbon-aware demand response: NewCarbonSignal, RunCarbonDR.
 //
-// See the runnable programs under examples/ for end-to-end usage, and
+// See the runnable programs under examples/ for end-to-end usage, the
+// commands under cmd/ for the paper's tables and figures (mprbench), and
 // DESIGN.md / EXPERIMENTS.md for the reproduction methodology.
 package mpr

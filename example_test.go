@@ -61,7 +61,7 @@ func ExampleOversubscription() {
 
 // The emergency state machine: declare on overload, lift after the
 // cool-down once giving back the reduction is safe.
-func ExampleEmergencyController() {
+func ExampleNewEmergencyController() {
 	ec, _ := mpr.NewEmergencyController(mpr.EmergencyConfig{
 		CapacityW:     1000,
 		CooldownSlots: 2,

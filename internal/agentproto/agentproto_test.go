@@ -311,25 +311,17 @@ func TestStaleBidsDiscarded(t *testing.T) {
 }
 
 // Streaming mode: each incoming bid must trigger an incremental re-clear
-// (one OnStreamUpdate callback and one counted stream update per bid),
-// and the market must clear to the same bits as the batch-per-round path
-// over the same agent population.
+// (one stream_update event and one counted stream update per bid), and
+// the market must clear to the same bits as the batch-per-round path over
+// the same agent population.
 func TestMarketStreamingOverTCP(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var updMu sync.Mutex
-	var updates []float64
+	tracer := telemetry.NewTracer(4096)
 	m, err := NewManager("127.0.0.1:0", ManagerConfig{
 		RoundTimeout: 500 * time.Millisecond,
 		Streaming:    true,
 		Telemetry:    reg,
-		OnStreamUpdate: func(jobID string, round int, price float64, feasible bool) {
-			if jobID == "" || round < 1 {
-				t.Errorf("bad stream update: job %q round %d", jobID, round)
-			}
-			updMu.Lock()
-			updates = append(updates, price)
-			updMu.Unlock()
-		},
+		Tracer:       tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -352,23 +344,30 @@ func TestMarketStreamingOverTCP(t *testing.T) {
 	if out.Result.SuppliedW < target-1e-6 {
 		t.Errorf("supplied %v < target %v", out.Result.SuppliedW, target)
 	}
-	updMu.Lock()
-	n := len(updates)
-	last := 0.0
-	if n > 0 {
-		last = updates[n-1]
+	var updates []float64
+	for _, e := range tracer.Events() {
+		if e.Name != "stream_update" {
+			continue
+		}
+		if e.Label == "" || e.Round < 1 {
+			t.Errorf("bad stream update: job %q round %d", e.Label, e.Round)
+		}
+		updates = append(updates, e.Price)
 	}
-	updMu.Unlock()
+	if tracer.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d events; enlarge the ring", tracer.Dropped())
+	}
+	n := len(updates)
 	// Every answered bid re-clears: at least one update per agent per
 	// round, and the final published price is the market's price.
-	if n < len(apps)*out.Result.Rounds {
-		t.Errorf("observed %d stream updates, want ≥ %d", n, len(apps)*out.Result.Rounds)
+	if n == 0 || n < len(apps)*out.Result.Rounds {
+		t.Fatalf("observed %d stream updates, want ≥ %d", n, len(apps)*out.Result.Rounds)
 	}
-	if !floats.RelEqual(last, out.Result.Price, 1e-9) {
+	if last := updates[n-1]; !floats.RelEqual(last, out.Result.Price, 1e-9) {
 		t.Errorf("last streamed price %v != clearing price %v", last, out.Result.Price)
 	}
 	if got := reg.CounterValue(MetricStreamUpdates); got != int64(n) {
-		t.Errorf("stream update counter = %d, callbacks = %d", got, n)
+		t.Errorf("stream update counter = %d, events = %d", got, n)
 	}
 
 	// The batch-per-round manager over an identical population reaches

@@ -101,10 +101,6 @@ type ManagerConfig struct {
 	// the round's clear are unchanged, so a fleet clears to the same bits
 	// with Streaming on or off.
 	Streaming bool
-	// OnStreamUpdate, when set with Streaming, observes every fed bid:
-	// the bidding job, the round, and the would-be clearing price. mprd
-	// uses it to feed the stream-price time series.
-	OnStreamUpdate func(jobID string, round int, price float64, feasible bool)
 }
 
 func (c *ManagerConfig) normalize() {
@@ -723,7 +719,7 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 				continue
 			}
 			if stream != nil {
-				p, feasible, err := stream.Apply(core.ParticipantDelta{Index: i, Bid: e.bid})
+				p, _, err := stream.Apply(core.ParticipantDelta{Index: i, Bid: e.bid})
 				if err != nil {
 					m.malformed.Inc()
 					m.logf("agent %s bid rejected: %v", jobID, err)
@@ -732,9 +728,6 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 				m.streamUpdates.Inc()
 				m.cfg.Tracer.Emit(telemetry.Event{Name: "stream_update", Trace: roundTrace, Round: round,
 					Price: p, TargetW: targetW, Label: jobID})
-				if m.cfg.OnStreamUpdate != nil {
-					m.cfg.OnStreamUpdate(jobID, round, p, feasible)
-				}
 			}
 			bids[i] = e.bid
 		}

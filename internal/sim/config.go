@@ -109,9 +109,6 @@ type Config struct {
 	PhaseAmp float64
 	// PhasePeriodSlots is the phase period (default 90 minutes).
 	PhasePeriodSlots int
-	// RecordSeries, when positive, keeps a power time series downsampled
-	// to roughly this many points.
-	RecordSeries int
 	// SampleSeries enables the per-slot time-series sampler: the run
 	// records cluster power, overload depth, clearing price, reduction
 	// target/cleared/unmet, active-bidder count, and emergency state into

@@ -12,7 +12,6 @@ import (
 	"mpr/internal/perf"
 	"mpr/internal/power"
 	"mpr/internal/sched"
-	"mpr/internal/stats"
 	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/tsdb"
 )
@@ -104,14 +103,12 @@ type engineState struct {
 	scheduler *sched.Scheduler
 	fc        *forecast.Forecaster
 
-	active        []*simJob
-	emergency     bool
-	price         float64
-	totalRounds   int
-	sumPrice      float64
-	demandSeries  stats.Series
-	deliverSeries stats.Series
-	baseCapCores  float64
+	active       []*simJob
+	emergency    bool
+	price        float64
+	totalRounds  int
+	sumPrice     float64
+	baseCapCores float64
 
 	// Delayed reduction orders (MarketDelaySlots): allocations computed
 	// at declare time but applied later.
@@ -632,10 +629,6 @@ func (st *engineState) step(slot int) error {
 	if activeCores > st.baseCapCores {
 		res.UsedExtraCoreH += (activeCores - st.baseCapCores) / 60
 	}
-	if cfg.RecordSeries > 0 {
-		st.demandSeries.Append(int64(slot), demandW)
-		st.deliverSeries.Append(int64(slot), deliveredW)
-	}
 	if st.smp.enabled() {
 		bidderCount := 0
 		for _, j := range st.active {
@@ -682,10 +675,6 @@ func (st *engineState) finish() *Result {
 	if res.MarketInvocations > 0 {
 		res.MeanRounds = float64(st.totalRounds) / float64(res.MarketInvocations)
 		res.MeanClearingPrice = st.sumPrice / float64(res.MarketInvocations)
-	}
-	if cfg.RecordSeries > 0 {
-		res.DemandSeries = st.demandSeries.Downsample(cfg.RecordSeries)
-		res.DeliveredSeries = st.deliverSeries.Downsample(cfg.RecordSeries)
 	}
 	if cfg.RecordJobs {
 		res.Jobs = make([]JobOutcome, 0, len(st.jobs))

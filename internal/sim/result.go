@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"mpr/internal/stats"
 	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/tsdb"
 )
@@ -101,11 +100,6 @@ type Result struct {
 	// Jobs holds per-job timelines when Config.RecordJobs is set, in
 	// trace order.
 	Jobs []JobOutcome
-
-	// DemandSeries and DeliveredSeries are downsampled power timelines
-	// (watts) when Config.RecordSeries > 0.
-	DemandSeries    *stats.Series
-	DeliveredSeries *stats.Series
 
 	// Series is the run's sampled time-series store when
 	// Config.SampleSeries is set: per-slot power, overload, price,

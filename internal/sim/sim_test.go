@@ -8,6 +8,7 @@ import (
 	"mpr/internal/check/floats"
 	"mpr/internal/perf"
 	"mpr/internal/power"
+	"mpr/internal/telemetry/tsdb"
 	"mpr/internal/trace"
 )
 
@@ -209,21 +210,38 @@ func TestRandomCostErrorTolerated(t *testing.T) {
 	}
 }
 
+// TestRecordSeries: the sampled power timeline holds one point per
+// simulated slot, and delivered power never exceeds demand.
 func TestRecordSeries(t *testing.T) {
 	tr := testTrace(t, 11)
-	res, err := Run(Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7, RecordSeries: 100})
+	// A raw ring longer than the week-long run keeps every sample.
+	res, err := Run(Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7, SampleSeries: true, SeriesCapacity: 16384})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DemandSeries == nil || res.DeliveredSeries == nil {
-		t.Fatal("series not recorded")
+	query := func(name string) []tsdb.Bucket {
+		t.Helper()
+		sd := res.Series.Query(tsdb.Query{Name: name, Resolution: tsdb.ResRaw})
+		if len(sd) != 1 || len(sd[0].Points) == 0 {
+			t.Fatalf("%s: %d series, want 1 with points", name, len(sd))
+		}
+		return sd[0].Points
 	}
-	if res.DemandSeries.Len() == 0 || res.DemandSeries.Len() > 120 {
-		t.Errorf("demand series len = %d", res.DemandSeries.Len())
+	demand, delivered := query(SeriesPowerDemandW), query(SeriesPowerDeliveredW)
+	var slots int64
+	maxDemand, maxDelivered := demand[0].Max, delivered[0].Max
+	for _, b := range demand {
+		slots += b.Count
+		maxDemand = math.Max(maxDemand, b.Max)
 	}
-	// Delivered never exceeds demand.
-	if res.DeliveredSeries.Max() > res.DemandSeries.Max()+1e-6 {
-		t.Errorf("delivered max %v exceeds demand max %v", res.DeliveredSeries.Max(), res.DemandSeries.Max())
+	for _, b := range delivered {
+		maxDelivered = math.Max(maxDelivered, b.Max)
+	}
+	if slots != int64(res.Slots) {
+		t.Errorf("demand series holds %d samples, want one per slot (%d)", slots, res.Slots)
+	}
+	if maxDelivered > maxDemand+1e-6 {
+		t.Errorf("delivered max %v exceeds demand max %v", maxDelivered, maxDemand)
 	}
 }
 

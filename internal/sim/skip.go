@@ -51,7 +51,7 @@ func (st *engineState) canSkipFrom() bool {
 	// A per-slot series consumer must see every slot (the sampler contract
 	// is one sample per simulated slot, timestamps in virtual slot time);
 	// the forecaster observes every slot; power phases move every slot.
-	if st.cfg.SampleSeries || st.cfg.RecordSeries > 0 || st.cfg.Predictive || st.cfg.PhaseAmp > 0 {
+	if st.cfg.SampleSeries || st.cfg.Predictive || st.cfg.PhaseAmp > 0 {
 		return false
 	}
 	if st.emergency || st.pendingAllocs != nil || st.ec.State() != power.StateNormal {

@@ -140,12 +140,12 @@ func TestEngineEventMatchesSlot(t *testing.T) {
 // TestSeriesAcrossEngines is the sampler/slot-coupling regression: with
 // per-slot sampling on, Run and RunFixedStep must emit bit-identical series —
 // same virtual-slot timestamps, same values, byte-identical JSONL
-// export — and identical downsampled power timelines.
+// export.
 func TestSeriesAcrossEngines(t *testing.T) {
 	tr := testTrace(t, 5)
 	cfg := Config{
 		Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7,
-		SampleSeries: true, SeriesCapacity: 512, RecordSeries: 400,
+		SampleSeries: true, SeriesCapacity: 512,
 	}
 	a, b := runBoth(t, cfg)
 	var ja, jb bytes.Buffer
@@ -157,9 +157,6 @@ func TestSeriesAcrossEngines(t *testing.T) {
 	}
 	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
 		t.Fatalf("sampled series diverged between RunFixedStep and Run (%d vs %d bytes)", ja.Len(), jb.Len())
-	}
-	if !reflect.DeepEqual(a.DemandSeries, b.DemandSeries) || !reflect.DeepEqual(a.DeliveredSeries, b.DeliveredSeries) {
-		t.Fatal("recorded power series diverged between RunFixedStep and Run")
 	}
 	sameResult(t, a, b)
 }

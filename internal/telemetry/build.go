@@ -6,7 +6,7 @@ import (
 )
 
 // BuildInfo pins the binary a measurement came from: load reports and
-// the /debug/build endpoint carry it so a recorded p99 can always be
+// flight bundles carry it so a recorded p99 can always be
 // traced back to the exact revision and platform that produced it.
 type BuildInfo struct {
 	// GoVersion is the toolchain that built the binary.

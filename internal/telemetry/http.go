@@ -50,7 +50,6 @@ type HandlerConfig struct {
 //	/metrics        Prometheus text exposition (?format=json for JSON)
 //	/debug/market   last trace events + dropped count, JSON
 //	/debug/spans    completed hierarchical spans + dropped count, JSON
-//	/debug/build    binary build identity (module version, VCS revision, GOOS/GOARCH)
 //	/debug/series   windowed time-series queries (when Series is wired)
 //	/debug/flight   flight-recorder status; POST …/dump writes a bundle (when Flight is wired)
 //	/healthz        uptime / agents / sample freshness (when Health is wired)
@@ -91,9 +90,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			Spans        []Span `json:"spans"`
 		}{dropped, spans})
 	})
-	mux.HandleFunc("/debug/build", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, ReadBuildInfo())
-	})
 	if cfg.Series != nil {
 		mux.Handle("/debug/series", cfg.Series)
 	}
@@ -120,7 +116,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		links := []string{"/metrics", "/debug/market", "/debug/spans", "/debug/build"}
+		links := []string{"/metrics", "/debug/market", "/debug/spans"}
 		if cfg.Series != nil {
 			links = append(links, "/debug/series")
 		}

@@ -207,20 +207,6 @@ func (r *Registry) HDR(name, help string) *hdr.Histogram {
 	}).hdr
 }
 
-// FindHDR returns the named HDR histogram without creating it — the
-// lookup path for samplers that publish quantile series for histograms
-// registered elsewhere. Nil when absent or on a nil registry (and a nil
-// *hdr.Histogram is safe to Record into and Snapshot).
-func (r *Registry) FindHDR(name string) *hdr.Histogram {
-	if r == nil {
-		return nil
-	}
-	if e := r.lookup(name, kindHDR); e != nil {
-		return e.hdr
-	}
-	return nil
-}
-
 // CounterFamily returns the named labeled counter family, creating it on
 // first use. Returns nil on a nil registry.
 func (r *Registry) CounterFamily(name, help, label string) *CounterFamily {

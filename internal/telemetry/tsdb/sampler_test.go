@@ -72,24 +72,24 @@ func TestTickerSamplerLastSampleAge(t *testing.T) {
 func TestTickerSamplerRecordsIntoStore(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	st := New(64)
-	agents := st.Series("mpr_mgr_agents_connected")
+	evictions := st.Series("mpr_mgr_evictions")
 	s := &TickerSampler{
 		Interval: time.Second,
 		Clock:    clock,
-		Sample:   func(now time.Time) { agents.Append(now.UnixNano(), 3) },
+		Sample:   func(now time.Time) { evictions.Append(now.UnixNano(), 0) },
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
-	waitFor(t, func() bool { return agents.Len() == 1 })
+	waitFor(t, func() bool { return evictions.Len() == 1 })
 	clock.Advance(5 * time.Second)
-	waitFor(t, func() bool { return agents.Len() == 6 })
+	waitFor(t, func() bool { return evictions.Len() == 6 })
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if agents.Len() != 7 { // start + 5 ticks + drain
-		t.Fatalf("samples = %d, want 7", agents.Len())
+	if evictions.Len() != 7 { // start + 5 ticks + drain
+		t.Fatalf("samples = %d, want 7", evictions.Len())
 	}
 }
 

@@ -8,12 +8,12 @@
 // the raw window: recent history is sharp, older history is compacted
 // but never silently truncated to averages.
 //
-// Writes are lock-striped across series (the store shards its series map
-// 16 ways) and per-series appends touch only that series' mutex for a
-// bounded, allocation-free critical section, so a sampler ticking every
-// simulated slot or wall-clock second never blocks behind a reader:
-// queries copy the requested window under the same short lock and do all
-// rendering outside it.
+// One read-write lock guards the series map (resolving a name takes it;
+// a resolved handle never does), and per-series appends touch only that
+// series' mutex for a bounded, allocation-free critical section, so a
+// sampler ticking every simulated slot or wall-clock second never blocks
+// behind a reader: queries copy the requested window under the same short
+// lock and do all rendering outside it.
 //
 // Timestamps are opaque int64s. The simulator writes virtual time
 // (one-minute slot indices) so recorded series are bit-identical across
@@ -263,23 +263,14 @@ func (s *Series) retained(level int) (oldest int64, n int, wrapped bool) {
 	return oldest, n, ring.Total() > uint64(ring.Len())
 }
 
-// storeStripes shards the series map so concurrent samplers resolving or
-// appending to unrelated series do not contend on one lock.
-const storeStripes = 16
-
-type storeStripe struct {
-	mu     sync.RWMutex
-	series map[string]*Series
-	_      [32]byte // keep stripe locks off shared cache lines
-}
-
-// Store is a set of ring series sharded across lock stripes. The zero
+// Store is a set of ring series keyed by canonical identity. The zero
 // value is not usable; construct with New. A nil *Store is the Nop
 // store: Series returns nil (whose Append is a no-op) and queries return
 // nothing, mirroring the telemetry package's nil-safety contract.
 type Store struct {
-	rawCap  int
-	stripes [storeStripes]storeStripe
+	rawCap int
+	mu     sync.RWMutex
+	series map[string]*Series
 }
 
 // DefaultCapacity is the per-series raw ring size when New is given a
@@ -298,11 +289,7 @@ func New(rawCapacity int) *Store {
 	if rawCapacity < 16 {
 		rawCapacity = 16
 	}
-	st := &Store{rawCap: rawCapacity}
-	for i := range st.stripes {
-		st.stripes[i].series = make(map[string]*Series)
-	}
-	return st
+	return &Store{rawCap: rawCapacity, series: make(map[string]*Series)}
 }
 
 // seriesKey renders the canonical identity name{k="v",...} over sorted
@@ -336,16 +323,6 @@ func CanonicalKey(name string, labels []Label) string {
 	return seriesKey(name, sorted)
 }
 
-// fnv1a hashes a key onto a stripe.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // Series resolves (creating on first use) the series with the given name
 // and labels. Resolution allocates (key rendering, ring allocation on
 // first use) — hot paths resolve once and keep the handle. Returns nil
@@ -357,16 +334,15 @@ func (st *Store) Series(name string, labels ...Label) *Series {
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	key := seriesKey(name, ls)
-	sp := &st.stripes[fnv1a(key)%storeStripes]
-	sp.mu.RLock()
-	s := sp.series[key]
-	sp.mu.RUnlock()
+	st.mu.RLock()
+	s := st.series[key]
+	st.mu.RUnlock()
 	if s != nil {
 		return s
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if s = sp.series[key]; s != nil {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if s = st.series[key]; s != nil {
 		return s
 	}
 	s = &Series{
@@ -378,7 +354,7 @@ func (st *Store) Series(name string, labels ...Label) *Series {
 	for i := range s.agg {
 		s.agg[i] = telemetry.NewRing[Bucket](st.rawCap)
 	}
-	sp.series[key] = s
+	st.series[key] = s
 	return s
 }
 
@@ -389,14 +365,11 @@ func (st *Store) all() []*Series {
 		return nil
 	}
 	var out []*Series
-	for i := range st.stripes {
-		sp := &st.stripes[i]
-		sp.mu.RLock()
-		for _, s := range sp.series {
-			out = append(out, s)
-		}
-		sp.mu.RUnlock()
+	st.mu.RLock()
+	for _, s := range st.series {
+		out = append(out, s)
 	}
+	st.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
@@ -406,12 +379,7 @@ func (st *Store) Len() int {
 	if st == nil {
 		return 0
 	}
-	n := 0
-	for i := range st.stripes {
-		sp := &st.stripes[i]
-		sp.mu.RLock()
-		n += len(sp.series)
-		sp.mu.RUnlock()
-	}
-	return n
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.series)
 }

@@ -2,9 +2,12 @@ package tsdb
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mpr/internal/telemetry"
@@ -235,6 +238,45 @@ func TestAppendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Append allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestConcurrentResolveAndAppend: goroutines resolving and appending over
+// shared and distinct names through the one series-map lock lose no
+// series and no sample. Run it under -race.
+func TestConcurrentResolveAndAppend(t *testing.T) {
+	const workers, perWorker = 8, 500
+	st := New(64)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own := fmt.Sprintf("own_%d", w)
+			for i := 0; i < perWorker; i++ {
+				// Resolve on every append: the map lookup is the contended path.
+				st.Series("shared").Append(int64(i), 1)
+				st.Series("labeled", Label{Key: "w", Value: strconv.Itoa(w % 2)}).Append(int64(i), 1)
+				st.Series(own).Append(int64(i), float64(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := st.Len(), 1+2+workers; got != want {
+		t.Fatalf("store holds %d series, want %d", got, want)
+	}
+	if got := st.Series("shared").Total(); got != workers*perWorker {
+		t.Errorf("shared series total = %d, want %d", got, workers*perWorker)
+	}
+	for v := 0; v < 2; v++ {
+		if got := st.Series("labeled", Label{Key: "w", Value: strconv.Itoa(v)}).Total(); got != workers/2*perWorker {
+			t.Errorf("labeled w=%d total = %d, want %d", v, got, workers/2*perWorker)
+		}
+	}
+	for w := 0; w < workers; w++ {
+		if got := st.Series(fmt.Sprintf("own_%d", w)).Total(); got != perWorker {
+			t.Errorf("own_%d total = %d, want %d", w, got, perWorker)
+		}
 	}
 }
 
