@@ -164,7 +164,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "series run: %v\n", err)
 			os.Exit(1)
 		}
-		if err := tsdb.ExportFile(res.Series, tsdb.Query{Resolution: tsdb.ResRaw}, *series); err != nil {
+		if err := tsdb.ExportFile(res.Series, tsdb.Query{}, *series); err != nil {
 			fmt.Fprintf(os.Stderr, "series export: %v\n", err)
 			os.Exit(1)
 		}

@@ -94,7 +94,7 @@ func TestObsShutdownIdempotent(t *testing.T) {
 // end: a real manager evicts a deliberately stalled agent out of a live
 // fleet, the eviction lands in the mpr_mgr_evictions series via the
 // obs sampler, the EvictionBurst rule fires on the next recordMarket,
-// and the flight recorder writes exactly one schema-valid mprflight/v1
+// and the flight recorder writes exactly one schema-valid mprflight/v2
 // bundle — cooldown suppressing the re-firings — containing the
 // triggering firing, a goroutine profile, the eviction trace event, and
 // the mpr_rt_* window.
@@ -174,7 +174,7 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	clock.Advance(time.Second)
 	waitFor(t, "eviction sample", func() bool {
 		data := o.store.Query(tsdb.Query{Name: seriesEvictions, Start: clock.Now().Unix()})
-		return len(data) == 1 && len(data[0].Points) > 0 && data[0].Points[0].Max > 0
+		return len(data) == 1 && len(data[0].Points) > 0 && data[0].Points[0].V > 0
 	})
 	o.recordMarket(5000, out.Result)
 

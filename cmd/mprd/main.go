@@ -43,7 +43,7 @@
 // latency p99) joins the tick as mpr_rt_* series, the process-health
 // alert rules join the live scorecard, and a trigger — a fresh alert
 // firing (per-rule -flight-cooldown), SIGQUIT, process exit, or POST
-// /debug/flight/dump — writes a versioned mprflight/v1 bundle into DIR:
+// /debug/flight/dump — writes a versioned mprflight/v2 bundle into DIR:
 // build info, flag echo, goroutine profile, recent trace events/spans,
 // HDR summaries, alert history, and the series window around the
 // trigger. /debug/flight reports recorder status, its alert history and
@@ -87,7 +87,7 @@ func run() int {
 		sample    = flag.Duration("sample", time.Second, "wall-clock series sampling interval")
 		tracelog  = flag.String("tracelog", "", "file receiving every trace event as JSONL (flushed on shutdown)")
 		serieslog = flag.String("serieslog", "", "file receiving the series store as JSONL on shutdown")
-		flightDir = flag.String("flight", "", "directory receiving mprflight/v1 black-box bundles on alert/SIGQUIT/exit (empty = disabled)")
+		flightDir = flag.String("flight", "", "directory receiving mprflight/v2 black-box bundles on alert/SIGQUIT/exit (empty = disabled)")
 		flightCD  = flag.Duration("flight-cooldown", time.Minute, "per-rule suppression window between alert-triggered flight dumps")
 	)
 	flag.Parse()

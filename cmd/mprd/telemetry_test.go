@@ -74,7 +74,7 @@ func TestObsShutdownDrainsAndFlushes(t *testing.T) {
 		t.Fatalf("series sink missing %s: %q", seriesEvictions, seriesData)
 	}
 	// The startup sample saw all 3 evictions; later deltas are 0.
-	if !strings.Contains(string(seriesData), `"max":3,`) || !strings.Contains(string(seriesData), `"max":0,`) {
+	if !strings.Contains(string(seriesData), `"v":3}`) || !strings.Contains(string(seriesData), `"v":0}`) {
 		t.Fatalf("series export lost the eviction deltas: %q", seriesData)
 	}
 }

@@ -11,7 +11,7 @@
 // series into an in-memory tsdb, evaluates the alerts.LoadRules SLO
 // scorecard live over those series, and finally emits a versioned
 // mprload/report/v3 JSON artifact (-report) with the latency digests and
-// SLO verdicts. When the scorecard fails (exit 3), an mprflight/v1
+// SLO verdicts. When the scorecard fails (exit 3), an mprflight/v2
 // black-box bundle — goroutine profile, trace window, series history,
 // the triggering firing — is parked next to the report (-flight) and
 // named in its flight_bundle field, so a failed soak carries its own
@@ -55,7 +55,7 @@ func main() {
 		wire      = flag.String("wire", "json", "agent wire format: json (lines) or binary (length-prefixed frames)")
 		shards    = flag.Int("shards", 0, "selfhost manager connection shards (0 = default)")
 		report    = flag.String("report", "", "write the mprload/report/v3 JSON artifact here (- = stdout)")
-		flightOut = flag.String("flight", "", "write an mprflight/v1 bundle here when the SLO scorecard fails (empty = <report>.flight.json next to a file -report; 'none' disables)")
+		flightOut = flag.String("flight", "", "write an mprflight/v2 bundle here when the SLO scorecard fails (empty = <report>.flight.json next to a file -report; 'none' disables)")
 		metrics   = flag.String("metrics", "", "serve /metrics, /debug/* on this address while running")
 		quiet     = flag.Bool("quiet", false, "suppress progress logging")
 	)

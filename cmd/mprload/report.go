@@ -12,7 +12,7 @@ import (
 // TestLoadReportSchema decodes strictly, so drift without a bump fails CI.
 // v2: config gains wire (json|binary agent transport) and shards (selfhost
 // manager connection shards).
-// v3: flight_bundle names the mprflight/v1 black-box bundle parked next
+// v3: flight_bundle names the mprflight black-box bundle parked next
 // to a failing report (the -flight flag), so the exit-3 CI path is
 // self-diagnosing.
 const loadSchema = "mprload/report/v3"
@@ -43,7 +43,7 @@ type loadReport struct {
 	SLO            sloSection        `json:"slo"`
 	ElapsedSeconds float64           `json:"elapsed_seconds"`
 
-	// FlightBundle is the path of the mprflight/v1 bundle written when
+	// FlightBundle is the path of the mprflight/v2 bundle written when
 	// the SLO scorecard failed (empty on passing runs or when -flight is
 	// disabled): the incident evidence that travels with the verdict.
 	FlightBundle string `json:"flight_bundle,omitempty"`

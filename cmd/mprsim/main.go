@@ -51,12 +51,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// -series samples every slot; the 100× ring gets one bucket per 100
-	// slots of the trace span plus the engine's ten-day drain, so the
-	// chart spans the whole run.
+	// -series samples every slot and keeps them all, so the chart spans
+	// the whole run.
 	seriesCap := 0
 	if *series {
-		seriesCap = int((tr.Span()/60+10*24*60)/100) + 1
+		seriesCap = sim.RunSlots(tr)
 	}
 	var algos []sim.Algorithm
 	for _, a := range strings.Split(*algo, ",") {
@@ -97,14 +96,13 @@ func main() {
 	}
 }
 
-// deliveredPower reads the run's sampled delivered-power series as bucket
-// means at the finest resolution that spans the run; LineChart averages
-// them down to its width.
+// deliveredPower reads the run's sampled delivered-power series, one
+// point per slot; LineChart averages them down to its width.
 func deliveredPower(r *sim.Result) *stats.Series {
 	out := &stats.Series{}
-	for _, sd := range r.Series.Query(tsdb.Query{Name: sim.SeriesPowerDeliveredW, Resolution: tsdb.ResAuto}) {
-		for _, b := range sd.Points {
-			out.Append(b.Start, b.Mean())
+	for _, sd := range r.Series.Query(tsdb.Query{Name: sim.SeriesPowerDeliveredW}) {
+		for _, p := range sd.Points {
+			out.Append(p.T, p.V)
 		}
 	}
 	return out

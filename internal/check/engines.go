@@ -172,8 +172,7 @@ func diffOneEngines(g *Gen, st *DiffStats) error {
 // CompareEngineResults requires a RunFixedStep Result and a Run Result
 // to be bit-identical in every deterministic dimension: scalar
 // statistics (floats compared by bit pattern, not tolerance),
-// per-profile aggregates, per-job timelines, downsampled power series,
-// sampled time-series stores
+// per-profile aggregates, per-job timelines, sampled time-series stores
 // (compared on their rendered JSONL export), telemetry snapshots, and
 // trace events. Wall-clock fields (Event.TimeNS, span durations) are
 // the only exclusions: Emit stamps them with real time.
@@ -263,11 +262,11 @@ func CompareEngineResults(fixed, skip *sim.Result) error {
 	return nil
 }
 
-// renderSeries serializes a sampled store at raw resolution; the JSONL
-// rendering covers names, timestamps, and values bit-exactly.
+// renderSeries serializes a sampled store's samples; the JSONL rendering
+// covers names, timestamps, and values bit-exactly.
 func renderSeries(s *tsdb.Store) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := tsdb.WriteJSONL(&buf, s.Query(tsdb.Query{Resolution: tsdb.ResRaw})); err != nil {
+	if err := tsdb.WriteJSONL(&buf, s.Query(tsdb.Query{})); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

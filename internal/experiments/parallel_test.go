@@ -97,7 +97,7 @@ func TestSeriesExportBitIdentity(t *testing.T) {
 				t.Fatalf("loop=%s workers=%d: %v", loop.name, workers, err)
 			}
 			var b strings.Builder
-			if err := tsdb.WriteJSONL(&b, res.Series.Query(tsdb.Query{Resolution: tsdb.ResRaw})); err != nil {
+			if err := tsdb.WriteJSONL(&b, res.Series.Query(tsdb.Query{})); err != nil {
 				t.Fatalf("loop=%s workers=%d export: %v", loop.name, workers, err)
 			}
 			got := b.String()

@@ -168,10 +168,8 @@ func runFig10(o Options) (*Result, error) {
 			store := tsdb.New(0)
 			tsdb.IngestMarketTrace(store, tracer.Events())
 			match := map[string]string{"trace": fmt.Sprintf("mpr-int-n%d", n)}
-			get := func(name string) []tsdb.Bucket {
-				data := store.Query(tsdb.Query{
-					Name: name, Match: match, Resolution: tsdb.ResRaw,
-				})
+			get := func(name string) []tsdb.Point {
+				data := store.Query(tsdb.Query{Name: name, Match: match})
 				if len(data) == 0 {
 					return nil
 				}
@@ -187,10 +185,10 @@ func runFig10(o Options) (*Result, error) {
 				}
 				errPct := 0.0
 				if final != 0 {
-					errPct = 100 * (cleared[i].Max - final) / final
+					errPct = 100 * (cleared[i].V - final) / final
 				}
-				convTbl.AddRow(int(announced[i].Start), announced[i].Max,
-					cleared[i].Max, supplied[i].Max, errPct)
+				convTbl.AddRow(int(announced[i].T), announced[i].V,
+					cleared[i].V, supplied[i].V, errPct)
 			}
 		}
 		intTotal := time.Duration(intMS*float64(time.Millisecond)) + time.Duration(intRes.Rounds)*commPerRound

@@ -112,13 +112,13 @@ type Config struct {
 	// SampleSeries enables the per-slot time-series sampler: the run
 	// records cluster power, overload depth, clearing price, reduction
 	// target/cleared/unmet, active-bidder count, and emergency state into
-	// Result.Series (an embedded multi-resolution store, see
+	// Result.Series (an embedded ring-per-series store, see
 	// internal/telemetry/tsdb). Timestamps are virtual slots, so exports
 	// are bit-identical across worker counts.
 	SampleSeries bool
-	// SeriesCapacity is the raw-ring capacity per sampled series
-	// (default 4096; each series also keeps 10× and 100× downsampled
-	// rings of the same bucket count).
+	// SeriesCapacity is the number of samples each sampled series keeps,
+	// the newest ones (default 4096, ~2.8 days of slots). RunSlots(trace)
+	// keeps the whole run.
 	SeriesCapacity int
 	// TraceEvents, when positive, sizes the run's in-memory telemetry
 	// event ring (the clearing-round and emergency trace returned in

@@ -103,8 +103,8 @@ type Result struct {
 
 	// Series is the run's sampled time-series store when
 	// Config.SampleSeries is set: per-slot power, overload, price,
-	// reduction, and bidder series (names in sampler.go) queryable at
-	// raw/10×/100× resolution and exportable as JSONL.
+	// reduction, and bidder series (names in sampler.go), one sample per
+	// slot, queryable by window and exportable as JSONL.
 	Series *tsdb.Store
 
 	// Spans are the run's completed hierarchical trace spans: each

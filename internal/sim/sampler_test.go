@@ -9,14 +9,14 @@ import (
 
 // TestSamplerSteadyZeroAlloc is the sampling companion of
 // TestMarketInvocationSteadyZeroAlloc: once the series handles are
-// resolved, one per-slot sample — eleven ring appends including bucket
-// cascades — performs zero heap allocations, so enabling SampleSeries
+// resolved, one per-slot sample — eleven ring appends — performs zero
+// heap allocations, so enabling SampleSeries
 // does not perturb the engine's allocation profile.
 func TestSamplerSteadyZeroAlloc(t *testing.T) {
 	smp := newSeriesSampler(tsdb.New(4096), string(AlgMPRInt))
 	slot := 0
 	sampleOnce := func() {
-		emergency := slot%7 < 3 // exercise both branches and the cascade
+		emergency := slot%7 < 3 // exercise both branches
 		smp.sample(slot, 120000, 118000, 119000, 0.8, emergency, 2500, 40)
 		if emergency {
 			smp.sampleClear(slot, 12)
@@ -46,7 +46,7 @@ func TestRunSampleSeries(t *testing.T) {
 	tr := testTrace(t, 3)
 	res, err := Run(Config{
 		Trace: tr, OversubPct: 15, Algorithm: AlgMPRInt, Seed: 7,
-		SampleSeries: true, SeriesCapacity: 1 << 16, TraceEvents: 64,
+		SampleSeries: true, SeriesCapacity: RunSlots(tr), TraceEvents: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,37 +55,38 @@ func TestRunSampleSeries(t *testing.T) {
 		t.Fatal("SampleSeries produced no store")
 	}
 	match := map[string]string{"algo": string(AlgMPRInt)}
-	get := func(name string) []tsdb.Bucket {
+	get := func(name string) []tsdb.Point {
 		t.Helper()
-		data := res.Series.Query(tsdb.Query{Name: name, Match: match, Resolution: tsdb.ResRaw})
+		data := res.Series.Query(tsdb.Query{Name: name, Match: match})
 		if len(data) != 1 {
 			t.Fatalf("%s: %d series", name, len(data))
 		}
 		return data[0].Points
 	}
+	// RunSlots(tr) keeps every sample of the run.
 	demand := get(SeriesPowerDemandW)
 	if len(demand) != res.Slots {
 		t.Fatalf("demand points = %d, slots = %d", len(demand), res.Slots)
 	}
-	if demand[0].Start != 0 || demand[len(demand)-1].Start != int64(res.Slots-1) {
-		t.Fatalf("virtual timestamps off: %d..%d", demand[0].Start, demand[len(demand)-1].Start)
+	if demand[0].T != 0 || demand[len(demand)-1].T != int64(res.Slots-1) {
+		t.Fatalf("virtual timestamps off: %d..%d", demand[0].T, demand[len(demand)-1].T)
 	}
 	// Capacity is constant and matches the result.
-	for _, b := range get(SeriesPowerCapacityW) {
-		if b.Max != res.CapacityW {
-			t.Fatalf("capacity sample %v != %v", b.Max, res.CapacityW)
+	for _, p := range get(SeriesPowerCapacityW) {
+		if p.V != res.CapacityW {
+			t.Fatalf("capacity sample %v != %v", p.V, res.CapacityW)
 		}
 	}
 	// Emergency-state samples sum to the emergency slot count, and
 	// positive overload samples match the overload slot count.
 	var emSlots, ovSlots int
-	for _, b := range get(SeriesEmergencyActive) {
-		if b.Max > 0 {
+	for _, p := range get(SeriesEmergencyActive) {
+		if p.V > 0 {
 			emSlots++
 		}
 	}
-	for _, b := range get(SeriesOverloadW) {
-		if b.Max > 0 {
+	for _, p := range get(SeriesOverloadW) {
+		if p.V > 0 {
 			ovSlots++
 		}
 	}
@@ -136,7 +137,7 @@ func TestRunSampleSeriesExportDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := tsdb.WriteJSONL(&buf, res.Series.Query(tsdb.Query{Resolution: tsdb.ResRaw})); err != nil {
+		if err := tsdb.WriteJSONL(&buf, res.Series.Query(tsdb.Query{})); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

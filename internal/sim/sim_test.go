@@ -214,31 +214,29 @@ func TestRandomCostErrorTolerated(t *testing.T) {
 // simulated slot, and delivered power never exceeds demand.
 func TestRecordSeries(t *testing.T) {
 	tr := testTrace(t, 11)
-	// A raw ring longer than the week-long run keeps every sample.
+	// A ring longer than the week-long run keeps every sample.
 	res, err := Run(Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7, SampleSeries: true, SeriesCapacity: 16384})
 	if err != nil {
 		t.Fatal(err)
 	}
-	query := func(name string) []tsdb.Bucket {
+	query := func(name string) []tsdb.Point {
 		t.Helper()
-		sd := res.Series.Query(tsdb.Query{Name: name, Resolution: tsdb.ResRaw})
+		sd := res.Series.Query(tsdb.Query{Name: name})
 		if len(sd) != 1 || len(sd[0].Points) == 0 {
 			t.Fatalf("%s: %d series, want 1 with points", name, len(sd))
 		}
 		return sd[0].Points
 	}
 	demand, delivered := query(SeriesPowerDemandW), query(SeriesPowerDeliveredW)
-	var slots int64
-	maxDemand, maxDelivered := demand[0].Max, delivered[0].Max
-	for _, b := range demand {
-		slots += b.Count
-		maxDemand = math.Max(maxDemand, b.Max)
+	maxDemand, maxDelivered := demand[0].V, delivered[0].V
+	for _, p := range demand {
+		maxDemand = math.Max(maxDemand, p.V)
 	}
-	for _, b := range delivered {
-		maxDelivered = math.Max(maxDelivered, b.Max)
+	for _, p := range delivered {
+		maxDelivered = math.Max(maxDelivered, p.V)
 	}
-	if slots != int64(res.Slots) {
-		t.Errorf("demand series holds %d samples, want one per slot (%d)", slots, res.Slots)
+	if len(demand) != res.Slots {
+		t.Errorf("demand series holds %d samples, want one per slot (%d)", len(demand), res.Slots)
 	}
 	if maxDelivered > maxDemand+1e-6 {
 		t.Errorf("delivered max %v exceeds demand max %v", maxDelivered, maxDemand)

@@ -149,10 +149,10 @@ func TestSeriesAcrossEngines(t *testing.T) {
 	}
 	a, b := runBoth(t, cfg)
 	var ja, jb bytes.Buffer
-	if err := tsdb.WriteJSONL(&ja, a.Series.Query(tsdb.Query{Resolution: tsdb.ResRaw})); err != nil {
+	if err := tsdb.WriteJSONL(&ja, a.Series.Query(tsdb.Query{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tsdb.WriteJSONL(&jb, b.Series.Query(tsdb.Query{Resolution: tsdb.ResRaw})); err != nil {
+	if err := tsdb.WriteJSONL(&jb, b.Series.Query(tsdb.Query{})); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {

@@ -13,8 +13,9 @@ import (
 
 // BundleSchema versions the flight-bundle artifact. Strict-decoded on
 // read: adding a field without bumping the version fails ReadBundleFile
-// (and the schema test in CI).
-const BundleSchema = "mprflight/v1"
+// (and the schema test in CI). v2: the series window carries raw
+// {t, v} samples instead of v1's resolution-tagged buckets.
+const BundleSchema = "mprflight/v2"
 
 // Trigger reasons a bundle records. Kept as plain strings on the wire;
 // Validate accepts exactly this set so tooling can switch on them.
@@ -26,7 +27,7 @@ const (
 	ReasonSLO    = "slo"    // mprload attaching evidence to a failed run
 )
 
-// Bundle is the versioned mprflight/v1 black-box artifact: everything an
+// Bundle is the versioned mprflight/v2 black-box artifact: everything an
 // operator needs from the seconds before a trigger, in one self-
 // describing JSON document. The schema deliberately reuses the repo's
 // existing serialized forms — telemetry.Event, telemetry.Span,
@@ -66,8 +67,8 @@ type Bundle struct {
 	// saw, fresh or cooldown-suppressed), newest last.
 	Firings []alerts.Firing `json:"firings"`
 
-	// Series is the tsdb window around the trigger, every series, at
-	// auto resolution — including the mpr_rt_* runtime-health series.
+	// Series is the tsdb window around the trigger, every series' raw
+	// samples — including the mpr_rt_* runtime-health series.
 	Series []tsdb.SeriesData `json:"series"`
 
 	// GoroutineProfile is the pprof "goroutine" profile at debug=1 —
@@ -123,7 +124,7 @@ func WriteBundleFile(path string, b *Bundle) error {
 	return nil
 }
 
-// ReadBundleFile strictly decodes and validates an mprflight/v1 bundle:
+// ReadBundleFile strictly decodes and validates an mprflight/v2 bundle:
 // unknown fields are errors, so schema drift is caught at the reader.
 func ReadBundleFile(path string) (*Bundle, error) {
 	raw, err := os.ReadFile(path)

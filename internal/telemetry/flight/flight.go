@@ -2,7 +2,7 @@
 // fixed-capacity retention layer over the repo's telemetry primitives
 // (registry snapshot, tracer rings, tsdb window, alert firings, and a
 // runtime-health sampler over runtime/metrics) that dumps a versioned
-// mprflight/v1 bundle when something goes wrong. Like an aircraft FDR
+// mprflight/v2 bundle when something goes wrong. Like an aircraft FDR
 // the recorder costs (almost) nothing in steady state — the record path
 // is allocation-free and test-enforced — and pays out on a trigger: an
 // alert firing (per-rule cooldown via alerts.Deduper), SIGQUIT, process
@@ -54,7 +54,7 @@ const (
 	firingHistory = 64
 )
 
-// Recorder retains recent telemetry and writes mprflight/v1 bundles on
+// Recorder retains recent telemetry and writes mprflight/v2 bundles on
 // triggers. All methods are safe for concurrent use, and a nil
 // *Recorder is a no-op (the disabled recorder), matching the nil-safety
 // discipline of the rest of internal/telemetry.
@@ -88,7 +88,7 @@ type Status struct {
 }
 
 // New builds a recorder, creating cfg.Dir when set. The runtime-health
-// sampler registers its mpr_rt_* gauges and series immediately so the
+// sampler registers its mpr_rt_* series immediately so the
 // rules in alerts.RuntimeRules have something to evaluate from the
 // first SampleRuntime tick.
 func New(cfg Config) (*Recorder, error) {
@@ -105,15 +105,15 @@ func New(cfg Config) (*Recorder, error) {
 	}
 	return &Recorder{
 		cfg:     cfg,
-		rt:      NewRuntimeSampler(cfg.Registry, cfg.Store),
+		rt:      NewRuntimeSampler(cfg.Store),
 		dedup:   alerts.NewDeduper(int64(cfg.Cooldown / time.Second)),
 		firings: telemetry.NewRing[alerts.Firing](firingHistory),
 	}, nil
 }
 
 // SampleRuntime takes one runtime-health sample (goroutines, heap,
-// GC pause p99, sched latency p99) into the registry gauges and the
-// mpr_rt_* series. Allocation-free in steady state; no-op on nil.
+// GC pause p99, sched latency p99) into the mpr_rt_* series and the
+// snapshot. Allocation-free in steady state; no-op on nil.
 func (r *Recorder) SampleRuntime(now time.Time) {
 	if r == nil {
 		return
@@ -198,7 +198,7 @@ func (r *Recorder) write(path string, b *Bundle) error {
 	return nil
 }
 
-// buildBundle assembles the mprflight/v1 document. Dumps are rare, so
+// buildBundle assembles the mprflight/v2 document. Dumps are rare, so
 // this path may allocate freely — only recording must not.
 func (r *Recorder) buildBundle(now time.Time, reason string, trigger *alerts.Firing) *Bundle {
 	// Refresh the runtime snapshot at dump time: the bundle's health
@@ -232,7 +232,7 @@ func (r *Recorder) buildBundle(now time.Time, reason string, trigger *alerts.Fir
 	if start < 0 {
 		start = 0 // FakeClock tests run near the epoch; 0 means unbounded
 	}
-	b.Series = r.cfg.Store.Query(tsdb.Query{Start: start, Resolution: tsdb.ResAuto})
+	b.Series = r.cfg.Store.Query(tsdb.Query{Start: start})
 
 	var prof strings.Builder
 	if p := pprof.Lookup("goroutine"); p != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/tsdb"
 )
 
@@ -51,8 +50,8 @@ type RuntimeSnapshot struct {
 	GOMAXPROCS             int     `json:"gomaxprocs"`
 }
 
-// RuntimeSampler reads runtime/metrics into registry gauges and tsdb
-// series. Construction resolves every handle and pre-sizes the sample
+// RuntimeSampler reads runtime/metrics into tsdb series and the latest
+// snapshot. Construction resolves every handle and pre-sizes the sample
 // slice; Sample on a constructed sampler is allocation-free in steady
 // state (runtime/metrics.Read reuses the Float64Histogram buffers it
 // placed in the slice on the first read) — test-enforced, matching the
@@ -60,18 +59,16 @@ type RuntimeSnapshot struct {
 type RuntimeSampler struct {
 	samples []metrics.Sample
 
-	gGoroutines, gHeap, gGCPause, gSchedLat *telemetry.Gauge
 	sGoroutines, sHeap, sGCPause, sSchedLat *tsdb.Series
 
 	mu   sync.Mutex
 	last RuntimeSnapshot
 }
 
-// NewRuntimeSampler builds a sampler publishing into the registry (as
-// mpr_rt_* gauges) and the store (as mpr_rt_* series). Either may be
-// nil; the corresponding outputs are no-ops.
-func NewRuntimeSampler(reg *telemetry.Registry, store *tsdb.Store) *RuntimeSampler {
-	r := &RuntimeSampler{
+// NewRuntimeSampler builds a sampler publishing into the store as
+// mpr_rt_* series. A nil store drops the series and keeps the snapshot.
+func NewRuntimeSampler(store *tsdb.Store) *RuntimeSampler {
+	return &RuntimeSampler{
 		samples: []metrics.Sample{
 			{Name: rmGoroutines},
 			{Name: rmHeapObjects},
@@ -79,21 +76,16 @@ func NewRuntimeSampler(reg *telemetry.Registry, store *tsdb.Store) *RuntimeSampl
 			{Name: rmGCPauses},
 			{Name: rmSchedLat},
 		},
-		gGoroutines: reg.Gauge(SeriesGoroutines, "Live goroutine count."),
-		gHeap:       reg.Gauge(SeriesHeapInuse, "Heap spans in use (objects + unused), bytes."),
-		gGCPause:    reg.Gauge(SeriesGCPauseP99, "p99 stop-the-world GC pause since process start, seconds."),
-		gSchedLat:   reg.Gauge(SeriesSchedLatP99, "p99 goroutine scheduling latency since process start, seconds."),
 		sGoroutines: store.Series(SeriesGoroutines),
 		sHeap:       store.Series(SeriesHeapInuse),
 		sGCPause:    store.Series(SeriesGCPauseP99),
 		sSchedLat:   store.Series(SeriesSchedLatP99),
 	}
-	return r
 }
 
-// Sample reads the runtime metrics once and publishes them: gauges for
-// scrapes, series points (Unix-second timestamps) for windows and
-// alerts, and the latest snapshot for /debug/flight. No-op on nil.
+// Sample reads the runtime metrics once and publishes them: series
+// points (Unix-second timestamps) for windows and alerts, and the latest
+// snapshot for /debug/flight. No-op on nil.
 func (r *RuntimeSampler) Sample(now time.Time) {
 	if r == nil {
 		return
@@ -122,10 +114,6 @@ func (r *RuntimeSampler) Sample(now time.Time) {
 		snap.SchedLatencyP99Seconds = histQuantile(v.Float64Histogram(), 0.99)
 	}
 
-	r.gGoroutines.Set(float64(snap.Goroutines))
-	r.gHeap.Set(float64(snap.HeapInuseBytes))
-	r.gGCPause.Set(snap.GCPauseP99Seconds)
-	r.gSchedLat.Set(snap.SchedLatencyP99Seconds)
 	t := now.Unix()
 	r.sGoroutines.Append(t, float64(snap.Goroutines))
 	r.sHeap.Append(t, float64(snap.HeapInuseBytes))

@@ -5,14 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/tsdb"
 )
 
 func TestRuntimeSamplerPublishes(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	store := tsdb.New(0)
-	rs := NewRuntimeSampler(reg, store)
+	rs := NewRuntimeSampler(store)
 
 	now := time.Unix(1000, 0)
 	rs.Sample(now)
@@ -30,16 +28,13 @@ func TestRuntimeSamplerPublishes(t *testing.T) {
 	if snap.NumCPU < 1 || snap.GOMAXPROCS < 1 {
 		t.Errorf("cpu counts out of range: %+v", snap)
 	}
-	if g := reg.GaugeValue(SeriesGoroutines); g != float64(snap.Goroutines) {
-		t.Errorf("gauge %s = %g, want %d", SeriesGoroutines, g, snap.Goroutines)
-	}
 	for _, name := range []string{SeriesGoroutines, SeriesHeapInuse, SeriesGCPauseP99, SeriesSchedLatP99} {
 		data := store.Query(tsdb.Query{Name: name})
 		if len(data) != 1 || len(data[0].Points) != 1 {
 			t.Errorf("series %s: want exactly 1 point, got %+v", name, data)
 			continue
 		}
-		if got := data[0].Points[0].Start; got != now.Unix() {
+		if got := data[0].Points[0].T; got != now.Unix() {
 			t.Errorf("series %s point at %d, want %d", name, got, now.Unix())
 		}
 	}
@@ -51,8 +46,8 @@ func TestRuntimeSamplerNilSafe(t *testing.T) {
 	if got := rs.Snapshot(); got != (RuntimeSnapshot{}) {
 		t.Errorf("nil sampler snapshot = %+v, want zero", got)
 	}
-	// Nil registry/store: sampling still works, outputs are dropped.
-	rs = NewRuntimeSampler(nil, nil)
+	// Nil store: sampling still works, the series are dropped.
+	rs = NewRuntimeSampler(nil)
 	rs.Sample(time.Unix(1, 0))
 	if rs.Snapshot().Goroutines < 1 {
 		t.Error("sampler with nil sinks lost the snapshot")
@@ -64,9 +59,8 @@ func TestRuntimeSamplerNilSafe(t *testing.T) {
 // buffers, Sample must not allocate. This is the same discipline the
 // registry and tsdb hot paths are held to.
 func TestRuntimeSampleZeroAlloc(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	store := tsdb.New(0)
-	rs := NewRuntimeSampler(reg, store)
+	rs := NewRuntimeSampler(store)
 	now := time.Unix(1000, 0)
 	rs.Sample(now) // warm-up: metrics.Read fills the histogram buffers
 

@@ -10,14 +10,14 @@ import (
 	"mpr/internal/telemetry/alerts"
 )
 
-// TestFlightBundleSchema validates mprflight/v1 bundles the same way the
+// TestFlightBundleSchema validates mprflight/v2 bundles the same way the
 // mprload/mprbench schema tests do: the committed testdata bundle (pins
 // the wire format against accidental drift — a new field without a
 // schema bump fails the strict decode) plus a freshly generated one. CI
 // points MPR_FLIGHT_JSON at a bundle a booted mprd dumped to validate
 // the real daemon artifact too.
 func TestFlightBundleSchema(t *testing.T) {
-	paths := []string{filepath.Join("testdata", "flight_v1.json")}
+	paths := []string{filepath.Join("testdata", "flight_v2.json")}
 	if external := os.Getenv("MPR_FLIGHT_JSON"); external != "" {
 		paths = append(paths, external)
 	} else {

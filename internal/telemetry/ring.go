@@ -2,7 +2,7 @@ package telemetry
 
 // Ring is the fixed-capacity retention buffer every telemetry window is
 // built on: the tracer's event and span rings, the flight recorder's
-// firing history and each tsdb series' raw and aggregate rings. When full,
+// firing history and each tsdb series' ring of samples. When full,
 // Push overwrites the oldest value. A Ring is not synchronized — each
 // owner guards it with its own lock — and Push never allocates, since the
 // backing array is sized once by NewRing. The zero value is not usable.

@@ -8,34 +8,24 @@ import (
 	"mpr/internal/telemetry"
 )
 
-// jsonlRecord is one exported bucket line. Fields mirror SeriesData plus
-// the bucket, flattened so downstream tools can stream-filter without
-// holding whole series in memory.
+// jsonlRecord is one exported sample line: the series identity plus the
+// point, flattened so downstream tools can stream-filter without holding
+// whole series in memory.
 type jsonlRecord struct {
-	Name       string            `json:"name"`
-	Labels     map[string]string `json:"labels,omitempty"`
-	Resolution string            `json:"resolution"`
-	Start      int64             `json:"start"`
-	End        int64             `json:"end"`
-	Min        float64           `json:"min"`
-	Max        float64           `json:"max"`
-	Sum        float64           `json:"sum"`
-	Count      int64             `json:"count"`
+	Name   string            `json:"name"`
+	Labels map[string]string `json:"labels,omitempty"`
+	T      int64             `json:"t"`
+	V      float64           `json:"v"`
 }
 
-// WriteJSONL writes one JSON line per bucket. Series arrive in the
+// WriteJSONL writes one JSON line per sample. Series arrive in the
 // deterministic key order Query produces and encoding/json sorts label
 // maps, so identical data renders byte-identically.
 func WriteJSONL(w io.Writer, data []SeriesData) error {
 	enc := json.NewEncoder(w)
 	for _, sd := range data {
-		for _, b := range sd.Points {
-			rec := jsonlRecord{
-				Name: sd.Name, Labels: sd.Labels, Resolution: sd.Resolution,
-				Start: b.Start, End: b.End, Min: b.Min, Max: b.Max,
-				Sum: b.Sum, Count: b.Count,
-			}
-			if err := enc.Encode(rec); err != nil {
+		for _, p := range sd.Points {
+			if err := enc.Encode(jsonlRecord{Name: sd.Name, Labels: sd.Labels, T: p.T, V: p.V}); err != nil {
 				return err
 			}
 		}

@@ -13,19 +13,13 @@ import (
 //	name        exact series name ("" = all)
 //	match       label equality matcher, "k=v,k2=v2"
 //	start, end  inclusive int64 window bounds (0 = unbounded)
-//	res         raw | 10x | 100x | auto (default auto)
-//	max_points  per-series point budget (default 1000)
 //
-// The response is {"series":[{name, labels, resolution, points:[{start,
-// end, min, max, sum, count}...]}...]} in deterministic series-key
-// order. A nil store serves an empty (but valid) document.
+// The response is {"series":[{name, labels, points:[{t, v}...]}...]} in
+// deterministic series-key order, every retained sample in the window.
+// A nil store serves an empty (but valid) document.
 func Handler(st *Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		q := Query{
-			Name:       req.FormValue("name"),
-			Resolution: ParseResolution(req.FormValue("res")),
-			MaxPoints:  autoMaxPoints,
-		}
+		q := Query{Name: req.FormValue("name")}
 		var err error
 		if v := req.FormValue("start"); v != "" {
 			if q.Start, err = strconv.ParseInt(v, 10, 64); err != nil {
@@ -38,14 +32,6 @@ func Handler(st *Store) http.Handler {
 				http.Error(w, "bad end: "+err.Error(), http.StatusBadRequest)
 				return
 			}
-		}
-		if v := req.FormValue("max_points"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				http.Error(w, "bad max_points: need a positive integer", http.StatusBadRequest)
-				return
-			}
-			q.MaxPoints = n
 		}
 		if v := req.FormValue("match"); v != "" {
 			q.Match = make(map[string]string)

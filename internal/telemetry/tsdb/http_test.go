@@ -39,7 +39,7 @@ func TestSeriesHandler(t *testing.T) {
 	st.Series("other").Append(1, 2)
 	h := Handler(st)
 
-	res, out := getSeries(t, h, "/debug/series?name=mpr_sim_power_demand_w&res=raw&start=10&end=19")
+	res, out := getSeries(t, h, "/debug/series?name=mpr_sim_power_demand_w&start=10&end=19")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -50,17 +50,17 @@ func TestSeriesHandler(t *testing.T) {
 		t.Fatalf("series = %d", len(out.Series))
 	}
 	sd := out.Series[0]
-	if sd.Resolution != "raw" || len(sd.Points) != 10 || sd.Labels["algo"] != "MPR-INT" {
+	if len(sd.Points) != 10 || sd.Labels["algo"] != "MPR-INT" {
 		t.Fatalf("window = %+v", sd)
 	}
-	if sd.Points[0].Start != 10 || sd.Points[9].End != 19 {
+	if sd.Points[0] != (Point{10, 1010}) || sd.Points[9] != (Point{19, 1019}) {
 		t.Fatalf("bounds = %+v .. %+v", sd.Points[0], sd.Points[9])
 	}
 
-	// Downsampled window: 10× buckets.
-	_, out = getSeries(t, h, "/debug/series?name=mpr_sim_power_demand_w&res=10x")
-	if got := out.Series[0]; got.Resolution != "10x" || len(got.Points) != 5 {
-		t.Fatalf("10x = %+v", got)
+	// Without bounds: every retained sample.
+	_, out = getSeries(t, h, "/debug/series?name=mpr_sim_power_demand_w")
+	if got := out.Series[0]; len(got.Points) != 50 {
+		t.Fatalf("unbounded window = %d points, want 50", len(got.Points))
 	}
 
 	// Label matcher.
@@ -69,17 +69,10 @@ func TestSeriesHandler(t *testing.T) {
 		t.Fatalf("matcher = %+v", out.Series)
 	}
 
-	// max_points thins.
-	_, out = getSeries(t, h, "/debug/series?name=mpr_sim_power_demand_w&res=raw&max_points=4")
-	if n := len(out.Series[0].Points); n > 4 {
-		t.Fatalf("max_points ignored: %d points", n)
-	}
-
 	// Bad parameters are 400s, not panics.
 	for _, path := range []string{
 		"/debug/series?start=abc",
 		"/debug/series?end=x",
-		"/debug/series?max_points=0",
 		"/debug/series?match=nokey",
 	} {
 		if res, _ := getSeries(t, h, path); res.StatusCode != http.StatusBadRequest {

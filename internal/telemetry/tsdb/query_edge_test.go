@@ -29,9 +29,9 @@ func TestQueryEmptyWindow(t *testing.T) {
 		name string
 		q    Query
 	}{
-		{"inverted (end before start)", Query{Name: "m", Start: 8, End: 3, Resolution: ResRaw}},
-		{"entirely after data", Query{Name: "m", Start: 100, End: 200, Resolution: ResRaw}},
-		{"entirely before data", Query{Name: "m", Start: -50, End: -10, Resolution: ResRaw}},
+		{"inverted (end before start)", Query{Name: "m", Start: 8, End: 3}},
+		{"entirely after data", Query{Name: "m", Start: 100, End: 200}},
+		{"entirely before data", Query{Name: "m", Start: -50, End: -10}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,115 +43,7 @@ func TestQueryEmptyWindow(t *testing.T) {
 	}
 
 	// Sanity: the same series with a covering window does return points.
-	if sd := queryOne(t, st, Query{Name: "m", Start: 0, End: 9, Resolution: ResRaw}); len(sd.Points) != 10 {
+	if sd := queryOne(t, st, Query{Name: "m", Start: 0, End: 9}); len(sd.Points) != 10 {
 		t.Fatalf("covering window returned %d points", len(sd.Points))
-	}
-}
-
-// TestResAutoAtCapacityBoundary pins ResAuto's ring choice exactly at
-// the raw ring's wrap point (capacity floor 16): at n == capacity the
-// raw ring has not wrapped and ResAuto serves raw for any start; one
-// more append wraps it, and an unbounded-start query must fall back to
-// the 10× ring while a start inside the surviving raw window stays raw.
-func TestResAutoAtCapacityBoundary(t *testing.T) {
-	st := New(16)
-	s := st.Series("m")
-
-	fill(s, 16) // exactly capacity: unwrapped
-	sd := queryOne(t, st, Query{Name: "m"})
-	if sd.Resolution != "raw" {
-		t.Fatalf("at capacity: resolution %s, want raw", sd.Resolution)
-	}
-	if len(sd.Points) != 16 {
-		t.Fatalf("at capacity: %d points, want 16", len(sd.Points))
-	}
-
-	s.Append(16, 16) // 17th sample: the ring wraps, t=0 is overwritten
-	// Unbounded start asks for all history, which raw no longer covers.
-	sd = queryOne(t, st, Query{Name: "m"})
-	if sd.Resolution != "10x" {
-		t.Fatalf("after wrap, unbounded start: resolution %s, want 10x", sd.Resolution)
-	}
-	// A start inside the surviving raw window (oldest survivor is t=1)
-	// still gets raw fidelity.
-	sd = queryOne(t, st, Query{Name: "m", Start: 1})
-	if sd.Resolution != "raw" {
-		t.Fatalf("after wrap, start=1: resolution %s, want raw", sd.Resolution)
-	}
-	if len(sd.Points) != 16 {
-		t.Fatalf("after wrap, start=1: %d points, want 16", len(sd.Points))
-	}
-	if sd.Points[0].Start != 1 || sd.Points[len(sd.Points)-1].Start != 16 {
-		t.Fatalf("surviving window = [%d,%d], want [1,16]",
-			sd.Points[0].Start, sd.Points[len(sd.Points)-1].Start)
-	}
-
-	// A start older than the oldest raw survivor falls back too.
-	sd = queryOne(t, st, Query{Name: "m", Start: 0})
-	if sd.Resolution == "raw" {
-		t.Fatalf("start predating raw retention still served raw")
-	}
-}
-
-// TestResAutoPointBudget pins the MaxPoints side of the auto heuristic:
-// a raw window larger than the budget falls to a coarser ring even
-// though raw covers the start.
-func TestResAutoPointBudget(t *testing.T) {
-	st := New(64)
-	fill(st.Series("m"), 40) // unwrapped: raw covers any start
-	sd := queryOne(t, st, Query{Name: "m", MaxPoints: 10})
-	if sd.Resolution != "10x" {
-		t.Fatalf("resolution %s, want 10x under a 10-point budget", sd.Resolution)
-	}
-	if len(sd.Points) > 10 {
-		t.Fatalf("%d points exceed the budget", len(sd.Points))
-	}
-}
-
-// TestThinStride pins thin()'s off-by-one behavior through the public
-// query path: the result never exceeds MaxPoints and always keeps the
-// newest point.
-func TestThinStride(t *testing.T) {
-	cases := []struct {
-		n, max     int
-		wantStarts []int64
-	}{
-		// 10 pts, stride ⌈10/3⌉=4 → indices 0,4,8; the last point (9)
-		// replaces the final slot to keep the newest edge.
-		{10, 3, []int64{0, 4, 9}},
-		// 9 pts, stride 3 → 0,3,6; last (8) replaces 6.
-		{9, 3, []int64{0, 3, 8}},
-		// Exact fit: stride 1 passes everything through untouched.
-		{3, 3, []int64{0, 1, 2}},
-		// max 1 collapses to just the newest point.
-		{10, 1, []int64{9}},
-		// stride 2 lands exactly on the last index: no replacement
-		// needed, and no duplicate appended.
-		{9, 5, []int64{0, 2, 4, 6, 8}},
-	}
-	for _, tc := range cases {
-		st := New(64)
-		fill(st.Series("m"), tc.n)
-		sd := queryOne(t, st, Query{Name: "m", Resolution: ResRaw, MaxPoints: tc.max})
-		if len(sd.Points) > tc.max {
-			t.Errorf("n=%d max=%d: %d points exceed max", tc.n, tc.max, len(sd.Points))
-		}
-		got := make([]int64, len(sd.Points))
-		for i, b := range sd.Points {
-			got[i] = b.Start
-		}
-		if len(got) != len(tc.wantStarts) {
-			t.Errorf("n=%d max=%d: starts %v, want %v", tc.n, tc.max, got, tc.wantStarts)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.wantStarts[i] {
-				t.Errorf("n=%d max=%d: starts %v, want %v", tc.n, tc.max, got, tc.wantStarts)
-				break
-			}
-		}
-		if last := sd.Points[len(sd.Points)-1].Start; last != int64(tc.n-1) {
-			t.Errorf("n=%d max=%d: newest point %d, want %d", tc.n, tc.max, last, tc.n-1)
-		}
 	}
 }

@@ -81,15 +81,15 @@ func TestTickerSamplerRecordsIntoStore(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
-	waitFor(t, func() bool { return evictions.Len() == 1 })
+	waitFor(t, func() bool { return int(evictions.Total()) == 1 })
 	clock.Advance(5 * time.Second)
-	waitFor(t, func() bool { return evictions.Len() == 6 })
+	waitFor(t, func() bool { return int(evictions.Total()) == 6 })
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if evictions.Len() != 7 { // start + 5 ticks + drain
-		t.Fatalf("samples = %d, want 7", evictions.Len())
+	if int(evictions.Total()) != 7 { // start + 5 ticks + drain
+		t.Fatalf("samples = %d, want 7", int(evictions.Total()))
 	}
 }
 

@@ -20,10 +20,10 @@ func TestNilStoreIsNop(t *testing.T) {
 		t.Fatal("nil store must hand out the nil series")
 	}
 	s.Append(1, 2) // must not panic
-	if s.Len() != 0 || s.Total() != 0 || (s.Last() != Point{}) {
+	if s.Total() != 0 {
 		t.Fatal("nil series must be empty")
 	}
-	if st.Query(Query{}) != nil || st.Len() != 0 {
+	if st.Query(Query{}) != nil {
 		t.Fatal("nil store must answer empty queries")
 	}
 }
@@ -36,17 +36,15 @@ func TestSeriesIdentityAndLabels(t *testing.T) {
 	if a != b {
 		t.Fatal("label order changed series identity")
 	}
-	if want := `power{algo="MPR-INT",node="n1"}`; a.Key() != want {
-		t.Fatalf("key = %q, want %q", a.Key(), want)
-	}
 	if c := st.Series("power", Label{Key: "node", Value: "n2"}); c == a {
 		t.Fatal("different labels must resolve different series")
 	}
-	if bare := st.Series("power"); bare.Key() != "power" {
-		t.Fatalf("bare key = %q", bare.Key())
+	st.Series("power")
+	if n := len(st.Query(Query{})); n != 3 {
+		t.Fatalf("store holds %d series, want 3", n)
 	}
-	if st.Len() != 3 {
-		t.Fatalf("store len = %d, want 3", st.Len())
+	if want := `power{algo="MPR-INT",node="n1"}`; CanonicalKey("power", []Label{{"node", "n1"}, {"algo", "MPR-INT"}}) != want {
+		t.Fatalf("canonical key != %q", want)
 	}
 }
 
@@ -55,14 +53,16 @@ func TestAppendAndRawWindow(t *testing.T) {
 	s := st.Series("v")
 	for i := 0; i < 40; i++ {
 		s.Append(int64(i), float64(i))
+		if i == 15 { // exactly capacity: nothing overwritten yet
+			if pts := st.Query(Query{Name: "v"})[0].Points; len(pts) != 16 || pts[0].T != 0 {
+				t.Fatalf("at capacity: %+v", pts)
+			}
+		}
 	}
-	if s.Len() != 16 || s.Total() != 40 {
-		t.Fatalf("len=%d total=%d", s.Len(), s.Total())
+	if s.Total() != 40 {
+		t.Fatalf("total=%d", s.Total())
 	}
-	if last := s.Last(); last.T != 39 || last.V != 39 {
-		t.Fatalf("last = %+v", last)
-	}
-	data := st.Query(Query{Name: "v", Resolution: ResRaw})
+	data := st.Query(Query{Name: "v"})
 	if len(data) != 1 {
 		t.Fatalf("series = %d", len(data))
 	}
@@ -70,94 +70,15 @@ func TestAppendAndRawWindow(t *testing.T) {
 	if len(pts) != 16 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	for i, b := range pts {
+	for i, p := range pts {
 		want := int64(40 - 16 + i)
-		if b.Start != want || b.End != want || b.Count != 1 || b.Min != float64(want) {
-			t.Fatalf("point %d = %+v, want t=%d", i, b, want)
+		if p.T != want || p.V != float64(want) {
+			t.Fatalf("point %d = %+v, want t=%d", i, p, want)
 		}
 	}
 }
 
-// TestDownsamplingPreservesSpikes drives enough samples through the
-// store that the raw ring overwrites them, and checks the 10× and 100×
-// buckets still carry the spike in their Max (and the dip in Min) —
-// the min/max/sum/count design goal.
-func TestDownsamplingPreservesSpikes(t *testing.T) {
-	st := New(16) // raw keeps only 16; aggregates keep 16 buckets each
-	s := st.Series("p")
-	const n = 1000
-	for i := 0; i < n; i++ {
-		v := 1.0
-		if i == 137 {
-			v = 999 // spike long since overwritten in the raw ring
-		}
-		if i == 421 {
-			v = -7 // dip
-		}
-		s.Append(int64(i), v)
-	}
-	// Raw ring no longer holds the spike.
-	raw := st.Query(Query{Name: "p", Resolution: ResRaw})[0].Points
-	for _, b := range raw {
-		if b.Max == 999 {
-			t.Fatal("raw ring unexpectedly still holds the spike")
-		}
-	}
-	// The 100× ring covers 16*100 = 1600 samples, so bucket [100,199]
-	// must still exist and carry the spike.
-	coarse := st.Query(Query{Name: "p", Resolution: Res100})[0].Points
-	var sawSpike, sawDip bool
-	var total int64
-	for _, b := range coarse {
-		if b.Max == 999 {
-			sawSpike = true
-			if b.Start != 100 || b.End != 199 || b.Count != 100 {
-				t.Fatalf("spike bucket = %+v", b)
-			}
-			if want := 999.0 + 99.0; b.Sum != want {
-				t.Fatalf("spike bucket sum = %v, want %v", b.Sum, want)
-			}
-		}
-		if b.Min == -7 {
-			sawDip = true
-		}
-		total += b.Count
-	}
-	if !sawSpike || !sawDip {
-		t.Fatalf("compaction lost extremes: spike=%v dip=%v", sawSpike, sawDip)
-	}
-	if total != n {
-		t.Fatalf("100x buckets cover %d samples, want %d", total, n)
-	}
-	// 10× ring keeps 16 buckets = the newest 160 samples; its last
-	// bucket must end at the last sample.
-	mid := st.Query(Query{Name: "p", Resolution: Res10})[0].Points
-	if len(mid) != 16 {
-		t.Fatalf("10x points = %d", len(mid))
-	}
-	if last := mid[len(mid)-1]; last.End != n-1 {
-		t.Fatalf("10x last bucket = %+v", last)
-	}
-}
-
-// TestPartialBucketVisible checks the in-progress aggregate bucket shows
-// up in coarse queries so the newest samples are never invisible.
-func TestPartialBucketVisible(t *testing.T) {
-	st := New(64)
-	s := st.Series("v")
-	for i := 0; i < 13; i++ { // one full 10× bucket + 3 partial samples
-		s.Append(int64(i), float64(i))
-	}
-	pts := st.Query(Query{Name: "v", Resolution: Res10})[0].Points
-	if len(pts) != 2 {
-		t.Fatalf("points = %d, want 2 (full + partial)", len(pts))
-	}
-	if pts[0].Count != 10 || pts[1].Count != 3 || pts[1].End != 12 {
-		t.Fatalf("buckets = %+v", pts)
-	}
-}
-
-func TestQueryWindowMatcherAndThinning(t *testing.T) {
+func TestQueryWindowAndMatcher(t *testing.T) {
 	st := New(128)
 	a := st.Series("w", Label{Key: "algo", Value: "stat"})
 	b := st.Series("w", Label{Key: "algo", Value: "int"})
@@ -168,66 +89,31 @@ func TestQueryWindowMatcherAndThinning(t *testing.T) {
 		other.Append(int64(i), 3)
 	}
 	// Name filter.
-	if data := st.Query(Query{Name: "w", Resolution: ResRaw}); len(data) != 2 {
+	if data := st.Query(Query{Name: "w"}); len(data) != 2 {
 		t.Fatalf("name filter returned %d series", len(data))
 	}
 	// Label matcher.
-	data := st.Query(Query{Name: "w", Match: map[string]string{"algo": "int"}, Resolution: ResRaw})
+	data := st.Query(Query{Name: "w", Match: map[string]string{"algo": "int"}})
 	if len(data) != 1 || data[0].Labels["algo"] != "int" {
 		t.Fatalf("matcher = %+v", data)
 	}
 	// Window bounds are inclusive.
-	data = st.Query(Query{Name: "x", Start: 10, End: 19, Resolution: ResRaw})
+	data = st.Query(Query{Name: "x", Start: 10, End: 19})
 	if n := len(data[0].Points); n != 10 {
 		t.Fatalf("window points = %d, want 10", n)
 	}
-	// MaxPoints thins but keeps the newest point.
-	data = st.Query(Query{Name: "x", Resolution: ResRaw, MaxPoints: 7})
-	pts := data[0].Points
-	if len(pts) > 7 {
-		t.Fatalf("thinned to %d, want <= 7", len(pts))
-	}
-	if pts[len(pts)-1].End != 99 {
-		t.Fatalf("thinning dropped the newest point: %+v", pts[len(pts)-1])
-	}
 	// Deterministic series order: sorted by canonical key —
 	// w{algo="int"} < w{algo="stat"} < x.
-	all := st.Query(Query{Resolution: ResRaw})
+	all := st.Query(Query{})
 	if len(all) != 3 ||
 		all[0].Labels["algo"] != "int" || all[1].Labels["algo"] != "stat" || all[2].Name != "x" {
 		t.Fatalf("series order not deterministic: %+v", all)
 	}
 }
 
-// TestAutoResolution checks ResAuto walks to coarser rings when the raw
-// ring has wrapped past the requested start or the budget is exceeded.
-func TestAutoResolution(t *testing.T) {
-	st := New(16)
-	s := st.Series("v")
-	for i := 0; i < 20; i++ {
-		s.Append(int64(i), 1)
-	}
-	// Raw ring wrapped (holds 4..19); asking from 0 must fall to 10×.
-	data := st.Query(Query{Name: "v", Start: 0, Resolution: ResAuto})
-	if data[0].Resolution != "10x" {
-		t.Fatalf("resolution = %s, want 10x", data[0].Resolution)
-	}
-	// A window raw still covers stays raw.
-	data = st.Query(Query{Name: "v", Start: 10, Resolution: ResAuto})
-	if data[0].Resolution != "raw" {
-		t.Fatalf("resolution = %s, want raw", data[0].Resolution)
-	}
-	// A tiny point budget forces coarser rings.
-	data = st.Query(Query{Name: "v", Start: 10, Resolution: ResAuto, MaxPoints: 2})
-	if data[0].Resolution == "raw" {
-		t.Fatalf("budget ignored: %s", data[0].Resolution)
-	}
-}
-
 // TestAppendZeroAlloc is the tentpole's allocation-frugality contract:
 // once a series handle is resolved, the steady-state append path —
-// including bucket completion and cascade — performs zero heap
-// allocations.
+// ring wrap included — performs zero heap allocations.
 func TestAppendZeroAlloc(t *testing.T) {
 	st := New(1024)
 	s := st.Series("v", Label{Key: "k", Value: "x"})
@@ -262,7 +148,7 @@ func TestConcurrentResolveAndAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got, want := st.Len(), 1+2+workers; got != want {
+	if got, want := len(st.Query(Query{})), 1+2+workers; got != want {
 		t.Fatalf("store holds %d series, want %d", got, want)
 	}
 	if got := st.Series("shared").Total(); got != workers*perWorker {
@@ -292,10 +178,10 @@ func TestExportJSONLDeterministic(t *testing.T) {
 		return st
 	}
 	var j1, j2 bytes.Buffer
-	if err := WriteJSONL(&j1, build().Query(Query{Resolution: ResRaw})); err != nil {
+	if err := WriteJSONL(&j1, build().Query(Query{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSONL(&j2, build().Query(Query{Resolution: ResRaw})); err != nil {
+	if err := WriteJSONL(&j2, build().Query(Query{})); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
@@ -303,7 +189,7 @@ func TestExportJSONLDeterministic(t *testing.T) {
 	}
 	// ExportFile writes the same JSONL whatever the file name.
 	path := filepath.Join(t.TempDir(), "series.csv")
-	if err := ExportFile(build(), Query{Resolution: Res10}, path); err != nil {
+	if err := ExportFile(build(), Query{Start: 20}, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -311,11 +197,11 @@ func TestExportJSONLDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	// 25 samples → two full 10× buckets + one partial, per series.
-	if want := 2 * 3; len(lines) != want {
+	// Samples 20..24, one line each, per series.
+	if want := 2 * 5; len(lines) != want {
 		t.Fatalf("jsonl lines = %d, want %d", len(lines), want)
 	}
-	if !strings.HasPrefix(lines[0], `{"name":"p","labels":{"algo":"int"},"resolution":"10x",`) {
+	if lines[0] != `{"name":"p","labels":{"algo":"int"},"t":20,"v":30}` {
 		t.Fatalf("first line = %q", lines[0])
 	}
 }
@@ -331,14 +217,14 @@ func TestIngestMarketTrace(t *testing.T) {
 	st := New(64)
 	IngestMarketTrace(st, tr.Events())
 	data := st.Query(Query{Name: "mpr_market_cleared_price",
-		Match: map[string]string{"trace": "mpr-int-n3000"}, Resolution: ResRaw})
+		Match: map[string]string{"trace": "mpr-int-n3000"}})
 	if len(data) != 1 || len(data[0].Points) != 5 {
 		t.Fatalf("ingest = %+v", data)
 	}
-	if p := data[0].Points[2]; p.Start != 3 || p.Max != 0.75 {
+	if p := data[0].Points[2]; p.T != 3 || p.V != 0.75 {
 		t.Fatalf("round 3 = %+v", p)
 	}
-	if st.Len() != 3 {
-		t.Fatalf("series = %d, want announced/cleared/supplied", st.Len())
+	if n := len(st.Query(Query{})); n != 3 {
+		t.Fatalf("series = %d, want announced/cleared/supplied", n)
 	}
 }
