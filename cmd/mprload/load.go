@@ -394,7 +394,7 @@ func (h *harness) sample(now time.Time) {
 	h.evals++
 	for _, f := range alerts.EvalStore(h.rules, h.store, h.startUnix, 0) {
 		// Window-0 dedup: re-evaluating overlapping history re-returns
-		// the same (rule, series, From) firing; report each one once.
+		// the same violation; report each one once.
 		if !h.dedup.Fresh(f) {
 			continue
 		}
