@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"mpr/internal/agentproto"
@@ -45,11 +46,11 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	shape := perf.CostLinear
-	if *quad {
-		shape = perf.CostQuadratic
+	model, err := costModel(prof, *alpha, *quad)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	model := perf.NewCostModel(prof, *alpha, shape)
 
 	agent, err := agentproto.Dial(*connect, agentproto.AgentConfig{
 		JobID:        *job,
@@ -73,4 +74,18 @@ func main() {
 	if err := agent.Err(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// costModel builds the agent's cost model from its flags. A non-finite
+// alpha is refused: the model's α ≥ 1 floor would turn a NaN into 1, and
+// an infinite cost prices every reduction out.
+func costModel(prof *perf.Profile, alpha float64, quadratic bool) (*perf.CostModel, error) {
+	if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
+		return nil, fmt.Errorf("-alpha must be finite, got %v", alpha)
+	}
+	shape := perf.CostLinear
+	if quadratic {
+		shape = perf.CostQuadratic
+	}
+	return perf.NewCostModel(prof, alpha, shape), nil
 }

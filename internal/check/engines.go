@@ -9,6 +9,7 @@ import (
 	"mpr/internal/power"
 	"mpr/internal/runner"
 	"mpr/internal/sim"
+	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/tsdb"
 	"mpr/internal/trace"
 )
@@ -154,28 +155,50 @@ func diffOneEngines(g *Gen, st *DiffStats) error {
 	cfg := g.SimConfig()
 	cfg.RecordJobs = true
 	cfg.TraceEvents = diffTraceEvents
-	fixed, err := sim.RunFixedStep(cfg)
+	fixed, err := runEngines(cfg)
 	if err != nil {
-		return fmt.Errorf("RunFixedStep: %v", err)
-	}
-	skip, err := sim.Run(cfg)
-	if err != nil {
-		return fmt.Errorf("Run: %v", err)
+		return err
 	}
 	st.Participants += fixed.JobsTotal
 	st.Emergencies += fixed.EmergencyCount
 	st.SimSlots += fixed.Slots
 	st.Events += len(fixed.TraceEvents)
-	return CompareEngineResults(fixed, skip)
+	return nil
+}
+
+// runEngines runs cfg through sim.RunFixedStep and sim.Run, each into a
+// registry of its own, and requires bit-identical Results
+// (CompareEngineResults) and equal metrics snapshots. It returns the
+// fixed-step Result.
+func runEngines(cfg sim.Config) (*sim.Result, error) {
+	fixedReg, skipReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	cfg.Telemetry = fixedReg
+	fixed, err := sim.RunFixedStep(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("RunFixedStep: %v", err)
+	}
+	cfg.Telemetry = skipReg
+	skip, err := sim.Run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("Run: %v", err)
+	}
+	if err := CompareEngineResults(fixed, skip); err != nil {
+		return nil, err
+	}
+	if a, b := fixedReg.Snapshot(), skipReg.Snapshot(); !reflect.DeepEqual(a, b) {
+		return nil, fmt.Errorf("telemetry snapshots diverged: %+v vs %+v", a, b)
+	}
+	return fixed, nil
 }
 
 // CompareEngineResults requires a RunFixedStep Result and a Run Result
 // to be bit-identical in every deterministic dimension: scalar
 // statistics (floats compared by bit pattern, not tolerance),
 // per-profile aggregates, per-job timelines, sampled time-series stores
-// (compared on their rendered JSONL export), telemetry snapshots, and
-// trace events. Wall-clock fields (Event.TimeNS, span durations) are
-// the only exclusions: Emit stamps them with real time.
+// (compared on their rendered JSONL export), and trace events. Wall-clock
+// fields (Event.TimeNS, span durations) are the only exclusions: Emit
+// stamps them with real time. The runs' metrics live in the registries
+// they were handed, which runEngines compares.
 func CompareEngineResults(fixed, skip *sim.Result) error {
 	ints := []struct {
 		name string
@@ -255,9 +278,6 @@ func CompareEngineResults(fixed, skip *sim.Result) error {
 		if a != b {
 			return fmt.Errorf("trace skip %d diverged: %+v vs %+v", i, a, b)
 		}
-	}
-	if !reflect.DeepEqual(fixed.Telemetry, skip.Telemetry) {
-		return fmt.Errorf("telemetry snapshots diverged: %+v vs %+v", fixed.Telemetry, skip.Telemetry)
 	}
 	return nil
 }

@@ -67,35 +67,44 @@ const cooperativeSamples = 512
 // cooperativeSamples prices, and reports how many of them it evaluated.
 // It never sees the job's size: a job's bid is this b and the profile's
 // per-core Δ, both times its cores (scaleCooperative).
-//
-// A sample is skipped, without running its ReferenceReduction bisection,
-// when q·(Δ − r) ≤ b, r being the last reduction computed at a lower
-// price (0 before the first). The skip is exact: ReferenceReduction is
-// non-decreasing in q — for a fixed midpoint its test UnitCost(mid) ≤ q
-// can only turn true as q grows, so the bisection's bracket at a higher
-// price never lies below the one at a lower price, and its early return
-// gives the largest value, Δ. Rounded subtraction and multiplication by
-// q > 0 are monotone too, so the skipped sample's q·(Δ − δ_ref(q)) is at
-// most q·(Δ − r) ≤ b and could not have raised b: the result is the full
-// scan's bit for bit. (At q ≤ 0, δ_ref is 0 = r and the bound is the
-// sample's value itself.) A NaN bound is never ≤ b, so a NaN model is
-// scanned in full.
 func cooperativePerCore(model *perf.CostModel) (b float64, evaluated int) {
+	var w perf.ReferenceWalker
+	return cooperativeScan(&w, model)
+}
+
+// cooperativeScan is cooperativePerCore on the caller's walker, which it
+// Resets to model. The ascending prices share the walker, so each one
+// re-evaluates UnitCost only below the first bisection step its price
+// changes (perf.ReferenceWalker), bit for bit the one-shot bisection.
+//
+// A sample is skipped, without reading δ_ref at all, when q·(Δ − r) ≤ b,
+// r being the last reduction computed at a lower price (0 before the
+// first). The skip is exact: ReferenceReduction is non-decreasing in q —
+// for a fixed midpoint its test UnitCost(mid) ≤ q can only turn true as q
+// grows, so the bisection's bracket at a higher price never lies below the
+// one at a lower price, and its early return gives the largest value, Δ.
+// Rounded subtraction and multiplication by q > 0 are monotone too, so the
+// skipped sample's q·(Δ − δ_ref(q)) is at most q·(Δ − r) ≤ b and could not
+// have raised b: the result is the full scan's bit for bit. (At q ≤ 0,
+// δ_ref is 0 = r and the bound is the sample's value itself.) A NaN bound
+// is never ≤ b, so a NaN model is scanned in full.
+func cooperativeScan(w *perf.ReferenceWalker, model *perf.CostModel) (b float64, evaluated int) {
 	maxPC := model.Profile.MaxReduction()
 	if maxPC <= 0 {
 		return 0, 0
 	}
+	w.Reset(model)
 	// Beyond the saturation price q_sat = UnitCost(Δ) the reference
 	// supplies the full Δ and the constraint term q·(Δ−δ_ref) vanishes,
 	// so the maximum lies in (0, q_sat].
-	qSat := model.UnitCost(maxPC)
+	qSat := w.SaturationPrice()
 	ref := 0.0
 	for i := 1; i <= cooperativeSamples; i++ {
 		q := qSat * float64(i) / cooperativeSamples
 		if q*(maxPC-ref) <= b {
 			continue
 		}
-		ref = model.ReferenceReduction(q)
+		ref = w.Reduction(q)
 		evaluated++
 		if v := q * (maxPC - ref); v > b {
 			b = v

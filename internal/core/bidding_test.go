@@ -80,6 +80,77 @@ func TestCooperativePruneCount(t *testing.T) {
 	}
 }
 
+// TestCooperativeWalkCount is the count gate on the solve's shared
+// bisection walker: how many times one solve evaluates UnitCost, the
+// saturation price included, at the paper's α = 1 for every profile,
+// {linear, quadratic}. Like the sample counts, it depends on the profile's
+// Δ alone and is exact. Without the walker every evaluated sample
+// bisects from the root (≈ 31 evaluations each: 5,147 for a CPU profile,
+// linear). The quadratic reference moves at every sample, so most of each
+// walk is new there.
+func TestCooperativeWalkCount(t *testing.T) {
+	want := map[perf.Device][2]int{
+		perf.DeviceCPU:     {363, 4564},
+		perf.DeviceGPUP40:  {123, 5287},
+		perf.DeviceGPU1070: {284, 4844},
+		perf.DeviceGPU2080: {284, 4844},
+	}
+	for _, prof := range perf.AllProfiles() {
+		for s, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
+			model := perf.NewCostModel(prof, 1, shape)
+			var w perf.ReferenceWalker
+			got, _ := cooperativeScan(&w, model)
+			if full := fullScanCooperative(model); math.Float64bits(got) != math.Float64bits(full) {
+				t.Fatalf("%s %v: walked b = %v, full scan %v", prof.Name, shape, got, full)
+			}
+			if n := w.Evaluations(); n != want[prof.Device][s] {
+				t.Errorf("%s %v: %d UnitCost evaluations a solve, want %d", prof.Name, shape, n, want[prof.Device][s])
+			}
+		}
+	}
+}
+
+// TestNaNAlphaFloors is the NaN regression: both cost-model constructors
+// floor a NaN α like any α below their floor, so the cooperative bid is
+// the floored model's bit for bit instead of B = 0 (the whole Δ offered
+// at any price), and a CooperativeBids fed NaN models solves once instead
+// of growing by one entry a call. A finite α is left as it is.
+func TestNaNAlphaFloors(t *testing.T) {
+	prof, err := perf.ProfileByName("XSBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, c := range []struct {
+		name       string
+		build      func(float64) *perf.CostModel
+		floor, fin float64
+	}{
+		{"NewCostModel", func(a float64) *perf.CostModel { return perf.NewCostModel(prof, a, perf.CostLinear) }, 1, 1.7},
+		{"NewCostModelUnchecked", func(a float64) *perf.CostModel { return perf.NewCostModelUnchecked(prof, a, perf.CostLinear) }, 0, 0.4},
+	} {
+		if got := c.build(nan).Alpha; got != c.floor {
+			t.Errorf("%s(NaN).Alpha = %v, want %v", c.name, got, c.floor)
+		}
+		if got := c.build(c.fin).Alpha; got != c.fin {
+			t.Errorf("%s(%v).Alpha = %v, want it unchanged", c.name, c.fin, got)
+		}
+		if got, want := CooperativeBid(16, c.build(nan)), CooperativeBid(16, c.build(c.floor)); got != want {
+			t.Errorf("%s: NaN α bids %+v, the floored model %+v", c.name, got, want)
+		}
+		var bids CooperativeBids
+		for i := 0; i < 10; i++ {
+			bids.Bid(16, c.build(nan))
+		}
+		if n := bids.Solves(); n != 1 {
+			t.Errorf("%s: 10 NaN-α bids took %d solves, want 1", c.name, n)
+		}
+	}
+	if b := CooperativeBid(16, perf.NewCostModel(prof, nan, perf.CostLinear)); !(b.B > 0) {
+		t.Errorf("NaN α through NewCostModel bids B = %v, want > 0", b.B)
+	}
+}
+
 // FuzzCooperativePrune checks the pruned scan against the full one on
 // arbitrary valid profiles and cost models. The seeds are the two P40
 // applications, the pruning's worst case.

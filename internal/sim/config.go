@@ -15,6 +15,7 @@ import (
 	"mpr/internal/core"
 	"mpr/internal/perf"
 	"mpr/internal/power"
+	"mpr/internal/telemetry"
 	"mpr/internal/trace"
 )
 
@@ -128,6 +129,13 @@ type Config struct {
 	// reads the window, so a run without TraceEvents or TraceSink builds
 	// no tracer at all. Negative is an error.
 	TraceEvents int
+	// Telemetry, when set, receives the run's metrics: market
+	// invocations, infeasible clears, the MPR-INT rounds-to-convergence
+	// histogram, reduction latency (names in sim's telemetry.go), and the
+	// emergency controller's transitions, durations and overload depth
+	// (power's). Nil, the default, records none. Runs may share a
+	// registry; their counts then add up.
+	Telemetry *telemetry.Registry
 	// TraceSink, when set, receives every telemetry event as one JSON
 	// line — the offline-analysis feed for convergence and emergency
 	// studies. It sees the whole run whatever TraceEvents retains.

@@ -81,7 +81,6 @@ type engineState struct {
 	cfg *Config
 	res *Result
 
-	reg      *telemetry.Registry
 	tracer   *telemetry.Tracer
 	runTrace *telemetry.Trace
 	sm       simMetrics
@@ -227,19 +226,18 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Per-run observability: a private registry whose snapshot ships
-	// inside the Result, plus an event tracer only when the run asks for a
-	// retained window or a sink. Without one every span and event below is
-	// a nil-handle no-op. The power controller registers its
-	// gauges/histograms in the same registry.
-	reg := telemetry.NewRegistry()
+	// Per-run observability: the caller's registry, if any, and an event
+	// tracer only when the run asks for a retained window or a sink.
+	// Without them every metric, span and event below is a nil-handle
+	// no-op. The power controller registers its gauges/histograms in the
+	// same registry.
 	var tracer *telemetry.Tracer
 	if cfg.TraceEvents > 0 || cfg.TraceSink != nil {
 		tracer = telemetry.NewTracer(cfg.TraceEvents)
 		tracer.SetSink(cfg.TraceSink)
 	}
 	runTrace := tracer.StartTrace(string(cfg.Algorithm))
-	sm := newSimMetrics(reg)
+	sm := newSimMetrics(cfg.Telemetry)
 	cfg.Interactive.Trace = runTrace
 
 	// Per-slot series sampling (SampleSeries): handles resolve once here;
@@ -263,7 +261,7 @@ func newEngineState(cfg *Config) (*engineState, error) {
 		BufferFrac:       cfg.BufferFrac,
 		MinOverloadSlots: cfg.MinOverloadSlots,
 		CooldownSlots:    cfg.CooldownSlots,
-		Telemetry:        reg,
+		Telemetry:        cfg.Telemetry,
 	})
 	if err != nil {
 		return nil, err
@@ -305,7 +303,6 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	st := &engineState{
 		cfg:          cfg,
 		res:          res,
-		reg:          reg,
 		tracer:       tracer,
 		runTrace:     runTrace,
 		sm:           sm,
@@ -685,7 +682,6 @@ func (st *engineState) finish() *Result {
 	// run's span set is complete.
 	st.emSpan.End()
 	res.Series = st.seriesStore
-	res.Telemetry = st.reg.Snapshot()
 	if cfg.TraceEvents > 0 {
 		res.Spans = st.tracer.Spans()
 		res.TraceEvents = st.tracer.Events()
@@ -758,9 +754,9 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 // returns how many it derived and how many solves that took. Overloads
 // are rare, so most jobs of a trace never enter a market and never get a
 // bid; the bid is a pure function of (cores, bidModel), so deriving it
-// late changes no result. The solve (≈ 21 µs for XSBench at α = 1 on a
-// 2-vCPU x86-64 box, BenchmarkCooperativeBid) is per core of a cost
-// model, so jobs of this batch whose bid models are equal share one: coop
+// late changes no result. The solve (≈ 7 µs for XSBench at α = 1 on a
+// 2-vCPU Xeon, BenchmarkCooperativeBid) is per core of a cost model, so
+// jobs of this batch whose bid models are equal share one: coop
 // remembers the models solved in this call and nothing from the one
 // before. With a per-job cost error (CostErrorRand) no two models are
 // equal and every job is solved, as it would be without coop.
@@ -768,8 +764,9 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 // Keeping the solved models for the whole run is ROADMAP's "run-scoped
 // memo" item and is still deferred; do not add it here. Measured on the
 // sparse benchmark shape it takes 190 solves to 8 and sim_slots_per_s
-// 6.7× up, but the benchmark keeps every lap's Result (≈ 6.5 KB of RSS a
-// lap), so the sparse bundle's peak_rss_mb went 134 → 186 MB, past its
+// from 8.4e9 to 2.7e10 (3.2×), but the benchmark keeps every lap's
+// Result, so the sparse bundle's peak_rss_mb went 144 → 171 MB, 28 %
+// over the 134 MB before the solve walked its bisection once, past the
 // 15 % bound: it waits for the benchmark to keep only the last lap.
 func deriveStaticBids(cfg *Config, active []*simJob, coop *core.CooperativeBids) (derived, solves int) {
 	coop.Reset()

@@ -113,11 +113,6 @@ type Result struct {
 	// Config.TraceEvents is positive; it caps how many are kept.
 	Spans []telemetry.Span
 
-	// Telemetry is the run's metrics snapshot: market clears and price
-	// searches, emergency transitions, the MPR-INT rounds-to-convergence
-	// histogram, reduction latency, and overload depth (see the metric
-	// name constants in sim, core, and power).
-	Telemetry *telemetry.Snapshot
 	// TraceEvents is the run's retained telemetry event window
 	// (chronological): emergency declare/raise/lift, per-invocation
 	// market clears, and MPR-INT per-round price trajectories. Nil unless

@@ -5,9 +5,9 @@ import (
 	"mpr/internal/telemetry/hdr"
 )
 
-// Metric names the simulator registers in each run's registry (power
-// controller metrics land in the same registry under the mpr_power_*
-// names).
+// Metric names the simulator registers in the registry a run is handed
+// (Config.Telemetry; power controller metrics land in the same registry
+// under the mpr_power_* names).
 const (
 	// MetricMarketInvocations counts overload-handling algorithm solves.
 	MetricMarketInvocations = "mpr_sim_market_invocations_total"

@@ -18,18 +18,22 @@ import (
 	"mpr/internal/telemetry/flight"
 )
 
-// TestResultTelemetryConsistency cross-checks the telemetry snapshot
-// against the engine's own aggregate counters on a run with real
-// emergencies.
+// TestResultTelemetryConsistency cross-checks the snapshot of the
+// registry a run was handed against the engine's own aggregate counters
+// on a run with real emergencies.
 func TestResultTelemetryConsistency(t *testing.T) {
 	tr := testTrace(t, 3)
-	res := runAlgo(t, tr, AlgMPRInt, 15)
+	reg := telemetry.NewRegistry()
+	res, err := Run(Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRInt, Seed: 7, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.EmergencyCount == 0 {
 		t.Fatal("test trace produced no emergencies — nothing to check")
 	}
-	s := res.Telemetry
+	s := reg.Snapshot()
 	if s == nil {
-		t.Fatal("Result.Telemetry missing")
+		t.Fatal("registry snapshot missing")
 	}
 	if got := s.Counter(MetricMarketInvocations); got != int64(res.MarketInvocations) {
 		t.Fatalf("market invocations: snapshot %d, result %d", got, res.MarketInvocations)
@@ -54,7 +58,7 @@ func TestResultTelemetryConsistency(t *testing.T) {
 	if lat.Sum != 0 {
 		t.Fatalf("reduction latency %g slots without market delay, want 0", lat.Sum)
 	}
-	// The power controller reports into the same per-run registry.
+	// The power controller reports into the same registry.
 	declares := s.Counter(power.MetricEmergencyEvents + `{event="declare"}`)
 	if declares != int64(res.EmergencyCount) {
 		t.Fatalf("declares %d, emergency count %d", declares, res.EmergencyCount)

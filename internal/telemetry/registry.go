@@ -4,9 +4,10 @@
 // of the hdr subpackage) plus a structured event tracer (ring-buffered
 // Event records with per-run Trace handles and an optional JSONL sink).
 //
-// Two consumption paths are supported. Experiments and the simulator take
-// a point-in-time Snapshot and ship it inside their results; long-running
-// daemons expose the registry over HTTP in Prometheus text format and the
+// Two consumption paths are supported. A caller that wants a batch
+// computation's metrics (a simulator run, a test) hands in a registry and
+// takes a point-in-time Snapshot of it afterwards; long-running daemons
+// expose the registry over HTTP in Prometheus text format and the
 // tracer's rings as JSON documents (see NewHandler).
 //
 // Every instrument is nil-safe: methods on a nil *Registry return nil
