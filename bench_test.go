@@ -23,7 +23,6 @@ import (
 	"mpr/internal/core"
 	"mpr/internal/experiments"
 	"mpr/internal/perf"
-	"mpr/internal/telemetry"
 )
 
 var benchPrint = os.Getenv("MPR_BENCH_PRINT") == "1"
@@ -181,29 +180,8 @@ func benchClearOneShot(b *testing.B, n int, clear func([]*core.Participant, floa
 	}
 }
 
-// benchClearIntoSteady is benchClear with an explicit telemetry wiring:
-// the no-op (nil) registry must keep the steady-state re-clear at zero
-// allocations, and a live registry shows the instrumentation overhead.
-func benchClearIntoSteady(b *testing.B, n int, reg *telemetry.Registry) {
-	core.Instrument(reg)
-	defer core.Instrument(telemetry.Default())
-	benchClear(b, n)
-}
-
-// Steady-state ClearInto with telemetry disabled (the Nop registry) and
-// enabled — the acceptance gate for the observability layer: the Nop
-// variant must report 0 allocs/op and stay within noise of
-// BenchmarkMarketClear1000.
-func BenchmarkClearIntoSteady(b *testing.B) {
-	benchClearIntoSteady(b, 1000, telemetry.Nop())
-}
-func BenchmarkClearIntoSteadyInstrumented(b *testing.B) {
-	benchClearIntoSteady(b, 1000, telemetry.NewRegistry())
-}
-
-// TestClearIntoSteadyZeroAlloc is the CI-enforced form of the benchmark
-// above: with the Nop registry installed, a steady-state re-clear must
-// not allocate.
+// TestClearIntoSteadyZeroAlloc is the CI-enforced form of
+// BenchmarkMarketClear1000: a steady-state re-clear must not allocate.
 func TestClearIntoSteadyZeroAlloc(t *testing.T) {
 	profiles := perf.CPUProfiles()
 	parts := make([]*core.Participant, 256)
@@ -224,8 +202,6 @@ func TestClearIntoSteadyZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Instrument(telemetry.Nop())
-	defer core.Instrument(telemetry.Default())
 	var res core.ClearingResult
 	target := 0.4 * maxW
 	allocs := testing.AllocsPerRun(200, func() {
@@ -234,7 +210,7 @@ func TestClearIntoSteadyZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ClearInto with Nop registry allocates: %v allocs/op", allocs)
+		t.Fatalf("steady-state ClearInto allocates: %v allocs/op", allocs)
 	}
 }
 
@@ -265,8 +241,6 @@ func benchStreamApply(b *testing.B, n int) {
 		b.Fatal(err)
 	}
 	orig, alt := benchStreamBids(parts)
-	core.Instrument(telemetry.Nop())
-	defer core.Instrument(telemetry.Default())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -293,8 +267,6 @@ func benchBatchUpdate(b *testing.B, n int) {
 	}
 	orig, alt := benchStreamBids(parts)
 	var res core.ClearingResult
-	core.Instrument(telemetry.Nop())
-	defer core.Instrument(telemetry.Default())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,8 +339,6 @@ func TestStreamApplySpeedup(t *testing.T) {
 		}
 		return alt[i%n]
 	}
-	core.Instrument(telemetry.Nop())
-	defer core.Instrument(telemetry.Default())
 
 	sm, err := core.NewStreamMarket(parts, target)
 	if err != nil {
@@ -419,8 +389,8 @@ func TestStreamApplySpeedup(t *testing.T) {
 
 // TestStreamApplySteadyZeroAlloc is the top-level twin of the core
 // package's zero-alloc test, wired exactly like TestClearIntoSteadyZeroAlloc:
-// with the Nop registry installed, a streamed update plus a re-clear into
-// a reused result must not allocate.
+// a streamed update plus a re-clear into a reused result must not
+// allocate.
 func TestStreamApplySteadyZeroAlloc(t *testing.T) {
 	profiles := perf.CPUProfiles()
 	parts := make([]*core.Participant, 1024)
@@ -442,8 +412,6 @@ func TestStreamApplySteadyZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig, alt := benchStreamBids(parts)
-	core.Instrument(telemetry.Nop())
-	defer core.Instrument(telemetry.Default())
 	var res core.ClearingResult
 	n := 0
 	allocs := testing.AllocsPerRun(200, func() {
@@ -461,7 +429,7 @@ func TestStreamApplySteadyZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state streamed update with Nop registry allocates: %v allocs/op", allocs)
+		t.Fatalf("steady-state streamed update allocates: %v allocs/op", allocs)
 	}
 }
 

@@ -199,7 +199,7 @@ type harness struct {
 
 	targetW    float64
 	dialErrors atomic.Int64
-	orders     atomic.Int64 // sentinel agent's order count (markets observed)
+	orders     atomic.Int64 // sentinel agent's order count (-connect only)
 
 	priceMu sync.Mutex
 	price   clearPriceSection
@@ -316,7 +316,9 @@ func (h *harness) dialOne(i int, spec agentSpec) (*agentproto.Agent, error) {
 		rng:    rand.New(rand.NewSource(runner.CellSeed(h.cfg.Seed, fmt.Sprintf("jitter-%d", i)))),
 		hist:   h.rtt,
 	}
-	sentinel := i == 0
+	// Under -connect the sentinel agent's orders are the harness's only
+	// view of the markets; self-hosted, drive records each market itself.
+	sentinel := i == 0 && h.cfg.Connect != ""
 	cfg := agentproto.AgentConfig{
 		JobID:        spec.JobID,
 		Cores:        spec.Cores,

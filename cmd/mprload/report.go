@@ -91,6 +91,8 @@ type marketsSection struct {
 	LateStarts int `json:"late_starts"`
 }
 
+// clearPriceSection digests one price per market: each market the run
+// drove (selfhost) or each order the sentinel agent received (connect).
 type clearPriceSection struct {
 	Last    float64 `json:"last"`
 	Min     float64 `json:"min"`

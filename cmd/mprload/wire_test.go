@@ -48,6 +48,9 @@ func TestWireDifferential(t *testing.T) {
 	if base.Markets.Runs < 1 || base.ClearPrice.Samples < 1 {
 		t.Fatalf("baseline run cleared nothing: %+v", base.Markets)
 	}
+	if want := base.Markets.Runs - base.Markets.Errors; base.ClearPrice.Samples != want {
+		t.Fatalf("clear_price.samples = %d, want one per cleared market (%d)", base.ClearPrice.Samples, want)
+	}
 	want := math.Float64bits(base.ClearPrice.Last)
 	if math.Float64bits(base.ClearPrice.Min) != want || math.Float64bits(base.ClearPrice.Max) != want {
 		t.Fatalf("zero-jitter baseline price drifted: %+v", base.ClearPrice)

@@ -448,6 +448,9 @@ func TestNonPositiveTargetAsksNobody(t *testing.T) {
 		if out.Result.Rounds != 0 || !out.Result.Converged || out.Result.Price != 0 || len(out.Orders) != len(specs) {
 			t.Fatalf("target %v: %+v, %d orders", target, out.Result, len(out.Orders))
 		}
+		if out.Result.TargetW != target {
+			t.Fatalf("target %v: TargetW = %v, want the request echoed", target, out.Result.TargetW)
+		}
 		for job, red := range out.Orders {
 			if red != 0 {
 				t.Fatalf("target %v: %s ordered to reduce %v", target, job, red)

@@ -1,8 +1,8 @@
 // Package check is the verification harness of the market stack: a
 // seeded, deterministic property-based and differential testing
 // subsystem for the MClr solvers (closed-form segmented index,
-// bisection), the capped market, the interactive MPR-INT market, and the
-// OPT/EQL benchmark algorithms.
+// bisection), the interactive MPR-INT market, and the OPT/EQL benchmark
+// algorithms.
 //
 // It has three layers:
 //
@@ -17,18 +17,18 @@
 //     paper's equilibrium properties — cleared supply meets demand within
 //     tolerance, the clearing price is minimal and lies within the
 //     activation-price structure, per-participant reductions stay in
-//     [0, Δ], payout consistency q′·Σδ, capped clears never exceed the
-//     price cap, and the OPT ≤ STAT and OPT ≤ EQL cost ordering.
+//     [0, Δ], payout consistency q′·Σδ, and the OPT ≤ STAT and
+//     OPT ≤ EQL cost ordering.
 //
 //   - Differential drivers (diff.go): cross-checks that run thousands of
 //     generated instances through independent solver implementations
-//     (core.Clear vs core.ClearBisect, capped variants, MPR-INT vs the
-//     OPT KKT dual fast path) and fail with the reproducing instance seed
-//     on any disagreement or invariant violation.
+//     (core.Clear vs core.ClearBisect, MPR-INT vs the OPT KKT dual fast
+//     path) and fail with the reproducing instance seed on any
+//     disagreement or invariant violation.
 //
 // The package's own test suite additionally hosts the native Go fuzz
-// targets (FuzzClear, FuzzClearCapped, FuzzMarketIndex, FuzzSWFParse;
-// seed corpus under testdata/fuzz/) and the metamorphic suites
+// targets (FuzzClear, FuzzMarketIndex, FuzzSWFParse; seed corpus under
+// testdata/fuzz/) and the metamorphic suites
 // (participant-permutation invariance, power-of-two scale invariance).
 // Everything is deterministic for a fixed seed: a reported seed
 // reproduces the failing instance exactly.

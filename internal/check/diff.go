@@ -16,7 +16,6 @@ type DiffStats struct {
 	Participants int // total participants across all instances
 	Infeasible   int // instances whose target exceeded capacity
 	Singleton    int // degenerate single-participant markets
-	Capped       int // capped instances that settled at the cap
 	Updates      int // streaming deltas applied (DiffStream only)
 	Emergencies  int // declared emergencies across instances (DiffEngines only)
 	SimSlots     int // simulated slots across instances (DiffEngines only)
@@ -42,7 +41,6 @@ func (st *DiffStats) add(o DiffStats) {
 	st.Participants += o.Participants
 	st.Infeasible += o.Infeasible
 	st.Singleton += o.Singleton
-	st.Capped += o.Capped
 	st.Updates += o.Updates
 	st.Emergencies += o.Emergencies
 	st.SimSlots += o.SimSlots
@@ -172,144 +170,6 @@ func compareClears(ps []*core.Participant, target float64, a, b *core.ClearingRe
 		}
 	}
 	return nil
-}
-
-// DiffCapped cross-checks ClearCapped between the closed-form
-// short-circuit path and the bisection clear-then-discard path. Caps are
-// drawn relative to the uncapped clearing price — binding, loose, and
-// exactly at the clearing price — plus caps below every activation
-// price (zero-trade markets).
-func DiffCapped(baseSeed int64, instances, maxN int) (DiffStats, error) {
-	parts, err := runner.MapN(0, instances, func(i int) (DiffStats, error) {
-		var st DiffStats
-		seed := instanceSeed(baseSeed, i)
-		g := NewGen(seed)
-		ps := g.Pool(g.PoolSize(maxN))
-		maxW := MaxSupplyW(ps)
-		target := g.Target(maxW)
-		if target >= maxW*(1-Tol) && target <= maxW*(1+Tol) {
-			// Exactly-at-capacity targets have solver-specific saturation
-			// prices; the uncapped driver covers that boundary. Keep the
-			// capped driver on targets that are clearly feasible or
-			// clearly infeasible.
-			target = 0.5 * maxW
-		}
-		if target <= 0 {
-			target = 1 // dead pool: capacity-infeasible under any cap
-		}
-		priceCap, err := drawCap(g, ps, target)
-		if err != nil {
-			return st, fmt.Errorf("check: instance seed %d: %v", seed, err)
-		}
-		if err := diffOneCapped(ps, target, priceCap, &st); err != nil {
-			return st, fmt.Errorf("check: instance seed %d (base %d, instance %d): %w", seed, baseSeed, i, err)
-		}
-		return st, nil
-	})
-	if err != nil {
-		return DiffStats{}, err
-	}
-	return foldStats(parts), nil
-}
-
-// drawCap picks a price cap shape: a multiple of the uncapped clearing
-// price (binding below 1, exact at 1, loose above), or a cap below every
-// activation price so the capped market trades nothing.
-func drawCap(g *Gen, ps []*core.Participant, target float64) (float64, error) {
-	r := g.rng.Float64()
-	if r < 0.15 {
-		// Below every positive activation price: zero trade unless a
-		// fully willing (b = 0) participant exists.
-		minAct := math.Inf(1)
-		for _, p := range ps {
-			if p.Bid.Delta > 0 && p.Bid.B > 0 {
-				if a := p.Bid.ActivationPrice(); a < minAct {
-					minAct = a
-				}
-			}
-		}
-		if !math.IsInf(minAct, 1) && minAct > 0 {
-			return minAct / 2, nil
-		}
-	}
-	un, err := core.Clear(ps, target)
-	if err != nil {
-		return 0, fmt.Errorf("uncapped clear for cap draw: %v", err)
-	}
-	base := un.Price
-	if base <= 0 {
-		base = 1
-	}
-	switch {
-	case r < 0.3:
-		return base, nil // cap exactly at the uncapped clearing price
-	case r < 0.65:
-		return base * (0.1 + 0.9*g.rng.Float64()), nil // binding
-	default:
-		return base * (1 + 2*g.rng.Float64()), nil // loose
-	}
-}
-
-func diffOneCapped(ps []*core.Participant, target, priceCap float64, st *DiffStats) error {
-	st.Instances++
-	st.Participants += len(ps)
-	cf, err := core.ClearCapped(ps, target, priceCap)
-	if err != nil {
-		return fmt.Errorf("closed form: %v", err)
-	}
-	bi, err := ClearCappedBisect(ps, target, priceCap)
-	if err != nil {
-		return fmt.Errorf("bisection: %v", err)
-	}
-	if err := CheckCapped(ps, target, priceCap, cf); err != nil {
-		return fmt.Errorf("closed form violates invariants: %v", err)
-	}
-	if err := CheckCapped(ps, target, priceCap, bi); err != nil {
-		return fmt.Errorf("bisection violates invariants: %v", err)
-	}
-	maxW := MaxSupplyW(ps)
-	if maxW < target*(1-Tol) {
-		// Capacity-infeasible regardless of the cap. The closed form
-		// settles at the cap; the bisection may instead report its
-		// saturation price when that lies under the cap — the agreement
-		// is on infeasibility and on the (saturated or cap-limited)
-		// supply, not on the sentinel price.
-		if cf.Feasible || bi.Feasible {
-			return fmt.Errorf("capacity-infeasible (capacity %v < target %v) but feasibility %v/%v",
-				maxW, target, cf.Feasible, bi.Feasible)
-		}
-		if cf.Rounds == 0 {
-			st.Capped++
-		}
-		if math.Abs(cf.SuppliedW-bi.SuppliedW) > Tol*(1+maxW) {
-			return fmt.Errorf("capacity-infeasible supplied %v vs %v", cf.SuppliedW, bi.SuppliedW)
-		}
-		for i := range ps {
-			tol := saturationTol * (1 + ps[i].Bid.Delta)
-			if d := math.Abs(cf.Reductions[i] - bi.Reductions[i]); d > tol {
-				return fmt.Errorf("capacity-infeasible reduction[%d] %v vs %v", i, cf.Reductions[i], bi.Reductions[i])
-			}
-		}
-		return nil
-	}
-	if cf.Rounds == 0 {
-		st.Capped++
-		// Both solvers settled at the cap: the materialized supply at the
-		// cap must agree bit for bit (same evaluation, no search).
-		if cf.Price != bi.Price {
-			return fmt.Errorf("capped settlement price %v vs %v", cf.Price, bi.Price)
-		}
-		for i := range ps {
-			if cf.Reductions[i] != bi.Reductions[i] {
-				return fmt.Errorf("capped reduction[%d] %v vs %v", i, cf.Reductions[i], bi.Reductions[i])
-			}
-		}
-		if cf.Feasible != bi.Feasible {
-			return fmt.Errorf("capped feasibility %v vs %v", cf.Feasible, bi.Feasible)
-		}
-		return nil
-	}
-	return compareClears(ps, target, cf, bi)
 }
 
 // DiffMarketVsOPT cross-checks the interactive market (MPR-INT with

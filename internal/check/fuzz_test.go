@@ -99,56 +99,6 @@ func FuzzClear(f *testing.F) {
 	})
 }
 
-// FuzzClearCapped does the same for the price-capped market, fuzzing the
-// cap alongside the pool so binding, loose, and zero-trade caps all
-// emerge from mutation.
-func FuzzClearCapped(f *testing.F) {
-	f.Add(2.0, 1.0, 100.0, 4.0, 0.5, 150.0, 1.0, 2.0, 80.0, 0.5, 0.2)
-	f.Add(2.0, 1.0, 100.0, 4.0, 0.5, 150.0, 1.0, 2.0, 80.0, 0.9, 10.0)
-	f.Add(1.0, 8.0, 100.0, 2.0, 9.0, 150.0, 1.0, 7.0, 80.0, 0.5, 0.01)
-	f.Fuzz(func(t *testing.T, d1, b1, w1, d2, b2, w2, d3, b3, w3, tf, cp float64) {
-		ps, ok := fuzzPool([9]float64{d1, b1, w1, d2, b2, w2, d3, b3, w3})
-		if !ok {
-			t.Skip()
-		}
-		target, ok := fuzzTarget(ps, tf)
-		if !ok {
-			t.Skip()
-		}
-		priceCap, ok := fold(cp, 0.001, 20)
-		if !ok {
-			t.Skip()
-		}
-		cf, err := core.ClearCapped(ps, target, priceCap)
-		if err != nil {
-			t.Fatalf("closed form: %v", err)
-		}
-		bi, err := ClearCappedBisect(ps, target, priceCap)
-		if err != nil {
-			t.Fatalf("bisection: %v", err)
-		}
-		if err := CheckCapped(ps, target, priceCap, cf); err != nil {
-			t.Fatalf("closed form violates invariants: %v", err)
-		}
-		if err := CheckCapped(ps, target, priceCap, bi); err != nil {
-			t.Fatalf("bisection violates invariants: %v", err)
-		}
-		// Sentinel prices differ between the solvers on capacity-infeasible
-		// pools and at the cap itself (see diffOneCapped); the universal
-		// agreements are feasibility-independent supply and reductions.
-		maxW := MaxSupplyW(ps)
-		if d := math.Abs(cf.SuppliedW - bi.SuppliedW); d > Tol*(1+maxW) {
-			t.Fatalf("capped supplied %v vs %v", cf.SuppliedW, bi.SuppliedW)
-		}
-		for i := range ps {
-			tol := saturationTol * (1 + ps[i].Bid.Delta)
-			if d := math.Abs(cf.Reductions[i] - bi.Reductions[i]); d > tol {
-				t.Fatalf("capped reduction[%d] %v vs %v", i, cf.Reductions[i], bi.Reductions[i])
-			}
-		}
-	})
-}
-
 // FuzzMarketIndex checks the reusable market index against the naive
 // O(M) aggregate supply: point agreement at a fuzzed price, monotonicity,
 // capacity bookkeeping, and SetBid incremental updates matching a fresh

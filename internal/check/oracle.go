@@ -46,31 +46,6 @@ func SupplyWAt(ps []*core.Participant, q float64) float64 {
 	return w
 }
 
-// ClearCappedBisect is the capped market's reference: clear-then-discard.
-// It runs the full bisection and keeps the outcome when the price is
-// within priceCap; otherwise it settles at the cap with whatever supply
-// the capped price buys — the same materialization core.ClearCapped's
-// short-circuit must match bit for bit.
-func ClearCappedBisect(ps []*core.Participant, targetW, priceCap float64) (*core.ClearingResult, error) {
-	if priceCap <= 0 {
-		return nil, fmt.Errorf("check: price cap must be positive, got %v", priceCap)
-	}
-	res, err := core.ClearBisect(ps, targetW)
-	if err != nil || res.Price <= priceCap {
-		return res, err
-	}
-	var total float64
-	res.Price, res.SuppliedW = priceCap, 0
-	for i, p := range ps {
-		res.Reductions[i] = p.Bid.Supply(priceCap)
-		res.SuppliedW += p.WattsPerCore * res.Reductions[i]
-		total += res.Reductions[i]
-	}
-	res.PayoutRate = priceCap * total
-	res.Feasible = res.SuppliedW >= targetW-1e-9
-	return res, nil
-}
-
 // CheckClearing verifies the full invariant catalog for a one-shot
 // market clearing (MPR-STAT, either solver) of ps at targetW:
 //
@@ -116,48 +91,6 @@ func CheckClearing(ps []*core.Participant, targetW float64, res *core.ClearingRe
 				return fmt.Errorf("infeasible clear: participant %d at %v, not saturated at Δ=%v",
 					i, res.Reductions[i], p.Bid.Delta)
 			}
-		}
-	}
-	return nil
-}
-
-// CheckCapped verifies the invariant catalog for a price-capped clearing
-// of ps at targetW under priceCap: all structural invariants, the price
-// never exceeds the cap, a price strictly below the cap implies the
-// market cleared normally (feasible and on target), and a capped
-// settlement supplies exactly the capped aggregate and reports
-// feasibility truthfully against the target.
-func CheckCapped(ps []*core.Participant, targetW, priceCap float64, res *core.ClearingResult) error {
-	if err := checkStructure(ps, targetW, res); err != nil {
-		return err
-	}
-	if targetW <= 0 {
-		return nil
-	}
-	if res.Price > priceCap*(1+Tol) {
-		return fmt.Errorf("capped clear price %v exceeds cap %v", res.Price, priceCap)
-	}
-	if res.Feasible && res.SuppliedW < targetW-Tol*(1+targetW) {
-		return fmt.Errorf("feasible capped clear supplied %v short of %v", res.SuppliedW, targetW)
-	}
-	if !res.Feasible {
-		if res.SuppliedW > targetW*(1+Tol)+Tol {
-			return fmt.Errorf("infeasible capped clear supplied %v above target %v", res.SuppliedW, targetW)
-		}
-		atCap := res.Price >= priceCap*(1-Tol)
-		if atCap {
-			// A settlement at the cap must deliver everything the capped
-			// price buys — no withholding below the advertised price.
-			want := SupplyWAt(ps, priceCap)
-			if math.Abs(res.SuppliedW-want) > Tol*(1+want) {
-				return fmt.Errorf("capped settlement supplied %v, capped price buys %v", res.SuppliedW, want)
-			}
-		} else if maxW := MaxSupplyW(ps); maxW >= targetW*(1+Tol)+Tol {
-			// Below the cap the only excuse for infeasibility is the
-			// market itself lacking capacity (then the price is a
-			// saturation sentinel, legitimately under a loose cap).
-			return fmt.Errorf("price %v below cap %v but infeasible despite capacity %v ≥ target %v",
-				res.Price, priceCap, maxW, targetW)
 		}
 	}
 	return nil

@@ -100,21 +100,6 @@ func TestCheckClearingRejectsNonMinimalPrice(t *testing.T) {
 	}
 }
 
-func TestCheckCappedRejectsCapBreach(t *testing.T) {
-	ps, target, _ := oraclePool(t)
-	res, err := core.ClearCapped(ps, target, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckCapped(ps, target, 1e6, res); err != nil {
-		t.Fatalf("valid capped clearing rejected: %v", err)
-	}
-	// Same result judged against a cap below the settled price.
-	if err := CheckCapped(ps, target, res.Price/2, res); err == nil {
-		t.Fatal("price above cap accepted")
-	}
-}
-
 func TestCheckAllocationRejectsCorruption(t *testing.T) {
 	g := NewGen(0x0c1f)
 	ps, _, _ := g.CostPool(12)

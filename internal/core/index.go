@@ -369,7 +369,6 @@ func (ix *MarketIndex) MaxSupplyW() float64 { return ix.maxW }
 // activation segments with an O(log M) supply evaluation per probe, then
 // one closed-form division inside the located segment.
 func (ix *MarketIndex) minPrice(targetW float64) (price float64, feasible bool) {
-	met().priceSearches.Inc()
 	if targetW <= 0 {
 		return 0, true
 	}
@@ -489,7 +488,6 @@ func (ix *MarketIndex) ClearInto(res *ClearingResult, targetW float64) error {
 	if n == 0 {
 		return ErrNoParticipants
 	}
-	met().clearsClosed.Inc()
 	price, feasible := ix.minPrice(targetW)
 	res.Price = price
 	res.Feasible = feasible

@@ -9,7 +9,6 @@ import (
 
 	"mpr/internal/check/floats"
 	"mpr/internal/perf"
-	"mpr/internal/telemetry"
 )
 
 // randomPool builds a seeded random participant pool for the differential
@@ -282,72 +281,6 @@ func TestMarketIndexReset(t *testing.T) {
 	}
 }
 
-// ClearCapped's capped branch must not run a full market clear: the
-// supply is evaluated at the cap first, observable both through the
-// solver-call counters and through Rounds = 0.
-func TestClearCappedShortCircuit(t *testing.T) {
-	ps := testPool(t)
-	uncapped, err := Clear(ps, 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap := uncapped.Price / 2
-	// The solver-call counters, read from the default registry the package
-	// is instrumented against unless a test re-points it.
-	marketStats := func() (priceSearches, cappedShortCircuits int64) {
-		r := telemetry.Default()
-		return r.CounterValue(MetricPriceSearches), r.CounterValue(MetricCappedShortCircuits)
-	}
-	searches0, short0 := marketStats()
-	capped, err := ClearCapped(ps, 6000, cap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	searches1, short1 := marketStats()
-	if got := searches1 - searches0; got != 0 {
-		t.Errorf("capped branch ran %d full price searches, want 0", got)
-	}
-	if short1-short0 != 1 {
-		t.Errorf("short-circuit counter moved by %d, want 1", short1-short0)
-	}
-	if capped.Rounds != 0 {
-		t.Errorf("capped branch Rounds = %d, want 0 (no price search)", capped.Rounds)
-	}
-	if capped.Price != cap || capped.Feasible {
-		t.Errorf("capped result = %+v", capped)
-	}
-	// The capped outcome must match clear-then-discard bit for bit: the
-	// bisection reference clears above the cap, so both materialize
-	// supply at the cap.
-	ref, err := ClearBisect(ps, 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Price <= cap {
-		t.Fatalf("reference price %v does not exceed the cap %v", ref.Price, cap)
-	}
-	var suppliedW float64
-	for i, p := range ps {
-		want := p.Bid.Supply(cap)
-		suppliedW += p.WattsPerCore * want
-		if capped.Reductions[i] != want {
-			t.Errorf("reduction[%d]: %v vs %v", i, capped.Reductions[i], want)
-		}
-	}
-	if capped.SuppliedW != suppliedW {
-		t.Errorf("short-circuit supplied %v vs clear-then-discard %v", capped.SuppliedW, suppliedW)
-	}
-	// A loose cap must still run exactly one full search.
-	searches0, _ = marketStats()
-	if _, err := ClearCapped(ps, 6000, uncapped.Price*2); err != nil {
-		t.Fatal(err)
-	}
-	searches1, _ = marketStats()
-	if searches1-searches0 != 1 {
-		t.Errorf("loose cap ran %d searches, want 1", searches1-searches0)
-	}
-}
-
 // Regression for the old contract violation: ClearInteractive used to
 // overwrite the caller's ps[i].Bid with each round's rational bid. The
 // participants must now come back untouched.
@@ -500,10 +433,10 @@ func TestClosedFormOnProfilePool(t *testing.T) {
 	}
 }
 
-// Clear and ClearCapped borrow their index from a pool: a result must own
-// its Reductions (a later clear may not write into it), an index recycled
-// from a larger or smaller pool must solve as a fresh one does, bit for
-// bit, and concurrent one-shot clears must not share an index.
+// Clear borrows its index from a pool: a result must own its Reductions
+// (a later clear may not write into it), an index recycled from a larger
+// or smaller pool must solve as a fresh one does, bit for bit, and
+// concurrent one-shot clears must not share an index.
 func TestOneShotClearsRecycleTheIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	type instance struct {
@@ -545,13 +478,6 @@ func TestOneShotClearsRecycleTheIndex(t *testing.T) {
 		}
 		if !same(got, in.want) {
 			t.Fatalf("instance %d: pooled Clear differs from a fresh index", k)
-		}
-		capped, err := ClearCapped(in.ps, in.target, 2*in.want.Price)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !same(capped, in.want) {
-			t.Fatalf("instance %d: pooled ClearCapped under a loose cap differs from a fresh index", k)
 		}
 		kept = append(kept, got)
 	}

@@ -53,17 +53,17 @@ func priceSettled(announced, cleared, tol float64) bool {
 // loop stops once the cleared price settles within tol of the announced
 // one (Converged) or after maxRounds rounds.
 //
-// A non-positive target asks nobody: it returns Rounds 0 and every
-// reduction 0. An error from ask or the clear ends the round's span and
-// is returned before the round's event.
+// A non-positive target asks nobody: it returns Clear's nothing-to-buy
+// result (TargetW echoed, every reduction 0) with Rounds 0. An error from
+// ask or the clear ends the round's span and is returned before the
+// round's event.
 func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 	span *telemetry.ActiveSpan, emit func(telemetry.Event),
 	ask func(round int, q float64, bids []Bid, span *telemetry.ActiveSpan) error) (*ClearingResult, error) {
 	if targetW <= 0 {
-		return &ClearingResult{
-			Reductions: make([]float64, len(ps)),
-			Feasible:   true, Converged: true, Rounds: 0,
-		}, nil
+		res := noReduction(len(ps), targetW)
+		res.Rounds = 0
+		return res, nil
 	}
 	if !(targetW > 0) { // NaN: refused before anyone is asked
 		return nil, ErrNaNTarget
@@ -261,22 +261,11 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 		return nil, fmt.Errorf("core: %d participants but %d bidders", len(ps), len(bidders))
 	}
 	cfg.normalize()
-	res, err := Iterate(ps, targetW, cfg.MaxRounds, cfg.Tolerance, cfg.Span, cfg.Trace.Emit,
+	return Iterate(ps, targetW, cfg.MaxRounds, cfg.Tolerance, cfg.Span, cfg.Trace.Emit,
 		func(_ int, q float64, bids []Bid, span *telemetry.ActiveSpan) error {
 			bidSpan := span.StartChild("respond_bids")
 			respondBids(bidders, q, bids, cfg.Workers)
 			bidSpan.End()
 			return nil
 		})
-	if err != nil || res.Rounds == 0 {
-		return res, err
-	}
-	m := met()
-	m.intRounds.Record(float64(res.Rounds))
-	if res.Converged {
-		m.intConverged.Inc()
-	} else {
-		m.intExhausted.Inc()
-	}
-	return res, nil
 }

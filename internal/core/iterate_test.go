@@ -290,6 +290,9 @@ func TestIterateNonPositiveTargetAsksNobody(t *testing.T) {
 		if err != nil || res.Rounds != 0 || !res.Converged || !res.Feasible || res.Price != 0 || len(res.Reductions) != len(ps) {
 			t.Fatalf("target %v: %+v, %v", target, res, err)
 		}
+		if res.TargetW != target {
+			t.Fatalf("target %v: TargetW = %v, want the request echoed", target, res.TargetW)
+		}
 		for i, d := range res.Reductions {
 			if d != 0 {
 				t.Fatalf("target %v: reduction[%d] = %v", target, i, d)

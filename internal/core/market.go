@@ -163,8 +163,8 @@ type ClearingResult struct {
 	// reduction: q′·Σδ (core-hours per hour).
 	PayoutRate float64
 	// Rounds is the number of price iterations (1 for MPR-STAT; the
-	// number of manager↔user exchanges for MPR-INT; 0 when ClearCapped
-	// settles at the price cap without running a price search).
+	// number of manager↔user exchanges for MPR-INT; 0 when an
+	// interactive market has nothing to buy and asks nobody).
 	Rounds int
 	// Converged is true when an interactive market reached a stable
 	// price within its round budget (always true for Clear).
@@ -195,7 +195,7 @@ func Clear(ps []*Participant, targetW float64) (*ClearingResult, error) {
 	return ix.Clear(targetW)
 }
 
-// oneShotIndexes recycles the index Clear and ClearCapped build for a
+// oneShotIndexes recycles the index Clear builds for a
 // single solve: Reset reuses an index's arrays when they are large
 // enough, and those arrays were most of what a fresh clear allocated.
 // The result never aliases the index — ix.Clear allocates the result and
@@ -224,57 +224,6 @@ func noReduction(n int, targetW float64) *ClearingResult {
 		Rounds:     1,
 		Converged:  true,
 	}
-}
-
-// ClearCapped clears the market under a manager-side price ceiling — the
-// affordability bound of Table I (the manager can pay at most the added
-// capacity per core-hour of cutback, e.g. 32× at 20% oversubscription).
-// If the clearing price would exceed priceCap, the market settles at the
-// cap with whatever supply the capped price buys and reports the shortfall
-// through Feasible=false; the manager must cover the remainder by direct
-// capping.
-//
-// The aggregate supply at priceCap is evaluated first — an O(log M)
-// index lookup — and a full price search runs only when the cap does not
-// bind; the capped branch performs no MClr solve at all (observable
-// through Rounds = 0 and the MetricPriceSearches /
-// MetricCappedShortCircuits counters).
-func ClearCapped(ps []*Participant, targetW, priceCap float64) (*ClearingResult, error) {
-	if !(priceCap > 0) { // written so NaN fails
-		return nil, fmt.Errorf("core: price cap must be positive, got %v", priceCap)
-	}
-	if targetW <= 0 {
-		return noReduction(len(ps), targetW), nil
-	}
-	if len(ps) == 0 {
-		return nil, ErrNoParticipants
-	}
-	ix := oneShotIndexes.Get().(*MarketIndex)
-	defer recycleIndex(ix)
-	if err := ix.Reset(ps); err != nil {
-		return nil, err
-	}
-	if ix.SupplyW(priceCap) < targetW {
-		// The cap binds: no clearing price at or below it can meet the
-		// target, so settle at the cap directly without a price search.
-		met().cappedShort.Inc()
-		res := &ClearingResult{
-			Price:      priceCap,
-			Reductions: make([]float64, len(ps)),
-			TargetW:    targetW,
-			Rounds:     0,
-			Converged:  true,
-		}
-		for i, p := range ps {
-			res.Reductions[i] = p.Bid.Supply(priceCap)
-			res.SuppliedW += p.WattsPerCore * res.Reductions[i]
-		}
-		res.PayoutRate = payout(priceCap, res.Reductions)
-		res.Feasible = res.SuppliedW >= targetW-1e-9
-		return res, nil
-	}
-	// The cap is loose: the minimal clearing price is ≤ priceCap.
-	return ix.Clear(targetW)
 }
 
 func payout(price float64, reductions []float64) float64 {

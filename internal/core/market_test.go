@@ -236,7 +236,6 @@ func TestNonFiniteTargetRefused(t *testing.T) {
 
 	refused := map[string]func() error{
 		"Clear":             func() error { _, err := Clear(ps, nan); return err },
-		"ClearCapped":       func() error { _, err := ClearCapped(ps, nan, 5); return err },
 		"MarketIndex.Clear": func() error { _, err := ix.Clear(nan); return err },
 		"MarketIndex.ClearInto": func() error {
 			err := ix.ClearInto(res, nan)
@@ -266,15 +265,11 @@ func TestNonFiniteTargetRefused(t *testing.T) {
 			t.Errorf("%s(NaN target): err = %v, want ErrNaNTarget", name, err)
 		}
 	}
-	if _, err := ClearCapped(ps, 100, nan); err == nil {
-		t.Error("ClearCapped accepted a NaN price cap")
-	}
 
 	// ±Inf is ordered: −Inf is nothing to buy, +Inf infeasible at a
 	// finite saturation price with every job at its maximum.
 	for name, clear := range map[string]func(float64) (*ClearingResult, error){
-		"Clear":       func(w float64) (*ClearingResult, error) { return Clear(ps, w) },
-		"ClearCapped": func(w float64) (*ClearingResult, error) { return ClearCapped(ps, w, 1e15) },
+		"Clear": func(w float64) (*ClearingResult, error) { return Clear(ps, w) },
 		"ClearInteractive": func(w float64) (*ClearingResult, error) {
 			return ClearInteractive(ps, bidders, w, InteractiveConfig{MaxRounds: 3})
 		},
@@ -597,55 +592,5 @@ func TestRationalBidderZeroCores(t *testing.T) {
 	bid := rb.RespondBid(1)
 	if bid.Delta != 0 || bid.B != 0 {
 		t.Errorf("zero-core bid = %+v", bid)
-	}
-}
-
-func TestClearCappedNoOpBelowCap(t *testing.T) {
-	ps := testPool(t)
-	uncapped, err := Clear(ps, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := ClearCapped(ps, 3000, uncapped.Price*2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Price != uncapped.Price || !capped.Feasible {
-		t.Errorf("loose cap changed the outcome: %+v vs %+v", capped, uncapped)
-	}
-}
-
-func TestClearCappedBinds(t *testing.T) {
-	ps := testPool(t)
-	uncapped, err := Clear(ps, 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap := uncapped.Price / 2
-	capped, err := ClearCapped(ps, 6000, cap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Price != cap {
-		t.Errorf("price = %v, want cap %v", capped.Price, cap)
-	}
-	if capped.Feasible {
-		t.Error("binding cap should report a shortfall")
-	}
-	if capped.SuppliedW >= uncapped.SuppliedW {
-		t.Errorf("capped supply %v should fall below uncapped %v", capped.SuppliedW, uncapped.SuppliedW)
-	}
-	if capped.PayoutRate >= uncapped.PayoutRate {
-		t.Errorf("capped payout %v should fall below uncapped %v", capped.PayoutRate, uncapped.PayoutRate)
-	}
-}
-
-func TestClearCappedValidation(t *testing.T) {
-	ps := testPool(t)
-	if _, err := ClearCapped(ps, 100, 0); err == nil {
-		t.Error("zero cap accepted")
-	}
-	if _, err := ClearCapped(ps, 100, -1); err == nil {
-		t.Error("negative cap accepted")
 	}
 }

@@ -298,7 +298,6 @@ func (sm *StreamMarket) ClearInto(res *ClearingResult) error {
 	if n == 0 {
 		return ErrNoParticipants
 	}
-	met().clearsStream.Inc()
 	res.Price = sm.price
 	res.Feasible = sm.feasible
 	var total float64
@@ -353,7 +352,6 @@ func (sm *StreamMarket) recompute() {
 // full supply falls short — the same contract as MarketIndex.minPrice,
 // found in one ordered treap descent instead of a breakpoint bisection.
 func (sm *StreamMarket) solvePrice(targetW float64) (price float64, feasible bool) {
-	met().priceSearches.Inc()
 	if targetW <= 0 {
 		return 0, true
 	}

@@ -6,7 +6,6 @@ import (
 
 	"mpr/internal/core"
 	"mpr/internal/perf"
-	"mpr/internal/telemetry"
 )
 
 // scratchFixture builds a normalized config, its jobs with their static
@@ -46,8 +45,6 @@ func TestMarketInvocationSteadyZeroAlloc(t *testing.T) {
 	if _, _, _, err := computeReduction(cfg, jobs, target, &s); err != nil {
 		t.Fatal(err)
 	}
-	core.Instrument(telemetry.Nop())
-	defer core.Instrument(telemetry.Default())
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, _, _, err := computeReduction(cfg, jobs, target, &s); err != nil {
 			t.Fatal(err)
@@ -244,8 +241,6 @@ func BenchmarkMarketInvocationSteady(b *testing.B) {
 	if _, _, _, err := computeReduction(cfg, jobs, target, &s); err != nil {
 		b.Fatal(err)
 	}
-	core.Instrument(telemetry.Nop())
-	defer core.Instrument(telemetry.Default())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

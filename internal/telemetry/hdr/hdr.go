@@ -21,9 +21,9 @@
 // way. For a count-valued instrument that means a 0 (a reduction applied
 // in its own slot) sits in the underflow bucket and reads back as Min,
 // and an emergency of 128 slots or more sits in overflow and reads back
-// as Max. A negative or NaN value is not a sample: it is counted as
-// invalid and kept out of the buckets and of Count/Sum/Min/Max, so one
-// bad sample cannot poison the sum.
+// as Max. A negative, NaN or infinite value is not a sample: it is
+// counted as invalid and kept out of the buckets and of Count/Sum/Min/Max,
+// so one bad sample cannot poison the sum.
 package hdr
 
 import (
@@ -167,14 +167,14 @@ func New() *Histogram {
 }
 
 // Record adds one observation. Wait-free, zero-alloc, nil-safe: a few
-// atomic updates on a round-robin-selected stripe. A negative or NaN v
+// atomic updates on a round-robin-selected stripe. A negative, NaN or +Inf v
 // only bumps the invalid count.
 func (h *Histogram) Record(v float64) {
 	if h == nil {
 		return
 	}
 	s := &h.stripes[h.rr.Add(1)&(stripes-1)]
-	if !(v >= 0) {
+	if !(v >= 0 && v <= math.MaxFloat64) { // negative, NaN or +Inf
 		s.invalid.Add(1)
 		return
 	}
@@ -219,8 +219,8 @@ func (h *Histogram) Snapshot() Snapshot {
 // Snapshot is a point-in-time copy of a histogram. All histograms share
 // one fixed bucket layout, so snapshots merge by per-bucket addition —
 // the property that lets per-shard recorders fold into fleet quantiles.
-// Invalid counts the negative and NaN samples Record refused; they are in
-// none of the other fields.
+// Invalid counts the negative, NaN and +Inf samples Record refused; they
+// are in none of the other fields.
 type Snapshot struct {
 	Counts  [NumBuckets]int64
 	Count   int64

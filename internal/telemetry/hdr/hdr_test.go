@@ -193,20 +193,20 @@ func TestClampedRecordsStillCount(t *testing.T) {
 	}
 }
 
-// TestInvalidSamplesCountedApart: a negative or NaN sample is not a
+// TestInvalidSamplesCountedApart: a negative, NaN or +Inf sample is not a
 // latency. It lands in Invalid and nowhere else — before, it was filed in
 // the underflow bucket and added to the sum, which one NaN poisoned for
 // good — and it survives Merge.
 func TestInvalidSamplesCountedApart(t *testing.T) {
 	h := New()
 	h.Record(0.25)
-	for _, v := range []float64{-1e-9, -3, math.Inf(-1), math.NaN()} {
+	for _, v := range []float64{-1e-9, -3, math.Inf(-1), math.NaN(), math.Inf(1)} {
 		h.Record(v)
 	}
 	h.Record(0.75)
 	snap := h.Snapshot()
-	if snap.Invalid != 4 || snap.Count != 2 {
-		t.Fatalf("invalid/count = %d/%d, want 4/2", snap.Invalid, snap.Count)
+	if snap.Invalid != 5 || snap.Count != 2 {
+		t.Fatalf("invalid/count = %d/%d, want 5/2", snap.Invalid, snap.Count)
 	}
 	if snap.Sum != 1 || snap.Min != 0.25 || snap.Max != 0.75 || snap.Mean() != 0.5 {
 		t.Errorf("sum/min/max/mean = %g/%g/%g/%g, want 1/0.25/0.75/0.5", snap.Sum, snap.Min, snap.Max, snap.Mean())
@@ -231,8 +231,8 @@ func TestInvalidSamplesCountedApart(t *testing.T) {
 
 	merged := only.Snapshot()
 	merged.Merge(snap)
-	if merged.Invalid != 5 || merged.Count != 2 || merged.Min != 0.25 || merged.Max != 0.75 {
-		t.Errorf("merged invalid/count/min/max = %d/%d/%g/%g, want 5/2/0.25/0.75", merged.Invalid, merged.Count, merged.Min, merged.Max)
+	if merged.Invalid != 6 || merged.Count != 2 || merged.Min != 0.25 || merged.Max != 0.75 {
+		t.Errorf("merged invalid/count/min/max = %d/%d/%g/%g, want 6/2/0.25/0.75", merged.Invalid, merged.Count, merged.Min, merged.Max)
 	}
 }
 

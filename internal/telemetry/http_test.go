@@ -59,21 +59,22 @@ func TestHandlerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestHandlerMetricsHDRInvalid: negative and NaN samples show on /metrics
-// as their own count, in both forms, and leave sum and count alone (a NaN
-// sum would also make the JSON form unencodable).
+// TestHandlerMetricsHDRInvalid: negative, NaN and +Inf samples show on
+// /metrics as their own count, in both forms, and leave sum and count
+// alone (a NaN or +Inf sum would also make the JSON form unencodable).
 func TestHandlerMetricsHDRInvalid(t *testing.T) {
 	r := NewRegistry()
 	h := r.HDR("mpr_agent_bid_rtt_seconds", "Bid RTT.")
 	h.Record(0.002)
 	h.Record(-0.001)
 	h.Record(math.NaN())
+	h.Record(math.Inf(1))
 
 	_, body := serveGet(t, handlerOf(r, nil), "/metrics")
 	for _, want := range []string{
 		"mpr_agent_bid_rtt_seconds_sum 0.002\n",
 		"mpr_agent_bid_rtt_seconds_count 1\n",
-		"mpr_agent_bid_rtt_seconds_invalid 2\n",
+		"mpr_agent_bid_rtt_seconds_invalid 3\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -87,8 +88,8 @@ func TestHandlerMetricsHDRInvalid(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if got := doc.HDRs["mpr_agent_bid_rtt_seconds"]; got.Invalid != 2 || got.Count != 1 || got.Min != 0.002 {
-		t.Fatalf("hdr summary = %+v, want invalid 2, count 1, min 0.002", got)
+	if got := doc.HDRs["mpr_agent_bid_rtt_seconds"]; got.Invalid != 3 || got.Count != 1 || got.Min != 0.002 || got.Max != 0.002 {
+		t.Fatalf("hdr summary = %+v, want invalid 3, count 1, min and max 0.002", got)
 	}
 }
 

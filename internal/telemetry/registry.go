@@ -4,7 +4,9 @@
 // of the hdr subpackage) plus a structured event tracer (ring-buffered
 // Event records with per-run Trace handles and an optional JSONL sink).
 //
-// Two consumption paths are supported. A caller that wants a batch
+// There is no process-global registry: a library records only into a
+// registry or tracer its caller hands it. Two consumption paths are
+// supported. A caller that wants a batch
 // computation's metrics (a simulator run, a test) hands in a registry and
 // takes a point-in-time Snapshot of it afterwards; long-running daemons
 // expose the registry over HTTP in Prometheus text format and the
@@ -31,13 +33,6 @@ import (
 // tolerate nil receivers, so instrumented code never branches on
 // configuration — it just calls through.
 func Nop() *Registry { return nil }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-global registry. Package-level
-// instrumentation (e.g. the core market counters) registers here unless
-// re-pointed.
-func Default() *Registry { return defaultRegistry }
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
@@ -246,8 +241,8 @@ func (r *Registry) GaugeValue(name string) float64 {
 // HDRSummary is the serializable point-in-time digest of an HDR
 // histogram: pre-computed quantiles instead of the ~1200 raw buckets.
 // Consumers needing mergeable full-resolution state take hdr.Snapshot
-// from the histogram handle instead. Invalid counts negative and NaN
-// samples; they are in no other field.
+// from the histogram handle instead. Invalid counts negative, NaN and
+// +Inf samples; they are in no other field.
 type HDRSummary struct {
 	Count   int64   `json:"count"`
 	Invalid int64   `json:"invalid"`
