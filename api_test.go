@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,66 @@ func TestFacadeNamesHaveReaders(t *testing.T) {
 	}
 	if len(exported) < 40 {
 		t.Errorf("parsed only %d exported names from api.go", len(exported))
+	}
+}
+
+// Every daemon flag has a reader: README.md, EXPERIMENTS.md or the CI
+// workflow passes or names it as -<name>. A flag nothing sets or
+// documents is an option without a user, and goes with the code only it
+// reaches.
+func TestFlagsHaveReaders(t *testing.T) {
+	var docs string
+	for _, path := range []string{"README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs += string(src) + "\n"
+	}
+	for _, main := range []string{"cmd/mprd/main.go", "cmd/mprload/main.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), main, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			// flag.String("name", …) or flag.StringVar(&v, "name", …).
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if len(call.Args) > arg {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names = append(names, name)
+				}
+			}
+			return true
+		})
+		if len(names) < 10 {
+			t.Fatalf("parsed only %d flags from %s", len(names), main)
+		}
+		for _, name := range names {
+			// -flight must not be read through -flight-cooldown.
+			ref := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`)
+			if !ref.MatchString(docs) {
+				t.Errorf("%s: flag -%s has no reader in README.md, EXPERIMENTS.md or ci.yml", main, name)
+			}
+		}
 	}
 }
 

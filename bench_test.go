@@ -531,25 +531,15 @@ func BenchmarkIndexRefresh16of30000(b *testing.B) {
 	}
 }
 
-func benchInteractive(b *testing.B, cfg core.InteractiveConfig) {
+func BenchmarkMarketInteractive1000(b *testing.B) {
 	parts, bidders, target := benchPool(b, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ClearInteractive(parts, bidders, target, cfg); err != nil {
+		if _, err := core.ClearInteractive(parts, bidders, target, core.InteractiveConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkMarketInteractive1000(b *testing.B) {
-	benchInteractive(b, core.InteractiveConfig{})
-}
-
-// Sequential rebidding, for comparison against the parallel default
-// above.
-func BenchmarkMarketInteractive1000Seq(b *testing.B) {
-	benchInteractive(b, core.InteractiveConfig{Workers: 1})
 }
 
 func BenchmarkOPTDual1000(b *testing.B) {

@@ -32,19 +32,15 @@ func bundlesIn(t *testing.T, dir, reason string) []string {
 // TestObsShutdownIdempotent is the double-flush regression test for the
 // exit paths: the signal path and the deferred drain may both call
 // shutdown, and the second call must return immediately with the first
-// call's result instead of deadlocking on the drained sampler — with
-// every sink (trace log, series log, exit flight bundle) flushed exactly
-// once.
+// call's result instead of deadlocking on the drained sampler — with the
+// exit flight bundle cut exactly once.
 func TestObsShutdownIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	clock := tsdb.NewFakeClock(time.Unix(1000, 0))
 	o, err := newObs(obsConfig{
-		SampleInterval: time.Second,
-		TraceLogPath:   filepath.Join(dir, "trace.jsonl"),
-		SeriesLogPath:  filepath.Join(dir, "series.jsonl"),
-		FlightDir:      dir,
-		AgentCount:     func() int { return 1 },
-		Clock:          clock,
+		FlightDir:  dir,
+		AgentCount: func() int { return 1 },
+		Clock:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +101,6 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	// starts only once the manager below exists — as in mprd's run.
 	var m *agentproto.Manager
 	o, err := newObs(obsConfig{
-		SampleInterval: time.Second,
 		FlightDir:      dir,
 		FlightCooldown: time.Minute,
 		AgentCount:     func() int { return m.AgentCount() },

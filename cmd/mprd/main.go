@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	mprd -listen 127.0.0.1:7946 -agents 4 -target 2000
+//	printf '2000\nlift\n' | mprd -listen 127.0.0.1:7946 -agents 4
 //
-// waits for 4 agents, clears one market for a 2 kW reduction, prints the
-// reduction orders, lifts the emergency, and exits. With -target 0 the
-// daemon keeps running and reads reduction targets (watts, one per line)
-// from stdin, clearing one market per line. With -stream the manager also
+// waits for 4 agents, reads reduction targets (watts, one per line) from
+// stdin and clears one market per line — here one for a 2 kW reduction,
+// printing the reduction orders — then lifts the emergency and exits at
+// the end of input ('quit' exits too). With -stream the manager also
 // re-clears incrementally on every incoming bid (O(log M) per update) and
 // emits each intermediate price as a stream_update trace event; the wire
 // protocol, the rounds and their prices are unchanged, bit for bit.
@@ -32,11 +32,9 @@
 // trace spans at /debug/spans (JSON, each with its dropped count),
 // windowed time-series queries at /debug/series, flight-recorder status
 // at /debug/flight, liveness at /healthz, and net/http/pprof under
-// /debug/pprof/. A wall-clock sampler (-sample) records the eviction
-// series and each market its rounds and unmet watts, the series the live
-// alert rules read; -tracelog and -serieslog persist the event
-// stream and the series store as JSONL, flushed on shutdown. SIGINT/SIGTERM
-// drain the sampler and flush the sinks before exiting.
+// /debug/pprof/. A 1 s wall-clock sampler records the eviction series
+// and each market its rounds and unmet watts, the series the live alert
+// rules read. SIGINT/SIGTERM take one final sample before exiting.
 //
 // With -flight DIR the daemon arms its black-box flight recorder: a
 // runtime-health sampler (goroutines, heap in-use, GC pause p99, sched
@@ -76,7 +74,6 @@ func run() int {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7946", "TCP listen address")
 		agents    = flag.Int("agents", 1, "number of agents to wait for")
-		target    = flag.Float64("target", 0, "one-shot power reduction target in watts (0 = interactive stdin mode)")
 		wait      = flag.Duration("wait", 30*time.Second, "how long to wait for agents")
 		metrics   = flag.String("metrics", "", "HTTP address serving the observability surface (empty = disabled)")
 		stream    = flag.Bool("stream", false, "continuously-clearing market: re-clear incrementally on every incoming bid")
@@ -84,9 +81,6 @@ func run() int {
 		evict     = flag.Int("evict", 0, "evict agents after this many consecutive missed round deadlines (0 = default 3, negative = never)")
 		statePath = flag.String("state", "", "snapshot market+registration state to this file on shutdown (mprstate/v1)")
 		restore   = flag.Bool("restore", false, "restore state from -state at boot; restored agents keep their last bids until they rebid")
-		sample    = flag.Duration("sample", time.Second, "wall-clock series sampling interval")
-		tracelog  = flag.String("tracelog", "", "file receiving every trace event as JSONL (flushed on shutdown)")
-		serieslog = flag.String("serieslog", "", "file receiving the series store as JSONL on shutdown")
 		flightDir = flag.String("flight", "", "directory receiving mprflight/v2 black-box bundles on alert/SIGQUIT/exit (empty = disabled)")
 		flightCD  = flag.Duration("flight-cooldown", time.Minute, "per-rule suppression window between alert-triggered flight dumps")
 	)
@@ -103,9 +97,6 @@ func run() int {
 	// once NewManager has returned.
 	var m *agentproto.Manager
 	o, err := newObs(obsConfig{
-		SampleInterval: *sample,
-		TraceLogPath:   *tracelog,
-		SeriesLogPath:  *serieslog,
 		AgentCount:     func() int { return m.AgentCount() },
 		Evictions:      func() int64 { return m.Evictions() },
 		FlightDir:      *flightDir,
@@ -117,12 +108,12 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	// Drain: one final sample, then the sinks flush exactly once —
-	// whether we exit via signal, stdin EOF, or one-shot completion.
-	// shutdown is idempotent, so racing exit paths cannot double-flush.
+	// Drain: one final sample, then the exit flight bundle, exactly once —
+	// whether we exit via signal, stdin EOF, or 'quit'. shutdown is
+	// idempotent, so racing exit paths cannot drain twice.
 	defer func() {
 		if err := o.shutdown(); err != nil {
-			log.Printf("telemetry flush: %v", err)
+			log.Printf("telemetry shutdown: %v", err)
 		}
 	}()
 
@@ -175,8 +166,8 @@ func run() int {
 	}
 	if *statePath != "" {
 		// Runs before the deferred m.Close (LIFO), so the roster is still
-		// live when the snapshot is cut — on SIGTERM, stdin EOF, 'quit',
-		// or one-shot completion alike.
+		// live when the snapshot is cut — on SIGTERM, stdin EOF or 'quit'
+		// alike.
 		defer func() {
 			st := m.SnapshotState(time.Now().UnixNano())
 			if err := agentproto.WriteStateFile(*statePath, st); err != nil {
@@ -213,14 +204,8 @@ func run() int {
 	}
 	log.Printf("%d agents registered", m.AgentCount())
 
-	if *target > 0 {
-		runMarket(m, o, *target)
-		m.Lift()
-		return 0
-	}
-
-	// Interactive mode: stdin lines feed the market; a signal wins the
-	// select and shuts the daemon down even mid-scan.
+	// Stdin lines feed the market; a signal wins the select and shuts the
+	// daemon down even mid-scan.
 	lines := make(chan string)
 	go func() {
 		defer close(lines)

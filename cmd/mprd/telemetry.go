@@ -1,10 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -27,16 +25,11 @@ const (
 	seriesEvictions = "mpr_mgr_evictions"
 )
 
+// sampleInterval is the wall-clock sampling period.
+const sampleInterval = time.Second
+
 // obsConfig parameterizes the daemon's observability runtime.
 type obsConfig struct {
-	// SampleInterval is the wall-clock sampling period (default 1s).
-	SampleInterval time.Duration
-	// TraceLogPath, when set, receives every trace event as one JSON
-	// line (buffered; flushed at shutdown).
-	TraceLogPath string
-	// SeriesLogPath, when set, receives the full series store as JSONL
-	// at shutdown.
-	SeriesLogPath string
 	// AgentCount reports the number of connected agents (for /healthz).
 	AgentCount func() int
 	// Evictions reports the cumulative slow-agent evictions.
@@ -51,7 +44,7 @@ type obsConfig struct {
 	FlightCooldown time.Duration
 	// ConfigEcho is the flag echo stored in every flight bundle.
 	ConfigEcho map[string]string
-	// Logf receives alert firings and flush diagnostics.
+	// Logf receives alert firings and flight-dump diagnostics.
 	Logf func(format string, args ...interface{})
 	// Clock drives the sampler (tests inject tsdb.FakeClock).
 	Clock tsdb.Clock
@@ -59,7 +52,8 @@ type obsConfig struct {
 
 // obs is mprd's observability runtime: registry, event tracer, series
 // store, wall-clock ticker sampler, live alert evaluation, and the
-// shutdown drain that flushes the trace/series sinks exactly once.
+// shutdown drain that takes the final sample and cuts the exit bundle
+// exactly once.
 type obs struct {
 	cfg    obsConfig
 	reg    *telemetry.Registry
@@ -75,15 +69,13 @@ type obs struct {
 	sampler   *tsdb.TickerSampler
 	start     time.Time
 	lastEvict int64
-	traceFile *os.File
-	traceBuf  *bufio.Writer
 
 	cancel context.CancelFunc
-	done   chan error
+	done   chan struct{}
 
 	// shutdown is idempotent: the signal path and the deferred drain in
-	// run() may both reach it, and only one may cancel + await the
-	// sampler (a second receive on done would deadlock forever).
+	// run() may both reach it, and only one may drain the sampler and cut
+	// the exit bundle.
 	shutdownOnce sync.Once
 	shutdownErr  error
 }
@@ -92,9 +84,6 @@ type obs struct {
 // sample already calls AgentCount and Evictions, so whatever they read
 // must exist before startSampler. Call shutdown to drain it.
 func newObs(c obsConfig) (*obs, error) {
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = time.Second
-	}
 	if c.Clock == nil {
 		c.Clock = tsdb.RealClock()
 	}
@@ -119,15 +108,6 @@ func newObs(c obsConfig) (*obs, error) {
 	o.evictions = o.store.Series(seriesEvictions)
 	o.alertsFired = o.reg.CounterFamily("mpr_mgr_alerts_total",
 		"SLO alert firings by rule.", "rule")
-	if c.TraceLogPath != "" {
-		f, err := os.Create(c.TraceLogPath)
-		if err != nil {
-			return nil, err
-		}
-		o.traceFile = f
-		o.traceBuf = bufio.NewWriter(f)
-		o.tracer.SetSink(o.traceBuf)
-	}
 	if c.FlightDir != "" {
 		rec, err := flight.New(flight.Config{
 			Registry:   o.reg,
@@ -149,10 +129,9 @@ func newObs(c obsConfig) (*obs, error) {
 		o.rules = append(o.rules, alerts.RuntimeRules()...)
 	}
 	o.sampler = &tsdb.TickerSampler{
-		Interval: c.SampleInterval,
+		Interval: sampleInterval,
 		Clock:    c.Clock,
 		Sample:   o.sample,
-		Flush:    o.flush,
 	}
 	return o, nil
 }
@@ -162,8 +141,12 @@ func newObs(c obsConfig) (*obs, error) {
 func (o *obs) startSampler() {
 	ctx, cancel := context.WithCancel(context.Background())
 	o.cancel = cancel
-	o.done = make(chan error, 1)
-	go func() { o.done <- o.sampler.Run(ctx) }()
+	o.done = make(chan struct{})
+	go func() {
+		// Run fails only in a Flush, and obs sets none.
+		_ = o.sampler.Run(ctx)
+		close(o.done)
+	}()
 }
 
 // sample records one wall-clock observation.
@@ -174,44 +157,20 @@ func (o *obs) sample(now time.Time) {
 	o.lastEvict = cur
 }
 
-// flush drains the sinks. The sampler calls it exactly once, after the
-// final shutdown sample.
-func (o *obs) flush() error {
-	var first error
-	if o.traceBuf != nil {
-		if err := o.traceBuf.Flush(); err != nil && first == nil {
-			first = err
-		}
-		if err := o.traceFile.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if o.cfg.SeriesLogPath != "" {
-		if err := tsdb.ExportFile(o.store, tsdb.Query{}, o.cfg.SeriesLogPath); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// shutdown stops the sampler, waits for the final sample + flush, dumps
-// the flight recorder's exit bundle, and returns the flush error. A
-// runtime whose sampler never started only flushes. Idempotent: repeated
-// calls (signal path racing the deferred drain) return the first call's
-// error without re-draining.
+// shutdown stops the sampler, waits for its final sample, dumps the
+// flight recorder's exit bundle, and returns the dump error. A runtime
+// whose sampler never started only dumps. Idempotent: repeated calls
+// (signal path racing the deferred drain) return the first call's error
+// without re-draining.
 func (o *obs) shutdown() error {
 	o.shutdownOnce.Do(func() {
-		if o.done == nil {
-			o.shutdownErr = o.flush()
-		} else {
+		if o.done != nil {
 			o.cancel()
-			o.shutdownErr = <-o.done
+			<-o.done
 		}
 		// The exit bundle is cut after the drain so it carries the final
 		// sample; Dump no-ops when -flight is off.
-		if _, err := o.flight.Dump(o.cfg.Clock.Now(), flight.ReasonExit, nil); err != nil && o.shutdownErr == nil {
-			o.shutdownErr = err
-		}
+		_, o.shutdownErr = o.flight.Dump(o.cfg.Clock.Now(), flight.ReasonExit, nil)
 	})
 	return o.shutdownErr
 }
@@ -264,7 +223,7 @@ func (o *obs) recordMarket(targetW float64, r *core.ClearingResult) {
 	}
 	o.store.Series(seriesMarketUnmet).Append(t, unmet)
 	// Rules need history: ForSamples and WindowSamples count points, and
-	// at the default 1 s -sample the current second holds at most one.
+	// at the 1 s sampleInterval the current second holds at most one.
 	// Re-evaluating that history re-returns old firings; the window-0
 	// deduper reports each violation once, as mprload does.
 	var firings []alerts.Firing

@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +11,7 @@ import (
 
 	"mpr/internal/core"
 	"mpr/internal/telemetry"
+	"mpr/internal/telemetry/flight"
 	"mpr/internal/telemetry/tsdb"
 )
 
@@ -28,19 +27,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestObsShutdownDrainsAndFlushes is the shutdown-drain contract: on
-// cancellation the sampler takes one final sample, then the trace and
-// series sinks flush exactly once, and both files land on disk complete.
+// cancellation the sampler takes one final sample, and only then is the
+// exit flight bundle cut — exactly once, carrying that sample and the
+// trace ring.
 func TestObsShutdownDrainsAndFlushes(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	seriesPath := filepath.Join(dir, "series.jsonl")
 	clock := tsdb.NewFakeClock(time.Unix(1000, 0))
 	o, err := newObs(obsConfig{
-		SampleInterval: time.Second,
-		TraceLogPath:   tracePath,
-		SeriesLogPath:  seriesPath,
-		Evictions:      func() int64 { return 3 },
-		Clock:          clock,
+		FlightDir: dir,
+		Evictions: func() int64 { return 3 },
+		Clock:     clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,32 +55,39 @@ func TestObsShutdownDrainsAndFlushes(t *testing.T) {
 	if got := o.evictions.Total(); got != 5 {
 		t.Fatalf("samples after drain = %d, want 5", got)
 	}
-	traceData, err := os.ReadFile(tracePath)
+	exits := bundlesIn(t, dir, "exit")
+	if len(exits) != 1 {
+		t.Fatalf("exit bundles = %v, want exactly 1", exits)
+	}
+	b, err := flight.ReadBundleFile(exits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(traceData), `"name":"market_clear"`) {
-		t.Fatalf("trace sink not flushed: %q", traceData)
+	var points []tsdb.Point
+	for _, sd := range b.Series {
+		if sd.Name == seriesEvictions {
+			points = sd.Points
+		}
 	}
-	seriesData, err := os.ReadFile(seriesPath)
-	if err != nil {
-		t.Fatal(err)
+	// The startup sample saw all 3 evictions; later deltas, the final
+	// drain sample's included, are 0.
+	if len(points) != 5 || points[0].V != 3 || points[4].V != 0 {
+		t.Fatalf("exit bundle's %s = %+v, want 5 samples from 3 down to 0", seriesEvictions, points)
 	}
-	if !strings.Contains(string(seriesData), seriesEvictions) {
-		t.Fatalf("series sink missing %s: %q", seriesEvictions, seriesData)
+	found := false
+	for _, e := range b.Events {
+		found = found || (e.Name == "market_clear" && e.Round == 7)
 	}
-	// The startup sample saw all 3 evictions; later deltas are 0.
-	if !strings.Contains(string(seriesData), `"v":3}`) || !strings.Contains(string(seriesData), `"v":0}`) {
-		t.Fatalf("series export lost the eviction deltas: %q", seriesData)
+	if !found {
+		t.Fatalf("exit bundle lost the trace ring: %+v", b.Events)
 	}
 }
 
 func TestObsHealthAndHandler(t *testing.T) {
 	clock := tsdb.NewFakeClock(time.Unix(5000, 0))
 	o, err := newObs(obsConfig{
-		SampleInterval: time.Second,
-		AgentCount:     func() int { return 2 },
-		Clock:          clock,
+		AgentCount: func() int { return 2 },
+		Clock:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +165,8 @@ func TestObsAlertsSeeHistory(t *testing.T) {
 	)
 	clock := tsdb.NewFakeClock(time.Unix(3000, 0))
 	o, err := newObs(obsConfig{
-		SampleInterval: time.Second,
-		Evictions:      evictions.Load,
-		Clock:          clock,
+		Evictions: evictions.Load,
+		Clock:     clock,
 		Logf: func(f string, a ...interface{}) {
 			mu.Lock()
 			defer mu.Unlock()

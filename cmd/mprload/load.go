@@ -34,35 +34,35 @@ const (
 // histogram every synthetic agent records into.
 const metricRoundTrip = "mpr_load_round_trip_seconds"
 
+const (
+	// targetFrac sizes the emergency target as a fraction of the fleet's
+	// maximum reduction in watts.
+	targetFrac = 0.25
+	// sampleInterval is the series sampling period.
+	sampleInterval = 250 * time.Millisecond
+	// roundTimeout is the selfhost manager's per-round bid timeout.
+	roundTimeout = 2 * time.Second
+)
+
 // loadConfig is the resolved run configuration.
 type loadConfig struct {
-	Agents       int
-	Connect      string // empty = selfhost an in-process manager
-	Transport    string // selfhost attachment: "pipe" (fd-free) or "tcp"
-	Mode         string // "open" (markets on a fixed cadence) or "closed" (back-to-back)
-	Duration     time.Duration
-	Interval     time.Duration // open-loop market period
-	Dist         string        // reluctance distribution: uniform | lognormal | bimodal
-	Seed         int64
-	Workers      int     // dial fan-out pool (0 = GOMAXPROCS)
-	TargetFrac   float64 // emergency target as a fraction of the fleet's max reduction W
-	Stream       bool    // selfhost manager in streaming (incremental clear) mode
-	Jitter       float64 // per-round relative bid perturbation, keeps prices moving
-	Sample       time.Duration
-	RoundTimeout time.Duration
-	Wire         string // agent wire: "json" (lines) or "binary" (length-prefixed frames)
-	Shards       int    // selfhost manager connection shards (0 = default)
-	Logf         func(format string, args ...interface{})
+	Agents   int
+	Connect  string // empty = selfhost an in-process manager over net.Pipe
+	Mode     string // "open" (markets on a fixed cadence) or "closed" (back-to-back)
+	Duration time.Duration
+	Interval time.Duration // open-loop market period
+	Dist     string        // reluctance distribution: uniform | lognormal | bimodal
+	Seed     int64
+	Workers  int     // dial fan-out pool (0 = GOMAXPROCS)
+	Jitter   float64 // per-round relative bid perturbation, keeps prices moving
+	Wire     string  // agent wire: "json" (lines) or "binary" (length-prefixed frames)
+	Shards   int     // selfhost manager connection shards (0 = default)
+	Logf     func(format string, args ...interface{})
 }
 
 func (c *loadConfig) normalize() error {
 	if c.Agents < 1 {
 		return fmt.Errorf("mprload: -agents must be ≥ 1")
-	}
-	switch c.Transport {
-	case "pipe", "tcp":
-	default:
-		return fmt.Errorf("mprload: -transport must be pipe or tcp")
 	}
 	switch c.Mode {
 	case "open", "closed":
@@ -79,15 +79,6 @@ func (c *loadConfig) normalize() error {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
-	}
-	if c.TargetFrac <= 0 || c.TargetFrac >= 1 {
-		return fmt.Errorf("mprload: -target must be in (0,1)")
-	}
-	if c.Sample <= 0 {
-		c.Sample = 250 * time.Millisecond
-	}
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = 2 * time.Second
 	}
 	if c.Wire == "" {
 		c.Wire = agentproto.WireJSON
@@ -251,10 +242,9 @@ func newHarness(cfg loadConfig) (*harness, error) {
 func (h *harness) connect() error {
 	if h.cfg.Connect == "" {
 		mgr, err := agentproto.NewManager("127.0.0.1:0", agentproto.ManagerConfig{
-			RoundTimeout: h.cfg.RoundTimeout,
+			RoundTimeout: roundTimeout,
 			Telemetry:    h.reg,
 			Tracer:       h.tracer,
-			Streaming:    h.cfg.Stream,
 			Shards:       h.cfg.Shards,
 		})
 		if err != nil {
@@ -269,7 +259,7 @@ func (h *harness) connect() error {
 		specs[i] = specFor(h.cfg.Seed, i, h.cfg.Dist)
 		totalReductionW += specs[i].Cores * specs[i].MaxFrac * specs[i].WattsPerCore
 	}
-	h.targetW = h.cfg.TargetFrac * totalReductionW
+	h.targetW = targetFrac * totalReductionW
 
 	agents, err := runner.MapN(h.cfg.Workers, len(specs), func(i int) (*agentproto.Agent, error) {
 		a, err := h.dialOne(i, specs[i])
@@ -337,9 +327,6 @@ func (h *harness) dialOne(i int, spec agentSpec) (*agentproto.Agent, error) {
 	}
 	if h.cfg.Connect != "" {
 		return agentproto.Dial(h.cfg.Connect, cfg)
-	}
-	if h.cfg.Transport == "tcp" {
-		return agentproto.Dial(h.mgr.Addr(), cfg)
 	}
 	mgrEnd, agentEnd := net.Pipe()
 	if err := h.mgr.ServeConn(mgrEnd); err != nil {
@@ -413,7 +400,7 @@ func (h *harness) run() (*loadReport, error) {
 	start := time.Now()
 	h.startUnix = start.Unix()
 	h.sampler = &tsdb.TickerSampler{
-		Interval: h.cfg.Sample,
+		Interval: sampleInterval,
 		Sample:   h.sample,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -438,18 +425,14 @@ func (h *harness) run() (*loadReport, error) {
 		Config: configSection{
 			Agents:          h.cfg.Agents,
 			Connect:         h.cfg.Connect,
-			Transport:       h.cfg.Transport,
 			Mode:            h.cfg.Mode,
 			DurationSeconds: h.cfg.Duration.Seconds(),
 			IntervalSeconds: h.cfg.Interval.Seconds(),
 			Dist:            h.cfg.Dist,
 			Seed:            h.cfg.Seed,
 			Workers:         h.cfg.Workers,
-			TargetFrac:      h.cfg.TargetFrac,
 			TargetW:         h.targetW,
-			Stream:          h.cfg.Stream,
 			Jitter:          h.cfg.Jitter,
-			SampleSeconds:   h.cfg.Sample.Seconds(),
 			Wire:            h.cfg.Wire,
 			Shards:          h.cfg.Shards,
 		},

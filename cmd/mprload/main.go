@@ -10,12 +10,12 @@
 // the clearing price, fleet-attendance, and runtime-health (mpr_rt_*)
 // series into an in-memory tsdb, evaluates the alerts.LoadRules SLO
 // scorecard live over those series, and finally emits a versioned
-// mprload/report/v3 JSON artifact (-report) with the latency digests and
-// SLO verdicts. When the scorecard fails (exit 3), an mprflight/v2
-// black-box bundle — goroutine profile, trace window, series history,
-// the triggering firing — is parked next to the report (-flight) and
-// named in its flight_bundle field, so a failed soak carries its own
-// diagnosis.
+// mprload/report/v4 JSON artifact (-report) with the latency digests and
+// SLO verdicts. When the scorecard fails (exit 3) and -report names a
+// file, an mprflight/v2 black-box bundle — goroutine profile, trace
+// window, series history, the triggering firing — is parked next to it
+// as <report>.flight.json and named in its flight_bundle field, so a
+// failed soak carries its own diagnosis.
 //
 // Examples:
 //
@@ -38,51 +38,35 @@ import (
 
 func main() {
 	var (
-		agents    = flag.Int("agents", 1000, "synthetic agents to drive")
-		connect   = flag.String("connect", "", "external manager address (empty = selfhost an in-process manager)")
-		transport = flag.String("transport", "pipe", "selfhost agent transport: pipe (fd-free) or tcp")
-		duration  = flag.Duration("duration", 5*time.Second, "how long to run")
-		mode      = flag.String("mode", "closed", "market arrival: open (one per -interval) or closed (back-to-back)")
-		interval  = flag.Duration("interval", 250*time.Millisecond, "open-loop market period")
-		dist      = flag.String("dist", "lognormal", "reluctance distribution: uniform, lognormal, or bimodal")
-		seed      = flag.Int64("seed", 1, "base seed for the deterministic fleet")
-		workers   = flag.Int("workers", 0, "dial fan-out workers (0 = GOMAXPROCS)")
-		target    = flag.Float64("target", 0.25, "emergency target as a fraction of the fleet's max reduction W")
-		stream    = flag.Bool("stream", false, "selfhost manager in streaming (incremental clear) mode")
-		jitter    = flag.Float64("jitter", 0.1, "per-round relative bid perturbation in [0,1]")
-		sample    = flag.Duration("sample", 250*time.Millisecond, "series sampling period")
-		rtimeout  = flag.Duration("rtimeout", 2*time.Second, "selfhost per-round bid timeout")
-		wire      = flag.String("wire", "json", "agent wire format: json (lines) or binary (length-prefixed frames)")
-		shards    = flag.Int("shards", 0, "selfhost manager connection shards (0 = default)")
-		report    = flag.String("report", "", "write the mprload/report/v3 JSON artifact here (- = stdout)")
-		flightOut = flag.String("flight", "", "write an mprflight/v2 bundle here when the SLO scorecard fails (empty = <report>.flight.json next to a file -report; 'none' disables)")
-		metrics   = flag.String("metrics", "", "serve /metrics, /debug/* on this address while running")
-		quiet     = flag.Bool("quiet", false, "suppress progress logging")
+		agents   = flag.Int("agents", 1000, "synthetic agents to drive")
+		connect  = flag.String("connect", "", "external manager address (empty = selfhost an in-process manager)")
+		duration = flag.Duration("duration", 5*time.Second, "how long to run")
+		mode     = flag.String("mode", "closed", "market arrival: open (one per -interval) or closed (back-to-back)")
+		interval = flag.Duration("interval", 250*time.Millisecond, "open-loop market period")
+		dist     = flag.String("dist", "lognormal", "reluctance distribution: uniform, lognormal, or bimodal")
+		seed     = flag.Int64("seed", 1, "base seed for the deterministic fleet")
+		workers  = flag.Int("workers", 0, "dial fan-out workers (0 = GOMAXPROCS)")
+		jitter   = flag.Float64("jitter", 0.1, "per-round relative bid perturbation in [0,1]")
+		wire     = flag.String("wire", "json", "agent wire format: json (lines) or binary (length-prefixed frames)")
+		shards   = flag.Int("shards", 0, "selfhost manager connection shards (0 = default)")
+		report   = flag.String("report", "", "write the mprload/report/v4 JSON artifact here (- = stdout)")
+		metrics  = flag.String("metrics", "", "serve /metrics, /debug/* on this address while running")
 	)
 	flag.Parse()
 
-	logf := log.Printf
-	if *quiet {
-		logf = func(string, ...interface{}) {}
-	}
 	cfg := loadConfig{
-		Agents:       *agents,
-		Connect:      *connect,
-		Transport:    *transport,
-		Mode:         *mode,
-		Duration:     *duration,
-		Interval:     *interval,
-		Dist:         *dist,
-		Seed:         *seed,
-		Workers:      *workers,
-		TargetFrac:   *target,
-		Stream:       *stream,
-		Jitter:       *jitter,
-		Sample:       *sample,
-		RoundTimeout: *rtimeout,
-		Wire:         *wire,
-		Shards:       *shards,
-		Logf:         logf,
+		Agents:   *agents,
+		Connect:  *connect,
+		Mode:     *mode,
+		Duration: *duration,
+		Interval: *interval,
+		Dist:     *dist,
+		Seed:     *seed,
+		Workers:  *workers,
+		Jitter:   *jitter,
+		Wire:     *wire,
+		Shards:   *shards,
+		Logf:     log.Printf,
 	}
 	h, err := newHarness(cfg)
 	if err != nil {
@@ -100,19 +84,23 @@ func main() {
 		})
 		go func() {
 			if err := http.ListenAndServe(*metrics, handler); err != nil {
-				logf("metrics server: %v", err)
+				log.Printf("metrics server: %v", err)
 			}
 		}()
 	}
 
-	logf("connecting %d agents (%s)…", cfg.Agents, transportLabel(cfg))
+	where := "selfhost"
+	if cfg.Connect != "" {
+		where = "tcp → " + cfg.Connect
+	}
+	log.Printf("connecting %d agents (%s)…", cfg.Agents, where)
 	dialStart := time.Now()
 	if err := h.connect(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer h.close()
-	logf("%d/%d agents connected in %.2fs (%d dial errors), target %.0f W",
+	log.Printf("%d/%d agents connected in %.2fs (%d dial errors), target %.0f W",
 		len(h.agents), cfg.Agents, time.Since(dialStart).Seconds(), h.dialErrors.Load(), h.targetW)
 
 	rep, err := h.run()
@@ -120,26 +108,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	logf("done: %d markets (%d converged, %d errors), round-trip p99 %.4fs p999 %.4fs, SLO firings %d",
+	log.Printf("done: %d markets (%d converged, %d errors), round-trip p99 %.4fs p999 %.4fs, SLO firings %d",
 		rep.Markets.Runs, rep.Markets.Converged, rep.Markets.Errors,
 		rep.RoundTripSeconds.P99, rep.RoundTripSeconds.P999, len(rep.SLO.Firings))
 
-	// On SLO failure, park the black box next to the report before the
+	// On SLO failure, park the black box next to a report file before the
 	// report is written, so the verdict names its evidence — the exit-3
 	// CI path becomes self-diagnosing.
-	if !rep.SLO.Passed {
-		path := *flightOut
-		if path == "" && *report != "" && *report != "-" {
-			path = *report + ".flight.json"
-		}
-		if path != "" && path != "none" {
-			trigger := &rep.SLO.Firings[0]
-			if err := h.flight.DumpTo(time.Now(), path, flight.ReasonSLO, trigger); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			} else {
-				rep.FlightBundle = path
-				logf("SLO failed: flight bundle written to %s", path)
-			}
+	if !rep.SLO.Passed && *report != "" && *report != "-" {
+		path := *report + ".flight.json"
+		trigger := &rep.SLO.Firings[0]
+		if err := h.flight.DumpTo(time.Now(), path, flight.ReasonSLO, trigger); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		} else {
+			rep.FlightBundle = path
+			log.Printf("SLO failed: flight bundle written to %s", path)
 		}
 	}
 
@@ -152,11 +135,4 @@ func main() {
 	if !rep.SLO.Passed {
 		os.Exit(3)
 	}
-}
-
-func transportLabel(cfg loadConfig) string {
-	if cfg.Connect != "" {
-		return "tcp → " + cfg.Connect
-	}
-	return "selfhost/" + cfg.Transport
 }

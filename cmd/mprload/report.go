@@ -13,9 +13,11 @@ import (
 // v2: config gains wire (json|binary agent transport) and shards (selfhost
 // manager connection shards).
 // v3: flight_bundle names the mprflight black-box bundle parked next
-// to a failing report (the -flight flag), so the exit-3 CI path is
-// self-diagnosing.
-const loadSchema = "mprload/report/v3"
+// to a failing report, so the exit-3 CI path is self-diagnosing.
+// v4: config drops transport, target_frac, stream and sample_seconds —
+// the selfhost harness always attaches over net.Pipe to a batch-clearing
+// manager at a 0.25 target fraction, sampling every 250 ms.
+const loadSchema = "mprload/report/v4"
 
 // loadReport is the versioned JSON artifact one mprload run emits
 // (-report). It is self-describing: the binary that produced it, the
@@ -43,9 +45,9 @@ type loadReport struct {
 	SLO            sloSection        `json:"slo"`
 	ElapsedSeconds float64           `json:"elapsed_seconds"`
 
-	// FlightBundle is the path of the mprflight/v2 bundle written when
-	// the SLO scorecard failed (empty on passing runs or when -flight is
-	// disabled): the incident evidence that travels with the verdict.
+	// FlightBundle is the path of the mprflight/v2 bundle written next
+	// to a -report file when the SLO scorecard failed (empty otherwise):
+	// the incident evidence that travels with the verdict.
 	FlightBundle string `json:"flight_bundle,omitempty"`
 }
 
@@ -53,18 +55,14 @@ type loadReport struct {
 type configSection struct {
 	Agents          int     `json:"agents"`
 	Connect         string  `json:"connect,omitempty"`
-	Transport       string  `json:"transport"`
 	Mode            string  `json:"mode"`
 	DurationSeconds float64 `json:"duration_seconds"`
 	IntervalSeconds float64 `json:"interval_seconds"`
 	Dist            string  `json:"dist"`
 	Seed            int64   `json:"seed"`
 	Workers         int     `json:"workers"`
-	TargetFrac      float64 `json:"target_frac"`
 	TargetW         float64 `json:"target_w"`
-	Stream          bool    `json:"stream"`
 	Jitter          float64 `json:"jitter"`
-	SampleSeconds   float64 `json:"sample_seconds"`
 	Wire            string  `json:"wire"`
 	Shards          int     `json:"shards"`
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestLoadReportSchema validates an mprload report against the
-// mprload/report/v2 schema: strict decoding (field drift fails the test,
+// mprload/report/v4 schema: strict decoding (field drift fails the test,
 // forcing a schema bump), plus semantic floor checks on the sections CI
 // relies on. By default it generates a fresh report from a tiny
 // in-process run; point MPR_LOAD_JSON at a report file to validate that
@@ -26,15 +26,12 @@ func TestLoadReportSchema(t *testing.T) {
 		}
 	} else {
 		h, err := newHarness(loadConfig{
-			Agents:     16,
-			Transport:  "pipe",
-			Mode:       "closed",
-			Duration:   300 * time.Millisecond,
-			Dist:       "lognormal",
-			Seed:       1,
-			TargetFrac: 0.25,
-			Jitter:     0.1,
-			Sample:     50 * time.Millisecond,
+			Agents:   16,
+			Mode:     "closed",
+			Duration: 300 * time.Millisecond,
+			Dist:     "lognormal",
+			Seed:     1,
+			Jitter:   0.1,
 		})
 		if err != nil {
 			t.Fatal(err)

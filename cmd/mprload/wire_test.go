@@ -11,17 +11,14 @@ import (
 func wireRun(t *testing.T, wire string, shards int) *loadReport {
 	t.Helper()
 	h, err := newHarness(loadConfig{
-		Agents:     32,
-		Transport:  "pipe",
-		Mode:       "closed",
-		Duration:   400 * time.Millisecond,
-		Dist:       "bimodal",
-		Seed:       7,
-		TargetFrac: 0.25,
-		Jitter:     0, // deterministic bids: every market clears at one price
-		Sample:     50 * time.Millisecond,
-		Wire:       wire,
-		Shards:     shards,
+		Agents:   32,
+		Mode:     "closed",
+		Duration: 400 * time.Millisecond,
+		Dist:     "bimodal",
+		Seed:     7,
+		Jitter:   0, // deterministic bids: every market clears at one price
+		Wire:     wire,
+		Shards:   shards,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,6 +141,12 @@ type agentConn struct {
 	// dropped flips exactly once when the connection is closed by either
 	// side; it gates shard writes and double-eviction.
 	dropped atomic.Bool
+	// installed flips when the connection first joins a market's roster.
+	// Every later roster holds it until it drops, so while a market is in
+	// flight a connection not yet installed is one that registered after
+	// the market began: it was never sent a price, and a bid from it
+	// answers nothing.
+	installed atomic.Bool
 
 	// Loop-owned round state (only the owning shard's event loop touches
 	// these): roster index of the in-flight market and consecutive
@@ -435,16 +441,18 @@ func (m *Manager) serve(conn net.Conn) {
 }
 
 // noteBid lands an inbound bid in the agent's one-slot mailbox. Bids for
-// any round but the one in flight are stale and discarded; a second bid
-// within the same round overwrites the first (coalesced); an unclearable
-// bid (e.g. negative Δ) still answers the round — so the shard doesn't
-// wait out the deadline — but is flagged invalid and the agent's previous
-// bid stands.
+// any round but the one in flight, or from a connection outside the
+// market's roster, are discarded; a second bid within the same round
+// overwrites the first (coalesced); an unclearable bid (e.g. negative Δ)
+// still answers the round — so the shard doesn't wait out the deadline —
+// but is flagged invalid and the agent's previous bid stands.
 func (m *Manager) noteBid(a *agentConn, msg Message) {
 	round := int(m.curRound.Load())
-	if round == 0 || msg.Round != round {
-		// Bids must echo the round they answer; anything else is stale
-		// (or fabricated) and is discarded.
+	if round == 0 || msg.Round != round || !a.installed.Load() {
+		// Bids must echo the round they answer, from a member of the
+		// roster that was asked; anything else is stale (or fabricated)
+		// and is discarded — counted as an answer, it would end the
+		// shard's harvest before a real member answered.
 		m.malformed.Inc()
 		return
 	}

@@ -658,6 +658,64 @@ func TestBackpressureCoalescing(t *testing.T) {
 	}
 }
 
+// TestNonMemberBidDoesNotEndHarvest: a connection that registers while a
+// market is in flight is not in its roster, so a bid it sends for the
+// current round must not count as an answer. Counted, it would end the
+// shard's harvest before the real member answered, charging that member
+// a bid timeout and a miss toward eviction.
+func TestNonMemberBidDoesNotEndHarvest(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := pipeManager(t, ManagerConfig{
+		RoundTimeout: 2 * time.Second,
+		MaxRounds:    1,
+		Telemetry:    reg,
+		// One shard holds both connections, so the intruder's bid lands
+		// in the member's harvest.
+		Shards: 1,
+	})
+	_, mc := scriptConn(t, m, WireJSON, Message{Type: MsgHello, JobID: "member", Cores: 64, WattsPerCore: 125, MaxFrac: 0.5})
+	waitAgents(t, m, 1)
+
+	priced := make(chan Message, 1)
+	go func() {
+		msg, err := mc.Recv()
+		if err != nil || msg.Type != MsgPrice {
+			close(priced)
+			return
+		}
+		priced <- msg
+		time.Sleep(300 * time.Millisecond)
+		mc.Send(Message{Type: MsgBid, Round: msg.Round, TraceID: msg.TraceID, Delta: 2, B: 0.25})
+		mc.Recv() // drain the order
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.RunMarket(5000)
+		done <- err
+	}()
+
+	price, ok := <-priced
+	if !ok {
+		t.Fatal("member never saw the round's price")
+	}
+	_, ic := scriptConn(t, m, WireJSON, Message{Type: MsgHello, JobID: "intruder", Cores: 64, WattsPerCore: 125, MaxFrac: 0.5})
+	if err := ic.Send(Message{Type: MsgBid, Round: price.Round, Delta: 1, B: 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counter(MetricBidTimeouts); got != 0 {
+		t.Errorf("%s = %d, want 0: the non-member's bid ended the harvest early", MetricBidTimeouts, got)
+	}
+	st := m.SnapshotState(0)
+	for _, a := range st.Agents {
+		if a.JobID == "member" && (!a.HasBid || a.Delta != 2) {
+			t.Errorf("member's bid was not harvested: %+v", a)
+		}
+	}
+}
+
 // TestSnapshotRestore is the crash test: run a market, snapshot, kill
 // the manager, restore into a fresh one, reconnect the fleet silently,
 // and verify the next clear resumes at the identical price (bit for

@@ -135,6 +135,7 @@ func (s *shard) loop() {
 					a.mb.has = false
 					a.mbMu.Unlock()
 					a.missed = 0
+					a.installed.Store(true)
 				}
 			case cmdRound:
 				s.runRound(cmd)

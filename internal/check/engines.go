@@ -65,7 +65,7 @@ func (g *Gen) SimTrace() *trace.Trace {
 
 // SimConfig draws a full simulator configuration over the generated
 // trace: every algorithm, oversubscription levels that mostly force
-// emergencies, market delays, backfill, participation and bid-factor
+// emergencies, market delays, participation and bid-factor
 // variation, cost errors, power phases, predictive mode, and the dense
 // series samplers — each a distinct code path the differential must
 // pin. RecordJobs is left for the driver to set.
@@ -93,9 +93,6 @@ func (g *Gen) SimConfig() sim.Config {
 	}
 	cfg.MinOverloadSlots = 1 + g.rng.Intn(3)
 	cfg.CooldownSlots = 1 + g.rng.Intn(15)
-	if g.rng.Float64() < 0.30 {
-		cfg.Backfill = true
-	}
 	if g.rng.Float64() < 0.35 {
 		cfg.MarketDelaySlots = 1 + g.rng.Intn(5)
 	}
@@ -113,7 +110,6 @@ func (g *Gen) SimConfig() sim.Config {
 	}
 	if g.rng.Float64() < 0.20 {
 		cfg.PhaseAmp = 0.3 * g.rng.Float64()
-		cfg.PhasePeriodSlots = 2 + g.rng.Intn(120)
 	}
 	if g.rng.Float64() < 0.15 {
 		cfg.Predictive = true

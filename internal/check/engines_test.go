@@ -83,12 +83,12 @@ func fuzzSimTrace(data []byte) (*trace.Trace, bool) {
 func FuzzEngines(f *testing.F) {
 	// Burst of four jobs at slot 0 (immediate overload), then a sparse
 	// straggler after a long gap.
-	f.Add([]byte{0, 100, 7, 0, 120, 8, 0, 90, 6, 0, 80, 5, 250, 60, 3}, int64(1), 15.0, byte(2), false)
-	// Steady trickle with medium strides under MPR-INT and backfill.
-	f.Add([]byte{0, 40, 3, 10, 55, 4, 12, 70, 5, 9, 45, 2, 30, 65, 9}, int64(7), 25.0, byte(1), true)
+	f.Add([]byte{0, 100, 7, 0, 120, 8, 0, 90, 6, 0, 80, 5, 250, 60, 3}, int64(1), 15.0, byte(2))
+	// Steady trickle with medium strides under MPR-INT.
+	f.Add([]byte{0, 40, 3, 10, 55, 4, 12, 70, 5, 9, 45, 2, 30, 65, 9}, int64(7), 25.0, byte(1))
 	// Single wide job, delayed market, EQL.
-	f.Add([]byte{0, 200, 15}, int64(42), 10.0, byte(19), false)
-	f.Fuzz(func(t *testing.T, data []byte, seed int64, oversub float64, knobs byte, backfill bool) {
+	f.Add([]byte{0, 200, 15}, int64(42), 10.0, byte(19))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, oversub float64, knobs byte) {
 		tr, ok := fuzzSimTrace(data)
 		if !ok {
 			t.Skip()
@@ -102,7 +102,6 @@ func FuzzEngines(f *testing.F) {
 			OversubPct:       math.Mod(math.Abs(oversub), 40),
 			Algorithm:        algs[int(knobs)%len(algs)],
 			Seed:             seed,
-			Backfill:         backfill,
 			MarketDelaySlots: int(knobs>>4) % 4,
 			RecordJobs:       true,
 			TraceEvents:      diffTraceEvents,

@@ -209,9 +209,10 @@ func TestMetamorphicBidScaling(t *testing.T) {
 
 // TestInteractiveDeterminism pins the regression surface of the parallel
 // rebid fan-out: ClearInteractive must produce bit-for-bit identical
-// prices, round counts, and allocations regardless of the Workers count
-// (the pool of 600 bidders is above parallelBidFloor, so the parallel
-// path actually runs) and regardless of participant order.
+// prices, round counts, and allocations on every run (the pool of 600
+// bidders is above parallelBidFloor, so the GOMAXPROCS-wide fan-out
+// actually runs; -cpu varies its width) and regardless of participant
+// order.
 func TestInteractiveDeterminism(t *testing.T) {
 	g := NewGen(0xde7e_12)
 	ps, bidders, _ := g.CostPool(600)
@@ -220,7 +221,7 @@ func TestInteractiveDeterminism(t *testing.T) {
 		capW += p.WattsPerCore * p.MaxReduction()
 	}
 	target := 0.4 * capW
-	cfg := core.InteractiveConfig{MaxRounds: 800, Tolerance: 1e-9, Workers: 1}
+	cfg := core.InteractiveConfig{MaxRounds: 800, Tolerance: 1e-9}
 	base, err := core.ClearInteractive(ps, bidders, target, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -228,22 +229,21 @@ func TestInteractiveDeterminism(t *testing.T) {
 	if !base.Converged {
 		t.Fatalf("baseline did not converge in %d rounds", base.Rounds)
 	}
-	for _, workers := range []int{0, 2, 3, 16} {
-		cfg.Workers = workers
+	for run := 1; run <= 3; run++ {
 		r, err := core.ClearInteractive(ps, bidders, target, cfg)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if math.Float64bits(r.Price) != math.Float64bits(base.Price) {
-			t.Errorf("workers=%d: price %v, sequential %v", workers, r.Price, base.Price)
+			t.Errorf("run %d: price %v, first run %v", run, r.Price, base.Price)
 		}
 		if r.Rounds != base.Rounds || r.Converged != base.Converged {
-			t.Errorf("workers=%d: rounds/converged %d/%v, sequential %d/%v",
-				workers, r.Rounds, r.Converged, base.Rounds, base.Converged)
+			t.Errorf("run %d: rounds/converged %d/%v, first run %d/%v",
+				run, r.Rounds, r.Converged, base.Rounds, base.Converged)
 		}
 		for i := range ps {
 			if math.Float64bits(r.Reductions[i]) != math.Float64bits(base.Reductions[i]) {
-				t.Fatalf("workers=%d: reduction[%d] not bit-identical", workers, i)
+				t.Fatalf("run %d: reduction[%d] not bit-identical", run, i)
 			}
 		}
 	}
@@ -259,7 +259,6 @@ func TestInteractiveDeterminism(t *testing.T) {
 		psP[k] = ps[j]
 		bidP[k] = bidders[j]
 	}
-	cfg.Workers = 5
 	rp, err := core.ClearInteractive(psP, bidP, target, cfg)
 	if err != nil {
 		t.Fatal(err)

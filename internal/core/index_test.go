@@ -306,7 +306,8 @@ func TestInteractiveDoesNotMutateBids(t *testing.T) {
 }
 
 // The parallel rebid fan-out must be bit-identical to the sequential
-// path: same price, rounds, and reductions.
+// path: same price, rounds, and reductions. ClearInteractive fans out at
+// GOMAXPROCS; the reference loop pins the other widths.
 func TestInteractiveParallelMatchesSequential(t *testing.T) {
 	apps := []string{"XSBench", "RSBench", "SimpleMOC", "CoMD", "HPCCG", "SWFFT", "miniMD", "miniFE"}
 	names := make([]string, parallelBidFloor+32)
@@ -316,7 +317,14 @@ func TestInteractiveParallelMatchesSequential(t *testing.T) {
 	target := float64(len(names)) * 8 * 125 * 0.3
 	run := func(workers int) *ClearingResult {
 		ps, bs := interactiveSetup(t, names, 8)
-		res, err := ClearInteractive(ps, bs, target, InteractiveConfig{Workers: workers})
+		if workers == 0 {
+			res, err := ClearInteractive(ps, bs, target, InteractiveConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		res, _, err := referenceInteractive(ps, bs, target, InteractiveConfig{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

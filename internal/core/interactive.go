@@ -117,10 +117,6 @@ type InteractiveConfig struct {
 	// Tolerance is the relative price change below which the market is
 	// considered converged (Nash equilibrium reached). Default 1e-6.
 	Tolerance float64
-	// Workers bounds the parallel RespondBid fan-out per round: 0 uses
-	// GOMAXPROCS, 1 forces sequential bidding. Results are written by
-	// bidder index, so the outcome is bit-identical to sequential.
-	Workers int
 	// Trace, when set, receives one "market_round" event per manager↔user
 	// exchange (round number, announced price, cleared price, aggregate
 	// supply), stamped with the handle's run ID — the convergence
@@ -252,10 +248,10 @@ func (c *bestResponses) respond(b Bidder, price float64) Bid {
 //
 // ps[i].Bid seeds the market's index and must be valid; bidders[i]
 // replaces it from round 1 on, in Iterate's working set, so the caller's
-// participants are never mutated. Rebidding fans out across cfg.Workers
-// goroutines (bit-identical to sequential). The returned result's Rounds
-// counts the exchanges and Converged reports whether the price stabilized
-// within the budget.
+// participants are never mutated. Rebidding fans out across GOMAXPROCS
+// goroutines once the pool reaches parallelBidFloor (bit-identical to
+// sequential). The returned result's Rounds counts the exchanges and
+// Converged reports whether the price stabilized within the budget.
 func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg InteractiveConfig) (*ClearingResult, error) {
 	if len(ps) != len(bidders) {
 		return nil, fmt.Errorf("core: %d participants but %d bidders", len(ps), len(bidders))
@@ -264,7 +260,7 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 	return Iterate(ps, targetW, cfg.MaxRounds, cfg.Tolerance, cfg.Span, cfg.Trace.Emit,
 		func(_ int, q float64, bids []Bid, span *telemetry.ActiveSpan) error {
 			bidSpan := span.StartChild("respond_bids")
-			respondBids(bidders, q, bids, cfg.Workers)
+			respondBids(bidders, q, bids, 0)
 			bidSpan.End()
 			return nil
 		})

@@ -18,8 +18,9 @@ type oracleRound struct{ announced, cleared, supplied float64 }
 // referenceInteractive is ClearInteractive's loop as it stood before
 // Iterate took it over — working copies of the participants, and an index
 // built from round 1's bids rather than from ps's — kept as the oracle
-// Iterate must match bit for bit, round by round.
-func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg InteractiveConfig) (*ClearingResult, []oracleRound, error) {
+// Iterate must match bit for bit, round by round. Its rebids fan out
+// across exactly workers goroutines.
+func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg InteractiveConfig, workers int) (*ClearingResult, []oracleRound, error) {
 	cfg.normalize()
 	work := make([]Participant, len(ps))
 	workPtrs := make([]*Participant, len(ps))
@@ -33,7 +34,7 @@ func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, 
 	var trail []oracleRound
 	res := &ClearingResult{}
 	for round := 1; round <= cfg.MaxRounds; round++ {
-		respondBids(bidders, q, bids, cfg.Workers)
+		respondBids(bidders, q, bids, workers)
 		if ix == nil {
 			for i := range workPtrs {
 				workPtrs[i].Bid = bids[i]
@@ -94,17 +95,21 @@ func iteratePool(rng *rand.Rand, n int, kind string) ([]*Participant, []Bidder, 
 // TestIterateMatchesReferenceLoop: ClearInteractive on Iterate announces
 // and clears every round at the reference loop's prices and ends on its
 // reductions, bit for bit — rational, static and mixed pools, feasible and
-// infeasible targets, a round budget that runs out, and one and several
-// rebid workers on a pool large enough to fan out.
+// infeasible targets, a round budget that runs out, and a reference with
+// one and with several rebid workers on a pool large enough to fan out.
 func TestIterateMatchesReferenceLoop(t *testing.T) {
 	exhausted := 0
 	for _, kind := range []string{"rational", "static", "mixed"} {
 		for _, n := range []int{60, parallelBidFloor + 40} {
 			for _, frac := range []float64{0.3, 1.5} {
-				for _, cfg := range []InteractiveConfig{{Workers: 1}, {Workers: 3}, {Workers: 1, MaxRounds: 3, Tolerance: 1e-12}} {
-					name := fmt.Sprintf("%s/n=%d/frac=%v/workers=%d/max=%d", kind, n, frac, cfg.Workers, cfg.MaxRounds)
+				for _, c := range []struct {
+					cfg     InteractiveConfig
+					workers int
+				}{{InteractiveConfig{}, 1}, {InteractiveConfig{}, 3}, {InteractiveConfig{MaxRounds: 3, Tolerance: 1e-12}, 1}} {
+					cfg := c.cfg
+					name := fmt.Sprintf("%s/n=%d/frac=%v/workers=%d/max=%d", kind, n, frac, c.workers, cfg.MaxRounds)
 					ps, bs, maxW := iteratePool(rand.New(rand.NewSource(int64(n))), n, kind)
-					want, trail, err := referenceInteractive(ps, bs, frac*maxW, cfg)
+					want, trail, err := referenceInteractive(ps, bs, frac*maxW, cfg, c.workers)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -9,10 +9,8 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"math"
 
-	"mpr/internal/core"
 	"mpr/internal/perf"
 	"mpr/internal/power"
 	"mpr/internal/telemetry"
@@ -37,6 +35,9 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{AlgOPT, AlgEQL, AlgMPRStat, AlgMPRInt}
 }
+
+// phasePeriodSlots is the period of PhaseAmp's power phases: 90 minutes.
+const phasePeriodSlots = 90
 
 // Config parameterizes one simulation run.
 type Config struct {
@@ -84,10 +85,6 @@ type Config struct {
 	MinOverloadSlots int
 	CooldownSlots    int
 	BufferFrac       float64
-	// Interactive tunes the MPR-INT loop.
-	Interactive core.InteractiveConfig
-	// Backfill enables EASY backfill in the admission scheduler.
-	Backfill bool
 	// MarketDelaySlots delays the reduction taking effect after an
 	// emergency is declared — modeling MPR-INT's communication rounds
 	// (the paper charges 500 ms per round; a 30-round market is half a
@@ -103,13 +100,11 @@ type Config struct {
 	// MarketDelaySlots+2).
 	PredictHorizonSlots int
 	// PhaseAmp adds per-job power phases: each job's dynamic power is
-	// modulated by ±PhaseAmp sinusoidally with a random offset — the
-	// phase behaviour that makes proactive power-aware scheduling hard
-	// and that MPR's reactive design sidesteps (Section I). Zero
-	// disables phases.
+	// modulated by ±PhaseAmp sinusoidally over phasePeriodSlots with a
+	// random offset — the phase behaviour that makes proactive
+	// power-aware scheduling hard and that MPR's reactive design
+	// sidesteps (Section I). Zero disables phases.
 	PhaseAmp float64
-	// PhasePeriodSlots is the phase period (default 90 minutes).
-	PhasePeriodSlots int
 	// SampleSeries enables the per-slot time-series sampler: the run
 	// records cluster power, overload depth, clearing price, reduction
 	// target/cleared/unmet, active-bidder count, and emergency state into
@@ -126,8 +121,8 @@ type Config struct {
 	// Result.TraceEvents) and its span ring (Result.Spans), each at least
 	// 16. Zero, the default, retains neither: callers keep Results (the
 	// experiments' cache, the benchmark's laps) and no production caller
-	// reads the window, so a run without TraceEvents or TraceSink builds
-	// no tracer at all. Negative is an error.
+	// reads the window, so a run without TraceEvents builds no tracer at
+	// all. Negative is an error.
 	TraceEvents int
 	// Telemetry, when set, receives the run's metrics: market
 	// invocations, infeasible clears, the MPR-INT rounds-to-convergence
@@ -136,10 +131,6 @@ type Config struct {
 	// (power's). Nil, the default, records none. Runs may share a
 	// registry; their counts then add up.
 	Telemetry *telemetry.Registry
-	// TraceSink, when set, receives every telemetry event as one JSON
-	// line — the offline-analysis feed for convergence and emergency
-	// studies. It sees the whole run whatever TraceEvents retains.
-	TraceSink io.Writer
 	// RecordJobs records every job's timeline (submit/start/end slots,
 	// completion, affectedness, final remaining work) into Result.Jobs —
 	// the per-job pinning surface of the Run-vs-RunFixedStep differential
@@ -227,12 +218,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.PhaseAmp < 0 || c.PhaseAmp > 0.5 {
 		return fmt.Errorf("sim: phase amplitude must be in [0, 0.5], got %v", c.PhaseAmp)
-	}
-	if c.PhasePeriodSlots == 0 {
-		c.PhasePeriodSlots = 90
-	}
-	if c.PhasePeriodSlots < 2 {
-		return fmt.Errorf("sim: phase period must be at least 2 slots, got %d", c.PhasePeriodSlots)
 	}
 	if c.TraceEvents < 0 {
 		return fmt.Errorf("sim: trace event window must be non-negative, got %d", c.TraceEvents)

@@ -77,8 +77,8 @@ func TestResultDigest(t *testing.T) {
 		"opt":           "3940142d4f49c89a",
 		"eql":           "1016eac35de70c47",
 		"none":          "1edbe2585611c0a9",
-		"delay":         "b4699a153e5b0f62",
-		"phases":        "b61bc1562fc355be",
+		"delay":         "a227ed5ece894aa3",
+		"phases":        "041428c865e9a87f",
 		"participation": "c780076c124c46b4",
 		"cost-error":    "7cf1a00946da23fa",
 		"predictive":    "62647d16856470af",
@@ -92,8 +92,8 @@ func TestResultDigest(t *testing.T) {
 		{"opt", Config{Algorithm: AlgOPT}},
 		{"eql", Config{Algorithm: AlgEQL}},
 		{"none", Config{Algorithm: AlgNone}},
-		{"delay", Config{Algorithm: AlgMPRStat, MarketDelaySlots: 3, Backfill: true}},
-		{"phases", Config{Algorithm: AlgMPRStat, PhaseAmp: 0.1, PhasePeriodSlots: 45}},
+		{"delay", Config{Algorithm: AlgMPRStat, MarketDelaySlots: 3}},
+		{"phases", Config{Algorithm: AlgMPRStat, PhaseAmp: 0.1}},
 		{"participation", Config{Algorithm: AlgMPRInt, Participation: 0.6}},
 		{"cost-error", Config{Algorithm: AlgMPRStat, CostErrorRand: 0.2}},
 		{"predictive", Config{Algorithm: AlgMPRStat, Predictive: true, MarketDelaySlots: 2}},

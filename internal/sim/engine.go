@@ -227,18 +227,15 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Per-run observability: the caller's registry, if any, and an event
-	// tracer only when the run asks for a retained window or a sink.
-	// Without them every metric, span and event below is a nil-handle
-	// no-op. The power controller registers its gauges/histograms in the
+	// tracer only when the run asks for a retained window. Without them
+	// every metric, span and event below is a nil-handle no-op. The power controller registers its gauges/histograms in the
 	// same registry.
 	var tracer *telemetry.Tracer
-	if cfg.TraceEvents > 0 || cfg.TraceSink != nil {
+	if cfg.TraceEvents > 0 {
 		tracer = telemetry.NewTracer(cfg.TraceEvents)
-		tracer.SetSink(cfg.TraceSink)
 	}
 	runTrace := tracer.StartTrace(string(cfg.Algorithm))
 	sm := newSimMetrics(cfg.Telemetry)
-	cfg.Interactive.Trace = runTrace
 
 	// Per-slot series sampling (SampleSeries): handles resolve once here;
 	// over a nil store they are all Nop, so the disabled path costs only
@@ -266,7 +263,7 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheduler, err := sched.New(cfg.Trace.TotalCores, cfg.Backfill)
+	scheduler, err := sched.New(cfg.Trace.TotalCores, false)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +410,7 @@ func (st *engineState) step(slot int) error {
 	var demandW, deliveredW float64
 	if cfg.PhaseAmp > 0 {
 		// Per-job power phases modulate the dynamic component.
-		omega := 2 * math.Pi / float64(cfg.PhasePeriodSlots)
+		omega := 2 * math.Pi / phasePeriodSlots
 		for _, j := range st.active {
 			factor := 1 + cfg.PhaseAmp*math.Sin(omega*float64(slot)+j.phaseOffset)
 			static := float64(j.cores) * j.power.StaticW
@@ -504,7 +501,7 @@ func (st *engineState) step(slot int) error {
 			// the "mpr_span" pprof label so CPU profiles attribute
 			// clearing work to the market (not the slot loop).
 			mkSpan := st.emSpan.StartChild("market")
-			cfg.Interactive.Span = mkSpan
+			ic := core.InteractiveConfig{Trace: st.runTrace, Span: mkSpan}
 			var (
 				rounds     int
 				clearPrice float64
@@ -512,9 +509,8 @@ func (st *engineState) step(slot int) error {
 				merr       error
 			)
 			telemetry.WithPprofLabels("market", func() {
-				rounds, clearPrice, feasible, merr = computeReduction(cfg, st.active, d.TargetW, &st.scratch)
+				rounds, clearPrice, feasible, merr = computeReduction(cfg, ic, st.active, d.TargetW, &st.scratch)
 			})
-			cfg.Interactive.Span = nil
 			if merr != nil {
 				return merr
 			}
@@ -838,8 +834,8 @@ type marketScratch struct {
 // jobs and leaves the per-job target allocations in s.sel/s.allocs
 // (parallel slices, valid until the next invocation). Returns the
 // interactive round count (1 for one-shot algorithms), the clearing
-// price (0 for OPT/EQL), and feasibility.
-func computeReduction(cfg *Config, active []*simJob, targetW float64, s *marketScratch) (rounds int, price float64, feasible bool, err error) {
+// price (0 for OPT/EQL), and feasibility. ic is MPR-INT's trace and span.
+func computeReduction(cfg *Config, ic core.InteractiveConfig, active []*simJob, targetW float64, s *marketScratch) (rounds int, price float64, feasible bool, err error) {
 	marketAlgo := cfg.Algorithm == AlgMPRStat || cfg.Algorithm == AlgMPRInt
 
 	s.parts = s.parts[:0]
@@ -873,7 +869,7 @@ func computeReduction(cfg *Config, active []*simJob, targetW float64, s *marketS
 		}
 		reductions, price, feasible, rounds = s.res.Reductions, s.res.Price, s.res.Feasible, s.res.Rounds
 	case AlgMPRInt:
-		r, cerr := core.ClearInteractive(s.parts, s.bidders, targetW, cfg.Interactive)
+		r, cerr := core.ClearInteractive(s.parts, s.bidders, targetW, ic)
 		if cerr != nil {
 			return 0, 0, false, cerr
 		}

@@ -117,9 +117,6 @@ func TestPhaseValidation(t *testing.T) {
 	if _, err := Run(Config{Trace: tr, PhaseAmp: 0.9}); err == nil {
 		t.Error("excessive phase amplitude accepted")
 	}
-	if _, err := Run(Config{Trace: tr, PhaseAmp: 0.1, PhasePeriodSlots: 1}); err == nil {
-		t.Error("degenerate phase period accepted")
-	}
 }
 
 // Emergencies halt admissions; queue waits must grow with

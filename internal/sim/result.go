@@ -116,8 +116,7 @@ type Result struct {
 	// TraceEvents is the run's retained telemetry event window
 	// (chronological): emergency declare/raise/lift, per-invocation
 	// market clears, and MPR-INT per-round price trajectories. Nil unless
-	// Config.TraceEvents is positive; it caps how many are kept (a
-	// Config.TraceSink sees them all).
+	// Config.TraceEvents is positive; it caps how many are kept.
 	TraceEvents []telemetry.Event
 }
 

@@ -122,16 +122,14 @@ func TestRunSampleSeries(t *testing.T) {
 }
 
 // TestRunSampleSeriesExportDeterministic is the engine-level bit-identity
-// contract: two identical runs export byte-identical JSONL, including
-// with different MPR-INT worker counts (the fan-out writes by index).
+// contract: two identical runs export byte-identical JSONL.
 func TestRunSampleSeriesExportDeterministic(t *testing.T) {
 	tr := testTrace(t, 3)
-	export := func(workers int) []byte {
+	export := func() []byte {
 		cfg := Config{
 			Trace: tr, OversubPct: 15, Algorithm: AlgMPRInt, Seed: 7,
 			SampleSeries: true, SeriesCapacity: 1 << 16,
 		}
-		cfg.Interactive.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -142,14 +140,12 @@ func TestRunSampleSeriesExportDeterministic(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	base := export(1)
+	base := export()
 	if len(base) == 0 {
 		t.Fatal("empty export")
 	}
-	for _, workers := range []int{4, 16} {
-		if !bytes.Equal(base, export(workers)) {
-			t.Fatalf("series export differs at %d workers", workers)
-		}
+	if !bytes.Equal(base, export()) {
+		t.Fatal("series export differs between identical runs")
 	}
 }
 

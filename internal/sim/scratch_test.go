@@ -42,11 +42,11 @@ func scratchFixture(t testing.TB, algo Algorithm) (*Config, []*simJob, float64) 
 func TestMarketInvocationSteadyZeroAlloc(t *testing.T) {
 	cfg, jobs, target := scratchFixture(t, AlgMPRStat)
 	var s marketScratch
-	if _, _, _, err := computeReduction(cfg, jobs, target, &s); err != nil {
+	if _, _, _, err := computeReduction(cfg, core.InteractiveConfig{}, jobs, target, &s); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := computeReduction(cfg, jobs, target, &s); err != nil {
+		if _, _, _, err := computeReduction(cfg, core.InteractiveConfig{}, jobs, target, &s); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -201,7 +201,7 @@ func TestStaticBidsOnDemand(t *testing.T) {
 func TestComputeReductionMatchesClear(t *testing.T) {
 	cfg, jobs, target := scratchFixture(t, AlgMPRStat)
 	var s marketScratch
-	rounds, price, feasible, err := computeReduction(cfg, jobs, target, &s)
+	rounds, price, feasible, err := computeReduction(cfg, core.InteractiveConfig{}, jobs, target, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +238,13 @@ func TestComputeReductionMatchesClear(t *testing.T) {
 func BenchmarkMarketInvocationSteady(b *testing.B) {
 	cfg, jobs, target := scratchFixture(b, AlgMPRStat)
 	var s marketScratch
-	if _, _, _, err := computeReduction(cfg, jobs, target, &s); err != nil {
+	if _, _, _, err := computeReduction(cfg, core.InteractiveConfig{}, jobs, target, &s); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := computeReduction(cfg, jobs, target, &s); err != nil {
+		if _, _, _, err := computeReduction(cfg, core.InteractiveConfig{}, jobs, target, &s); err != nil {
 			b.Fatal(err)
 		}
 	}

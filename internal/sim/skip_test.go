@@ -77,7 +77,7 @@ func runBoth(t *testing.T, cfg Config) (fixed, skip *Result) {
 
 // TestEngineEventMatchesSlot pins Run against the fixed-step reference
 // over the regimes that decide which slots are skipped: markets with and
-// without delay, backfill, predictive admission, power phases, the
+// without delay, predictive admission, power phases, the
 // no-algorithm baseline, and arrivals out of trace order.
 func TestEngineEventMatchesSlot(t *testing.T) {
 	tr := testTrace(t, 3)
@@ -103,12 +103,12 @@ func TestEngineEventMatchesSlot(t *testing.T) {
 		{name: "mpr-int", cfg: Config{Trace: tr, OversubPct: 12, Algorithm: AlgMPRInt, Seed: 11}},
 		{name: "none", cfg: Config{Trace: tr, OversubPct: 15, Algorithm: AlgNone, Seed: 7}},
 		{name: "eql", cfg: Config{Trace: tr, OversubPct: 18, Algorithm: AlgEQL, Seed: 5}},
-		{name: "delay-backfill", cfg: Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7,
-			MarketDelaySlots: 3, Backfill: true}},
+		{name: "delay", cfg: Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7,
+			MarketDelaySlots: 3}},
 		{name: "predictive", cfg: Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7,
 			Predictive: true, MarketDelaySlots: 2}},
 		{name: "phases", cfg: Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7,
-			PhaseAmp: 0.1, PhasePeriodSlots: 45}},
+			PhaseAmp: 0.1}},
 		{name: "participation", cfg: Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 9,
 			Participation: 0.6, StatBidFactor: 1.4, CostErrorRand: 0.2}},
 		{name: "waits", cfg: Config{Trace: waits, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7},

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -104,43 +102,10 @@ func TestResultTraceEvents(t *testing.T) {
 	}
 }
 
-// TestTraceSinkJSONL streams a run's events to a sink and re-parses them.
-func TestTraceSinkJSONL(t *testing.T) {
-	tr := testTrace(t, 3)
-	var sink strings.Builder
-	res, err := Run(Config{
-		Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 7,
-		TraceEvents: 64, TraceSink: &sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MarketInvocations == 0 {
-		t.Fatal("no market invocations")
-	}
-	sc := bufio.NewScanner(strings.NewReader(sink.String()))
-	clears := 0
-	for sc.Scan() {
-		var e telemetry.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		if e.Name == "market_clear" {
-			clears++
-		}
-	}
-	// The sink sees every event, unconstrained by the ring cap.
-	if clears != res.MarketInvocations {
-		t.Fatalf("sink saw %d market_clear events, result has %d invocations",
-			clears, res.MarketInvocations)
-	}
-}
-
 // TestDefaultRunKeepsNoTrace pins tracing as opt-in: a Result keeps no
-// span or event window unless Config.TraceEvents asks for one, a
-// TraceSink alone still streams every event the run emits, and a default
-// Result of the sparse shape stays small enough that callers can keep
-// thousands of them.
+// span or event window unless Config.TraceEvents asks for one, and a
+// default Result of the sparse shape stays small enough that callers can
+// keep thousands of them.
 func TestDefaultRunKeepsNoTrace(t *testing.T) {
 	tr := testTrace(t, 3)
 	cfg := Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRInt, Seed: 7}
@@ -166,32 +131,6 @@ func TestDefaultRunKeepsNoTrace(t *testing.T) {
 	all := run(full).TraceEvents
 	if len(all) == 0 || len(all) == full.TraceEvents {
 		t.Fatalf("a %d-event window kept %d events, want the whole run", full.TraceEvents, len(all))
-	}
-	var sink strings.Builder
-	streamed := cfg
-	streamed.TraceSink = &sink
-	res := run(streamed)
-	if res.Spans != nil || res.TraceEvents != nil {
-		t.Fatalf("sink-only run retained %d spans and %d events, want none", len(res.Spans), len(res.TraceEvents))
-	}
-	sc := bufio.NewScanner(strings.NewReader(sink.String()))
-	n := 0
-	for ; sc.Scan(); n++ {
-		var e telemetry.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		if n >= len(all) {
-			continue
-		}
-		want := all[n]
-		e.TimeNS, want.TimeNS = 0, 0 // wall clock, stamped by Emit
-		if e != want {
-			t.Fatalf("streamed event %d = %+v, retained run has %+v", n, e, want)
-		}
-	}
-	if n != len(all) {
-		t.Fatalf("sink saw %d events, the retained run %d", n, len(all))
 	}
 
 	// Retained bytes per default Result of the sparse shape, averaged over

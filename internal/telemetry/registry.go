@@ -2,7 +2,7 @@
 // allocation-conscious metrics registry (atomic counters and gauges,
 // labeled counter families, and the lock-striped log-bucketed histograms
 // of the hdr subpackage) plus a structured event tracer (ring-buffered
-// Event records with per-run Trace handles and an optional JSONL sink).
+// Event records with per-run Trace handles).
 //
 // There is no process-global registry: a library records only into a
 // registry or tracer its caller hands it. Two consumption paths are

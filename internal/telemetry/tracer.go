@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -10,7 +8,7 @@ import (
 // Event is one structured trace record. The schema is a fixed flat struct
 // rather than a field map so emitting into the ring allocates nothing;
 // producers fill the fields that apply and leave the rest zero (omitted
-// from the JSONL encoding).
+// from the JSON encoding).
 type Event struct {
 	// Seq is the tracer-assigned sequence number (monotonic per tracer).
 	Seq uint64 `json:"seq"`
@@ -39,13 +37,11 @@ type Event struct {
 
 // Tracer is a fixed-capacity ring buffer of Events. When the ring is
 // full the oldest events are overwritten; Events and Last always return
-// the surviving window in chronological order. An optional sink receives
-// every event as one JSON line for offline analysis (the sink path
-// allocates; the ring path does not). A nil *Tracer is the Nop tracer.
+// the surviving window in chronological order, and emitting allocates
+// nothing. A nil *Tracer is the Nop tracer.
 type Tracer struct {
 	mu     sync.Mutex
 	events Ring[Event]
-	enc    *json.Encoder
 
 	// Hierarchical spans (see span.go) share the tracer but keep their
 	// own ring — span lifecycles are much longer than event emissions
@@ -66,21 +62,6 @@ func NewTracer(size int) *Tracer {
 	return &Tracer{events: NewRing[Event](size), spans: NewRing[Span](size)}
 }
 
-// SetSink attaches a JSONL sink receiving every subsequent event.
-// No-op on a nil tracer.
-func (t *Tracer) SetSink(w io.Writer) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if w != nil {
-		t.enc = json.NewEncoder(w)
-	} else {
-		t.enc = nil
-	}
-}
-
 // Emit records one event, assigning its sequence number and (when unset)
 // its wall-clock timestamp. No-op on a nil tracer.
 func (t *Tracer) Emit(e Event) {
@@ -93,12 +74,7 @@ func (t *Tracer) Emit(e Event) {
 		e.TimeNS = time.Now().UnixNano()
 	}
 	t.events.Push(e)
-	enc := t.enc
 	t.mu.Unlock()
-	if enc != nil {
-		// Best-effort: a broken sink must not take the market down.
-		_ = enc.Encode(e)
-	}
 }
 
 // Dropped returns how many events the ring has overwritten — the

@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -12,7 +10,6 @@ import (
 func TestNilTracerIsNop(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{Name: "x"})
-	tr.SetSink(&strings.Builder{})
 	if tr.Len() != 0 || tr.Events() != nil || tr.Last(5) != nil {
 		t.Fatal("nil tracer must be empty")
 	}
@@ -83,42 +80,6 @@ func TestTraceHandleStampsID(t *testing.T) {
 	evs := tr.Events()
 	if len(evs) != 1 || evs[0].Trace != "mpr-int" {
 		t.Fatalf("trace not stamped: %+v", evs)
-	}
-}
-
-func TestTracerJSONLSink(t *testing.T) {
-	tr := NewTracer(16)
-	var sink strings.Builder
-	tr.SetSink(&sink)
-	tr.Emit(Event{Name: "market_clear", Slot: 3, Price: 1.25, TargetW: 100, Label: "feasible"})
-	tr.Emit(Event{Name: "emergency_lift", Slot: 9})
-	sc := bufio.NewScanner(strings.NewReader(sink.String()))
-	var lines []Event
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, e)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("sink lines = %d, want 2", len(lines))
-	}
-	if lines[0].Name != "market_clear" || lines[0].Price != 1.25 || lines[0].Label != "feasible" {
-		t.Fatalf("line 0 = %+v", lines[0])
-	}
-	if lines[1].Name != "emergency_lift" || lines[1].Slot != 9 {
-		t.Fatalf("line 1 = %+v", lines[1])
-	}
-	// Detaching the sink stops the stream but not the ring.
-	tr.SetSink(nil)
-	before := sink.Len()
-	tr.Emit(Event{Name: "after"})
-	if sink.Len() != before {
-		t.Fatal("detached sink still receiving events")
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("ring len = %d, want 3", tr.Len())
 	}
 }
 

@@ -37,8 +37,8 @@ func RealClock() Clock { return realClock{} }
 // TickerSampler drives a wall-clock sampling loop: Sample fires every
 // Interval, and when the context is cancelled the loop drains — one
 // final Sample followed by exactly one Flush — before returning. This is
-// the shutdown contract mprd relies on so SIGINT/SIGTERM cannot cut a
-// series or trace sink off mid-write.
+// the shutdown contract mprd relies on: SIGINT/SIGTERM still land a last
+// sample in the store before the exit flight bundle is cut.
 type TickerSampler struct {
 	// Interval between samples (default 1 s when non-positive).
 	Interval time.Duration
