@@ -143,8 +143,7 @@ func (o *obs) startSampler() {
 	o.cancel = cancel
 	o.done = make(chan struct{})
 	go func() {
-		// Run fails only in a Flush, and obs sets none.
-		_ = o.sampler.Run(ctx)
+		o.sampler.Run(ctx)
 		close(o.done)
 	}()
 }

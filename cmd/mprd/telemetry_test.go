@@ -26,11 +26,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestObsShutdownDrainsAndFlushes is the shutdown-drain contract: on
+// TestObsShutdownDrains is the shutdown-drain contract: on
 // cancellation the sampler takes one final sample, and only then is the
 // exit flight bundle cut — exactly once, carrying that sample and the
 // trace ring.
-func TestObsShutdownDrainsAndFlushes(t *testing.T) {
+func TestObsShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
 	clock := tsdb.NewFakeClock(time.Unix(1000, 0))
 	o, err := newObs(obsConfig{

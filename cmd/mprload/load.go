@@ -404,8 +404,8 @@ func (h *harness) run() (*loadReport, error) {
 		Sample:   h.sample,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	samplerDone := make(chan error, 1)
-	go func() { samplerDone <- h.sampler.Run(ctx) }()
+	samplerDone := make(chan struct{})
+	go func() { h.sampler.Run(ctx); close(samplerDone) }()
 
 	var mk marketsSection
 	deadline := start.Add(h.cfg.Duration)

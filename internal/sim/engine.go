@@ -757,13 +757,10 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 // before. With a per-job cost error (CostErrorRand) no two models are
 // equal and every job is solved, as it would be without coop.
 //
-// Keeping the solved models for the whole run is ROADMAP's "run-scoped
-// memo" item and is still deferred; do not add it here. Measured on the
-// sparse benchmark shape it takes 190 solves to 8 and sim_slots_per_s
-// from 8.4e9 to 2.7e10 (3.2×), but the benchmark keeps every lap's
-// Result, so the sparse bundle's peak_rss_mb went 144 → 171 MB, 28 %
-// over the 134 MB before the solve walked its bisection once, past the
-// 15 % bound: it waits for the benchmark to keep only the last lap.
+// coop keeps nothing for the whole run, and should not: every profile's
+// cost has a closed form (EE(δ) = s·δ/(1 − δ)), so the cooperative bid
+// is a formula of a few ns that would replace the sampled solve and coop
+// with it, leaving a run-wide memo nothing to save.
 func deriveStaticBids(cfg *Config, active []*simJob, coop *core.CooperativeBids) (derived, solves int) {
 	coop.Reset()
 	for _, j := range active {

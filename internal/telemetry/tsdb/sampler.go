@@ -36,27 +36,24 @@ func RealClock() Clock { return realClock{} }
 
 // TickerSampler drives a wall-clock sampling loop: Sample fires every
 // Interval, and when the context is cancelled the loop drains — one
-// final Sample followed by exactly one Flush — before returning. This is
-// the shutdown contract mprd relies on: SIGINT/SIGTERM still land a last
-// sample in the store before the exit flight bundle is cut.
+// final Sample — before returning. This is the shutdown contract mprd
+// relies on: SIGINT/SIGTERM still land a last sample in the store before
+// the exit flight bundle is cut.
 type TickerSampler struct {
 	// Interval between samples (default 1 s when non-positive).
 	Interval time.Duration
 	// Sample records one observation round (e.g. appending gauges into
 	// store series). Called from the loop goroutine only.
 	Sample func(now time.Time)
-	// Flush, when set, is called exactly once after the final sample
-	// (e.g. flushing buffered JSONL sinks). Its error is returned by Run.
-	Flush func() error
 	// Clock defaults to the real wall clock; tests inject a FakeClock.
 	Clock Clock
 
 	lastNS atomic.Int64
 }
 
-// Run samples until ctx is cancelled, then drains and flushes. It blocks;
-// callers run it in a goroutine and wait on its return for shutdown.
-func (s *TickerSampler) Run(ctx context.Context) error {
+// Run samples until ctx is cancelled, then drains. It blocks; callers
+// run it in a goroutine and wait on its return for shutdown.
+func (s *TickerSampler) Run(ctx context.Context) {
 	clock := s.Clock
 	if clock == nil {
 		clock = RealClock()
@@ -76,13 +73,9 @@ func (s *TickerSampler) Run(ctx context.Context) error {
 		case now := <-tick.C():
 			s.sample(now)
 		case <-ctx.Done():
-			// Drain: one final sample so the window ends at shutdown
-			// time, then flush the sinks exactly once.
+			// Drain: one final sample so the window ends at shutdown time.
 			s.sample(clock.Now())
-			if s.Flush != nil {
-				return s.Flush()
-			}
-			return nil
+			return
 		}
 	}
 }

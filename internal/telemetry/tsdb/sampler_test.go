@@ -2,46 +2,34 @@ package tsdb
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestTickerSamplerDrainAndFlush is the shutdown contract: cancelling
-// the context produces exactly one final sample followed by exactly one
-// flush, and Run returns the flush error.
-func TestTickerSamplerDrainAndFlush(t *testing.T) {
+// TestTickerSamplerDrain is the shutdown contract: cancelling the
+// context produces exactly one final sample before Run returns.
+func TestTickerSamplerDrain(t *testing.T) {
 	clock := NewFakeClock(time.Unix(1000, 0))
-	var samples, flushes atomic.Int64
-	flushErr := errors.New("sink failed")
+	var samples atomic.Int64
 	s := &TickerSampler{
 		Interval: time.Second,
 		Clock:    clock,
 		Sample:   func(time.Time) { samples.Add(1) },
-		Flush:    func() error { flushes.Add(1); return flushErr },
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
+	done := make(chan struct{})
+	go func() { s.Run(ctx); close(done) }()
 
 	// Wait for the immediate startup sample, then advance 3 ticks.
 	waitFor(t, func() bool { return samples.Load() == 1 })
 	clock.Advance(3 * time.Second)
 	waitFor(t, func() bool { return samples.Load() == 4 })
-	if flushes.Load() != 0 {
-		t.Fatal("flushed before shutdown")
-	}
 
 	cancel()
-	if err := <-done; err != flushErr {
-		t.Fatalf("Run returned %v, want the flush error", err)
-	}
+	<-done
 	if got := samples.Load(); got != 5 {
 		t.Fatalf("samples = %d, want 5 (start + 3 ticks + drain)", got)
-	}
-	if flushes.Load() != 1 {
-		t.Fatalf("flushes = %d, want exactly 1", flushes.Load())
 	}
 }
 
@@ -53,15 +41,13 @@ func TestTickerSamplerLastSampleAge(t *testing.T) {
 		t.Fatalf("age before any sample = %v, want negative", age)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
+	done := make(chan struct{})
+	go func() { s.Run(ctx); close(done) }()
 	waitFor(t, func() bool { return s.LastSampleAge(clock.Now()) == 0 })
 	clock.Advance(1500 * time.Millisecond) // tick at +1s, now +1.5s
 	waitFor(t, func() bool { return s.LastSampleAge(clock.Now()) == 500*time.Millisecond })
 	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	<-done
 	if age := s.LastSampleAge(clock.Now()); age != 0 {
 		t.Fatalf("age after drain = %v, want 0", age)
 	}
@@ -79,15 +65,13 @@ func TestTickerSamplerRecordsIntoStore(t *testing.T) {
 		Sample:   func(now time.Time) { evictions.Append(now.UnixNano(), 0) },
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
+	done := make(chan struct{})
+	go func() { s.Run(ctx); close(done) }()
 	waitFor(t, func() bool { return int(evictions.Total()) == 1 })
 	clock.Advance(5 * time.Second)
 	waitFor(t, func() bool { return int(evictions.Total()) == 6 })
 	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	<-done
 	if int(evictions.Total()) != 7 { // start + 5 ticks + drain
 		t.Fatalf("samples = %d, want 7", int(evictions.Total()))
 	}

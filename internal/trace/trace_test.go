@@ -143,6 +143,7 @@ func TestParseSWFMalformed(t *testing.T) {
 		{"negative runtime", "1 0 0 -7 4\n" + good, 0, 1, 1},
 		{"unknown runtime", "1 0 0 -1 4\n" + good, 0, 1, 1},
 		{"zero procs", "1 0 0 100 0\n" + good, 0, 1, 1},
+		{"unknown submit", "1 -1 0 100 4\n" + good, 0, 1, 1},
 		{"mixed damage", "garbage\n1 2 3\n" + good + "2 0 0 -1 4\n", 2, 1, 1},
 		{"all damaged", "a b c\nd e f\n", 2, 0, 0},
 	}
