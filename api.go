@@ -27,7 +27,8 @@ type Bidder = core.Bidder
 // the MPR-INT strategy.
 type RationalBidder = core.RationalBidder
 
-// InteractiveConfig tunes the MPR-INT price-iteration loop.
+// InteractiveConfig attaches a trace and a span to the MPR-INT loop; the
+// round budget (100) and stopping tolerance (1e-6) are fixed.
 type InteractiveConfig = core.InteractiveConfig
 
 // OPTDual selects the dual-decomposition solver for the OPT baseline.

@@ -366,7 +366,7 @@ func TestMarketStreamingOverTCP(t *testing.T) {
 	if last := updates[n-1]; !floats.RelEqual(last, out.Result.Price, 1e-9) {
 		t.Errorf("last streamed price %v != clearing price %v", last, out.Result.Price)
 	}
-	if got := reg.CounterValue(MetricStreamUpdates); got != int64(n) {
+	if got := reg.Snapshot().Counter(MetricStreamUpdates); got != int64(n) {
 		t.Errorf("stream update counter = %d, events = %d", got, n)
 	}
 

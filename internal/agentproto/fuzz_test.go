@@ -3,6 +3,9 @@ package agentproto
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -170,6 +173,46 @@ func FuzzCodecTraceCompat(f *testing.F) {
 		}
 		if errOld == nil && !bytes.Equal(newBytes, oldBytes) {
 			t.Fatalf("trace-stripped re-encode diverges:\n new %s\n old %s", newBytes, oldBytes)
+		}
+	})
+}
+
+// FuzzStateDecode feeds arbitrary bytes to ReadStateFile (strict decode,
+// end of input, Validate). It never panics, and a state it accepts
+// writes back through WriteStateFile and reads back equal. Each fuzz
+// worker runs one input at a time, so one file path serves them all.
+func FuzzStateDecode(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "fuzz.state")
+	seed := &State{Schema: StateSchema, SavedUnixNS: 1, MarketSeq: 3, LastPrice: 0.125, Agents: []AgentState{
+		{JobID: "a", Cores: 4, WattsPerCore: 100, MaxFrac: 0.4, HasBid: true, Delta: 1, B: 0.2},
+		{JobID: "b", Cores: 64, WattsPerCore: 5.5, MaxFrac: 0.9},
+	}}
+	if err := WriteStateFile(path, seed); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(append(raw, "garbage{"...))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadStateFile(path)
+		if err != nil {
+			return
+		}
+		if err := WriteStateFile(path, st); err != nil {
+			t.Fatalf("write accepted state: %v", err)
+		}
+		back, err := ReadStateFile(path)
+		if err != nil {
+			t.Fatalf("read back accepted state: %v", err)
+		}
+		if !reflect.DeepEqual(back, st) {
+			t.Fatalf("state round trip diverged:\n got  %+v\n want %+v", back, st)
 		}
 	})
 }

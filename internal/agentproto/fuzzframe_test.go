@@ -3,6 +3,7 @@ package agentproto
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -158,6 +159,52 @@ func FuzzFrameCodecJSONEquiv(f *testing.F) {
 			}
 			if !bytes.Equal(newBytes, oldBytes) {
 				t.Fatalf("untraced JSON encoding drifted from frozen envelope:\n new %s\n old %s", newBytes, oldBytes)
+			}
+		}
+	})
+}
+
+// FuzzFrameRecv feeds arbitrary bytes to FrameCodec.Recv until it errors.
+// Recv never panics, never holds a payload buffer past maxFramePayload,
+// and every message it decodes re-encodes to a frame that decodes to the
+// same message. "The same" is compared through the encoding: a frame
+// carries raw float bits, so a decoded NaN must survive (where == fails),
+// and a decoded −0 travels as an absent field, as Send always sends it.
+func FuzzFrameRecv(f *testing.F) {
+	var stream bytes.Buffer
+	all := NewFrameCodec(&stream, &stream)
+	for _, m := range frameMessages() {
+		frame, err := appendFrame(nil, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		if err := all.Send(m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(stream.Bytes())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c := NewFrameCodec(bytes.NewReader(raw), io.Discard)
+		for {
+			m, err := c.Recv()
+			if cap(c.pay) > maxFramePayload {
+				t.Fatalf("payload buffer grew to %d bytes, cap %d", cap(c.pay), maxFramePayload)
+			}
+			if err != nil {
+				return
+			}
+			frame, err := appendFrame(nil, &m)
+			if err != nil {
+				t.Fatalf("re-encode %+v: %v", m, err)
+			}
+			got, err := NewFrameCodec(bytes.NewReader(frame), io.Discard).Recv()
+			if err != nil {
+				t.Fatalf("decode re-encoded %+v: %v", m, err)
+			}
+			again, err := appendFrame(nil, &got)
+			if err != nil || !bytes.Equal(again, frame) {
+				t.Fatalf("round trip diverged: %+v re-decoded as %+v (%v)", m, got, err)
 			}
 		}
 	})

@@ -811,7 +811,7 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 // TestStateValidation covers the strict reader: schema drift, duplicate
-// jobs, bad specs, and unknown fields all fail loudly.
+// jobs, bad specs, unknown fields and trailing bytes all fail loudly.
 func TestStateValidation(t *testing.T) {
 	good := &State{Schema: StateSchema, Agents: []AgentState{
 		{JobID: "a", Cores: 4, WattsPerCore: 100, MaxFrac: 0.4, HasBid: true, Delta: 1, B: 0.2},
@@ -841,6 +841,20 @@ func TestStateValidation(t *testing.T) {
 	}
 	if _, err := ReadStateFile(path); err == nil || !strings.Contains(err.Error(), "surprise") {
 		t.Errorf("unknown field accepted: %v", err)
+	}
+	// A valid state followed by anything but white space is a damaged file.
+	if err := WriteStateFile(path, good); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, "garbage{"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadStateFile(path); err == nil {
+		t.Error("state file with trailing bytes accepted")
 	}
 }
 

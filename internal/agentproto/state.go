@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -167,8 +168,8 @@ func WriteStateFile(path string, st *State) error {
 }
 
 // ReadStateFile strictly decodes and validates an mprstate/v1 artifact:
-// unknown fields are errors, so schema drift is caught at the reader,
-// not three markets later.
+// unknown fields and trailing bytes are errors, so drift and damage are
+// caught at the reader, not three markets later.
 func ReadStateFile(path string) (*State, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -179,6 +180,9 @@ func ReadStateFile(path string) (*State, error) {
 	st := &State{}
 	if err := dec.Decode(st); err != nil {
 		return nil, fmt.Errorf("agentproto: decode state %s: %w", path, err)
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return nil, fmt.Errorf("agentproto: state %s: trailing data after the JSON value", path)
 	}
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("agentproto: state %s: %w", path, err)

@@ -6,6 +6,7 @@ import (
 
 	"mpr/internal/core"
 	"mpr/internal/runner"
+	"mpr/internal/telemetry"
 )
 
 // DiffStats summarizes a differential run for reporting: how many
@@ -208,16 +209,26 @@ func DiffMarketVsOPT(baseSeed int64, instances, maxN int) (DiffStats, error) {
 	return foldStats(parts), nil
 }
 
+// clearInteractiveTight is core.ClearInteractive's market on an 800-round
+// budget and a 1e-9 tolerance: the differential holds OPT against the
+// converged fixed point, not against one stopped at 1e-6.
+func clearInteractiveTight(ps []*core.Participant, bidders []core.Bidder, target float64) (*core.ClearingResult, error) {
+	return core.Iterate(ps, target, 800, 1e-9, nil, func(telemetry.Event) {},
+		func(_ int, q float64, bids []core.Bid, _ *telemetry.ActiveSpan) error {
+			for i, b := range bidders {
+				bids[i] = b.RespondBid(q)
+			}
+			return nil
+		})
+}
+
 func diffOneMarketVsOPT(ps []*core.Participant, bidders []core.Bidder, costs []QuadCost, target float64, st *DiffStats) error {
 	st.Instances++
 	st.Participants += len(ps)
 	if len(ps) == 1 {
 		st.Singleton++
 	}
-	intRes, err := core.ClearInteractive(ps, bidders, target, core.InteractiveConfig{
-		MaxRounds: 800,
-		Tolerance: 1e-9,
-	})
+	intRes, err := clearInteractiveTight(ps, bidders, target)
 	if err != nil {
 		return fmt.Errorf("MPR-INT: %v", err)
 	}

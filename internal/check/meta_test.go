@@ -221,8 +221,7 @@ func TestInteractiveDeterminism(t *testing.T) {
 		capW += p.WattsPerCore * p.MaxReduction()
 	}
 	target := 0.4 * capW
-	cfg := core.InteractiveConfig{MaxRounds: 800, Tolerance: 1e-9}
-	base, err := core.ClearInteractive(ps, bidders, target, cfg)
+	base, err := core.ClearInteractive(ps, bidders, target, core.InteractiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +229,7 @@ func TestInteractiveDeterminism(t *testing.T) {
 		t.Fatalf("baseline did not converge in %d rounds", base.Rounds)
 	}
 	for run := 1; run <= 3; run++ {
-		r, err := core.ClearInteractive(ps, bidders, target, cfg)
+		r, err := core.ClearInteractive(ps, bidders, target, core.InteractiveConfig{})
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -259,7 +258,7 @@ func TestInteractiveDeterminism(t *testing.T) {
 		psP[k] = ps[j]
 		bidP[k] = bidders[j]
 	}
-	rp, err := core.ClearInteractive(psP, bidP, target, cfg)
+	rp, err := core.ClearInteractive(psP, bidP, target, core.InteractiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

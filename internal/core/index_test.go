@@ -324,7 +324,7 @@ func TestInteractiveParallelMatchesSequential(t *testing.T) {
 			}
 			return res
 		}
-		res, _, err := referenceInteractive(ps, bs, target, InteractiveConfig{}, workers)
+		res, _, err := referenceInteractive(ps, bs, target, interactiveMaxRounds, interactiveTolerance, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,13 +110,6 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 
 // InteractiveConfig parameterizes the MPR-INT market loop.
 type InteractiveConfig struct {
-	// MaxRounds bounds the number of manager↔user exchanges; the paper
-	// suggests a timeout (e.g. 30 s) after which the last price stands.
-	// Default 100.
-	MaxRounds int
-	// Tolerance is the relative price change below which the market is
-	// considered converged (Nash equilibrium reached). Default 1e-6.
-	Tolerance float64
 	// Trace, when set, receives one "market_round" event per manager↔user
 	// exchange (round number, announced price, cleared price, aggregate
 	// supply), stamped with the handle's run ID — the convergence
@@ -128,14 +121,13 @@ type InteractiveConfig struct {
 	Span *telemetry.ActiveSpan
 }
 
-func (c *InteractiveConfig) normalize() {
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 100
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-6
-	}
-}
+// ClearInteractive stops after interactiveMaxRounds exchanges (the paper's
+// timeout, after which the last price stands) or once an exchange moves
+// the price by at most interactiveTolerance, relatively (Nash equilibrium).
+const (
+	interactiveMaxRounds = 100
+	interactiveTolerance = 1e-6
+)
 
 // parallelBidFloor is the pool size below which the rebid fan-out stays
 // sequential: starting and waking the workers costs more than the
@@ -243,8 +235,8 @@ func (c *bestResponses) respond(b Bidder, price float64) Bid {
 // every user responds with its gain-maximizing bid, the manager re-clears
 // MClr with the fresh bids, and the exchange repeats until the clearing
 // price stabilizes (guaranteed for the paper's supply function when users
-// bid rationally against convex costs) or MaxRounds is exhausted. The loop
-// is Iterate's; every bidder answers every round.
+// bid rationally against convex costs) or interactiveMaxRounds exchanges
+// pass. The loop is Iterate's; every bidder answers every round.
 //
 // ps[i].Bid seeds the market's index and must be valid; bidders[i]
 // replaces it from round 1 on, in Iterate's working set, so the caller's
@@ -256,8 +248,7 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 	if len(ps) != len(bidders) {
 		return nil, fmt.Errorf("core: %d participants but %d bidders", len(ps), len(bidders))
 	}
-	cfg.normalize()
-	return Iterate(ps, targetW, cfg.MaxRounds, cfg.Tolerance, cfg.Span, cfg.Trace.Emit,
+	return Iterate(ps, targetW, interactiveMaxRounds, interactiveTolerance, cfg.Span, cfg.Trace.Emit,
 		func(_ int, q float64, bids []Bid, span *telemetry.ActiveSpan) error {
 			bidSpan := span.StartChild("respond_bids")
 			respondBids(bidders, q, bids, 0)

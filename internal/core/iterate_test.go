@@ -20,8 +20,7 @@ type oracleRound struct{ announced, cleared, supplied float64 }
 // built from round 1's bids rather than from ps's — kept as the oracle
 // Iterate must match bit for bit, round by round. Its rebids fan out
 // across exactly workers goroutines.
-func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg InteractiveConfig, workers int) (*ClearingResult, []oracleRound, error) {
-	cfg.normalize()
+func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, maxRounds int, tol float64, workers int) (*ClearingResult, []oracleRound, error) {
 	work := make([]Participant, len(ps))
 	workPtrs := make([]*Participant, len(ps))
 	for i, p := range ps {
@@ -33,7 +32,7 @@ func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, 
 	var ix *MarketIndex
 	var trail []oracleRound
 	res := &ClearingResult{}
-	for round := 1; round <= cfg.MaxRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		respondBids(bidders, q, bids, workers)
 		if ix == nil {
 			for i := range workPtrs {
@@ -55,7 +54,7 @@ func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, 
 		}
 		res.Rounds = round
 		trail = append(trail, oracleRound{q, res.Price, res.SuppliedW})
-		if math.Abs(res.Price-q) <= cfg.Tolerance*math.Max(q, 1e-12) {
+		if math.Abs(res.Price-q) <= tol*math.Max(q, 1e-12) {
 			res.Converged = true
 			return res, trail, nil
 		}
@@ -92,30 +91,46 @@ func iteratePool(rng *rand.Rand, n int, kind string) ([]*Participant, []Bidder, 
 	return ps, bs, maxW
 }
 
+// askAll is ClearInteractive's ask without its span: every bidder answers
+// every round through respondBids. Tests hand it to Iterate to run
+// ClearInteractive's market on another round budget.
+func askAll(bidders []Bidder) func(int, float64, []Bid, *telemetry.ActiveSpan) error {
+	return func(_ int, q float64, bids []Bid, _ *telemetry.ActiveSpan) error {
+		respondBids(bidders, q, bids, 0)
+		return nil
+	}
+}
+
 // TestIterateMatchesReferenceLoop: ClearInteractive on Iterate announces
 // and clears every round at the reference loop's prices and ends on its
 // reductions, bit for bit — rational, static and mixed pools, feasible and
-// infeasible targets, a round budget that runs out, and a reference with
-// one and with several rebid workers on a pool large enough to fan out.
+// infeasible targets, a round budget that runs out (askAll handed to
+// Iterate with 3 rounds), and a reference with one and with several rebid
+// workers on a pool large enough to fan out.
 func TestIterateMatchesReferenceLoop(t *testing.T) {
 	exhausted := 0
 	for _, kind := range []string{"rational", "static", "mixed"} {
 		for _, n := range []int{60, parallelBidFloor + 40} {
 			for _, frac := range []float64{0.3, 1.5} {
 				for _, c := range []struct {
-					cfg     InteractiveConfig
-					workers int
-				}{{InteractiveConfig{}, 1}, {InteractiveConfig{}, 3}, {InteractiveConfig{MaxRounds: 3, Tolerance: 1e-12}, 1}} {
-					cfg := c.cfg
-					name := fmt.Sprintf("%s/n=%d/frac=%v/workers=%d/max=%d", kind, n, frac, c.workers, cfg.MaxRounds)
+					maxRounds int
+					tol       float64
+					workers   int
+				}{{interactiveMaxRounds, interactiveTolerance, 1}, {interactiveMaxRounds, interactiveTolerance, 3}, {3, 1e-12, 1}} {
+					name := fmt.Sprintf("%s/n=%d/frac=%v/workers=%d/max=%d", kind, n, frac, c.workers, c.maxRounds)
 					ps, bs, maxW := iteratePool(rand.New(rand.NewSource(int64(n))), n, kind)
-					want, trail, err := referenceInteractive(ps, bs, frac*maxW, cfg, c.workers)
+					want, trail, err := referenceInteractive(ps, bs, frac*maxW, c.maxRounds, c.tol, c.workers)
 					if err != nil {
 						t.Fatal(err)
 					}
 					tracer := telemetry.NewTracer(256)
-					cfg.Trace = tracer.StartTrace(name)
-					got, err := ClearInteractive(ps, bs, frac*maxW, cfg)
+					trace := tracer.StartTrace(name)
+					var got *ClearingResult
+					if c.maxRounds == interactiveMaxRounds {
+						got, err = ClearInteractive(ps, bs, frac*maxW, InteractiveConfig{Trace: trace})
+					} else {
+						got, err = Iterate(ps, frac*maxW, c.maxRounds, c.tol, nil, trace.Emit, askAll(bs))
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -9,6 +9,7 @@ import (
 
 	"mpr/internal/check/floats"
 	"mpr/internal/perf"
+	"mpr/internal/telemetry"
 )
 
 // newParticipant builds a participant for application `app` with the given
@@ -270,8 +271,8 @@ func TestNonFiniteTargetRefused(t *testing.T) {
 	// finite saturation price with every job at its maximum.
 	for name, clear := range map[string]func(float64) (*ClearingResult, error){
 		"Clear": func(w float64) (*ClearingResult, error) { return Clear(ps, w) },
-		"ClearInteractive": func(w float64) (*ClearingResult, error) {
-			return ClearInteractive(ps, bidders, w, InteractiveConfig{MaxRounds: 3})
+		"Iterate": func(w float64) (*ClearingResult, error) {
+			return Iterate(ps, w, 3, interactiveTolerance, nil, func(telemetry.Event) {}, askAll(bidders))
 		},
 		"StreamMarket": func(w float64) (*ClearingResult, error) {
 			s, err := NewStreamMarket(ps, w)
@@ -454,12 +455,14 @@ func TestSettle(t *testing.T) {
 	if !floats.AbsEqual(paid, res.PayoutRate, 1e-9) {
 		t.Errorf("total payment %v != payout rate %v", paid, res.PayoutRate)
 	}
+	var cost float64
 	for _, s := range ss {
 		if !floats.AbsEqual(s.NetGainRate, s.PaymentRate-s.CostRate, 1e-12) {
 			t.Errorf("net gain arithmetic: %+v", s)
 		}
+		cost += s.CostRate
 	}
-	if TotalCost(ss) <= 0 {
+	if cost <= 0 {
 		t.Error("expected positive total cost for a met target")
 	}
 	if _, err := Settle(ps, res.Reductions[:1], res.Price); err == nil {

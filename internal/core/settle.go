@@ -42,12 +42,3 @@ func Settle(ps []*Participant, reductions []float64, price float64) ([]Settlemen
 	}
 	return out, nil
 }
-
-// TotalCost sums the cost rates of a settlement set.
-func TotalCost(ss []Settlement) float64 {
-	var t float64
-	for _, s := range ss {
-		t += s.CostRate
-	}
-	return t
-}

@@ -32,7 +32,7 @@ func TestEmergencyTelemetryOnsetAndLift(t *testing.T) {
 	if !d.Declare {
 		t.Fatalf("expected declare, got %+v", d)
 	}
-	if got := reg.GaugeValue(MetricOverloadW); got != 200 {
+	if got := reg.Snapshot().Gauges[MetricOverloadW]; got != 200 {
 		t.Fatalf("overload gauge = %g, want 200", got)
 	}
 
@@ -47,7 +47,7 @@ func TestEmergencyTelemetryOnsetAndLift(t *testing.T) {
 	if !lifted {
 		t.Fatal("emergency never lifted")
 	}
-	if got := reg.GaugeValue(MetricOverloadW); got != 0 {
+	if got := reg.Snapshot().Gauges[MetricOverloadW]; got != 0 {
 		t.Fatalf("overload gauge after lift = %g, want 0", got)
 	}
 

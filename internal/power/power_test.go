@@ -64,106 +64,6 @@ func TestOversubscriptionValidate(t *testing.T) {
 	}
 }
 
-func TestUniformInfrastructure(t *testing.T) {
-	inf, err := NewUniformInfrastructure(100000, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaves := inf.Leaves()
-	if len(leaves) != 8 {
-		t.Fatalf("leaves = %d, want 8", len(leaves))
-	}
-	inf.SpreadLoad(90000)
-	total, over := inf.Evaluate()
-	if !floats.AbsEqual(total, 90000, 1e-6) {
-		t.Errorf("total = %v", total)
-	}
-	if len(over) != 0 {
-		t.Errorf("unexpected overloads: %+v", over)
-	}
-	// Exceed UPS capacity: only the UPS should trip (PDU/rack have 2x
-	// headroom).
-	inf.SpreadLoad(110000)
-	_, over = inf.Evaluate()
-	if len(over) != 1 || over[0].Kind != KindUPS {
-		t.Fatalf("overloads = %+v, want single UPS overload", over)
-	}
-	if !floats.AbsEqual(over[0].ExcessW(), 10000, 1e-6) {
-		t.Errorf("excess = %v, want 10000", over[0].ExcessW())
-	}
-}
-
-func TestInfrastructureSetLoad(t *testing.T) {
-	inf, _ := NewUniformInfrastructure(1000, 1, 2)
-	if err := inf.SetLoad("rack0-0", 600); err != nil {
-		t.Fatal(err)
-	}
-	if err := inf.SetLoad("rack0-1", 500); err != nil {
-		t.Fatal(err)
-	}
-	total, over := inf.Evaluate()
-	if total != 1100 {
-		t.Errorf("total = %v", total)
-	}
-	// UPS (1000) overloaded; ATS (2000) fine; rack capacity is
-	// 2*2*1000/1/2 = 2000 each so racks fine.
-	found := false
-	for _, o := range over {
-		if o.Kind == KindUPS {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("UPS overload not reported: %+v", over)
-	}
-	if err := inf.SetLoad("nope", 1); err == nil {
-		t.Error("unknown leaf should error")
-	}
-	if err := inf.SetLoad("rack0-0", -1); err == nil {
-		t.Error("negative load should error")
-	}
-}
-
-func TestInfrastructureRootFirstOrdering(t *testing.T) {
-	// Build a tree where both UPS and a rack overload; root-side must
-	// come first.
-	rack := &Component{Name: "r", Kind: KindRack, CapacityW: 10}
-	ups := &Component{Name: "u", Kind: KindUPS, CapacityW: 15, Children: []*Component{rack}}
-	ats := &Component{Name: "a", Kind: KindATS, CapacityW: 100, Children: []*Component{ups}}
-	inf, err := NewInfrastructure(ats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inf.SetLoad("r", 20); err != nil {
-		t.Fatal(err)
-	}
-	_, over := inf.Evaluate()
-	if len(over) != 2 {
-		t.Fatalf("overloads = %+v", over)
-	}
-	if over[0].Kind != KindUPS || over[1].Kind != KindRack {
-		t.Errorf("ordering = %v, %v; want UPS then Rack", over[0].Kind, over[1].Kind)
-	}
-}
-
-func TestInfrastructureRejectsBadTrees(t *testing.T) {
-	if _, err := NewInfrastructure(nil); err == nil {
-		t.Error("nil root accepted")
-	}
-	dup := &Component{Name: "x", Kind: KindATS, CapacityW: 1,
-		Children: []*Component{{Name: "x", Kind: KindRack, CapacityW: 1}}}
-	if _, err := NewInfrastructure(dup); err == nil {
-		t.Error("duplicate names accepted")
-	}
-	zero := &Component{Name: "z", Kind: KindATS, CapacityW: 0}
-	if _, err := NewInfrastructure(zero); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if _, err := NewUniformInfrastructure(1000, 0, 1); err == nil {
-		t.Error("zero PDUs accepted")
-	}
-}
-
 func newController(t *testing.T, cfg EmergencyConfig) *EmergencyController {
 	t.Helper()
 	ec, err := NewEmergencyController(cfg)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"mpr/internal/telemetry"
@@ -125,7 +126,8 @@ func WriteBundleFile(path string, b *Bundle) error {
 }
 
 // ReadBundleFile strictly decodes and validates an mprflight/v2 bundle:
-// unknown fields are errors, so schema drift is caught at the reader.
+// unknown fields and bytes after the JSON value are errors, so schema
+// drift and a damaged file are caught at the reader.
 func ReadBundleFile(path string) (*Bundle, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -136,6 +138,9 @@ func ReadBundleFile(path string) (*Bundle, error) {
 	b := &Bundle{}
 	if err := dec.Decode(b); err != nil {
 		return nil, fmt.Errorf("flight: decode bundle %s: %w", path, err)
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return nil, fmt.Errorf("flight: bundle %s: trailing data after the JSON value", path)
 	}
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("flight: bundle %s: %w", path, err)

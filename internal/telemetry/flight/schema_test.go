@@ -3,6 +3,7 @@ package flight
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 // the wire format against accidental drift — a new field without a
 // schema bump fails the strict decode) plus a freshly generated one. CI
 // points MPR_FLIGHT_JSON at a bundle a booted mprd dumped to validate
-// the real daemon artifact too.
+// the real daemon artifact too. The testdata bundle with a second JSON
+// value appended must fail the read.
 func TestFlightBundleSchema(t *testing.T) {
 	paths := []string{filepath.Join("testdata", "flight_v2.json")}
 	if external := os.Getenv("MPR_FLIGHT_JSON"); external != "" {
@@ -30,6 +32,19 @@ func TestFlightBundleSchema(t *testing.T) {
 			continue
 		}
 		checkBundle(t, path, b)
+	}
+
+	// A valid bundle followed by a second JSON value is a damaged file.
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := filepath.Join(t.TempDir(), "trailing.json")
+	if err := os.WriteFile(trailing, append(raw, "{}"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBundleFile(trailing); err == nil {
+		t.Error("bundle with trailing bytes accepted")
 	}
 }
 
@@ -88,4 +103,37 @@ func checkBundle(t *testing.T, path string, b *Bundle) {
 	if b.Runtime.HeapInuseBytes <= 0 {
 		t.Errorf("%s: runtime.heap_inuse_bytes = %d, want > 0", path, b.Runtime.HeapInuseBytes)
 	}
+}
+
+// FuzzBundleDecode feeds arbitrary bytes to ReadBundleFile (strict
+// decode, end of input, Validate). It never panics, and a bundle it
+// accepts writes back through WriteBundleFile and reads back equal. Each
+// fuzz worker runs one input at a time, so one file path serves them all.
+func FuzzBundleDecode(f *testing.F) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "flight_v2.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(append(raw, "{}"...))
+	path := filepath.Join(f.TempDir(), "bundle.json")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := ReadBundleFile(path)
+		if err != nil {
+			return
+		}
+		if err := WriteBundleFile(path, b); err != nil {
+			t.Fatalf("write accepted bundle: %v", err)
+		}
+		back, err := ReadBundleFile(path)
+		if err != nil {
+			t.Fatalf("read back accepted bundle: %v", err)
+		}
+		if !reflect.DeepEqual(back, b) {
+			t.Fatalf("bundle round trip diverged:\n got  %+v\n want %+v", back, b)
+		}
+	})
 }

@@ -6,12 +6,10 @@
 // subdivided into 2^subBits linear sub-buckets, so a bucket's width is at
 // most 1/2^subBits (≈3.1%) of the values it holds, at every magnitude.
 //
-// The layout is fixed — every histogram shares the same bucket
-// boundaries — which makes snapshots mergeable by plain per-bucket
-// addition: shard-local histograms fold into fleet-wide quantiles without
-// rebinning error. Record is wait-free (a few atomic adds on a
-// round-robin-selected stripe) and allocates nothing in steady state,
-// which the CI load job enforces.
+// The layout is fixed: every histogram shares the same bucket boundaries.
+// Record is wait-free (a few atomic adds on a round-robin-selected
+// stripe) and allocates nothing in steady state, which
+// TestHDRRecordZeroAlloc enforces.
 //
 // Values are plain float64s; the natural unit for RTT paths is seconds,
 // putting the trackable range [2^-30 s ≈ 0.93 ns, 2^7 s = 128 s].
@@ -185,7 +183,7 @@ func (h *Histogram) Record(v float64) {
 	s.updateMax(v)
 }
 
-// Snapshot folds the stripes into a mergeable point-in-time copy.
+// Snapshot folds the stripes into a point-in-time copy.
 // Returns the empty snapshot on a nil histogram. Concurrent Records may
 // land between stripe reads, so a snapshot taken under write load is a
 // consistent-enough view, not a linearizable cut.
@@ -216,11 +214,9 @@ func (h *Histogram) Snapshot() Snapshot {
 	return snap
 }
 
-// Snapshot is a point-in-time copy of a histogram. All histograms share
-// one fixed bucket layout, so snapshots merge by per-bucket addition —
-// the property that lets per-shard recorders fold into fleet quantiles.
-// Invalid counts the negative, NaN and +Inf samples Record refused; they
-// are in none of the other fields.
+// Snapshot is a point-in-time copy of a histogram. Invalid counts the
+// negative, NaN and +Inf samples Record refused; they are in none of the
+// other fields.
 type Snapshot struct {
 	Counts  [NumBuckets]int64
 	Count   int64
@@ -228,24 +224,6 @@ type Snapshot struct {
 	Sum     float64
 	Min     float64
 	Max     float64
-}
-
-// Merge folds other into s.
-func (s *Snapshot) Merge(other Snapshot) {
-	for i, c := range other.Counts {
-		s.Counts[i] += c
-	}
-	if other.Count > 0 {
-		if s.Count == 0 || other.Min < s.Min {
-			s.Min = other.Min
-		}
-		if s.Count == 0 || other.Max > s.Max {
-			s.Max = other.Max
-		}
-	}
-	s.Count += other.Count
-	s.Invalid += other.Invalid
-	s.Sum += other.Sum
 }
 
 // Mean returns the average observation (0 when empty).

@@ -118,45 +118,6 @@ func TestQuantileError(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b, all := New(), New(), New()
-	gen := refDistributions()["lognormal"]
-	for i := 0; i < 50000; i++ {
-		v := gen(rng)
-		all.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	merged := a.Snapshot()
-	merged.Merge(b.Snapshot())
-	want := all.Snapshot()
-	if merged.Counts != want.Counts {
-		t.Fatal("merged bucket counts differ from combined recording")
-	}
-	if merged.Count != want.Count || merged.Min != want.Min || merged.Max != want.Max {
-		t.Errorf("merged count/min/max = %d/%g/%g, want %d/%g/%g",
-			merged.Count, merged.Min, merged.Max, want.Count, want.Min, want.Max)
-	}
-	if math.Abs(merged.Sum-want.Sum) > 1e-9*math.Abs(want.Sum) {
-		t.Errorf("merged sum %g vs %g", merged.Sum, want.Sum)
-	}
-	for _, p := range []float64{0.5, 0.99, 0.999} {
-		if merged.Quantile(p) != want.Quantile(p) {
-			t.Errorf("p=%v: merged quantile %g != combined %g", p, merged.Quantile(p), want.Quantile(p))
-		}
-	}
-	// Merging into an empty snapshot preserves extremes.
-	var empty Snapshot
-	empty.Merge(want)
-	if empty.Min != want.Min || empty.Max != want.Max || empty.Count != want.Count {
-		t.Error("merge into empty snapshot lost count or extremes")
-	}
-}
-
 func TestEmptyAndNil(t *testing.T) {
 	var nilH *Histogram
 	nilH.Record(1) // must not panic
@@ -196,7 +157,7 @@ func TestClampedRecordsStillCount(t *testing.T) {
 // TestInvalidSamplesCountedApart: a negative, NaN or +Inf sample is not a
 // latency. It lands in Invalid and nowhere else — before, it was filed in
 // the underflow bucket and added to the sum, which one NaN poisoned for
-// good — and it survives Merge.
+// good.
 func TestInvalidSamplesCountedApart(t *testing.T) {
 	h := New()
 	h.Record(0.25)
@@ -227,12 +188,6 @@ func TestInvalidSamplesCountedApart(t *testing.T) {
 	only.Record(math.NaN())
 	if s := only.Snapshot(); s.Invalid != 1 || s.Count != 0 || s.Min != 0 || s.Max != 0 || s.Quantile(0.5) != 0 {
 		t.Errorf("invalid-only snapshot = count %d invalid %d min %g max %g", s.Count, s.Invalid, s.Min, s.Max)
-	}
-
-	merged := only.Snapshot()
-	merged.Merge(snap)
-	if merged.Invalid != 6 || merged.Count != 2 || merged.Min != 0.25 || merged.Max != 0.75 {
-		t.Errorf("merged invalid/count/min/max = %d/%d/%g/%g, want 6/2/0.25/0.75", merged.Invalid, merged.Count, merged.Min, merged.Max)
 	}
 }
 

@@ -14,7 +14,7 @@
 //
 // Every instrument is nil-safe: methods on a nil *Registry return nil
 // metrics, and methods on nil metrics are no-ops. A nil registry is
-// therefore the Nop registry — the zero-config fast path costs one nil
+// therefore the no-op registry — the zero-config fast path costs one nil
 // check per instrumentation point and allocates nothing.
 package telemetry
 
@@ -28,11 +28,6 @@ import (
 
 	"mpr/internal/telemetry/hdr"
 )
-
-// Nop returns the no-op registry: nil. All registry and metric methods
-// tolerate nil receivers, so instrumented code never branches on
-// configuration — it just calls through.
-func Nop() *Registry { return nil }
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
@@ -125,7 +120,9 @@ type metricEntry struct {
 // Registry holds named metrics. All getters are get-or-create and
 // idempotent: asking twice for the same name returns the same metric, so
 // packages can resolve instruments at init without coordination.
-// A nil *Registry is the Nop registry.
+// A nil *Registry is the no-op registry: every registry and metric
+// method tolerates a nil receiver, so instrumented code never branches
+// on configuration — it just calls through.
 type Registry struct {
 	mu      sync.RWMutex
 	byName  map[string]*metricEntry
@@ -156,16 +153,6 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind, init func(*me
 	return e
 }
 
-func (r *Registry) lookup(name string, kind metricKind) *metricEntry {
-	r.mu.RLock()
-	e := r.byName[name]
-	r.mu.RUnlock()
-	if e != nil && e.kind == kind {
-		return e
-	}
-	return nil
-}
-
 // Counter returns the named counter, creating it on first use. Returns
 // nil on a nil registry.
 func (r *Registry) Counter(name, help string) *Counter {
@@ -189,10 +176,10 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // HDR returns the named high-dynamic-range histogram (see the hdr
-// subpackage: log-bucketed, ~1 ns–100 s range, ≤3.1% relative error,
-// mergeable snapshots), creating it on first use. HDR histograms render
-// as Prometheus summaries (quantile series plus _sum/_count) because
-// their ~1200-bucket layout is too fine for useful _bucket exposition.
+// subpackage: log-bucketed, ~1 ns–100 s range, ≤3.1% relative error),
+// creating it on first use. HDR histograms render as Prometheus
+// summaries (quantile series plus _sum/_count) because their ~1200-bucket
+// layout is too fine for useful _bucket exposition.
 // Returns nil (the no-op histogram) on a nil registry.
 func (r *Registry) HDR(name, help string) *hdr.Histogram {
 	if r == nil {
@@ -215,33 +202,10 @@ func (r *Registry) CounterFamily(name, help, label string) *CounterFamily {
 	}).family
 }
 
-// CounterValue reads a plain counter by name (0 when absent or nil
-// registry).
-func (r *Registry) CounterValue(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	if e := r.lookup(name, kindCounter); e != nil {
-		return e.counter.Value()
-	}
-	return 0
-}
-
-// GaugeValue reads a gauge by name (0 when absent or nil registry).
-func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	if e := r.lookup(name, kindGauge); e != nil {
-		return e.gauge.Value()
-	}
-	return 0
-}
-
 // HDRSummary is the serializable point-in-time digest of an HDR
 // histogram: pre-computed quantiles instead of the ~1200 raw buckets.
-// Consumers needing mergeable full-resolution state take hdr.Snapshot
-// from the histogram handle instead. Invalid counts negative, NaN and
+// Consumers needing full-resolution state take hdr.Snapshot from the
+// histogram handle instead. Invalid counts negative, NaN and
 // +Inf samples; they are in no other field.
 type HDRSummary struct {
 	Count   int64   `json:"count"`

@@ -7,10 +7,7 @@ import (
 )
 
 func TestNilRegistryIsNop(t *testing.T) {
-	r := Nop()
-	if r != nil {
-		t.Fatal("Nop registry must be nil")
-	}
+	var r *Registry
 	// Every method must be callable and free on the nil registry / nil
 	// metrics — this is the zero-overhead instrumentation contract.
 	c := r.Counter("x", "")
@@ -37,9 +34,6 @@ func TestNilRegistryIsNop(t *testing.T) {
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	if r.CounterValue("x") != 0 || r.GaugeValue("y") != 0 {
-		t.Fatal("nil registry lookups must read 0")
-	}
 }
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -53,20 +47,21 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c2 := r.Counter("mpr_test_total", "help"); c2 != c {
 		t.Fatal("get-or-create must return the same counter")
 	}
-	if got := r.CounterValue("mpr_test_total"); got != 5 {
-		t.Fatalf("CounterValue = %d, want 5", got)
-	}
 	g := r.Gauge("mpr_test_g", "")
 	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
-	if got := r.GaugeValue("mpr_test_g"); got != 1.5 {
-		t.Fatalf("GaugeValue = %g, want 1.5", got)
+	s := r.Snapshot()
+	if got := s.Counter("mpr_test_total"); got != 5 {
+		t.Fatalf("snapshot counter = %d, want 5", got)
 	}
-	// Absent and wrong-kind lookups read zero.
-	if r.CounterValue("absent") != 0 || r.CounterValue("mpr_test_g") != 0 {
-		t.Fatal("absent/mismatched CounterValue must read 0")
+	if got := s.Gauges["mpr_test_g"]; got != 1.5 {
+		t.Fatalf("snapshot gauge = %g, want 1.5", got)
+	}
+	// Absent and wrong-kind reads are zero.
+	if s.Counter("absent") != 0 || s.Counter("mpr_test_g") != 0 {
+		t.Fatal("absent/mismatched snapshot counter must read 0")
 	}
 }
 
@@ -108,13 +103,13 @@ func TestConcurrentCountersAndHistogram(t *testing.T) {
 	}
 	wg.Wait()
 	const total = goroutines * perG
-	if got := r.CounterValue("c"); got != total {
+	s := r.Snapshot()
+	if got := s.Counter("c"); got != total {
 		t.Fatalf("counter = %d, want %d", got, total)
 	}
-	if got := r.GaugeValue("g"); got != perG-1 {
+	if got := s.Gauges["g"]; got != perG-1 {
 		t.Fatalf("gauge = %g, want the last value every writer set, %d", got, perG-1)
 	}
-	s := r.Snapshot()
 	hs := s.HDR("h")
 	if hs.Count != total {
 		t.Fatalf("histogram count = %d, want %d", hs.Count, total)
