@@ -18,12 +18,7 @@ import (
 
 func main() {
 	run := func(useMPR bool) *mpr.Cluster {
-		c, err := mpr.NewCluster(mpr.ClusterConfig{
-			Seed:      42,
-			UseMPR:    useMPR,
-			CapacityW: 400,
-			PhaseAmp:  0.03,
-		})
+		c, err := mpr.NewCluster(mpr.ClusterConfig{Seed: 42, UseMPR: useMPR})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -88,7 +88,7 @@ type ManagerConfig struct {
 	// logs nothing — library users need not wire logging.
 	Logf func(format string, args ...interface{})
 	// Telemetry, when set, receives the manager's connection, latency,
-	// and protocol metrics. Nil (the Nop registry) disables them.
+	// and protocol metrics. Nil disables them.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, receives one "market_round" event per price
 	// iteration (trace "m<seq>.r<round>") and one "market_clear" per

@@ -11,47 +11,24 @@ import (
 	"mpr/internal/trace"
 )
 
-// Config parameterizes a carbon-aware demand-response run.
+// maxReductionFrac caps how much of the dynamic power the manager buys
+// back at the dirtiest hour.
+const maxReductionFrac = 0.3
+
+// Config parameterizes a carbon-aware demand-response run. Jobs draw their
+// profile uniformly from perf.CPUProfiles, run on
+// power.DefaultCPUCoreModel, and bid their static cooperative bids.
 type Config struct {
 	// Trace is the workload to replay.
 	Trace *trace.Trace
-	// Profiles are assigned uniformly at random to jobs.
-	Profiles []*perf.Profile
-	// CoreModel is the per-core power model.
-	CoreModel power.CoreModel
 	// Seed drives profile assignment.
 	Seed int64
 	// ThresholdG is the carbon intensity (gCO₂/kWh) above which the
 	// manager buys power reduction. Default: 1.05 × the signal mean.
 	ThresholdG float64
-	// MaxReductionFrac caps how much of the dynamic power the manager
-	// buys back at the dirtiest hour (default 0.3).
-	MaxReductionFrac float64
-	// Interactive selects MPR-INT bidding instead of static cooperative
-	// bids.
-	Interactive bool
 	// Signal is the grid carbon-intensity trace; one is generated from
 	// Seed when nil.
 	Signal *Signal
-}
-
-func (c *Config) normalize() error {
-	if c.Trace == nil || len(c.Trace.Jobs) == 0 {
-		return fmt.Errorf("carbon: config needs a non-empty trace")
-	}
-	if len(c.Profiles) == 0 {
-		c.Profiles = perf.CPUProfiles()
-	}
-	if c.CoreModel == (power.CoreModel{}) {
-		c.CoreModel = power.DefaultCPUCoreModel
-	}
-	if c.MaxReductionFrac == 0 {
-		c.MaxReductionFrac = 0.3
-	}
-	if c.MaxReductionFrac < 0 || c.MaxReductionFrac > 1 {
-		return fmt.Errorf("carbon: max reduction fraction must be in [0,1], got %v", c.MaxReductionFrac)
-	}
-	return nil
 }
 
 // Result summarizes a demand-response run.
@@ -98,12 +75,14 @@ type drJob struct {
 // Run replays the trace against the carbon signal, clearing a reduction
 // market whenever the grid is dirtier than the threshold. The reduction
 // target scales linearly with how far the intensity exceeds the
-// threshold, capped at MaxReductionFrac of the current dynamic power.
+// threshold, capped at maxReductionFrac of the current dynamic power.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
+	if cfg.Trace == nil || len(cfg.Trace.Jobs) == 0 {
+		return nil, fmt.Errorf("carbon: config needs a non-empty trace")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	profiles := perf.CPUProfiles()
+	coreModel := power.DefaultCPUCoreModel
 
 	// Build jobs with profile assignments and static bids.
 	jobs := make([]*drJob, 0, len(cfg.Trace.Jobs))
@@ -111,7 +90,7 @@ func Run(cfg Config) (*Result, error) {
 	lastSlot := 0
 	var coop core.CooperativeBids // one solve per profile, not per job
 	for _, tj := range cfg.Trace.Jobs {
-		prof := cfg.Profiles[rng.Intn(len(cfg.Profiles))]
+		prof := profiles[rng.Intn(len(profiles))]
 		model := perf.NewCostModel(prof, 1, perf.CostLinear)
 		j := &drJob{
 			id:           tj.ID,
@@ -173,7 +152,7 @@ func Run(cfg Config) (*Result, error) {
 		intensity := sig.IntensityAt(slot)
 		var dynW float64
 		for _, j := range active {
-			dynW += float64(j.cores) * cfg.CoreModel.DynamicW
+			dynW += float64(j.cores) * coreModel.DynamicW
 		}
 
 		if intensity > threshold && dynW > 0 && len(active) > 0 {
@@ -181,30 +160,22 @@ func Run(cfg Config) (*Result, error) {
 				res.DREvents++
 				inDR = true
 			}
-			frac := cfg.MaxReductionFrac * (intensity - threshold) / depth
-			if frac > cfg.MaxReductionFrac {
-				frac = cfg.MaxReductionFrac
+			frac := maxReductionFrac * (intensity - threshold) / depth
+			if frac > maxReductionFrac {
+				frac = maxReductionFrac
 			}
 			targetW := frac * dynW
 			parts := make([]*core.Participant, len(active))
-			bidders := make([]core.Bidder, len(active))
 			for i, j := range active {
 				parts[i] = &core.Participant{
 					JobID:        fmt.Sprint(j.id),
 					Cores:        float64(j.cores),
 					Bid:          j.staticBid,
-					WattsPerCore: cfg.CoreModel.DynamicW,
+					WattsPerCore: coreModel.DynamicW,
 					MaxFrac:      j.profile.MaxReduction(),
 				}
-				bidders[i] = &core.RationalBidder{Cores: float64(j.cores), Model: j.model}
 			}
-			var cres *core.ClearingResult
-			var err error
-			if cfg.Interactive {
-				cres, err = core.ClearInteractive(parts, bidders, targetW, core.InteractiveConfig{})
-			} else {
-				cres, err = core.Clear(parts, targetW)
-			}
+			cres, err := core.Clear(parts, targetW)
 			if err != nil {
 				return nil, err
 			}
@@ -226,8 +197,8 @@ func Run(cfg Config) (*Result, error) {
 
 		// Account emissions, savings, and market flows; progress work.
 		for _, j := range active {
-			fullW := cfg.CoreModel.JobPower(float64(j.cores), 1)
-			actualW := cfg.CoreModel.JobPower(float64(j.cores), j.alloc)
+			fullW := coreModel.JobPower(float64(j.cores), 1)
+			actualW := coreModel.JobPower(float64(j.cores), j.alloc)
 			res.BaselineKgCO2 += fullW / 1000 * (1.0 / 60) * intensity / 1000
 			savedW := fullW - actualW
 			if savedW > 0 {

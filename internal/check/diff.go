@@ -20,7 +20,7 @@ type DiffStats struct {
 	Updates      int // streaming deltas applied (DiffStream only)
 	Emergencies  int // declared emergencies across instances (DiffEngines only)
 	SimSlots     int // simulated slots across instances (DiffEngines only)
-	Events       int // trace events compared across instances (DiffEngines only)
+	Spans        int // trace spans compared across instances (DiffEngines only)
 
 	// Cost-ordering aggregates (DiffMarketVsOPT only): total cost per
 	// algorithm summed over all instances, and the count of instances
@@ -45,7 +45,7 @@ func (st *DiffStats) add(o DiffStats) {
 	st.Updates += o.Updates
 	st.Emergencies += o.Emergencies
 	st.SimSlots += o.SimSlots
-	st.Events += o.Events
+	st.Spans += o.Spans
 	st.OPTCost += o.OPTCost
 	st.StatCost += o.StatCost
 	st.EQLCost += o.EQLCost

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 
 	"mpr/internal/power"
 	"mpr/internal/runner"
 	"mpr/internal/sim"
-	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/tsdb"
 	"mpr/internal/trace"
 )
@@ -17,7 +17,7 @@ import (
 // This file is the simulator differential: sim.Run, which skips the
 // provably inert slot ranges, and the fixed-step reference
 // sim.RunFixedStep must produce bit-identical Results — scalars, per-job
-// timelines, telemetry counters, trace events, and sampled series — on
+// timelines, trace spans, and sampled series — on
 // every configuration the simulator accepts. The driver runs both over
 // adversarial generated workloads and compares exactly, the same
 // discipline DiffStream applies to the streaming market.
@@ -91,7 +91,6 @@ func (g *Gen) SimConfig() sim.Config {
 		perCore := power.DefaultCPUCoreModel.StaticW + power.DefaultCPUCoreModel.DynamicW
 		cfg.CapacityOverrideW = (0.55 + 0.4*g.rng.Float64()) * perCore * float64(cfg.Trace.TotalCores)
 	}
-	cfg.MinOverloadSlots = 1 + g.rng.Intn(3)
 	cfg.CooldownSlots = 1 + g.rng.Intn(15)
 	if g.rng.Float64() < 0.35 {
 		cfg.MarketDelaySlots = 1 + g.rng.Intn(5)
@@ -141,8 +140,8 @@ func DiffEngines(baseSeed int64, instances int) (DiffStats, error) {
 	return foldStats(parts), nil
 }
 
-// diffTraceEvents is the event window both runs of a differential retain.
-// A Result keeps no trace by default, and CompareEngineResults would
+// diffTraceEvents is the span window both runs of a differential retain.
+// A Result keeps no spans by default, and CompareEngineResults would
 // then compare two empty windows.
 const diffTraceEvents = 1024
 
@@ -158,31 +157,24 @@ func diffOneEngines(g *Gen, st *DiffStats) error {
 	st.Participants += fixed.JobsTotal
 	st.Emergencies += fixed.EmergencyCount
 	st.SimSlots += fixed.Slots
-	st.Events += len(fixed.TraceEvents)
+	st.Spans += len(fixed.Spans)
 	return nil
 }
 
-// runEngines runs cfg through sim.RunFixedStep and sim.Run, each into a
-// registry of its own, and requires bit-identical Results
-// (CompareEngineResults) and equal metrics snapshots. It returns the
+// runEngines runs cfg through sim.RunFixedStep and sim.Run and requires
+// bit-identical Results (CompareEngineResults). It returns the
 // fixed-step Result.
 func runEngines(cfg sim.Config) (*sim.Result, error) {
-	fixedReg, skipReg := telemetry.NewRegistry(), telemetry.NewRegistry()
-	cfg.Telemetry = fixedReg
 	fixed, err := sim.RunFixedStep(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("RunFixedStep: %v", err)
 	}
-	cfg.Telemetry = skipReg
 	skip, err := sim.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("Run: %v", err)
 	}
 	if err := CompareEngineResults(fixed, skip); err != nil {
 		return nil, err
-	}
-	if a, b := fixedReg.Snapshot(), skipReg.Snapshot(); !reflect.DeepEqual(a, b) {
-		return nil, fmt.Errorf("telemetry snapshots diverged: %+v vs %+v", a, b)
 	}
 	return fixed, nil
 }
@@ -191,10 +183,9 @@ func runEngines(cfg sim.Config) (*sim.Result, error) {
 // to be bit-identical in every deterministic dimension: scalar
 // statistics (floats compared by bit pattern, not tolerance),
 // per-profile aggregates, per-job timelines, sampled time-series stores
-// (compared on their rendered JSONL export), and trace events. Wall-clock
-// fields (Event.TimeNS, span durations) are the only exclusions: Emit
-// stamps them with real time. The runs' metrics live in the registries
-// they were handed, which runEngines compares.
+// (compared on their rendered JSONL export), and trace spans in
+// completion order: identity, name, parent and attributes. Span times are
+// the only exclusion: they are wall-clock.
 func CompareEngineResults(fixed, skip *sim.Result) error {
 	ints := []struct {
 		name string
@@ -265,14 +256,13 @@ func CompareEngineResults(fixed, skip *sim.Result) error {
 			return fmt.Errorf("sampled series exports differ (%d vs %d bytes)", len(a), len(b))
 		}
 	}
-	if len(fixed.TraceEvents) != len(skip.TraceEvents) {
-		return fmt.Errorf("TraceEvents length: %d vs %d", len(fixed.TraceEvents), len(skip.TraceEvents))
+	if len(fixed.Spans) != len(skip.Spans) {
+		return fmt.Errorf("Spans length: %d vs %d", len(fixed.Spans), len(skip.Spans))
 	}
-	for i := range fixed.TraceEvents {
-		a, b := fixed.TraceEvents[i], skip.TraceEvents[i]
-		a.TimeNS, b.TimeNS = 0, 0 // wall clock, stamped by Emit
-		if a != b {
-			return fmt.Errorf("trace skip %d diverged: %+v vs %+v", i, a, b)
+	for i := range fixed.Spans {
+		a, b := fixed.Spans[i], skip.Spans[i]
+		if a.ID != b.ID || a.Name != b.Name || a.Parent != b.Parent || !slices.Equal(a.Attrs, b.Attrs) {
+			return fmt.Errorf("span %d diverged: %+v vs %+v", i, a, b)
 		}
 	}
 	return nil

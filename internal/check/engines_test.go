@@ -2,10 +2,12 @@ package check
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"mpr/internal/sim"
+	"mpr/internal/telemetry"
 	"mpr/internal/trace"
 )
 
@@ -25,15 +27,15 @@ func TestDiffEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("RunFixedStep vs Run: %d instances, %d jobs, %d emergencies, %d simulated slots, %d trace events in %v",
-		st.Instances, st.Participants, st.Emergencies, st.SimSlots, st.Events, time.Since(start))
+	t.Logf("RunFixedStep vs Run: %d instances, %d jobs, %d emergencies, %d simulated slots, %d trace spans in %v",
+		st.Instances, st.Participants, st.Emergencies, st.SimSlots, st.Spans, time.Since(start))
 	if st.Instances != n {
 		t.Errorf("ran %d instances, want %d", st.Instances, n)
 	}
-	// Every run emits events (an emergency at least declares), so an
-	// empty population means the Results kept no window to compare.
-	if st.Events < st.Emergencies {
-		t.Errorf("compared %d trace events across %d emergencies — the event windows were empty", st.Events, st.Emergencies)
+	// Every emergency keeps a span, so fewer spans than emergencies
+	// means the Results kept no window to compare.
+	if st.Spans < st.Emergencies {
+		t.Errorf("compared %d trace spans across %d emergencies — the span windows were empty", st.Spans, st.Emergencies)
 	}
 	// The generated population must actually exercise overload handling,
 	// or the differential pins nothing but idle slot replay.
@@ -42,6 +44,41 @@ func TestDiffEngines(t *testing.T) {
 	}
 	if st.Emergencies < st.Instances/4 {
 		t.Errorf("only %d emergencies across %d instances — overload coverage too thin", st.Emergencies, st.Instances)
+	}
+}
+
+// TestCompareEngineResultsSeesSpanAttrs holds the differential to the
+// span tree: two Results that differ only in one market span's attribute
+// must fail the comparison.
+func TestCompareEngineResultsSeesSpanAttrs(t *testing.T) {
+	var res *sim.Result
+	market := -1
+	for seed := int64(1); market < 0; seed++ {
+		if seed > 100 {
+			t.Fatal("no generated configuration cleared a market")
+		}
+		cfg := NewGen(seed).SimConfig()
+		cfg.TraceEvents = diffTraceEvents
+		r, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = r
+		market = slices.IndexFunc(r.Spans, func(s telemetry.Span) bool { return s.Name == "market" && len(s.Attrs) > 0 })
+	}
+	same := *res
+	same.Spans = slices.Clone(res.Spans)
+	if err := CompareEngineResults(res, &same); err != nil {
+		t.Fatalf("a Result differs from its copy: %v", err)
+	}
+	other := *res
+	other.Spans = slices.Clone(res.Spans)
+	attrs := slices.Clone(res.Spans[market].Attrs)
+	attrs[0].Value += "0"
+	other.Spans[market].Attrs = attrs
+	if err := CompareEngineResults(res, &other); err == nil {
+		t.Fatalf("market span attribute %s changed from %q to %q, and the comparison passed",
+			attrs[0].Key, res.Spans[market].Attrs[0].Value, attrs[0].Value)
 	}
 }
 

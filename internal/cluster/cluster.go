@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -11,56 +10,30 @@ import (
 	"mpr/internal/stats"
 )
 
-// Config parameterizes the prototype emulation.
+// The prototype's fixed set-up (Section V-F).
+const (
+	// capacityW is the power cap creating overloads.
+	capacityW = 400
+	// meterNoiseW is the Gaussian sigma of the power meter.
+	meterNoiseW = 2
+	// phaseAmp is each app's slow sinusoidal power phase, a fraction of
+	// its dynamic power, so the controller sees realistic variation.
+	phaseAmp = 0.03
+	// minOverloadTicks and cooldownTicks parameterize the emergency
+	// controller in seconds: 10 s minimum overload, 60 s cool-down for
+	// prototype-scale experiments.
+	minOverloadTicks = 10
+	cooldownTicks    = 60
+)
+
+// Config parameterizes the prototype emulation of DefaultApps.
 type Config struct {
-	// Apps to run; DefaultApps() when empty.
-	Apps []AppSpec
-	// CapacityW is the power cap creating overloads (paper: 400 W).
-	CapacityW float64
 	// UseMPR selects whether the manager handles overloads with the MPR
-	// market (true) or leaves the overload standing (false) — the two
-	// Fig. 17 experiment arms.
+	// market's static cooperative bids (true) or leaves the overload
+	// standing (false) — the two Fig. 17 experiment arms.
 	UseMPR bool
-	// Interactive selects MPR-INT bidding (rational agents per price
-	// round) instead of MPR-STAT static cooperative bids.
-	Interactive bool
-	// MeterNoiseW is the Gaussian sigma of the power meter.
-	MeterNoiseW float64
-	// PhaseAmp adds a slow sinusoidal power phase per app (fraction of
-	// dynamic power) so the controller sees realistic variation.
-	PhaseAmp float64
 	// Seed drives meter noise and phase offsets.
 	Seed int64
-	// MinOverloadTicks and CooldownTicks parameterize the emergency
-	// controller in seconds (paper: 10 s minimum overload, 60 s
-	// cool-down for prototype-scale experiments).
-	MinOverloadTicks int
-	CooldownTicks    int
-}
-
-func (c *Config) normalize() error {
-	if len(c.Apps) == 0 {
-		c.Apps = DefaultApps()
-	}
-	if c.CapacityW <= 0 {
-		c.CapacityW = 400
-	}
-	if c.MeterNoiseW < 0 {
-		return fmt.Errorf("cluster: meter noise must be non-negative")
-	}
-	if c.MeterNoiseW == 0 {
-		c.MeterNoiseW = 2
-	}
-	if c.PhaseAmp < 0 || c.PhaseAmp > 0.5 {
-		return fmt.Errorf("cluster: phase amplitude must be in [0, 0.5]")
-	}
-	if c.MinOverloadTicks <= 0 {
-		c.MinOverloadTicks = 10
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 60
-	}
-	return nil
 }
 
 // AppOutcome summarizes one application after a run.
@@ -114,19 +87,16 @@ type Cluster struct {
 
 // New builds the emulated cluster.
 func New(cfg Config) (*Cluster, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
 	ec, err := power.NewEmergencyController(power.EmergencyConfig{
-		CapacityW:        cfg.CapacityW,
-		MinOverloadSlots: cfg.MinOverloadTicks,
-		CooldownSlots:    cfg.CooldownTicks,
+		CapacityW:        capacityW,
+		MinOverloadSlots: minOverloadTicks,
+		CooldownSlots:    cooldownTicks,
 	})
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), ec: ec}
-	for _, spec := range cfg.Apps {
+	for _, spec := range DefaultApps() {
 		a, err := newApp(spec, 1, perf.CostLinear)
 		if err != nil {
 			return nil, err
@@ -153,26 +123,22 @@ func (c *Cluster) TotalCores() int {
 func (c *Cluster) truePowerW() float64 {
 	var total float64
 	for i, a := range c.apps {
-		p := a.powerW()
-		if c.cfg.PhaseAmp > 0 {
-			dyn := a.dynPowerPerCore() * float64(a.spec.Cores)
-			p += dyn * c.cfg.PhaseAmp * math.Sin(2*math.Pi*float64(c.tick)/300+c.phaseOffset[i])
-		}
-		total += p
+		dyn := a.dynPowerPerCore() * float64(a.spec.Cores)
+		total += a.powerW() + dyn*phaseAmp*math.Sin(2*math.Pi*float64(c.tick)/300+c.phaseOffset[i])
 	}
 	return total
 }
 
 // meteredPowerW adds meter noise to the true power.
 func (c *Cluster) meteredPowerW(trueW float64) float64 {
-	return trueW + c.cfg.MeterNoiseW*c.rng.NormFloat64()
+	return trueW + meterNoiseW*c.rng.NormFloat64()
 }
 
 // Step advances the emulation by one second of virtual time.
 func (c *Cluster) Step() {
 	trueW := c.truePowerW()
 	metered := c.meteredPowerW(trueW)
-	if trueW > c.cfg.CapacityW {
+	if trueW > capacityW {
 		c.overloadSec++
 	}
 
@@ -180,11 +146,8 @@ func (c *Cluster) Step() {
 	var demandW float64
 	for i, a := range c.apps {
 		full := float64(a.spec.Cores) * (a.spec.StaticWPerCore + a.spec.DynMaxWPerCore)
-		if c.cfg.PhaseAmp > 0 {
-			dyn := a.spec.DynMaxWPerCore * float64(a.spec.Cores)
-			full += dyn * c.cfg.PhaseAmp * math.Sin(2*math.Pi*float64(c.tick)/300+c.phaseOffset[i])
-		}
-		demandW += full
+		dyn := a.spec.DynMaxWPerCore * float64(a.spec.Cores)
+		demandW += full + dyn*phaseAmp*math.Sin(2*math.Pi*float64(c.tick)/300+c.phaseOffset[i])
 	}
 
 	d := c.ec.Step(demandW, metered)
@@ -222,7 +185,6 @@ func (c *Cluster) Step() {
 // and applies the cleared reductions via DVFS.
 func (c *Cluster) clearMarket(targetW float64) {
 	parts := make([]*core.Participant, len(c.apps))
-	bidders := make([]core.Bidder, len(c.apps))
 	for i, a := range c.apps {
 		parts[i] = &core.Participant{
 			JobID:        a.spec.Name,
@@ -231,15 +193,8 @@ func (c *Cluster) clearMarket(targetW float64) {
 			WattsPerCore: a.wattsPerCoreReduction(),
 			MaxFrac:      1 - FreqMin/FreqMax,
 		}
-		bidders[i] = &core.RationalBidder{Cores: float64(a.spec.Cores), Model: a.model}
 	}
-	var res *core.ClearingResult
-	var err error
-	if c.cfg.Interactive {
-		res, err = core.ClearInteractive(parts, bidders, targetW, core.InteractiveConfig{})
-	} else {
-		res, err = core.Clear(parts, targetW)
-	}
+	res, err := core.Clear(parts, targetW)
 	if err != nil {
 		return // no participants; leave allocations unchanged
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDefaultAppsDrawAboveCap(t *testing.T) {
-	c, err := New(Config{Seed: 1, PhaseAmp: 0})
+	c, err := New(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestDefaultAppsDrawAboveCap(t *testing.T) {
 }
 
 func TestWithoutMPROverloadPersists(t *testing.T) {
-	c, err := New(Config{Seed: 2, UseMPR: false, PhaseAmp: 0.03})
+	c, err := New(Config{Seed: 2, UseMPR: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestWithoutMPROverloadPersists(t *testing.T) {
 }
 
 func TestMPRHandlesOverload(t *testing.T) {
-	c, err := New(Config{Seed: 3, UseMPR: true, PhaseAmp: 0.03})
+	c, err := New(Config{Seed: 3, UseMPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMPRHandlesOverload(t *testing.T) {
 // performance impact (Fig. 17(b)): XSBench (sensitive) keeps more of its
 // allocation than HPCCG (insensitive).
 func TestPerAppReductionsDiffer(t *testing.T) {
-	c, err := New(Config{Seed: 4, UseMPR: true, Interactive: true, PhaseAmp: 0})
+	c, err := New(Config{Seed: 4, UseMPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPerAppReductionsDiffer(t *testing.T) {
 
 // Users get paid for their reductions under MPR.
 func TestPrototypePayments(t *testing.T) {
-	c, err := New(Config{Seed: 5, UseMPR: true, PhaseAmp: 0})
+	c, err := New(Config{Seed: 5, UseMPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestPrototypePayments(t *testing.T) {
 // MPR slows work down only modestly: work done with MPR is below the
 // unconstrained run but above the worst case.
 func TestWorkProgressUnderMPR(t *testing.T) {
-	free, err := New(Config{Seed: 6, UseMPR: false, PhaseAmp: 0, CapacityW: 1000})
+	free, err := New(Config{Seed: 6, UseMPR: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	free.RunFor(1800)
-	capped, err := New(Config{Seed: 6, UseMPR: true, PhaseAmp: 0})
+	capped, err := New(Config{Seed: 6, UseMPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,26 +175,18 @@ func TestFreqSweepShapes(t *testing.T) {
 	if math.Abs(xsLow-hpLow) < 0.05 {
 		t.Errorf("XSBench (%.2f) and HPCCG (%.2f) respond identically to DVFS", xsLow, hpLow)
 	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{MeterNoiseW: -1}); err == nil {
-		t.Error("negative noise accepted")
-	}
-	if _, err := New(Config{PhaseAmp: 0.9}); err == nil {
-		t.Error("excessive phase amplitude accepted")
-	}
-	if _, err := New(Config{Apps: []AppSpec{{Name: "XSBench", Cores: 0}}}); err == nil {
+	// It refuses apps the emulation cannot run.
+	if _, err := FreqSweep([]AppSpec{{Name: "XSBench", Cores: 0}}, 4); err == nil {
 		t.Error("zero-core app accepted")
 	}
-	if _, err := New(Config{Apps: []AppSpec{{Name: "NoSuchApp", Cores: 1, DynMaxWPerCore: 1, PowerExp: 1}}}); err == nil {
+	if _, err := FreqSweep([]AppSpec{{Name: "NoSuchApp", Cores: 1, DynMaxWPerCore: 1, PowerExp: 1}}, 4); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func() *RunResult {
-		c, err := New(Config{Seed: 9, UseMPR: true, PhaseAmp: 0.05})
+		c, err := New(Config{Seed: 9, UseMPR: true})
 		if err != nil {
 			t.Fatal(err)
 		}

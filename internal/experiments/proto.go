@@ -34,9 +34,7 @@ func runFig17(o Options) (*Result, error) {
 		seconds = 600
 	}
 	run := func(useMPR bool) (*cluster.RunResult, error) {
-		c, err := cluster.New(cluster.Config{
-			Seed: o.seed(), UseMPR: useMPR, PhaseAmp: 0.03, CapacityW: 400,
-		})
+		c, err := cluster.New(cluster.Config{Seed: o.seed(), UseMPR: useMPR})
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"mpr/internal/runner"
 	"mpr/internal/stats"
 	"mpr/internal/telemetry"
-	"mpr/internal/telemetry/tsdb"
 )
 
 func init() {
@@ -88,9 +87,7 @@ func runFig10(o Options) (*Result, error) {
 		"round", "announced price", "cleared price", "supplied (W)", "price error (%)")
 
 	// The per-round price trajectory is recorded as market_round trace
-	// events on the largest pool, ingested into a series store, and read
-	// back as per-round convergence series — the same record/replay path
-	// the post-hoc tooling uses (DESIGN.md §7).
+	// events on the largest pool and read back from the tracer.
 	tracer := telemetry.NewTracer(256)
 	largest := sizes[len(sizes)-1]
 
@@ -154,8 +151,9 @@ func runFig10(o Options) (*Result, error) {
 		dualMS := time.Since(t0).Seconds() * 1000
 
 		intCfg := core.InteractiveConfig{}
+		traceID := fmt.Sprintf("mpr-int-n%d", n)
 		if n == largest {
-			intCfg.Trace = tracer.StartTrace(fmt.Sprintf("mpr-int-n%d", n))
+			intCfg.Trace = tracer.StartTrace(traceID)
 		}
 		t0 = time.Now()
 		intRes, err := core.ClearInteractive(parts, bidders, target, intCfg)
@@ -165,30 +163,16 @@ func runFig10(o Options) (*Result, error) {
 		intMS := time.Since(t0).Seconds() * 1000
 
 		if n == largest {
-			store := tsdb.New(0)
-			tsdb.IngestMarketTrace(store, tracer.Events())
-			match := map[string]string{"trace": fmt.Sprintf("mpr-int-n%d", n)}
-			get := func(name string) []tsdb.Point {
-				data := store.Query(tsdb.Query{Name: name, Match: match})
-				if len(data) == 0 {
-					return nil
-				}
-				return data[0].Points
-			}
-			announced := get(tsdb.SeriesMarketAnnouncedPrice)
-			cleared := get(tsdb.SeriesMarketClearedPrice)
-			supplied := get(tsdb.SeriesMarketSuppliedW)
 			final := intRes.Price
-			for i := range announced {
-				if i >= len(cleared) || i >= len(supplied) {
-					break
+			for _, e := range tracer.Events() {
+				if e.Name != "market_round" || e.Trace != traceID {
+					continue
 				}
 				errPct := 0.0
 				if final != 0 {
-					errPct = 100 * (cleared[i].V - final) / final
+					errPct = 100 * (e.Price - final) / final
 				}
-				convTbl.AddRow(int(announced[i].T), announced[i].V,
-					cleared[i].V, supplied[i].V, errPct)
+				convTbl.AddRow(e.Round, e.Value, e.Price, e.SuppliedW, errPct)
 			}
 		}
 		intTotal := time.Duration(intMS*float64(time.Millisecond)) + time.Duration(intRes.Rounds)*commPerRound
@@ -201,6 +185,6 @@ func runFig10(o Options) (*Result, error) {
 		Notes: []string{
 			"MPR-INT total time charges 500 ms of communication per round, as in the paper",
 			"MPR-STAT uses the closed-form segmented solver; 'MPR-STAT bisect' is the legacy bisection search and 'indexed clear' the per-clear cost once the market index is built (amortized over 100 re-clears)",
-			"the convergence trajectory is regenerated from recorded series: the per-round market_round trace events are ingested into a time-series store and queried back (DESIGN.md §7); price error is the cleared price's deviation from the final (Nash) price",
+			"the convergence trajectory is read back from the per-round market_round trace events; price error is the cleared price's deviation from the final (Nash) price",
 		}}, nil
 }

@@ -11,59 +11,28 @@
 // and per query — it runs every simulator slot.
 package forecast
 
-import (
-	"fmt"
-	"math"
+import "math"
+
+// The smoothing constants. Overload anticipation needs the trend to catch
+// demand ramps within a few slots, so level and trend react much faster
+// than a long-horizon forecaster's would. They are typed, so an
+// expression such as 1−trendBeta rounds once from the float64 value, as
+// the same subtraction does at run time.
+const (
+	// levelAlpha smooths the level term and trendBeta the trend term.
+	levelAlpha float64 = 0.5
+	trendBeta  float64 = 0.35
+	// seasonGamma smooths the diurnal profile.
+	seasonGamma float64 = 0.05
+	// phi damps the trend over multi-step forecasts: an h-step forecast
+	// extrapolates trend·(φ + φ² + … + φʰ), the standard damped-trend
+	// correction that keeps long-horizon predictions of periodic signals
+	// from diverging.
+	phi float64 = 0.95
+	// period is the season length in observations: one day of
+	// one-minute slots.
+	period = 1440
 )
-
-// Config parameterizes the forecaster. Zero values select defaults.
-type Config struct {
-	// LevelAlpha is the smoothing factor of the level term (default 0.3).
-	LevelAlpha float64
-	// TrendBeta is the smoothing factor of the trend term (default 0.1).
-	TrendBeta float64
-	// SeasonGamma is the smoothing factor of the diurnal profile
-	// (default 0.05).
-	SeasonGamma float64
-	// Period is the season length in observations (default 1440 — one
-	// day of one-minute slots).
-	Period int
-	// Phi damps the trend over multi-step forecasts (default 0.85):
-	// an h-step forecast extrapolates trend·(φ + φ² + … + φʰ), the
-	// standard damped-trend correction that keeps long-horizon
-	// predictions of periodic signals from diverging.
-	Phi float64
-}
-
-func (c *Config) normalize() error {
-	if c.LevelAlpha == 0 {
-		c.LevelAlpha = 0.3
-	}
-	if c.TrendBeta == 0 {
-		c.TrendBeta = 0.1
-	}
-	if c.SeasonGamma == 0 {
-		c.SeasonGamma = 0.05
-	}
-	if c.Period == 0 {
-		c.Period = 1440
-	}
-	if c.Phi == 0 {
-		c.Phi = 0.85
-	}
-	if c.Phi < 0 || c.Phi > 1 {
-		return fmt.Errorf("forecast: trend damping must be in [0,1], got %v", c.Phi)
-	}
-	for _, v := range []float64{c.LevelAlpha, c.TrendBeta, c.SeasonGamma} {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("forecast: smoothing factors must be in [0,1], got %v", v)
-		}
-	}
-	if c.Period < 1 {
-		return fmt.Errorf("forecast: period must be positive, got %d", c.Period)
-	}
-	return nil
-}
 
 // Forecaster is a Holt-Winters-style additive seasonal predictor.
 //
@@ -72,7 +41,6 @@ func (c *Config) normalize() error {
 // starting the recursion from zeros instead lets the level absorb the
 // seasonality and destabilizes the trend.
 type Forecaster struct {
-	cfg    Config
 	level  float64
 	trend  float64
 	season []float64
@@ -81,34 +49,28 @@ type Forecaster struct {
 }
 
 // New builds a forecaster.
-func New(cfg Config) (*Forecaster, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
+func New() *Forecaster {
 	return &Forecaster{
-		cfg:    cfg,
-		season: make([]float64, cfg.Period),
-		warmup: make([]float64, 0, cfg.Period),
-	}, nil
+		season: make([]float64, period),
+		warmup: make([]float64, 0, period),
+	}
 }
 
 // Ready reports whether the forecaster has completed its first-period
 // initialization.
 func (f *Forecaster) Ready() bool { return f.warmup == nil }
 
-// Observe feeds one sample. Samples must arrive at a fixed cadence
-// matching the configured period.
+// Observe feeds one sample. Samples must arrive once a minute.
 func (f *Forecaster) Observe(v float64) {
-	c := f.cfg
 	if f.warmup != nil {
 		f.level = v // last value, for pre-initialization predictions
 		f.warmup = append(f.warmup, v)
-		if len(f.warmup) == c.Period {
+		if len(f.warmup) == period {
 			mean := 0.0
 			for _, w := range f.warmup {
 				mean += w
 			}
-			mean /= float64(c.Period)
+			mean /= period
 			f.level = mean
 			f.trend = 0
 			for i, w := range f.warmup {
@@ -122,10 +84,10 @@ func (f *Forecaster) Observe(v float64) {
 	s := f.season[f.idx]
 	deseason := v - s
 	prevLevel := f.level
-	f.level = c.LevelAlpha*deseason + (1-c.LevelAlpha)*(f.level+f.trend)
-	f.trend = c.TrendBeta*(f.level-prevLevel) + (1-c.TrendBeta)*f.trend
-	f.season[f.idx] = c.SeasonGamma*(v-f.level) + (1-c.SeasonGamma)*s
-	f.idx = (f.idx + 1) % c.Period
+	f.level = levelAlpha*deseason + (1-levelAlpha)*(f.level+f.trend)
+	f.trend = trendBeta*(f.level-prevLevel) + (1-trendBeta)*f.trend
+	f.season[f.idx] = seasonGamma*(v-f.level) + (1-seasonGamma)*s
+	f.idx = (f.idx + 1) % period
 }
 
 // Predict forecasts the value `ahead` observations into the future
@@ -137,13 +99,9 @@ func (f *Forecaster) Predict(ahead int) float64 {
 	if !f.Ready() {
 		return f.level
 	}
-	seasonIdx := (f.idx + ahead - 1) % f.cfg.Period
+	seasonIdx := (f.idx + ahead - 1) % period
 	// Damped trend: Σ_{i=1..h} φ^i = φ(1−φ^h)/(1−φ).
-	phi := f.cfg.Phi
-	trendSum := float64(ahead)
-	if phi < 1 {
-		trendSum = phi * (1 - math.Pow(phi, float64(ahead))) / (1 - phi)
-	}
+	trendSum := phi * (1 - math.Pow(phi, float64(ahead))) / (1 - phi)
 	v := f.level + trendSum*f.trend + f.season[seasonIdx]
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return f.level

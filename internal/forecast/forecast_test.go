@@ -8,34 +8,9 @@ import (
 	"mpr/internal/check/floats"
 )
 
-func mustNew(t *testing.T, cfg Config) *Forecaster {
-	t.Helper()
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{LevelAlpha: 2}); err == nil {
-		t.Error("alpha > 1 accepted")
-	}
-	if _, err := New(Config{TrendBeta: -0.1}); err == nil {
-		t.Error("negative beta accepted")
-	}
-	if _, err := New(Config{Period: -5}); err == nil {
-		t.Error("negative period accepted")
-	}
-	f := mustNew(t, Config{})
-	if f.cfg.Period != 1440 {
-		t.Errorf("default period = %d", f.cfg.Period)
-	}
-}
-
 func TestConstantSeries(t *testing.T) {
-	f := mustNew(t, Config{Period: 10})
-	for i := 0; i < 100; i++ {
+	f := New()
+	for i := 0; i < period+100; i++ {
 		f.Observe(500)
 	}
 	for _, h := range []int{1, 5, 20} {
@@ -46,7 +21,11 @@ func TestConstantSeries(t *testing.T) {
 }
 
 func TestLinearTrend(t *testing.T) {
-	f := mustNew(t, Config{Period: 10, SeasonGamma: 0.001})
+	// A flat first day initializes a zero season; the ramp follows.
+	f := New()
+	for i := 0; i < period; i++ {
+		f.Observe(100)
+	}
 	for i := 0; i < 300; i++ {
 		f.Observe(100 + 2*float64(i))
 	}
@@ -60,8 +39,7 @@ func TestLinearTrend(t *testing.T) {
 }
 
 func TestDiurnalPattern(t *testing.T) {
-	const period = 48
-	f := mustNew(t, Config{Period: period, SeasonGamma: 0.2})
+	f := New()
 	wave := func(i int) float64 {
 		return 1000 + 200*math.Sin(2*math.Pi*float64(i%period)/period)
 	}
@@ -82,8 +60,7 @@ func TestDiurnalPattern(t *testing.T) {
 }
 
 func TestPredictMaxCoversPeak(t *testing.T) {
-	const period = 24
-	f := mustNew(t, Config{Period: period, SeasonGamma: 0.3})
+	f := New()
 	wave := func(i int) float64 {
 		return 1000 + 300*math.Sin(2*math.Pi*float64(i%period)/period)
 	}
@@ -101,7 +78,7 @@ func TestPredictMaxCoversPeak(t *testing.T) {
 }
 
 func TestNotReadyFallsBack(t *testing.T) {
-	f := mustNew(t, Config{Period: 5})
+	f := New()
 	if f.Ready() {
 		t.Error("ready with no data")
 	}
@@ -109,17 +86,21 @@ func TestNotReadyFallsBack(t *testing.T) {
 	if v := f.Predict(3); !floats.AbsEqual(v, 700, 1e-9) {
 		t.Errorf("unready prediction = %v, want last value", v)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < period-2; i++ {
 		f.Observe(700)
 	}
+	if f.Ready() {
+		t.Error("ready a sample before the period is full")
+	}
+	f.Observe(700)
 	if !f.Ready() {
 		t.Error("not ready after a full period")
 	}
 }
 
 func TestPredictClampsHorizon(t *testing.T) {
-	f := mustNew(t, Config{Period: 5})
-	for i := 0; i < 10; i++ {
+	f := New()
+	for i := 0; i < period+10; i++ {
 		f.Observe(100)
 	}
 	if f.Predict(0) != f.Predict(1) {
@@ -130,18 +111,19 @@ func TestPredictClampsHorizon(t *testing.T) {
 	}
 }
 
-// Property: predictions stay finite for arbitrary bounded inputs.
+// Property: predictions stay finite for arbitrary bounded inputs, fed
+// cyclically for two periods so the seasonal recursion runs.
 func TestPredictionFinite(t *testing.T) {
 	prop := func(raw []float64) bool {
-		f, err := New(Config{Period: 7})
-		if err != nil {
-			return false
-		}
+		var vs []float64
 		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				vs = append(vs, math.Mod(v, 1e6))
 			}
-			f.Observe(math.Mod(v, 1e6))
+		}
+		f := New()
+		for i := 0; len(vs) > 0 && i < 2*period; i++ {
+			f.Observe(vs[i%len(vs)])
 		}
 		for h := 1; h <= 10; h++ {
 			v := f.Predict(h)

@@ -1,24 +1,6 @@
 package power
 
-import (
-	"fmt"
-
-	"mpr/internal/telemetry"
-	"mpr/internal/telemetry/hdr"
-)
-
-// Metric names the emergency controller registers.
-const (
-	// MetricOverloadW is the current overload depth in watts (delivered
-	// power above capacity; 0 when within capacity).
-	MetricOverloadW = "mpr_power_overload_w"
-	// MetricEmergencyDuration is the emergency duration histogram in
-	// slots, observed when an emergency lifts.
-	MetricEmergencyDuration = "mpr_power_emergency_duration_slots"
-	// MetricEmergencyEvents counts controller transitions, labeled
-	// "declare", "raise", or "lift".
-	MetricEmergencyEvents = "mpr_power_emergency_events_total"
-)
+import "fmt"
 
 // EmergencyState is the phase of the overload-handling state machine.
 type EmergencyState int
@@ -70,10 +52,6 @@ type EmergencyConfig struct {
 	// CooldownSlots is the minimum number of slots an emergency stays
 	// active before it can be lifted. Paper evaluation: 10 minutes.
 	CooldownSlots int
-	// Telemetry, when set, receives the controller's overload-depth
-	// gauge, emergency-duration histogram, and transition counters. Nil
-	// (the Nop registry) disables instrumentation at zero cost.
-	Telemetry *telemetry.Registry
 }
 
 // Normalize fills defaults and validates.
@@ -121,15 +99,7 @@ type EmergencyController struct {
 	state          EmergencyState
 	pendingSlots   int
 	emergencySlots int
-	activeSlots    int // slots since declare; unlike emergencySlots, not reset by raises
 	targetW        float64
-
-	// Telemetry handles; all nil (no-op) without a configured registry.
-	overloadW *telemetry.Gauge
-	duration  *hdr.Histogram
-	declares  *telemetry.Counter
-	raises    *telemetry.Counter
-	lifts     *telemetry.Counter
 }
 
 // NewEmergencyController validates cfg and builds a controller in
@@ -138,16 +108,7 @@ func NewEmergencyController(cfg EmergencyConfig) (*EmergencyController, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	ec := &EmergencyController{cfg: cfg}
-	if reg := cfg.Telemetry; reg != nil {
-		ec.overloadW = reg.Gauge(MetricOverloadW, "Delivered power above capacity in watts (0 within capacity).")
-		ec.duration = reg.HDR(MetricEmergencyDuration, "Emergency duration in slots, observed at lift.")
-		events := reg.CounterFamily(MetricEmergencyEvents, "Emergency controller transitions.", "event")
-		ec.declares = events.With("declare")
-		ec.raises = events.With("raise")
-		ec.lifts = events.With("lift")
-	}
-	return ec, nil
+	return &EmergencyController{cfg: cfg}, nil
 }
 
 // State returns the current phase.
@@ -172,11 +133,6 @@ func (ec *EmergencyController) reductionTarget(demandW float64) float64 {
 // current reduction in force. During normal operation the two coincide.
 func (ec *EmergencyController) Step(demandW, deliveredW float64) Decision {
 	c := ec.cfg
-	if over := deliveredW - c.CapacityW; over > 0 {
-		ec.overloadW.Set(over)
-	} else {
-		ec.overloadW.Set(0)
-	}
 	switch ec.state {
 	case StateNormal, StatePending:
 		if deliveredW > c.CapacityW {
@@ -184,10 +140,8 @@ func (ec *EmergencyController) Step(demandW, deliveredW float64) Decision {
 			if ec.pendingSlots >= c.MinOverloadSlots {
 				ec.state = StateEmergency
 				ec.emergencySlots = 0
-				ec.activeSlots = 0
 				ec.targetW = ec.reductionTarget(demandW)
 				ec.pendingSlots = 0
-				ec.declares.Inc()
 				return Decision{State: ec.state, Declare: true, TargetW: ec.targetW}
 			}
 			ec.state = StatePending
@@ -199,14 +153,12 @@ func (ec *EmergencyController) Step(demandW, deliveredW float64) Decision {
 
 	case StateEmergency, StateCooldown:
 		ec.emergencySlots++
-		ec.activeSlots++
 		// If demand keeps growing so that even the reduced system
 		// overloads, raise the target.
 		if want := ec.reductionTarget(demandW); want > ec.targetW+1e-9 && deliveredW > c.CapacityW {
 			ec.targetW = want
 			ec.state = StateEmergency
 			ec.emergencySlots = 0
-			ec.raises.Inc()
 			return Decision{State: ec.state, Raise: true, TargetW: ec.targetW}
 		}
 		// Lift condition (Section IV-A): after the cool-down, resume
@@ -223,9 +175,6 @@ func (ec *EmergencyController) Step(demandW, deliveredW float64) Decision {
 				target := ec.targetW
 				ec.targetW = 0
 				ec.emergencySlots = 0
-				ec.lifts.Inc()
-				ec.duration.Record(float64(ec.activeSlots))
-				ec.activeSlots = 0
 				return Decision{State: ec.state, Lift: true, TargetW: target}
 			}
 			return Decision{State: ec.state, TargetW: ec.targetW}

@@ -13,7 +13,6 @@ import (
 
 	"mpr/internal/perf"
 	"mpr/internal/power"
-	"mpr/internal/telemetry"
 	"mpr/internal/trace"
 )
 
@@ -65,9 +64,9 @@ type Config struct {
 	// used by the heterogeneous GPU evaluation where "one core" is
 	// normalized to each application's maximum power.
 	AppPower map[string]power.CoreModel
-	// CostShape and Alpha parameterize the user cost model (Eqn. (6)).
+	// CostShape is the user cost model's shape (Eqn. (6)); its scale α
+	// is 1.
 	CostShape perf.CostShape
-	Alpha     float64
 	// Participation is the fraction of users taking part in the market
 	// (Fig. 12); it only affects MPR-STAT and MPR-INT.
 	Participation float64
@@ -79,12 +78,11 @@ type Config struct {
 	// StatBidFactor scales the cooperative bid's reluctance for
 	// MPR-STAT: 1 = cooperative, >1 conservative, <1 deficient.
 	StatBidFactor float64
-	// MinOverloadSlots and CooldownSlots parameterize the emergency
-	// controller (defaults 1 and 10, Section IV-A); BufferFrac is the
-	// reduction-target safety buffer (default 0.01).
-	MinOverloadSlots int
-	CooldownSlots    int
-	BufferFrac       float64
+	// CooldownSlots parameterizes the emergency controller (default 10,
+	// Section IV-A), which declares on the first overloaded slot;
+	// BufferFrac is the reduction-target safety buffer (default 0.01).
+	CooldownSlots int
+	BufferFrac    float64
 	// MarketDelaySlots delays the reduction taking effect after an
 	// emergency is declared — modeling MPR-INT's communication rounds
 	// (the paper charges 500 ms per round; a 30-round market is half a
@@ -116,21 +114,12 @@ type Config struct {
 	// the newest ones (default 4096, ~2.8 days of slots). RunSlots(trace)
 	// keeps the whole run.
 	SeriesCapacity int
-	// TraceEvents, when positive, sizes the run's in-memory telemetry
-	// event ring (the clearing-round and emergency trace returned in
-	// Result.TraceEvents) and its span ring (Result.Spans), each at least
-	// 16. Zero, the default, retains neither: callers keep Results (the
-	// experiments' cache, the benchmark's laps) and no production caller
-	// reads the window, so a run without TraceEvents builds no tracer at
-	// all. Negative is an error.
+	// TraceEvents, when positive, sizes the run's span ring
+	// (Result.Spans), at least 16. Zero, the default, retains no spans:
+	// callers keep Results (the experiments' cache, the benchmark's laps),
+	// so a run without TraceEvents builds no tracer at all. Negative is an
+	// error.
 	TraceEvents int
-	// Telemetry, when set, receives the run's metrics: market
-	// invocations, infeasible clears, the MPR-INT rounds-to-convergence
-	// histogram, reduction latency (names in sim's telemetry.go), and the
-	// emergency controller's transitions, durations and overload depth
-	// (power's). Nil, the default, records none. Runs may share a
-	// registry; their counts then add up.
-	Telemetry *telemetry.Registry
 	// RecordJobs records every job's timeline (submit/start/end slots,
 	// completion, affectedness, final remaining work) into Result.Jobs —
 	// the per-job pinning surface of the Run-vs-RunFixedStep differential
@@ -156,7 +145,6 @@ func (c *Config) Normalize() error {
 	}{
 		{"OversubPct", c.OversubPct},
 		{"CapacityOverrideW", c.CapacityOverrideW},
-		{"Alpha", c.Alpha},
 		{"Participation", c.Participation},
 		{"CostErrorRand", c.CostErrorRand},
 		{"CostErrorUnder", c.CostErrorUnder},
@@ -182,12 +170,6 @@ func (c *Config) Normalize() error {
 	}
 	if len(c.Profiles) == 0 {
 		c.Profiles = perf.CPUProfiles()
-	}
-	if c.Alpha < 0 {
-		return fmt.Errorf("sim: cost scale alpha must be non-negative, got %v", c.Alpha)
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 1
 	}
 	if c.Participation == 0 {
 		c.Participation = 1
@@ -220,7 +202,7 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("sim: phase amplitude must be in [0, 0.5], got %v", c.PhaseAmp)
 	}
 	if c.TraceEvents < 0 {
-		return fmt.Errorf("sim: trace event window must be non-negative, got %d", c.TraceEvents)
+		return fmt.Errorf("sim: trace span window must be non-negative, got %d", c.TraceEvents)
 	}
 	return nil
 }

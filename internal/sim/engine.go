@@ -81,10 +81,8 @@ type engineState struct {
 	cfg *Config
 	res *Result
 
-	tracer   *telemetry.Tracer
-	runTrace *telemetry.Trace
-	sm       simMetrics
-	smp      seriesSampler
+	tracer *telemetry.Tracer
+	smp    seriesSampler
 
 	seriesStore *tsdb.Store
 
@@ -111,9 +109,8 @@ type engineState struct {
 
 	// Delayed reduction orders (MarketDelaySlots): allocations computed
 	// at declare time but applied later.
-	pendingAllocs    map[int]float64
-	pendingApplyAt   int
-	pendingOrderSlot int
+	pendingAllocs  map[int]float64
+	pendingApplyAt int
 
 	// scratch is the reusable market-invocation state; the hot slot
 	// loop re-clears through it without per-invocation allocations.
@@ -226,16 +223,12 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Per-run observability: the caller's registry, if any, and an event
-	// tracer only when the run asks for a retained window. Without them
-	// every metric, span and event below is a nil-handle no-op. The power controller registers its gauges/histograms in the
-	// same registry.
+	// Per-run observability: a span tracer only when the run asks for a
+	// retained window. Without one every span below is a nil-handle no-op.
 	var tracer *telemetry.Tracer
 	if cfg.TraceEvents > 0 {
 		tracer = telemetry.NewTracer(cfg.TraceEvents)
 	}
-	runTrace := tracer.StartTrace(string(cfg.Algorithm))
-	sm := newSimMetrics(cfg.Telemetry)
 
 	// Per-slot series sampling (SampleSeries): handles resolve once here;
 	// over a nil store they are all Nop, so the disabled path costs only
@@ -254,11 +247,9 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	}
 
 	ec, err := power.NewEmergencyController(power.EmergencyConfig{
-		CapacityW:        capW,
-		BufferFrac:       cfg.BufferFrac,
-		MinOverloadSlots: cfg.MinOverloadSlots,
-		CooldownSlots:    cfg.CooldownSlots,
-		Telemetry:        cfg.Telemetry,
+		CapacityW:     capW,
+		BufferFrac:    cfg.BufferFrac,
+		CooldownSlots: cfg.CooldownSlots,
 	})
 	if err != nil {
 		return nil, err
@@ -301,8 +292,6 @@ func newEngineState(cfg *Config) (*engineState, error) {
 		cfg:          cfg,
 		res:          res,
 		tracer:       tracer,
-		runTrace:     runTrace,
-		sm:           sm,
 		smp:          smp,
 		seriesStore:  seriesStore,
 		jobs:         jobs,
@@ -317,17 +306,7 @@ func newEngineState(cfg *Config) (*engineState, error) {
 		horizon:      horizon(cfg.Trace),
 	}
 	if cfg.Predictive {
-		// Reactive smoothing: overload anticipation needs the trend to
-		// catch demand ramps within a few slots, so level and trend
-		// react much faster than a long-horizon forecaster would.
-		st.fc, err = forecast.New(forecast.Config{
-			LevelAlpha: 0.5,
-			TrendBeta:  0.35,
-			Phi:        0.95,
-		})
-		if err != nil {
-			return nil, err
-		}
+		st.fc = forecast.New()
 	}
 	return st, nil
 }
@@ -405,7 +384,6 @@ func (st *engineState) step(slot int) error {
 			}
 		}
 		st.pendingAllocs = nil
-		st.sm.latency.Record(float64(slot - st.pendingOrderSlot))
 	}
 	var demandW, deliveredW float64
 	if cfg.PhaseAmp > 0 {
@@ -479,12 +457,11 @@ func (st *engineState) step(slot int) error {
 	case d.Declare || d.Raise:
 		if d.Declare {
 			res.EmergencyCount++
-			st.runTrace.Emit(telemetry.Event{Name: "emergency_declare", Slot: slot, TargetW: d.TargetW, Value: demandW - st.capW})
 			st.emSpan = st.tracer.StartSpan("emergency", nil)
-			st.emSpan.SetAttr("slot", strconv.Itoa(slot))
-			st.emSpan.SetAttr("algo", string(cfg.Algorithm))
-		} else {
-			st.runTrace.Emit(telemetry.Event{Name: "emergency_raise", Slot: slot, TargetW: d.TargetW, Value: demandW - st.capW})
+			if st.emSpan != nil {
+				st.emSpan.SetAttr("slot", strconv.Itoa(slot))
+				st.emSpan.SetAttr("algo", string(cfg.Algorithm))
+			}
 		}
 		st.emergency = true
 		st.lastTargetW = d.TargetW
@@ -501,7 +478,7 @@ func (st *engineState) step(slot int) error {
 			// the "mpr_span" pprof label so CPU profiles attribute
 			// clearing work to the market (not the slot loop).
 			mkSpan := st.emSpan.StartChild("market")
-			ic := core.InteractiveConfig{Trace: st.runTrace, Span: mkSpan}
+			ic := core.InteractiveConfig{Span: mkSpan}
 			var (
 				rounds     int
 				clearPrice float64
@@ -514,30 +491,28 @@ func (st *engineState) step(slot int) error {
 			if merr != nil {
 				return merr
 			}
-			mkSpan.SetAttr("rounds", strconv.Itoa(rounds))
+			if mkSpan != nil {
+				mkSpan.SetAttr("slot", strconv.Itoa(slot))
+				mkSpan.SetAttr("price", strconv.FormatFloat(clearPrice, 'g', -1, 64))
+				mkSpan.SetAttr("target_w", strconv.FormatFloat(d.TargetW, 'g', -1, 64))
+				mkSpan.SetAttr("feasible", strconv.FormatBool(feasible))
+				mkSpan.SetAttr("rounds", strconv.Itoa(rounds))
+			}
 			mkSpan.End()
 			st.smp.sampleClear(slot, rounds)
 			res.MarketInvocations++
 			st.totalRounds += rounds
 			st.sumPrice += clearPrice
 			st.price = clearPrice
-			st.sm.invocations.Inc()
-			st.sm.rounds.Record(float64(rounds))
-			feasLabel := "feasible"
 			if !feasible {
 				res.InfeasibleEvents++
-				st.sm.infeasible.Inc()
-				feasLabel = "infeasible"
 			}
-			st.runTrace.Emit(telemetry.Event{Name: "market_clear", Slot: slot,
-				Round: rounds, Price: clearPrice, TargetW: d.TargetW, Label: feasLabel})
 			if cfg.MarketDelaySlots == 0 {
 				// Immediate orders apply straight from the scratch
 				// selection — no id-keyed map on the hot path.
 				for i, j := range st.scratch.sel {
 					st.applyOrder(j, st.scratch.allocs[i], slot)
 				}
-				st.sm.latency.Record(0)
 			} else {
 				// A raise supersedes the in-flight order's content
 				// but must not postpone its delivery — the
@@ -557,7 +532,6 @@ func (st *engineState) step(slot int) error {
 				}
 				st.pendingAllocs = m
 				st.pendingApplyAt = applyAt
-				st.pendingOrderSlot = slot
 			}
 		}
 	case d.Lift:
@@ -569,8 +543,9 @@ func (st *engineState) step(slot int) error {
 		for _, j := range st.active {
 			st.setAlloc(j, 1)
 		}
-		st.runTrace.Emit(telemetry.Event{Name: "emergency_lift", Slot: slot, TargetW: d.TargetW})
-		st.emSpan.SetAttr("lift_slot", strconv.Itoa(slot))
+		if st.emSpan != nil {
+			st.emSpan.SetAttr("lift_slot", strconv.Itoa(slot))
+		}
 		st.emSpan.End()
 		st.emSpan = nil
 	}
@@ -678,10 +653,7 @@ func (st *engineState) finish() *Result {
 	// run's span set is complete.
 	st.emSpan.End()
 	res.Series = st.seriesStore
-	if cfg.TraceEvents > 0 {
-		res.Spans = st.tracer.Spans()
-		res.TraceEvents = st.tracer.Events()
-	}
+	res.Spans = st.tracer.Spans()
 	return res
 }
 
@@ -699,10 +671,10 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 	for i, tj := range cfg.Trace.Jobs {
 		prof := cfg.Profiles[rng.Intn(len(cfg.Profiles))]
 		trueModel, bidModel := &models[2*i], &models[2*i+1]
-		*trueModel = *perf.NewCostModel(prof, cfg.Alpha, cfg.CostShape)
+		*trueModel = *perf.NewCostModel(prof, 1, cfg.CostShape)
 		// Bidding-side cost perturbation: linear-in-α scaling captures
 		// both random error and systematic underestimation.
-		bidAlpha := cfg.Alpha
+		bidAlpha := 1.0
 		if cfg.CostErrorRand > 0 {
 			bidAlpha *= 1 + cfg.CostErrorRand*(2*rng.Float64()-1)
 		}
@@ -831,7 +803,7 @@ type marketScratch struct {
 // jobs and leaves the per-job target allocations in s.sel/s.allocs
 // (parallel slices, valid until the next invocation). Returns the
 // interactive round count (1 for one-shot algorithms), the clearing
-// price (0 for OPT/EQL), and feasibility. ic is MPR-INT's trace and span.
+// price (0 for OPT/EQL), and feasibility. ic is MPR-INT's span.
 func computeReduction(cfg *Config, ic core.InteractiveConfig, active []*simJob, targetW float64, s *marketScratch) (rounds int, price float64, feasible bool, err error) {
 	marketAlgo := cfg.Algorithm == AlgMPRStat || cfg.Algorithm == AlgMPRInt
 

@@ -107,17 +107,13 @@ type Result struct {
 	// slot, queryable by window and exportable as JSONL.
 	Series *tsdb.Store
 
-	// Spans are the run's completed hierarchical trace spans: each
-	// emergency contains its market-invocation children (and, for
-	// MPR-INT, per-round grandchildren with the bid fan-out). Nil unless
-	// Config.TraceEvents is positive; it caps how many are kept.
+	// Spans are the run's completed hierarchical trace spans, in
+	// completion order: each emergency (attributes slot, algo, lift_slot)
+	// contains its market-invocation children (slot, price, target_w,
+	// feasible, rounds) and, for MPR-INT, per-round grandchildren with the
+	// bid fan-out. Nil unless Config.TraceEvents is positive; it caps how
+	// many are kept.
 	Spans []telemetry.Span
-
-	// TraceEvents is the run's retained telemetry event window
-	// (chronological): emergency declare/raise/lift, per-invocation
-	// market clears, and MPR-INT per-round price trajectories. Nil unless
-	// Config.TraceEvents is positive; it caps how many are kept.
-	TraceEvents []telemetry.Event
 }
 
 // RewardPercent returns the users' reward as a percentage of their cost

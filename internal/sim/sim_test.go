@@ -328,11 +328,10 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestConfigRefusesNonFinite: every float knob refuses NaN and ±Inf up
-// front, with the sim: message naming it, and α refuses a negative value.
-// Unchecked, a NaN OversubPct ran with a NaN capacity and no emergencies,
-// a NaN or negative α cleared every market at price 0, a NaN
-// Participation meant nobody bid, and a NaN StatBidFactor failed only
-// inside core.
+// front, with the sim: message naming it, and the bid factor refuses a
+// negative value. Unchecked, a NaN OversubPct ran with a NaN capacity and
+// no emergencies, a NaN Participation meant nobody bid, and a NaN
+// StatBidFactor failed only inside core.
 func TestConfigRefusesNonFinite(t *testing.T) {
 	tr := sparseTrace(5, 2, 1000, 30)
 	res, err := Run(Config{Trace: tr, OversubPct: 15, Seed: 7})
@@ -345,7 +344,6 @@ func TestConfigRefusesNonFinite(t *testing.T) {
 	fields := map[string]func(*Config, float64){
 		"OversubPct":        func(c *Config, v float64) { c.OversubPct = v },
 		"CapacityOverrideW": func(c *Config, v float64) { c.CapacityOverrideW = v },
-		"Alpha":             func(c *Config, v float64) { c.Alpha = v },
 		"Participation":     func(c *Config, v float64) { c.Participation = v },
 		"CostErrorRand":     func(c *Config, v float64) { c.CostErrorRand = v },
 		"CostErrorUnder":    func(c *Config, v float64) { c.CostErrorUnder = v },
@@ -362,8 +360,8 @@ func TestConfigRefusesNonFinite(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Run(Config{Trace: tr, OversubPct: 15, Seed: 7, Alpha: -2}); err == nil || !strings.Contains(err.Error(), "alpha") {
-		t.Errorf("Alpha = -2: err %v, want the non-negative alpha refusal", err)
+	if _, err := Run(Config{Trace: tr, OversubPct: 15, Seed: 7, StatBidFactor: -2}); err == nil || !strings.Contains(err.Error(), "bid factor") {
+		t.Errorf("StatBidFactor = -2: err %v, want the non-negative bid factor refusal", err)
 	}
 }
 

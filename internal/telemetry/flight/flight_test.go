@@ -262,3 +262,48 @@ func TestWriteBundleAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBundleHDRCountsExact records count-valued instruments — small
+// integers, a zero below the trackable range and a length above it — into
+// a registry and checks a bundle's hdr_histograms carries each one's exact
+// count and sum, and the clamped samples' own values as min and max.
+func TestBundleHDRCountsExact(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rounds := reg.HDR("rounds", "Rounds per market.")
+	rounds.Record(27)
+	rounds.Record(1)
+	latency := reg.HDR("latency_slots", "Slots from order to application.")
+	latency.Record(0)
+	latency.Record(2)
+	duration := reg.HDR("duration_slots", "Emergency length in slots.")
+	duration.Record(151)
+
+	rec, err := New(Config{Registry: reg, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := rec.Dump(time.Unix(5000, 0), ReasonManual, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBundleFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string][2]float64{ // name → {count, sum}
+		"rounds":         {2, 28},
+		"latency_slots":  {2, 2},
+		"duration_slots": {1, 151},
+	} {
+		got, ok := b.HDRs[name]
+		if !ok || float64(got.Count) != w[0] || got.Sum != w[1] {
+			t.Errorf("hdr_histograms[%s] = %+v (present %v), want count %g sum %g", name, got, ok, w[0], w[1])
+		}
+	}
+	if d := b.HDRs["duration_slots"]; d.Max != 151 {
+		t.Errorf("overflowed duration reads back Max %g, want 151", d.Max)
+	}
+	if l := b.HDRs["latency_slots"]; l.Min != 0 {
+		t.Errorf("underflowed latency reads back Min %g, want 0", l.Min)
+	}
+}

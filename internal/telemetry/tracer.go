@@ -13,17 +13,15 @@ type Event struct {
 	// Seq is the tracer-assigned sequence number (monotonic per tracer).
 	Seq uint64 `json:"seq"`
 	// TimeNS is the wall-clock timestamp in Unix nanoseconds, stamped by
-	// Emit when zero. Deterministic producers (the simulator) pre-fill it
-	// with 0-based virtual time instead.
+	// Emit when zero.
 	TimeNS int64 `json:"time_ns,omitempty"`
 	// Trace identifies the run/market the event belongs to (stamped by a
 	// Trace handle).
 	Trace string `json:"trace,omitempty"`
-	// Name is the event type, e.g. "market_clear", "emergency_declare",
-	// "market_round".
+	// Name is the event type, e.g. "market_round", "market_clear",
+	// "eviction".
 	Name string `json:"name"`
-	// Slot is the simulator timestep; Round the market round.
-	Slot  int `json:"slot,omitempty"`
+	// Round is the market round.
 	Round int `json:"round,omitempty"`
 	// Price, TargetW, SuppliedW carry clearing-round economics.
 	Price     float64 `json:"price,omitempty"`

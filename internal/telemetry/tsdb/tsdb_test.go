@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"mpr/internal/telemetry"
 )
 
 func TestNilStoreIsNop(t *testing.T) {
@@ -203,28 +201,5 @@ func TestExportJSONLDeterministic(t *testing.T) {
 	}
 	if lines[0] != `{"name":"p","labels":{"algo":"int"},"t":20,"v":30}` {
 		t.Fatalf("first line = %q", lines[0])
-	}
-}
-
-func TestIngestMarketTrace(t *testing.T) {
-	tr := telemetry.NewTracer(64)
-	run := tr.StartTrace("mpr-int-n3000")
-	for r := 1; r <= 5; r++ {
-		run.Emit(telemetry.Event{Name: "market_round", Round: r,
-			Price: float64(r) * 0.25, Value: float64(r) * 0.125, SuppliedW: float64(r * 100)})
-	}
-	run.Emit(telemetry.Event{Name: "market_clear", Round: 5}) // ignored
-	st := New(64)
-	IngestMarketTrace(st, tr.Events())
-	data := st.Query(Query{Name: "mpr_market_cleared_price",
-		Match: map[string]string{"trace": "mpr-int-n3000"}})
-	if len(data) != 1 || len(data[0].Points) != 5 {
-		t.Fatalf("ingest = %+v", data)
-	}
-	if p := data[0].Points[2]; p.T != 3 || p.V != 0.75 {
-		t.Fatalf("round 3 = %+v", p)
-	}
-	if n := len(st.Query(Query{})); n != 3 {
-		t.Fatalf("series = %d, want announced/cleared/supplied", n)
 	}
 }

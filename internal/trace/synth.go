@@ -32,10 +32,11 @@ type GenConfig struct {
 	WeekendDip float64
 	// MaxJobFrac caps a single job's size as a fraction of the cluster.
 	MaxJobFrac float64
-	// RuntimeSigma is the log-stddev of the lognormal runtime
-	// distribution (the runtime scale is calibrated from JobCount).
-	RuntimeSigma float64
 }
+
+// runtimeSigma is the log-stddev of the lognormal runtime distribution;
+// Generate calibrates the runtime scale from JobCount.
+const runtimeSigma = 1.0
 
 // Validate checks generator parameters.
 func (c *GenConfig) Validate() error {
@@ -47,6 +48,24 @@ func (c *GenConfig) Validate() error {
 	}
 	if c.JobCount <= 0 {
 		return fmt.Errorf("trace: generator %s: job count must be positive", c.Name)
+	}
+	// A NaN passes every range check below and the defaults Generate
+	// fills (each comparison is false), and an infinity the one-sided
+	// ones, so both are refused first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MeanUtil", c.MeanUtil},
+		{"MaxJobFrac", c.MaxJobFrac},
+		{"UtilSigma", c.UtilSigma},
+		{"Revert", c.Revert},
+		{"DiurnalAmp", c.DiurnalAmp},
+		{"WeekendDip", c.WeekendDip},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("trace: generator %s: %s must be finite, got %v", c.Name, f.name, f.v)
+		}
 	}
 	if c.MeanUtil <= 0 || c.MeanUtil >= 1 {
 		return fmt.Errorf("trace: generator %s: mean utilization must be in (0,1)", c.Name)
@@ -123,9 +142,6 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	if cfg.Revert <= 0 {
 		cfg.Revert = 0.005
 	}
-	if cfg.RuntimeSigma <= 0 {
-		cfg.RuntimeSigma = 1.0
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	minutes := cfg.Days * 24 * 60
 	maxJob := int(cfg.MaxJobFrac * float64(cfg.TotalCores))
@@ -143,7 +159,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		meanRuntime = 5
 	}
 	// Lognormal with mean = meanRuntime: μ = ln(mean) − σ²/2.
-	sigma := cfg.RuntimeSigma
+	const sigma = runtimeSigma
 	mu := math.Log(meanRuntime) - sigma*sigma/2
 
 	t := &Trace{Name: cfg.Name, TotalCores: cfg.TotalCores}

@@ -298,6 +298,32 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestGenerateRefusesNonFinite checks every float knob of the generator
+// refuses NaN and ±Inf, which slip through one-sided range checks and
+// the defaults Generate fills.
+func TestGenerateRefusesNonFinite(t *testing.T) {
+	fields := map[string]func(*GenConfig) *float64{
+		"MeanUtil":   func(c *GenConfig) *float64 { return &c.MeanUtil },
+		"MaxJobFrac": func(c *GenConfig) *float64 { return &c.MaxJobFrac },
+		"UtilSigma":  func(c *GenConfig) *float64 { return &c.UtilSigma },
+		"Revert":     func(c *GenConfig) *float64 { return &c.Revert },
+		"DiurnalAmp": func(c *GenConfig) *float64 { return &c.DiurnalAmp },
+		"WeekendDip": func(c *GenConfig) *float64 { return &c.WeekendDip },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := GenConfig{Name: "nf", Seed: 1, TotalCores: 64, Days: 1, JobCount: 50,
+				MeanUtil: 0.6, MaxJobFrac: 0.25, DiurnalAmp: 0.1, WeekendDip: 0.1}
+			*field(&cfg) = v
+			if tr, err := Generate(cfg); err == nil {
+				t.Errorf("%s = %v accepted: %d jobs", name, v, len(tr.Jobs))
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v refused with %q, which does not name the field", name, v, err)
+			}
+		}
+	}
+}
+
 func TestWithDays(t *testing.T) {
 	cfg := PIKConfig(1)
 	short := cfg.WithDays(90)
