@@ -101,8 +101,8 @@ func FuzzClear(f *testing.F) {
 
 // FuzzMarketIndex checks the reusable market index against the naive
 // O(M) aggregate supply: point agreement at a fuzzed price, monotonicity,
-// capacity bookkeeping, and SetBid incremental updates matching a fresh
-// index build.
+// capacity bookkeeping, ClearInto's reductions equal to a Supply loop bit
+// for bit, and SetBid incremental updates matching a fresh index build.
 func FuzzMarketIndex(f *testing.F) {
 	f.Add(2.0, 1.0, 100.0, 4.0, 0.5, 150.0, 1.0, 2.0, 80.0, 0.7, 3.0, 0.2)
 	f.Add(2.0, 1.0, 100.0, 2.0, 1.0, 100.0, 2.0, 1.0, 100.0, 0.5, 0.0, 0.0)
@@ -129,6 +129,29 @@ func FuzzMarketIndex(f *testing.F) {
 		}
 		if ix.SupplyW(q) > ix.SupplyW(2*q+1)+tol {
 			t.Fatalf("supply not monotone: S(%v)=%v > S(%v)=%v", q, ix.SupplyW(q), 2*q+1, ix.SupplyW(2*q+1))
+		}
+		// Materialization: ClearInto's reductions, supplied watts and
+		// payout are a Supply loop in index order, bit for bit.
+		var res core.ClearingResult
+		for _, target := range []float64{ix.SupplyW(q), 0.5 * maxW, 2 * maxW} {
+			if !(target > 0) {
+				continue
+			}
+			if err := ix.ClearInto(&res, target); err != nil {
+				t.Fatalf("ClearInto(%v): %v", target, err)
+			}
+			var supplied, total float64
+			for i, p := range ps {
+				d := p.Bid.Supply(res.Price)
+				if math.Float64bits(res.Reductions[i]) != math.Float64bits(d) {
+					t.Fatalf("target %v: reduction[%d] = %v, Supply(%v) = %v", target, i, res.Reductions[i], res.Price, d)
+				}
+				supplied += p.WattsPerCore * d
+				total += d
+			}
+			if math.Float64bits(res.SuppliedW) != math.Float64bits(supplied) || math.Float64bits(res.PayoutRate) != math.Float64bits(res.Price*total) {
+				t.Fatalf("target %v: SuppliedW %v payout %v, Supply loop %v and %v", target, res.SuppliedW, res.PayoutRate, supplied, res.Price*total)
+			}
 		}
 		// Incremental rebid: updating one bid in place must match an
 		// index built fresh over the updated pool.

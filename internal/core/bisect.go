@@ -24,6 +24,9 @@ func ClearBisect(ps []*Participant, targetW float64) (*ClearingResult, error) {
 	if targetW <= 0 {
 		return res, nil
 	}
+	if math.IsNaN(targetW) {
+		return nil, ErrNaNTarget
+	}
 	if len(ps) == 0 {
 		return nil, ErrNoParticipants
 	}

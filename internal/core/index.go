@@ -57,13 +57,9 @@ func NewMarketIndex(ps []*Participant) (*MarketIndex, error) {
 // from scratch. The backing arrays are reused whenever their capacity
 // suffices, so a long-lived index reset against same-size (or smaller)
 // pools — the simulation engine's per-invocation pattern — allocates
-// nothing.
+// nothing. A failed Reset returns the first invalid participant's error
+// and leaves the index empty.
 func (ix *MarketIndex) Reset(ps []*Participant) error {
-	for _, p := range ps {
-		if err := p.Validate(); err != nil {
-			return err
-		}
-	}
 	n := len(ps)
 	if cap(ix.watts) >= n && cap(ix.prefWD) >= n+1 {
 		ix.watts = ix.watts[:n]
@@ -83,6 +79,10 @@ func (ix *MarketIndex) Reset(ps []*Participant) error {
 		ix.prefWB = make([]float64, n+1)
 	}
 	for i, p := range ps {
+		if err := p.Validate(); err != nil {
+			ix.Reset(nil)
+			return err
+		}
 		ix.watts[i] = p.WattsPerCore
 		ix.bids[i] = p.Bid
 		ix.key[i] = activationKey(p.Bid)
@@ -132,7 +132,8 @@ const refreshSlack = 16
 // ordering kernel, MarketIndex's and NewStreamMarket's. fresh says the
 // current order is the identity (a build) rather than the order before
 // some bids changed (Refresh); aK, bK and bI are bucketOrder's scratch.
-func sortOrder[I int | int32, S int | int32 | float64](order []I, key []float64, fresh bool, aK, bK []float64, bI []S) {
+// It reports whether the bucket sort ran, leaving the sorted keys in bK.
+func sortOrder[I int | int32, S int | int32 | float64](order []I, key []float64, fresh bool, aK, bK []float64, bI []S) (bucketed bool) {
 	n := len(order)
 	// Insertion sort from the current order. Placing order[k] moves at
 	// most k entries, so a slack of n never runs out; a large pool
@@ -143,7 +144,7 @@ func sortOrder[I int | int32, S int | int32 | float64](order []I, key []float64,
 	if n > insertionCutoff {
 		if fresh {
 			bucketOrder(order, key, aK, bK, bI)
-			return
+			return true
 		}
 		slack = refreshSlack
 	}
@@ -161,9 +162,10 @@ func sortOrder[I int | int32, S int | int32 | float64](order []I, key []float64,
 		order[j] = i
 		if moves += k - j; moves > slack*k {
 			bucketOrder(order, key, aK, bK, bI)
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // crowdLimit is how far one insertion may move a key before its bucket
@@ -274,16 +276,22 @@ func settle[I int | int32, S int | int32 | float64](k []float64, x []S, f []floa
 // rebuild re-derives act, the prefix sums, and the supply ceiling from
 // the current bids. When force is false the sort is skipped if the
 // existing order is still valid (the common case when only bid
-// magnitudes, not activation ordering, changed between rounds).
+// magnitudes, not activation ordering, changed between rounds). A bucket
+// sort leaves the sorted keys in prefWD[1:], each read here just before
+// its slot is overwritten; otherwise act gathers them through order.
 func (ix *MarketIndex) rebuild(force bool) {
+	bucketed := false
 	if force || !ix.isSorted() {
-		sortOrder(ix.order, ix.key, force, ix.act, ix.prefWD[1:], ix.prefWB[1:])
+		bucketed = sortOrder(ix.order, ix.key, force, ix.act, ix.prefWD[1:], ix.prefWB[1:])
 		ix.sorts++
 	}
 	var wd, wb float64
 	ix.finite = len(ix.order)
 	for k, i := range ix.order {
-		a := ix.key[i]
+		a := ix.prefWD[k+1]
+		if !bucketed {
+			a = ix.key[i]
+		}
 		ix.act[k] = a
 		if math.IsInf(a, 1) && ix.finite == len(ix.order) {
 			ix.finite = k
@@ -491,13 +499,14 @@ func (ix *MarketIndex) ClearInto(res *ClearingResult, targetW float64) error {
 	price, feasible := ix.minPrice(targetW)
 	res.Price = price
 	res.Feasible = feasible
-	var total float64
+	var supplied, total float64
 	for i := range ix.bids {
 		d := ix.bids[i].Supply(price)
 		res.Reductions[i] = d
-		res.SuppliedW += ix.watts[i] * d
+		supplied += ix.watts[i] * d
 		total += d
 	}
+	res.SuppliedW = supplied
 	res.PayoutRate = price * total
 	return nil
 }

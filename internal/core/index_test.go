@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -224,17 +225,18 @@ func TestClearIntoZeroAllocs(t *testing.T) {
 }
 
 // TestMarketIndexReset: an index reset onto another pool clears exactly
-// like a freshly built index over that pool, and same-size (or smaller)
-// resets reuse the backing arrays — zero allocations, the simulation
-// engine's per-invocation pattern.
+// like a freshly built index over that pool, a failed reset leaves the
+// index empty rather than holding the previous pool, and same-size (or
+// smaller) resets reuse the backing arrays — zero allocations, the
+// simulation engine's per-invocation pattern.
 func TestMarketIndexReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ix, err := NewMarketIndex(randomPool(rng, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{300, 120, 1, 300, 700, 250} {
-		ps := randomPool(rng, n)
+	resetLikeFresh := func(ps []*Participant) {
+		t.Helper()
 		if err := ix.Reset(ps); err != nil {
 			t.Fatal(err)
 		}
@@ -252,25 +254,33 @@ func TestMarketIndexReset(t *testing.T) {
 		}
 		if got.Price != want.Price || got.Feasible != want.Feasible || got.SuppliedW != want.SuppliedW {
 			t.Fatalf("n=%d: reset clear (price %v feasible %v) != fresh (price %v feasible %v)",
-				n, got.Price, got.Feasible, want.Price, want.Feasible)
+				len(ps), got.Price, got.Feasible, want.Price, want.Feasible)
 		}
 		for i := range ps {
 			if got.Reductions[i] != want.Reductions[i] {
-				t.Fatalf("n=%d: reduction[%d] %v != %v", n, i, got.Reductions[i], want.Reductions[i])
+				t.Fatalf("n=%d: reduction[%d] %v != %v", len(ps), i, got.Reductions[i], want.Reductions[i])
 			}
 		}
 	}
-	// A bad bid must be rejected exactly like NewMarketIndex rejects it.
-	bad := randomPool(rng, 4)
-	bad[2].Bid.Delta = -1
-	if err := ix.Reset(bad); err == nil {
-		t.Fatal("Reset accepted an invalid bid")
+	for _, n := range []int{300, 120, 1, 300, 700, 250} {
+		resetLikeFresh(randomPool(rng, n))
+	}
+	// A pool whose participants 1 and 3 are invalid is refused with
+	// participant 1's error, exactly as NewMarketIndex refuses it, and
+	// the index is left empty: nothing to clear a positive target with.
+	bad := randomPool(rng, 6)
+	bad[1].WattsPerCore = math.NaN()
+	bad[3].Bid.Delta = -1
+	if err := ix.Reset(bad); err == nil || err.Error() != bad[1].Validate().Error() {
+		t.Fatalf("Reset with participants 1 and 3 invalid: %v, want %s's error", err, bad[1].JobID)
+	}
+	var res ClearingResult
+	if err := ix.ClearInto(&res, 1); !errors.Is(err, ErrNoParticipants) {
+		t.Fatalf("ClearInto after a failed Reset: %v (price %v), want ErrNoParticipants", err, res.Price)
 	}
 	// Steady-state resets over a same-size pool reuse the arrays.
 	steady := randomPool(rng, 700)
-	if err := ix.Reset(steady); err != nil {
-		t.Fatal(err)
-	}
+	resetLikeFresh(steady)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := ix.Reset(steady); err != nil {
 			t.Fatal(err)

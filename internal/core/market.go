@@ -71,14 +71,10 @@ func (b Bid) Supply(q float64) float64 {
 		}
 		return 0
 	}
-	s := b.Delta - b.B/q
-	if s < 0 {
-		return 0
-	}
-	if s > b.Delta {
-		return b.Delta
-	}
-	return s
+	// Clamped into [0, Δ] without a branch on the sign of Δ − b/q, which
+	// is a coin flip per bid near the clearing price; NaN passes through
+	// both builtins, and Δ − b/q is never −0 when Δ > 0.
+	return min(max(b.Delta-b.B/q, 0), b.Delta)
 }
 
 // ActivationPrice returns the lowest price at which the job starts
@@ -183,6 +179,9 @@ type ClearingResult struct {
 func Clear(ps []*Participant, targetW float64) (*ClearingResult, error) {
 	if targetW <= 0 {
 		return noReduction(len(ps), targetW), nil
+	}
+	if math.IsNaN(targetW) {
+		return nil, ErrNaNTarget
 	}
 	if len(ps) == 0 {
 		return nil, ErrNoParticipants

@@ -237,6 +237,8 @@ func TestNonFiniteTargetRefused(t *testing.T) {
 
 	refused := map[string]func() error{
 		"Clear":             func() error { _, err := Clear(ps, nan); return err },
+		"Clear(empty)":      func() error { _, err := Clear(nil, nan); return err },
+		"ClearBisect":       func() error { _, err := ClearBisect(ps, nan); return err },
 		"MarketIndex.Clear": func() error { _, err := ix.Clear(nan); return err },
 		"MarketIndex.ClearInto": func() error {
 			err := ix.ClearInto(res, nan)
