@@ -206,7 +206,6 @@ func (o *obs) handler() http.Handler {
 		Series:   tsdb.Handler(o.store),
 		Flight:   o.flight.Handler(),
 		Health:   o.health,
-		Pprof:    true,
 	})
 }
 
@@ -226,7 +225,7 @@ func (o *obs) recordMarket(targetW float64, r *core.ClearingResult) {
 	// Re-evaluating that history re-returns old firings; the window-0
 	// deduper reports each violation once, as mprload does.
 	var firings []alerts.Firing
-	for _, f := range alerts.EvalStore(o.rules, o.store, o.start.Unix(), 0) {
+	for _, f := range alerts.EvalStore(o.rules, o.store, o.start.Unix()) {
 		if !o.dedup.Fresh(f) {
 			continue
 		}

@@ -381,7 +381,7 @@ func (h *harness) sample(now time.Time) {
 
 	h.sloMu.Lock()
 	h.evals++
-	for _, f := range alerts.EvalStore(h.rules, h.store, h.startUnix, 0) {
+	for _, f := range alerts.EvalStore(h.rules, h.store, h.startUnix) {
 		// Window-0 dedup: re-evaluating overlapping history re-returns
 		// the same violation; report each one once.
 		if !h.dedup.Fresh(f) {

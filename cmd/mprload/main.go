@@ -80,7 +80,6 @@ func main() {
 			Tracer:   h.tracer,
 			Series:   tsdb.Handler(h.store),
 			Flight:   h.flight.Handler(),
-			Pprof:    true,
 		})
 		go func() {
 			if err := http.ListenAndServe(*metrics, handler); err != nil {

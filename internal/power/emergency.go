@@ -1,6 +1,9 @@
 package power
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EmergencyState is the phase of the overload-handling state machine.
 type EmergencyState int
@@ -56,13 +59,14 @@ type EmergencyConfig struct {
 
 // Normalize fills defaults and validates.
 func (c *EmergencyConfig) Normalize() error {
-	if c.CapacityW <= 0 {
-		return fmt.Errorf("power: emergency config needs positive capacity, got %v", c.CapacityW)
+	// Each test is written so that a NaN fails it.
+	if !(c.CapacityW > 0 && c.CapacityW <= math.MaxFloat64) {
+		return fmt.Errorf("power: emergency config needs positive finite capacity, got %v", c.CapacityW)
 	}
 	if c.BufferFrac == 0 {
 		c.BufferFrac = 0.01
 	}
-	if c.BufferFrac < 0 || c.BufferFrac >= 1 {
+	if !(c.BufferFrac >= 0 && c.BufferFrac < 1) {
 		return fmt.Errorf("power: buffer fraction must be in [0,1), got %v", c.BufferFrac)
 	}
 	if c.MinOverloadSlots <= 0 {

@@ -190,6 +190,15 @@ func TestEmergencyConfigValidation(t *testing.T) {
 	if _, err := NewEmergencyController(EmergencyConfig{CapacityW: 10, BufferFrac: 1.5}); err == nil {
 		t.Error("buffer >= 1 accepted")
 	}
+	// A NaN fails no plain comparison, and +Inf passes "> 0".
+	if _, err := NewEmergencyController(EmergencyConfig{CapacityW: 10, BufferFrac: math.NaN()}); err == nil {
+		t.Error("NaN buffer accepted")
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewEmergencyController(EmergencyConfig{CapacityW: c}); err == nil {
+			t.Errorf("capacity %v accepted", c)
+		}
+	}
 	cfg := EmergencyConfig{CapacityW: 10}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)

@@ -150,6 +150,7 @@ func (c *Config) Normalize() error {
 		{"CostErrorUnder", c.CostErrorUnder},
 		{"StatBidFactor", c.StatBidFactor},
 		{"PhaseAmp", c.PhaseAmp},
+		{"BufferFrac", c.BufferFrac},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("sim: %s must be finite, got %v", f.name, f.v)

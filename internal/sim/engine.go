@@ -237,7 +237,7 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	if cfg.SampleSeries {
 		seriesStore = tsdb.New(cfg.SeriesCapacity)
 	}
-	smp := newSeriesSampler(seriesStore, string(cfg.Algorithm))
+	smp := newSeriesSampler(seriesStore)
 
 	jobs := buildJobs(cfg, rng)
 	peakW := peakPower(jobs)
@@ -587,13 +587,7 @@ func (st *engineState) step(slot int) error {
 		res.UsedExtraCoreH += (activeCores - st.baseCapCores) / 60
 	}
 	if st.smp.enabled() {
-		bidderCount := 0
-		for _, j := range st.active {
-			if j.participates || !st.marketAlgo {
-				bidderCount++
-			}
-		}
-		st.smp.sample(slot, demandW, deliveredW, st.capW, st.price, st.emergency, st.lastTargetW, bidderCount)
+		st.smp.sample(slot, demandW, deliveredW, st.capW, st.emergency, st.lastTargetW)
 	}
 	res.Slots = slot + 1
 	return nil

@@ -30,19 +30,17 @@ func RunSlots(tr *trace.Trace) int { return horizon(tr) + 1 }
 // Series names the engine samples into Result.Series each simulated slot
 // when Config.SampleSeries is set. Timestamps are virtual (the slot
 // number), so exported series are bit-identical across worker counts and
-// wall-clock conditions — the determinism contract of DESIGN.md §9.
+// wall-clock conditions — the determinism contract of DESIGN.md §9. Each
+// run has its own store, so a series needs no algorithm label:
+// Result.Algorithm names it.
 const (
-	SeriesPowerDemandW     = "mpr_sim_power_demand_w"
-	SeriesPowerDeliveredW  = "mpr_sim_power_delivered_w"
-	SeriesPowerCapacityW   = "mpr_sim_power_capacity_w"
-	SeriesOverloadW        = "mpr_sim_overload_w"
-	SeriesClearingPrice    = "mpr_sim_clearing_price"
-	SeriesReductionTarget  = "mpr_sim_reduction_target_w"
-	SeriesReductionCleared = "mpr_sim_reduction_cleared_w"
-	SeriesReductionUnmet   = "mpr_sim_reduction_unmet_w"
-	SeriesActiveBidders    = "mpr_sim_active_bidders"
-	SeriesEmergencyActive  = "mpr_sim_emergency_active"
-	SeriesMarketRounds     = "mpr_sim_market_rounds"
+	SeriesPowerDemandW    = "mpr_sim_power_demand_w"
+	SeriesPowerDeliveredW = "mpr_sim_power_delivered_w"
+	SeriesPowerCapacityW  = "mpr_sim_power_capacity_w"
+	SeriesOverloadW       = "mpr_sim_overload_w"
+	SeriesReductionUnmet  = "mpr_sim_reduction_unmet_w"
+	SeriesEmergencyActive = "mpr_sim_emergency_active"
+	SeriesMarketRounds    = "mpr_sim_market_rounds"
 )
 
 // seriesSampler holds the engine's resolved series handles. Handles are
@@ -57,41 +55,32 @@ type seriesSampler struct {
 	deliveredW *tsdb.Series
 	capacityW  *tsdb.Series
 	overloadW  *tsdb.Series
-	price      *tsdb.Series
-	targetW    *tsdb.Series
-	clearedW   *tsdb.Series
 	unmetW     *tsdb.Series
-	bidders    *tsdb.Series
 	emergency  *tsdb.Series
 	rounds     *tsdb.Series
 }
 
-func newSeriesSampler(store *tsdb.Store, algo string) seriesSampler {
-	l := tsdb.Label{Key: "algo", Value: algo}
+func newSeriesSampler(store *tsdb.Store) seriesSampler {
 	return seriesSampler{
 		store:      store,
-		demandW:    store.Series(SeriesPowerDemandW, l),
-		deliveredW: store.Series(SeriesPowerDeliveredW, l),
-		capacityW:  store.Series(SeriesPowerCapacityW, l),
-		overloadW:  store.Series(SeriesOverloadW, l),
-		price:      store.Series(SeriesClearingPrice, l),
-		targetW:    store.Series(SeriesReductionTarget, l),
-		clearedW:   store.Series(SeriesReductionCleared, l),
-		unmetW:     store.Series(SeriesReductionUnmet, l),
-		bidders:    store.Series(SeriesActiveBidders, l),
-		emergency:  store.Series(SeriesEmergencyActive, l),
-		rounds:     store.Series(SeriesMarketRounds, l),
+		demandW:    store.Series(SeriesPowerDemandW),
+		deliveredW: store.Series(SeriesPowerDeliveredW),
+		capacityW:  store.Series(SeriesPowerCapacityW),
+		overloadW:  store.Series(SeriesOverloadW),
+		unmetW:     store.Series(SeriesReductionUnmet),
+		emergency:  store.Series(SeriesEmergencyActive),
+		rounds:     store.Series(SeriesMarketRounds),
 	}
 }
 
-// enabled reports whether sampling is on — callers use it to skip work
-// (like counting bidders) that only feeds the sampler.
+// enabled reports whether sampling is on, so the engine calls sample
+// only on a sampled run.
 func (s *seriesSampler) enabled() bool { return s.store != nil }
 
-// sample records one slot's cluster state. clearedW is the reduction
-// currently in force (demand minus delivered); unmet is how far it falls
-// short of the emergency target while one is active.
-func (s *seriesSampler) sample(slot int, demandW, deliveredW, capW, price float64, emergency bool, targetW float64, activeBidders int) {
+// sample records one slot's cluster state. unmet is how far the
+// reduction in force (demand minus delivered) falls short of the
+// emergency target while one is active.
+func (s *seriesSampler) sample(slot int, demandW, deliveredW, capW float64, emergency bool, targetW float64) {
 	t := int64(slot)
 	s.demandW.Append(t, demandW)
 	s.deliveredW.Append(t, deliveredW)
@@ -101,23 +90,19 @@ func (s *seriesSampler) sample(slot int, demandW, deliveredW, capW, price float6
 		overload = 0
 	}
 	s.overloadW.Append(t, overload)
-	s.price.Append(t, price)
 	em := 0.0
-	cleared := demandW - deliveredW
-	if cleared < 0 {
-		cleared = 0
-	}
 	var unmet float64
 	if emergency {
 		em = 1
-		s.targetW.Append(t, targetW)
+		cleared := demandW - deliveredW
+		if cleared < 0 {
+			cleared = 0
+		}
 		if unmet = targetW - cleared; unmet < 0 {
 			unmet = 0
 		}
 	}
-	s.clearedW.Append(t, cleared)
 	s.unmetW.Append(t, unmet)
-	s.bidders.Append(t, float64(activeBidders))
 	s.emergency.Append(t, em)
 }
 

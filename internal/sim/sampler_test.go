@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"mpr/internal/telemetry/tsdb"
@@ -9,15 +10,15 @@ import (
 
 // TestSamplerSteadyZeroAlloc is the sampling companion of
 // TestMarketInvocationSteadyZeroAlloc: once the series handles are
-// resolved, one per-slot sample — eleven ring appends — performs zero
+// resolved, one per-slot sample — six ring appends — performs zero
 // heap allocations, so enabling SampleSeries
 // does not perturb the engine's allocation profile.
 func TestSamplerSteadyZeroAlloc(t *testing.T) {
-	smp := newSeriesSampler(tsdb.New(4096), string(AlgMPRInt))
+	smp := newSeriesSampler(tsdb.New(4096))
 	slot := 0
 	sampleOnce := func() {
 		emergency := slot%7 < 3 // exercise both branches
-		smp.sample(slot, 120000, 118000, 119000, 0.8, emergency, 2500, 40)
+		smp.sample(slot, 120000, 118000, 119000, emergency, 2500)
 		if emergency {
 			smp.sampleClear(slot, 12)
 		}
@@ -30,18 +31,19 @@ func TestSamplerSteadyZeroAlloc(t *testing.T) {
 }
 
 func TestDisabledSamplerIsNop(t *testing.T) {
-	smp := newSeriesSampler(nil, string(AlgMPRStat))
+	smp := newSeriesSampler(nil)
 	if smp.enabled() {
 		t.Fatal("nil-store sampler claims enabled")
 	}
-	smp.sample(0, 1, 2, 3, 4, true, 5, 6) // must not panic
+	smp.sample(0, 1, 2, 3, true, 5) // must not panic
 	smp.sampleClear(0, 3)
 }
 
 // TestRunSampleSeries runs the engine with sampling on and checks the
-// result's store: one point per slot per always-sampled series, overload
-// and emergency consistency with the scalar statistics, and recorded
-// market rounds and spans for every emergency.
+// result's store: exactly the seven Series* names, one point per slot
+// per always-sampled series, overload and emergency consistency with the
+// scalar statistics, and recorded market rounds and spans for every
+// emergency.
 func TestRunSampleSeries(t *testing.T) {
 	tr := testTrace(t, 3)
 	res, err := Run(Config{
@@ -54,10 +56,20 @@ func TestRunSampleSeries(t *testing.T) {
 	if res.Series == nil {
 		t.Fatal("SampleSeries produced no store")
 	}
-	match := map[string]string{"algo": string(AlgMPRInt)}
+	var names []string
+	for _, sd := range res.Series.Query(tsdb.Query{}) {
+		names = append(names, sd.Name)
+	}
+	want := []string{
+		SeriesEmergencyActive, SeriesMarketRounds, SeriesOverloadW, SeriesPowerCapacityW,
+		SeriesPowerDeliveredW, SeriesPowerDemandW, SeriesReductionUnmet,
+	}
+	if !slices.Equal(names, want) {
+		t.Fatalf("recorded series %v, want %v", names, want)
+	}
 	get := func(name string) []tsdb.Point {
 		t.Helper()
-		data := res.Series.Query(tsdb.Query{Name: name, Match: match})
+		data := res.Series.Query(tsdb.Query{Name: name})
 		if len(data) != 1 {
 			t.Fatalf("%s: %d series", name, len(data))
 		}

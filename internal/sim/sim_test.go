@@ -349,6 +349,7 @@ func TestConfigRefusesNonFinite(t *testing.T) {
 		"CostErrorUnder":    func(c *Config, v float64) { c.CostErrorUnder = v },
 		"StatBidFactor":     func(c *Config, v float64) { c.StatBidFactor = v },
 		"PhaseAmp":          func(c *Config, v float64) { c.PhaseAmp = v },
+		"BufferFrac":        func(c *Config, v float64) { c.BufferFrac = v },
 	}
 	for name, set := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

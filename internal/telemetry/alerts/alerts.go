@@ -70,9 +70,9 @@ func (r Rule) worse(a, b float64) bool {
 	return a > b
 }
 
-// Firing is one fired alert: the rule, the series that fired it, the
-// violating time range, the worst violating value, and how many samples
-// violated.
+// Firing is one fired alert: the rule, the name of the series that
+// fired it, the violating time range, the worst violating value, and how
+// many samples violated.
 type Firing struct {
 	Rule    string  `json:"rule"`
 	Series  string  `json:"series"`
@@ -110,12 +110,12 @@ func Eval(rules []Rule, data []tsdb.SeriesData) []Firing {
 	return out
 }
 
-// EvalStore queries the store for each rule's series over [start,end]
-// and evaluates it. End==0 means unbounded.
-func EvalStore(rules []Rule, st *tsdb.Store, start, end int64) []Firing {
+// EvalStore queries the store for each rule's series from start on and
+// evaluates it.
+func EvalStore(rules []Rule, st *tsdb.Store, start int64) []Firing {
 	var out []Firing
 	for _, r := range rules {
-		data := st.Query(tsdb.Query{Name: r.Series, Start: start, End: end})
+		data := st.Query(tsdb.Query{Name: r.Series, Start: start})
 		out = append(out, Eval([]Rule{r}, data)...)
 	}
 	return out
@@ -146,7 +146,7 @@ func (r Rule) evalThreshold(sd tsdb.SeriesData) []Firing {
 				to = sd.Points[i-1].T
 			}
 			out = append(out, Firing{
-				Rule: r.Name, Series: seriesKey(sd),
+				Rule: r.Name, Series: sd.Name,
 				From: from, To: to, Value: worst, Samples: run, Help: r.Help,
 			})
 		}
@@ -187,7 +187,7 @@ func (r Rule) evalBurn(sd tsdb.SeriesData) (Firing, bool) {
 		return Firing{}, false
 	}
 	return Firing{
-		Rule: r.Name, Series: seriesKey(sd),
+		Rule: r.Name, Series: sd.Name,
 		From: from, To: to, Value: worst, Samples: bad, Help: r.Help,
 	}, true
 }
@@ -244,19 +244,6 @@ func (d *Deduper) Fresh(f Firing) bool {
 	}
 	d.last[key] = f
 	return true
-}
-
-func seriesKey(sd tsdb.SeriesData) string {
-	if len(sd.Labels) == 0 {
-		return sd.Name
-	}
-	// Delegate the canonical rendering to a throwaway query-shaped key:
-	// name plus sorted k="v" labels, same shape the store uses.
-	labels := make([]tsdb.Label, 0, len(sd.Labels))
-	for k, v := range sd.Labels {
-		labels = append(labels, tsdb.Label{Key: k, Value: v})
-	}
-	return tsdb.CanonicalKey(sd.Name, labels)
 }
 
 // SimRules are the SLO rules mprbench evaluates over exported simulator

@@ -7,19 +7,19 @@ import (
 	"mpr/internal/telemetry/tsdb"
 )
 
-func rawSeries(name string, labels map[string]string, vals []float64) tsdb.SeriesData {
+func rawSeries(name string, vals []float64) tsdb.SeriesData {
 	pts := make([]tsdb.Point, len(vals))
 	for i, v := range vals {
 		pts[i] = tsdb.Point{T: int64(i), V: v}
 	}
-	return tsdb.SeriesData{Name: name, Labels: labels, Points: pts}
+	return tsdb.SeriesData{Name: name, Points: pts}
 }
 
 func TestThresholdRuleConsecutiveRuns(t *testing.T) {
 	rule := Rule{Name: "Unmet", Series: "u", Op: GT, Threshold: 0, ForSamples: 2}
 	// Run of 1 (ignored), run of 3 (fires), trailing run of 2 (fires at
 	// series end without a terminating clean sample).
-	data := []tsdb.SeriesData{rawSeries("u", nil,
+	data := []tsdb.SeriesData{rawSeries("u",
 		[]float64{0, 5, 0, 1, 2, 3, 0, 0, 7, 9})}
 	f := Eval([]Rule{rule}, data)
 	if len(f) != 2 {
@@ -36,7 +36,7 @@ func TestThresholdRuleConsecutiveRuns(t *testing.T) {
 func TestThresholdRuleLTUsesMin(t *testing.T) {
 	rule := Rule{Name: "LowPrice", Series: "p", Op: LT, Threshold: 0.1}
 	// An LT run reports its lowest sample as the worst value.
-	data := []tsdb.SeriesData{rawSeries("p", nil, []float64{0.9, 0.08, 0.05, 0.07, 0.5})}
+	data := []tsdb.SeriesData{rawSeries("p", []float64{0.9, 0.08, 0.05, 0.07, 0.5})}
 	f := Eval([]Rule{rule}, data)
 	if len(f) != 1 || f[0].Value != 0.05 || f[0].From != 1 || f[0].To != 3 || f[0].Samples != 3 {
 		t.Fatalf("firings = %+v", f)
@@ -48,12 +48,12 @@ func TestBurnRateRule(t *testing.T) {
 		WindowSamples: 10, BurnFrac: 0.5}
 	// 4/10 violating in the trailing window: below the 50% burn.
 	vals := []float64{1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0}
-	if f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", nil, vals)}); len(f) != 0 {
+	if f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)}); len(f) != 0 {
 		t.Fatalf("4/10 burn fired: %+v", f)
 	}
 	// 6/10 violating: fires, worst value and violating range reported.
 	vals = []float64{0, 0, 0, 0, 0, 0, 2, 3, 9, 1, 0, 1, 1, 0, 0, 0}
-	f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", nil, vals)})
+	f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)})
 	if len(f) != 1 {
 		t.Fatalf("6/10 burn did not fire: %+v", f)
 	}
@@ -63,7 +63,7 @@ func TestBurnRateRule(t *testing.T) {
 	// Only the trailing window counts: a series that violated long ago
 	// but is clean now stays quiet.
 	vals = append([]float64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, make([]float64, 10)...)
-	if f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", nil, vals)}); len(f) != 0 {
+	if f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)}); len(f) != 0 {
 		t.Fatalf("stale violations fired: %+v", f)
 	}
 }
@@ -71,15 +71,15 @@ func TestBurnRateRule(t *testing.T) {
 func TestRuleSeriesNaming(t *testing.T) {
 	rule := Rule{Name: "R", Series: "m", Op: GT, Threshold: 1}
 	data := []tsdb.SeriesData{
-		rawSeries("m", map[string]string{"algo": "int", "node": "n1"}, []float64{5}),
-		rawSeries("other", nil, []float64{5}),
+		rawSeries("m", []float64{5}),
+		rawSeries("other", []float64{5}),
 	}
 	f := Eval([]Rule{rule}, data)
 	if len(f) != 1 {
 		t.Fatalf("firings = %+v, want only the named series", f)
 	}
-	if want := `m{algo="int",node="n1"}`; f[0].Series != want {
-		t.Fatalf("series = %q, want %q", f[0].Series, want)
+	if f[0].Series != rule.Series {
+		t.Fatalf("series = %q, want the rule's %q", f[0].Series, rule.Series)
 	}
 	if !strings.Contains(f[0].String(), "ALERT R") {
 		t.Fatalf("String() = %q", f[0].String())
@@ -98,16 +98,23 @@ func TestEvalStoreWindow(t *testing.T) {
 	}
 	rules := []Rule{{Name: "Unmet", Series: "mpr_sim_reduction_unmet_w",
 		Op: GT, Threshold: 0, ForSamples: 2}}
-	f := EvalStore(rules, st, 0, 0)
+	f := EvalStore(rules, st, 0)
 	if len(f) != 1 || f[0].From != 30 || f[0].To != 34 || f[0].Samples != 5 {
 		t.Fatalf("firings = %+v", f)
 	}
+	if f[0].Series != rules[0].Series {
+		t.Fatalf("firing series = %q, want the rule's %q", f[0].Series, rules[0].Series)
+	}
+	// A start inside the violation drops the samples before it.
+	if f := EvalStore(rules, st, 32); len(f) != 1 || f[0].From != 32 || f[0].Samples != 3 {
+		t.Fatalf("eval from 32 = %+v", f)
+	}
 	// Restricting the window past the violation silences it.
-	if f := EvalStore(rules, st, 40, 0); len(f) != 0 {
+	if f := EvalStore(rules, st, 40); len(f) != 0 {
 		t.Fatalf("windowed eval fired: %+v", f)
 	}
 	// Nil store is quiet.
-	if f := EvalStore(rules, nil, 0, 0); len(f) != 0 {
+	if f := EvalStore(rules, nil, 0); len(f) != 0 {
 		t.Fatalf("nil store fired: %+v", f)
 	}
 }
@@ -132,7 +139,7 @@ func TestLiveRulesCountSamples(t *testing.T) {
 				v = 1
 			}
 			s.Append(int64(i), v)
-			for _, f := range EvalStore([]Rule{rule}, st, 0, 0) {
+			for _, f := range EvalStore([]Rule{rule}, st, 0) {
 				if d.Fresh(f) {
 					fresh = append(fresh, f)
 				}
@@ -182,11 +189,11 @@ func TestLoadRulesFire(t *testing.T) {
 	// round timeout once, and a quarter of the window below full fleet
 	// attendance. Every load rule should fire exactly once.
 	data := []tsdb.SeriesData{
-		rawSeries("mpr_load_rtt_p99_seconds", nil,
+		rawSeries("mpr_load_rtt_p99_seconds",
 			[]float64{0.2, 0.3, 1.2, 1.4, 1.3, 0.4}),
-		rawSeries("mpr_load_rtt_p999_seconds", nil,
+		rawSeries("mpr_load_rtt_p999_seconds",
 			[]float64{0.5, 1.95, 0.6}),
-		rawSeries("mpr_load_agents_connected_frac", nil,
+		rawSeries("mpr_load_agents_connected_frac",
 			[]float64{1, 1, 0.97, 0.95, 0.9, 1, 0.98, 0.96, 1, 1}),
 	}
 	firings := Eval(LoadRules(), data)
@@ -202,9 +209,9 @@ func TestLoadRulesFire(t *testing.T) {
 
 	// A healthy run fires nothing.
 	healthy := []tsdb.SeriesData{
-		rawSeries("mpr_load_rtt_p99_seconds", nil, []float64{0.1, 0.2, 0.15}),
-		rawSeries("mpr_load_rtt_p999_seconds", nil, []float64{0.3, 0.4}),
-		rawSeries("mpr_load_agents_connected_frac", nil, []float64{1, 1, 1, 1}),
+		rawSeries("mpr_load_rtt_p99_seconds", []float64{0.1, 0.2, 0.15}),
+		rawSeries("mpr_load_rtt_p999_seconds", []float64{0.3, 0.4}),
+		rawSeries("mpr_load_agents_connected_frac", []float64{1, 1, 1, 1}),
 	}
 	if f := Eval(LoadRules(), healthy); len(f) != 0 {
 		t.Errorf("healthy run fired %+v", f)
@@ -217,7 +224,7 @@ func TestLoadRulesFire(t *testing.T) {
 func TestEvictionBurstRule(t *testing.T) {
 	// 1 eviction in 10 samples: a single slow agent, not a burst.
 	quiet := []tsdb.SeriesData{
-		rawSeries("mpr_mgr_evictions", nil,
+		rawSeries("mpr_mgr_evictions",
 			[]float64{0, 0, 1, 0, 0, 0, 0, 0, 0, 0}),
 	}
 	if f := Eval(ManagerRules(), quiet); len(f) != 0 {
@@ -225,7 +232,7 @@ func TestEvictionBurstRule(t *testing.T) {
 	}
 	// Evictions in 4 of the trailing 10 samples: the fleet is stalling.
 	burst := []tsdb.SeriesData{
-		rawSeries("mpr_mgr_evictions", nil,
+		rawSeries("mpr_mgr_evictions",
 			[]float64{0, 1, 3, 0, 2, 0, 0, 1, 0, 0}),
 	}
 	firings := Eval(ManagerRules(), burst)
@@ -316,9 +323,9 @@ func TestDeduperCooldownWindow(t *testing.T) {
 func TestRuntimeRulesFire(t *testing.T) {
 	rules := RuntimeRules()
 	healthy := []tsdb.SeriesData{
-		rawSeries("mpr_rt_goroutines", nil, []float64{90, 120, 250, 300}),
-		rawSeries("mpr_rt_heap_inuse_bytes", nil, []float64{1 << 20, 2 << 20}),
-		rawSeries("mpr_rt_gc_pause_p99_seconds", nil, []float64{0.001, 0.002}),
+		rawSeries("mpr_rt_goroutines", []float64{90, 120, 250, 300}),
+		rawSeries("mpr_rt_heap_inuse_bytes", []float64{1 << 20, 2 << 20}),
+		rawSeries("mpr_rt_gc_pause_p99_seconds", []float64{0.001, 0.002}),
 	}
 	if f := Eval(rules, healthy); len(f) != 0 {
 		t.Fatalf("healthy runtime fired: %+v", f)
@@ -328,9 +335,9 @@ func TestRuntimeRulesFire(t *testing.T) {
 		leak[i] = 150000
 	}
 	sick := []tsdb.SeriesData{
-		rawSeries("mpr_rt_goroutines", nil, leak),
-		rawSeries("mpr_rt_heap_inuse_bytes", nil, []float64{5e9, 5e9, 5e9}),
-		rawSeries("mpr_rt_gc_pause_p99_seconds", nil, []float64{0.2, 0.3}),
+		rawSeries("mpr_rt_goroutines", leak),
+		rawSeries("mpr_rt_heap_inuse_bytes", []float64{5e9, 5e9, 5e9}),
+		rawSeries("mpr_rt_gc_pause_p99_seconds", []float64{0.2, 0.3}),
 	}
 	f := Eval(rules, sick)
 	fired := map[string]bool{}

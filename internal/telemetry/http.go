@@ -41,8 +41,6 @@ type HandlerConfig struct {
 	// /debug/flight/dump — the flight recorder's status/dump surface
 	// (plain http.Handler for the same layering reason as Series).
 	Flight http.Handler
-	// Pprof mounts net/http/pprof under /debug/pprof/.
-	Pprof bool
 }
 
 // NewHandler returns the observability HTTP surface:
@@ -53,7 +51,7 @@ type HandlerConfig struct {
 //	/debug/series   windowed time-series queries (when Series is wired)
 //	/debug/flight   flight-recorder status; POST …/dump writes a bundle (when Flight is wired)
 //	/healthz        uptime / agents / sample freshness (when Health is wired)
-//	/debug/pprof/*  net/http/pprof (when Pprof is set)
+//	/debug/pprof/*  net/http/pprof
 //
 // Histograms render as quantile summaries in both /metrics forms (see
 // Registry.HDR).
@@ -103,13 +101,11 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			writeJSON(w, health())
 		})
 	}
-	if cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", httppprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-	}
+	mux.HandleFunc("/debug/pprof/", httppprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)
@@ -126,9 +122,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 		if cfg.Health != nil {
 			links = append(links, "/healthz")
 		}
-		if cfg.Pprof {
-			links = append(links, "/debug/pprof/")
-		}
+		links = append(links, "/debug/pprof/")
 		var b strings.Builder
 		b.WriteString("<html><body>")
 		for i, l := range links {

@@ -237,7 +237,6 @@ func TestHandlerHealthzAndSeriesMounts(t *testing.T) {
 		Health: func() Health {
 			return Health{Status: "ok", UptimeSeconds: 12.5, AgentsConnected: 3, LastSampleAgeSeconds: 0.25}
 		},
-		Pprof: true,
 	})
 	res, body := serveGet(t, h, "/healthz")
 	if res.StatusCode != http.StatusOK {

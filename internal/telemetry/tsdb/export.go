@@ -6,24 +6,23 @@ import (
 	"os"
 )
 
-// jsonlRecord is one exported sample line: the series identity plus the
+// jsonlRecord is one exported sample line: the series name plus the
 // point, flattened so downstream tools can stream-filter without holding
 // whole series in memory.
 type jsonlRecord struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	T      int64             `json:"t"`
-	V      float64           `json:"v"`
+	Name string  `json:"name"`
+	T    int64   `json:"t"`
+	V    float64 `json:"v"`
 }
 
 // WriteJSONL writes one JSON line per sample. Series arrive in the
-// deterministic key order Query produces and encoding/json sorts label
-// maps, so identical data renders byte-identically.
+// deterministic name order Query produces, so identical data renders
+// byte-identically.
 func WriteJSONL(w io.Writer, data []SeriesData) error {
 	enc := json.NewEncoder(w)
 	for _, sd := range data {
 		for _, p := range sd.Points {
-			if err := enc.Encode(jsonlRecord{Name: sd.Name, Labels: sd.Labels, T: p.T, V: p.V}); err != nil {
+			if err := enc.Encode(jsonlRecord{Name: sd.Name, T: p.T, V: p.V}); err != nil {
 				return err
 			}
 		}

@@ -32,14 +32,14 @@ func getSeries(t *testing.T, h http.Handler, path string) (*http.Response, serie
 
 func TestSeriesHandler(t *testing.T) {
 	st := New(64)
-	p := st.Series("mpr_sim_power_demand_w", Label{Key: "algo", Value: "MPR-INT"})
+	p := st.Series("mpr_sim_power_demand_w")
 	for i := 0; i < 50; i++ {
 		p.Append(int64(i), 1000+float64(i))
 	}
 	st.Series("other").Append(1, 2)
 	h := Handler(st)
 
-	res, out := getSeries(t, h, "/debug/series?name=mpr_sim_power_demand_w&start=10&end=19")
+	res, out := getSeries(t, h, "/debug/series?name=mpr_sim_power_demand_w&start=40")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -50,10 +50,10 @@ func TestSeriesHandler(t *testing.T) {
 		t.Fatalf("series = %d", len(out.Series))
 	}
 	sd := out.Series[0]
-	if len(sd.Points) != 10 || sd.Labels["algo"] != "MPR-INT" {
+	if sd.Name != "mpr_sim_power_demand_w" || len(sd.Points) != 10 {
 		t.Fatalf("window = %+v", sd)
 	}
-	if sd.Points[0] != (Point{10, 1010}) || sd.Points[9] != (Point{19, 1019}) {
+	if sd.Points[0] != (Point{40, 1040}) || sd.Points[9] != (Point{49, 1049}) {
 		t.Fatalf("bounds = %+v .. %+v", sd.Points[0], sd.Points[9])
 	}
 
@@ -63,21 +63,15 @@ func TestSeriesHandler(t *testing.T) {
 		t.Fatalf("unbounded window = %d points, want 50", len(got.Points))
 	}
 
-	// Label matcher.
-	_, out = getSeries(t, h, "/debug/series?match=algo%3DMPR-INT")
-	if len(out.Series) != 1 || out.Series[0].Name != "mpr_sim_power_demand_w" {
-		t.Fatalf("matcher = %+v", out.Series)
+	// Without a name: every series, in name order.
+	_, out = getSeries(t, h, "/debug/series")
+	if len(out.Series) != 2 || out.Series[0].Name != "mpr_sim_power_demand_w" || out.Series[1].Name != "other" {
+		t.Fatalf("all series = %+v", out.Series)
 	}
 
-	// Bad parameters are 400s, not panics.
-	for _, path := range []string{
-		"/debug/series?start=abc",
-		"/debug/series?end=x",
-		"/debug/series?match=nokey",
-	} {
-		if res, _ := getSeries(t, h, path); res.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s status = %d, want 400", path, res.StatusCode)
-		}
+	// A bad start is a 400, not a panic.
+	if res, _ := getSeries(t, h, "/debug/series?start=abc"); res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad start status = %d, want 400", res.StatusCode)
 	}
 
 	// Nil store serves an empty but valid document.

@@ -18,32 +18,21 @@ func queryOne(t *testing.T, st *Store, q Query) SeriesData {
 	return data[0]
 }
 
-// TestQueryEmptyWindow covers degenerate windows: inverted bounds and
-// windows entirely before or after the retained data. All must return
-// the series with zero points rather than erroring or over-matching.
+// TestQueryEmptyWindow covers a window that starts after the retained
+// data: it must return the series with zero points rather than erroring
+// or over-matching.
 func TestQueryEmptyWindow(t *testing.T) {
 	st := New(64)
 	fill(st.Series("m"), 10) // t = 0..9
 
-	cases := []struct {
-		name string
-		q    Query
-	}{
-		{"inverted (end before start)", Query{Name: "m", Start: 8, End: 3}},
-		{"entirely after data", Query{Name: "m", Start: 100, End: 200}},
-		{"entirely before data", Query{Name: "m", Start: -50, End: -10}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sd := queryOne(t, st, tc.q)
-			if len(sd.Points) != 0 {
-				t.Errorf("points = %+v, want none", sd.Points)
-			}
-		})
-	}
+	t.Run("entirely after data", func(t *testing.T) {
+		if sd := queryOne(t, st, Query{Name: "m", Start: 100}); len(sd.Points) != 0 {
+			t.Errorf("points = %+v, want none", sd.Points)
+		}
+	})
 
 	// Sanity: the same series with a covering window does return points.
-	if sd := queryOne(t, st, Query{Name: "m", Start: 0, End: 9}); len(sd.Points) != 10 {
+	if sd := queryOne(t, st, Query{Name: "m"}); len(sd.Points) != 10 {
 		t.Fatalf("covering window returned %d points", len(sd.Points))
 	}
 }

@@ -1,6 +1,6 @@
 // Package tsdb is the repo's embedded, allocation-frugal in-memory
-// time-series store: fixed-capacity ring series keyed by name+labels.
-// Each series keeps its newest samples, one ring of raw points; readers
+// time-series store: fixed-capacity ring series keyed by name. Each
+// series keeps its newest samples, one ring of raw points; readers
 // that want coarser views (the Fig. 9 timeline, terminal charts) fold
 // the samples themselves.
 //
@@ -18,7 +18,6 @@ package tsdb
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"mpr/internal/telemetry"
@@ -30,20 +29,11 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
-// Label is one series label. Series identity is the name plus the sorted
-// label set.
-type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
 // Series is one named time series: a ring of its newest samples. Resolve
 // a handle once with Store.Series and keep it — Append on a resolved
 // handle allocates nothing.
 type Series struct {
-	name   string
-	labels []Label // sorted by key, immutable after creation
-	key    string  // canonical name{k="v",...} identity
+	name string
 
 	mu  sync.Mutex
 	raw telemetry.Ring[Point]
@@ -71,13 +61,13 @@ func (s *Series) Total() uint64 {
 	return s.raw.Total()
 }
 
-// snapshot copies the retained samples inside [start, end] in
-// chronological order (end 0 = unbounded).
-func (s *Series) snapshot(start, end int64) []Point {
+// snapshot copies the retained samples at or after start in
+// chronological order.
+func (s *Series) snapshot(start int64) []Point {
 	var out []Point
 	s.mu.Lock()
 	for i := 0; i < s.raw.Len(); i++ {
-		if p := s.raw.At(i); p.T >= start && (end == 0 || p.T <= end) {
+		if p := s.raw.At(i); p.T >= start {
 			out = append(out, p)
 		}
 	}
@@ -85,10 +75,10 @@ func (s *Series) snapshot(start, end int64) []Point {
 	return out
 }
 
-// Store is a set of ring series keyed by canonical identity. The zero
-// value is not usable; construct with New. A nil *Store is the Nop
-// store: Series returns nil (whose Append is a no-op) and queries return
-// nothing, mirroring the telemetry package's nil-safety contract.
+// Store is a set of ring series keyed by name. The zero value is not
+// usable; construct with New. A nil *Store is the Nop store: Series
+// returns nil (whose Append is a no-op) and queries return nothing,
+// mirroring the telemetry package's nil-safety contract.
 type Store struct {
 	capacity int
 	mu       sync.RWMutex
@@ -112,70 +102,30 @@ func New(capacity int) *Store {
 	return &Store{capacity: capacity, series: make(map[string]*Series)}
 }
 
-// seriesKey renders the canonical identity name{k="v",...} over sorted
-// labels (bare name without labels).
-func seriesKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(l.Value)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// CanonicalKey renders the canonical series identity — name{k="v",...}
-// over sorted labels — without resolving a series. Consumers (the alert
-// evaluator) use it to name series in firings exactly as the store does.
-func CanonicalKey(name string, labels []Label) string {
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	return seriesKey(name, sorted)
-}
-
-// Series resolves (creating on first use) the series with the given name
-// and labels. Resolving allocates (key rendering, ring allocation on
-// first use) — hot paths resolve once and keep the handle. Returns nil
-// on a nil store.
-func (st *Store) Series(name string, labels ...Label) *Series {
+// Series resolves (creating on first use) the series with the given
+// name. Creating allocates the ring — hot paths resolve once and keep
+// the handle. Returns nil on a nil store.
+func (st *Store) Series(name string) *Series {
 	if st == nil {
 		return nil
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	key := seriesKey(name, ls)
 	st.mu.RLock()
-	s := st.series[key]
+	s := st.series[name]
 	st.mu.RUnlock()
 	if s != nil {
 		return s
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if s = st.series[key]; s != nil {
+	if s = st.series[name]; s != nil {
 		return s
 	}
-	s = &Series{
-		name:   name,
-		labels: ls,
-		key:    key,
-		raw:    telemetry.NewRing[Point](st.capacity),
-	}
-	st.series[key] = s
+	s = &Series{name: name, raw: telemetry.NewRing[Point](st.capacity)}
+	st.series[name] = s
 	return s
 }
 
-// all returns every series sorted by canonical key — the deterministic
+// all returns every series sorted by name — the deterministic
 // iteration order every query and export uses.
 func (st *Store) all() []*Series {
 	if st == nil {
@@ -187,6 +137,6 @@ func (st *Store) all() []*Series {
 		out = append(out, s)
 	}
 	st.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

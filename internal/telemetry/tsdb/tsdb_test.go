@@ -13,7 +13,7 @@ import (
 
 func TestNilStoreIsNop(t *testing.T) {
 	var st *Store
-	s := st.Series("x", Label{Key: "a", Value: "b"})
+	s := st.Series("x")
 	if s != nil {
 		t.Fatal("nil store must hand out the nil series")
 	}
@@ -26,23 +26,23 @@ func TestNilStoreIsNop(t *testing.T) {
 	}
 }
 
-func TestSeriesIdentityAndLabels(t *testing.T) {
+// TestSeriesIdentity: a name resolves to one handle, however often it
+// is resolved, and distinct names to distinct series.
+func TestSeriesIdentity(t *testing.T) {
 	st := New(64)
-	a := st.Series("power", Label{Key: "node", Value: "n1"}, Label{Key: "algo", Value: "MPR-INT"})
-	// Label order must not matter: identity is the sorted label set.
-	b := st.Series("power", Label{Key: "algo", Value: "MPR-INT"}, Label{Key: "node", Value: "n1"})
-	if a != b {
-		t.Fatal("label order changed series identity")
+	a := st.Series("power")
+	if b := st.Series("power"); b != a {
+		t.Fatal("resolving a name twice returned two series")
 	}
-	if c := st.Series("power", Label{Key: "node", Value: "n2"}); c == a {
-		t.Fatal("different labels must resolve different series")
+	if c := st.Series("price"); c == a {
+		t.Fatal("different names must resolve different series")
 	}
-	st.Series("power")
-	if n := len(st.Query(Query{})); n != 3 {
-		t.Fatalf("store holds %d series, want 3", n)
+	a.Append(1, 2)
+	if n := len(st.Query(Query{})); n != 2 {
+		t.Fatalf("store holds %d series, want 2", n)
 	}
-	if want := `power{algo="MPR-INT",node="n1"}`; CanonicalKey("power", []Label{{"node", "n1"}, {"algo", "MPR-INT"}}) != want {
-		t.Fatalf("canonical key != %q", want)
+	if got := st.Series("power").Total(); got != 1 {
+		t.Fatalf("re-resolved series total = %d, want 1", got)
 	}
 }
 
@@ -76,35 +76,26 @@ func TestAppendAndRawWindow(t *testing.T) {
 	}
 }
 
-func TestQueryWindowAndMatcher(t *testing.T) {
+func TestQueryWindowAndOrder(t *testing.T) {
 	st := New(128)
-	a := st.Series("w", Label{Key: "algo", Value: "stat"})
-	b := st.Series("w", Label{Key: "algo", Value: "int"})
-	other := st.Series("x")
+	w := st.Series("w")
+	x := st.Series("x")
 	for i := 0; i < 100; i++ {
-		a.Append(int64(i), 1)
-		b.Append(int64(i), 2)
-		other.Append(int64(i), 3)
+		x.Append(int64(i), 3)
+		w.Append(int64(i), 1)
 	}
 	// Name filter.
-	if data := st.Query(Query{Name: "w"}); len(data) != 2 {
-		t.Fatalf("name filter returned %d series", len(data))
+	if data := st.Query(Query{Name: "w"}); len(data) != 1 || data[0].Name != "w" {
+		t.Fatalf("name filter = %+v", data)
 	}
-	// Label matcher.
-	data := st.Query(Query{Name: "w", Match: map[string]string{"algo": "int"}})
-	if len(data) != 1 || data[0].Labels["algo"] != "int" {
-		t.Fatalf("matcher = %+v", data)
+	// Start is inclusive.
+	data := st.Query(Query{Name: "x", Start: 90})
+	if pts := data[0].Points; len(pts) != 10 || pts[0].T != 90 {
+		t.Fatalf("window from 90 = %+v", pts)
 	}
-	// Window bounds are inclusive.
-	data = st.Query(Query{Name: "x", Start: 10, End: 19})
-	if n := len(data[0].Points); n != 10 {
-		t.Fatalf("window points = %d, want 10", n)
-	}
-	// Deterministic series order: sorted by canonical key —
-	// w{algo="int"} < w{algo="stat"} < x.
+	// Deterministic series order: sorted by name, not by creation.
 	all := st.Query(Query{})
-	if len(all) != 3 ||
-		all[0].Labels["algo"] != "int" || all[1].Labels["algo"] != "stat" || all[2].Name != "x" {
+	if len(all) != 2 || all[0].Name != "w" || all[1].Name != "x" {
 		t.Fatalf("series order not deterministic: %+v", all)
 	}
 }
@@ -114,7 +105,7 @@ func TestQueryWindowAndMatcher(t *testing.T) {
 // ring wrap included — performs zero heap allocations.
 func TestAppendZeroAlloc(t *testing.T) {
 	st := New(1024)
-	s := st.Series("v", Label{Key: "k", Value: "x"})
+	s := st.Series("v")
 	var i int64
 	allocs := testing.AllocsPerRun(2000, func() {
 		s.Append(i, float64(i))
@@ -140,7 +131,7 @@ func TestConcurrentResolveAndAppend(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				// Resolve on every append: the map lookup is the contended path.
 				st.Series("shared").Append(int64(i), 1)
-				st.Series("labeled", Label{Key: "w", Value: strconv.Itoa(w % 2)}).Append(int64(i), 1)
+				st.Series("half_"+strconv.Itoa(w%2)).Append(int64(i), 1)
 				st.Series(own).Append(int64(i), float64(i))
 			}
 		}(w)
@@ -153,8 +144,8 @@ func TestConcurrentResolveAndAppend(t *testing.T) {
 		t.Errorf("shared series total = %d, want %d", got, workers*perWorker)
 	}
 	for v := 0; v < 2; v++ {
-		if got := st.Series("labeled", Label{Key: "w", Value: strconv.Itoa(v)}).Total(); got != workers/2*perWorker {
-			t.Errorf("labeled w=%d total = %d, want %d", v, got, workers/2*perWorker)
+		if got := st.Series("half_" + strconv.Itoa(v)).Total(); got != workers/2*perWorker {
+			t.Errorf("half_%d total = %d, want %d", v, got, workers/2*perWorker)
 		}
 	}
 	for w := 0; w < workers; w++ {
@@ -167,7 +158,7 @@ func TestConcurrentResolveAndAppend(t *testing.T) {
 func TestExportJSONLDeterministic(t *testing.T) {
 	build := func() *Store {
 		st := New(64)
-		s := st.Series("p", Label{Key: "algo", Value: "int"})
+		s := st.Series("p")
 		q := st.Series("q")
 		for i := 0; i < 25; i++ {
 			s.Append(int64(i), float64(i)*1.5)
@@ -199,7 +190,7 @@ func TestExportJSONLDeterministic(t *testing.T) {
 	if want := 2 * 5; len(lines) != want {
 		t.Fatalf("jsonl lines = %d, want %d", len(lines), want)
 	}
-	if lines[0] != `{"name":"p","labels":{"algo":"int"},"t":20,"v":30}` {
+	if lines[0] != `{"name":"p","t":20,"v":30}` {
 		t.Fatalf("first line = %q", lines[0])
 	}
 }
