@@ -2,6 +2,7 @@ package carbon
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mpr/internal/trace"
@@ -125,6 +126,13 @@ func TestDemandResponseValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Trace: &trace.Trace{Name: "empty", TotalCores: 8}}); err == nil {
 		t.Error("trace without jobs accepted")
+	}
+	tr := testTrace(t)
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Run(Config{Trace: tr, Seed: 7, ThresholdG: th})
+		if err == nil || !strings.Contains(err.Error(), "ThresholdG") {
+			t.Errorf("ThresholdG %v: err = %v, want one naming ThresholdG", th, err)
+		}
 	}
 }
 

@@ -80,6 +80,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil || len(cfg.Trace.Jobs) == 0 {
 		return nil, fmt.Errorf("carbon: config needs a non-empty trace")
 	}
+	// A NaN or an infinity would pass the zero default below and silently
+	// disable (or break) demand response, so both are refused first.
+	if math.IsNaN(cfg.ThresholdG) || math.IsInf(cfg.ThresholdG, 0) {
+		return nil, fmt.Errorf("carbon: ThresholdG must be finite, got %v", cfg.ThresholdG)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	profiles := perf.CPUProfiles()
 	coreModel := power.DefaultCPUCoreModel

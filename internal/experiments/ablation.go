@@ -6,7 +6,6 @@ import (
 
 	"mpr/internal/core"
 	"mpr/internal/perf"
-	"mpr/internal/runner"
 	"mpr/internal/sim"
 	"mpr/internal/stats"
 )
@@ -82,29 +81,22 @@ func runAblationCostShape(o Options) (*Result, error) {
 	}
 	tbl := stats.NewTable("Ablation A2 — user cost shape at 15% oversubscription",
 		"cost shape", "algorithm", "cost (core-h)", "reward %")
-	type cell struct {
-		shape perf.CostShape
-		algo  sim.Algorithm
-	}
-	var cells []cell
+	var cfgs []sim.Config
 	for _, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
 		for _, algo := range []sim.Algorithm{sim.AlgMPRStat, sim.AlgMPRInt} {
-			cells = append(cells, cell{shape, algo})
+			cfgs = append(cfgs, sim.Config{
+				Trace: tr, OversubPct: 15, Algorithm: algo,
+				Seed: o.seed(), CostShape: shape,
+			})
 		}
 	}
-	results, err := runner.Map(o.workers(), cells, func(_ int, c cell) (*sim.Result, error) {
-		key := fmt.Sprintf("a2/%d/%d/%s/%s", o.seed(), o.gaiaDays(), c.algo, c.shape)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: 15, Algorithm: c.algo,
-			Seed: o.seed(), CostShape: c.shape,
-		}, key)
-	})
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
+	for i, c := range cfgs {
 		r := results[i]
-		tbl.AddRow(c.shape.String(), string(c.algo), r.CostCoreH,
+		tbl.AddRow(c.CostShape.String(), string(c.Algorithm), r.CostCoreH,
 			fmt.Sprintf("%.0f%%", r.RewardPercent()))
 	}
 	return &Result{ID: "a2", Title: "Ablation A2", Tables: []*stats.Table{tbl}}, nil
@@ -126,13 +118,14 @@ func runAblationBidStrategies(o Options) (*Result, error) {
 		{"conservative", 1.5},
 		{"very conservative", 2.5},
 	}
-	results, err := runner.MapN(o.workers(), len(cases), func(i int) (*sim.Result, error) {
-		key := fmt.Sprintf("a3/%d/%d/%.2f", o.seed(), o.gaiaDays(), cases[i].factor)
-		return cachedRun(sim.Config{
+	cfgs := make([]sim.Config, len(cases))
+	for i, tc := range cases {
+		cfgs[i] = sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRStat,
-			Seed: o.seed(), StatBidFactor: cases[i].factor,
-		}, key)
-	})
+			Seed: o.seed(), StatBidFactor: tc.factor,
+		}
+	}
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -153,29 +146,23 @@ func runAblationHysteresis(o Options) (*Result, error) {
 	}
 	tbl := stats.NewTable("Ablation A4 — emergency hysteresis at 15% oversubscription",
 		"buffer", "cool-down (min)", "emergencies", "emergency minutes", "overload minutes")
-	cases := []struct {
-		buffer   float64
-		cooldown int
-	}{
-		{0.0001, 1},  // near-zero buffer, minimal cool-down: oscillation-prone
-		{0.0001, 10}, // cool-down only
-		{0.01, 1},    // buffer only
-		{0.01, 10},   // the paper's setting
+	at := func(buffer float64, cooldown int) sim.Config {
+		return sim.Config{Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRStat,
+			Seed: o.seed(), BufferFrac: buffer, CooldownSlots: cooldown}
 	}
-	results, err := runner.MapN(o.workers(), len(cases), func(i int) (*sim.Result, error) {
-		tc := cases[i]
-		key := fmt.Sprintf("a4/%d/%d/%.4f/%d", o.seed(), o.gaiaDays(), tc.buffer, tc.cooldown)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRStat,
-			Seed: o.seed(), BufferFrac: tc.buffer, CooldownSlots: tc.cooldown,
-		}, key)
-	})
+	cfgs := []sim.Config{
+		at(0.0001, 1),  // near-zero buffer, minimal cool-down: oscillation-prone
+		at(0.0001, 10), // cool-down only
+		at(0.01, 1),    // buffer only
+		at(0.01, 10),   // the paper's setting
+	}
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	for i, tc := range cases {
+	for i, c := range cfgs {
 		r := results[i]
-		tbl.AddRow(fmt.Sprintf("%.2f%%", 100*tc.buffer), tc.cooldown,
+		tbl.AddRow(fmt.Sprintf("%.2f%%", 100*c.BufferFrac), c.CooldownSlots,
 			r.EmergencyCount, r.EmergencySlots, r.OverloadSlots)
 	}
 	return &Result{ID: "a4", Title: "Ablation A4", Tables: []*stats.Table{tbl},
@@ -195,31 +182,18 @@ func runAblationPredictive(o Options) (*Result, error) {
 	tbl := stats.NewTable("Ablation A5 — predictive market invocation (MPR-INT at 15%)",
 		"market delay (min)", "predictive", "overload minutes", "emergencies",
 		"cost (core-h)", "mean queue wait (min)")
-	cases := []struct {
-		delay      int
-		predictive bool
-	}{
-		{0, false},
-		{3, false},
-		{3, true},
-		{5, false},
-		{5, true},
+	at := func(delay int, predictive bool) sim.Config {
+		return sim.Config{Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRInt, Seed: o.seed(),
+			MarketDelaySlots: delay, Predictive: predictive, PredictHorizonSlots: delay + 3}
 	}
-	results, err := runner.MapN(o.workers(), len(cases), func(i int) (*sim.Result, error) {
-		tc := cases[i]
-		key := fmt.Sprintf("a5/%d/%d/%d/%v", o.seed(), o.gaiaDays(), tc.delay, tc.predictive)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRInt, Seed: o.seed(),
-			MarketDelaySlots: tc.delay, Predictive: tc.predictive,
-			PredictHorizonSlots: tc.delay + 3,
-		}, key)
-	})
+	cfgs := []sim.Config{at(0, false), at(3, false), at(3, true), at(5, false), at(5, true)}
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	for i, tc := range cases {
+	for i, c := range cfgs {
 		r := results[i]
-		tbl.AddRow(tc.delay, tc.predictive, r.OverloadSlots, r.EmergencyCount,
+		tbl.AddRow(c.MarketDelaySlots, c.Predictive, r.OverloadSlots, r.EmergencyCount,
 			r.CostCoreH, r.MeanQueueWaitMin)
 	}
 	return &Result{ID: "a5", Title: "Ablation A5", Tables: []*stats.Table{tbl},

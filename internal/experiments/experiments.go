@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -137,15 +138,22 @@ type cacheEntry[V any] struct {
 	err  error
 }
 
+// runKey names one simulator run: the trace by pointer, and every other
+// field of the normalized configuration as its JSON encoding.
+type runKey struct {
+	trace *trace.Trace
+	cfg   string
+}
+
 var (
 	cacheMu    sync.Mutex
-	traceCache = map[string]*cacheEntry[*trace.Trace]{}
-	simCache   = map[string]*cacheEntry[*sim.Result]{}
+	traceCache = map[trace.GenConfig]*cacheEntry[*trace.Trace]{}
+	simCache   = map[runKey]*cacheEntry[*sim.Result]{}
 )
 
 // singleflight returns the cached value for key, running gen exactly
 // once per key no matter how many sweep cells ask concurrently.
-func singleflight[V any](m map[string]*cacheEntry[V], key string, gen func() (V, error)) (V, error) {
+func singleflight[K comparable, V any](m map[K]*cacheEntry[V], key K, gen func() (V, error)) (V, error) {
 	cacheMu.Lock()
 	e, ok := m[key]
 	if !ok {
@@ -166,18 +174,46 @@ func gaiaTrace(o Options) (*trace.Trace, error) {
 // requesting the same trace generate it exactly once; the returned trace
 // is shared across cells and must be treated as immutable.
 func cachedTrace(cfg trace.GenConfig) (*trace.Trace, error) {
-	key := fmt.Sprintf("%s/%d/%d/%d", cfg.Name, cfg.Seed, cfg.Days, cfg.JobCount)
-	return singleflight(traceCache, key, func() (*trace.Trace, error) {
+	return singleflight(traceCache, cfg, func() (*trace.Trace, error) {
 		return trace.Generate(cfg)
 	})
 }
 
-// cachedRun executes (and caches) a simulation; figures 8, 9, and 11
-// share the same sweep. Concurrent cells with the same key run the
-// simulation exactly once.
-func cachedRun(cfg sim.Config, key string) (*sim.Result, error) {
+// keyOf names the run cfg describes by its normalized configuration: a
+// field left at zero and one set to its default name the same run, so
+// figures that sweep one factor from a common base share the base's run.
+// The trace is held by pointer, so a trace built afresh never matches
+// another, not even one that had the same address before it was
+// collected.
+func keyOf(cfg sim.Config) (runKey, error) {
+	if err := cfg.Normalize(); err != nil {
+		return runKey{}, err
+	}
+	tr := cfg.Trace
+	cfg.Trace = nil
+	b, err := json.Marshal(cfg)
+	return runKey{tr, string(b)}, err
+}
+
+// cachedRun executes (and caches) a simulation. Each distinct normalized
+// configuration is simulated once, however many figures and concurrent
+// cells ask for it; the shared Result is read-only.
+func cachedRun(cfg sim.Config) (*sim.Result, error) {
+	key, err := keyOf(cfg)
+	if err != nil {
+		return nil, err
+	}
 	return singleflight(simCache, key, func() (*sim.Result, error) {
 		return simRun(cfg)
+	})
+}
+
+// runAll fans cfgs out across the options' worker pool through the run
+// cache. Results come back in the order of cfgs, so every table rendered
+// from them is identical at any worker count.
+func runAll(o Options, cfgs []sim.Config) ([]*sim.Result, error) {
+	return runner.Map(o.workers(), cfgs, func(_ int, c sim.Config) (*sim.Result, error) {
+		return cachedRun(c)
 	})
 }
 
@@ -189,52 +225,35 @@ var simRun = sim.Run
 // runs).
 func ResetCaches() {
 	cacheMu.Lock()
-	traceCache = map[string]*cacheEntry[*trace.Trace]{}
-	simCache = map[string]*cacheEntry[*sim.Result]{}
+	traceCache = map[trace.GenConfig]*cacheEntry[*trace.Trace]{}
+	simCache = map[runKey]*cacheEntry[*sim.Result]{}
 	cacheMu.Unlock()
-}
-
-// simCell is one (oversubscription, algorithm) point of a Gaia sweep.
-type simCell struct {
-	x    float64
-	algo sim.Algorithm
 }
 
 // gaiaSweep runs (cached) Gaia simulations for the given oversubscription
 // levels and algorithms, fanning the matrix across the options' worker
-// pool. Results are keyed by cell coordinates, so the assembled map — and
-// every table rendered from it — is identical at any worker count.
+// pool.
 func gaiaSweep(o Options, oversubs []float64, algos []sim.Algorithm) (map[float64]map[sim.Algorithm]*sim.Result, error) {
 	tr, err := gaiaTrace(o)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]simCell, 0, len(oversubs)*len(algos))
+	var cfgs []sim.Config
 	for _, x := range oversubs {
 		for _, algo := range algos {
-			cells = append(cells, simCell{x, algo})
+			cfgs = append(cfgs, sim.Config{Trace: tr, OversubPct: x, Algorithm: algo, Seed: o.seed()})
 		}
 	}
-	results, err := runner.Map(o.workers(), cells, func(_ int, c simCell) (*sim.Result, error) {
-		key := fmt.Sprintf("gaia/%d/%d/%.1f/%s", o.seed(), o.gaiaDays(), c.x, c.algo)
-		return cachedRun(sim.Config{
-			Trace:      tr,
-			OversubPct: c.x,
-			Algorithm:  c.algo,
-			Seed:       o.seed(),
-		}, key)
-	})
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[float64]map[sim.Algorithm]*sim.Result)
-	for i, c := range cells {
-		m := out[c.x]
-		if m == nil {
-			m = make(map[sim.Algorithm]*sim.Result)
-			out[c.x] = m
+	for i, c := range cfgs {
+		if out[c.OversubPct] == nil {
+			out[c.OversubPct] = make(map[sim.Algorithm]*sim.Result)
 		}
-		m[c.algo] = results[i]
+		out[c.OversubPct][c.Algorithm] = results[i]
 	}
 	return out, nil
 }

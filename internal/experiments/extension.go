@@ -258,8 +258,8 @@ func runPartitioned(o Options) (*Result, error) {
 	domB := &trace.Trace{Name: tr.Name + "-domB", TotalCores: half}
 	for i, j := range tr.Jobs {
 		if j.Cores > half {
-			// Jobs larger than a domain stay whole in domain A's twin;
-			// clamp to keep the partition valid.
+			// A job wider than a domain is clamped to the domain's
+			// cores and, like every job, dealt by its index's parity.
 			j.Cores = half
 		}
 		if i%2 == 0 {
@@ -276,31 +276,28 @@ func runPartitioned(o Options) (*Result, error) {
 	// CapacityW, so the unified sweep completes first, then the 2·len
 	// domain cells fan out.
 	oversubs := []float64{10, 15, 20}
-	unis, err := runner.Map(o.workers(), oversubs, func(_ int, x float64) (*sim.Result, error) {
-		uniKey := fmt.Sprintf("gaia/%d/%d/%.1f/%s", o.seed(), o.gaiaDays(), x, sim.AlgMPRStat)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: x, Algorithm: sim.AlgMPRStat, Seed: o.seed(),
-		}, uniKey)
-	})
+	unis, err := gaiaSweep(o, oversubs, []sim.Algorithm{sim.AlgMPRStat})
 	if err != nil {
 		return nil, err
 	}
 	doms := []*trace.Trace{domA, domB}
-	domRes, err := runner.MapN(o.workers(), len(oversubs)*len(doms), func(i int) (*sim.Result, error) {
-		x, d := oversubs[i/len(doms)], i%len(doms)
-		key := fmt.Sprintf("x4/%d/%d/%.1f/dom%d", o.seed(), o.gaiaDays(), x, d)
-		// Each domain gets half of the unified oversubscribed
-		// capacity — the same infrastructure, split in two.
-		return cachedRun(sim.Config{
-			Trace: doms[d], OversubPct: x, Algorithm: sim.AlgMPRStat, Seed: o.seed(),
-			CapacityOverrideW: unis[i/len(doms)].CapacityW / 2,
-		}, key)
-	})
+	var cfgs []sim.Config
+	for _, x := range oversubs {
+		for _, dom := range doms {
+			// Each domain gets half of the unified oversubscribed
+			// capacity — the same infrastructure, split in two.
+			cfgs = append(cfgs, sim.Config{
+				Trace: dom, OversubPct: x, Algorithm: sim.AlgMPRStat, Seed: o.seed(),
+				CapacityOverrideW: unis[x][sim.AlgMPRStat].CapacityW / 2,
+			})
+		}
+	}
+	domRes, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	for xi, x := range oversubs {
-		uni := unis[xi]
+		uni := unis[x][sim.AlgMPRStat]
 		var partOver int
 		var partCost float64
 		for d := range doms {

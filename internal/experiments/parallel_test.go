@@ -28,16 +28,18 @@ func renderResult(res *Result) string {
 // sweep renders byte-identical tables at any worker count. The IDs cover
 // each rewired sweep family — the Gaia oversubscription sweep (f8), its
 // series-instrumented sibling whose timeline table is regenerated from
-// the recorded store (f9), the participation and error sweeps (f12, f13, whose concurrent cells also
-// share one singleflight-cached trace), the ablation case matrix (a5),
-// the two-stage uniform-vs-partitioned sweep (x4), the phase-noise
-// sweep (x7), and the analytic Table I / CDF paths (t1, f1b). Timing
-// experiments (f10, a1, a6) are excluded: their tables contain measured
-// wall-clock columns, which no scheduling discipline can make identical.
-// The multi-trace study f14 is exercised by TestAllExperimentsRunQuick
-// but kept out of this matrix: its 20,000-core clusters dominate the
-// suite's wall clock even at a 2-day horizon, and its sweep structure
-// (trace × algorithm cells over cachedTrace) is the same as f12/f13's.
+// the recorded store (f9), the participation and error sweeps (f12,
+// f13), the cost-shape and case-matrix ablations (a2, whose linear cells
+// are the Gaia sweep's, and a5), the GPU sweep whose configurations carry
+// slice and map fields (f15), the two-stage uniform-vs-partitioned sweep
+// (x4), the phase-noise sweep (x7), and the analytic Table I / CDF paths
+// (t1, f1b). Timing experiments (f10, a1, a6) are excluded: their tables
+// contain measured wall-clock columns, which no scheduling discipline can
+// make identical. The multi-trace study f14 is exercised by
+// TestAllExperimentsRunQuick but kept out of this matrix: its
+// 20,000-core clusters dominate the suite's wall clock even at a 2-day
+// horizon, and its sweep (one runAll over configurations on three
+// cached traces) is built like f12/f13's.
 // The matrix also crosses sim.Run with the fixed-step reference
 // (simLoops): each must be worker-count invariant, and — because
 // internal/check pins the two to bit-identical Results — the reference's
@@ -45,7 +47,7 @@ func renderResult(res *Result) string {
 func TestSweepBitIdentity(t *testing.T) {
 	ids := []string{"f8", "f9", "x4", "t1"}
 	if !testing.Short() {
-		ids = append(ids, "f12", "f13", "a5", "x7", "f1b")
+		ids = append(ids, "f12", "f13", "a2", "a5", "f15", "x7", "f1b")
 	}
 	for _, id := range ids {
 		id := id

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpr/internal/perf"
@@ -80,26 +81,13 @@ func runFig9(o Options) (*Result, error) {
 	}
 
 	// Per-profile breakdown at 15% oversubscription (Figs. 9(c), 9(d)).
-	red15 := stats.NewTable("Fig. 9(c) — profile-wise resource reduction at 15% (core-hours)",
-		"app", "OPT", "EQL", "MPR-STAT", "MPR-INT")
-	cost15 := stats.NewTable("Fig. 9(d) — profile-wise cost at 15% (core-hours)",
-		"app", "OPT", "EQL", "MPR-STAT", "MPR-INT")
-	var names []string
-	for name := range sweep[15][sim.AlgOPT].PerProfile {
-		names = append(names, name)
+	var at15 []*sim.Result
+	for _, algo := range sim.Algorithms() {
+		at15 = append(at15, sweep[15][algo])
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		rowR := []interface{}{name}
-		rowC := []interface{}{name}
-		for _, algo := range sim.Algorithms() {
-			ps := sweep[15][algo].PerProfile[name]
-			rowR = append(rowR, ps.ReductionCoreH)
-			rowC = append(rowC, ps.CostCoreH)
-		}
-		red15.AddRow(rowR...)
-		cost15.AddRow(rowC...)
-	}
+	red15, cost15 := profileTables(at15,
+		"Fig. 9(c) — profile-wise resource reduction at 15% (core-hours)",
+		"Fig. 9(d) — profile-wise cost at 15% (core-hours)")
 
 	// Power timeline regenerated from the recorded series store of the
 	// instrumented MPR-INT run at 15% (Fig. 9(e)).
@@ -143,24 +131,16 @@ func runFig12(o Options) (*Result, error) {
 		return nil, err
 	}
 	participations := []float64{1.0, 0.9, 0.75, 0.5}
-	algos := []sim.Algorithm{sim.AlgMPRStat, sim.AlgMPRInt}
-	type cell struct {
-		p    float64
-		algo sim.Algorithm
-	}
-	var cells []cell
+	var cfgs []sim.Config
 	for _, p := range participations {
-		for _, algo := range algos {
-			cells = append(cells, cell{p, algo})
+		for _, algo := range []sim.Algorithm{sim.AlgMPRStat, sim.AlgMPRInt} {
+			cfgs = append(cfgs, sim.Config{
+				Trace: tr, OversubPct: 15, Algorithm: algo,
+				Seed: o.seed(), Participation: p,
+			})
 		}
 	}
-	results, err := runner.Map(o.workers(), cells, func(_ int, c cell) (*sim.Result, error) {
-		key := fmt.Sprintf("f12/%d/%d/%s/%.2f", o.seed(), o.gaiaDays(), c.algo, c.p)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: 15, Algorithm: c.algo,
-			Seed: o.seed(), Participation: c.p,
-		}, key)
-	})
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -185,24 +165,22 @@ func runFig13(o Options) (*Result, error) {
 		"underestimation", "cost STAT", "cost INT", "reward% STAT", "reward% INT")
 	randErrs := []float64{0, 0.10, 0.20, 0.30}
 	unders := []float64{0.10, 0.20, 0.30}
-	type cell struct {
-		randErr, under float64
-		algo           sim.Algorithm
+	var cfgs []sim.Config
+	add := func(randErr, under float64) {
+		for _, algo := range []sim.Algorithm{sim.AlgMPRStat, sim.AlgMPRInt} {
+			cfgs = append(cfgs, sim.Config{
+				Trace: tr, OversubPct: 15, Algorithm: algo, Seed: o.seed(),
+				CostErrorRand: randErr, CostErrorUnder: under,
+			})
+		}
 	}
-	var cells []cell
 	for _, e := range randErrs {
-		cells = append(cells, cell{e, 0, sim.AlgMPRStat}, cell{e, 0, sim.AlgMPRInt})
+		add(e, 0)
 	}
 	for _, u := range unders {
-		cells = append(cells, cell{0, u, sim.AlgMPRStat}, cell{0, u, sim.AlgMPRInt})
+		add(0, u)
 	}
-	results, err := runner.Map(o.workers(), cells, func(_ int, c cell) (*sim.Result, error) {
-		key := fmt.Sprintf("f13/%d/%d/%s/%.2f/%.2f", o.seed(), o.gaiaDays(), c.algo, c.randErr, c.under)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: 15, Algorithm: c.algo, Seed: o.seed(),
-			CostErrorRand: c.randErr, CostErrorUnder: c.under,
-		}, key)
-	})
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -224,33 +202,21 @@ func runFig14(o Options) (*Result, error) {
 	presets := trace.Presets(o.seed())
 	names := []string{"pik", "ricc", "metacentrum"}
 	algos := sim.Algorithms()
-	type cell struct {
-		name string
-		x    float64
-		algo sim.Algorithm
+	traces, err := runner.Map(o.workers(), names, func(_ int, name string) (*trace.Trace, error) {
+		return cachedTrace(presets[name].WithDays(o.otherTraceDays()))
+	})
+	if err != nil {
+		return nil, err
 	}
-	var cells []cell
-	for _, name := range names {
+	var cfgs []sim.Config
+	for _, tr := range traces {
 		for _, x := range paperOversubs {
 			for _, algo := range algos {
-				cells = append(cells, cell{name, x, algo})
+				cfgs = append(cfgs, sim.Config{Trace: tr, OversubPct: x, Algorithm: algo, Seed: o.seed()})
 			}
 		}
 	}
-	// Each cell fetches its workload through the singleflight trace
-	// cache, so the three traces are generated exactly once each even
-	// though 16 concurrent cells ask for every one of them.
-	results, err := runner.Map(o.workers(), cells, func(_ int, c cell) (*sim.Result, error) {
-		cfg := presets[c.name].WithDays(o.otherTraceDays())
-		tr, err := cachedTrace(cfg)
-		if err != nil {
-			return nil, err
-		}
-		key := fmt.Sprintf("f14/%s/%d/%d/%.1f/%s", c.name, o.seed(), cfg.Days, c.x, c.algo)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: c.x, Algorithm: c.algo, Seed: o.seed(),
-		}, key)
-	})
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -282,75 +248,60 @@ func runFig15(o Options) (*Result, error) {
 	for _, p := range profiles {
 		appPower[p.Name] = power.DefaultGPUCoreModel
 	}
-	run := func(x float64, algo sim.Algorithm) (*sim.Result, error) {
-		key := fmt.Sprintf("f15/%d/%d/%.1f/%s", o.seed(), o.gaiaDays(), x, algo)
-		return cachedRun(sim.Config{
-			Trace: tr, OversubPct: x, Algorithm: algo, Seed: o.seed(),
-			Profiles: profiles, CoreModel: power.DefaultGPUCoreModel, AppPower: appPower,
-		}, key)
-	}
-
-	// Fill the whole (oversub × algorithm) matrix in parallel first; the
-	// table assembly below then reads pure cache hits in its own order.
-	var cells []simCell
+	var cfgs []sim.Config
 	for _, x := range paperOversubs {
 		for _, algo := range sim.Algorithms() {
-			cells = append(cells, simCell{x, algo})
+			cfgs = append(cfgs, sim.Config{
+				Trace: tr, OversubPct: x, Algorithm: algo, Seed: o.seed(),
+				Profiles: profiles, CoreModel: power.DefaultGPUCoreModel, AppPower: appPower,
+			})
 		}
 	}
-	if _, err := runner.Map(o.workers(), cells, func(_ int, c simCell) (*sim.Result, error) {
-		return run(c.x, c.algo)
-	}); err != nil {
-		return nil, err
-	}
-
-	cost := stats.NewTable("Fig. 15(b) — GPU system cost of performance loss (core-hours)",
-		"oversub", "OPT", "EQL", "MPR-STAT", "MPR-INT", "EQL infeasible events")
-	for _, x := range paperOversubs {
-		row := []interface{}{fmt.Sprintf("%.0f%%", x)}
-		var eqlInfeasible int
-		for _, algo := range sim.Algorithms() {
-			r, err := run(x, algo)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, r.CostCoreH)
-			if algo == sim.AlgEQL {
-				eqlInfeasible = r.InfeasibleEvents
-			}
-		}
-		row = append(row, eqlInfeasible)
-		cost.AddRow(row...)
-	}
-
-	red := stats.NewTable("Fig. 15(c) — GPU profile-wise reduction at 15% (core-hours)",
-		"app", "OPT", "EQL", "MPR-STAT", "MPR-INT")
-	closs := stats.NewTable("Fig. 15(d) — GPU profile-wise cost at 15% (core-hours)",
-		"app", "OPT", "EQL", "MPR-STAT", "MPR-INT")
-	first, err := run(15, sim.AlgOPT)
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
+	// results[i*n+a] is oversubscription paperOversubs[i] under algorithm a.
+	n := len(sim.Algorithms())
+	eql := slices.Index(sim.Algorithms(), sim.AlgEQL)
+
+	cost := stats.NewTable("Fig. 15(b) — GPU system cost of performance loss (core-hours)",
+		"oversub", "OPT", "EQL", "MPR-STAT", "MPR-INT", "EQL infeasible events")
+	for i, x := range paperOversubs {
+		row := []interface{}{fmt.Sprintf("%.0f%%", x)}
+		for _, r := range results[i*n : (i+1)*n] {
+			row = append(row, r.CostCoreH)
+		}
+		cost.AddRow(append(row, results[i*n+eql].InfeasibleEvents)...)
+	}
+	i15 := slices.Index(paperOversubs, 15)
+	red, closs := profileTables(results[i15*n:(i15+1)*n],
+		"Fig. 15(c) — GPU profile-wise reduction at 15% (core-hours)",
+		"Fig. 15(d) — GPU profile-wise cost at 15% (core-hours)")
+	return &Result{ID: "f15", Title: "Fig. 15", Tables: []*stats.Table{cost, red, closs},
+		Notes: []string{"GPU 'one core' normalized to each application's max power (Section V-E)"}}, nil
+}
+
+// profileTables renders the per-profile resource reduction and cost of
+// one oversubscription level, one column per algorithm's result.
+func profileTables(results []*sim.Result, redTitle, costTitle string) (red, cost *stats.Table) {
+	red = stats.NewTable(redTitle, "app", "OPT", "EQL", "MPR-STAT", "MPR-INT")
+	cost = stats.NewTable(costTitle, "app", "OPT", "EQL", "MPR-STAT", "MPR-INT")
 	var names []string
-	for name := range first.PerProfile {
+	for name := range results[0].PerProfile {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		rowR := []interface{}{name}
 		rowC := []interface{}{name}
-		for _, algo := range sim.Algorithms() {
-			r, err := run(15, algo)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range results {
 			ps := r.PerProfile[name]
 			rowR = append(rowR, ps.ReductionCoreH)
 			rowC = append(rowC, ps.CostCoreH)
 		}
 		red.AddRow(rowR...)
-		closs.AddRow(rowC...)
+		cost.AddRow(rowC...)
 	}
-	return &Result{ID: "f15", Title: "Fig. 15", Tables: []*stats.Table{cost, red, closs},
-		Notes: []string{"GPU 'one core' normalized to each application's max power (Section V-E)"}}, nil
+	return red, cost
 }

@@ -153,13 +153,14 @@ func runPhases(o Options) (*Result, error) {
 		"phase amplitude", "emergencies", "market invocations (incl. raises)",
 		"overload minutes", "cost (core-h)")
 	amps := []float64{0, 0.05, 0.10, 0.20}
-	results, err := runner.Map(o.workers(), amps, func(_ int, amp float64) (*sim.Result, error) {
-		key := fmt.Sprintf("x7/%d/%d/%.2f", o.seed(), o.gaiaDays(), amp)
-		return cachedRun(sim.Config{
+	cfgs := make([]sim.Config, len(amps))
+	for i, amp := range amps {
+		cfgs[i] = sim.Config{
 			Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRStat, Seed: o.seed(),
 			PhaseAmp: amp,
-		}, key)
-	})
+		}
+	}
+	results, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -10,22 +10,19 @@ import (
 
 // TimelineRun is the series-instrumented reference run behind the Fig. 9
 // power timeline and the mprbench -series export: MPR-INT on the Gaia
-// trace at 15% oversubscription with per-slot sampling enabled. The run
-// is cached under its own key ("f9ts") so the instrumented result never
-// collides with gaiaSweep's uninstrumented cells, and sampling uses
-// virtual slot timestamps, so the recorded store is bit-identical at any
-// worker count (DESIGN.md §9).
+// trace at 15% oversubscription with per-slot sampling enabled. Sampling
+// uses virtual slot timestamps, so the recorded store is bit-identical at
+// any worker count (DESIGN.md §9).
 func TimelineRun(o Options) (*sim.Result, error) {
 	tr, err := gaiaTrace(o)
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("f9ts/%d/%d", o.seed(), o.gaiaDays())
 	return cachedRun(sim.Config{
 		Trace: tr, OversubPct: 15, Algorithm: sim.AlgMPRInt, Seed: o.seed(),
 		// Every series keeps the whole run: the timeline folds all of it.
 		SampleSeries: true, SeriesCapacity: sim.RunSlots(tr),
-	}, key)
+	})
 }
 
 // timelineWindow folds consecutive samples of one series into the

@@ -90,7 +90,7 @@ func TestWithPprofLabels(t *testing.T) {
 }
 
 // TestTracerDroppedCount overflows the event ring and asserts the
-// events_dropped counter — the satellite making overflow observable.
+// dropped count that /debug/market serves as dropped_events.
 func TestTracerDroppedCount(t *testing.T) {
 	tr := NewTracer(16)
 	if tr.Dropped() != 0 {

@@ -76,8 +76,8 @@ func (t *Tracer) Emit(e Event) {
 }
 
 // Dropped returns how many events the ring has overwritten — the
-// overflow-observability counter behind /debug/market's dropped-count
-// field and mprd's events_dropped metric. 0 on a nil tracer.
+// overflow-observability counter behind /debug/market's dropped_events
+// field. 0 on a nil tracer.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
