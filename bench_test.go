@@ -35,6 +35,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	opts := experiments.Options{Seed: 1, Quick: true}
 	for i := 0; i < b.N; i++ {
+		experiments.ResetCaches() // each iteration simulates cold, not from the last one's cache
 		res, err := e.Run(opts)
 		if err != nil {
 			b.Fatal(err)
@@ -618,6 +619,30 @@ func BenchmarkRationalBid(b *testing.B) {
 func BenchmarkJSONCodecRoundTrip(b *testing.B) {
 	var buf bytes.Buffer
 	codec := agentproto.NewCodec(&buf)
+	msgs := [2]agentproto.Message{
+		{Type: agentproto.MsgPrice, Round: 7, Price: 0.1, TargetW: 4000, TraceID: "m12.r7"},
+		{Type: agentproto.MsgBid, Round: 7, TraceID: "m12.r7", Delta: 3.0517578125, B: 0.0732421875},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range msgs {
+			if err := codec.Send(m); err != nil {
+				b.Fatal(err)
+			}
+			if got, err := codec.Recv(); err != nil || got != m {
+				b.Fatalf("round trip of %+v: %+v, %v", m, got, err)
+			}
+		}
+	}
+}
+
+// BenchmarkFrameCodecRoundTrip is BenchmarkJSONCodecRoundTrip's round
+// on the binary wire: the same price and bid through the mprbin/v1
+// FrameCodec over a bytes.Buffer.
+func BenchmarkFrameCodecRoundTrip(b *testing.B) {
+	var buf bytes.Buffer
+	codec := agentproto.NewFrameCodec(&buf, &buf)
 	msgs := [2]agentproto.Message{
 		{Type: agentproto.MsgPrice, Round: 7, Price: 0.1, TargetW: 4000, TraceID: "m12.r7"},
 		{Type: agentproto.MsgBid, Round: 7, TraceID: "m12.r7", Delta: 3.0517578125, B: 0.0732421875},

@@ -116,7 +116,6 @@ func newObs(c obsConfig) (*obs, error) {
 			Dir:        c.FlightDir,
 			Cooldown:   c.FlightCooldown,
 			ConfigEcho: c.ConfigEcho,
-			Clock:      c.Clock.Now,
 			Logf:       c.Logf,
 		})
 		if err != nil {

@@ -63,25 +63,19 @@ const (
 	frameError byte = 6
 )
 
-// Field bitmap bits, in payload order. The set mirrors Message's
-// omitempty fields exactly; Type travels in the frame header.
-const (
-	bitJobID = 1 << iota
-	bitCores
-	bitWattsPerCore
-	bitMaxFrac
-	bitRound
-	bitPrice
-	bitTargetW
-	bitTraceID
-	bitDelta
-	bitB
-	bitReductionCores
-	bitPaymentRate
-	bitReason
+// frameTypes maps a frame type byte back to its MsgType.
+var frameTypes = [...]MsgType{
+	frameHello: MsgHello,
+	framePrice: MsgPrice,
+	frameBid:   MsgBid,
+	frameOrder: MsgOrder,
+	frameLift:  MsgLift,
+	frameError: MsgError,
+}
 
-	bitsKnown = 1<<13 - 1
-)
+// bitsKnown covers the bitmap's 13 field bits. A field's bit is its
+// place in Message after Type: JobID is bit 0, Reason bit 12.
+const bitsKnown = 1<<13 - 1
 
 func msgTypeByte(t MsgType) (byte, error) {
 	switch t {
@@ -102,19 +96,8 @@ func msgTypeByte(t MsgType) (byte, error) {
 }
 
 func byteMsgType(b byte) (MsgType, error) {
-	switch b {
-	case frameHello:
-		return MsgHello, nil
-	case framePrice:
-		return MsgPrice, nil
-	case frameBid:
-		return MsgBid, nil
-	case frameOrder:
-		return MsgOrder, nil
-	case frameLift:
-		return MsgLift, nil
-	case frameError:
-		return MsgError, nil
+	if int(b) < len(frameTypes) && frameTypes[b] != "" {
+		return frameTypes[b], nil
 	}
 	return "", fmt.Errorf("agentproto: %w: unknown frame type 0x%02x", errMalformed, b)
 }
@@ -148,69 +131,6 @@ func NewFrameCodec(r io.Reader, w io.Writer) *FrameCodec {
 	return &FrameCodec{w: w, r: br, enc: make([]byte, 0, 128)}
 }
 
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func appendF64(b []byte, v float64) []byte {
-	u := math.Float64bits(v)
-	return append(b, byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-}
-
-func appendStr(b []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
-		return b, fmt.Errorf("agentproto: string field of %d bytes exceeds frame limit", len(s))
-	}
-	return append(appendU16(b, uint16(len(s))), s...), nil
-}
-
-// bitmapOf computes the present-field bitmap — the binary twin of the
-// JSON envelope's omitempty rule (a field travels iff it is non-zero).
-func bitmapOf(m *Message) uint16 {
-	var bm uint16
-	if m.JobID != "" {
-		bm |= bitJobID
-	}
-	if m.Cores != 0 {
-		bm |= bitCores
-	}
-	if m.WattsPerCore != 0 {
-		bm |= bitWattsPerCore
-	}
-	if m.MaxFrac != 0 {
-		bm |= bitMaxFrac
-	}
-	if m.Round != 0 {
-		bm |= bitRound
-	}
-	if m.Price != 0 {
-		bm |= bitPrice
-	}
-	if m.TargetW != 0 {
-		bm |= bitTargetW
-	}
-	if m.TraceID != "" {
-		bm |= bitTraceID
-	}
-	if m.Delta != 0 {
-		bm |= bitDelta
-	}
-	if m.B != 0 {
-		bm |= bitB
-	}
-	if m.ReductionCores != 0 {
-		bm |= bitReductionCores
-	}
-	if m.PaymentRate != 0 {
-		bm |= bitPaymentRate
-	}
-	if m.Reason != "" {
-		bm |= bitReason
-	}
-	return bm
-}
-
 // Send writes one message as a single frame (one Write call).
 func (c *FrameCodec) Send(m Message) error {
 	buf, err := appendFrame(c.enc[:0], &m)
@@ -236,125 +156,116 @@ func appendFrame(dst []byte, m *Message) ([]byte, error) {
 	if m.Round < math.MinInt32 || m.Round > math.MaxInt32 {
 		return dst, fmt.Errorf("agentproto: round %d exceeds frame range", m.Round)
 	}
+	if n := max(len(m.JobID), len(m.TraceID), len(m.Reason)); n > math.MaxUint16 {
+		return dst, fmt.Errorf("agentproto: string field of %d bytes exceeds frame limit", n)
+	}
 	start := len(dst)
-	buf := append(dst, frameMagic, tb, 0, 0, 0, 0)
-	bm := bitmapOf(m)
-	buf = appendU16(buf, bm)
-	if bm&bitJobID != 0 {
-		if buf, err = appendStr(buf, m.JobID); err != nil {
-			return dst, err
+	// Header, then the bitmap: both are patched in once the fields are.
+	e := frameEnc{b: append(dst, frameMagic, tb, 0, 0, 0, 0, 0, 0), bit: 1}
+	e = e.str(m.JobID)
+	e = e.f64(m.Cores)
+	e = e.f64(m.WattsPerCore)
+	e = e.f64(m.MaxFrac)
+	e = e.round(m.Round)
+	e = e.f64(m.Price)
+	e = e.f64(m.TargetW)
+	e = e.str(m.TraceID)
+	e = e.f64(m.Delta)
+	e = e.f64(m.B)
+	e = e.f64(m.ReductionCores)
+	e = e.f64(m.PaymentRate)
+	e = e.str(m.Reason)
+	binary.BigEndian.PutUint32(e.b[start+2:], uint32(len(e.b)-start-6))
+	binary.BigEndian.PutUint16(e.b[start+6:], e.bm)
+	return e.b, nil
+}
+
+// frameEnc accumulates one payload: bm holds the bits of the fields
+// written so far and bit is the next field's. Its methods take and
+// return the encoder by value, which keeps it in registers.
+type frameEnc struct {
+	b       []byte
+	bm, bit uint16
+}
+
+func (e frameEnc) f64(f float64) frameEnc {
+	if f != 0 {
+		e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(f))
+		e.bm |= e.bit
+	}
+	e.bit <<= 1
+	return e
+}
+
+func (e frameEnc) round(r int) frameEnc {
+	if r != 0 {
+		e.b = binary.BigEndian.AppendUint32(e.b, uint32(int32(r)))
+		e.bm |= e.bit
+	}
+	e.bit <<= 1
+	return e
+}
+
+func (e frameEnc) str(s string) frameEnc {
+	if s != "" {
+		e.b = append(binary.BigEndian.AppendUint16(e.b, uint16(len(s))), s...)
+		e.bm |= e.bit
+	}
+	e.bit <<= 1
+	return e
+}
+
+// frameDec walks one payload as frameEnc wrote it. A present field that
+// runs past the payload's end returns the zero frameDec, whose bit 0
+// reads every later field as absent; Recv reports the short frame once.
+type frameDec struct {
+	b       []byte
+	bm, bit uint16
+}
+
+func (d frameDec) f64() (float64, frameDec) {
+	var v float64
+	if d.bm&d.bit != 0 {
+		if len(d.b) < 8 {
+			return 0, frameDec{}
 		}
+		v, d.b = math.Float64frombits(binary.BigEndian.Uint64(d.b)), d.b[8:]
 	}
-	if bm&bitCores != 0 {
-		buf = appendF64(buf, m.Cores)
-	}
-	if bm&bitWattsPerCore != 0 {
-		buf = appendF64(buf, m.WattsPerCore)
-	}
-	if bm&bitMaxFrac != 0 {
-		buf = appendF64(buf, m.MaxFrac)
-	}
-	if bm&bitRound != 0 {
-		buf = appendU32(buf, uint32(int32(m.Round)))
-	}
-	if bm&bitPrice != 0 {
-		buf = appendF64(buf, m.Price)
-	}
-	if bm&bitTargetW != 0 {
-		buf = appendF64(buf, m.TargetW)
-	}
-	if bm&bitTraceID != 0 {
-		if buf, err = appendStr(buf, m.TraceID); err != nil {
-			return dst, err
+	d.bit <<= 1
+	return v, d
+}
+
+func (d frameDec) round() (int, frameDec) {
+	var v int
+	if d.bm&d.bit != 0 {
+		if len(d.b) < 4 {
+			return 0, frameDec{}
 		}
+		v, d.b = int(int32(binary.BigEndian.Uint32(d.b))), d.b[4:]
 	}
-	if bm&bitDelta != 0 {
-		buf = appendF64(buf, m.Delta)
-	}
-	if bm&bitB != 0 {
-		buf = appendF64(buf, m.B)
-	}
-	if bm&bitReductionCores != 0 {
-		buf = appendF64(buf, m.ReductionCores)
-	}
-	if bm&bitPaymentRate != 0 {
-		buf = appendF64(buf, m.PaymentRate)
-	}
-	if bm&bitReason != 0 {
-		if buf, err = appendStr(buf, m.Reason); err != nil {
-			return dst, err
+	d.bit <<= 1
+	return v, d
+}
+
+// str decodes a string field through the one-entry cache *last:
+// repeated values come back as the cached string, with no allocation.
+func (d frameDec) str(last *string) (string, frameDec) {
+	var v string
+	if d.bm&d.bit != 0 {
+		end := 2
+		if len(d.b) >= end {
+			end += int(binary.BigEndian.Uint16(d.b))
 		}
+		if len(d.b) < end {
+			return "", frameDec{}
+		}
+		if b := d.b[2:end]; *last != string(b) { // compiler-optimized, alloc-free compare
+			*last = string(b)
+		}
+		v, d.b = *last, d.b[end:]
 	}
-	binary.BigEndian.PutUint32(buf[start+2:start+6], uint32(len(buf)-start-6))
-	return buf, nil
-}
-
-// frameReader decodes payload fields sequentially.
-type frameReader struct {
-	b []byte
-}
-
-func (fr *frameReader) u16() (uint16, error) {
-	if len(fr.b) < 2 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.BigEndian.Uint16(fr.b)
-	fr.b = fr.b[2:]
-	return v, nil
-}
-
-func (fr *frameReader) u32() (uint32, error) {
-	if len(fr.b) < 4 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.BigEndian.Uint32(fr.b)
-	fr.b = fr.b[4:]
-	return v, nil
-}
-
-func (fr *frameReader) f64() (float64, error) {
-	if len(fr.b) < 8 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(fr.b))
-	fr.b = fr.b[8:]
-	return v, nil
-}
-
-func (fr *frameReader) str() ([]byte, error) {
-	n, err := fr.u16()
-	if err != nil {
-		return nil, err
-	}
-	if len(fr.b) < int(n) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	s := fr.b[:n]
-	fr.b = fr.b[n:]
-	return s, nil
-}
-
-// internTrace converts trace bytes to a string through a one-entry
-// cache: every bid in a round echoes the same trace ID, so steady-state
-// decoding allocates nothing.
-func (c *FrameCodec) internTrace(b []byte) string {
-	if c.lastTrace != string(b) { // compiler-optimized, alloc-free compare
-		c.lastTrace = string(b)
-	}
-	return c.lastTrace
-}
-
-func (c *FrameCodec) internJob(b []byte) string {
-	if c.lastJob != string(b) {
-		c.lastJob = string(b)
-	}
-	return c.lastJob
-}
-
-// decodeErr wraps a field-decode failure. A plain function (not a
-// closure) so the error path costs Recv nothing when frames are healthy.
-func decodeErr(mt MsgType, err error) error {
-	return fmt.Errorf("agentproto: decode %s frame: %w: %w", mt, errMalformed, err)
+	d.bit <<= 1
+	return v, d
 }
 
 // Recv reads the next frame, returning io.EOF at a clean end of stream.
@@ -386,90 +297,33 @@ func (c *FrameCodec) Recv() (Message, error) {
 	if _, err := io.ReadFull(c.r, pay); err != nil {
 		return Message{}, fmt.Errorf("agentproto: recv frame payload: %w", err)
 	}
-	fr := frameReader{b: pay}
-	bm, err := fr.u16()
-	if err != nil {
-		return Message{}, fmt.Errorf("agentproto: decode frame: %w: %w", errMalformed, err)
+	if n < 2 {
+		return Message{}, fmt.Errorf("agentproto: decode frame: %w: %w", errMalformed, io.ErrUnexpectedEOF)
 	}
-	if bm&^uint16(bitsKnown) != 0 {
-		return Message{}, fmt.Errorf("agentproto: %w: frame carries unknown field bits 0x%04x", errMalformed, bm)
+	d := frameDec{b: pay[2:], bm: binary.BigEndian.Uint16(pay), bit: 1}
+	if d.bm&^bitsKnown != 0 {
+		return Message{}, fmt.Errorf("agentproto: %w: frame carries unknown field bits 0x%04x", errMalformed, d.bm)
 	}
 	m := Message{Type: mt}
-	if bm&bitJobID != 0 {
-		b, err := fr.str()
-		if err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-		m.JobID = c.internJob(b)
+	m.JobID, d = d.str(&c.lastJob)
+	m.Cores, d = d.f64()
+	m.WattsPerCore, d = d.f64()
+	m.MaxFrac, d = d.f64()
+	m.Round, d = d.round()
+	m.Price, d = d.f64()
+	m.TargetW, d = d.f64()
+	m.TraceID, d = d.str(&c.lastTrace)
+	m.Delta, d = d.f64()
+	m.B, d = d.f64()
+	m.ReductionCores, d = d.f64()
+	m.PaymentRate, d = d.f64()
+	var reason string // error reasons are one-off: no cache outlives the frame
+	m.Reason, d = d.str(&reason)
+	if d.bit == 0 {
+		return Message{}, fmt.Errorf("agentproto: decode %s frame: %w: %w", mt, errMalformed, io.ErrUnexpectedEOF)
 	}
-	if bm&bitCores != 0 {
-		if m.Cores, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitWattsPerCore != 0 {
-		if m.WattsPerCore, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitMaxFrac != 0 {
-		if m.MaxFrac, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitRound != 0 {
-		u, err := fr.u32()
-		if err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-		m.Round = int(int32(u))
-	}
-	if bm&bitPrice != 0 {
-		if m.Price, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitTargetW != 0 {
-		if m.TargetW, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitTraceID != 0 {
-		b, err := fr.str()
-		if err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-		m.TraceID = c.internTrace(b)
-	}
-	if bm&bitDelta != 0 {
-		if m.Delta, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitB != 0 {
-		if m.B, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitReductionCores != 0 {
-		if m.ReductionCores, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitPaymentRate != 0 {
-		if m.PaymentRate, err = fr.f64(); err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-	}
-	if bm&bitReason != 0 {
-		b, err := fr.str()
-		if err != nil {
-			return Message{}, decodeErr(mt, err)
-		}
-		m.Reason = string(b)
-	}
-	if len(fr.b) != 0 {
-		return Message{}, fmt.Errorf("agentproto: %w: %d trailing bytes after %s frame", errMalformed, len(fr.b), mt)
+	if len(d.b) != 0 {
+		return Message{}, fmt.Errorf("agentproto: %w: %d trailing bytes after %s frame", errMalformed, len(d.b), mt)
 	}
 	return m, nil
 }

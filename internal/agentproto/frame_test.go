@@ -194,3 +194,36 @@ func TestFrameWriteDeadline(t *testing.T) {
 		t.Fatalf("Send error %v: want net.Error timeout", err)
 	}
 }
+
+// TestFrameStringLimit pins the uint16 length prefix's limit: a string
+// field one byte over 65,535 is refused before anything is written, and
+// one at the limit round-trips.
+func TestFrameStringLimit(t *testing.T) {
+	fields := map[string]func(*Message) *string{
+		"JobID":   func(m *Message) *string { return &m.JobID },
+		"TraceID": func(m *Message) *string { return &m.TraceID },
+		"Reason":  func(m *Message) *string { return &m.Reason },
+	}
+	for name, field := range fields {
+		m := Message{Type: MsgError, Price: 0.5}
+		*field(&m) = strings.Repeat("x", 1<<16)
+		prefix := []byte{1, 2, 3}
+		dst, err := appendFrame(prefix, &m)
+		if err == nil || !bytes.Equal(dst, prefix) || &dst[0] != &prefix[0] {
+			t.Errorf("%s of 65,536 bytes: appendFrame = %x…, %v; want the prefix unchanged and an error", name, dst[:min(len(dst), 8)], err)
+		}
+		var out bytes.Buffer
+		if err := NewFrameCodec(&out, &out).Send(m); err == nil || out.Len() != 0 {
+			t.Errorf("%s of 65,536 bytes: Send wrote %d bytes, err %v; want nothing written and an error", name, out.Len(), err)
+		}
+
+		*field(&m) = strings.Repeat("y", 1<<16-1)
+		c := NewFrameCodec(&out, &out)
+		if err := c.Send(m); err != nil {
+			t.Fatalf("%s of 65,535 bytes: Send: %v", name, err)
+		}
+		if got, err := c.Recv(); err != nil || got != m {
+			t.Errorf("%s of 65,535 bytes: Recv = %.40v…, %v; want the sent message", name, got, err)
+		}
+	}
+}

@@ -155,28 +155,12 @@ type agentConn struct {
 	missed int
 
 	// mbMu guards the inbound mailbox plus the last-accepted-bid record
-	// (fed by harvests, read by snapshots and market seeding).
+	// (fed by harvests and by a restored snapshot, read by snapshots and
+	// market seeding).
 	mbMu    sync.Mutex
 	mb      mailbox
 	lastBid core.Bid
 	hasLast bool
-	// seed is a bid restored from an mprstate snapshot; it stands in for
-	// lastBid until the first live bid is harvested.
-	seed    core.Bid
-	hasSeed bool
-}
-
-// seedBid returns the bid a market (or snapshot) should assume for this
-// agent before it bids: the last harvested live bid, else the restored
-// seed. Callers hold mbMu.
-func (a *agentConn) seedBid() (core.Bid, bool) {
-	if a.hasLast {
-		return a.lastBid, true
-	}
-	if a.hasSeed {
-		return a.seed, true
-	}
-	return core.Bid{}, false
 }
 
 // readWriter splits a connection whose read side is buffered (for the
@@ -398,9 +382,8 @@ func (m *Manager) serve(conn net.Conn) {
 	m.nextShard++
 	if r, ok := m.restored[hello.JobID]; ok {
 		delete(m.restored, hello.JobID)
-		if r.HasBid {
-			a.seed = core.Bid{Delta: r.Delta, B: r.B}
-			a.hasSeed = true
+		if r.HasBid { // a is in no roster yet: nothing else reads its bid
+			a.lastBid, a.hasLast = core.Bid{Delta: r.Delta, B: r.B}, true
 		}
 	}
 	m.agents[hello.JobID] = a
@@ -591,8 +574,8 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 		// until an agent bids this market, the clear proceeds on its last
 		// known bid (zero for a fresh connection).
 		a.mbMu.Lock()
-		if b, ok := a.seedBid(); ok {
-			parts[i].Bid = b
+		if a.hasLast {
+			parts[i].Bid = a.lastBid
 		}
 		a.mbMu.Unlock()
 		members[a.shard.id] = append(members[a.shard.id], a)

@@ -86,7 +86,7 @@ func (m *Manager) SnapshotState(savedUnixNS int64) *State {
 			Wire:         a.wire,
 		}
 		a.mbMu.Lock()
-		bid, has := a.seedBid()
+		bid, has := a.lastBid, a.hasLast
 		a.mbMu.Unlock()
 		if has {
 			as.HasBid, as.Delta, as.B = true, bid.Delta, bid.B

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("a1", "Ablation: MClr bisection vs generic/dual NLP solvers", runAblationSolvers)
+	register("a1", "Ablation: MClr closed-form clear vs generic/dual NLP solvers", runAblationSolvers)
 	register("a2", "Ablation: linear vs quadratic user cost", runAblationCostShape)
 	register("a3", "Ablation: static bidding strategies", runAblationBidStrategies)
 	register("a4", "Ablation: emergency hysteresis (buffer + cool-down)", runAblationHysteresis)
@@ -20,16 +20,16 @@ func init() {
 }
 
 // runAblationSolvers validates the paper's scalability design decision:
-// clearing the market through the scalar bisection of MClr instead of a
-// multi-variable NLP loses little cost while being orders of magnitude
-// faster.
+// clearing the market by MClr's scalar price, solved here in closed form
+// (core.Clear), instead of a multi-variable NLP loses little cost while
+// being orders of magnitude faster.
 func runAblationSolvers(o Options) (*Result, error) {
 	sizes := []int{100, 1000, 10000}
 	if o.Quick {
 		sizes = []int{100, 1000}
 	}
-	tbl := stats.NewTable("Ablation A1 — MClr bisection vs centralized solvers",
-		"jobs", "bisect ms", "dual ms", "generic ms", "cost bisect/OPT", "supplied/target")
+	tbl := stats.NewTable("Ablation A1 — MClr closed-form clear vs centralized solvers",
+		"jobs", "clear ms", "dual ms", "generic ms", "cost clear/OPT", "supplied/target")
 	// Pool construction fans out across the worker pool; the timed
 	// solver sections below stay serial so co-scheduled cells cannot
 	// distort the wall-clock columns (DESIGN.md §9).
@@ -46,7 +46,7 @@ func runAblationSolvers(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		bisectMS := time.Since(t0).Seconds() * 1000
+		clearMS := time.Since(t0).Seconds() * 1000
 		var marketCost float64
 		for i, p := range parts {
 			marketCost += p.Cost(mres.Reductions[i])
@@ -69,7 +69,7 @@ func runAblationSolvers(o Options) (*Result, error) {
 		if dres.TotalCost > 0 {
 			ratio = marketCost / dres.TotalCost
 		}
-		tbl.AddRow(n, bisectMS, dualMS, genericMS, ratio, mres.SuppliedW/target)
+		tbl.AddRow(n, clearMS, dualMS, genericMS, ratio, mres.SuppliedW/target)
 	}
 	return &Result{ID: "a1", Title: "Ablation A1", Tables: []*stats.Table{tbl}}, nil
 }
@@ -248,5 +248,5 @@ func runAblationVCG(o Options) (*Result, error) {
 			mres.PayoutRate, vres.TotalPaymentVCG(), pivotal)
 	}
 	return &Result{ID: "a6", Title: "Ablation A6", Tables: []*stats.Table{tbl},
-		Notes: []string{"VCG is exactly efficient but needs cost revelation and M+1 optimal solves; the market clears with one bisection over sealed bids"}}, nil
+		Notes: []string{"VCG is exactly efficient but needs cost revelation and M+1 optimal solves; the market clears with one closed-form MClr solve over sealed bids"}}, nil
 }

@@ -34,7 +34,7 @@ func TestEachConfigSimulatedOnce(t *testing.T) {
 	}
 	ResetCaches()
 	o := Options{Seed: 1, Quick: true, Days: 2, Parallel: 4}
-	for _, id := range []string{"f8", "f12", "f13", "a2", "a3", "x7"} {
+	for _, id := range []string{"f8", "f12", "f13", "a2", "a3", "x7", "x4", "x4"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)

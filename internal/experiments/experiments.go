@@ -149,6 +149,7 @@ var (
 	cacheMu    sync.Mutex
 	traceCache = map[trace.GenConfig]*cacheEntry[*trace.Trace]{}
 	simCache   = map[runKey]*cacheEntry[*sim.Result]{}
+	splitCache = map[*trace.Trace]*cacheEntry[[2]*trace.Trace]{}
 )
 
 // singleflight returns the cached value for key, running gen exactly
@@ -227,6 +228,7 @@ func ResetCaches() {
 	cacheMu.Lock()
 	traceCache = map[trace.GenConfig]*cacheEntry[*trace.Trace]{}
 	simCache = map[runKey]*cacheEntry[*sim.Result]{}
+	splitCache = map[*trace.Trace]*cacheEntry[[2]*trace.Trace]{}
 	cacheMu.Unlock()
 }
 

@@ -252,21 +252,9 @@ func runPartitioned(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Split jobs round-robin into two domains, halving the cluster.
-	half := tr.TotalCores / 2
-	domA := &trace.Trace{Name: tr.Name + "-domA", TotalCores: half}
-	domB := &trace.Trace{Name: tr.Name + "-domB", TotalCores: half}
-	for i, j := range tr.Jobs {
-		if j.Cores > half {
-			// A job wider than a domain is clamped to the domain's
-			// cores and, like every job, dealt by its index's parity.
-			j.Cores = half
-		}
-		if i%2 == 0 {
-			domA.Jobs = append(domA.Jobs, j)
-		} else {
-			domB.Jobs = append(domB.Jobs, j)
-		}
+	doms, err := cachedSplit(tr)
+	if err != nil {
+		return nil, err
 	}
 
 	tbl := stats.NewTable("Study X4 — unified vs partitioned power infrastructure (MPR-STAT)",
@@ -280,7 +268,6 @@ func runPartitioned(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	doms := []*trace.Trace{domA, domB}
 	var cfgs []sim.Config
 	for _, x := range oversubs {
 		for _, dom := range doms {
@@ -310,4 +297,25 @@ func runPartitioned(o Options) (*Result, error) {
 	}
 	return &Result{ID: "x4", Title: "Study X4", Tables: []*stats.Table{tbl},
 		Notes: []string{"each partition runs its own capacity, emergency controller, and market (Section III-A); partitioning loses statistical multiplexing"}}, nil
+}
+
+// cachedSplit deals tr's jobs round-robin into two domains of half its
+// cores, once per trace: the run cache holds traces by pointer, so the
+// same two domain traces must come back on every call for x4's domain
+// runs to be shared.
+func cachedSplit(tr *trace.Trace) ([2]*trace.Trace, error) {
+	return singleflight(splitCache, tr, func() ([2]*trace.Trace, error) {
+		half := tr.TotalCores / 2
+		doms := [2]*trace.Trace{
+			{Name: tr.Name + "-domA", TotalCores: half},
+			{Name: tr.Name + "-domB", TotalCores: half},
+		}
+		for i, j := range tr.Jobs {
+			// A job wider than a domain is clamped to the domain's
+			// cores and, like every job, dealt by its index's parity.
+			j.Cores = min(j.Cores, half)
+			doms[i%2].Jobs = append(doms[i%2].Jobs, j)
+		}
+		return doms, nil
+	})
 }

@@ -39,8 +39,6 @@ type Config struct {
 	Cooldown time.Duration
 	// ConfigEcho is the flag/config echo stored in every bundle.
 	ConfigEcho map[string]string
-	// Clock overrides time.Now for deterministic tests.
-	Clock func() time.Time
 	// Logf, when set, receives one line per dump (and per failed dump).
 	Logf func(format string, args ...any)
 }
@@ -94,9 +92,6 @@ type Status struct {
 func New(cfg Config) (*Recorder, error) {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 60 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -207,7 +202,7 @@ func (r *Recorder) buildBundle(now time.Time, reason string, trigger *alerts.Fir
 
 	b := &Bundle{
 		Schema:      BundleSchema,
-		SavedUnixNS: r.cfg.Clock().UnixNano(),
+		SavedUnixNS: now.UnixNano(),
 		Reason:      reason,
 		Trigger:     trigger,
 		Build:       telemetry.ReadBuildInfo(),

@@ -28,7 +28,6 @@ func testRecorder(t *testing.T, dir string) (*Recorder, *telemetry.Tracer, *tsdb
 		Dir:        dir,
 		Cooldown:   60 * time.Second,
 		ConfigEcho: map[string]string{"listen": ":9090", "flight": dir},
-		Clock:      func() time.Time { return time.Unix(5000, 0) },
 		Logf:       t.Logf,
 	})
 	if err != nil {
@@ -144,7 +143,7 @@ func TestOnFiringsCooldown(t *testing.T) {
 }
 
 func TestFiringRingWraps(t *testing.T) {
-	rec, err := New(Config{Clock: func() time.Time { return time.Unix(1, 0) }})
+	rec, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestFiringRingWraps(t *testing.T) {
 // TestRecordFiringZeroAlloc gates the steady-state record path: once the
 // history ring is full, retaining another firing must not allocate.
 func TestRecordFiringZeroAlloc(t *testing.T) {
-	rec, err := New(Config{Clock: func() time.Time { return time.Unix(1, 0) }})
+	rec, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
