@@ -586,16 +586,32 @@ func BenchmarkSupplyFunction(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkCooperativeBid times one cooperative solve: XSBench at α = 1,
+// linear and quadratic, and cpu-mix, which cycles the 8 CPU profiles as
+// the simulator's batches do.
 func BenchmarkCooperativeBid(b *testing.B) {
-	prof, err := perf.ProfileByName("XSBench")
+	xs, err := perf.ProfileByName("XSBench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := perf.NewCostModel(prof, 1, perf.CostLinear)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.CooperativeBid(16, model)
+	var cpuMix []*perf.CostModel
+	for _, p := range perf.CPUProfiles() {
+		cpuMix = append(cpuMix, perf.NewCostModel(p, 1, perf.CostLinear))
+	}
+	for _, c := range []struct {
+		name   string
+		models []*perf.CostModel
+	}{
+		{"xsbench-linear", []*perf.CostModel{perf.NewCostModel(xs, 1, perf.CostLinear)}},
+		{"cpu-mix", cpuMix},
+		{"xsbench-quadratic", []*perf.CostModel{perf.NewCostModel(xs, 1, perf.CostQuadratic)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.CooperativeBid(16, c.models[i%len(c.models)])
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"mpr/internal/perf"
 )
 
@@ -64,53 +66,87 @@ const cooperativeSamples = 512
 
 // cooperativePerCore solves the cooperative bid's reluctance b for one
 // core of the model, as the maximum of q·(Δ − δ_ref(q)) over
-// cooperativeSamples prices, and reports how many of them it evaluated.
+// cooperativeSamples prices, and reports how many of them it bisected.
 // It never sees the job's size: a job's bid is this b and the profile's
 // per-core Δ, both times its cores (scaleCooperative).
-func cooperativePerCore(model *perf.CostModel) (b float64, evaluated int) {
-	var w perf.ReferenceWalker
-	return cooperativeScan(&w, model)
-}
-
-// cooperativeScan is cooperativePerCore on the caller's walker, which it
-// Resets to model. The ascending prices share the walker, so each one
-// re-evaluates UnitCost only below the first bisection step its price
-// changes (perf.ReferenceWalker), bit for bit the one-shot bisection.
 //
-// A sample is skipped, without reading δ_ref at all, when q·(Δ − r) ≤ b,
-// r being the last reduction computed at a lower price (0 before the
-// first). The skip is exact: ReferenceReduction is non-decreasing in q —
-// for a fixed midpoint its test UnitCost(mid) ≤ q can only turn true as q
-// grows, so the bisection's bracket at a higher price never lies below the
-// one at a lower price, and its early return gives the largest value, Δ.
-// Rounded subtraction and multiplication by q > 0 are monotone too, so the
-// skipped sample's q·(Δ − δ_ref(q)) is at most q·(Δ − r) ≤ b and could not
-// have raised b: the result is the full scan's bit for bit. (At q ≤ 0,
-// δ_ref is 0 = r and the bound is the sample's value itself.) A NaN bound
-// is never ≤ b, so a NaN model is scanned in full.
-func cooperativeScan(w *perf.ReferenceWalker, model *perf.CostModel) (b float64, evaluated int) {
+// Each sample's exact reference δ°(q) (referenceRoot) bounds what its
+// bisection can return, so a sample is bisected only while its bound
+// q·(Δ − max(δ°(q) − 2e-9, 0)) exceeds the running b: the largest bound
+// first, then the others in price order. The bound is exact:
+//
+//   - ReferenceReduction keeps a computed UnitCost(hi) > q (or hi = Δ)
+//     and stops at hi − lo ≤ 1e-9. UnitCost is increasing and computed
+//     within a few ulps, so lo ≥ δ°(q) − 1e-9 − O(ulp) ≥ δ°(q) − 2e-9.
+//   - Rounded subtraction and multiplication by q > 0 are monotone, so a
+//     sample's computed q·(Δ − lo) is at most its bound.
+//   - Hence a sample whose bound is ≤ b cannot raise b, and which
+//     samples get bisected does not change the maximum: the result is
+//     the full 512-sample scan's bit for bit.
+//
+// The ulps need UnitCost and the root free of overflow and underflow, so
+// the bound is used only when q_sat and c (rootScale) lie in
+// [1e-150, 1e150]. Otherwise, and for a NaN model, every bound is +Inf
+// and the same loop is the full scan.
+func cooperativePerCore(model *perf.CostModel) (b float64, evaluated int) {
 	maxPC := model.Profile.MaxReduction()
 	if maxPC <= 0 {
 		return 0, 0
 	}
-	w.Reset(model)
 	// Beyond the saturation price q_sat = UnitCost(Δ) the reference
 	// supplies the full Δ and the constraint term q·(Δ−δ_ref) vanishes,
 	// so the maximum lies in (0, q_sat].
-	qSat := w.SaturationPrice()
-	ref := 0.0
-	for i := 1; i <= cooperativeSamples; i++ {
-		q := qSat * float64(i) / cooperativeSamples
-		if q*(maxPC-ref) <= b {
-			continue
+	qSat := model.UnitCost(maxPC)
+	price := func(i int) float64 { return qSat * float64(i+1) / cooperativeSamples }
+	c := rootScale(model)
+	bounded := qSat >= 1e-150 && qSat <= 1e150 && c >= 1e-150 && c <= 1e150
+	var bound [cooperativeSamples]float64
+	top := 0
+	for i := range bound {
+		bound[i] = math.Inf(1)
+		if bounded {
+			q := price(i)
+			bound[i] = q * (maxPC - max(referenceRoot(model.Shape, c, q)-2e-9, 0))
 		}
-		ref = w.Reduction(q)
+		if bound[i] > bound[top] {
+			top = i
+		}
+	}
+	sample := func(i int) {
+		q := price(i)
 		evaluated++
-		if v := q * (maxPC - ref); v > b {
+		if v := q * (maxPC - model.ReferenceReduction(q)); v > b {
 			b = v
 		}
 	}
+	sample(top)
+	for i := range bound {
+		if i != top && !(bound[i] <= b) {
+			sample(i)
+		}
+	}
 	return b, evaluated
+}
+
+// rootScale is the scale c of the model's unit cost: with EE(δ) =
+// s·δ/(1 − δ), UnitCost(δ) is c/(1 − δ) for a linear cost (c = α·s) and
+// c·δ/(1 − δ)² for a quadratic one (c = α·s²).
+func rootScale(model *perf.CostModel) float64 {
+	c := model.Alpha * model.Profile.Sens
+	if model.Shape == perf.CostQuadratic {
+		c *= model.Profile.Sens
+	}
+	return c
+}
+
+// referenceRoot returns δ°(q), the exact reduction whose unit cost is q:
+// 1 − c/q for a linear cost and, for a quadratic one, the smaller root of
+// q·δ² − (2q + c)·δ + q = 0, written so that nothing cancels.
+func referenceRoot(shape perf.CostShape, c, q float64) float64 {
+	if shape == perf.CostQuadratic {
+		return 2 * q / (2*q + c + math.Sqrt(c*(4*q+c)))
+	}
+	return 1 - c/q
 }
 
 // scaleCooperative sizes a per-core cooperative bid (maxPC, b) to a job

@@ -59,52 +59,15 @@ func TestCooperativePruneMatchesFullScan(t *testing.T) {
 
 // TestCooperativePruneCount is the count gate on the pruning: how many
 // of the 512 sampled prices still run a ReferenceReduction bisection at
-// the paper's α = 1, for every profile, {linear, quadratic}. The count
-// depends on the profile's Δ alone (its sensitivity scales every price
-// alike), so it is one pair per device. The counts are exact, so a change
-// that loosens the bound shows here even when the bid stays right.
+// the paper's α = 1, for every profile, {linear, quadratic}. The count is
+// exact, so a change that loosens the bound shows here even when the bid
+// stays right: with the closed-form bound the sample of the largest
+// bound is the only one bisected.
 func TestCooperativePruneCount(t *testing.T) {
-	want := map[perf.Device][2]int{
-		perf.DeviceCPU:     {166, 201},
-		perf.DeviceGPUP40:  {413, 260},
-		perf.DeviceGPU1070: {214, 213},
-		perf.DeviceGPU2080: {214, 213},
-	}
 	for _, prof := range perf.AllProfiles() {
-		for s, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
-			got := checkPrunedScan(t, perf.NewCostModel(prof, 1, shape))
-			if w := want[prof.Device][s]; got != w {
-				t.Errorf("%s %v: %d of %d samples evaluated, want %d", prof.Name, shape, got, cooperativeSamples, w)
-			}
-		}
-	}
-}
-
-// TestCooperativeWalkCount is the count gate on the solve's shared
-// bisection walker: how many times one solve evaluates UnitCost, the
-// saturation price included, at the paper's α = 1 for every profile,
-// {linear, quadratic}. Like the sample counts, it depends on the profile's
-// Δ alone and is exact. Without the walker every evaluated sample
-// bisects from the root (≈ 31 evaluations each: 5,147 for a CPU profile,
-// linear). The quadratic reference moves at every sample, so most of each
-// walk is new there.
-func TestCooperativeWalkCount(t *testing.T) {
-	want := map[perf.Device][2]int{
-		perf.DeviceCPU:     {363, 4564},
-		perf.DeviceGPUP40:  {123, 5287},
-		perf.DeviceGPU1070: {284, 4844},
-		perf.DeviceGPU2080: {284, 4844},
-	}
-	for _, prof := range perf.AllProfiles() {
-		for s, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
-			model := perf.NewCostModel(prof, 1, shape)
-			var w perf.ReferenceWalker
-			got, _ := cooperativeScan(&w, model)
-			if full := fullScanCooperative(model); math.Float64bits(got) != math.Float64bits(full) {
-				t.Fatalf("%s %v: walked b = %v, full scan %v", prof.Name, shape, got, full)
-			}
-			if n := w.Evaluations(); n != want[prof.Device][s] {
-				t.Errorf("%s %v: %d UnitCost evaluations a solve, want %d", prof.Name, shape, n, want[prof.Device][s])
+		for _, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
+			if got := checkPrunedScan(t, perf.NewCostModel(prof, 1, shape)); got != 1 {
+				t.Errorf("%s %v: %d of %d samples bisected, want 1", prof.Name, shape, got, cooperativeSamples)
 			}
 		}
 	}
@@ -151,11 +114,64 @@ func TestNaNAlphaFloors(t *testing.T) {
 	}
 }
 
+// TestCooperativePruneExtremes holds the pruning to the full scan on
+// 2,160 models at the edges of float64: α from the smallest subnormal to
+// 1e300, sensitivities from 1e-300 to 1e300 and MinAlloc from 1e-12 to
+// 1 − 1e-12, both shapes. Most of them fall outside the bound's guard
+// and run the full scan; those inside it check that the guard keeps
+// UnitCost and the root clear of overflow and underflow.
+func TestCooperativePruneExtremes(t *testing.T) {
+	alphas := []float64{5e-324, 2.3e-308, 1e-300, 1e-200, 1e-150, 1e-100, 1e-10, 1, 1e10, 1e100, 1e200, 1e300}
+	senses := []float64{1e-300, 1e-200, 1e-150, 1e-100, 1e-10, 1, 1e30, 1e100, 1e200, 1e300}
+	minAllocs := []float64{1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12}
+	models, pruned := 0, 0
+	for _, alpha := range alphas {
+		for _, sens := range senses {
+			for _, minAlloc := range minAllocs {
+				prof := &perf.Profile{Name: "extreme", Sens: sens, MinAlloc: minAlloc}
+				for _, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
+					if checkPrunedScan(t, perf.NewCostModelUnchecked(prof, alpha, shape)) < cooperativeSamples {
+						pruned++
+					}
+					models++
+				}
+			}
+		}
+	}
+	t.Logf("%d models, %d of them pruned", models, pruned)
+}
+
+// TestReferenceWithinBoundMargin is the pruning bound's premise, checked
+// directly: ReferenceReduction(q) lies in [δ°(q) − 2e-9, δ°(q) + 1e-9]
+// for every profile, both shapes, α ∈ {0.3, 1, 3} and dense prices in
+// (0, q_sat]. A change to the bisection's tolerance fails here by name.
+func TestReferenceWithinBoundMargin(t *testing.T) {
+	const prices = 4096
+	for _, prof := range perf.AllProfiles() {
+		for _, shape := range []perf.CostShape{perf.CostLinear, perf.CostQuadratic} {
+			for _, alpha := range []float64{0.3, 1, 3} {
+				model := perf.NewCostModelUnchecked(prof, alpha, shape)
+				c := rootScale(model)
+				qSat := model.UnitCost(prof.MaxReduction())
+				for i := 1; i <= prices; i++ {
+					q := qSat * float64(i) / prices
+					root := max(referenceRoot(shape, c, q), 0)
+					if ref := model.ReferenceReduction(q); !(ref >= root-2e-9 && ref <= root+1e-9) {
+						t.Fatalf("%s %v α=%v q=%v: δ_ref = %v, outside [%v, %v] around the root %v",
+							prof.Name, shape, alpha, q, ref, root-2e-9, root+1e-9, root)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzCooperativePrune checks the pruned scan against the full one on
-// arbitrary valid profiles and cost models. The seeds are the two P40
-// applications, the pruning's worst case.
+// arbitrary valid profiles and cost models with any finite α ≥ 0. The
+// seeds are the two P40 applications, an RTX 2080 and a CPU profile, in
+// both shapes.
 func FuzzCooperativePrune(f *testing.F) {
-	for _, name := range []string{"Jacobi", "TeaLeaf"} {
+	for _, name := range []string{"Jacobi", "TeaLeaf", "GEMM-2080", "XSBench"} {
 		prof, err := perf.ProfileByName(name)
 		if err != nil {
 			f.Fatal(err)
@@ -165,7 +181,7 @@ func FuzzCooperativePrune(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, sens, minAlloc, alpha float64, quadratic bool) {
 		prof := &perf.Profile{Name: "fuzz", Sens: sens, MinAlloc: minAlloc}
-		if prof.Validate() != nil || math.IsInf(sens, 0) || !(alpha >= 0 && alpha <= 1e6) {
+		if prof.Validate() != nil || !(alpha >= 0 && alpha <= math.MaxFloat64) {
 			t.Skip()
 		}
 		shape := perf.CostLinear

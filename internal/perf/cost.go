@@ -109,116 +109,27 @@ func (cm *CostModel) UnitCost(delta float64) float64 {
 // ReferenceReduction returns the largest per-core reduction δ ≤ Δ whose
 // unit cost does not exceed the price q — the bidding reference curve of
 // Fig. 7(d) read as δ_ref(q). A user reducing up to δ_ref(q) at price q is
-// never paid less than its cost. It is one ReferenceWalker call; a caller
-// reading the curve at many prices keeps a walker instead.
+// never paid less than its cost. UnitCost is non-decreasing, so δ_ref is
+// the bisection of [0, Δ] to a 1e-9 bracket: the result lies at most
+// 1e-9 (plus UnitCost's rounding) below the exact root of UnitCost = q,
+// which the cooperative bid's pruning (core.cooperativePerCore) relies on.
 func (cm *CostModel) ReferenceReduction(q float64) float64 {
-	var w ReferenceWalker
-	w.Reset(cm)
-	return w.Reduction(q)
-}
-
-// refDepth is how many bisection steps a ReferenceWalker caches. A valid
-// profile's Δ is below 1, so the 1e-9 bracket is reached in 30 halvings;
-// a deeper walk (Δ beyond 2^64·1e-9) evaluates its extra steps afresh.
-const refDepth = 64
-
-// ReferenceWalker evaluates δ_ref(q) (ReferenceReduction) for one cost
-// model at many prices. UnitCost is monotone, so δ_ref is the bisection
-// of [0, Δ] that steps up at a mid whose UnitCost(mid) ≤ q and down
-// otherwise, to a 1e-9 bracket. The walker remembers its last path: each
-// depth's UnitCost(mid) and decision. A mid reached by the same decisions
-// is the same float, so its cached UnitCost is exactly what a fresh
-// bisection computes: a new price replays the cached decisions up to the
-// first one that changes and evaluates UnitCost only below it, and a price
-// that changes none — at least every cached up-UnitCost and below every
-// cached down-UnitCost — returns the last result with no walk. Any
-// sequence of prices gets the one-shot bisection's results bit for bit; an
-// ascending scan changes few decisions a price and evaluates few UnitCosts.
-//
-// Reset binds the walker to a model, which must not change until the next
-// Reset. A walker is not safe for concurrent use.
-type ReferenceWalker struct {
-	model         *CostModel
-	max, satPrice float64
-	units         [refDepth]float64 // UnitCost(mid) at each cached depth
-	ups           uint64            // bit k: the path steps up at depth k
-	cached        int               // depths of the last path held in units and ups
-	// last is the last path's result; a price in [upMax, downMin) repeats
-	// the path. Before the first walk the range is empty.
-	last, upMax, downMin float64
-	evals                int
-}
-
-// Reset binds the walker to cm and forgets any path, evaluating the
-// saturation price UnitCost(Δ).
-func (w *ReferenceWalker) Reset(cm *CostModel) {
-	max := cm.Profile.MaxReduction()
-	*w = ReferenceWalker{
-		model: cm, max: max, satPrice: cm.UnitCost(max),
-		upMax: math.Inf(1), downMin: math.Inf(-1), evals: 1,
-	}
-}
-
-// SaturationPrice is UnitCost(Δ): at and above it δ_ref is the full Δ.
-func (w *ReferenceWalker) SaturationPrice() float64 { return w.satPrice }
-
-// Evaluations reports how many times the walker evaluated UnitCost since
-// its Reset, the saturation price included.
-func (w *ReferenceWalker) Evaluations() int { return w.evals }
-
-// Reduction returns δ_ref(q): the bisection from the root, bit for bit,
-// whatever prices the walker saw before.
-func (w *ReferenceWalker) Reduction(q float64) float64 {
 	if q <= 0 {
 		return 0
 	}
-	if w.satPrice <= q {
-		return w.max
+	max := cm.Profile.MaxReduction()
+	if cm.UnitCost(max) <= q {
+		return max
 	}
-	if q >= w.upMax && q < w.downMin {
-		return w.last
-	}
-	lo, hi := 0.0, w.max
-	upMax, downMin := math.Inf(-1), math.Inf(1)
-	k := 0
-	for ; hi-lo > 1e-9; k++ {
+	lo, hi := 0.0, max
+	for hi-lo > 1e-9 {
 		mid := 0.5 * (lo + hi)
-		var u float64
-		if k < w.cached {
-			u = w.units[k]
-			if (u <= q) != (w.ups>>k&1 == 1) {
-				// The decision flips: the mids below this depth are new.
-				w.cached = k + 1
-				w.ups ^= 1 << k
-			}
-		} else {
-			u = w.model.UnitCost(mid)
-			w.evals++
-			if k < refDepth {
-				w.units[k] = u
-				if u <= q {
-					w.ups |= 1 << k
-				} else {
-					w.ups &^= 1 << k
-				}
-			}
-		}
-		// A NaN u steps down at every price, so the bounds leave it out;
-		// a NaN price fails them and walks.
-		if u <= q {
+		if cm.UnitCost(mid) <= q {
 			lo = mid
-			if u > upMax {
-				upMax = u
-			}
 		} else {
 			hi = mid
-			if u < downMin {
-				downMin = u
-			}
 		}
 	}
-	w.cached = min(k, refDepth)
-	w.last, w.upMax, w.downMin = lo, upMax, downMin
 	return lo
 }
 

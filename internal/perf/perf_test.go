@@ -3,7 +3,6 @@ package perf
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +152,9 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		{Name: "zero-minalloc", Sens: 1, MinAlloc: 0},
 		{Name: "minalloc-one", Sens: 1, MinAlloc: 1},
 		{Name: "minalloc-above", Sens: 1, MinAlloc: 1.2},
+		{Name: "nan-sens", Sens: math.NaN(), MinAlloc: 0.3},
+		{Name: "inf-sens", Sens: math.Inf(1), MinAlloc: 0.3},
+		{Name: "nan-minalloc", Sens: 1, MinAlloc: math.NaN()},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -252,90 +254,6 @@ func TestReferenceReductionSaturates(t *testing.T) {
 	}
 	if d := cm.ReferenceReduction(0); d != 0 {
 		t.Errorf("reference at zero price = %v, want 0", d)
-	}
-}
-
-// bisectReference is δ_ref(q) as the plain bisection from the root, the
-// oracle ReferenceWalker and ReferenceReduction must equal bit for bit.
-// It passes each UnitCost it evaluates to visit, if set.
-func bisectReference(cm *CostModel, q float64, visit func(float64)) float64 {
-	max := cm.Profile.MaxReduction()
-	if q <= 0 {
-		return 0
-	}
-	if cm.UnitCost(max) <= q {
-		return max
-	}
-	lo, hi := 0.0, max
-	for hi-lo > 1e-9 {
-		mid := 0.5 * (lo + hi)
-		u := cm.UnitCost(mid)
-		if visit != nil {
-			visit(u)
-		}
-		if u <= q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// TestReferenceWalkerMatchesBisection holds one walker per model to the
-// plain bisection over ascending, descending and shuffled price sequences,
-// so its cached path is right in any call order, not only the cooperative
-// scan's. The models are every profile × both shapes × α ∈ {0} ∪
-// [0.3, 3]; the prices are the scan's 512 samples of (0, q_sat] with 0, a
-// negative, prices past saturation, off-grid prices, and ties: prices
-// equal to a UnitCost some bisection path evaluates, where the decision
-// at that depth flips.
-func TestReferenceWalkerMatchesBisection(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	alphas := []float64{0, 0.3, 1, 3}
-	for i := 0; i < 3; i++ {
-		alphas = append(alphas, 0.3+2.7*rng.Float64())
-	}
-	for _, p := range AllProfiles() {
-		for _, shape := range []CostShape{CostLinear, CostQuadratic} {
-			for _, alpha := range alphas {
-				cm := NewCostModelUnchecked(p, alpha, shape)
-				qSat := cm.UnitCost(p.MaxReduction())
-				prices := []float64{0, -1, qSat, 2 * qSat}
-				tie := func(u float64) { prices = append(prices, u) }
-				for i := 1; i <= 512; i++ {
-					q := qSat * float64(i) / 512
-					if i%32 == 0 {
-						bisectReference(cm, q, tie)
-					}
-					prices = append(prices, q, qSat*rng.Float64())
-				}
-				slices.Sort(prices)
-				prices = slices.Compact(prices)
-				want := make(map[float64]float64, len(prices))
-				for _, q := range prices {
-					want[q] = bisectReference(cm, q, nil)
-				}
-				descending := slices.Clone(prices)
-				slices.Reverse(descending)
-				shuffled := slices.Clone(prices)
-				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-				for _, order := range []struct {
-					name   string
-					prices []float64
-				}{{"ascending", prices}, {"descending", descending}, {"shuffled", shuffled}} {
-					var w ReferenceWalker
-					w.Reset(cm)
-					for _, q := range order.prices {
-						got, one := w.Reduction(q), cm.ReferenceReduction(q)
-						if math.Float64bits(got) != math.Float64bits(want[q]) || math.Float64bits(one) != math.Float64bits(want[q]) {
-							t.Fatalf("%s %v α=%v %s, q=%v: walker %v, one-shot %v, bisection %v",
-								p.Name, shape, alpha, order.name, q, got, one, want[q])
-						}
-					}
-				}
-			}
-		}
 	}
 }
 

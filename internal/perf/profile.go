@@ -31,7 +31,10 @@
 // capture.
 package perf
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Device identifies the hardware class a profile was measured on.
 type Device string
@@ -58,12 +61,13 @@ type Profile struct {
 	MinAlloc float64
 }
 
-// Validate checks the structural invariants of the profile.
+// Validate checks the structural invariants of the profile. Each test is
+// written so that NaN fails it.
 func (p *Profile) Validate() error {
-	if p.Sens <= 0 {
-		return fmt.Errorf("perf: profile %s: sensitivity must be positive, got %v", p.Name, p.Sens)
+	if !(p.Sens > 0 && p.Sens <= math.MaxFloat64) {
+		return fmt.Errorf("perf: profile %s: sensitivity must be positive and finite, got %v", p.Name, p.Sens)
 	}
-	if p.MinAlloc <= 0 || p.MinAlloc >= 1 {
+	if !(p.MinAlloc > 0 && p.MinAlloc < 1) {
 		return fmt.Errorf("perf: profile %s: MinAlloc must be in (0,1), got %v", p.Name, p.MinAlloc)
 	}
 	return nil

@@ -172,6 +172,14 @@ func (c *Config) Normalize() error {
 	if len(c.Profiles) == 0 {
 		c.Profiles = perf.CPUProfiles()
 	}
+	for i, p := range c.Profiles {
+		if p == nil {
+			return fmt.Errorf("sim: profile %d is nil", i)
+		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
 	if c.Participation == 0 {
 		c.Participation = 1
 	}

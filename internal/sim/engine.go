@@ -716,9 +716,10 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 // returns how many it derived and how many solves that took. Overloads
 // are rare, so most jobs of a trace never enter a market and never get a
 // bid; the bid is a pure function of (cores, bidModel), so deriving it
-// late changes no result. The solve (≈ 7 µs for XSBench at α = 1 on a
-// 2-vCPU Xeon, BenchmarkCooperativeBid) is per core of a cost model, so
-// jobs of this batch whose bid models are equal share one: coop
+// late changes no result. The solve (≈ 4–6 µs for a CPU profile at α = 1
+// on a 2-vCPU Xeon, linear or quadratic, BenchmarkCooperativeBid) is per
+// core of a cost model, so jobs of this batch whose bid models are equal
+// share one: coop
 // remembers the models solved in this call and nothing from the one
 // before. With a per-job cost error (CostErrorRand) no two models are
 // equal and every job is solved, as it would be without coop.

@@ -366,6 +366,35 @@ func TestConfigRefusesNonFinite(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesBadProfiles: a nil or invalid application profile makes
+// Run fail, naming the profile, where it used to simulate a NaN, infinite
+// or negative cost without an error.
+func TestConfigRefusesBadProfiles(t *testing.T) {
+	tr := sparseTrace(5, 2, 1000, 30)
+	xs, err := perf.ProfileByName("XSBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []*perf.Profile{
+		nil,
+		{Name: "nan-sens", Sens: math.NaN(), MinAlloc: 0.3},
+		{Name: "inf-sens", Sens: math.Inf(1), MinAlloc: 0.3},
+		{Name: "neg-sens", Sens: -1, MinAlloc: 0.3},
+		{Name: "zero-minalloc", Sens: 1, MinAlloc: 0},
+		{Name: "nan-minalloc", Sens: 1, MinAlloc: math.NaN()},
+	}
+	for _, p := range bad {
+		want := "sim: profile 1 is nil"
+		if p != nil {
+			want = "sim: perf: profile " + p.Name + ":"
+		}
+		_, err = Run(Config{Trace: tr, OversubPct: 15, Seed: 7, Profiles: []*perf.Profile{xs, p}})
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("profile %+v: err %v, want %q", p, err, want)
+		}
+	}
+}
+
 func TestAlgorithmsList(t *testing.T) {
 	algos := Algorithms()
 	if len(algos) != 4 || algos[0] != AlgOPT || algos[3] != AlgMPRInt {
