@@ -169,7 +169,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *series)
-		firings := alerts.EvalStore(alerts.SimRules(), res.Series, 0)
+		firings := (&alerts.Scorecard{Rules: alerts.SimRules()}).Eval(res.Series)
 		if len(firings) == 0 {
 			fmt.Println("SLO alerts over the recorded series: none fired")
 		} else {

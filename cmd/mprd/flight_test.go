@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,14 +87,14 @@ func TestObsShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestEvictionBurstDumpsOneBundle is the PR's acceptance path end to
-// end: a real manager evicts a deliberately stalled agent out of a live
-// fleet, the eviction lands in the mpr_mgr_evictions series via the
-// obs sampler, the EvictionBurst rule fires on the next recordMarket,
-// and the flight recorder writes exactly one schema-valid mprflight/v2
-// bundle — cooldown suppressing the re-firings — containing the
-// triggering firing, a goroutine profile, the eviction trace event, and
-// the mpr_rt_* window.
+// TestEvictionBurstDumpsOneBundle is the flight recorder's alert path end
+// to end: a real manager evicts a deliberately stalled agent out of a
+// live fleet, the eviction lands in the mpr_mgr_evictions series on the
+// next sampler tick, which fires the EvictionBurst rule, and the flight
+// recorder writes exactly one schema-valid mprflight/v2 bundle — later
+// ticks and markets re-evaluate the same violation without another —
+// containing the triggering firing, a goroutine profile, the eviction
+// trace event, and the mpr_rt_* window.
 func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	dir := t.TempDir()
 	clock := tsdb.NewFakeClock(time.Unix(2000, 0))
@@ -163,27 +164,22 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	}
 	waitFor(t, "eviction", func() bool { return m.Evictions() == 1 })
 
-	// One sampler tick captures the eviction delta; wait for the delta-1
-	// point (not the startup sample's zero) to land before recordMarket
-	// evaluates the rules over every sample since startup.
-	clock.Advance(time.Second)
-	waitFor(t, "eviction sample", func() bool {
-		data := o.store.Query(tsdb.Query{Name: seriesEvictions, Start: clock.Now().Unix()})
-		return len(data) == 1 && len(data[0].Points) > 0 && data[0].Points[0].V > 0
-	})
+	// One sampler tick captures the eviction delta and evaluates the
+	// rules over every sample since startup.
 	o.recordMarket(5000, out.Result)
+	tick(t, o, clock)
 
 	alertBundles := bundlesIn(t, dir, "alert")
 	if len(alertBundles) != 1 {
 		t.Fatalf("alert bundles after first firing = %v, want exactly 1", alertBundles)
 	}
-	// The rule keeps firing on subsequent markets; the cooldown holds.
+	// The rule keeps firing on later ticks and markets: still one bundle.
 	o.recordMarket(5000, out.Result)
-	clock.Advance(time.Second)
-	waitFor(t, "next sample", func() bool { return o.evictions.Total() >= 3 })
+	tick(t, o, clock)
 	o.recordMarket(5000, out.Result)
+	tick(t, o, clock)
 	if got := bundlesIn(t, dir, "alert"); len(got) != 1 {
-		t.Fatalf("alert bundles after re-firings = %v, want still exactly 1 (cooldown)", got)
+		t.Fatalf("alert bundles after re-firings = %v, want still exactly 1", got)
 	}
 
 	b, err := flight.ReadBundleFile(alertBundles[0])
@@ -223,5 +219,59 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"dumps": 1`) ||
 		!strings.Contains(rec.Body.String(), `"goroutines"`) {
 		t.Errorf("/debug/flight = %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestIdleDaemonFiresEvictionBurst: a daemon that runs no market still
+// evaluates its rules on every sampler tick, so evictions on 4 of the
+// trailing 10 ticks fire EvictionBurst — counted and logged once — and
+// the flight recorder writes exactly one alert bundle.
+func TestIdleDaemonFiresEvictionBurst(t *testing.T) {
+	dir := t.TempDir()
+	var evictions atomic.Int64
+	var log logLines
+	clock := tsdb.NewFakeClock(time.Unix(4000, 0))
+	o, err := newObs(obsConfig{
+		FlightDir: dir,
+		Evictions: evictions.Load,
+		Clock:     clock,
+		Logf:      log.logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.startSampler()
+	defer o.shutdown()
+	waitSampled(t, o, clock.Now())
+
+	// Ten quiet ticks, so a lone eviction is a small share of the window.
+	for i := 0; i < 20; i++ {
+		if i >= 10 && i%3 == 1 {
+			evictions.Add(1) // ticks 11, 14, 17 and 20 evict
+		}
+		tick(t, o, clock)
+	}
+	if n := alertsFired(o, "EvictionBurst"); n != 1 {
+		t.Fatalf("EvictionBurst fired %d times, want 1", n)
+	}
+	var burst []string
+	for _, line := range log.get() {
+		if strings.Contains(line, "ALERT EvictionBurst") {
+			burst = append(burst, line)
+		}
+	}
+	if len(burst) != 1 {
+		t.Fatalf("logged %q, want one EvictionBurst line", log.get())
+	}
+	bundles := bundlesIn(t, dir, "alert")
+	if len(bundles) != 1 {
+		t.Fatalf("alert bundles = %v, want exactly 1", bundles)
+	}
+	b, err := flight.ReadBundleFile(bundles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Trigger == nil || b.Trigger.Rule != "EvictionBurst" || b.Trigger.Samples != 4 {
+		t.Fatalf("bundle trigger = %+v, want EvictionBurst over 4 samples", b.Trigger)
 	}
 }

@@ -34,7 +34,10 @@
 // at /debug/flight, liveness at /healthz, and net/http/pprof under
 // /debug/pprof/. A 1 s wall-clock sampler records the eviction series
 // and each market its rounds and unmet watts, the series the live alert
-// rules read. SIGINT/SIGTERM take one final sample before exiting.
+// rules read; every sampler tick evaluates those rules and logs and
+// counts each firing once, so a market's alert lands at most 1 s after
+// it, and an idle daemon's eviction burst still fires. SIGINT/SIGTERM
+// take one final sample, evaluated like any other, before exiting.
 //
 // With -flight DIR the daemon arms its black-box flight recorder: a
 // runtime-health sampler (goroutines, heap in-use, GC pause p99, sched

@@ -51,9 +51,9 @@ type obsConfig struct {
 }
 
 // obs is mprd's observability runtime: registry, event tracer, series
-// store, wall-clock ticker sampler, live alert evaluation, and the
-// shutdown drain that takes the final sample and cuts the exit bundle
-// exactly once.
+// store, and a wall-clock ticker sampler whose every tick (the shutdown
+// drain's included) evaluates the live SLO scorecard; shutdown cuts the
+// exit bundle exactly once.
 type obs struct {
 	cfg    obsConfig
 	reg    *telemetry.Registry
@@ -62,8 +62,7 @@ type obs struct {
 
 	evictions   *tsdb.Series
 	alertsFired *telemetry.CounterFamily
-	rules       []alerts.Rule
-	dedup       *alerts.Deduper  // reports each firing once
+	slo         alerts.Scorecard // touched only on the sampler goroutine
 	flight      *flight.Recorder // nil when -flight is off (nil-safe)
 
 	sampler   *tsdb.TickerSampler
@@ -102,8 +101,7 @@ func newObs(c obsConfig) (*obs, error) {
 		tracer: telemetry.NewTracer(1024),
 		store:  tsdb.New(0),
 		start:  c.Clock.Now(),
-		rules:  alerts.ManagerRules(),
-		dedup:  alerts.NewDeduper(0),
+		slo:    alerts.Scorecard{Rules: alerts.ManagerRules()},
 	}
 	o.evictions = o.store.Series(seriesEvictions)
 	o.alertsFired = o.reg.CounterFamily("mpr_mgr_alerts_total",
@@ -125,7 +123,7 @@ func newObs(c obsConfig) (*obs, error) {
 		// With the runtime sampler feeding mpr_rt_* series, the process-
 		// health rules have data to evaluate; without -flight they would
 		// be inert anyway (the series never exist).
-		o.rules = append(o.rules, alerts.RuntimeRules()...)
+		o.slo.Rules = append(o.slo.Rules, alerts.RuntimeRules()...)
 	}
 	o.sampler = &tsdb.TickerSampler{
 		Interval: sampleInterval,
@@ -147,12 +145,26 @@ func (o *obs) startSampler() {
 	}()
 }
 
-// sample records one wall-clock observation.
+// sample records one wall-clock observation and evaluates the live SLO
+// rules over every retained sample, logging and counting each firing
+// once. Fresh firings go to the flight recorder, which dumps one bundle
+// per rule and series per cooldown.
 func (o *obs) sample(now time.Time) {
 	o.flight.SampleRuntime(now)
 	cur := o.cfg.Evictions()
 	o.evictions.Append(now.Unix(), float64(cur-o.lastEvict))
 	o.lastEvict = cur
+
+	firings := o.slo.Eval(o.store)
+	for _, f := range firings {
+		o.alertsFired.With(f.Rule).Inc()
+		o.cfg.Logf("%s — %s", f, f.Help)
+	}
+	if path, err := o.flight.OnFirings(now, firings); err != nil {
+		o.cfg.Logf("flight dump: %v", err)
+	} else if path != "" {
+		o.cfg.Logf("alert flight bundle written to %s", path)
+	}
 }
 
 // shutdown stops the sampler, waits for its final sample, dumps the
@@ -208,35 +220,10 @@ func (o *obs) handler() http.Handler {
 	})
 }
 
-// recordMarket samples a finished market into the series store and
-// evaluates the live SLO rules over every sample since startup, logging
-// and counting each firing once.
+// recordMarket appends a finished market to the two series the manager
+// rules read; the next sampler tick evaluates them.
 func (o *obs) recordMarket(targetW float64, r *core.ClearingResult) {
 	t := o.cfg.Clock.Now().Unix()
 	o.store.Series(seriesMarketRounds).Append(t, float64(r.Rounds))
-	unmet := targetW - r.SuppliedW
-	if unmet < 0 {
-		unmet = 0
-	}
-	o.store.Series(seriesMarketUnmet).Append(t, unmet)
-	// Rules need history: ForSamples and WindowSamples count points, and
-	// at the 1 s sampleInterval the current second holds at most one.
-	// Re-evaluating that history re-returns old firings; the window-0
-	// deduper reports each violation once, as mprload does.
-	var firings []alerts.Firing
-	for _, f := range alerts.EvalStore(o.rules, o.store, o.start.Unix()) {
-		if !o.dedup.Fresh(f) {
-			continue
-		}
-		firings = append(firings, f)
-		o.alertsFired.With(f.Rule).Inc()
-		o.cfg.Logf("%s — %s", f, f.Help)
-	}
-	// Fresh firings (per-rule cooldown) trip the black box: one bundle
-	// carrying the trigger, the trace window, and the series history.
-	if path, err := o.flight.OnFirings(o.cfg.Clock.Now(), firings); err != nil {
-		o.cfg.Logf("flight dump: %v", err)
-	} else if path != "" {
-		o.cfg.Logf("alert flight bundle written to %s", path)
-	}
+	o.store.Series(seriesMarketUnmet).Append(t, max(targetW-r.SuppliedW, 0))
 }

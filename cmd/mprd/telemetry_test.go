@@ -119,36 +119,75 @@ func TestObsHealthAndHandler(t *testing.T) {
 	}
 }
 
+// logLines collects the obs log from the sampler goroutine.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(f string, a ...interface{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(f, a...))
+}
+
+func (l *logLines) get() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.lines...)
+}
+
+// waitSampled waits until the sampler has finished its tick at now, the
+// rule evaluation included.
+func waitSampled(t *testing.T, o *obs, now time.Time) {
+	t.Helper()
+	waitFor(t, "sample", func() bool { return o.sampler.LastSampleAge(now) == 0 })
+}
+
+// tick advances the fake clock one sample interval and waits for that
+// tick to finish.
+func tick(t *testing.T, o *obs, clock *tsdb.FakeClock) {
+	t.Helper()
+	clock.Advance(sampleInterval)
+	waitSampled(t, o, clock.Now())
+}
+
+func alertsFired(o *obs, rule string) int64 {
+	return o.reg.Snapshot().Counters[`mpr_mgr_alerts_total{rule="`+rule+`"}`]
+}
+
 // TestObsRecordMarketFiresAlerts checks the live SLO evaluation: an
 // unmet reduction target fires UnmetReduction and a long market fires
-// MarketRoundsRegression, both counted in the registry.
+// MarketRoundsRegression on the next sampler tick, both counted in the
+// registry.
 func TestObsRecordMarketFiresAlerts(t *testing.T) {
-	var logged []string
-	o, err := newObs(obsConfig{
-		Clock: tsdb.NewFakeClock(time.Unix(0, 0)),
-		Logf:  func(f string, a ...interface{}) { logged = append(logged, f) },
-	})
+	var log logLines
+	clock := tsdb.NewFakeClock(time.Unix(1000, 0))
+	o, err := newObs(obsConfig{Clock: clock, Logf: log.logf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.startSampler()
 	defer o.shutdown()
+	waitSampled(t, o, clock.Now())
 
 	// A healthy market: no firings.
 	o.recordMarket(1000, &core.ClearingResult{Rounds: 5, Price: 0.4, SuppliedW: 1000})
-	if n := o.reg.Snapshot().Counters[`mpr_mgr_alerts_total{rule="UnmetReduction"}`]; n != 0 {
+	tick(t, o, clock)
+	if n := alertsFired(o, "UnmetReduction"); n != 0 {
 		t.Fatalf("healthy market fired %d alerts", n)
 	}
 	// Unmet target + excessive rounds: both rules fire.
 	o.recordMarket(2000, &core.ClearingResult{Rounds: 45, Price: 0.9, SuppliedW: 1500})
-	snap := o.reg.Snapshot()
-	if n := snap.Counters[`mpr_mgr_alerts_total{rule="UnmetReduction"}`]; n != 1 {
+	tick(t, o, clock)
+	if n := alertsFired(o, "UnmetReduction"); n != 1 {
 		t.Fatalf("UnmetReduction fired %d times, want 1", n)
 	}
-	if n := snap.Counters[`mpr_mgr_alerts_total{rule="MarketRoundsRegression"}`]; n != 1 {
+	if n := alertsFired(o, "MarketRoundsRegression"); n != 1 {
 		t.Fatalf("MarketRoundsRegression fired %d times, want 1", n)
 	}
-	if len(logged) != 2 {
-		t.Fatalf("logged %d firings, want 2", len(logged))
+	if logged := log.get(); len(logged) != 2 {
+		t.Fatalf("logged %q, want 2 firings", logged)
 	}
 }
 
@@ -156,65 +195,50 @@ func TestObsRecordMarketFiresAlerts(t *testing.T) {
 // startup, not only the current second. One eviction in 11 samples (9 %)
 // is below EvictionBurst's "> 30 % of the trailing 10" and must not fire;
 // four in the trailing 10 must, and that firing is counted and logged
-// once however many markets re-evaluate it.
+// once however many markets and ticks re-evaluate it.
 func TestObsAlertsSeeHistory(t *testing.T) {
 	var evictions atomic.Int64
-	var (
-		mu     sync.Mutex
-		logged []string
-	)
+	var log logLines
 	clock := tsdb.NewFakeClock(time.Unix(3000, 0))
 	o, err := newObs(obsConfig{
 		Evictions: evictions.Load,
 		Clock:     clock,
-		Logf: func(f string, a ...interface{}) {
-			mu.Lock()
-			defer mu.Unlock()
-			logged = append(logged, fmt.Sprintf(f, a...))
-		},
+		Logf:      log.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.startSampler()
 	defer o.shutdown()
+	waitSampled(t, o, clock.Now())
 
-	evictSeries := o.evictions
-	waitFor(t, "startup sample", func() bool { return evictSeries.Total() >= 1 })
-	tick := func(evict bool) {
+	evictTick := func(evict bool) {
 		t.Helper()
 		if evict {
 			evictions.Add(1)
 		}
-		n := evictSeries.Total()
-		clock.Advance(time.Second)
-		waitFor(t, "sample", func() bool { return evictSeries.Total() > n })
+		tick(t, o, clock)
 	}
-	fired := func() int64 {
-		return o.reg.Snapshot().Counters[`mpr_mgr_alerts_total{rule="EvictionBurst"}`]
-	}
-	healthy := &core.ClearingResult{Rounds: 5, Price: 0.4, SuppliedW: 1000}
-
 	for i := 0; i < 9; i++ {
-		tick(false)
+		evictTick(false)
 	}
-	tick(true) // the 11th sample holds the only eviction
-	o.recordMarket(1000, healthy)
-	if n := fired(); n != 0 {
+	evictTick(true) // the 11th sample holds the only eviction
+	if n := alertsFired(o, "EvictionBurst"); n != 0 {
 		t.Fatalf("1 eviction in 11 samples fired EvictionBurst %d times", n)
 	}
 
 	for i := 0; i < 3; i++ {
-		tick(true) // 4 of the trailing 10 samples evict
+		evictTick(true) // 4 of the trailing 10 samples evict
 	}
-	o.recordMarket(1000, healthy)
-	o.recordMarket(1000, healthy)
-	if n := fired(); n != 1 {
+	healthy := &core.ClearingResult{Rounds: 5, Price: 0.4, SuppliedW: 1000}
+	for i := 0; i < 2; i++ {
+		o.recordMarket(1000, healthy)
+		evictTick(false)
+	}
+	if n := alertsFired(o, "EvictionBurst"); n != 1 {
 		t.Fatalf("4 evictions in the trailing 10 fired EvictionBurst %d times, want 1", n)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(logged) != 1 || !strings.Contains(logged[0], "ALERT EvictionBurst") {
+	if logged := log.get(); len(logged) != 1 || !strings.Contains(logged[0], "ALERT EvictionBurst") {
 		t.Fatalf("logged %q, want one EvictionBurst line", logged)
 	}
 }

@@ -91,7 +91,7 @@ func (c *loadConfig) normalize() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("mprload: -shards must be ≥ 0")
 	}
-	if c.Jitter < 0 || c.Jitter > 1 {
+	if !(c.Jitter >= 0 && c.Jitter <= 1) { // NaN fails too
 		return fmt.Errorf("mprload: -jitter must be in [0,1]")
 	}
 	if c.Logf == nil {
@@ -182,7 +182,6 @@ type harness struct {
 	tracer *telemetry.Tracer
 	store  *tsdb.Store
 	rtt    *hdr.Histogram
-	rules  []alerts.Rule
 	flight *flight.Recorder
 
 	mgr    *agentproto.Manager // selfhost only
@@ -196,12 +195,11 @@ type harness struct {
 	price   clearPriceSection
 
 	sloMu   sync.Mutex
-	dedup   *alerts.Deduper // window 0: every distinct violation reported once
+	slo     alerts.Scorecard
 	firings []alerts.Firing
 	evals   int
 
-	startUnix int64
-	sampler   *tsdb.TickerSampler
+	sampler *tsdb.TickerSampler
 }
 
 func newHarness(cfg loadConfig) (*harness, error) {
@@ -213,8 +211,7 @@ func newHarness(cfg loadConfig) (*harness, error) {
 		reg:    telemetry.NewRegistry(),
 		tracer: telemetry.NewTracer(4096),
 		store:  tsdb.New(0),
-		rules:  alerts.LoadRules(),
-		dedup:  alerts.NewDeduper(0),
+		slo:    alerts.Scorecard{Rules: alerts.LoadRules()},
 	}
 	h.rtt = h.reg.HDR(metricRoundTrip, "Agent-observed market round turnaround in seconds.")
 	// The harness always carries a flight recorder (no dump directory —
@@ -362,7 +359,7 @@ func (h *harness) liveAgents() int {
 }
 
 // sample appends one wall-clock observation of every series and runs the
-// live SLO scorecard over the run so far, deduplicating firings.
+// live SLO scorecard over the run so far, reporting each firing once.
 func (h *harness) sample(now time.Time) {
 	t := now.Unix()
 	h.flight.SampleRuntime(now)
@@ -381,24 +378,20 @@ func (h *harness) sample(now time.Time) {
 
 	h.sloMu.Lock()
 	h.evals++
-	for _, f := range alerts.EvalStore(h.rules, h.store, h.startUnix) {
-		// Window-0 dedup: re-evaluating overlapping history re-returns
-		// the same violation; report each one once.
-		if !h.dedup.Fresh(f) {
-			continue
-		}
-		h.flight.RecordFiring(f)
-		h.firings = append(h.firings, f)
+	firings := h.slo.Eval(h.store)
+	h.firings = append(h.firings, firings...)
+	h.sloMu.Unlock()
+	for _, f := range firings {
 		h.cfg.Logf("%s — %s", f, f.Help)
 	}
-	h.sloMu.Unlock()
+	// No Dir: the recorder only retains the firings for a later DumpTo.
+	h.flight.OnFirings(now, firings)
 }
 
 // run drives markets (selfhost) or observes external ones (connect) for
 // the configured duration and assembles the report.
 func (h *harness) run() (*loadReport, error) {
 	start := time.Now()
-	h.startUnix = start.Unix()
 	h.sampler = &tsdb.TickerSampler{
 		Interval: sampleInterval,
 		Sample:   h.sample,
@@ -453,7 +446,7 @@ func (h *harness) run() (*loadReport, error) {
 	h.priceMu.Unlock()
 	h.sloMu.Lock()
 	report.SLO = sloSection{
-		Rules:       h.rules,
+		Rules:       h.slo.Rules,
 		Evaluations: h.evals,
 		Firings:     append([]alerts.Firing{}, h.firings...),
 		Passed:      len(h.firings) == 0,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,6 +73,18 @@ func TestWireDifferential(t *testing.T) {
 				t.Errorf("%s: clear_price.%s = %v, want %v (bit-identical across wires)",
 					tc.name, field, got, base.ClearPrice.Last)
 			}
+		}
+	}
+}
+
+// TestHarnessRefusesBadJitter: a jitter outside [0,1] — NaN included —
+// is refused before any agent connects. A NaN jitter would put NaN in
+// every bid, and the report could not be written at the end of the run.
+func TestHarnessRefusesBadJitter(t *testing.T) {
+	for _, j := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
+		_, err := newHarness(loadConfig{Agents: 1, Mode: "closed", Dist: "uniform", Jitter: j})
+		if err == nil || !strings.Contains(err.Error(), "-jitter") {
+			t.Errorf("jitter %v: err = %v, want the -jitter range error", j, err)
 		}
 	}
 }

@@ -63,7 +63,7 @@ const (
 	frameError byte = 6
 )
 
-// frameTypes maps a frame type byte back to its MsgType.
+// frameTypes maps a frame type byte to its MsgType, and back.
 var frameTypes = [...]MsgType{
 	frameHello: MsgHello,
 	framePrice: MsgPrice,
@@ -78,19 +78,10 @@ var frameTypes = [...]MsgType{
 const bitsKnown = 1<<13 - 1
 
 func msgTypeByte(t MsgType) (byte, error) {
-	switch t {
-	case MsgHello:
-		return frameHello, nil
-	case MsgPrice:
-		return framePrice, nil
-	case MsgBid:
-		return frameBid, nil
-	case MsgOrder:
-		return frameOrder, nil
-	case MsgLift:
-		return frameLift, nil
-	case MsgError:
-		return frameError, nil
+	for b, ft := range frameTypes {
+		if ft == t && t != "" {
+			return byte(b), nil
+		}
 	}
 	return 0, fmt.Errorf("agentproto: no frame type for message type %q", t)
 }

@@ -1,8 +1,9 @@
 // Package alerts evaluates SLO alert rules over recorded time series —
 // threshold rules ("metric above X for N consecutive samples") and
 // burn-rate rules ("metric violating in more than F of the trailing W
-// samples"). mprd evaluates the manager rules live after every market;
-// mprbench evaluates the simulator rules post-hoc over exported series.
+// samples"). mprd and mprload evaluate their rules live through a
+// Scorecard on every sampler tick; mprbench evaluates the simulator rules
+// once over exported series.
 package alerts
 
 import (
@@ -88,10 +89,10 @@ func (f Firing) String() string {
 		f.Rule, f.Series, f.Value, f.From, f.To, f.Samples)
 }
 
-// Eval evaluates the rules over already-queried series data and returns
+// eval evaluates the rules over already-queried series data and returns
 // every firing, in rule order then series order (deterministic given
 // deterministic input order, as Store.Query provides).
-func Eval(rules []Rule, data []tsdb.SeriesData) []Firing {
+func eval(rules []Rule, data []tsdb.SeriesData) []Firing {
 	var out []Firing
 	for _, r := range rules {
 		for _, sd := range data {
@@ -110,13 +111,41 @@ func Eval(rules []Rule, data []tsdb.SeriesData) []Firing {
 	return out
 }
 
-// EvalStore queries the store for each rule's series from start on and
-// evaluates it.
-func EvalStore(rules []Rule, st *tsdb.Store, start int64) []Firing {
+// Scorecard is a live SLO scorecard: the rules, and for each rule and
+// series the To of the last violation it reported. Re-evaluating the
+// retained history returns the same violation again — with a later To as
+// a run grows, and a later From once the series' ring has dropped its
+// first samples — so a firing that starts no later than that To is a
+// repeat, which extends it, and only a later one is reported. The zero
+// value with Rules set is ready to use; it is not safe for concurrent
+// use.
+type Scorecard struct {
+	Rules []Rule
+	last  map[firingKey]int64
+}
+
+// firingKey names one (rule, series) track without building a string.
+type firingKey struct{ rule, series string }
+
+// Eval evaluates every rule over the store's retained history and
+// returns each violation once, in rule order then time order: the first
+// Eval of a scorecard returns every firing in the store.
+func (s *Scorecard) Eval(st *tsdb.Store) []Firing {
+	if s.last == nil {
+		s.last = make(map[firingKey]int64)
+	}
 	var out []Firing
-	for _, r := range rules {
-		data := st.Query(tsdb.Query{Name: r.Series, Start: start})
-		out = append(out, Eval([]Rule{r}, data)...)
+	for _, r := range s.Rules {
+		for _, f := range eval([]Rule{r}, st.Query(tsdb.Query{Name: r.Series})) {
+			k := firingKey{f.Rule, f.Series}
+			to, seen := s.last[k]
+			if seen && f.From <= to {
+				s.last[k] = max(to, f.To)
+				continue
+			}
+			s.last[k] = f.To
+			out = append(out, f)
+		}
 	}
 	return out
 }
@@ -192,60 +221,6 @@ func (r Rule) evalBurn(sd tsdb.SeriesData) (Firing, bool) {
 	}, true
 }
 
-// Deduper suppresses repeated firings across successive evaluations of
-// the same store window. Re-evaluating overlapping history returns the
-// same violation again — with a later To as a run grows, and a later
-// From once the series' ring has dropped its first samples — so
-// consumers that evaluate live (mprd and mprload every sample tick, the
-// flight recorder's dump trigger) need a stable notion of "new firing".
-// Per rule and series the deduper keeps the last accepted firing, its To
-// extended by every repeat; a firing that starts at or before that To is
-// a repeat or older history. Two policies share this type:
-//
-//   - window == 0: every other firing is fresh — each distinct violation
-//     is reported once.
-//   - window > 0: additionally, a firing whose From is within window of
-//     the last accepted firing's From is suppressed — the flight
-//     recorder's per-rule dump cooldown, so a rule that keeps firing
-//     produces one bundle per cooldown period instead of one per
-//     evaluation.
-//
-// The window is measured in the firings' own timestamp units (Unix
-// seconds for the daemons, virtual slots for the simulator). The zero
-// value is not usable; construct with NewDeduper. Not safe for
-// concurrent use — callers serialize evaluations anyway.
-type Deduper struct {
-	window int64
-	last   map[string]Firing // rule|series → last accepted firing, To extended by repeats
-}
-
-// NewDeduper builds a deduper with the given suppression window
-// (0 = repeat suppression only; negative is treated as 0).
-func NewDeduper(window int64) *Deduper {
-	return &Deduper{window: max(window, 0), last: make(map[string]Firing)}
-}
-
-// Fresh reports whether the firing is new under the deduper's policy,
-// recording it when it is. A firing that starts no later than the last
-// accepted one for its rule+series ended is never fresh (and extends that
-// end); with a window, one starting within window of it is not either.
-func (d *Deduper) Fresh(f Firing) bool {
-	key := f.Rule + "|" + f.Series
-	last, ok := d.last[key]
-	if ok && f.From <= last.To {
-		if f.To > last.To {
-			last.To = f.To
-			d.last[key] = last
-		}
-		return false
-	}
-	if ok && d.window > 0 && f.From-last.From <= d.window {
-		return false
-	}
-	d.last[key] = f
-	return true
-}
-
 // SimRules are the SLO rules mprbench evaluates over exported simulator
 // series (virtual-time samples, one per one-minute slot).
 func SimRules() []Rule {
@@ -318,7 +293,7 @@ func RuntimeRules() []Rule {
 	}
 }
 
-// ManagerRules are the rules mprd evaluates live after every market.
+// ManagerRules are the rules mprd evaluates live on every sampler tick.
 func ManagerRules() []Rule {
 	return []Rule{
 		{

@@ -1,6 +1,7 @@
 package alerts
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestThresholdRuleConsecutiveRuns(t *testing.T) {
 	// series end without a terminating clean sample).
 	data := []tsdb.SeriesData{rawSeries("u",
 		[]float64{0, 5, 0, 1, 2, 3, 0, 0, 7, 9})}
-	f := Eval([]Rule{rule}, data)
+	f := eval([]Rule{rule}, data)
 	if len(f) != 2 {
 		t.Fatalf("firings = %+v, want 2", f)
 	}
@@ -37,7 +38,7 @@ func TestThresholdRuleLTUsesMin(t *testing.T) {
 	rule := Rule{Name: "LowPrice", Series: "p", Op: LT, Threshold: 0.1}
 	// An LT run reports its lowest sample as the worst value.
 	data := []tsdb.SeriesData{rawSeries("p", []float64{0.9, 0.08, 0.05, 0.07, 0.5})}
-	f := Eval([]Rule{rule}, data)
+	f := eval([]Rule{rule}, data)
 	if len(f) != 1 || f[0].Value != 0.05 || f[0].From != 1 || f[0].To != 3 || f[0].Samples != 3 {
 		t.Fatalf("firings = %+v", f)
 	}
@@ -48,12 +49,12 @@ func TestBurnRateRule(t *testing.T) {
 		WindowSamples: 10, BurnFrac: 0.5}
 	// 4/10 violating in the trailing window: below the 50% burn.
 	vals := []float64{1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0}
-	if f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)}); len(f) != 0 {
+	if f := eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)}); len(f) != 0 {
 		t.Fatalf("4/10 burn fired: %+v", f)
 	}
 	// 6/10 violating: fires, worst value and violating range reported.
 	vals = []float64{0, 0, 0, 0, 0, 0, 2, 3, 9, 1, 0, 1, 1, 0, 0, 0}
-	f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)})
+	f := eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)})
 	if len(f) != 1 {
 		t.Fatalf("6/10 burn did not fire: %+v", f)
 	}
@@ -63,7 +64,7 @@ func TestBurnRateRule(t *testing.T) {
 	// Only the trailing window counts: a series that violated long ago
 	// but is clean now stays quiet.
 	vals = append([]float64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, make([]float64, 10)...)
-	if f := Eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)}); len(f) != 0 {
+	if f := eval([]Rule{rule}, []tsdb.SeriesData{rawSeries("ov", vals)}); len(f) != 0 {
 		t.Fatalf("stale violations fired: %+v", f)
 	}
 }
@@ -74,7 +75,7 @@ func TestRuleSeriesNaming(t *testing.T) {
 		rawSeries("m", []float64{5}),
 		rawSeries("other", []float64{5}),
 	}
-	f := Eval([]Rule{rule}, data)
+	f := eval([]Rule{rule}, data)
 	if len(f) != 1 {
 		t.Fatalf("firings = %+v, want only the named series", f)
 	}
@@ -98,30 +99,22 @@ func TestEvalStoreWindow(t *testing.T) {
 	}
 	rules := []Rule{{Name: "Unmet", Series: "mpr_sim_reduction_unmet_w",
 		Op: GT, Threshold: 0, ForSamples: 2}}
-	f := EvalStore(rules, st, 0)
+	f := (&Scorecard{Rules: rules}).Eval(st)
 	if len(f) != 1 || f[0].From != 30 || f[0].To != 34 || f[0].Samples != 5 {
 		t.Fatalf("firings = %+v", f)
 	}
 	if f[0].Series != rules[0].Series {
 		t.Fatalf("firing series = %q, want the rule's %q", f[0].Series, rules[0].Series)
 	}
-	// A start inside the violation drops the samples before it.
-	if f := EvalStore(rules, st, 32); len(f) != 1 || f[0].From != 32 || f[0].Samples != 3 {
-		t.Fatalf("eval from 32 = %+v", f)
-	}
-	// Restricting the window past the violation silences it.
-	if f := EvalStore(rules, st, 40); len(f) != 0 {
-		t.Fatalf("windowed eval fired: %+v", f)
-	}
 	// Nil store is quiet.
-	if f := EvalStore(rules, nil, 0); len(f) != 0 {
+	if f := (&Scorecard{Rules: rules}).Eval(nil); len(f) != 0 {
 		t.Fatalf("nil store fired: %+v", f)
 	}
 }
 
 // TestLiveRulesCountSamples drives a store the way mprd and mprload do:
-// one sample per tick, every rule evaluated from startup on every tick,
-// firings reported once through a window-0 Deduper. Past 1,000 samples
+// one sample per tick, and a Scorecard evaluated over the whole retained
+// history on every tick. Past 1,000 samples
 // the rules must still count samples: one continuous violation is one
 // firing from its first sample, and isolated blips never make a run.
 // A violation that outlasts the series' ring is still one firing,
@@ -131,7 +124,7 @@ func TestLiveRulesCountSamples(t *testing.T) {
 	live := func(capacity int, bad func(i int) bool) []Firing {
 		st := tsdb.New(capacity)
 		s := st.Series("m")
-		d := NewDeduper(0)
+		sc := &Scorecard{Rules: []Rule{rule}}
 		var fresh []Firing
 		for i := 0; i <= 1100; i++ {
 			v := 0.0
@@ -139,11 +132,7 @@ func TestLiveRulesCountSamples(t *testing.T) {
 				v = 1
 			}
 			s.Append(int64(i), v)
-			for _, f := range EvalStore([]Rule{rule}, st, 0) {
-				if d.Fresh(f) {
-					fresh = append(fresh, f)
-				}
-			}
+			fresh = append(fresh, sc.Eval(st)...)
 		}
 		return fresh
 	}
@@ -196,7 +185,7 @@ func TestLoadRulesFire(t *testing.T) {
 		rawSeries("mpr_load_agents_connected_frac",
 			[]float64{1, 1, 0.97, 0.95, 0.9, 1, 0.98, 0.96, 1, 1}),
 	}
-	firings := Eval(LoadRules(), data)
+	firings := eval(LoadRules(), data)
 	byRule := map[string]int{}
 	for _, f := range firings {
 		byRule[f.Rule]++
@@ -213,7 +202,7 @@ func TestLoadRulesFire(t *testing.T) {
 		rawSeries("mpr_load_rtt_p999_seconds", []float64{0.3, 0.4}),
 		rawSeries("mpr_load_agents_connected_frac", []float64{1, 1, 1, 1}),
 	}
-	if f := Eval(LoadRules(), healthy); len(f) != 0 {
+	if f := eval(LoadRules(), healthy); len(f) != 0 {
 		t.Errorf("healthy run fired %+v", f)
 	}
 }
@@ -227,7 +216,7 @@ func TestEvictionBurstRule(t *testing.T) {
 		rawSeries("mpr_mgr_evictions",
 			[]float64{0, 0, 1, 0, 0, 0, 0, 0, 0, 0}),
 	}
-	if f := Eval(ManagerRules(), quiet); len(f) != 0 {
+	if f := eval(ManagerRules(), quiet); len(f) != 0 {
 		t.Errorf("single eviction fired %+v", f)
 	}
 	// Evictions in 4 of the trailing 10 samples: the fleet is stalling.
@@ -235,7 +224,7 @@ func TestEvictionBurstRule(t *testing.T) {
 		rawSeries("mpr_mgr_evictions",
 			[]float64{0, 1, 3, 0, 2, 0, 0, 1, 0, 0}),
 	}
-	firings := Eval(ManagerRules(), burst)
+	firings := eval(ManagerRules(), burst)
 	if len(firings) != 1 || firings[0].Rule != "EvictionBurst" {
 		t.Fatalf("burst firings = %+v, want one EvictionBurst", firings)
 	}
@@ -244,77 +233,69 @@ func TestEvictionBurstRule(t *testing.T) {
 	}
 }
 
-// firing is a test shorthand.
-func firingAt(rule, series string, from int64) Firing {
-	return Firing{Rule: rule, Series: series, From: from, To: from + 1, Value: 1, Samples: 1}
-}
-
-// TestDeduperExactRepeats pins the window-0 policy mprd and mprload use
-// live: re-evaluating an overlapping window returns the same violation —
-// same From, or a later From inside the span already seen — and it must
-// be suppressed, while a new violation window, or the same window on a
-// different rule or series, is fresh.
-func TestDeduperExactRepeats(t *testing.T) {
-	d := NewDeduper(0)
-	f1 := firingAt("Rule", "s", 10)
-	if !d.Fresh(f1) {
-		t.Fatal("first firing not fresh")
+// TestScorecardReportsOnce evaluates a scorecard over a store on every
+// tick, as mprd and mprload do: re-evaluating an overlapping window
+// returns the same violation — same From, a later To as the run grows, or
+// a later From once the ring has dropped the run's first samples — and it
+// is reported once, while a new violation window, or a window on another
+// rule or series, is reported.
+func TestScorecardReportsOnce(t *testing.T) {
+	st := tsdb.New(16)
+	s, s2 := st.Series("s"), st.Series("s2")
+	sc := &Scorecard{Rules: []Rule{
+		{Name: "Rule", Series: "s", Op: GT},
+		{Name: "Other", Series: "s", Op: GT},
+		{Name: "Rule", Series: "s2", Op: GT},
+	}}
+	type track struct {
+		rule, series string
+		from         int64
 	}
-	if d.Fresh(f1) {
-		t.Fatal("exact repeat accepted")
+	tracks := func(fs []Firing) []track {
+		out := []track{}
+		for _, f := range fs {
+			out = append(out, track{f.Rule, f.Series, f.From})
+		}
+		return out
 	}
-	// Same window, extended To (a threshold run that kept growing): the
-	// From identifies it, so it stays suppressed.
-	extended := f1
-	extended.To, extended.Samples = 20, 5
-	if d.Fresh(extended) {
-		t.Fatal("extended repeat accepted")
+	tick := func(t0 int64, v, v2 float64) []track {
+		s.Append(t0, v)
+		s2.Append(t0, v2)
+		return tracks(sc.Eval(st))
 	}
-	// The same run after the ring dropped its first samples: From moved
-	// forward but stays inside the span seen so far, which it extends.
-	trimmed := Firing{Rule: "Rule", Series: "s", From: 20, To: 30, Value: 1, Samples: 11}
-	if d.Fresh(trimmed) {
-		t.Fatal("trimmed repeat accepted")
-	}
-	if d.Fresh(firingAt("Rule", "s", 30)) {
-		t.Fatal("repeat starting at the extended end accepted")
-	}
-	if !d.Fresh(firingAt("Rule", "s", 50)) {
-		t.Fatal("new violation window suppressed")
-	}
-	if !d.Fresh(firingAt("Other", "s", 10)) || !d.Fresh(firingAt("Rule", "s2", 10)) {
-		t.Fatal("distinct rule/series suppressed")
-	}
-	// Interleaved re-evaluations must not resurrect old firings.
-	if d.Fresh(f1) {
-		t.Fatal("old firing resurrected after later accepts")
-	}
-}
-
-// TestDeduperCooldownWindow pins the window>0 policy the flight recorder
-// uses as its per-rule dump cooldown: a rule that keeps firing with an
-// advancing From produces one fresh firing per window.
-func TestDeduperCooldownWindow(t *testing.T) {
-	d := NewDeduper(60)
-	if !d.Fresh(firingAt("Burst", "e", 100)) {
-		t.Fatal("first firing not fresh")
-	}
-	for from := int64(101); from <= 160; from += 7 {
-		if d.Fresh(firingAt("Burst", "e", from)) {
-			t.Fatalf("firing at %d inside the 60s cooldown accepted", from)
+	want := func(what string, got []track, w ...track) {
+		t.Helper()
+		if w == nil {
+			w = []track{}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Fatalf("%s: reported %v, want %v", what, got, w)
 		}
 	}
-	if !d.Fresh(firingAt("Burst", "e", 161)) {
-		t.Fatal("firing past the cooldown suppressed")
+
+	want("first violation", tick(10, 1, 0), track{"Rule", "s", 10}, track{"Other", "s", 10})
+	want("exact repeat", tracks(sc.Eval(st)))
+	for i := int64(11); i <= 40; i++ {
+		var w []track
+		if i == 20 {
+			// Same rule on another series, inside the span s has reported.
+			w = []track{{"Rule", "s2", 20}}
+		}
+		want(fmt.Sprintf("tick %d (run grows)", i), tick(i, 1, b2f(i >= 20)), w...)
 	}
-	// The cooldown is per rule+series: another rule dumps independently.
-	if !d.Fresh(firingAt("Heap", "h", 120)) {
-		t.Fatal("independent rule suppressed by another rule's cooldown")
+	if from := st.Query(tsdb.Query{Name: "s"})[0].Points[0].T; from <= 10 {
+		t.Fatalf("ring still holds t=%d; the trimmed case is not exercised", from)
 	}
-	// Stale re-evaluations of pre-cooldown history stay suppressed.
-	if d.Fresh(firingAt("Burst", "e", 100)) || d.Fresh(firingAt("Burst", "e", 130)) {
-		t.Fatal("stale firing accepted after cooldown advanced")
+	want("run ends", tick(41, 0, 1))
+	want("new window", tick(42, 1, 1), track{"Rule", "s", 42}, track{"Other", "s", 42})
+	want("no resurrection", tracks(sc.Eval(st)))
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 // TestRuntimeRulesFire sanity-checks the runtime-health rules over
@@ -327,7 +308,7 @@ func TestRuntimeRulesFire(t *testing.T) {
 		rawSeries("mpr_rt_heap_inuse_bytes", []float64{1 << 20, 2 << 20}),
 		rawSeries("mpr_rt_gc_pause_p99_seconds", []float64{0.001, 0.002}),
 	}
-	if f := Eval(rules, healthy); len(f) != 0 {
+	if f := eval(rules, healthy); len(f) != 0 {
 		t.Fatalf("healthy runtime fired: %+v", f)
 	}
 	leak := make([]float64, 12)
@@ -339,7 +320,7 @@ func TestRuntimeRulesFire(t *testing.T) {
 		rawSeries("mpr_rt_heap_inuse_bytes", []float64{5e9, 5e9, 5e9}),
 		rawSeries("mpr_rt_gc_pause_p99_seconds", []float64{0.2, 0.3}),
 	}
-	f := Eval(rules, sick)
+	f := eval(rules, sick)
 	fired := map[string]bool{}
 	for _, x := range f {
 		fired[x.Rule] = true

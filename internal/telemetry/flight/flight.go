@@ -4,9 +4,10 @@
 // runtime-health sampler over runtime/metrics) that dumps a versioned
 // mprflight/v2 bundle when something goes wrong. Like an aircraft FDR
 // the recorder costs (almost) nothing in steady state — the record path
-// is allocation-free and test-enforced — and pays out on a trigger: an
-// alert firing (per-rule cooldown via alerts.Deduper), SIGQUIT, process
-// exit, or a manual POST /debug/flight/dump.
+// is allocation-free and test-enforced — and pays out on a trigger: a
+// fresh alert firing handed to OnFirings (one bundle per rule and series
+// per cooldown), SIGQUIT, process exit, or a manual POST
+// /debug/flight/dump.
 package flight
 
 import (
@@ -34,8 +35,9 @@ type Config struct {
 	// Dir is where Dump writes flight-NNNNNN-<reason>.json bundles.
 	Dir string
 	// Cooldown is the per-rule dump suppression window for alert
-	// triggers, measured against the firings' From timestamps (Unix
-	// seconds in the daemons). Default 60s; see alerts.Deduper.
+	// triggers: a firing dumps only when its From is more than Cooldown
+	// after the From of the last firing of the same rule and series that
+	// dumped (Unix seconds in the daemons). Default 60s.
 	Cooldown time.Duration
 	// ConfigEcho is the flag/config echo stored in every bundle.
 	ConfigEcho map[string]string
@@ -60,11 +62,11 @@ type Recorder struct {
 	cfg Config
 	rt  *RuntimeSampler
 
-	mu      sync.Mutex
-	dedup   *alerts.Deduper
-	firings telemetry.Ring[alerts.Firing]
-	dumpSeq int
-	last    DumpInfo
+	mu       sync.Mutex
+	cooldown map[cooldownKey]int64 // From of the last firing that triggered, per rule and series
+	firings  telemetry.Ring[alerts.Firing]
+	dumpSeq  int
+	last     DumpInfo
 }
 
 // DumpInfo describes the most recent bundle written.
@@ -99,10 +101,10 @@ func New(cfg Config) (*Recorder, error) {
 		}
 	}
 	return &Recorder{
-		cfg:     cfg,
-		rt:      NewRuntimeSampler(cfg.Store),
-		dedup:   alerts.NewDeduper(int64(cfg.Cooldown / time.Second)),
-		firings: telemetry.NewRing[alerts.Firing](firingHistory),
+		cfg:      cfg,
+		rt:       NewRuntimeSampler(cfg.Store),
+		cooldown: make(map[cooldownKey]int64),
+		firings:  telemetry.NewRing[alerts.Firing](firingHistory),
 	}, nil
 }
 
@@ -116,40 +118,42 @@ func (r *Recorder) SampleRuntime(now time.Time) {
 	r.rt.Sample(now)
 }
 
-// RecordFiring retains one firing in the recorder's fixed-capacity
-// history ring (newest last) without any dump decision. Allocation-free;
-// no-op on nil.
-func (r *Recorder) RecordFiring(f alerts.Firing) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.firings.Push(f)
-	r.mu.Unlock()
-}
-
 // history returns the retained firings oldest-first. Caller holds r.mu.
 func (r *Recorder) history() []alerts.Firing {
 	return r.firings.Last(make([]alerts.Firing, 0, r.firings.Len()), -1)
 }
 
-// OnFirings feeds one evaluation's firings through the recorder: every
-// firing is retained, and the first one that passes the per-rule
-// cooldown (alerts.Deduper with the configured window) triggers an
-// alert-reason bundle carrying it. At most one bundle is written per
-// call — the remaining fresh firings still advance their cooldowns and
-// ride along in the bundle's firing history. Returns the bundle path
-// ("" when nothing dumped). No-op on nil or when no Dir is configured.
+// cooldownKey names one (rule, series) cooldown track without building
+// a string.
+type cooldownKey struct{ rule, series string }
+
+// OnFirings is the recorder's one way in for alert firings. It takes the
+// fresh firings of one evaluation (each violation once, as
+// alerts.Scorecard reports them) and retains every one in the history
+// ring; the first whose From lies more than Cooldown after the last
+// trigger of its rule and series triggers an alert-reason bundle carrying
+// it. At most one bundle is written per call — the remaining firings
+// past their cooldowns still restart them and ride along in the bundle's
+// firing history. Returns the bundle path ("" when nothing dumped).
+// Allocation-free once each rule and series has a cooldown entry and
+// nothing dumps; no-op on nil, and never dumps without a Dir.
 func (r *Recorder) OnFirings(now time.Time, fs []alerts.Firing) (string, error) {
 	if r == nil || len(fs) == 0 {
 		return "", nil
 	}
+	window := int64(r.cfg.Cooldown / time.Second)
 	r.mu.Lock()
 	var trigger *alerts.Firing
 	for i := range fs {
-		r.firings.Push(fs[i])
-		if r.dedup.Fresh(fs[i]) && trigger == nil {
-			trigger = &fs[i]
+		f := &fs[i]
+		r.firings.Push(*f)
+		k := cooldownKey{f.Rule, f.Series}
+		if last, ok := r.cooldown[k]; ok && f.From-last <= window {
+			continue
+		}
+		r.cooldown[k] = f.From
+		if trigger == nil {
+			trigger = f
 		}
 	}
 	r.mu.Unlock()

@@ -49,10 +49,7 @@ func TestDumpWritesValidBundle(t *testing.T) {
 
 	tracer.Emit(telemetry.Event{Name: "eviction", Label: "deadline_budget"})
 	rec.SampleRuntime(time.Unix(4990, 0))
-	f := firing("EvictionBurst", 4950)
-	rec.RecordFiring(f)
-
-	path, err := rec.Dump(time.Unix(5000, 0), ReasonAlert, &f)
+	path, err := rec.OnFirings(time.Unix(5000, 0), []alerts.Firing{firing("EvictionBurst", 4950)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +139,51 @@ func TestOnFiringsCooldown(t *testing.T) {
 	}
 }
 
+// TestOnFiringsCooldownWindow pins the cooldown track itself, one firing
+// per call: a rule whose From keeps advancing triggers once per window,
+// the track is per rule and series, and stale re-evaluations of history
+// from before the last trigger never trigger again.
+func TestOnFiringsCooldownWindow(t *testing.T) {
+	rec, _, _ := testRecorder(t, t.TempDir())
+	now := time.Unix(5000, 0)
+	triggers := func(rule, series string, from int64) bool {
+		t.Helper()
+		f := firing(rule, from)
+		f.Series = series
+		path, err := rec.OnFirings(now, []alerts.Firing{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path != ""
+	}
+	if !triggers("Burst", "e", 100) {
+		t.Fatal("first firing did not trigger")
+	}
+	for from := int64(101); from <= 160; from += 7 {
+		if triggers("Burst", "e", from) {
+			t.Fatalf("firing at %d inside the 60s cooldown triggered", from)
+		}
+	}
+	if !triggers("Burst", "e", 161) {
+		t.Fatal("firing past the cooldown suppressed")
+	}
+	// The cooldown is per rule and series: others trigger independently.
+	if !triggers("Heap", "h", 120) || !triggers("Burst", "h", 120) {
+		t.Fatal("independent track suppressed by another track's cooldown")
+	}
+	// Stale re-evaluations of pre-cooldown history stay suppressed.
+	if triggers("Burst", "e", 100) || triggers("Burst", "e", 130) {
+		t.Fatal("stale firing triggered after the cooldown advanced")
+	}
+}
+
 func TestFiringRingWraps(t *testing.T) {
 	rec, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < firingHistory+6; i++ {
-		rec.RecordFiring(firing("R", i))
+		rec.OnFirings(time.Unix(5000, 0), []alerts.Firing{firing("R", i)})
 	}
 	st := rec.Status()
 	if len(st.Firings) != firingHistory {
@@ -161,27 +196,28 @@ func TestFiringRingWraps(t *testing.T) {
 	}
 }
 
-// TestRecordFiringZeroAlloc gates the steady-state record path: once the
-// history ring is full, retaining another firing must not allocate.
-func TestRecordFiringZeroAlloc(t *testing.T) {
+// TestOnFiringsZeroAlloc gates the steady-state record path: once the
+// history ring is full and the rule has a cooldown entry, retaining
+// another firing without a Dir must not allocate.
+func TestOnFiringsZeroAlloc(t *testing.T) {
 	rec, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := firing("EvictionBurst", 1000)
+	now := time.Unix(5000, 0)
+	fs := []alerts.Firing{firing("EvictionBurst", 1000)}
 	for i := 0; i < firingHistory; i++ {
-		rec.RecordFiring(f)
+		rec.OnFirings(now, fs)
 	}
-	avg := testing.AllocsPerRun(200, func() { rec.RecordFiring(f) })
+	avg := testing.AllocsPerRun(200, func() { rec.OnFirings(now, fs) })
 	if avg != 0 {
-		t.Errorf("RecordFiring allocates %.1f per call on a full ring, want 0", avg)
+		t.Errorf("OnFirings allocates %.1f per call on a full ring, want 0", avg)
 	}
 }
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	var rec *Recorder
 	rec.SampleRuntime(time.Now())
-	rec.RecordFiring(firing("R", 1))
 	if path, err := rec.OnFirings(time.Now(), []alerts.Firing{firing("R", 1)}); path != "" || err != nil {
 		t.Errorf("nil OnFirings = %q, %v", path, err)
 	}
