@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
@@ -88,13 +89,14 @@ func TestObsShutdownIdempotent(t *testing.T) {
 }
 
 // TestEvictionBurstDumpsOneBundle is the flight recorder's alert path end
-// to end: a real manager evicts a deliberately stalled agent out of a
-// live fleet, the eviction lands in the mpr_mgr_evictions series on the
-// next sampler tick, which fires the EvictionBurst rule, and the flight
-// recorder writes exactly one schema-valid mprflight/v2 bundle — later
-// ticks and markets re-evaluate the same violation without another —
-// containing the triggering firing, a goroutine profile, the eviction
-// trace event, and the mpr_rt_* window.
+// to end: a real manager evicts deliberately stalled agents out of a live
+// fleet, one a market, each eviction lands in the mpr_mgr_evictions
+// series on the next sampler tick, the fourth such tick fires the
+// EvictionBurst rule (4 of its 10-sample window; the three before are no
+// burn), and the flight recorder writes exactly one schema-valid
+// mprflight/v2 bundle — later ticks and markets re-evaluate the same
+// violation without another — containing the triggering firing, a
+// goroutine profile, the eviction trace event, and the mpr_rt_* window.
 func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	dir := t.TempDir()
 	clock := tsdb.NewFakeClock(time.Unix(2000, 0))
@@ -148,26 +150,29 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 			return core.Bid{Delta: 25.6, B: 10}
 		}))
 	}
-	// The stalled agent reads prices but never answers: its RespondBid
+	// A stalled agent reads prices but never answers: its RespondBid
 	// blocks past every round deadline, burning the one-miss budget.
 	stall := make(chan struct{})
 	t.Cleanup(func() { close(stall) })
-	dial("stall", bidFunc(func(price float64) core.Bid {
-		<-stall
-		return core.Bid{}
-	}))
-	waitFor(t, "fleet registered", func() bool { return m.AgentCount() == 4 })
-
-	out, err := m.RunMarket(5000)
-	if err != nil {
-		t.Fatal(err)
+	var out *agentproto.MarketOutcome
+	for k := 1; k <= 4; k++ {
+		dial(fmt.Sprintf("stall-%d", k), bidFunc(func(price float64) core.Bid {
+			<-stall
+			return core.Bid{}
+		}))
+		waitFor(t, "fleet registered", func() bool { return m.AgentCount() == 4 })
+		if out, err = m.RunMarket(5000); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "eviction", func() bool { return m.Evictions() == int64(k) })
+		// One sampler tick captures the eviction delta and evaluates the
+		// rules over every sample since startup.
+		o.recordMarket(5000, out.Result)
+		tick(t, o, clock)
+		if got := bundlesIn(t, dir, "alert"); k < 4 && len(got) != 0 {
+			t.Fatalf("alert bundles after %d evicting ticks = %v, want none yet", k, got)
+		}
 	}
-	waitFor(t, "eviction", func() bool { return m.Evictions() == 1 })
-
-	// One sampler tick captures the eviction delta and evaluates the
-	// rules over every sample since startup.
-	o.recordMarket(5000, out.Result)
-	tick(t, o, clock)
 
 	alertBundles := bundlesIn(t, dir, "alert")
 	if len(alertBundles) != 1 {
@@ -194,12 +199,12 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	}
 	foundEvict := false
 	for _, e := range b.Events {
-		if e.Name == "eviction" && strings.HasPrefix(e.Label, "stall:") {
+		if e.Name == "eviction" && strings.HasPrefix(e.Label, "stall-") {
 			foundEvict = true
 		}
 	}
 	if !foundEvict {
-		t.Error("bundle events do not include the stall agent's eviction")
+		t.Error("bundle events do not include a stalled agent's eviction")
 	}
 	for _, name := range []string{flight.SeriesGoroutines, flight.SeriesHeapInuse, seriesEvictions} {
 		found := false

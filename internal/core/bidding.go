@@ -21,7 +21,7 @@ type RationalBidder struct {
 
 // RespondBid implements Bidder. The response is a pure function of
 // (*Model, Cores, price): the per-core best response δ* depends on the
-// model and the price alone, and bidFor scales it by Cores. respondBids
+// model and the price alone, and bidFor scales it by Cores. bidClasses
 // relies on this to solve δ* once for bidders whose models are equal.
 func (r *RationalBidder) RespondBid(price float64) Bid {
 	return r.bidFor(price, r.Model.GainMaximizingReduction(price))

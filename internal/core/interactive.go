@@ -53,13 +53,21 @@ func priceSettled(announced, cleared, tol float64) bool {
 // loop stops once the cleared price settles within tol of the announced
 // one (Converged) or after maxRounds rounds.
 //
+// A nil emit says that nothing reads a round's supply: a round that does
+// not end the market then only solves the index for its price, and the
+// round that ends it, settled or the last of maxRounds, clears in full.
+// The result is the same, bit for bit, as with an emit.
+//
 // A non-positive target asks nobody: it returns Clear's nothing-to-buy
-// result (TargetW echoed, every reduction 0) with Rounds 0. An error from
-// ask or the clear ends the round's span and is returned before the
-// round's event.
+// result (TargetW echoed, every reduction 0) with Rounds 0. A maxRounds
+// below 1 is an error. An error from ask or the clear ends the round's
+// span and is returned before the round's event.
 func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 	span *telemetry.ActiveSpan, emit func(telemetry.Event),
 	ask func(round int, q float64, bids []Bid, span *telemetry.ActiveSpan) error) (*ClearingResult, error) {
+	if maxRounds < 1 {
+		return nil, fmt.Errorf("core: an interactive market needs at least one round, got %d", maxRounds)
+	}
 	if targetW <= 0 {
 		res := noReduction(len(ps), targetW)
 		res.Rounds = 0
@@ -80,7 +88,7 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 
 	q := openingPrice
 	res := &ClearingResult{}
-	for round := 1; round <= maxRounds; round++ {
+	for round := 1; ; round++ {
 		// Span handles are nil-safe, so an uninstrumented market records
 		// and allocates nothing here.
 		roundSpan := span.StartChild("market_round")
@@ -88,24 +96,32 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 		for i := 0; err == nil && i < len(bids); i++ {
 			err = ix.SetBid(i, bids[i])
 		}
-		if err == nil {
+		var price float64
+		last := round == maxRounds
+		if err == nil && emit == nil {
+			ix.Refresh()
+			price, _ = ix.minPrice(targetW)
+			last = last || priceSettled(q, price, tol)
+		}
+		if err == nil && (emit != nil || last) {
 			err = ix.ClearInto(res, targetW)
+			price = res.Price
 		}
 		if err != nil {
 			roundSpan.End()
 			return nil, err
 		}
-		res.Rounds = round
-		emit(telemetry.Event{Name: "market_round", Round: round,
-			Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Value: q})
-		roundSpan.End()
-		res.Converged = priceSettled(q, res.Price, tol)
-		if res.Converged {
-			break
+		if emit != nil {
+			emit(telemetry.Event{Name: "market_round", Round: round,
+				Price: price, TargetW: targetW, SuppliedW: res.SuppliedW, Value: q})
 		}
-		q = res.Price
+		roundSpan.End()
+		if settled := priceSettled(q, price, tol); settled || last {
+			res.Rounds, res.Converged = round, settled
+			return res, nil
+		}
+		q = price
 	}
-	return res, nil
 }
 
 // InteractiveConfig parameterizes the MPR-INT market loop.
@@ -131,26 +147,77 @@ const (
 
 // parallelBidFloor is the pool size below which the rebid fan-out stays
 // sequential: starting and waking the workers costs more than the
-// responses they would take over. Re-measured on a 2-vCPU box once equal
-// models share a solve (it was 64): a pool of all-distinct rational
-// bidders, ~170 ns each, breaks even against two workers near 512
-// (256: 39 µs sequential, 50 µs fanned out; 768: 135 against 102), and a
-// pool sharing eight models, ~12 ns a bidder, is faster sequential at
-// every size tried up to 10,000. The simulator's markets (a few hundred
-// bidders over a handful of models) therefore stay sequential.
+// responses they would take over. Each round solves its bid classes'
+// best responses before the fan-out, so what the workers share out is a
+// bidFor of a few ns for every classed bidder and a full solve (~170 ns
+// for a rational bidder on a 2-vCPU box) for every bidder that answers for
+// itself. A pool of all-distinct rational bidders, past the classes,
+// breaks even against two workers near 512 (256: 39 µs sequential, 50 µs
+// fanned out; 768: 135 against 102); a pool sharing a handful of models
+// is faster sequential at every size tried up to 10,000. The simulator's
+// markets (a few hundred bidders over a handful of models) therefore
+// stay sequential.
 const parallelBidFloor = 512
 
-// respondBids collects every bidder's response to the announced price
-// into out, fanning out across a bounded worker pool when the pool is
-// large enough to pay for it. Workers claim fixed-size chunks of the
-// bidder range and write results by index, so the output is
-// deterministic and bit-identical to the sequential loop.
-//
-// Each worker (the sequential loop is one worker) answers through its own
-// bestResponses, so rational bidders with equal cost models cost one
-// golden-section search per worker per round, not one per bidder.
-func respondBids(bidders []Bidder, price float64, out []Bid, workers int) {
-	n := len(bidders)
+// bidClasses is one ClearInteractive call's split of its bidders: the
+// *RationalBidders grouped by cost-model value into at most
+// bestResponseSlots classes, and everyone else — other Bidders, rational
+// bidders met once the classes are full, and models that equal nothing,
+// themselves included (NaN α) — answering for themselves. It is built once
+// per call and read-only while a round's workers fill the bids.
+type bidClasses struct {
+	bidders []Bidder
+	// class[i] is bidders[i]'s class, or -1 when it answers for itself.
+	class  []int8
+	n      int
+	models [bestResponseSlots]perf.CostModel
+	// dStar[k] is class k's per-core best response at the round's price.
+	dStar [bestResponseSlots]float64
+}
+
+// bestResponseSlots bounds the classes of one call; with the classes
+// compared per bidder once per call, not per round, it bounds that
+// one-time scan.
+const bestResponseSlots = 16
+
+// newBidClasses sorts bidders into classes by cost-model value.
+func newBidClasses(bidders []Bidder) *bidClasses {
+	c := &bidClasses{bidders: bidders, class: make([]int8, len(bidders))}
+	for i, b := range bidders {
+		c.class[i] = -1
+		r, ok := b.(*RationalBidder)
+		if !ok || *r.Model != *r.Model {
+			continue
+		}
+		k := 0
+		for k < c.n && c.models[k] != *r.Model {
+			k++
+		}
+		if k == bestResponseSlots {
+			continue
+		}
+		if k == c.n {
+			c.models[k] = *r.Model
+			c.n++
+		}
+		c.class[i] = int8(k)
+	}
+	return c
+}
+
+// respond collects every bidder's response to the announced price into
+// out: each class's δ* is solved once, and the bids are filled across a
+// bounded worker pool when the pool is large enough to pay for it.
+// Workers claim fixed-size chunks of the bidder range and write results by
+// index, so the output is deterministic and bit-identical to the
+// sequential loop — and every bid to the bidder's own RespondBid, since a
+// rational bidder's response is a pure function of (model value, Cores,
+// price).
+func (c *bidClasses) respond(price float64, out []Bid, workers int) {
+	for k := range c.n {
+		c.dStar[k] = c.models[k].GainMaximizingReduction(price)
+	}
+	n := len(c.bidders)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -158,10 +225,7 @@ func respondBids(bidders []Bidder, price float64, out []Bid, workers int) {
 		workers = n
 	}
 	if workers <= 1 || n < parallelBidFloor {
-		var br bestResponses
-		for i, b := range bidders {
-			out[i] = br.respond(b, price)
-		}
+		c.fill(price, out, 0, n)
 		return
 	}
 	const chunk = 32
@@ -171,64 +235,28 @@ func respondBids(bidders []Bidder, price float64, out []Bid, workers int) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var br bestResponses
 			for {
 				start := int(next.Add(chunk)) - chunk
 				if start >= n {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					out[i] = br.respond(bidders[i], price)
-				}
+				c.fill(price, out, start, min(start+chunk, n))
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// bestResponses is one worker's memory of the per-core best responses it
-// has solved at the one price of a round, keyed by cost-model value. It
-// lives on the worker's stack for one respondBids call — nothing is
-// shared between workers or kept across rounds. (A memo that outlives
-// the call is ROADMAP's "run-scoped memo" item, deliberately not here.)
-type bestResponses struct {
-	n int
-	// alpha[i] is models[i].Alpha, compared first: scanning 16 floats
-	// costs an all-distinct pool ~1 % a round, 16 struct compares 12 %.
-	alpha  [bestResponseSlots]float64
-	models [bestResponseSlots]perf.CostModel
-	dStar  [bestResponseSlots]float64
-}
-
-// bestResponseSlots bounds the models one worker remembers, and so the
-// scan a pool of all-distinct models pays per bidder; models met once the
-// slots are full are solved per bidder.
-const bestResponseSlots = 16
-
-// respond returns b.RespondBid(price). A *RationalBidder whose model
-// equals one this worker already solved reuses that per-core δ*; any
-// other Bidder is simply called.
-func (c *bestResponses) respond(b Bidder, price float64) Bid {
-	r, ok := b.(*RationalBidder)
-	if !ok {
-		return b.RespondBid(price)
-	}
-	m := r.Model
-	for i, a := range c.alpha[:c.n] {
-		if a == m.Alpha && c.models[i] == *m {
-			return r.bidFor(price, c.dStar[i])
+// fill answers price for bidders start to end, once respond has solved
+// the classes.
+func (c *bidClasses) fill(price float64, out []Bid, start, end int) {
+	for i := start; i < end; i++ {
+		if k := c.class[i]; k >= 0 {
+			out[i] = c.bidders[i].(*RationalBidder).bidFor(price, c.dStar[k])
+		} else {
+			out[i] = c.bidders[i].RespondBid(price)
 		}
 	}
-	d := m.GainMaximizingReduction(price)
-	if c.n < bestResponseSlots {
-		c.alpha[c.n], c.models[c.n], c.dStar[c.n] = m.Alpha, *m, d
-		c.n++
-	}
-	return r.bidFor(price, d)
 }
 
 // ClearInteractive runs the MPR-INT market: the manager announces a price,
@@ -248,10 +276,17 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 	if len(ps) != len(bidders) {
 		return nil, fmt.Errorf("core: %d participants but %d bidders", len(ps), len(bidders))
 	}
-	return Iterate(ps, targetW, interactiveMaxRounds, interactiveTolerance, cfg.Span, cfg.Trace.Emit,
+	// Only a trace reads a round's supply; without one Iterate clears
+	// in full only the round that ends the market.
+	var emit func(telemetry.Event)
+	if cfg.Trace != nil {
+		emit = cfg.Trace.Emit
+	}
+	classes := newBidClasses(bidders)
+	return Iterate(ps, targetW, interactiveMaxRounds, interactiveTolerance, cfg.Span, emit,
 		func(_ int, q float64, bids []Bid, span *telemetry.ActiveSpan) error {
 			bidSpan := span.StartChild("respond_bids")
-			respondBids(bidders, q, bids, 0)
+			classes.respond(q, bids, 0)
 			bidSpan.End()
 			return nil
 		})

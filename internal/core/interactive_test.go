@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -360,8 +361,8 @@ func TestInteractiveEquilibriumEfficiencyProperty(t *testing.T) {
 	}
 }
 
-// countingBidder is a custom Bidder that counts its calls; respondBids
-// must call it exactly as it always has, once per round.
+// countingBidder is a custom Bidder that counts its calls; the rebid
+// fan-out must call it exactly as it always has, once per round.
 type countingBidder struct {
 	calls atomic.Int64
 	bid   Bid
@@ -373,11 +374,11 @@ func (c *countingBidder) RespondBid(price float64) Bid {
 }
 
 // TestRespondBidsSharesClasses pins the sharing rule of the rebid fan-out:
-// rational bidders with equal cost models may share one per-core solve,
-// and nothing else may change — every bid is bit-identical to the
-// bidder's own RespondBid, at any worker count and on both sides of
-// parallelBidFloor; other Bidder types are called once each per round; a
-// NaN-α model equals nothing, itself included, and is solved per bidder.
+// one call's rational bidders with equal cost models share one per-core
+// solve a round, and nothing else may change — every bid is bit-identical
+// to the bidder's own RespondBid, at 1, 2 and 7 workers and on both sides
+// of parallelBidFloor; other Bidder types are called once each per round;
+// a NaN-α model equals nothing, itself included, and answers for itself.
 func TestRespondBidsSharesClasses(t *testing.T) {
 	profs := perf.CPUProfiles()
 	shared := perf.NewCostModel(profs[0], 1.5, perf.CostLinear)
@@ -395,7 +396,7 @@ func TestRespondBidsSharesClasses(t *testing.T) {
 			case 1, 2: // equal values behind distinct pointers, linear and quadratic
 				shape := perf.CostShape(i%8 - 1)
 				bs[i] = &RationalBidder{Cores: cores, Model: perf.NewCostModel(prof, 2, shape)}
-			case 3, 4: // a model of its own: more of these than a worker remembers
+			case 3, 4: // a model of its own: more of these than there are classes
 				bs[i] = &RationalBidder{Cores: cores, Model: perf.NewCostModel(prof, 1+rng.Float64(), perf.CostLinear)}
 			case 5:
 				bs[i] = &StaticBidder{Fixed: Bid{Delta: cores * 0.5, B: rng.Float64()}}
@@ -414,9 +415,12 @@ func TestRespondBidsSharesClasses(t *testing.T) {
 		out := make([]Bid, n)
 		rounds := 0
 		for _, workers := range []int{1, 2, 7} {
+			// One call's classes, as ClearInteractive builds them, answer
+			// every price of the call.
+			classes := newBidClasses(bidders)
 			for _, price := range []float64{0, 0.05, 0.4, 3} {
 				rounds++
-				respondBids(bidders, price, out, workers)
+				classes.respond(price, out, workers)
 				for i, b := range bidders {
 					var want Bid
 					if c, ok := b.(*countingBidder); ok {
@@ -440,30 +444,42 @@ func TestRespondBidsSharesClasses(t *testing.T) {
 		}
 	}
 
-	// The sharing itself, on one worker's memory: equal models cost one
-	// slot, a NaN-α model one per bidder, and a full memory stops taking
-	// models without changing any answer.
-	var br bestResponses
-	a := &RationalBidder{Cores: 4, Model: shared}
-	b := &RationalBidder{Cores: 16, Model: perf.NewCostModel(profs[0], 1.5, perf.CostLinear)}
-	br.respond(a, 0.4)
-	br.respond(b, 0.4)
-	if br.n != 1 {
-		t.Errorf("two bidders with equal models took %d slots, want 1", br.n)
-	}
-	for i := 0; i < 2; i++ {
-		br.respond(&RationalBidder{Cores: 2, Model: nan}, 0.4)
-	}
-	if br.n != 3 {
-		t.Errorf("two NaN-α bidders brought the slots to %d, want 3 (NaN equals nothing)", br.n)
+	// The classes themselves: equal models share one, whether by pointer
+	// or by value; a NaN-α model and every non-rational bidder answer for
+	// themselves; once the classes are full, further models answer for
+	// themselves too, and a model already classed still finds its class.
+	bs := []Bidder{
+		&RationalBidder{Cores: 4, Model: shared},
+		&RationalBidder{Cores: 16, Model: perf.NewCostModel(profs[0], 1.5, perf.CostLinear)},
+		&RationalBidder{Cores: 2, Model: nan},
+		&RationalBidder{Cores: 2, Model: nan},
+		&StaticBidder{Fixed: Bid{Delta: 1, B: 1}},
 	}
 	for i := 0; i < 2*bestResponseSlots; i++ {
-		r := &RationalBidder{Cores: 8, Model: perf.NewCostModel(profs[2], 1+float64(i), perf.CostLinear)}
-		if got, want := br.respond(r, 0.4), r.RespondBid(0.4); got != want {
-			t.Fatalf("distinct model %d: %+v, want %+v", i, got, want)
-		}
+		bs = append(bs, &RationalBidder{Cores: 8, Model: perf.NewCostModel(profs[2], 1+float64(i), perf.CostLinear)})
 	}
-	if br.n != bestResponseSlots {
-		t.Errorf("memory holds %d models, want it full at %d", br.n, bestResponseSlots)
+	bs = append(bs, &RationalBidder{Cores: 3, Model: shared})
+	c := newBidClasses(bs)
+	if c.n != bestResponseSlots {
+		t.Errorf("%d classes, want them full at %d", c.n, bestResponseSlots)
+	}
+	want := []int8{0, 0, -1, -1, -1}
+	for i := 0; i < 2*bestResponseSlots; i++ {
+		k := int8(-1)
+		if i < bestResponseSlots-1 {
+			k = int8(i + 1)
+		}
+		want = append(want, k)
+	}
+	want = append(want, 0)
+	if !slices.Equal(c.class, want) {
+		t.Errorf("classes %v, want %v", c.class, want)
+	}
+	out := make([]Bid, len(bs))
+	c.respond(0.4, out, 1)
+	for i, b := range bs {
+		if got, want := out[i], b.RespondBid(0.4); !sameBits(got.Delta, want.Delta) || !sameBits(got.B, want.B) {
+			t.Fatalf("bidder %d: %+v, want %+v", i, got, want)
+		}
 	}
 }

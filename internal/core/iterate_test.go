@@ -32,8 +32,9 @@ func referenceInteractive(ps []*Participant, bidders []Bidder, targetW float64, 
 	var ix *MarketIndex
 	var trail []oracleRound
 	res := &ClearingResult{}
+	classes := newBidClasses(bidders)
 	for round := 1; round <= maxRounds; round++ {
-		respondBids(bidders, q, bids, workers)
+		classes.respond(q, bids, workers)
 		if ix == nil {
 			for i := range workPtrs {
 				workPtrs[i].Bid = bids[i]
@@ -92,11 +93,12 @@ func iteratePool(rng *rand.Rand, n int, kind string) ([]*Participant, []Bidder, 
 }
 
 // askAll is ClearInteractive's ask without its span: every bidder answers
-// every round through respondBids. Tests hand it to Iterate to run
-// ClearInteractive's market on another round budget.
+// every round through one set of bid classes. Tests hand it to Iterate to
+// run ClearInteractive's market on another round budget.
 func askAll(bidders []Bidder) func(int, float64, []Bid, *telemetry.ActiveSpan) error {
+	classes := newBidClasses(bidders)
 	return func(_ int, q float64, bids []Bid, _ *telemetry.ActiveSpan) error {
-		respondBids(bidders, q, bids, 0)
+		classes.respond(q, bids, 0)
 		return nil
 	}
 }
@@ -317,6 +319,128 @@ func TestIterateNonPositiveTargetAsksNobody(t *testing.T) {
 			if d != 0 {
 				t.Fatalf("target %v: reduction[%d] = %v", target, i, d)
 			}
+		}
+	}
+}
+
+// flipBidder answers a low price with a reluctant bid and a high one with
+// a willing bid, so a market it dominates swings between two prices and
+// never settles.
+type flipBidder struct{ delta float64 }
+
+func (f flipBidder) RespondBid(price float64) Bid {
+	if price < 1 {
+		return Bid{Delta: f.delta, B: f.delta}
+	}
+	return Bid{Delta: f.delta, B: f.delta / 8}
+}
+
+// TestClearInteractiveTraceInvariant: a trace only watches the market.
+// Without one, Iterate solves a round for its price alone and clears in
+// full only the round that ends the market; every field of the result is
+// the same, bit for bit, as with the trace — over shared, equal and
+// distinct models, NaN α, static and custom bidders, pools on both sides
+// of parallelBidFloor, feasible and infeasible targets, and a market that
+// ends at interactiveMaxRounds.
+func TestClearInteractiveTraceInvariant(t *testing.T) {
+	profs := perf.CPUProfiles()
+	shared := perf.NewCostModel(profs[0], 1.5, perf.CostLinear)
+	nan := &perf.CostModel{Profile: profs[1], Alpha: math.NaN(), Shape: perf.CostLinear}
+	pool := func(rng *rand.Rand, n int) ([]*Participant, []Bidder, float64) {
+		ps := make([]*Participant, n)
+		bs := make([]Bidder, n)
+		var maxW float64
+		for i := range ps {
+			prof := profs[rng.Intn(len(profs))]
+			cores := float64(1 + rng.Intn(64))
+			switch i % 7 {
+			case 0:
+				bs[i] = &RationalBidder{Cores: cores, Model: shared}
+			case 1, 2:
+				bs[i] = &RationalBidder{Cores: cores, Model: perf.NewCostModel(prof, 2, perf.CostShape(i%7-1))}
+			case 3:
+				bs[i] = &RationalBidder{Cores: cores, Model: perf.NewCostModel(prof, 1+rng.Float64(), perf.CostLinear)}
+			case 4:
+				bs[i] = &RationalBidder{Cores: cores, Model: nan}
+			case 5:
+				bs[i] = &StaticBidder{Fixed: Bid{Delta: cores * prof.MaxReduction(), B: rng.Float64()}}
+			case 6:
+				bs[i] = &countingBidder{bid: Bid{Delta: cores * prof.MaxReduction(), B: rng.Float64()}}
+			}
+			ps[i] = &Participant{
+				JobID: fmt.Sprintf("j%d", i), Cores: cores, MaxFrac: prof.MaxReduction(),
+				WattsPerCore: 50 + 200*rng.Float64(),
+				Bid:          Bid{Delta: cores * prof.MaxReduction() * rng.Float64(), B: rng.Float64()},
+			}
+			maxW += ps[i].WattsPerCore * cores * prof.MaxReduction()
+		}
+		return ps, bs, maxW
+	}
+	type market struct {
+		name    string
+		ps      []*Participant
+		bs      []Bidder
+		targetW float64
+	}
+	var markets []market
+	for _, n := range []int{40, parallelBidFloor + 40} {
+		ps, bs, maxW := pool(rand.New(rand.NewSource(int64(n))), n)
+		for _, frac := range []float64{0.3, 1.5} {
+			markets = append(markets, market{fmt.Sprintf("n=%d/frac=%v", n, frac), ps, bs, frac * maxW})
+		}
+	}
+	// One flipping job and two that never activate: the price swings
+	// between 2 and 0.25 until the round budget runs out.
+	markets = append(markets, market{"flip",
+		[]*Participant{{JobID: "flip", Cores: 10, WattsPerCore: 1}, {JobID: "s1", Cores: 1, WattsPerCore: 1}, {JobID: "s2", Cores: 1, WattsPerCore: 1}},
+		[]Bidder{flipBidder{delta: 10}, &StaticBidder{Fixed: Bid{Delta: 1, B: 1e6}}, &StaticBidder{Fixed: Bid{Delta: 1, B: 1e6}}},
+		5})
+	exhausted := 0
+	for _, m := range markets {
+		tracer := telemetry.NewTracer(1 << 12)
+		traced, errT := ClearInteractive(m.ps, m.bs, m.targetW, InteractiveConfig{Trace: tracer.StartTrace(m.name)})
+		plain, errP := ClearInteractive(m.ps, m.bs, m.targetW, InteractiveConfig{})
+		if errT != nil || errP != nil {
+			t.Fatalf("%s: errors %v (traced) and %v (plain)", m.name, errT, errP)
+		}
+		if len(tracer.Events()) != traced.Rounds {
+			t.Fatalf("%s: %d round events for %d rounds", m.name, len(tracer.Events()), traced.Rounds)
+		}
+		if traced.Rounds != plain.Rounds || traced.Converged != plain.Converged || traced.Feasible != plain.Feasible ||
+			!sameBits(traced.Price, plain.Price) || !sameBits(traced.SuppliedW, plain.SuppliedW) ||
+			!sameBits(traced.TargetW, plain.TargetW) || !sameBits(traced.PayoutRate, plain.PayoutRate) ||
+			len(traced.Reductions) != len(plain.Reductions) {
+			t.Fatalf("%s: traced %+v, plain %+v", m.name, traced, plain)
+		}
+		for i := range traced.Reductions {
+			if !sameBits(traced.Reductions[i], plain.Reductions[i]) {
+				t.Fatalf("%s: reduction[%d] %v traced, %v plain", m.name, i, traced.Reductions[i], plain.Reductions[i])
+			}
+		}
+		if !plain.Converged {
+			exhausted++
+			if plain.Rounds != interactiveMaxRounds {
+				t.Fatalf("%s: unsettled after %d rounds, want %d", m.name, plain.Rounds, interactiveMaxRounds)
+			}
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("no market ran out of rounds")
+	}
+}
+
+// TestIterateRefusesNoRounds: a market allowed no round cannot clear, and
+// says so instead of returning a result without reductions.
+func TestIterateRefusesNoRounds(t *testing.T) {
+	ps := randomPool(rand.New(rand.NewSource(9)), 10)
+	for _, maxRounds := range []int{0, -1} {
+		res, err := Iterate(ps, poolMaxW(ps)/2, maxRounds, 1e-6, nil, nil,
+			func(int, float64, []Bid, *telemetry.ActiveSpan) error {
+				t.Fatal("asked a price")
+				return nil
+			})
+		if err == nil || res != nil {
+			t.Fatalf("maxRounds %d: %+v, %v; want an error", maxRounds, res, err)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -34,7 +36,12 @@ type simJob struct {
 	finishAt int
 	cores    int
 
+	// id is the job's trace ID, which names it in a market and in
+	// Result.Jobs; idx is its index in engineState.jobs, which keys it
+	// in the scheduler and the delayed orders, so two trace jobs that
+	// share an ID stay two jobs.
 	id      int
+	idx     int
 	profile *perf.Profile
 	// trueModel prices the user's actual cost; bidModel is the possibly
 	// perturbed model used for bidding (Fig. 13 error studies).
@@ -43,15 +50,15 @@ type simJob struct {
 	power        power.CoreModel
 	participates bool
 
-	// part and bidder are the job's prebuilt market identities, created
-	// once in buildJobs so each clearing invocation appends pointers
-	// instead of allocating fresh participants and bid closures. The
-	// solvers never mutate them (ClearInteractive works on copies).
-	// part.Bid, the MPR-STAT bid, is the exception: deriveStaticBids
-	// fills it the first time the job is about to enter an MPR-STAT
-	// market and sets hasBid.
+	// part and bidder are the job's market identities, appended by
+	// pointer to each clearing invocation. Most jobs of a trace never
+	// enter a market, so part stays nil until participant builds it, the
+	// first time the job does. The solvers never mutate them
+	// (ClearInteractive works on copies). part.Bid, the MPR-STAT bid, is
+	// the exception: deriveStaticBids fills it the first time the job is
+	// about to enter an MPR-STAT market and sets hasBid.
 	part   *core.Participant
-	bidder core.Bidder
+	bidder core.RationalBidder
 	hasBid bool
 	// pstats points at the job's per-profile aggregate in the Result,
 	// hoisting the map lookup out of the per-slot emergency loop.
@@ -87,7 +94,6 @@ type engineState struct {
 	seriesStore *tsdb.Store
 
 	jobs []*simJob
-	byID map[int]*simJob
 	// arrivals is jobs in submit-slot order (same-slot jobs in trace
 	// order); nextArrival indexes the first job not yet submitted.
 	arrivals    []*simJob
@@ -100,7 +106,11 @@ type engineState struct {
 	scheduler *sched.Scheduler
 	fc        *forecast.Forecaster
 
-	active       []*simJob
+	active []*simJob
+	// activeCores is Σ cores over active: a start adds to it and a
+	// finish subtracts. An integer sum is exact in any order, so its
+	// float64 is the float sum of the job order while below 2^53.
+	activeCores  int
 	emergency    bool
 	price        float64
 	totalRounds  int
@@ -108,7 +118,7 @@ type engineState struct {
 	baseCapCores float64
 
 	// Delayed reduction orders (MarketDelaySlots): allocations computed
-	// at declare time but applied later.
+	// at declare time but applied later, keyed by simJob.idx.
 	pendingAllocs  map[int]float64
 	pendingApplyAt int
 
@@ -157,7 +167,7 @@ func (st *engineState) setAlloc(j *simJob, a float64) {
 func (st *engineState) applyOrder(j *simJob, a float64, slot int) {
 	st.setAlloc(j, a)
 	if j.speed > 0 {
-		st.scheduler.ExtendRuntime(j.id, int64(slot)+int64(math.Ceil(j.remainingMin/j.speed)))
+		st.scheduler.ExtendRuntime(j.idx, int64(slot)+int64(math.Ceil(j.remainingMin/j.speed)))
 	}
 }
 
@@ -240,7 +250,10 @@ func newEngineState(cfg *Config) (*engineState, error) {
 	smp := newSeriesSampler(seriesStore)
 
 	jobs := buildJobs(cfg, rng)
-	peakW := peakPower(jobs)
+	peakW, err := peakPower(jobs)
+	if err != nil {
+		return nil, fmt.Errorf("sim: trace %s: %w", cfg.Trace.Name, err)
+	}
 	capW := power.Oversubscription{PeakW: peakW, Percent: cfg.OversubPct}.Capacity()
 	if cfg.CapacityOverrideW > 0 {
 		capW = cfg.CapacityOverrideW
@@ -278,10 +291,6 @@ func newEngineState(cfg *Config) (*engineState, error) {
 		j.pstats = ps
 	}
 
-	byID := make(map[int]*simJob, len(jobs))
-	for _, j := range jobs {
-		byID[j.id] = j
-	}
 	// The trace is ordered by Submit, not by Submit+Wait, so jobs can
 	// reach their submit slot out of trace order; the sort is stable to
 	// keep the trace order among those sharing a slot.
@@ -295,7 +304,6 @@ func newEngineState(cfg *Config) (*engineState, error) {
 		smp:          smp,
 		seriesStore:  seriesStore,
 		jobs:         jobs,
-		byID:         byID,
 		arrivals:     arrivals,
 		peakW:        peakW,
 		capW:         capW,
@@ -318,6 +326,13 @@ func (st *engineState) step(slot int) error {
 	res := st.res
 	st.steps++
 
+	// Steps 1 and 2 sum the jobs' power as they compact and append the
+	// active list, unless a delayed order lands this slot or power phases
+	// are on: then step 3 sums it in a pass of its own. Either way each
+	// job adds its draw in active order.
+	fused := cfg.PhaseAmp == 0 && !(st.pendingAllocs != nil && slot >= st.pendingApplyAt)
+	var demandW, deliveredW float64
+
 	// 1. Finish jobs that completed their work (compacting the
 	// active list in place, preserving deterministic order).
 	keep := st.active[:0]
@@ -326,13 +341,18 @@ func (st *engineState) step(slot int) error {
 			j.running = false
 			j.done = true
 			j.endSlot = slot
-			if err := st.scheduler.Finish(j.id); err != nil {
+			if err := st.scheduler.Finish(j.idx); err != nil {
 				return err
 			}
+			st.activeCores -= j.cores
 			res.JobsCompleted++
 			continue
 		}
 		keep = append(keep, j)
+		if fused {
+			demandW += j.fullW
+			deliveredW += j.allocW
+		}
 	}
 	st.active = keep
 
@@ -346,7 +366,7 @@ func (st *engineState) step(slot int) error {
 	for ; st.nextArrival < len(st.arrivals) && st.arrivals[st.nextArrival].submitSlot == slot; st.nextArrival++ {
 		j := st.arrivals[st.nextArrival]
 		if err := st.scheduler.Submit(sched.Request{
-			ID: j.id, Cores: j.cores, EstRuntime: int64(math.Ceil(j.origMin)),
+			ID: j.idx, Cores: j.cores, EstRuntime: int64(math.Ceil(j.origMin)),
 		}); err != nil {
 			return err
 		}
@@ -368,24 +388,28 @@ func (st *engineState) step(slot int) error {
 		startBudget = int(headroomW / maxWPC)
 	}
 	for _, req := range st.scheduler.TryStartBudget(int64(slot), startBudget) {
-		j := st.byID[req.ID]
+		j := st.jobs[req.ID]
 		j.running = true
 		j.startSlot = slot
 		st.setAlloc(j, 1)
 		st.active = append(st.active, j)
+		st.activeCores += j.cores
+		if fused {
+			demandW += j.fullW
+			deliveredW += j.allocW
+		}
 	}
 
 	// 3. Apply any reduction orders whose market delay has elapsed,
 	// then account power.
 	if st.pendingAllocs != nil && slot >= st.pendingApplyAt {
 		for _, j := range st.active {
-			if a, ok := st.pendingAllocs[j.id]; ok {
+			if a, ok := st.pendingAllocs[j.idx]; ok {
 				st.applyOrder(j, a, slot)
 			}
 		}
 		st.pendingAllocs = nil
 	}
-	var demandW, deliveredW float64
 	if cfg.PhaseAmp > 0 {
 		// Per-job power phases modulate the dynamic component.
 		omega := 2 * math.Pi / phasePeriodSlots
@@ -396,7 +420,7 @@ func (st *engineState) step(slot int) error {
 			demandW += static + dyn
 			deliveredW += static + j.alloc*dyn
 		}
-	} else {
+	} else if !fused {
 		for _, j := range st.active {
 			demandW += j.fullW
 			deliveredW += j.allocW
@@ -527,7 +551,7 @@ func (st *engineState) step(slot int) error {
 				if len(st.scratch.sel) > 0 {
 					m = make(map[int]float64, len(st.scratch.sel))
 					for i, j := range st.scratch.sel {
-						m[j.id] = st.scratch.allocs[i]
+						m[j.idx] = st.scratch.allocs[i]
 					}
 				}
 				st.pendingAllocs = m
@@ -558,7 +582,6 @@ func (st *engineState) step(slot int) error {
 	if st.emergency {
 		res.EmergencySlots++
 	}
-	var activeCores float64
 	for _, j := range st.active {
 		if st.emergency {
 			j.affected = true
@@ -580,10 +603,9 @@ func (st *engineState) step(slot int) error {
 				}
 			}
 		}
-		activeCores += float64(j.cores)
 		j.remainingMin -= j.speed
 	}
-	if activeCores > st.baseCapCores {
+	if activeCores := float64(st.activeCores); activeCores > st.baseCapCores {
 		res.UsedExtraCoreH += (activeCores - st.baseCapCores) / 60
 	}
 	if st.smp.enabled() {
@@ -652,15 +674,14 @@ func (st *engineState) finish() *Result {
 }
 
 // buildJobs assigns application profiles, cost models and participation
-// to the trace's jobs. Static bids come later, from deriveStaticBids. The
-// jobs, their market identities and their cost models each live in one
-// backing array, so a run's set-up allocates per slice, not per job.
+// to the trace's jobs. Participants and static bids come later, when a
+// job first enters a market (participant, deriveStaticBids). The jobs and
+// their cost models each live in one backing array, so a run's set-up
+// allocates per slice, not per job.
 func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 	n := len(cfg.Trace.Jobs)
 	jobs := make([]*simJob, n)
 	store := make([]simJob, n)
-	parts := make([]core.Participant, n)
-	bidders := make([]core.RationalBidder, n)
 	models := make([]perf.CostModel, 2*n)
 	for i, tj := range cfg.Trace.Jobs {
 		prof := cfg.Profiles[rng.Intn(len(cfg.Profiles))]
@@ -679,6 +700,7 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 		j := &store[i]
 		*j = simJob{
 			id:           tj.ID,
+			idx:          i,
 			cores:        tj.Cores,
 			profile:      prof,
 			trueModel:    trueModel,
@@ -691,7 +713,17 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 			phaseOffset:  rng.Float64() * 2 * math.Pi,
 		}
 		j.fullW = j.power.JobPower(float64(j.cores), 1)
-		parts[i] = core.Participant{
+		j.bidder = core.RationalBidder{Cores: float64(j.cores), Model: j.bidModel}
+		jobs[i] = j
+	}
+	return jobs
+}
+
+// participant returns j's market participant, building it the first time
+// j enters a market.
+func (j *simJob) participant() *core.Participant {
+	if j.part == nil {
+		j.part = &core.Participant{
 			JobID:        strconv.Itoa(j.id),
 			Cores:        float64(j.cores),
 			WattsPerCore: j.power.DynamicW,
@@ -703,12 +735,8 @@ func buildJobs(cfg *Config, rng *rand.Rand) []*simJob {
 				return j.trueModel.Marginal(d / float64(j.cores))
 			},
 		}
-		j.part = &parts[i]
-		bidders[i] = core.RationalBidder{Cores: float64(j.cores), Model: j.bidModel}
-		j.bidder = &bidders[i]
-		jobs[i] = j
 	}
-	return jobs
+	return j.part
 }
 
 // deriveStaticBids gives every participating job of active that has no
@@ -734,8 +762,9 @@ func deriveStaticBids(cfg *Config, active []*simJob, coop *core.CooperativeBids)
 		if j.hasBid || !j.participates {
 			continue
 		}
-		j.part.Bid = coop.Bid(float64(j.cores), j.bidModel)
-		j.part.Bid.B *= cfg.StatBidFactor
+		p := j.participant()
+		p.Bid = coop.Bid(float64(j.cores), j.bidModel)
+		p.Bid.B *= cfg.StatBidFactor
 		j.hasBid = true
 		derived++
 	}
@@ -743,38 +772,50 @@ func deriveStaticBids(cfg *Config, active []*simJob, coop *core.CooperativeBids)
 }
 
 // peakPower computes the workload's peak unreduced power by event sweep —
-// the basis for the oversubscribed capacity (Section IV-A).
-func peakPower(jobs []*simJob) float64 {
-	type ev struct {
-		at int
-		dw float64
-	}
-	evs := make([]ev, 0, 2*len(jobs))
+// the basis for the oversubscribed capacity (Section IV-A). Each job adds
+// its draw at its submit slot and releases it ⌈runtime⌉ slots later, and
+// the sweep takes the events in (slot, watts) order: releases before
+// acquisitions at the same slot. An event is one uint64, its slot in the
+// high bits and in the low bits the rank of its ±draw among the run's
+// few distinct steps, so a plain integer sort orders them. Events equal in
+// (slot, watts) are interchangeable, so the sweep adds the same sequence
+// whichever order the sort leaves them in. A trace whose last slot does
+// not fit beside the ranks is refused.
+func peakPower(jobs []*simJob) (float64, error) {
+	steps := make([]float64, 0, 2*len(jobs))
 	for _, j := range jobs {
-		evs = append(evs, ev{j.submitSlot, j.fullW}, ev{j.submitSlot + int(math.Ceil(j.origMin)), -j.fullW})
+		steps = append(steps, j.fullW)
 	}
-	// Releases (negative) before acquisitions at the same slot. Events
-	// equal in (at, dw) are interchangeable, so the sweep below adds the
-	// same sequence whichever order the sort leaves them in.
-	slices.SortFunc(evs, func(a, b ev) int {
-		switch {
-		case a.at != b.at:
-			return cmp.Compare(a.at, b.at)
-		case a.dw < b.dw:
-			return -1
-		case a.dw > b.dw:
-			return 1
+	slices.Sort(steps)
+	steps = slices.Compact(steps)
+	for _, w := range steps {
+		steps = append(steps, -w)
+	}
+	slices.Sort(steps)
+	steps = slices.Compact(steps)
+	rankBits := bits.Len(uint(len(steps) - 1))
+	rank := func(w float64) uint64 {
+		r, _ := slices.BinarySearch(steps, w)
+		return uint64(r)
+	}
+	evs := make([]uint64, 0, 2*len(jobs))
+	for _, j := range jobs {
+		end := uint64(j.submitSlot + int(math.Ceil(j.origMin)))
+		if end>>(64-rankBits) != 0 {
+			return 0, fmt.Errorf("job %d ends at slot %d, too late for the power sweep", j.id, end)
 		}
-		return 0
-	})
+		evs = append(evs, uint64(j.submitSlot)<<rankBits|rank(j.fullW), end<<rankBits|rank(-j.fullW))
+	}
+	slices.Sort(evs)
+	mask := uint64(1)<<rankBits - 1
 	var cur, peak float64
 	for _, e := range evs {
-		cur += e.dw
+		cur += steps[e&mask]
 		if cur > peak {
 			peak = cur
 		}
 	}
-	return peak
+	return peak, nil
 }
 
 // marketScratch is the engine's reusable market-invocation state: the
@@ -809,8 +850,8 @@ func computeReduction(cfg *Config, ic core.InteractiveConfig, active []*simJob, 
 		if marketAlgo && !j.participates {
 			continue
 		}
-		s.parts = append(s.parts, j.part)
-		s.bidders = append(s.bidders, j.bidder)
+		s.parts = append(s.parts, j.participant())
+		s.bidders = append(s.bidders, &j.bidder)
 		s.sel = append(s.sel, j)
 	}
 	s.allocs = s.allocs[:0]

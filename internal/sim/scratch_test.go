@@ -70,8 +70,10 @@ func TestMarketInvocationSteadyZeroAlloc(t *testing.T) {
 // derives a bid only for the jobs that enter an MPR-STAT market, once
 // each, solves the cooperative bid once per distinct bid model per batch
 // (per job when a cost error makes every model distinct), and files the
-// bid core.CooperativeBid gives that job. Counting derivations and solves
-// instead of timing runs keeps the gate deterministic on a loaded box.
+// bid core.CooperativeBid gives that job. A job that never entered a
+// market of any algorithm holds no participant at all. Counting
+// derivations and solves instead of timing runs keeps the gate
+// deterministic on a loaded box.
 func TestStaticBidsOnDemand(t *testing.T) {
 	run := func(cfg Config) *engineState {
 		t.Helper()
@@ -87,14 +89,21 @@ func TestStaticBidsOnDemand(t *testing.T) {
 		}
 		return st
 	}
-	// check holds every job of a finished run to the rule: a bid exactly
-	// when the job participates and was active in an emergency (admissions
-	// halt while one is in force, so those are the jobs its markets
-	// selected), and then the bid buildJobs used to file.
+	// check holds every job of a finished run to the rule: a participant
+	// exactly when the job was active in an emergency (admissions halt
+	// while one is in force, so those are the jobs its markets selected)
+	// and the algorithm selected it — a market algorithm only the jobs
+	// that participate; a bid exactly when, besides, the market was
+	// MPR-STAT's, and then the bid deriveStaticBids is to file.
 	check := func(st *engineState) (derived int) {
 		t.Helper()
 		stat := st.cfg.Algorithm == AlgMPRStat
 		for _, j := range st.jobs {
+			entered := j.affected && st.cfg.Algorithm != AlgNone && (j.participates || !st.marketAlgo)
+			if (j.part != nil) != entered {
+				t.Fatalf("job %d (participates %v, affected %v): holds participant %v, want %v",
+					j.id, j.participates, j.affected, j.part != nil, entered)
+			}
 			if want := stat && j.participates && j.affected; j.hasBid != want {
 				t.Fatalf("job %d (participates %v, affected %v): hasBid = %v, want %v",
 					j.id, j.participates, j.affected, j.hasBid, want)
@@ -105,7 +114,7 @@ func TestStaticBidsOnDemand(t *testing.T) {
 				want = core.CooperativeBid(float64(j.cores), j.bidModel)
 				want.B *= st.cfg.StatBidFactor
 			}
-			if j.part.Bid != want {
+			if j.part != nil && j.part.Bid != want {
 				t.Fatalf("job %d: bid %+v, want %+v", j.id, j.part.Bid, want)
 			}
 		}
@@ -207,7 +216,7 @@ func TestComputeReductionMatchesClear(t *testing.T) {
 	}
 	parts := make([]*core.Participant, len(jobs))
 	for i, j := range jobs {
-		parts[i] = j.part
+		parts[i] = j.participant()
 	}
 	ref, err := core.Clear(parts, target)
 	if err != nil {

@@ -401,3 +401,45 @@ func TestAlgorithmsList(t *testing.T) {
 		t.Errorf("algorithms = %v", algos)
 	}
 }
+
+// TestDuplicateJobIDs: two trace jobs that share an ID are still two
+// jobs. Each starts at its own slot, runs its own runtime and finishes
+// once, under Run and the fixed-step reference alike.
+func TestDuplicateJobIDs(t *testing.T) {
+	tr := &trace.Trace{Name: "dup", TotalCores: 64, Jobs: []trace.Job{
+		{ID: 7, Cores: 16, Submit: 0, Runtime: 10 * 60},
+		{ID: 7, Cores: 32, Submit: 100 * 60, Runtime: 20 * 60},
+	}}
+	for _, run := range []func(Config) (*Result, error){Run, RunFixedStep} {
+		res, err := run(Config{Trace: tr, Algorithm: AlgNone, Seed: 1, RecordJobs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.JobsCompleted != 2 || len(res.Jobs) != 2 {
+			t.Fatalf("%d of %d jobs completed, want 2 of 2", res.JobsCompleted, len(res.Jobs))
+		}
+		for i, want := range []struct{ start, end int }{{0, 10}, {100, 120}} {
+			j := res.Jobs[i]
+			if j.ID != 7 || !j.Done || j.StartSlot != want.start || j.EndSlot != want.end || j.RemainingMin > 1e-9 || j.RemainingMin < -1e-9 {
+				t.Errorf("job %d: %+v, want ID 7 run over slots [%d, %d) and done", i, j, want.start, want.end)
+			}
+		}
+	}
+}
+
+// TestRefusesTraceTooLongForPowerSweep: the power sweep packs an event's
+// slot beside the rank of its power step in one uint64, and a trace whose
+// last slot does not fit is refused, naming the job, rather than swept
+// out of order.
+func TestRefusesTraceTooLongForPowerSweep(t *testing.T) {
+	// 65 distinct draws make 130 steps, 8 bits of rank, and leave 56 bits
+	// of slot; a job submitted at 2^62 s starts near slot 2^56.1.
+	jobs := make([]trace.Job, 65)
+	for i := range jobs {
+		jobs[i] = trace.Job{ID: i + 1, Cores: i + 1, Submit: 1 << 62, Runtime: 60}
+	}
+	_, err := Run(Config{Trace: &trace.Trace{Name: "far", TotalCores: 65, Jobs: jobs}, Algorithm: AlgNone})
+	if err == nil || !strings.Contains(err.Error(), "too late for the power sweep") {
+		t.Fatalf("err = %v, want the power sweep to refuse the trace", err)
+	}
+}

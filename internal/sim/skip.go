@@ -8,69 +8,71 @@ import (
 
 // This file is Run's skip-ahead: the slot ranges in which provably
 // nothing observable happens are replayed in bulk instead of stepped.
-// Skipping is conservative — canSkipFrom is false while any dense regime
-// (per-slot sampling, forecasting, power phases, an emergency, an order
-// in flight, a non-empty queue) is in play, and then Run is exactly the
-// fixed-step loop — and bit-exact: a skipped range leaves the state the
+// Skipping is conservative — quietUntil skips nothing while any dense
+// regime (per-slot sampling, forecasting, power phases, an emergency, an
+// order in flight, a non-empty queue) is in play, and then Run is exactly
+// the fixed-step loop — and bit-exact: a skipped range leaves the state the
 // stepped range would have, not a state within tolerance of it, which
 // internal/check pins against RunFixedStep over adversarial instances.
 
 // quietUntil returns the first slot at or after slot where the state can
 // change — the next arrival, the earliest finish among the active jobs,
 // or the end of the horizon — or slot itself when the slots ahead are
-// not provably inert. Finishes are projected from each job's remaining
-// work at unit speed, which canSkipFrom has just verified, so the
-// projection is exact (see skipProgress). A projection stays exact for as
-// long as the job keeps unit speed — finishSteps of the remaining work a
-// stepped or skipped slot later is one less — so each job is projected
-// once per setAlloc and kept in finishAt.
+// not provably inert. They are inert when no dense regime is active, the
+// controller is at rest, every active job runs at full speed, and the
+// delivered power sits within capacity, so the skipped controller steps
+// are identity transitions.
+//
+// One pass over the active jobs checks the speeds, sums the power and
+// projects the finishes, and it stops at the first job that pins slot: one
+// below full speed or one that finishes here. A finish is projected from
+// the job's remaining work at unit speed, so the projection is exact (see
+// skipProgress) for as long as the job keeps unit speed — finishSteps of
+// the remaining work a stepped or skipped slot later is one less — and
+// each job is projected once per setAlloc and kept in finishAt, whether
+// or not the range ahead turns out to be inert.
 func (st *engineState) quietUntil(slot int) int {
 	next := st.horizon + 1
 	if st.nextArrival < len(st.arrivals) {
 		next = min(next, st.arrivals[st.nextArrival].submitSlot)
 	}
-	if next <= slot || !st.canSkipFrom() {
+	if next <= slot {
 		return slot
 	}
-	for _, j := range st.active {
-		if j.finishAt == unprojected {
-			j.finishAt = slot + finishSteps(j.remainingMin)
-			st.projections++
-		}
-		next = min(next, j.finishAt)
-	}
-	return next
-}
-
-// canSkipFrom verifies, from the state itself, that the upcoming slots
-// are inert until the next arrival or finish: no dense regime is active,
-// the controller is at rest, every active job runs at full speed, and the
-// delivered power sits within capacity (so the skipped controller steps
-// are provably identity transitions). One O(active) pass.
-func (st *engineState) canSkipFrom() bool {
 	// A per-slot series consumer must see every slot (the sampler contract
 	// is one sample per simulated slot, timestamps in virtual slot time);
 	// the forecaster observes every slot; power phases move every slot.
 	if st.cfg.SampleSeries || st.cfg.Predictive || st.cfg.PhaseAmp > 0 {
-		return false
+		return slot
 	}
 	if st.emergency || st.pendingAllocs != nil || st.ec.State() != power.StateNormal {
-		return false
+		return slot
 	}
 	// A non-empty admission queue can start jobs on any upcoming slot
 	// (notably the slot right after an emergency lift re-opens admission,
 	// or whenever a finish frees cores): queued work keeps the run dense.
 	if st.scheduler.QueueLen() > 0 {
-		return false
+		return slot
 	}
 	var deliveredW float64
 	for _, j := range st.active {
 		if j.alloc != 1 {
-			return false
+			return slot
 		}
 		deliveredW += j.fullW
+		if j.finishAt == unprojected {
+			j.finishAt = slot + finishSteps(j.remainingMin)
+			st.projections++
+		}
+		if j.finishAt <= slot {
+			return slot
+		}
+		next = min(next, j.finishAt)
 	}
-	return deliveredW <= st.capW
+	if deliveredW > st.capW {
+		return slot
+	}
+	return next
 }
 
 // finishSteps returns the number of further unit-speed slots the job
@@ -132,12 +134,10 @@ func skipProgress(r float64, k int) float64 {
 // Result bit-identical; integer state advances in one move.
 func (st *engineState) skipTo(from, to int) {
 	k := to - from
-	var activeCores float64
 	for _, j := range st.active {
 		j.remainingMin = skipProgress(j.remainingMin, k)
-		activeCores += float64(j.cores)
 	}
-	if activeCores > st.baseCapCores {
+	if activeCores := float64(st.activeCores); activeCores > st.baseCapCores {
 		extra := (activeCores - st.baseCapCores) / 60
 		for i := 0; i < k; i++ {
 			st.res.UsedExtraCoreH += extra

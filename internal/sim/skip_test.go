@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mpr/internal/telemetry/tsdb"
@@ -303,10 +304,36 @@ func TestRunSkipsInertSlots(t *testing.T) {
 	}
 }
 
+// TestSparseRunMemory is the memory gate of a run's set-up and skips: on
+// the repo benchmark's sim_sparse shape — 100 bursts of two jobs, 14.85M
+// slots — one Run allocates well under 1 MB, as its 200 jobs need and
+// nothing sized by its slots would allow.
+func TestSparseRunMemory(t *testing.T) {
+	cfg := Config{Trace: sparseTrace(100, 2, 150000, sparseRuntimeMin), OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d slots, %d emergencies: %d bytes allocated", res.Slots, res.EmergencyCount, allocated)
+	if res.Slots < 14_000_000 || res.EmergencyCount == 0 {
+		t.Fatalf("%d slots, %d emergencies: not the sparse shape", res.Slots, res.EmergencyCount)
+	}
+	if allocated >= 1<<20 {
+		t.Errorf("one sparse run allocated %d bytes, want under 1 MB", allocated)
+	}
+}
+
 // TestFinishProjectedPerChange is the count gate on the finish-slot cache:
 // on the dense and the sparse shape Run projects a job's finish at most
 // once per setAlloc (a start is one), however many slots it then steps or
-// skips through. Before the cache every quietUntil past canSkipFrom
+// skips through. Before the cache every quietUntil that found the run quiet
 // re-projected every active job. Counting instead of timing keeps the
 // gate deterministic on a loaded box.
 func TestFinishProjectedPerChange(t *testing.T) {

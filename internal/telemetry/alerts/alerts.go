@@ -187,7 +187,9 @@ func (r Rule) evalThreshold(sd tsdb.SeriesData) []Firing {
 }
 
 // evalBurn fires when the violating fraction of the trailing
-// WindowSamples samples exceeds BurnFrac.
+// WindowSamples samples exceeds BurnFrac. The fraction is always of the
+// whole window: while a series holds fewer samples, the ones not yet
+// taken count as quiet, so one early blip is not a burn.
 func (r Rule) evalBurn(sd tsdb.SeriesData) (Firing, bool) {
 	pts := sd.Points
 	if len(pts) == 0 {
@@ -212,7 +214,7 @@ func (r Rule) evalBurn(sd tsdb.SeriesData) (Firing, bool) {
 		to = p.T
 		bad++
 	}
-	if bad == 0 || float64(bad)/float64(len(pts)) <= r.BurnFrac {
+	if bad == 0 || float64(bad)/float64(r.WindowSamples) <= r.BurnFrac {
 		return Firing{}, false
 	}
 	return Firing{

@@ -69,6 +69,49 @@ func TestBurnRateRule(t *testing.T) {
 	}
 }
 
+// TestBurnRateShortSeries: a series younger than its window burns only
+// once its violations are more than BurnFrac of the whole window — the
+// samples not yet taken count as quiet. For every burn rule of every rule
+// set, one violating sample in a one-, two- or five-sample series fires
+// nothing, and ⌊BurnFrac·W⌋ + 1 violating samples fire once.
+func TestBurnRateShortSeries(t *testing.T) {
+	var burns int
+	for _, rules := range [][]Rule{SimRules(), LoadRules(), RuntimeRules(), ManagerRules()} {
+		for _, r := range rules {
+			if r.WindowSamples == 0 {
+				continue
+			}
+			burns++
+			bad, quiet := r.Threshold+1, r.Threshold
+			if r.Op == LT {
+				bad = r.Threshold - 1
+			}
+			series := func(n, violating int) []float64 {
+				vals := make([]float64, n)
+				for i := range vals {
+					vals[i] = quiet
+					if i >= n-violating {
+						vals[i] = bad
+					}
+				}
+				return vals
+			}
+			for _, n := range []int{1, 2, 5} {
+				if f := eval([]Rule{r}, []tsdb.SeriesData{rawSeries(r.Series, series(n, 1))}); len(f) != 0 {
+					t.Errorf("%s: one violation in %d samples fired %+v", r.Name, n, f)
+				}
+			}
+			k := int(r.BurnFrac*float64(r.WindowSamples)) + 1
+			if f := eval([]Rule{r}, []tsdb.SeriesData{rawSeries(r.Series, series(k, k))}); len(f) != 1 || f[0].Samples != k {
+				t.Errorf("%s: %d violations of a %d-sample window fired %+v, want once", r.Name, k, r.WindowSamples, f)
+			}
+		}
+	}
+	if burns < 4 {
+		t.Fatalf("%d burn rules, want the four of the rule sets", burns)
+	}
+}
+
 func TestRuleSeriesNaming(t *testing.T) {
 	rule := Rule{Name: "R", Series: "m", Op: GT, Threshold: 1}
 	data := []tsdb.SeriesData{
@@ -175,15 +218,15 @@ func TestDefaultRuleSetsAreWellFormed(t *testing.T) {
 
 func TestLoadRulesFire(t *testing.T) {
 	// A degraded load run: p99 above 1s for a stretch, p999 brushing the
-	// round timeout once, and a quarter of the window below full fleet
-	// attendance. Every load rule should fire exactly once.
+	// round timeout once, and over a quarter of the 20-sample window below
+	// full fleet attendance. Every load rule should fire exactly once.
 	data := []tsdb.SeriesData{
 		rawSeries("mpr_load_rtt_p99_seconds",
 			[]float64{0.2, 0.3, 1.2, 1.4, 1.3, 0.4}),
 		rawSeries("mpr_load_rtt_p999_seconds",
 			[]float64{0.5, 1.95, 0.6}),
 		rawSeries("mpr_load_agents_connected_frac",
-			[]float64{1, 1, 0.97, 0.95, 0.9, 1, 0.98, 0.96, 1, 1}),
+			[]float64{1, 1, 0.97, 0.95, 0.9, 1, 0.98, 0.96, 1, 1, 1, 1, 1, 0.97, 0.98, 1, 1, 1, 1, 1}),
 	}
 	firings := eval(LoadRules(), data)
 	byRule := map[string]int{}
