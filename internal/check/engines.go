@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 
+	"mpr/internal/perf"
 	"mpr/internal/power"
 	"mpr/internal/runner"
 	"mpr/internal/sim"
@@ -14,8 +15,8 @@ import (
 	"mpr/internal/trace"
 )
 
-// This file is the simulator differential: sim.Run, which skips the
-// provably inert slot ranges, and the fixed-step reference
+// This file is the simulator differential: sim.Run, which goes from event
+// to event outside emergencies, and the fixed-step reference
 // sim.RunFixedStep must produce bit-identical Results — scalars, per-job
 // timelines, trace spans, and sampled series — on
 // every configuration the simulator accepts. The driver runs both over
@@ -24,14 +25,22 @@ import (
 
 // SimTrace generates a small adversarial workload: burst submits that
 // pile jobs onto one slot (queue contention, overlapping overloads),
-// medium strides, and long sparse gaps (Run's skip regime),
-// with core demands up to the whole machine and runtimes that are
-// deliberately not whole minutes (fractional remaining work drives the
-// finish-threshold float arithmetic stepping and skipping must agree on).
+// medium strides, and long sparse gaps (Run's event regime), with core
+// demands up to the whole machine and runtimes that are deliberately not
+// whole minutes (fractional remaining work drives the finish-threshold
+// float arithmetic stepping and the event path must agree on), some under
+// a minute (a job that finishes the slot after it starts). One trace in
+// four also floods one slot with jobs wider than half the machine, so the
+// FCFS queue stays non-empty across the finishes that start them one by
+// one.
 func (g *Gen) SimTrace() *trace.Trace {
 	totalCores := 8 << g.rng.Intn(4) // 8, 16, 32, or 64
 	n := 4 + g.rng.Intn(40)
-	jobs := make([]trace.Job, 0, n)
+	flood := -1
+	if g.rng.Float64() < 0.25 {
+		flood = g.rng.Intn(n)
+	}
+	jobs := make([]trace.Job, 0, n+6)
 	var submit int64
 	for i := 0; i < n; i++ {
 		switch r := g.rng.Float64(); {
@@ -43,8 +52,11 @@ func (g *Gen) SimTrace() *trace.Trace {
 			submit += int64(g.rng.Intn(2000)) * 60 // sparse gap
 		}
 		runtime := int64(60 + g.rng.Intn(4*3600))
-		if g.rng.Float64() < 0.3 {
+		switch r := g.rng.Float64(); {
+		case r < 0.3:
 			runtime = runtime / 60 * 60 // exact whole minutes
+		case r < 0.4:
+			runtime = 1 + int64(g.rng.Intn(59)) // under a minute
 		}
 		// Mostly narrow jobs: the oversubscribed capacity derives from the
 		// workload's no-queueing peak, so bursts must actually fit on the
@@ -54,20 +66,30 @@ func (g *Gen) SimTrace() *trace.Trace {
 			cores = 1 + g.rng.Intn(totalCores)
 		}
 		jobs = append(jobs, trace.Job{
-			ID:      i + 1,
+			ID:      len(jobs) + 1,
 			Submit:  submit,
 			Runtime: runtime,
 			Cores:   cores,
 		})
+		if i == flood {
+			for k := 3 + g.rng.Intn(4); k > 0; k-- {
+				jobs = append(jobs, trace.Job{
+					ID:      len(jobs) + 1,
+					Submit:  submit,
+					Runtime: int64(60 + g.rng.Intn(90*60)),
+					Cores:   totalCores/2 + 1 + g.rng.Intn(totalCores/2),
+				})
+			}
+		}
 	}
 	return &trace.Trace{Name: "engine-diff", TotalCores: totalCores, Jobs: jobs}
 }
 
 // SimConfig draws a full simulator configuration over the generated
 // trace: every algorithm, oversubscription levels that mostly force
-// emergencies, market delays, participation and bid-factor
-// variation, cost errors, power phases, predictive mode, and the dense
-// series samplers — each a distinct code path the differential must
+// emergencies, fractional and mixed per-core power models, market delays,
+// participation and bid-factor variation, cost errors, power phases,
+// predictive mode, and the dense series samplers — each a distinct code path the differential must
 // pin. RecordJobs is left for the driver to set.
 func (g *Gen) SimConfig() sim.Config {
 	algs := []sim.Algorithm{
@@ -84,12 +106,27 @@ func (g *Gen) SimConfig() sim.Config {
 	} else {
 		cfg.OversubPct = 8 + 30*g.rng.Float64()
 	}
+	if g.rng.Float64() < 0.30 {
+		// Fractional watts: no power sum is exact in integers.
+		cfg.CoreModel = power.CoreModel{StaticW: 10 + 30*g.rng.Float64(), DynamicW: 60 + 140*g.rng.Float64()}
+	}
+	if g.rng.Float64() < 0.25 {
+		// Mixed draws: the GPU profiles at the GPU model beside the CPU ones.
+		cfg.Profiles = perf.AllProfiles()
+		cfg.AppPower = map[string]power.CoreModel{}
+		for _, p := range perf.GPUProfiles() {
+			cfg.AppPower[p.Name] = power.DefaultGPUCoreModel
+		}
+	}
 	if g.rng.Float64() < 0.35 {
 		// Pin the capacity below the machine's realizable full-power draw
 		// so overloads occur whenever utilization climbs, independent of
 		// the no-queueing peak the derived capacity is based on.
-		perCore := power.DefaultCPUCoreModel.StaticW + power.DefaultCPUCoreModel.DynamicW
-		cfg.CapacityOverrideW = (0.55 + 0.4*g.rng.Float64()) * perCore * float64(cfg.Trace.TotalCores)
+		m := cfg.CoreModel
+		if m == (power.CoreModel{}) {
+			m = power.DefaultCPUCoreModel
+		}
+		cfg.CapacityOverrideW = (0.55 + 0.4*g.rng.Float64()) * (m.StaticW + m.DynamicW) * float64(cfg.Trace.TotalCores)
 	}
 	cfg.CooldownSlots = 1 + g.rng.Intn(15)
 	if g.rng.Float64() < 0.35 {

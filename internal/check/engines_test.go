@@ -1,11 +1,14 @@
 package check
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 	"time"
 
+	"mpr/internal/perf"
+	"mpr/internal/power"
 	"mpr/internal/sim"
 	"mpr/internal/telemetry"
 	"mpr/internal/trace"
@@ -44,6 +47,91 @@ func TestDiffEngines(t *testing.T) {
 	}
 	if st.Emergencies < st.Instances/4 {
 		t.Errorf("only %d emergencies across %d instances — overload coverage too thin", st.Emergencies, st.Instances)
+	}
+}
+
+// TestDiffEnginesEdges pins sim.Run to the fixed-step reference on one
+// hand-built workload per edge of the event path, and checks that each
+// workload reaches its edge: power sums that are not exact in integers,
+// jobs that finish the slot after they start, and an FCFS queue that stays
+// non-empty across the finishes that start its jobs.
+func TestDiffEnginesEdges(t *testing.T) {
+	gpuPower := map[string]power.CoreModel{}
+	for _, p := range perf.GPUProfiles() {
+		gpuPower[p.Name] = power.DefaultGPUCoreModel
+	}
+	var narrow, short, wide []trace.Job
+	for i := 0; i < 40; i++ {
+		narrow = append(narrow, trace.Job{ID: i + 1, Submit: int64(i/5) * 300, Runtime: int64(1800 + 97*i), Cores: 2 + i%5})
+		runtime := int64(1 + i%59) // under a minute
+		if i%3 == 0 {
+			runtime = int64(3600 + 61*i)
+		}
+		short = append(short, trace.Job{ID: i + 1, Submit: int64(i/4) * 60, Runtime: runtime, Cores: 3 + i%4})
+	}
+	for i := 0; i < 12; i++ {
+		// Two floods of wide jobs: one runs at a time, the rest queue.
+		wide = append(wide, trace.Job{ID: i + 1, Submit: int64(i/6) * 900, Runtime: int64(600 + 45*i), Cores: 9 + i%7})
+	}
+	started := func(res *sim.Result, pred func(j sim.JobOutcome) bool) int {
+		n := 0
+		for _, j := range res.Jobs {
+			if j.Started && pred(j) {
+				n++
+			}
+		}
+		return n
+	}
+	cases := []struct {
+		name  string
+		cfg   sim.Config
+		check func(res *sim.Result) error
+	}{
+		{"fractional-and-gpu-watts", sim.Config{
+			Trace: &trace.Trace{Name: "watts", TotalCores: 64, Jobs: narrow}, CapacityOverrideW: 6500,
+			Algorithm: sim.AlgMPRStat, Seed: 3, CoreModel: power.CoreModel{StaticW: 23.7, DynamicW: 118.45},
+			Profiles: perf.AllProfiles(), AppPower: gpuPower,
+		}, func(res *sim.Result) error {
+			if res.EmergencyCount == 0 || res.PeakW == math.Trunc(res.PeakW) {
+				return fmt.Errorf("%d emergencies at a peak of %v W: want an overload at fractional watts", res.EmergencyCount, res.PeakW)
+			}
+			return nil
+		}},
+		{"sub-minute-runtimes", sim.Config{
+			Trace: &trace.Trace{Name: "short", TotalCores: 32, Jobs: short}, OversubPct: 15,
+			Algorithm: sim.AlgMPRInt, Seed: 5,
+		}, func(res *sim.Result) error {
+			if n := started(res, func(j sim.JobOutcome) bool { return j.Done && j.EndSlot == j.StartSlot+1 }); n < 10 {
+				return fmt.Errorf("%d jobs finished the slot after their start, want ≥ 10", n)
+			}
+			return nil
+		}},
+		{"queued-across-finishes", sim.Config{
+			Trace: &trace.Trace{Name: "wide", TotalCores: 16, Jobs: wide}, OversubPct: 10,
+			Algorithm: sim.AlgMPRStat, Seed: 7,
+		}, func(res *sim.Result) error {
+			ends := map[int]bool{}
+			for _, j := range res.Jobs {
+				ends[j.EndSlot] = j.Done
+			}
+			if n := started(res, func(j sim.JobOutcome) bool { return j.StartSlot > j.SubmitSlot && ends[j.StartSlot] }); n < 6 {
+				return fmt.Errorf("%d queued jobs started at a finish, want ≥ 6", n)
+			}
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.RecordJobs = true
+			tc.cfg.TraceEvents = diffTraceEvents
+			res, err := runEngines(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.check(res); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -79,8 +79,10 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 	if len(ps) == 0 {
 		return nil, ErrNoParticipants
 	}
-	ix, err := NewMarketIndex(ps)
-	if err != nil {
+	// The index is recycled as Clear's is: the result never aliases it.
+	ix := oneShotIndexes.Get().(*MarketIndex)
+	defer recycleIndex(ix)
+	if err := ix.Reset(ps); err != nil {
 		return nil, err
 	}
 	bids := make([]Bid, len(ps))

@@ -483,3 +483,28 @@ func TestRespondBidsSharesClasses(t *testing.T) {
 		}
 	}
 }
+
+// TestClearInteractiveRecyclesIndex is the allocation gate of an MPR-INT
+// market at a pooled size: the market index comes from the pool Clear
+// recycles, so a call allocates five objects — the result and its
+// reductions, the bids its bidders fill, and the bid classes (a struct and
+// its class slice) — and no index array, which costs seven more. The bound
+// is 8, not 5, because under the race detector sync.Pool drops about one
+// Put in four.
+func TestClearInteractiveRecyclesIndex(t *testing.T) {
+	apps := []string{"XSBench", "RSBench", "SimpleMOC", "CoMD", "HPCCG", "SWFFT", "miniMD", "miniFE"}
+	var pool []string
+	for len(pool) < 64 {
+		pool = append(pool, apps...)
+	}
+	ps, bs := interactiveSetup(t, pool, 16)
+	clear := func() {
+		if _, err := ClearInteractive(ps, bs, 20000, InteractiveConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clear()
+	if allocs := testing.AllocsPerRun(100, clear); allocs > 8 {
+		t.Fatalf("ClearInteractive over %d participants allocates %v per call, want at most 8", len(ps), allocs)
+	}
+}

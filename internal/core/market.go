@@ -194,11 +194,12 @@ func Clear(ps []*Participant, targetW float64) (*ClearingResult, error) {
 	return ix.Clear(targetW)
 }
 
-// oneShotIndexes recycles the index Clear builds for a
-// single solve: Reset reuses an index's arrays when they are large
-// enough, and those arrays were most of what a fresh clear allocated.
-// The result never aliases the index — ix.Clear allocates the result and
-// its Reductions — so the index can go back as soon as the call returns.
+// oneShotIndexes recycles the index Clear builds for a single solve, and
+// Iterate for one interactive market: Reset reuses an index's arrays when
+// they are large enough, and those arrays were most of what a fresh clear
+// allocated. The result never aliases the index — ix.Clear allocates the
+// result and its Reductions, and Iterate clears into a result of its own —
+// so the index can go back as soon as the call returns.
 var oneShotIndexes = sync.Pool{New: func() any { return new(MarketIndex) }}
 
 // maxPooledIndex bounds the index recycleIndex keeps, in participants: the

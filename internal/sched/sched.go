@@ -39,8 +39,14 @@ type Scheduler struct {
 	backfill   bool
 	halted     bool
 
+	// queue[head:] is the FCFS queue: a start pops the head by moving
+	// head, and Submit moves the queue back to the front of its array
+	// before it would grow it.
 	queue   []Request
+	head    int
 	running map[int]running
+	// started is TryStartBudget's result, reused by the next call.
+	started []Request
 }
 
 // New creates a scheduler for a cluster with the given core count.
@@ -67,6 +73,10 @@ func (s *Scheduler) Submit(r Request) error {
 	if _, ok := s.running[r.ID]; ok {
 		return fmt.Errorf("sched: job %d already running", r.ID)
 	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
+	}
 	s.queue = append(s.queue, r)
 	return nil
 }
@@ -82,7 +92,7 @@ func (s *Scheduler) Halted() bool { return s.halted }
 func (s *Scheduler) FreeCores() int { return s.freeCores }
 
 // QueueLen reports the number of waiting jobs.
-func (s *Scheduler) QueueLen() int { return len(s.queue) }
+func (s *Scheduler) QueueLen() int { return len(s.queue) - s.head }
 
 // RunningCount reports the number of started, unfinished jobs.
 func (s *Scheduler) RunningCount() int { return len(s.running) }
@@ -109,8 +119,10 @@ func (s *Scheduler) ExtendRuntime(id int, newExpectedEnd int64) {
 }
 
 // TryStart starts as many queued jobs as admission, core availability,
-// and the backfill policy allow, and returns them in start order. now is
-// the current time in the same unit as EstRuntime.
+// and the backfill policy allow, and returns them in start order, or nil
+// when it starts none. now is the current time in the same unit as
+// EstRuntime. The returned slice belongs to the scheduler and holds until
+// its next TryStart or TryStartBudget call: a caller reads it at once.
 func (s *Scheduler) TryStart(now int64) []Request {
 	return s.TryStartBudget(now, s.totalCores)
 }
@@ -124,33 +136,37 @@ func (s *Scheduler) TryStartBudget(now int64, coreBudget int) []Request {
 	if s.halted || coreBudget <= 0 {
 		return nil
 	}
-	var started []Request
+	s.started = s.started[:0]
 
 	// Plain FCFS from the head.
-	for len(s.queue) > 0 && s.queue[0].Cores <= s.freeCores && s.queue[0].Cores <= coreBudget {
-		r := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.head < len(s.queue) && s.queue[s.head].Cores <= s.freeCores && s.queue[s.head].Cores <= coreBudget {
+		r := s.queue[s.head]
+		s.head++
 		s.start(r, now)
 		coreBudget -= r.Cores
-		started = append(started, r)
+		s.started = append(s.started, r)
 	}
-	if len(s.queue) == 0 || !s.backfill {
-		return started
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	if s.head == len(s.queue) || !s.backfill {
+		return s.result()
 	}
 
 	// EASY backfill: reserve a shadow time for the queue head, then let
 	// later jobs jump ahead only if they cannot delay that reservation.
-	head := s.queue[0]
+	// The jobs that stay are compacted in place behind the head.
+	head := s.queue[s.head]
 	shadow, spareAtShadow := s.shadow(head)
-	kept := s.queue[:1]
-	for _, r := range s.queue[1:] {
+	kept := s.queue[:s.head+1]
+	for _, r := range s.queue[s.head+1:] {
 		fitsNow := r.Cores <= s.freeCores && r.Cores <= coreBudget
 		endsBeforeShadow := now+r.EstRuntime <= shadow
 		fitsSpare := r.Cores <= spareAtShadow
 		if fitsNow && (endsBeforeShadow || fitsSpare) {
 			s.start(r, now)
 			coreBudget -= r.Cores
-			started = append(started, r)
+			s.started = append(s.started, r)
 			if !endsBeforeShadow {
 				spareAtShadow -= r.Cores
 			}
@@ -158,8 +174,16 @@ func (s *Scheduler) TryStartBudget(now int64, coreBudget int) []Request {
 			kept = append(kept, r)
 		}
 	}
-	s.queue = append([]Request(nil), kept...)
-	return started
+	s.queue = kept
+	return s.result()
+}
+
+// result is TryStartBudget's return value: the jobs it started, or nil.
+func (s *Scheduler) result() []Request {
+	if len(s.started) == 0 {
+		return nil
+	}
+	return s.started
 }
 
 func (s *Scheduler) start(r Request, now int64) {

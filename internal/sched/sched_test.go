@@ -242,3 +242,50 @@ func TestBackfillShadowTieDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyCycleZeroAlloc is the allocation gate of the FCFS hot path: once
+// the queue, the running set and the result have reached their steady
+// size, a cycle of Submit, TryStart and Finish — one job in, one started,
+// one done, with a second job always queued behind the head — allocates
+// nothing, and TryStart's result is still nil when it starts nothing.
+func TestSteadyCycleZeroAlloc(t *testing.T) {
+	const width = 16
+	s := mustNew(t, width*4, false)
+	id := 0
+	submit := func() {
+		id++
+		if err := s.Submit(Request{ID: id, Cores: 4, EstRuntime: width}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < width+2; i++ {
+		submit()
+	}
+	if got := len(s.TryStart(0)); got != width || s.QueueLen() != 2 {
+		t.Fatalf("started %d with %d queued, want %d with 2", got, s.QueueLen(), width)
+	}
+	done := 0
+	cycle := func() {
+		submit()
+		if got := s.TryStart(0); got != nil {
+			t.Fatalf("started %+v with no core free", got)
+		}
+		done++
+		if err := s.Finish(done); err != nil {
+			t.Fatal(err)
+		}
+		got := s.TryStart(0)
+		if len(got) != 1 || got[0].ID != width+done {
+			t.Fatalf("cycle %d started %+v, want job %d", done, got, width+done)
+		}
+	}
+	for i := 0; i < 4*width; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("a steady Submit/TryStart/Finish cycle allocates %v, want 0", allocs)
+	}
+	if s.QueueLen() != 2 || s.RunningCount() != width {
+		t.Fatalf("%d queued, %d running; want 2 and %d", s.QueueLen(), s.RunningCount(), width)
+	}
+}

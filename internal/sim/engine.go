@@ -20,21 +20,21 @@ import (
 
 // simJob is the engine's per-job state.
 type simJob struct {
-	// The fields every slot reads come first. speed, allocW and finishAt
-	// are pure functions of alloc and the job's progress, cached because
-	// alloc changes a few times per job while the loops run every slot:
-	// setAlloc is alloc's only writer and refreshes speed and allocW;
-	// quietUntil fills finishAt.
+	// The fields every slot reads come first. speed and allocW are pure
+	// functions of alloc, cached because alloc changes a few times per job
+	// while the loops run every slot: setAlloc is alloc's only writer and
+	// refreshes both.
 	remainingMin float64
 	alloc        float64 // per-core allocation knob, 1 = full speed
 	speed        float64 // profile.Speed(alloc), the work done per slot
 	allocW       float64 // power.JobPower(cores, alloc), the delivered draw
 	fullW        float64 // power.JobPower(cores, 1), the demanded draw
-	// finishAt is the slot at which step finishes the job if it runs at
-	// unit speed throughout — slot + finishSteps(remainingMin) as of any
-	// slot since the projection — or unprojected.
+	cores        int
+	// anchor and finishAt are the job's state in the event regime
+	// (events.go): remainingMin is its remaining work at the top of slot
+	// anchor, and finishAt is the slot whose finish scan finishes it.
+	anchor   int
 	finishAt int
-	cores    int
 
 	// id is the job's trace ID, which names it in a market and in
 	// Result.Jobs; idx is its index in engineState.jobs, which keys it
@@ -79,11 +79,11 @@ type simJob struct {
 }
 
 // engineState is one run's complete mutable state, advanced by the
-// per-slot transition step. Run calls step only for slots where the state
-// can change and replays the provably inert ranges in bulk (skip.go);
-// RunFixedStep, the tests' reference, calls it for every slot. Everything
-// a slot can read or write lives here, which is what makes the two
-// bit-identical by construction rather than by tolerance.
+// per-slot transition step. Run calls step only while an emergency is in
+// play and otherwise goes from event to event (events.go); RunFixedStep,
+// the tests' reference, calls step for every slot. Everything a slot can
+// read or write lives here, which is what makes the two bit-identical by
+// construction rather than by tolerance.
 type engineState struct {
 	cfg *Config
 	res *Result
@@ -106,6 +106,8 @@ type engineState struct {
 	scheduler *sched.Scheduler
 	fc        *forecast.Forecaster
 
+	// active is the running jobs in start order: starts append and
+	// finishes keep the order.
 	active []*simJob
 	// activeCores is Σ cores over active: a start adds to it and a
 	// finish subtracts. An integer sum is exact in any order, so its
@@ -133,33 +135,32 @@ type engineState struct {
 	marketAlgo  bool
 
 	horizon int
-	// steps counts the slots that went through step — what a run costs,
-	// as opposed to res.Slots, what it simulated.
-	steps int
+	// events is whether the event regime is in force: each running job's
+	// progress is implicit from its anchor.
+	events bool
+
+	// steps counts the slots the loop visited, through step or eventSlot —
+	// what a run costs, as opposed to res.Slots, what it simulated. settles
+	// counts those that went through settle, the full per-job transition.
+	steps   int
+	settles int
 	// bidsDerived counts the static bids deriveStaticBids computed: the
 	// distinct jobs that ever entered an MPR-STAT market. bidSolves counts
 	// the per-core solves behind them: one per distinct bid model per
 	// batch.
 	bidsDerived int
 	bidSolves   int
-	// allocSets counts setAlloc calls, job starts included; projections
-	// counts the finish slots quietUntil computed. Each setAlloc leaves at
-	// most one projection to make, so projections ≤ allocSets.
-	allocSets   int
+	// projections counts the finish slots the event path computed: one per
+	// job started in the regime and one per job running when it is entered.
 	projections int
 }
 
-// unprojected marks a simJob.finishAt that quietUntil has yet to compute.
-const unprojected = -1
-
-// setAlloc sets j's allocation knob, refreshes the values cached from it
-// and drops j's finish projection, which assumed the old speed.
+// setAlloc sets j's allocation knob and refreshes the values cached from
+// it.
 func (st *engineState) setAlloc(j *simJob, a float64) {
 	j.alloc = a
 	j.speed = j.profile.Speed(a)
 	j.allocW = j.power.JobPower(float64(j.cores), a)
-	j.finishAt = unprojected
-	st.allocSets++
 }
 
 // applyOrder puts a reduction order's allocation a in force on j at slot
@@ -174,8 +175,8 @@ func (st *engineState) applyOrder(j *simJob, a float64, slot int) {
 // Run executes the simulation and returns its result.
 func Run(cfg Config) (*Result, error) { return drive(cfg, (*engineState).run) }
 
-// RunFixedStep is Run without skip-ahead: every slot of the horizon goes
-// through step, whether or not anything can change in it. It is the
+// RunFixedStep is Run without the event path: every slot of the horizon
+// goes through step, whether or not anything can change in it. It is the
 // reference the tests and internal/check hold Run to, bit for bit; nothing
 // else should call it.
 func RunFixedStep(cfg Config) (*Result, error) { return drive(cfg, (*engineState).runFixedStep) }
@@ -191,20 +192,29 @@ func drive(cfg Config, loop func(*engineState) error) (*Result, error) {
 	return st.finish(), nil
 }
 
-// run is the simulator's loop: step the slots where something can change,
-// skip the provably inert ranges between them.
+// run is the simulator's loop: from event to event while the event regime
+// holds, every slot through step while it does not.
 func (st *engineState) run() error {
-	for slot := 0; st.live(slot); {
-		if next := st.quietUntil(slot); next > slot {
-			st.skipTo(slot, next)
-			slot = next
+	slot := 0
+	for st.live(slot) {
+		if !st.events && st.eventRegime() {
+			st.enterEvents(slot)
+		}
+		if !st.events {
+			if err := st.step(slot); err != nil {
+				return err
+			}
+			slot++
 			continue
 		}
-		if err := st.step(slot); err != nil {
+		next, err := st.eventSlot(slot)
+		if err != nil {
 			return err
 		}
-		slot++
+		slot = next
 	}
+	// Result.Jobs reads the remaining work of the jobs still running.
+	st.leaveEvents(slot)
 	return nil
 }
 
@@ -320,32 +330,36 @@ func newEngineState(cfg *Config) (*engineState, error) {
 }
 
 // step advances the simulation by one slot: the complete per-slot
-// transition.
+// transition, admit's steps 1–2 and then settle's steps 3–6.
+//
+// Steps 1 and 2 sum the jobs' power as they compact and append the active
+// list, unless a delayed order lands this slot or power phases are on:
+// then step 3 sums it in a pass of its own. Either way each job adds its
+// draw in active order.
 func (st *engineState) step(slot int) error {
-	cfg := st.cfg
-	res := st.res
 	st.steps++
+	fused := st.cfg.PhaseAmp == 0 && !(st.pendingAllocs != nil && slot >= st.pendingApplyAt)
+	demandW, deliveredW, err := st.admit(slot, fused)
+	if err != nil {
+		return err
+	}
+	return st.settle(slot, fused, demandW, deliveredW)
+}
 
-	// Steps 1 and 2 sum the jobs' power as they compact and append the
-	// active list, unless a delayed order lands this slot or power phases
-	// are on: then step 3 sums it in a pass of its own. Either way each
-	// job adds its draw in active order.
-	fused := cfg.PhaseAmp == 0 && !(st.pendingAllocs != nil && slot >= st.pendingApplyAt)
-	var demandW, deliveredW float64
+// admit is steps 1 and 2 of slot: finishes, arrivals and starts. When
+// fused it also returns the demanded and delivered power of the jobs
+// active afterwards, summed in active order.
+func (st *engineState) admit(slot int, fused bool) (demandW, deliveredW float64, err error) {
+	cfg := st.cfg
 
 	// 1. Finish jobs that completed their work (compacting the
 	// active list in place, preserving deterministic order).
 	keep := st.active[:0]
 	for _, j := range st.active {
 		if j.remainingMin <= 1e-9 {
-			j.running = false
-			j.done = true
-			j.endSlot = slot
-			if err := st.scheduler.Finish(j.idx); err != nil {
-				return err
+			if err := st.finishJob(j, slot); err != nil {
+				return 0, 0, err
 			}
-			st.activeCores -= j.cores
-			res.JobsCompleted++
 			continue
 		}
 		keep = append(keep, j)
@@ -363,13 +377,8 @@ func (st *engineState) step(slot int) error {
 	// until power recedes, preventing the breach instead of reacting
 	// to it (the strongest form of Section III-D's early
 	// invocation).
-	for ; st.nextArrival < len(st.arrivals) && st.arrivals[st.nextArrival].submitSlot == slot; st.nextArrival++ {
-		j := st.arrivals[st.nextArrival]
-		if err := st.scheduler.Submit(sched.Request{
-			ID: j.idx, Cores: j.cores, EstRuntime: int64(math.Ceil(j.origMin)),
-		}); err != nil {
-			return err
-		}
+	if err := st.submitArrivals(slot); err != nil {
+		return 0, 0, err
 	}
 	startBudget := cfg.Trace.TotalCores
 	if cfg.Predictive && st.ec.State() == power.StateNormal {
@@ -389,16 +398,57 @@ func (st *engineState) step(slot int) error {
 	}
 	for _, req := range st.scheduler.TryStartBudget(int64(slot), startBudget) {
 		j := st.jobs[req.ID]
-		j.running = true
-		j.startSlot = slot
-		st.setAlloc(j, 1)
-		st.active = append(st.active, j)
-		st.activeCores += j.cores
+		st.startJob(j, slot)
 		if fused {
 			demandW += j.fullW
 			deliveredW += j.allocW
 		}
 	}
+	return demandW, deliveredW, nil
+}
+
+// finishJob ends the running job j at slot.
+func (st *engineState) finishJob(j *simJob, slot int) error {
+	j.running = false
+	j.done = true
+	j.endSlot = slot
+	if err := st.scheduler.Finish(j.idx); err != nil {
+		return err
+	}
+	st.activeCores -= j.cores
+	st.res.JobsCompleted++
+	return nil
+}
+
+// submitArrivals queues the jobs that arrive at slot, in arrival order.
+func (st *engineState) submitArrivals(slot int) error {
+	for ; st.nextArrival < len(st.arrivals) && st.arrivals[st.nextArrival].submitSlot == slot; st.nextArrival++ {
+		j := st.arrivals[st.nextArrival]
+		if err := st.scheduler.Submit(sched.Request{
+			ID: j.idx, Cores: j.cores, EstRuntime: int64(math.Ceil(j.origMin)),
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// startJob starts j at slot at full speed, last in start order.
+func (st *engineState) startJob(j *simJob, slot int) {
+	j.running = true
+	j.startSlot = slot
+	st.setAlloc(j, 1)
+	st.active = append(st.active, j)
+	st.activeCores += j.cores
+}
+
+// settle is steps 3–6 of slot, after admit: delayed orders, power, the
+// controller and its market, accounting and progress. demandW and
+// deliveredW are admit's sums when fused; otherwise step 3 sums them.
+func (st *engineState) settle(slot int, fused bool, demandW, deliveredW float64) error {
+	cfg := st.cfg
+	res := st.res
+	st.settles++
 
 	// 3. Apply any reduction orders whose market delay has elapsed,
 	// then account power.

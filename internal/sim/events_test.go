@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
+	"mpr/internal/power"
 	"mpr/internal/telemetry/tsdb"
 	"mpr/internal/trace"
 )
@@ -199,38 +201,52 @@ func TestSkipProgressMatchesIterated(t *testing.T) {
 	}
 }
 
-// TestEventSkipSteadyZeroAlloc gates the skip path: with jobs running and
-// the system quiescent, the quiescence check, the finish projection, and
-// the bulk replay allocate nothing.
+// TestEventSkipSteadyZeroAlloc gates the event path's steady state: with
+// jobs running below the capacity, an event slot — a finish, an arrival,
+// a start and its projection, the power pass and the jump to the next
+// event — allocates nothing.
 func TestEventSkipSteadyZeroAlloc(t *testing.T) {
-	jobs := make([]trace.Job, 0, 16)
-	for i := 0; i < 16; i++ {
-		jobs = append(jobs, trace.Job{ID: i + 1, Cores: 4, Submit: 0, Runtime: 6000000})
+	const runMin, n = 16, 600
+	jobs := make([]trace.Job, 0, n)
+	for i := 0; i < n; i++ {
+		jobs = append(jobs, trace.Job{ID: i + 1, Cores: 4, Submit: int64(i) * 60, Runtime: runMin * 60})
 	}
 	cfg := Config{
-		Trace:     &trace.Trace{Name: "steady", TotalCores: 256, Jobs: jobs},
-		Algorithm: AlgNone,
-		Seed:      1,
+		Trace:             &trace.Trace{Name: "steady", TotalCores: 256, Jobs: jobs},
+		CapacityOverrideW: 1e9,
+		Algorithm:         AlgNone,
+		Seed:              1,
 	}
 	st, err := newEngineState(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.step(0); err != nil { // admit and start everything
-		t.Fatal(err)
+	if !st.eventRegime() {
+		t.Fatal("a fresh run is not in the event regime")
 	}
-	if len(st.active) != 16 {
-		t.Fatalf("active = %d, want 16", len(st.active))
-	}
-	slot := 1
-	if allocs := testing.AllocsPerRun(500, func() {
-		if next := st.quietUntil(slot); next < slot+7 {
-			t.Fatalf("quietUntil(%d) = %d: expected a quiescent state", slot, next)
+	st.enterEvents(0)
+	slot := 0
+	advance := func() {
+		next, err := st.eventSlot(slot)
+		if err != nil {
+			t.Fatal(err)
 		}
-		st.skipTo(slot, slot+7)
-		slot += 7
-	}); allocs != 0 {
-		t.Fatalf("skip path allocates %v per cycle, want 0", allocs)
+		if next != slot+1 || !st.events {
+			t.Fatalf("eventSlot(%d) = %d (regime %v): want the next arrival", slot, next, st.events)
+		}
+		slot = next
+	}
+	for slot < 4*runMin { // warm up past the first finishes
+		advance()
+	}
+	if len(st.active) != runMin {
+		t.Fatalf("active = %d, want %d", len(st.active), runMin)
+	}
+	if allocs := testing.AllocsPerRun(400, advance); allocs != 0 {
+		t.Fatalf("event path allocates %v per slot, want 0", allocs)
+	}
+	if got := st.res.JobsCompleted; got != slot-runMin {
+		t.Fatalf("%d jobs completed by slot %d, want %d", got, slot, slot-runMin)
 	}
 }
 
@@ -330,20 +346,22 @@ func TestSparseRunMemory(t *testing.T) {
 	}
 }
 
-// TestFinishProjectedPerChange is the count gate on the finish-slot cache:
-// on the dense and the sparse shape Run projects a job's finish at most
-// once per setAlloc (a start is one), however many slots it then steps or
-// skips through. Before the cache every quietUntil that found the run quiet
-// re-projected every active job. Counting instead of timing keeps the
-// gate deterministic on a loaded box.
+// TestFinishProjectedPerChange is the count gate on finish projections:
+// on the dense and the sparse shape Run projects a job's finish once when
+// it starts and once each time the event regime is entered while it runs,
+// however many slots it then runs through. The regime is entered at slot 0
+// and on the slot after each lift, read off the emergency spans. Counting
+// instead of timing keeps the gate deterministic on a loaded box.
 func TestFinishProjectedPerChange(t *testing.T) {
+	dense := Config{Trace: gaiaWeek(t), OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1, RecordJobs: true}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"dense", Config{Trace: gaiaWeek(t), OversubPct: 15, Algorithm: AlgMPRStat, Seed: 1}},
+		{"dense", dense},
 		{"sparse", sparseConfig()},
 	} {
+		tc.cfg.TraceEvents = 1 << 12
 		st, err := newEngineState(&tc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -352,21 +370,145 @@ func TestFinishProjectedPerChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := st.finish()
-		started := 0
-		for _, j := range st.jobs {
-			if j.running || j.done {
-				started++
+		entries := []int{0}
+		for _, sp := range res.Spans {
+			for _, a := range sp.Attrs {
+				if sp.Name != "emergency" || a.Key != "lift_slot" {
+					continue
+				}
+				lift, err := strconv.Atoi(a.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lift+1 < res.Slots {
+					entries = append(entries, lift+1)
+				}
 			}
 		}
-		t.Logf("%s: %d projections, %d jobs started, %d setAlloc calls, %d of %d slots stepped",
-			tc.name, st.projections, started, st.allocSets, st.steps, res.Slots)
-		if res.EmergencyCount == 0 || st.projections == 0 {
-			t.Fatalf("%s: %d emergencies, %d projections — not exercising the cache", tc.name, res.EmergencyCount, st.projections)
+		want := 0
+		for _, j := range res.Jobs {
+			if !j.Started {
+				continue
+			}
+			want++ // its start
+			for _, e := range entries {
+				if j.StartSlot < e && (!j.Done || j.EndSlot >= e) {
+					want++ // running at the top of an entry slot
+				}
+			}
 		}
-		if st.allocSets < started || st.projections > st.allocSets {
-			t.Errorf("%s: %d projections for %d setAlloc calls (%d starts), want at most one per call",
-				tc.name, st.projections, st.allocSets, started)
+		t.Logf("%s: %d projections, %d regime entries, %d emergencies, %d of %d slots visited",
+			tc.name, st.projections, len(entries), res.EmergencyCount, st.steps, res.Slots)
+		if res.EmergencyCount == 0 || len(entries) < 2 {
+			t.Fatalf("%s: %d emergencies, %d regime entries — not exercising re-entry", tc.name, res.EmergencyCount, len(entries))
 		}
+		if len(entries) > res.EmergencyCount+1 {
+			t.Errorf("%s: %d lifts for %d emergencies", tc.name, len(entries)-1, res.EmergencyCount)
+		}
+		if st.projections != want {
+			t.Errorf("%s: %d projections, want %d: one per start and one per running job at each regime entry",
+				tc.name, st.projections, want)
+		}
+	}
+}
+
+// TestDenseRunStepsOnlyEmergencies is the visited-slot gate on the dense
+// shape: outside an emergency Run goes from event to event, so the slots
+// that go through the full per-job transition are the emergencies' slots
+// and each emergency's lift slot, for both market algorithms.
+func TestDenseRunStepsOnlyEmergencies(t *testing.T) {
+	tr := gaiaWeek(t)
+	for _, algo := range []Algorithm{AlgMPRInt, AlgMPRStat} {
+		cfg := Config{Trace: tr, OversubPct: 15, Algorithm: algo, Seed: 1}
+		st, err := newEngineState(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.run(); err != nil {
+			t.Fatal(err)
+		}
+		res := st.finish()
+		t.Logf("%s: %d of %d slots visited, %d through the full transition; %d emergencies, %d emergency slots",
+			algo, st.steps, res.Slots, st.settles, res.EmergencyCount, res.EmergencySlots)
+		if res.EmergencyCount == 0 {
+			t.Fatalf("%s: no emergencies — not exercising the market", algo)
+		}
+		if limit := res.EmergencySlots + res.EmergencyCount; st.settles > limit {
+			t.Errorf("%s: %d slots went through the full transition, want at most %d (emergency slots + lifts)",
+				algo, st.settles, limit)
+		}
+	}
+}
+
+// TestEventRegimeInvariant checks, at the top of every slot of a
+// fixed-step run, what eventRegime assumes without walking the jobs:
+// outside an emergency no delayed order is in force, the controller is at
+// rest and every running job is at full speed. The runs cover both
+// markets, no market, and immediate and delayed orders.
+func TestEventRegimeInvariant(t *testing.T) {
+	tr := gaiaWeek(t)
+	for _, tc := range []struct {
+		algo  Algorithm
+		delay int
+	}{
+		{AlgMPRInt, 0}, {AlgMPRStat, 0}, {AlgMPRStat, 3}, {AlgMPRInt, 2}, {AlgMPRStat, 15}, {AlgNone, 0},
+	} {
+		cfg := Config{Trace: tr, OversubPct: 15, Algorithm: tc.algo, MarketDelaySlots: tc.delay, Seed: 1}
+		st, err := newEngineState(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outside := 0
+		for slot := 0; st.live(slot); slot++ {
+			if !st.emergency {
+				outside++
+				if st.pendingAllocs != nil || st.ec.State() != power.StateNormal {
+					t.Fatalf("%s delay %d slot %d: no emergency, but delayed order %v, controller %v",
+						tc.algo, tc.delay, slot, st.pendingAllocs != nil, st.ec.State())
+				}
+				for _, j := range st.active {
+					if j.alloc != 1 {
+						t.Fatalf("%s delay %d slot %d: no emergency, but job %d at alloc %v", tc.algo, tc.delay, slot, j.id, j.alloc)
+					}
+				}
+			}
+			if err := st.step(slot); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res := st.finish(); res.EmergencyCount == 0 || outside == 0 {
+			t.Fatalf("%s delay %d: %d emergencies, %d slots outside one — not exercising both sides",
+				tc.algo, tc.delay, res.EmergencyCount, outside)
+		}
+	}
+}
+
+// TestEventPathZeroWorkStart pins the edge of a start inside the event
+// regime: a job started with no work left is not yet running at the
+// finish scan of its start slot, so it finishes on the next slot, with the
+// remaining work one iterated decrement gives — as in RunFixedStep.
+func TestEventPathZeroWorkStart(t *testing.T) {
+	tr := &trace.Trace{Name: "zero", TotalCores: 16, Jobs: []trace.Job{
+		{ID: 1, Submit: 0, Runtime: 600, Cores: 4},
+		{ID: 2, Submit: 120, Runtime: 30, Cores: 4},
+		{ID: 3, Submit: 180, Runtime: 1200, Cores: 8},
+	}}
+	run := func(loop func(*engineState) error) *Result {
+		cfg := Config{Trace: tr, OversubPct: 15, Algorithm: AlgMPRStat, Seed: 3, RecordJobs: true}
+		st, err := newEngineState(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.jobs[1].remainingMin = 0 // job 2 arrives with no work left
+		if err := loop(st); err != nil {
+			t.Fatal(err)
+		}
+		return st.finish()
+	}
+	fixed, event := run((*engineState).runFixedStep), run((*engineState).run)
+	sameResult(t, fixed, event)
+	if j := event.Jobs[1]; j.StartSlot != 2 || j.EndSlot != 3 || j.RemainingMin != -1 {
+		t.Fatalf("zero-work job: started %d, ended %d with %v left; want 2, 3 and -1", j.StartSlot, j.EndSlot, j.RemainingMin)
 	}
 }
 
@@ -378,8 +520,9 @@ func BenchmarkEngineSparse(b *testing.B) {
 }
 
 // BenchmarkEngineDense measures Run and the fixed-step reference on a busy
-// trace (arrivals or finishes nearly every slot) — nothing to skip, so the
-// two should sit within noise of each other.
+// trace (arrivals or finishes nearly every slot): Run still visits nearly
+// every slot, but outside an emergency it touches only the jobs that
+// finish or start in it.
 func BenchmarkEngineDense(b *testing.B) {
 	tr, err := trace.Generate(trace.GenConfig{
 		Name: "dense", Seed: 3, TotalCores: 256, Days: 7,
