@@ -27,8 +27,10 @@ type Bidder = core.Bidder
 // the MPR-INT strategy.
 type RationalBidder = core.RationalBidder
 
-// InteractiveConfig attaches a trace and a span to the MPR-INT loop; the
-// round budget (100) and stopping tolerance (1e-6) are fixed.
+// InteractiveConfig attaches a span to the MPR-INT loop, which records
+// each round as a market_round child with its announced and cleared
+// prices and supply (its Trace field is ignored); the round budget (100)
+// and stopping tolerance (1e-6) are fixed.
 type InteractiveConfig = core.InteractiveConfig
 
 // OPTDual selects the dual-decomposition solver for the OPT baseline.

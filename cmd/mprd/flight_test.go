@@ -94,9 +94,9 @@ func TestObsShutdownIdempotent(t *testing.T) {
 // series on the next sampler tick, the fourth such tick fires the
 // EvictionBurst rule (4 of its 10-sample window; the three before are no
 // burn), and the flight recorder writes exactly one schema-valid
-// mprflight/v2 bundle — later ticks and markets re-evaluate the same
+// mprflight/v3 bundle — later ticks and markets re-evaluate the same
 // violation without another — containing the triggering firing, a
-// goroutine profile, the eviction trace event, and the mpr_rt_* window.
+// goroutine profile, the eviction span, and the mpr_rt_* window.
 func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 	dir := t.TempDir()
 	clock := tsdb.NewFakeClock(time.Unix(2000, 0))
@@ -198,13 +198,13 @@ func TestEvictionBurstDumpsOneBundle(t *testing.T) {
 		t.Error("bundle is missing a goroutine profile")
 	}
 	foundEvict := false
-	for _, e := range b.Events {
-		if e.Name == "eviction" && strings.HasPrefix(e.Label, "stall-") {
+	for _, s := range b.Spans {
+		if s.Name == "eviction" && strings.HasPrefix(s.Attr("agent"), "stall-") && s.Attr("reason") != "" {
 			foundEvict = true
 		}
 	}
 	if !foundEvict {
-		t.Error("bundle events do not include a stalled agent's eviction")
+		t.Error("bundle spans do not include a stalled agent's eviction")
 	}
 	for _, name := range []string{flight.SeriesGoroutines, flight.SeriesHeapInuse, seriesEvictions} {
 		found := false

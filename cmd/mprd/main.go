@@ -10,9 +10,10 @@
 // stdin and clears one market per line — here one for a 2 kW reduction,
 // printing the reduction orders — then lifts the emergency and exits at
 // the end of input ('quit' exits too). With -stream the manager also
-// re-clears incrementally on every incoming bid (O(log M) per update) and
-// emits each intermediate price as a stream_update trace event; the wire
-// protocol, the rounds and their prices are unchanged, bit for bit.
+// re-clears incrementally on every incoming bid (O(log M) per update),
+// counts each update and records the last published price as the market
+// span's stream_price; the wire protocol, the rounds and their prices are
+// unchanged, bit for bit.
 //
 // The daemon accepts both agent wire formats on one port: JSON lines
 // (the original protocol, unchanged byte for byte) and the negotiated
@@ -28,8 +29,9 @@
 //
 // With -metrics ADDR (e.g. -metrics :9090) the daemon serves its full
 // observability surface over HTTP: Prometheus text (or ?format=json) at
-// /metrics, the last trace events at /debug/market and hierarchical
-// trace spans at /debug/spans (JSON, each with its dropped count),
+// /metrics, each market's span tree (rounds with their prices and supply,
+// evictions and coalesced bids as zero-length spans) at /debug/spans
+// (JSON, with its dropped count),
 // windowed time-series queries at /debug/series, flight-recorder status
 // at /debug/flight, liveness at /healthz, and net/http/pprof under
 // /debug/pprof/. A 1 s wall-clock sampler records the eviction series
@@ -44,8 +46,8 @@
 // latency p99) joins the tick as mpr_rt_* series, the process-health
 // alert rules join the live scorecard, and a trigger — a fresh alert
 // firing (per-rule -flight-cooldown), SIGQUIT, process exit, or POST
-// /debug/flight/dump — writes a versioned mprflight/v2 bundle into DIR:
-// build info, flag echo, goroutine profile, recent trace events/spans,
+// /debug/flight/dump — writes a versioned mprflight/v3 bundle into DIR:
+// build info, flag echo, goroutine profile, recent trace spans,
 // HDR summaries, alert history, and the series window around the
 // trigger. /debug/flight reports recorder status, its alert history and
 // the latest runtime snapshot.
@@ -84,7 +86,7 @@ func run() int {
 		evict     = flag.Int("evict", 0, "evict agents after this many consecutive missed round deadlines (0 = default 3, negative = never)")
 		statePath = flag.String("state", "", "snapshot market+registration state to this file on shutdown (mprstate/v1)")
 		restore   = flag.Bool("restore", false, "restore state from -state at boot; restored agents keep their last bids until they rebid")
-		flightDir = flag.String("flight", "", "directory receiving mprflight/v2 black-box bundles on alert/SIGQUIT/exit (empty = disabled)")
+		flightDir = flag.String("flight", "", "directory receiving mprflight/v3 black-box bundles on alert/SIGQUIT/exit (empty = disabled)")
 		flightCD  = flag.Duration("flight-cooldown", time.Minute, "per-rule suppression window between alert-triggered flight dumps")
 	)
 	flag.Parse()
@@ -190,7 +192,7 @@ func run() int {
 			}
 		}()
 		defer srv.Close()
-		log.Printf("telemetry on http://%s/metrics (/debug/market /debug/spans /debug/series /debug/flight /healthz /debug/pprof/)", *metrics)
+		log.Printf("telemetry on http://%s/metrics (/debug/spans /debug/series /debug/flight /healthz /debug/pprof/)", *metrics)
 	}
 
 	deadline := time.Now().Add(*wait)

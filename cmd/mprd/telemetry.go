@@ -205,8 +205,8 @@ func (o *obs) health() telemetry.Health {
 	}
 }
 
-// handler is the daemon's full HTTP surface: /metrics, /debug/market,
-// /debug/spans, /debug/series, /debug/flight, /healthz, and
+// handler is the daemon's full HTTP surface: /metrics, /debug/spans,
+// /debug/series, /debug/flight, /healthz, and
 // /debug/pprof. The flight endpoints are mounted even without -flight —
 // a nil recorder serves enabled=false and refuses dumps — so probes
 // never depend on configuration.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mpr/internal/core"
-	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/flight"
 	"mpr/internal/telemetry/tsdb"
 )
@@ -29,7 +28,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestObsShutdownDrains is the shutdown-drain contract: on
 // cancellation the sampler takes one final sample, and only then is the
 // exit flight bundle cut — exactly once, carrying that sample and the
-// trace ring.
+// span ring.
 func TestObsShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
 	clock := tsdb.NewFakeClock(time.Unix(1000, 0))
@@ -44,7 +43,9 @@ func TestObsShutdownDrains(t *testing.T) {
 	o.startSampler()
 	// Startup sample lands without any tick.
 	waitFor(t, "startup sample", func() bool { return o.evictions.Total() >= 1 })
-	o.tracer.Emit(telemetry.Event{Name: "market_clear", Round: 7})
+	market := o.tracer.StartSpan("market", nil)
+	market.SetAttr("rounds", "7")
+	market.End()
 	clock.Advance(3 * time.Second)
 	waitFor(t, "ticked samples", func() bool { return o.evictions.Total() >= 4 })
 
@@ -75,11 +76,11 @@ func TestObsShutdownDrains(t *testing.T) {
 		t.Fatalf("exit bundle's %s = %+v, want 5 samples from 3 down to 0", seriesEvictions, points)
 	}
 	found := false
-	for _, e := range b.Events {
-		found = found || (e.Name == "market_clear" && e.Round == 7)
+	for _, s := range b.Spans {
+		found = found || (s.Name == "market" && s.Attr("rounds") == "7")
 	}
 	if !found {
-		t.Fatalf("exit bundle lost the trace ring: %+v", b.Events)
+		t.Fatalf("exit bundle lost the span ring: %+v", b.Spans)
 	}
 }
 
@@ -110,7 +111,7 @@ func TestObsHealthAndHandler(t *testing.T) {
 	}
 
 	// The handler serves the full surface.
-	for _, path := range []string{"/metrics", "/debug/market", "/debug/spans", "/debug/series", "/healthz", "/debug/pprof/cmdline"} {
+	for _, path := range []string{"/metrics", "/debug/spans", "/debug/series", "/healthz", "/debug/pprof/cmdline"} {
 		rec := httptest.NewRecorder()
 		o.handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 {

@@ -12,7 +12,7 @@
 // scorecard live over those series, and finally emits a versioned
 // mprload/report/v4 JSON artifact (-report) with the latency digests and
 // SLO verdicts. When the scorecard fails (exit 3) and -report names a
-// file, an mprflight/v2 black-box bundle — goroutine profile, trace
+// file, an mprflight/v3 black-box bundle — goroutine profile, span
 // window, series history, the triggering firing — is parked next to it
 // as <report>.flight.json and named in its flight_bundle field, so a
 // failed soak carries its own diagnosis.

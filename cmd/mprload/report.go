@@ -45,7 +45,7 @@ type loadReport struct {
 	SLO            sloSection        `json:"slo"`
 	ElapsedSeconds float64           `json:"elapsed_seconds"`
 
-	// FlightBundle is the path of the mprflight/v2 bundle written next
+	// FlightBundle is the path of the mprflight/v3 bundle written next
 	// to a -report file when the SLO scorecard failed (empty otherwise):
 	// the incident evidence that travels with the verdict.
 	FlightBundle string `json:"flight_bundle,omitempty"`

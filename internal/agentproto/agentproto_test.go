@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -311,9 +312,9 @@ func TestStaleBidsDiscarded(t *testing.T) {
 }
 
 // Streaming mode: each incoming bid must trigger an incremental re-clear
-// (one stream_update event and one counted stream update per bid), and
-// the market must clear to the same bits as the batch-per-round path over
-// the same agent population.
+// (one counted stream update per bid, the last published price on the
+// market span), and the market must clear to the same bits as the
+// batch-per-round path over the same agent population.
 func TestMarketStreamingOverTCP(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(4096)
@@ -344,30 +345,21 @@ func TestMarketStreamingOverTCP(t *testing.T) {
 	if out.Result.SuppliedW < target-1e-6 {
 		t.Errorf("supplied %v < target %v", out.Result.SuppliedW, target)
 	}
-	var updates []float64
-	for _, e := range tracer.Events() {
-		if e.Name != "stream_update" {
-			continue
-		}
-		if e.Label == "" || e.Round < 1 {
-			t.Errorf("bad stream update: job %q round %d", e.Label, e.Round)
-		}
-		updates = append(updates, e.Price)
-	}
-	if tracer.Dropped() != 0 {
-		t.Fatalf("tracer dropped %d events; enlarge the ring", tracer.Dropped())
-	}
-	n := len(updates)
 	// Every answered bid re-clears: at least one update per agent per
 	// round, and the final published price is the market's price.
-	if n == 0 || n < len(apps)*out.Result.Rounds {
+	if n := reg.Snapshot().Counter(MetricStreamUpdates); n < int64(len(apps)*out.Result.Rounds) {
 		t.Fatalf("observed %d stream updates, want ≥ %d", n, len(apps)*out.Result.Rounds)
 	}
-	if last := updates[n-1]; !floats.RelEqual(last, out.Result.Price, 1e-9) {
-		t.Errorf("last streamed price %v != clearing price %v", last, out.Result.Price)
+	var last float64
+	for _, s := range tracer.Spans() {
+		if s.Name == "market" {
+			if last, err = strconv.ParseFloat(s.Attr("stream_price"), 64); err != nil {
+				t.Fatalf("market span stream_price: %v (attrs %+v)", err, s.Attrs)
+			}
+		}
 	}
-	if got := reg.Snapshot().Counter(MetricStreamUpdates); got != int64(n) {
-		t.Errorf("stream update counter = %d, events = %d", got, n)
+	if !floats.RelEqual(last, out.Result.Price, 1e-9) {
+		t.Errorf("last streamed price %v != clearing price %v", last, out.Result.Price)
 	}
 
 	// The batch-per-round manager over an identical population reaches

@@ -90,15 +90,20 @@ type ManagerConfig struct {
 	// Telemetry, when set, receives the manager's connection, latency,
 	// and protocol metrics. Nil disables them.
 	Telemetry *telemetry.Registry
-	// Tracer, when set, receives one "market_round" event per price
-	// iteration (trace "m<seq>.r<round>") and one "market_clear" per
-	// finished market — the feed behind mprd's /debug/market.
+	// Tracer, when set, records each market as a span tree (market →
+	// market_round → respond_bids → respond_bid), with the round's prices
+	// and supply and the clear's outcome as attributes, plus one
+	// zero-length root span per eviction and per coalesced bid — the
+	// feed behind mprd's /debug/spans and flight bundles. A traced market
+	// clears every round in full; an untraced one clears to the same
+	// bits.
 	Tracer *telemetry.Tracer
 	// Streaming adds a per-bid price feed: every accepted bid is also
 	// applied to a core.StreamMarket, which re-clears incrementally in
-	// O(log M) and publishes the would-be clearing price (one
-	// "stream_update" trace event each). The wire protocol, the rounds and
-	// the round's clear are unchanged, so a fleet clears to the same bits
+	// O(log M) and publishes the would-be clearing price (counted in
+	// mpr_manager_stream_updates_total; the last one is the market
+	// span's "stream_price"). The wire protocol, the rounds and the
+	// round's clear are unchanged, so a fleet clears to the same bits
 	// with Streaming on or off.
 	Streaming bool
 }
@@ -461,8 +466,10 @@ func (m *Manager) noteBid(a *agentConn, msg Message) {
 		m.coalesced.Inc()
 		// Coalescing is an anomaly worth a flight-recorder breadcrumb:
 		// an agent re-bidding within one round means its first answer
-		// raced the deadline. Ring emission allocates nothing.
-		m.cfg.Tracer.Emit(telemetry.Event{Name: "coalesced_bid", Round: round, Label: a.hello.JobID})
+		// raced the deadline.
+		m.cfg.Tracer.RecordSpan("coalesced_bid", nil, now, now,
+			telemetry.Attr{Key: "agent", Value: a.hello.JobID},
+			telemetry.Attr{Key: "round", Value: strconv.Itoa(round)})
 	}
 }
 
@@ -484,10 +491,13 @@ func (m *Manager) drop(a *agentConn, reason DisconnectReason, evict bool) {
 			m.evictWriteStall.Inc()
 		}
 		m.logf("agent %s evicted: %s", a.hello.JobID, reason)
-		// Evictions feed the shared tracer ring so a flight bundle
+		// Evictions feed the shared span ring so a flight bundle
 		// triggered by an EvictionBurst alert carries the per-agent
 		// evidence (who, why) from the seconds before the dump.
-		m.cfg.Tracer.Emit(telemetry.Event{Name: "eviction", Label: a.hello.JobID + ":" + string(reason)})
+		now := time.Now().UnixNano()
+		m.cfg.Tracer.RecordSpan("eviction", nil, now, now,
+			telemetry.Attr{Key: "agent", Value: a.hello.JobID},
+			telemetry.Attr{Key: "reason", Value: string(reason)})
 	}
 	a.conn.Close()
 	m.mu.Lock()
@@ -589,12 +599,6 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	clearLabel := "converged"
-	if !res.Converged {
-		clearLabel = "budget_exhausted"
-	}
-	m.cfg.Tracer.Emit(telemetry.Event{Name: "market_clear", Trace: marketTrace, Round: res.Rounds,
-		Price: res.Price, TargetW: targetW, SuppliedW: res.SuppliedW, Label: clearLabel})
 
 	out := &MarketOutcome{Result: res, Orders: make(map[string]float64, len(agents)), TraceID: marketTrace}
 	orders := make([][]memberMsg, len(m.shards))
@@ -619,7 +623,7 @@ func (m *Manager) RunMarket(targetW float64) (*MarketOutcome, error) {
 func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, targetW float64, reply chan struct{}) (*core.ClearingResult, string, error) {
 	// Every market gets a trace ID "m<seq>"; each round extends it to
 	// "m<seq>.r<round>" and stamps that on the price broadcast and the
-	// round's event. Agents echo it on their bids, which lets the merge
+	// round's span. Agents echo it on their bids, which lets the merge
 	// below attribute a bid to the exact broadcast that prompted it and
 	// record a per-agent respond_bid span linked under the round.
 	marketTrace := "m" + strconv.FormatUint(m.marketSeq.Add(1), 10)
@@ -651,15 +655,9 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 	}
 
 	slots := make([]roundBid, len(agents))
-	// Iterate emits a round's event after that round's ask, which set
-	// roundTrace.
-	var roundTrace string
-	emit := func(e telemetry.Event) {
-		e.Trace = roundTrace
-		m.cfg.Tracer.Emit(e)
-	}
+	streamPrice, streamed := 0.0, false
 	ask := func(round int, price float64, bids []core.Bid, roundSpan *telemetry.ActiveSpan) error {
-		roundTrace = marketTrace + ".r" + strconv.Itoa(round)
+		roundTrace := marketTrace + ".r" + strconv.Itoa(round)
 		roundSpan.SetAttr("trace", roundTrace)
 		// The round's price broadcast is identical for every member, so it
 		// is encoded exactly once per round — in both wire formats — and
@@ -717,15 +715,14 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 					continue
 				}
 				m.streamUpdates.Inc()
-				m.cfg.Tracer.Emit(telemetry.Event{Name: "stream_update", Trace: roundTrace, Round: round,
-					Price: p, TargetW: targetW, Label: jobID})
+				streamPrice, streamed = p, true
 			}
 			bids[i] = e.bid
 		}
 		return nil
 	}
 
-	res, err := core.Iterate(parts, targetW, m.cfg.MaxRounds, priceTolerance, mkSpan, emit, ask)
+	res, err := core.Iterate(parts, targetW, m.cfg.MaxRounds, priceTolerance, mkSpan, ask)
 	if err != nil {
 		return nil, "", err
 	}
@@ -734,8 +731,19 @@ func (m *Manager) priceRounds(agents []*agentConn, parts []*core.Participant, ta
 	m.mu.Lock()
 	m.lastPrice = res.Price
 	m.mu.Unlock()
-	mkSpan.SetAttr("rounds", strconv.Itoa(res.Rounds))
-	mkSpan.SetAttr("converged", strconv.FormatBool(res.Converged))
+	if mkSpan != nil {
+		stop := "converged"
+		if !res.Converged {
+			stop = "budget_exhausted"
+		}
+		mkSpan.SetAttr("rounds", strconv.Itoa(res.Rounds))
+		mkSpan.SetAttr("price", strconv.FormatFloat(res.Price, 'g', -1, 64))
+		mkSpan.SetAttr("supplied_w", strconv.FormatFloat(res.SuppliedW, 'g', -1, 64))
+		mkSpan.SetAttr("stop", stop)
+		if streamed {
+			mkSpan.SetAttr("stream_price", strconv.FormatFloat(streamPrice, 'g', -1, 64))
+		}
+	}
 	return res, marketTrace, nil
 }
 

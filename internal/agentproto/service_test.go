@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -108,20 +109,32 @@ func dialFleet(t *testing.T, m *Manager, specs []fleetSpec) {
 }
 
 // marketTrail runs one market and returns the per-round clearing prices
-// (bit patterns) from the market_round trace events plus the outcome.
+// (bit patterns) from the market_round spans plus the outcome.
 func marketTrail(t *testing.T, m *Manager, tracer *telemetry.Tracer, targetW float64) ([]uint64, *MarketOutcome) {
 	t.Helper()
 	out, err := m.RunMarket(targetW)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return roundPrices(t, tracer), out
+}
+
+// roundPrices is the per-round clearing price trail of the tracer's
+// market_round spans, as bits.
+func roundPrices(t *testing.T, tracer *telemetry.Tracer) []uint64 {
+	t.Helper()
 	var trail []uint64
-	for _, e := range tracer.Events() {
-		if e.Name == "market_round" {
-			trail = append(trail, math.Float64bits(e.Price))
+	for _, s := range tracer.Spans() {
+		if s.Name != "market_round" {
+			continue
 		}
+		p, err := strconv.ParseFloat(s.Attr("price"), 64)
+		if err != nil {
+			t.Fatalf("market_round span %d: %v", s.ID, err)
+		}
+		trail = append(trail, math.Float64bits(p))
 	}
-	return trail, out
+	return trail
 }
 
 // TestShardDeterminism pins the clearing prices bit-identical across
@@ -156,7 +169,7 @@ func TestShardDeterminism(t *testing.T) {
 	}
 	base := runs[1]
 	if len(base.trail) == 0 {
-		t.Fatal("no market_round events recorded")
+		t.Fatal("no market_round spans recorded")
 	}
 	for _, shards := range []int{4, 16} {
 		r := runs[shards]
@@ -170,6 +183,53 @@ func TestShardDeterminism(t *testing.T) {
 			if got := r.orders[job]; math.Float64bits(got) != math.Float64bits(red) {
 				t.Errorf("shards=%d: order[%s] = %v, want %v", shards, job, got, red)
 			}
+		}
+	}
+}
+
+// TestTracerDoesNotChangeMarket: a traced manager clears every round in
+// full, an untraced one only the round that ends the market; over the
+// same fleet both reach the same price, supply, rounds and orders, bit
+// for bit — for two markets in a row (the second opening on the first's
+// last bids) and for a round budget that runs out.
+func TestTracerDoesNotChangeMarket(t *testing.T) {
+	specs := fleetSpecs(24)
+	targets := []float64{30000, 12000}
+	for _, maxRounds := range []int{0, 3} {
+		outs := map[bool][]*MarketOutcome{}
+		for _, traced := range []bool{false, true} {
+			cfg := ManagerConfig{RoundTimeout: 2 * time.Second, Shards: 4, MaxRounds: maxRounds}
+			if traced {
+				cfg.Tracer = telemetry.NewTracer(4096)
+			}
+			m := pipeManager(t, cfg)
+			dialFleet(t, m, specs)
+			for _, target := range targets {
+				out, err := m.RunMarket(target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[traced] = append(outs[traced], out)
+			}
+			m.Close()
+		}
+		exhausted := false
+		for i, target := range targets {
+			plain, traced := outs[false][i].Result, outs[true][i].Result
+			exhausted = exhausted || !plain.Converged
+			if plain.Rounds != traced.Rounds || plain.Converged != traced.Converged ||
+				math.Float64bits(plain.Price) != math.Float64bits(traced.Price) ||
+				math.Float64bits(plain.SuppliedW) != math.Float64bits(traced.SuppliedW) {
+				t.Errorf("max=%d target %v: untraced %+v, traced %+v", maxRounds, target, plain, traced)
+			}
+			for job, red := range outs[true][i].Orders {
+				if got := outs[false][i].Orders[job]; math.Float64bits(got) != math.Float64bits(red) {
+					t.Errorf("max=%d target %v: untraced order[%s] = %v, traced %v", maxRounds, target, job, got, red)
+				}
+			}
+		}
+		if maxRounds == 3 && !exhausted {
+			t.Error("a 3-round budget ran out in no market")
 		}
 	}
 }
@@ -222,13 +282,7 @@ func mixedTrail(t *testing.T, wires []string) ([]uint64, *MarketOutcome) {
 	t.Helper()
 	tracer := telemetry.NewTracer(4096)
 	out := mixedMarket(t, ManagerConfig{RoundTimeout: 2 * time.Second, Shards: 4, Tracer: tracer}, wires)
-	var trail []uint64
-	for _, e := range tracer.Events() {
-		if e.Name == "market_round" {
-			trail = append(trail, math.Float64bits(e.Price))
-		}
-	}
-	return trail, out
+	return roundPrices(t, tracer), out
 }
 
 // TestMixedFleetEquilibrium pins transport equivalence end to end:
@@ -541,19 +595,19 @@ func TestEvictionDeadlineBudget(t *testing.T) {
 	if got := m.Evictions(); got != 1 {
 		t.Errorf("Evictions() = %d, want 1", got)
 	}
-	// The eviction left a flight-recorder breadcrumb in the tracer ring
+	// The eviction left a flight-recorder breadcrumb in the span ring
 	// naming the agent and the typed reason.
-	foundEvent := false
-	for _, e := range tracer.Events() {
-		if e.Name == "eviction" {
-			foundEvent = true
-			if want := "stalled:" + string(ReasonDeadlineBudget); e.Label != want {
-				t.Errorf("eviction event label = %q, want %q", e.Label, want)
+	foundSpan := false
+	for _, s := range tracer.Spans() {
+		if s.Name == "eviction" {
+			foundSpan = true
+			if s.Attr("agent") != "stalled" || s.Attr("reason") != string(ReasonDeadlineBudget) || s.Parent != 0 || s.Duration() != 0 {
+				t.Errorf("eviction span %+v, want a zero-length root naming stalled and %s", s, ReasonDeadlineBudget)
 			}
 		}
 	}
-	if !foundEvent {
-		t.Error("no eviction event reached the tracer ring")
+	if !foundSpan {
+		t.Error("no eviction span reached the tracer ring")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for m.AgentCount() != 3 && time.Now().Before(deadline) {

@@ -11,7 +11,7 @@ import (
 // tracer and checks the manager's connect/round/RTT instrumentation.
 func TestManagerTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(64)
+	tracer := telemetry.NewTracer(1024)
 	m, err := NewManager("127.0.0.1:0", ManagerConfig{
 		RoundTimeout: 500 * time.Millisecond,
 		Telemetry:    reg,
@@ -59,25 +59,24 @@ func TestManagerTelemetry(t *testing.T) {
 		t.Fatalf("malformed = %d, want 0", got)
 	}
 
-	// The tracer holds one market_round per round plus the final clear.
-	var roundEvents, clearEvents int
-	for _, e := range tracer.Events() {
-		switch e.Name {
+	// The tracer holds one cleared market_round span per round under
+	// the market span, which records how the market stopped.
+	var market telemetry.Span
+	rounds := 0
+	for _, sp := range tracer.Spans() {
+		switch sp.Name {
+		case "market":
+			market = sp
 		case "market_round":
-			roundEvents++
-		case "market_clear":
-			clearEvents++
-			if e.Label != "converged" && e.Label != "budget_exhausted" {
-				t.Fatalf("market_clear label = %q", e.Label)
+			if sp.Attr("price") != "" && sp.Attr("supplied_w") != "" {
+				rounds++
 			}
 		}
 	}
-	wantRounds := out.Result.Rounds
-	if cap := 64 - clearEvents; wantRounds > cap {
-		wantRounds = cap
+	if stop := market.Attr("stop"); stop != "converged" && stop != "budget_exhausted" {
+		t.Fatalf("market span stop = %q, attrs %+v", stop, market.Attrs)
 	}
-	if roundEvents != wantRounds || clearEvents != 1 {
-		t.Fatalf("trace: %d market_round + %d market_clear, want %d + 1",
-			roundEvents, clearEvents, wantRounds)
+	if rounds != out.Result.Rounds {
+		t.Fatalf("trace: %d cleared market_round spans, want %d", rounds, out.Result.Rounds)
 	}
 }

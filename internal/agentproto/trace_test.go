@@ -190,17 +190,18 @@ func TestTracePropagationSpans(t *testing.T) {
 		}
 	}
 
-	// Round events carry the hierarchical trace IDs.
-	for _, e := range tracer.Events() {
-		switch e.Name {
+	// Round and market spans carry the hierarchical trace IDs.
+	round := 0
+	for _, s := range spans {
+		switch s.Name {
 		case "market_round":
-			want := "m1.r" + itoa(e.Round)
-			if e.Trace != want {
-				t.Errorf("market_round event trace = %q, want %q", e.Trace, want)
+			round++
+			if want := "m1.r" + itoa(round); s.Attr("trace") != want {
+				t.Errorf("market_round span trace = %q, want %q", s.Attr("trace"), want)
 			}
-		case "market_clear":
-			if e.Trace != "m1" {
-				t.Errorf("market_clear event trace = %q, want m1", e.Trace)
+		case "market":
+			if s.Attr("trace") != "m1" {
+				t.Errorf("market span trace = %q, want m1", s.Attr("trace"))
 			}
 		}
 	}

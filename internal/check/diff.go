@@ -213,7 +213,7 @@ func DiffMarketVsOPT(baseSeed int64, instances, maxN int) (DiffStats, error) {
 // budget and a 1e-9 tolerance: the differential holds OPT against the
 // converged fixed point, not against one stopped at 1e-6.
 func clearInteractiveTight(ps []*core.Participant, bidders []core.Bidder, target float64) (*core.ClearingResult, error) {
-	return core.Iterate(ps, target, 800, 1e-9, nil, func(telemetry.Event) {},
+	return core.Iterate(ps, target, 800, 1e-9, nil,
 		func(_ int, q float64, bids []core.Bid, _ *telemetry.ActiveSpan) error {
 			for i, b := range bidders {
 				bids[i] = b.RespondBid(q)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -48,22 +49,23 @@ func priceSettled(announced, cleared, tol float64) bool {
 // participant that did not answer clears on its last bid — the paper's
 // proceed-with-last-information rule. The bids start as ps[i].Bid (the
 // last known ones), which are validated; ps is never mutated. Every slot
-// is then set into one MarketIndex and cleared, the round's
-// "market_round" event (announced price in Value) goes to emit, and the
-// loop stops once the cleared price settles within tol of the announced
-// one (Converged) or after maxRounds rounds.
+// is then set into one MarketIndex and cleared, and the loop stops once
+// the cleared price settles within tol of the announced one (Converged)
+// or after maxRounds rounds.
 //
-// A nil emit says that nothing reads a round's supply: a round that does
-// not end the market then only solves the index for its price, and the
-// round that ends it, settled or the last of maxRounds, clears in full.
-// The result is the same, bit for bit, as with an emit.
+// With a span, every round clears in full and its "market_round" span
+// records the round's "announced" price, cleared "price" and
+// "supplied_w", each formatted with strconv 'g' -1 so it parses back bit
+// for bit. A nil span says that nothing reads a round's supply: a round
+// that does not end the market then only solves the index for its price,
+// and the round that ends it, settled or the last of maxRounds, clears in
+// full. The result is the same, bit for bit, with or without a span.
 //
 // A non-positive target asks nobody: it returns Clear's nothing-to-buy
 // result (TargetW echoed, every reduction 0) with Rounds 0. A maxRounds
 // below 1 is an error. An error from ask or the clear ends the round's
-// span and is returned before the round's event.
-func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
-	span *telemetry.ActiveSpan, emit func(telemetry.Event),
+// span, without the round's attributes, and is returned.
+func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64, span *telemetry.ActiveSpan,
 	ask func(round int, q float64, bids []Bid, span *telemetry.ActiveSpan) error) (*ClearingResult, error) {
 	if maxRounds < 1 {
 		return nil, fmt.Errorf("core: an interactive market needs at least one round, got %d", maxRounds)
@@ -88,6 +90,7 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 	bids := make([]Bid, len(ps))
 	copy(bids, ix.bids) // the validated ps[i].Bid
 
+	full := span != nil
 	q := openingPrice
 	res := &ClearingResult{}
 	for round := 1; ; round++ {
@@ -100,12 +103,12 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 		}
 		var price float64
 		last := round == maxRounds
-		if err == nil && emit == nil {
+		if err == nil && !full {
 			ix.Refresh()
 			price, _ = ix.minPrice(targetW)
 			last = last || priceSettled(q, price, tol)
 		}
-		if err == nil && (emit != nil || last) {
+		if err == nil && (full || last) {
 			err = ix.ClearInto(res, targetW)
 			price = res.Price
 		}
@@ -113,9 +116,10 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 			roundSpan.End()
 			return nil, err
 		}
-		if emit != nil {
-			emit(telemetry.Event{Name: "market_round", Round: round,
-				Price: price, TargetW: targetW, SuppliedW: res.SuppliedW, Value: q})
+		if full {
+			roundSpan.SetAttr("announced", strconv.FormatFloat(q, 'g', -1, 64))
+			roundSpan.SetAttr("price", strconv.FormatFloat(price, 'g', -1, 64))
+			roundSpan.SetAttr("supplied_w", strconv.FormatFloat(res.SuppliedW, 'g', -1, 64))
 		}
 		roundSpan.End()
 		if settled := priceSettled(q, price, tol); settled || last {
@@ -128,14 +132,15 @@ func Iterate(ps []*Participant, targetW float64, maxRounds int, tol float64,
 
 // InteractiveConfig parameterizes the MPR-INT market loop.
 type InteractiveConfig struct {
-	// Trace, when set, receives one "market_round" event per manager↔user
-	// exchange (round number, announced price, cleared price, aggregate
-	// supply), stamped with the handle's run ID — the convergence
-	// trajectory of Figs. 9-11. Nil (the default) emits nothing.
+	// Trace is ignored: a market's rounds are recorded only as Span's
+	// children. It remains until ROADMAP item 1(g) removes the
+	// benchmark's use of it.
 	Trace *telemetry.Trace
 	// Span, when set, is the enclosing trace span: each exchange records
-	// a "market_round" child containing a "respond_bids" grandchild, so
-	// span views show where market wall-time goes. Nil records nothing.
+	// a "market_round" child (announced price, cleared price, supply —
+	// the convergence trajectory of Figs. 9-11) containing a
+	// "respond_bids" grandchild, so span views show where market
+	// wall-time goes. Nil records nothing.
 	Span *telemetry.ActiveSpan
 }
 
@@ -278,14 +283,8 @@ func ClearInteractive(ps []*Participant, bidders []Bidder, targetW float64, cfg 
 	if len(ps) != len(bidders) {
 		return nil, fmt.Errorf("core: %d participants but %d bidders", len(ps), len(bidders))
 	}
-	// Only a trace reads a round's supply; without one Iterate clears
-	// in full only the round that ends the market.
-	var emit func(telemetry.Event)
-	if cfg.Trace != nil {
-		emit = cfg.Trace.Emit
-	}
 	classes := newBidClasses(bidders)
-	return Iterate(ps, targetW, interactiveMaxRounds, interactiveTolerance, cfg.Span, emit,
+	return Iterate(ps, targetW, interactiveMaxRounds, interactiveTolerance, cfg.Span,
 		func(_ int, q float64, bids []Bid, span *telemetry.ActiveSpan) error {
 			bidSpan := span.StartChild("respond_bids")
 			classes.respond(q, bids, 0)

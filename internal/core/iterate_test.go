@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"mpr/internal/perf"
@@ -103,6 +104,33 @@ func askAll(bidders []Bidder) func(int, float64, []Bid, *telemetry.ActiveSpan) e
 	}
 }
 
+// roundSpans reads back the "market_round" children of market from the
+// tracer, in round order: each one's announced price, cleared price and
+// supplied watts, parsed from its attributes. A round span without them
+// fails the test.
+func roundSpans(t *testing.T, tracer *telemetry.Tracer, market uint64) []oracleRound {
+	t.Helper()
+	var rounds []oracleRound
+	for _, s := range tracer.Spans() {
+		if s.Name != "market_round" || s.Parent != market {
+			continue
+		}
+		attr := map[string]float64{}
+		for _, a := range s.Attrs {
+			v, err := strconv.ParseFloat(a.Value, 64)
+			if err != nil {
+				t.Fatalf("round span %d: attribute %s=%q: %v", s.ID, a.Key, a.Value, err)
+			}
+			attr[a.Key] = v
+		}
+		if len(attr) != 3 {
+			t.Fatalf("round span %d attributes %+v, want announced, price and supplied_w", s.ID, s.Attrs)
+		}
+		rounds = append(rounds, oracleRound{attr["announced"], attr["price"], attr["supplied_w"]})
+	}
+	return rounds
+}
+
 // TestIterateMatchesReferenceLoop: ClearInteractive on Iterate announces
 // and clears every round at the reference loop's prices and ends on its
 // reductions, bit for bit — rational, static and mixed pools, feasible and
@@ -126,13 +154,14 @@ func TestIterateMatchesReferenceLoop(t *testing.T) {
 						t.Fatal(err)
 					}
 					tracer := telemetry.NewTracer(256)
-					trace := tracer.StartTrace(name)
+					market := tracer.StartSpan("market", nil)
 					var got *ClearingResult
 					if c.maxRounds == interactiveMaxRounds {
-						got, err = ClearInteractive(ps, bs, frac*maxW, InteractiveConfig{Trace: trace})
+						got, err = ClearInteractive(ps, bs, frac*maxW, InteractiveConfig{Span: market})
 					} else {
-						got, err = Iterate(ps, frac*maxW, c.maxRounds, c.tol, nil, trace.Emit, askAll(bs))
+						got, err = Iterate(ps, frac*maxW, c.maxRounds, c.tol, market, askAll(bs))
 					}
+					market.End()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -143,20 +172,14 @@ func TestIterateMatchesReferenceLoop(t *testing.T) {
 					if !got.Converged {
 						exhausted++
 					}
-					var events []telemetry.Event
-					for _, e := range tracer.Events() {
-						if e.Name == "market_round" {
-							events = append(events, e)
-						}
+					rounds := roundSpans(t, tracer, market.ID())
+					if len(rounds) != len(trail) {
+						t.Fatalf("%s: %d round spans, reference ran %d rounds", name, len(rounds), len(trail))
 					}
-					if len(events) != len(trail) {
-						t.Fatalf("%s: %d round events, reference ran %d rounds", name, len(events), len(trail))
-					}
-					for r, e := range events {
+					for r, e := range rounds {
 						w := trail[r]
-						if e.Round != r+1 || e.Trace != name || !sameBits(e.Value, w.announced) ||
-							!sameBits(e.Price, w.cleared) || !sameBits(e.SuppliedW, w.supplied) {
-							t.Fatalf("%s: round %d event %+v, reference %+v", name, r+1, e, w)
+						if !sameBits(e.announced, w.announced) || !sameBits(e.cleared, w.cleared) || !sameBits(e.supplied, w.supplied) {
+							t.Fatalf("%s: round %d span %+v, reference %+v", name, r+1, e, w)
 						}
 					}
 					for _, pair := range [][2]float64{{got.Price, want.Price}, {got.SuppliedW, want.SuppliedW}, {got.PayoutRate, want.PayoutRate}} {
@@ -198,23 +221,11 @@ func TestIterateSubsetAnswers(t *testing.T) {
 		c := *p
 		merged[i] = &c
 	}
-	asked := 0
-	res, err := Iterate(ps, targetW, 12, 1e-9, nil,
-		func(e telemetry.Event) {
-			for i := range merged {
-				merged[i].Bid = last[i]
-			}
-			want, err := Clear(merged, targetW)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(e.Price, want.Price) || !sameBits(e.SuppliedW, want.SuppliedW) {
-				t.Fatalf("round %d cleared %v (%v W), Clear over the merged bids %v (%v W)",
-					e.Round, e.Price, e.SuppliedW, want.Price, want.SuppliedW)
-			}
-		},
+	var wants []*ClearingResult // Clear over each round's merged bids
+	tracer := telemetry.NewTracer(64)
+	market := tracer.StartSpan("market", nil)
+	res, err := Iterate(ps, targetW, 12, 1e-9, market,
 		func(round int, q float64, bids []Bid, _ *telemetry.ActiveSpan) error {
-			asked++
 			for i := range bids {
 				if bids[i] != last[i] {
 					t.Fatalf("round %d: slot %d holds %+v, its last bid is %+v", round, i, bids[i], last[i])
@@ -223,14 +234,31 @@ func TestIterateSubsetAnswers(t *testing.T) {
 					last[i] = Bid{Delta: last[i].Delta, B: last[i].B * (0.5 + q)}
 					bids[i] = last[i]
 				}
+				merged[i].Bid = last[i]
 			}
+			want, err := Clear(merged, targetW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants = append(wants, want)
 			return nil
 		})
+	market.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asked != res.Rounds || res.Rounds < 3 {
-		t.Fatalf("asked %d times over %d rounds, want ≥ 3 and equal", asked, res.Rounds)
+	if len(wants) != res.Rounds || res.Rounds < 3 {
+		t.Fatalf("asked %d times over %d rounds, want ≥ 3 and equal", len(wants), res.Rounds)
+	}
+	rounds := roundSpans(t, tracer, market.ID())
+	if len(rounds) != res.Rounds {
+		t.Fatalf("%d round spans over %d rounds", len(rounds), res.Rounds)
+	}
+	for r, e := range rounds {
+		if want := wants[r]; !sameBits(e.cleared, want.Price) || !sameBits(e.supplied, want.SuppliedW) {
+			t.Fatalf("round %d cleared %v (%v W), Clear over the merged bids %v (%v W)",
+				r+1, e.cleared, e.supplied, want.Price, want.SuppliedW)
+		}
 	}
 	for i, p := range ps {
 		if p.Bid != before[i] {
@@ -240,8 +268,9 @@ func TestIterateSubsetAnswers(t *testing.T) {
 }
 
 // TestIterateAskErrorEndsSpans: an ask that fails in round k gets its error
-// returned, every span the market opened is ended, and round k emits no
-// event — and the same for a bid the index refuses.
+// returned, every span the market opened is ended, and round k's span
+// carries no clearing attributes — and the same for a bid the index
+// refuses.
 func TestIterateAskErrorEndsSpans(t *testing.T) {
 	errAsk := errors.New("fleet gone")
 	ps := randomPool(rand.New(rand.NewSource(5)), 50)
@@ -252,7 +281,7 @@ func TestIterateAskErrorEndsSpans(t *testing.T) {
 	} {
 		tracer := telemetry.NewTracer(64)
 		market := tracer.StartSpan("market", nil)
-		_, err := Iterate(ps, poolMaxW(ps)/2, 100, 0, market, tracer.Emit,
+		_, err := Iterate(ps, poolMaxW(ps)/2, 100, 0, market,
 			func(round int, q float64, bids []Bid, span *telemetry.ActiveSpan) error {
 				bidSpan := span.StartChild("respond_bids")
 				defer bidSpan.End()
@@ -268,17 +297,14 @@ func TestIterateAskErrorEndsSpans(t *testing.T) {
 		if err == nil || (name == "ask error" && err != errAsk) {
 			t.Fatalf("%s: err = %v", name, err)
 		}
-		rounds := 0
-		for _, e := range tracer.Events() {
-			if e.Name == "market_round" {
-				rounds++
-				if e.Round >= k {
-					t.Fatalf("%s: failed round %d emitted %+v", name, k, e)
-				}
+		round := 0
+		for _, s := range tracer.Spans() {
+			if s.Name != "market_round" {
+				continue
 			}
-		}
-		if rounds != k-1 {
-			t.Fatalf("%s: %d round events, want %d", name, rounds, k-1)
+			if round++; (round < k) != (len(s.Attrs) == 3) || (round == k) != (len(s.Attrs) == 0) {
+				t.Fatalf("%s: round %d span attributes %+v; rounds before %d clear, round %d does not", name, round, s.Attrs, k, k)
+			}
 		}
 		// Span IDs are handed out at start and a span is recorded at End,
 		// so a span left open is a gap in 1…len.
@@ -304,11 +330,15 @@ func TestIterateAskErrorEndsSpans(t *testing.T) {
 func TestIterateNonPositiveTargetAsksNobody(t *testing.T) {
 	ps := randomPool(rand.New(rand.NewSource(9)), 10)
 	for _, target := range []float64{0, -500, math.Inf(-1)} {
-		res, err := Iterate(ps, target, 100, 1e-6, nil, func(telemetry.Event) { t.Fatal("emitted a round") },
+		tracer := telemetry.NewTracer(16)
+		res, err := Iterate(ps, target, 100, 1e-6, tracer.StartSpan("market", nil),
 			func(int, float64, []Bid, *telemetry.ActiveSpan) error {
 				t.Fatal("asked a price")
 				return nil
 			})
+		if spans := tracer.Spans(); len(spans) != 0 {
+			t.Fatalf("target %v: recorded %+v", target, spans)
+		}
 		if err != nil || res.Rounds != 0 || !res.Converged || !res.Feasible || res.Price != 0 || len(res.Reductions) != len(ps) {
 			t.Fatalf("target %v: %+v, %v", target, res, err)
 		}
@@ -335,10 +365,10 @@ func (f flipBidder) RespondBid(price float64) Bid {
 	return Bid{Delta: f.delta, B: f.delta / 8}
 }
 
-// TestClearInteractiveTraceInvariant: a trace only watches the market.
-// Without one, Iterate solves a round for its price alone and clears in
-// full only the round that ends the market; every field of the result is
-// the same, bit for bit, as with the trace — over shared, equal and
+// TestClearInteractiveTraceInvariant: a span only watches the market.
+// Without cfg.Span, Iterate solves a round for its price alone and clears
+// in full only the round that ends the market; every field of the result
+// is the same, bit for bit, as with a span — over shared, equal and
 // distinct models, NaN α, static and custom bidders, pools on both sides
 // of parallelBidFloor, feasible and infeasible targets, and a market that
 // ends at interactiveMaxRounds.
@@ -398,13 +428,15 @@ func TestClearInteractiveTraceInvariant(t *testing.T) {
 	exhausted := 0
 	for _, m := range markets {
 		tracer := telemetry.NewTracer(1 << 12)
-		traced, errT := ClearInteractive(m.ps, m.bs, m.targetW, InteractiveConfig{Trace: tracer.StartTrace(m.name)})
+		market := tracer.StartSpan("market", nil)
+		traced, errT := ClearInteractive(m.ps, m.bs, m.targetW, InteractiveConfig{Span: market})
+		market.End()
 		plain, errP := ClearInteractive(m.ps, m.bs, m.targetW, InteractiveConfig{})
 		if errT != nil || errP != nil {
 			t.Fatalf("%s: errors %v (traced) and %v (plain)", m.name, errT, errP)
 		}
-		if len(tracer.Events()) != traced.Rounds {
-			t.Fatalf("%s: %d round events for %d rounds", m.name, len(tracer.Events()), traced.Rounds)
+		if n := len(roundSpans(t, tracer, market.ID())); n != traced.Rounds {
+			t.Fatalf("%s: %d round spans for %d rounds", m.name, n, traced.Rounds)
 		}
 		if traced.Rounds != plain.Rounds || traced.Converged != plain.Converged || traced.Feasible != plain.Feasible ||
 			!sameBits(traced.Price, plain.Price) || !sameBits(traced.SuppliedW, plain.SuppliedW) ||
@@ -429,12 +461,54 @@ func TestClearInteractiveTraceInvariant(t *testing.T) {
 	}
 }
 
+// TestClearInteractiveRoundSpans: with cfg.Span, every "market_round"
+// span records its round in attributes that parse back bit for bit:
+// price is that round's cleared price (the reference loop's), announced
+// is the previous round's price (openingPrice in round 1), and the last
+// round's price and supply are the result's.
+func TestClearInteractiveRoundSpans(t *testing.T) {
+	for _, kind := range []string{"rational", "static", "mixed"} {
+		for _, frac := range []float64{0.3, 1.5} {
+			name := fmt.Sprintf("%s/frac=%v", kind, frac)
+			ps, bs, maxW := iteratePool(rand.New(rand.NewSource(11)), 120, kind)
+			_, trail, err := referenceInteractive(ps, bs, frac*maxW, interactiveMaxRounds, interactiveTolerance, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tracer := telemetry.NewTracer(1 << 10)
+			market := tracer.StartSpan("market", nil)
+			res, err := ClearInteractive(ps, bs, frac*maxW, InteractiveConfig{Span: market})
+			market.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := roundSpans(t, tracer, market.ID())
+			if len(rounds) != res.Rounds || len(rounds) != len(trail) {
+				t.Fatalf("%s: %d round spans, %d rounds, reference %d", name, len(rounds), res.Rounds, len(trail))
+			}
+			announced := openingPrice
+			for r, e := range rounds {
+				if math.Float64bits(e.cleared) != math.Float64bits(trail[r].cleared) {
+					t.Fatalf("%s: round %d price %v, cleared %v", name, r+1, e.cleared, trail[r].cleared)
+				}
+				if math.Float64bits(e.announced) != math.Float64bits(announced) {
+					t.Fatalf("%s: round %d announced %v, previous price %v", name, r+1, e.announced, announced)
+				}
+				announced = e.cleared
+			}
+			if end := rounds[len(rounds)-1]; !sameBits(end.cleared, res.Price) || !sameBits(end.supplied, res.SuppliedW) {
+				t.Fatalf("%s: last round %+v, result price %v supply %v", name, end, res.Price, res.SuppliedW)
+			}
+		}
+	}
+}
+
 // TestIterateRefusesNoRounds: a market allowed no round cannot clear, and
 // says so instead of returning a result without reductions.
 func TestIterateRefusesNoRounds(t *testing.T) {
 	ps := randomPool(rand.New(rand.NewSource(9)), 10)
 	for _, maxRounds := range []int{0, -1} {
-		res, err := Iterate(ps, poolMaxW(ps)/2, maxRounds, 1e-6, nil, nil,
+		res, err := Iterate(ps, poolMaxW(ps)/2, maxRounds, 1e-6, nil,
 			func(int, float64, []Bid, *telemetry.ActiveSpan) error {
 				t.Fatal("asked a price")
 				return nil

@@ -9,7 +9,6 @@ import (
 
 	"mpr/internal/check/floats"
 	"mpr/internal/perf"
-	"mpr/internal/telemetry"
 )
 
 // newParticipant builds a participant for application `app` with the given
@@ -274,7 +273,7 @@ func TestNonFiniteTargetRefused(t *testing.T) {
 	for name, clear := range map[string]func(float64) (*ClearingResult, error){
 		"Clear": func(w float64) (*ClearingResult, error) { return Clear(ps, w) },
 		"Iterate": func(w float64) (*ClearingResult, error) {
-			return Iterate(ps, w, 3, interactiveTolerance, nil, func(telemetry.Event) {}, askAll(bidders))
+			return Iterate(ps, w, 3, interactiveTolerance, nil, askAll(bidders))
 		},
 		"StreamMarket": func(w float64) (*ClearingResult, error) {
 			s, err := NewStreamMarket(ps, w)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"mpr/internal/core"
@@ -86,8 +87,8 @@ func runFig10(o Options) (*Result, error) {
 	convTbl := stats.NewTable("Fig. 10(b) inset — MPR-INT convergence trajectory (largest pool)",
 		"round", "announced price", "cleared price", "supplied (W)", "price error (%)")
 
-	// The per-round price trajectory is recorded as market_round trace
-	// events on the largest pool and read back from the tracer.
+	// The per-round price trajectory is recorded as the market_round
+	// spans of the largest pool's market and read back from the tracer.
 	tracer := telemetry.NewTracer(256)
 	largest := sizes[len(sizes)-1]
 
@@ -151,28 +152,20 @@ func runFig10(o Options) (*Result, error) {
 		dualMS := time.Since(t0).Seconds() * 1000
 
 		intCfg := core.InteractiveConfig{}
-		traceID := fmt.Sprintf("mpr-int-n%d", n)
 		if n == largest {
-			intCfg.Trace = tracer.StartTrace(traceID)
+			intCfg.Span = tracer.StartSpan("market", nil)
 		}
 		t0 = time.Now()
 		intRes, err := core.ClearInteractive(parts, bidders, target, intCfg)
+		intCfg.Span.End()
 		if err != nil {
 			return nil, err
 		}
 		intMS := time.Since(t0).Seconds() * 1000
 
 		if n == largest {
-			final := intRes.Price
-			for _, e := range tracer.Events() {
-				if e.Name != "market_round" || e.Trace != traceID {
-					continue
-				}
-				errPct := 0.0
-				if final != 0 {
-					errPct = 100 * (e.Price - final) / final
-				}
-				convTbl.AddRow(e.Round, e.Value, e.Price, e.SuppliedW, errPct)
+			if err := addConvergenceRows(convTbl, tracer.Spans(), intCfg.Span.ID(), intRes.Price); err != nil {
+				return nil, err
 			}
 		}
 		intTotal := time.Duration(intMS*float64(time.Millisecond)) + time.Duration(intRes.Rounds)*commPerRound
@@ -185,6 +178,32 @@ func runFig10(o Options) (*Result, error) {
 		Notes: []string{
 			"MPR-INT total time charges 500 ms of communication per round, as in the paper",
 			"MPR-STAT uses the closed-form segmented solver; 'MPR-STAT bisect' is the legacy bisection search and 'indexed clear' the per-clear cost once the market index is built (amortized over 100 re-clears)",
-			"the convergence trajectory is read back from the per-round market_round trace events; price error is the cleared price's deviation from the final (Nash) price",
+			"the convergence trajectory is read back from the market's per-round market_round spans; price error is the cleared price's deviation from the final (Nash) price",
 		}}, nil
+}
+
+// addConvergenceRows adds one row per "market_round" child of the market
+// span: the round's announced and cleared prices and supply, parsed from
+// its attributes, and the cleared price's error against final.
+func addConvergenceRows(tbl *stats.Table, spans []telemetry.Span, market uint64, final float64) error {
+	round := 0
+	for _, s := range spans {
+		if s.Name != "market_round" || s.Parent != market {
+			continue
+		}
+		var v [3]float64
+		for i, key := range []string{"announced", "price", "supplied_w"} {
+			var err error
+			if v[i], err = strconv.ParseFloat(s.Attr(key), 64); err != nil {
+				return fmt.Errorf("f10: round span %d: %w", s.ID, err)
+			}
+		}
+		errPct := 0.0
+		if final != 0 {
+			errPct = 100 * (v[1] - final) / final
+		}
+		round++
+		tbl.AddRow(round, v[0], v[1], v[2], errPct)
+	}
+	return nil
 }

@@ -15,8 +15,9 @@ import (
 // BundleSchema versions the flight-bundle artifact. Strict-decoded on
 // read: adding a field without bumping the version fails ReadBundleFile
 // (and the schema test in CI). v2: the series window carries raw
-// {t, v} samples instead of v1's resolution-tagged buckets.
-const BundleSchema = "mprflight/v2"
+// {t, v} samples instead of v1's resolution-tagged buckets. v3: the
+// tracer keeps spans only, so the events field is gone.
+const BundleSchema = "mprflight/v3"
 
 // Trigger reasons a bundle records. Kept as plain strings on the wire;
 // Validate accepts exactly this set so tooling can switch on them.
@@ -28,10 +29,10 @@ const (
 	ReasonSLO    = "slo"    // mprload attaching evidence to a failed run
 )
 
-// Bundle is the versioned mprflight/v2 black-box artifact: everything an
+// Bundle is the versioned mprflight/v3 black-box artifact: everything an
 // operator needs from the seconds before a trigger, in one self-
 // describing JSON document. The schema deliberately reuses the repo's
-// existing serialized forms — telemetry.Event, telemetry.Span,
+// existing serialized forms — telemetry.Span,
 // alerts.Firing, tsdb.SeriesData — so every offline tool that already
 // reads trace logs or series exports reads bundles too.
 type Bundle struct {
@@ -59,10 +60,10 @@ type Bundle struct {
 	Gauges   map[string]float64              `json:"gauges,omitempty"`
 	HDRs     map[string]telemetry.HDRSummary `json:"hdr_histograms,omitempty"`
 
-	// Events and Spans are the tracer rings' retained windows — the
-	// last-N clearing rounds, stream updates, evictions, coalesced bids.
-	Events []telemetry.Event `json:"events"`
-	Spans  []telemetry.Span  `json:"spans"`
+	// Spans is the tracer's retained window — the last markets' span
+	// trees (rounds with their prices and supply), evictions and
+	// coalesced bids.
+	Spans []telemetry.Span `json:"spans"`
 
 	// Firings is the recorder's retained alert history (every firing it
 	// saw, fresh or cooldown-suppressed), newest last.
@@ -125,7 +126,7 @@ func WriteBundleFile(path string, b *Bundle) error {
 	return nil
 }
 
-// ReadBundleFile strictly decodes and validates an mprflight/v2 bundle:
+// ReadBundleFile strictly decodes and validates an mprflight/v3 bundle:
 // unknown fields and bytes after the JSON value are errors, so schema
 // drift and a damaged file are caught at the reader.
 func ReadBundleFile(path string) (*Bundle, error) {

@@ -1,8 +1,8 @@
 // Package flight is the black-box flight recorder: an always-on,
 // fixed-capacity retention layer over the repo's telemetry primitives
-// (registry snapshot, tracer rings, tsdb window, alert firings, and a
+// (registry snapshot, span ring, tsdb window, alert firings, and a
 // runtime-health sampler over runtime/metrics) that dumps a versioned
-// mprflight/v2 bundle when something goes wrong. Like an aircraft FDR
+// mprflight/v3 bundle when something goes wrong. Like an aircraft FDR
 // the recorder costs (almost) nothing in steady state — the record path
 // is allocation-free and test-enforced — and pays out on a trigger: a
 // fresh alert firing handed to OnFirings (one bundle per rule and series
@@ -45,16 +45,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// A bundle carries the last bundleEvents trace events and the tsdb series
-// from bundleWindow before its trigger; the recorder retains the last
-// firingHistory alert firings.
+// A bundle carries the tsdb series from bundleWindow before its trigger;
+// the recorder retains the last firingHistory alert firings.
 const (
 	bundleWindow  = 10 * time.Minute
-	bundleEvents  = 256
 	firingHistory = 64
 )
 
-// Recorder retains recent telemetry and writes mprflight/v2 bundles on
+// Recorder retains recent telemetry and writes mprflight/v3 bundles on
 // triggers. All methods are safe for concurrent use, and a nil
 // *Recorder is a no-op (the disabled recorder), matching the nil-safety
 // discipline of the rest of internal/telemetry.
@@ -197,7 +195,7 @@ func (r *Recorder) write(path string, b *Bundle) error {
 	return nil
 }
 
-// buildBundle assembles the mprflight/v2 document. Dumps are rare, so
+// buildBundle assembles the mprflight/v3 document. Dumps are rare, so
 // this path may allocate freely — only recording must not.
 func (r *Recorder) buildBundle(now time.Time, reason string, trigger *alerts.Firing) *Bundle {
 	// Refresh the runtime snapshot at dump time: the bundle's health
@@ -218,7 +216,6 @@ func (r *Recorder) buildBundle(now time.Time, reason string, trigger *alerts.Fir
 		b.Gauges = snap.Gauges
 		b.HDRs = snap.HDRs
 	}
-	b.Events = r.cfg.Tracer.Last(bundleEvents)
 	b.Spans = r.cfg.Tracer.Spans()
 
 	// The tsdb window reaches bundleWindow back from the trigger's start (or

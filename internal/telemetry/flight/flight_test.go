@@ -47,7 +47,7 @@ func TestDumpWritesValidBundle(t *testing.T) {
 	dir := t.TempDir()
 	rec, tracer, _ := testRecorder(t, dir)
 
-	tracer.Emit(telemetry.Event{Name: "eviction", Label: "deadline_budget"})
+	tracer.RecordSpan("eviction", nil, 1, 1, telemetry.Attr{Key: "reason", Value: "deadline_budget"})
 	rec.SampleRuntime(time.Unix(4990, 0))
 	path, err := rec.OnFirings(time.Unix(5000, 0), []alerts.Firing{firing("EvictionBurst", 4950)})
 	if err != nil {
@@ -67,8 +67,8 @@ func TestDumpWritesValidBundle(t *testing.T) {
 	if len(b.Firings) != 1 || b.Firings[0].Rule != "EvictionBurst" {
 		t.Errorf("firings = %+v, want the recorded one", b.Firings)
 	}
-	if len(b.Events) != 1 || b.Events[0].Name != "eviction" {
-		t.Errorf("events = %+v, want the eviction event", b.Events)
+	if len(b.Spans) != 1 || b.Spans[0].Name != "eviction" || b.Spans[0].Attr("reason") != "deadline_budget" {
+		t.Errorf("spans = %+v, want the eviction span", b.Spans)
 	}
 	if !strings.Contains(b.GoroutineProfile, "goroutine profile:") {
 		t.Error("bundle is missing a goroutine profile")

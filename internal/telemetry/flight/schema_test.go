@@ -7,11 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"mpr/internal/telemetry"
 	"mpr/internal/telemetry/alerts"
 )
 
-// TestFlightBundleSchema validates mprflight/v2 bundles the same way the
+// TestFlightBundleSchema validates mprflight/v3 bundles the same way the
 // mprload/mprbench schema tests do: the committed testdata bundle (pins
 // the wire format against accidental drift — a new field without a
 // schema bump fails the strict decode) plus a freshly generated one. CI
@@ -19,7 +18,7 @@ import (
 // the real daemon artifact too. The testdata bundle with a second JSON
 // value appended must fail the read.
 func TestFlightBundleSchema(t *testing.T) {
-	paths := []string{filepath.Join("testdata", "flight_v2.json")}
+	paths := []string{filepath.Join("testdata", "flight_v3.json")}
 	if external := os.Getenv("MPR_FLIGHT_JSON"); external != "" {
 		paths = append(paths, external)
 	} else {
@@ -54,7 +53,10 @@ func generateBundle(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	rec, tracer, store := testRecorder(t, dir)
-	tracer.Emit(telemetry.Event{Name: "market_clear", Price: 4.2, TargetW: 1000})
+	market := tracer.StartSpan("market", nil)
+	market.SetAttr("price", "4.2")
+	market.SetAttr("target_w", "1000")
+	market.End()
 	store.Series("mpr_mgr_evictions").Append(4990, 3)
 	rec.SampleRuntime(time.Unix(4995, 0))
 	f := firing("EvictionBurst", 4990)
@@ -110,7 +112,7 @@ func checkBundle(t *testing.T, path string, b *Bundle) {
 // accepts writes back through WriteBundleFile and reads back equal. Each
 // fuzz worker runs one input at a time, so one file path serves them all.
 func FuzzBundleDecode(f *testing.F) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "flight_v2.json"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "flight_v3.json"))
 	if err != nil {
 		f.Fatal(err)
 	}

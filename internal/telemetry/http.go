@@ -8,9 +8,6 @@ import (
 	"strings"
 )
 
-// debugMarketEvents is how many trace events /debug/market serves.
-const debugMarketEvents = 64
-
 // Health is the /healthz payload: daemon uptime, connected agents, and
 // sampling freshness. LastSampleAgeSeconds is negative when no sampler
 // has fired yet (or none is wired).
@@ -28,8 +25,8 @@ type HandlerConfig struct {
 	// Registry backs /metrics (Prometheus text, or JSON with
 	// ?format=json).
 	Registry *Registry
-	// Tracer backs /debug/market and /debug/spans (each window with its
-	// dropped count).
+	// Tracer backs /debug/spans (the span window with its dropped
+	// count).
 	Tracer *Tracer
 	// Series, when set, is mounted at /debug/series — the tsdb window
 	// query handler (kept as a plain http.Handler so telemetry does not
@@ -46,7 +43,6 @@ type HandlerConfig struct {
 // NewHandler returns the observability HTTP surface:
 //
 //	/metrics        Prometheus text exposition (?format=json for JSON)
-//	/debug/market   last trace events + dropped count, JSON
 //	/debug/spans    completed hierarchical spans + dropped count, JSON
 //	/debug/series   windowed time-series queries (when Series is wired)
 //	/debug/flight   flight-recorder status; POST …/dump writes a bundle (when Flight is wired)
@@ -67,16 +63,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/market", func(w http.ResponseWriter, _ *http.Request) {
-		events := t.Last(debugMarketEvents)
-		if events == nil {
-			events = []Event{}
-		}
-		writeJSON(w, struct {
-			DroppedEvents uint64  `json:"dropped_events"`
-			Events        []Event `json:"events"`
-		}{t.Dropped(), events})
 	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, _ *http.Request) {
 		spans, dropped := t.spanWindow()
@@ -112,7 +98,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		links := []string{"/metrics", "/debug/market", "/debug/spans"}
+		links := []string{"/metrics", "/debug/spans"}
 		if cfg.Series != nil {
 			links = append(links, "/debug/series")
 		}

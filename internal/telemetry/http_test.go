@@ -93,38 +93,6 @@ func TestHandlerMetricsHDRInvalid(t *testing.T) {
 	}
 }
 
-// TestHandlerDebugMarketEndpoint: /debug/market is one JSON document,
-// chronological, with or without ?format=json — the counters, gauges and
-// HDR summaries it once rendered as HTML tables are /metrics.
-func TestHandlerDebugMarketEndpoint(t *testing.T) {
-	tr := NewTracer(16)
-	run := tr.StartTrace("run-1")
-	run.Emit(Event{Name: "market_round", Round: 1, Price: 0.8, TargetW: 500, SuppliedW: 420})
-	run.Emit(Event{Name: "market_clear", Round: 2, Price: 0.95, TargetW: 500, SuppliedW: 503, Label: "converged"})
-
-	res, body := serveGet(t, handlerOf(nil, tr), "/debug/market")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", res.StatusCode)
-	}
-	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("content type = %q", ct)
-	}
-	var doc struct {
-		DroppedEvents uint64  `json:"dropped_events"`
-		Events        []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, body)
-	}
-	if len(doc.Events) != 2 || doc.Events[0].Name != "market_round" ||
-		doc.Events[1].Trace != "run-1" || doc.Events[1].Label != "converged" {
-		t.Fatalf("events = %+v", doc.Events)
-	}
-	if _, asJSON := serveGet(t, handlerOf(nil, tr), "/debug/market?format=json"); asJSON != body {
-		t.Fatalf("?format=json differs:\n%s\nvs\n%s", asJSON, body)
-	}
-}
-
 func TestHandlerMetricsJSONFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mpr_mgr_markets_total", "").Add(3)
@@ -158,30 +126,6 @@ func TestHandlerMetricsJSONFormat(t *testing.T) {
 	_, body = serveGet(t, handlerOf(nil, nil), "/metrics?format=json")
 	if strings.TrimSpace(body) != `{"counters":{},"gauges":{},"hdr_histograms":{}}` {
 		t.Fatalf("nil-registry JSON = %s", body)
-	}
-}
-
-func TestHandlerDebugMarketJSONDropped(t *testing.T) {
-	tr := NewTracer(16)
-	for i := 0; i < 20; i++ { // 4 past capacity
-		tr.Emit(Event{Name: "market_round", Round: i})
-	}
-	res, body := serveGet(t, handlerOf(nil, tr), "/debug/market?format=json")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", res.StatusCode)
-	}
-	var doc struct {
-		DroppedEvents uint64  `json:"dropped_events"`
-		Events        []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, body)
-	}
-	if doc.DroppedEvents != 4 {
-		t.Fatalf("dropped_events = %d, want 4", doc.DroppedEvents)
-	}
-	if len(doc.Events) != 16 || doc.Events[0].Round != 4 {
-		t.Fatalf("events = %d, first round = %d", len(doc.Events), doc.Events[0].Round)
 	}
 }
 
@@ -315,14 +259,18 @@ func TestHandlerNilRegistryAndTracer(t *testing.T) {
 	if res, _ := serveGet(t, h, "/metrics"); res.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status = %d", res.StatusCode)
 	}
-	if res, _ := serveGet(t, h, "/debug/market"); res.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/market status = %d", res.StatusCode)
+	if res, body := serveGet(t, h, "/debug/spans"); res.StatusCode != http.StatusOK ||
+		strings.TrimSpace(body) != `{"dropped_spans":0,"spans":[]}` {
+		t.Fatalf("/debug/spans status = %d, body %s", res.StatusCode, body)
+	}
+	if res, _ := serveGet(t, h, "/debug/market"); res.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/market status = %d, want it gone", res.StatusCode)
 	}
 	if res, _ := serveGet(t, h, "/nope"); res.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown path status = %d", res.StatusCode)
 	}
 	if res, body := serveGet(t, h, "/"); res.StatusCode != http.StatusOK ||
-		!strings.Contains(body, "/debug/market") {
+		!strings.Contains(body, "/debug/spans") {
 		t.Fatal("index must link the endpoints")
 	}
 }

@@ -1,7 +1,7 @@
 package telemetry
 
 // Ring is the fixed-capacity retention buffer every telemetry window is
-// built on: the tracer's event and span rings, the flight recorder's
+// built on: the tracer's span ring, the flight recorder's
 // firing history and each tsdb series' ring of samples. When full,
 // Push overwrites the oldest value. A Ring is not synchronized — each
 // owner guards it with its own lock — and Push never allocates, since the

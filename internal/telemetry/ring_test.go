@@ -63,8 +63,8 @@ func TestRingMinimumSize(t *testing.T) {
 // TestRingPushZeroAlloc: the backing array is sized once, so Push never
 // allocates — neither while filling nor once it overwrites.
 func TestRingPushZeroAlloc(t *testing.T) {
-	r := NewRing[Event](64)
-	e := Event{Name: "market_round"}
+	r := NewRing[Span](64)
+	e := Span{Name: "market_round"}
 	if avg := testing.AllocsPerRun(1000, func() { r.Push(e) }); avg != 0 {
 		t.Fatalf("Push allocates %.1f per call, want 0", avg)
 	}

@@ -37,6 +37,16 @@ func (s Span) Duration() time.Duration {
 	return time.Duration(s.EndNS - s.StartNS)
 }
 
+// Attr returns the value of the span's attribute key ("" when unset).
+func (s Span) Attr(key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // ActiveSpan is an in-flight span handle. A nil *ActiveSpan is a no-op
 // (the handle the nil tracer gives out), so instrumented code never
 // branches on configuration.
@@ -106,7 +116,9 @@ func (s *ActiveSpan) End() {
 // assigned span ID (0 on a nil tracer). The agentproto manager uses it
 // for per-agent respond_bid spans: the interval runs from the round's
 // price broadcast to that agent's bid receipt, and the bids of many
-// agents overlap, so handle-based bracketing cannot express them.
+// agents overlap, so handle-based bracketing cannot express them. It
+// also records instants (an eviction, a coalesced bid) as zero-length
+// spans.
 func (t *Tracer) RecordSpan(name string, parent *ActiveSpan, startNS, endNS int64, attrs ...Attr) uint64 {
 	if t == nil {
 		return 0

@@ -89,27 +89,29 @@ func TestWithPprofLabels(t *testing.T) {
 	}
 }
 
-// TestTracerDroppedCount overflows the event ring and asserts the
-// dropped count that /debug/market serves as dropped_events.
+// TestTracerDroppedCount overflows the span ring and asserts the dropped
+// count /debug/spans serves as dropped_spans: an exactly-full ring has
+// lost nothing.
 func TestTracerDroppedCount(t *testing.T) {
 	tr := NewTracer(16)
-	if tr.Dropped() != 0 {
+	dropped := func() uint64 { _, d := tr.spanWindow(); return d }
+	if dropped() != 0 {
 		t.Fatal("fresh tracer reports drops")
 	}
 	for i := 0; i < 16; i++ {
-		tr.Emit(Event{Name: "e"})
+		tr.StartSpan("s", nil).End()
 	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("exactly-full ring dropped %d", tr.Dropped())
+	if got := dropped(); got != 0 {
+		t.Fatalf("exactly-full ring dropped %d", got)
 	}
 	for i := 0; i < 25; i++ {
-		tr.Emit(Event{Name: "e"})
+		tr.RecordSpan("s", nil, 1, 1)
 	}
-	if got := tr.Dropped(); got != 25 {
+	if got := dropped(); got != 25 {
 		t.Fatalf("dropped = %d, want 25", got)
 	}
 	var nilT *Tracer
-	if nilT.Dropped() != 0 {
+	if _, d := nilT.spanWindow(); d != 0 {
 		t.Fatal("nil tracer must report 0 drops")
 	}
 }

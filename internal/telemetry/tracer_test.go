@@ -9,90 +9,78 @@ import (
 
 func TestNilTracerIsNop(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(Event{Name: "x"})
-	if tr.Len() != 0 || tr.Events() != nil || tr.Last(5) != nil {
-		t.Fatal("nil tracer must be empty")
+	if tr.Spans() != nil || tr.StartSpan("x", nil) != nil {
+		t.Fatal("nil tracer must be empty and hand out the nil span")
 	}
-	h := tr.StartTrace("run")
-	if h != nil {
+	if id := tr.RecordSpan("x", nil, 1, 2); id != 0 {
+		t.Fatalf("nil tracer recorded span %d", id)
+	}
+	if tr.StartTrace("run") != nil {
 		t.Fatal("nil tracer must hand out the nil trace handle")
 	}
-	h.Emit(Event{Name: "y"}) // must not panic
 }
 
+// TestTracerSequenceAndWindow: StartSpan and RecordSpan draw IDs from one
+// sequence, a bracketed span is stamped with its own start and end, and
+// Spans lists the window in completion order.
 func TestTracerSequenceAndWindow(t *testing.T) {
 	tr := NewTracer(16)
-	for i := 0; i < 5; i++ {
-		tr.Emit(Event{Name: "e", Round: i})
+	outer := tr.StartSpan("outer", nil)
+	for i := 0; i < 3; i++ {
+		tr.RecordSpan("instant", outer, int64(100+i), int64(100+i))
 	}
-	evs := tr.Events()
-	if len(evs) != 5 {
-		t.Fatalf("len = %d, want 5", len(evs))
+	outer.End()
+	spans := tr.Spans()
+	if len(spans) != 4 {
+		t.Fatalf("len = %d, want 4", len(spans))
 	}
-	for i, e := range evs {
-		if e.Seq != uint64(i+1) || e.Round != i {
-			t.Fatalf("event %d out of order: seq=%d round=%d", i, e.Seq, e.Round)
+	for i, s := range spans[:3] {
+		if s.ID != uint64(i+2) || s.Parent != 1 || s.StartNS != int64(100+i) || s.Duration() != 0 {
+			t.Fatalf("span %d: %+v", i, s)
 		}
-		if e.TimeNS == 0 {
-			t.Fatal("Emit must stamp wall-clock time when unset")
-		}
 	}
-	last := tr.Last(2)
-	if len(last) != 2 || last[0].Round != 3 || last[1].Round != 4 {
-		t.Fatalf("Last(2) = %+v", last)
+	if o := spans[3]; o.ID != 1 || o.Name != "outer" || o.StartNS == 0 || o.EndNS < o.StartNS {
+		t.Fatalf("outer span: %+v", o)
 	}
 }
 
-// TestTracerWraparound fills the ring past capacity and checks the
-// surviving window is the newest events, still chronological.
+// TestTracerWraparound fills the ring past capacity with externally timed
+// spans and checks the surviving window is the newest ones, still in
+// order, with the caller's timestamps and a copy of its attributes.
 func TestTracerWraparound(t *testing.T) {
 	tr := NewTracer(16)
-	const emitted = 40
-	for i := 0; i < emitted; i++ {
-		tr.Emit(Event{Name: "e", Round: i, TimeNS: int64(i + 1)})
+	const recorded = 40
+	attrs := []Attr{{Key: "agent", Value: "a"}}
+	for i := 0; i < recorded; i++ {
+		tr.RecordSpan("s", nil, int64(i+1), int64(i+2), attrs...)
 	}
-	if tr.Len() != 16 {
-		t.Fatalf("Len = %d, want 16", tr.Len())
+	attrs[0].Value = "changed"
+	spans := tr.Spans()
+	if len(spans) != 16 {
+		t.Fatalf("len = %d, want 16", len(spans))
 	}
-	evs := tr.Events()
-	if len(evs) != 16 {
-		t.Fatalf("len = %d, want 16", len(evs))
-	}
-	for i, e := range evs {
-		wantRound := emitted - 16 + i
-		if e.Round != wantRound || e.Seq != uint64(wantRound+1) {
-			t.Fatalf("event %d: round=%d seq=%d, want round %d", i, e.Round, e.Seq, wantRound)
+	for i, s := range spans {
+		want := recorded - 16 + i
+		if s.ID != uint64(want+1) || s.StartNS != int64(want+1) || s.EndNS != int64(want+2) {
+			t.Fatalf("span %d: %+v, want ID %d", i, s, want+1)
+		}
+		if len(s.Attrs) != 1 || s.Attrs[0].Value != "a" {
+			t.Fatalf("span %d attrs %+v alias the caller's", i, s.Attrs)
 		}
 	}
-	// Pre-filled deterministic timestamps must survive untouched.
-	if evs[0].TimeNS != int64(emitted-16+1) {
-		t.Fatalf("TimeNS = %d", evs[0].TimeNS)
-	}
-	if over := tr.Last(1000); len(over) != 16 {
-		t.Fatalf("Last(1000) len = %d, want 16", len(over))
-	}
 }
 
-func TestTraceHandleStampsID(t *testing.T) {
-	tr := NewTracer(16)
-	run := tr.StartTrace("mpr-int")
-	run.Emit(Event{Name: "market_round", Round: 1, Price: 0.5})
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Trace != "mpr-int" {
-		t.Fatalf("trace not stamped: %+v", evs)
-	}
-}
-
-// TestTracerConcurrentDropAccounting hammers one ring from many writers
-// and pins the overflow invariant the /debug/market dropped_events field
-// reports on: every emitted event is either still retained in the window
-// or counted as dropped — exactly once, even when wraparound and the
-// sequence counter are contended. Run under -race this also covers the
-// ring's locking discipline.
+// TestTracerConcurrentDropAccounting hammers one span ring from many
+// writers — half ending bracketed spans, half recording externally timed
+// ones — and pins the overflow invariant /debug/spans reports on: every
+// recorded span is either still retained or counted in dropped_spans,
+// exactly once, even when wraparound and the ID sequence are contended.
+// Run under -race it also covers the ring's locking discipline.
 func TestTracerConcurrentDropAccounting(t *testing.T) {
 	const (
 		writers   = 8
 		perWriter = 5000
+		total     = writers * perWriter
 	)
 	tr := NewTracer(64)
 	var wg sync.WaitGroup
@@ -101,13 +89,18 @@ func TestTracerConcurrentDropAccounting(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				tr.Emit(Event{Name: "burst", Round: w, Value: float64(i)})
+				if w%2 == 0 {
+					s := tr.StartSpan("burst", nil)
+					s.SetAttr("writer", "even")
+					s.End()
+				} else {
+					tr.RecordSpan("burst", nil, int64(i), int64(i), Attr{Key: "writer", Value: "odd"})
+				}
 			}
 		}(w)
 	}
 	// Concurrent readers must never observe retained+dropped exceeding
-	// what has been emitted (sequence numbers are assigned under the same
-	// lock, so Len+Dropped trails seq monotonically).
+	// what has been recorded.
 	stop := make(chan struct{})
 	var rg sync.WaitGroup
 	rg.Add(1)
@@ -119,48 +112,41 @@ func TestTracerConcurrentDropAccounting(t *testing.T) {
 				return
 			default:
 			}
-			if got := uint64(tr.Len()) + tr.Dropped(); got > writers*perWriter {
-				t.Errorf("retained+dropped = %d mid-run, exceeds %d emitted", got, writers*perWriter)
+			spans, dropped := tr.spanWindow()
+			if got := uint64(len(spans)) + dropped; got > total {
+				t.Errorf("retained+dropped = %d mid-run, exceeds %d recorded", got, total)
 				return
 			}
-			tr.Last(8)
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	rg.Wait()
 
-	const total = writers * perWriter
-	if got := uint64(tr.Len()) + tr.Dropped(); got != total {
-		t.Fatalf("retained(%d) + dropped(%d) = %d, want %d emitted", tr.Len(), tr.Dropped(), got, total)
+	spans, dropped := tr.spanWindow()
+	if len(spans) != 64 || uint64(len(spans))+dropped != total {
+		t.Fatalf("retained(%d) + dropped(%d), want 64 + %d", len(spans), dropped, total-64)
 	}
-	if tr.Len() != 64 {
-		t.Fatalf("ring len = %d, want full capacity 64", tr.Len())
-	}
-	// The surviving window is the final slice of the sequence space, in
-	// order and gap-free.
-	evs := tr.Events()
-	for i, e := range evs {
-		if want := uint64(total - 64 + i + 1); e.Seq != want {
-			t.Fatalf("event %d seq = %d, want %d", i, e.Seq, want)
+	// Every retained span is a distinct ID from the sequence.
+	seen := map[uint64]bool{}
+	for _, s := range spans {
+		if s.ID < 1 || s.ID > total || seen[s.ID] {
+			t.Fatalf("retained span ID %d repeated or outside 1…%d", s.ID, total)
 		}
+		seen[s.ID] = true
 	}
 
-	// /debug/market?format=json reports the same counter.
-	h := NewHandler(HandlerConfig{Tracer: tr})
+	// /debug/spans reports the same counter.
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/market?format=json", nil))
+	NewHandler(HandlerConfig{Tracer: tr}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/spans", nil))
 	var body struct {
-		DroppedEvents uint64  `json:"dropped_events"`
-		Events        []Event `json:"events"`
+		DroppedSpans uint64 `json:"dropped_spans"`
+		Spans        []Span `json:"spans"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("bad /debug/market JSON: %v", err)
+		t.Fatalf("bad /debug/spans JSON: %v", err)
 	}
-	if body.DroppedEvents != tr.Dropped() || body.DroppedEvents != total-64 {
-		t.Fatalf("dropped_events = %d, want %d", body.DroppedEvents, total-64)
-	}
-	if len(body.Events) == 0 {
-		t.Fatal("debug/market returned no events")
+	if body.DroppedSpans != total-64 || len(body.Spans) != 64 {
+		t.Fatalf("dropped_spans = %d over %d spans, want %d over 64", body.DroppedSpans, len(body.Spans), total-64)
 	}
 }
