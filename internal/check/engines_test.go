@@ -18,8 +18,8 @@ const diffSeedEngines = 0x5eed_0004
 
 // TestDiffEngines pins sim.Run to the fixed-step reference, bit-identical
 // Results over ≥ 1k adversarial configurations: every
-// algorithm, bursty and sparse arrival mixes, market delays, backfill,
-// phases, predictive mode, and dense sampling.
+// algorithm, bursty and sparse arrival mixes, market delays, phases,
+// predictive mode, and dense sampling.
 func TestDiffEngines(t *testing.T) {
 	start := time.Now()
 	n := 1200

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func mustNew(t *testing.T, cores int, backfill bool) *Scheduler {
+func mustNew(t *testing.T, cores int) *Scheduler {
 	t.Helper()
-	s, err := New(cores, backfill)
+	s, err := New(cores, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,12 +18,15 @@ func TestNewRejectsBadSize(t *testing.T) {
 	if _, err := New(0, false); err == nil {
 		t.Error("zero cores accepted")
 	}
+	if _, err := New(8, true); err == nil {
+		t.Error("backfill accepted by an FCFS-only scheduler")
+	}
 }
 
 func TestFCFSStartsInOrder(t *testing.T) {
-	s := mustNew(t, 10, false)
+	s := mustNew(t, 10)
 	for i := 1; i <= 3; i++ {
-		if err := s.Submit(Request{ID: i, Cores: 4, EstRuntime: 10}); err != nil {
+		if err := s.Submit(Request{ID: i, Cores: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +48,7 @@ func TestFCFSStartsInOrder(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s := mustNew(t, 8, false)
+	s := mustNew(t, 8)
 	if err := s.Submit(Request{ID: 1, Cores: 0}); err == nil {
 		t.Error("zero cores accepted")
 	}
@@ -59,18 +62,39 @@ func TestSubmitValidation(t *testing.T) {
 	if err := s.Submit(Request{ID: 1, Cores: 1}); err == nil {
 		t.Error("duplicate running ID accepted")
 	}
+	if err := s.Submit(Request{ID: 2, Cores: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Submit(Request{ID: 2, Cores: 4}); err == nil {
+		t.Error("duplicate queued ID accepted")
+	}
+	if err := s.Finish(2); err == nil {
+		t.Error("finishing a queued job accepted")
+	}
+	if err := s.Finish(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TryStart(0); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("started %+v, want job 2 alone", got)
+	}
+	if err := s.Finish(2); err != nil {
+		t.Fatal(err)
+	}
+	if s.FreeCores() != 8 || s.QueueLen() != 0 || s.RunningCount() != 0 {
+		t.Errorf("drained: free=%d queue=%d running=%d, want 8, 0, 0", s.FreeCores(), s.QueueLen(), s.RunningCount())
+	}
 }
 
 func TestFinishUnknown(t *testing.T) {
-	s := mustNew(t, 4, false)
+	s := mustNew(t, 4)
 	if err := s.Finish(99); err == nil {
 		t.Error("finishing unknown job accepted")
 	}
 }
 
 func TestHaltBlocksAdmission(t *testing.T) {
-	s := mustNew(t, 8, false)
-	_ = s.Submit(Request{ID: 1, Cores: 2, EstRuntime: 5})
+	s := mustNew(t, 8)
+	_ = s.Submit(Request{ID: 1, Cores: 2})
 	s.Halt(true)
 	if !s.Halted() {
 		t.Error("halted flag")
@@ -85,89 +109,49 @@ func TestHaltBlocksAdmission(t *testing.T) {
 }
 
 func TestNoBackfillHeadBlocks(t *testing.T) {
-	s := mustNew(t, 10, false)
-	_ = s.Submit(Request{ID: 1, Cores: 8, EstRuntime: 100})
+	s := mustNew(t, 10)
+	_ = s.Submit(Request{ID: 1, Cores: 8})
 	s.TryStart(0)
-	_ = s.Submit(Request{ID: 2, Cores: 4, EstRuntime: 100}) // blocked head
-	_ = s.Submit(Request{ID: 3, Cores: 1, EstRuntime: 1})   // would fit
+	_ = s.Submit(Request{ID: 2, Cores: 4}) // blocked head
+	_ = s.Submit(Request{ID: 3, Cores: 1}) // would fit
 	if got := s.TryStart(1); len(got) != 0 {
 		t.Errorf("FCFS without backfill must not jump the head: %+v", got)
 	}
 }
 
-func TestEASYBackfillShortJobJumps(t *testing.T) {
-	s := mustNew(t, 10, true)
-	_ = s.Submit(Request{ID: 1, Cores: 8, EstRuntime: 100})
-	s.TryStart(0)
-	// Head needs 4 cores → must wait until job 1 ends at t=100.
-	_ = s.Submit(Request{ID: 2, Cores: 4, EstRuntime: 50})
-	// Job 3 fits now (2 free) and ends at 0+90 ≤ 100: backfillable.
-	_ = s.Submit(Request{ID: 3, Cores: 2, EstRuntime: 90})
-	started := s.TryStart(0)
-	if len(started) != 1 || started[0].ID != 3 {
-		t.Fatalf("backfill started = %+v", started)
-	}
-	// Queue head still waiting.
-	if s.QueueLen() != 1 {
-		t.Errorf("queue len = %d", s.QueueLen())
-	}
-}
-
-func TestEASYBackfillRespectsReservation(t *testing.T) {
-	s := mustNew(t, 10, true)
-	_ = s.Submit(Request{ID: 1, Cores: 8, EstRuntime: 100})
-	s.TryStart(0)
-	_ = s.Submit(Request{ID: 2, Cores: 10, EstRuntime: 50}) // head: needs all cores at t=100
-	// Job 3 fits now but runs past the shadow time and would use cores
-	// the reservation needs (spare at shadow = 0) → must not start.
-	_ = s.Submit(Request{ID: 3, Cores: 2, EstRuntime: 500})
-	if started := s.TryStart(0); len(started) != 0 {
-		t.Fatalf("backfill violated reservation: %+v", started)
-	}
-	// A long job that fits within the spare cores at shadow time may
-	// start: head needs only 4 of 10, so 6 cores are spare.
-	s2 := mustNew(t, 10, true)
-	_ = s2.Submit(Request{ID: 1, Cores: 8, EstRuntime: 100})
-	s2.TryStart(0)
-	_ = s2.Submit(Request{ID: 2, Cores: 4, EstRuntime: 50})
-	_ = s2.Submit(Request{ID: 3, Cores: 2, EstRuntime: 500})
-	if started := s2.TryStart(0); len(started) != 1 || started[0].ID != 3 {
-		t.Fatalf("spare-core backfill failed: %+v", started)
-	}
-}
-
-func TestExtendRuntime(t *testing.T) {
-	s := mustNew(t, 10, true)
-	_ = s.Submit(Request{ID: 1, Cores: 8, EstRuntime: 100})
-	s.TryStart(0)
-	// Emergency stretched job 1 to end at 200; a backfill candidate that
-	// ends at 150 (> old shadow 100, < new 200) should now be admitted
-	// against the new shadow only if it still fits.
-	s.ExtendRuntime(1, 200)
-	_ = s.Submit(Request{ID: 2, Cores: 4, EstRuntime: 50})
-	_ = s.Submit(Request{ID: 3, Cores: 2, EstRuntime: 150})
-	started := s.TryStart(0)
-	if len(started) != 1 || started[0].ID != 3 {
-		t.Fatalf("started = %+v", started)
-	}
-	// Extending an unknown job is a no-op.
-	s.ExtendRuntime(999, 1)
-}
-
 // Invariant: cores never over-allocated, free cores never negative, and
-// everything is conserved across random workloads.
+// everything is conserved across random workloads — including submits
+// that reuse the ID of a queued or running job, which must be refused.
 func TestRandomizedConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		backfill := trial%2 == 0
-		s := mustNew(t, 64, backfill)
+		s := mustNew(t, 64)
 		active := map[int]int{} // id → cores
+		var queued []int        // FCFS order
 		nextID := 1
 		for step := int64(0); step < 200; step++ {
-			// Random submits.
+			// Random submits, one in five reusing a live ID.
 			for k := 0; k < rng.Intn(4); k++ {
 				c := 1 << rng.Intn(6)
-				_ = s.Submit(Request{ID: nextID, Cores: c, EstRuntime: int64(1 + rng.Intn(50))})
+				if rng.Intn(5) == 0 && len(queued)+len(active) > 0 {
+					id := nextID
+					if n := rng.Intn(len(queued) + len(active)); n < len(queued) {
+						id = queued[n]
+					} else {
+						for a := range active {
+							id = a
+							break
+						}
+					}
+					if err := s.Submit(Request{ID: id, Cores: c}); err == nil {
+						t.Fatalf("trial %d: job %d submitted while queued or running", trial, id)
+					}
+					continue
+				}
+				if err := s.Submit(Request{ID: nextID, Cores: c}); err != nil {
+					t.Fatal(err)
+				}
+				queued = append(queued, nextID)
 				nextID++
 			}
 			// Random finishes.
@@ -182,6 +166,10 @@ func TestRandomizedConservation(t *testing.T) {
 			// Random halts.
 			s.Halt(rng.Float64() < 0.1)
 			for _, r := range s.TryStart(step) {
+				if r.ID != queued[0] {
+					t.Fatalf("started job %d ahead of the head %d", r.ID, queued[0])
+				}
+				queued = queued[1:]
 				active[r.ID] = r.Cores
 			}
 			used := 0
@@ -194,51 +182,9 @@ func TestRandomizedConservation(t *testing.T) {
 			if s.FreeCores() < 0 {
 				t.Fatal("negative free cores")
 			}
-			if s.RunningCount() != len(active) {
-				t.Fatalf("running count %d != %d", s.RunningCount(), len(active))
+			if s.RunningCount() != len(active) || s.QueueLen() != len(queued) {
+				t.Fatalf("running %d, queued %d; want %d and %d", s.RunningCount(), s.QueueLen(), len(active), len(queued))
 			}
-		}
-	}
-}
-
-// TestBackfillShadowTieDeterministic pins the shadow computation against
-// map-iteration nondeterminism: when several running jobs share an
-// expected end, the spare-core accounting (and with it every backfill
-// decision) must come out identical on every run. The tie scenario is
-// rebuilt many times so a map-order dependence cannot hide behind a
-// lucky iteration order.
-func TestBackfillShadowTieDeterministic(t *testing.T) {
-	build := func() []int {
-		s, err := New(32, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two jobs with the same expected end (the tie), then a wide head
-		// that must wait for both, then a short job whose backfill
-		// eligibility hinges on the spare cores at the shadow time.
-		for _, r := range []Request{
-			{ID: 1, Cores: 20, EstRuntime: 177},
-			{ID: 2, Cores: 4, EstRuntime: 177},
-			{ID: 3, Cores: 26, EstRuntime: 50},
-		} {
-			if err := s.Submit(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.TryStart(0) // starts 1 and 2 (backfill), leaves 3 queued
-		if err := s.Submit(Request{ID: 4, Cores: 4, EstRuntime: 500}); err != nil {
-			t.Fatal(err)
-		}
-		var ids []int
-		for _, r := range s.TryStart(11) {
-			ids = append(ids, r.ID)
-		}
-		return ids
-	}
-	first := build()
-	for i := 1; i < 100; i++ {
-		if got := build(); len(got) != len(first) || (len(got) > 0 && got[0] != first[0]) {
-			t.Fatalf("run %d backfilled %v, first run %v — shadow ties depend on map order", i, got, first)
 		}
 	}
 }
@@ -250,11 +196,11 @@ func TestBackfillShadowTieDeterministic(t *testing.T) {
 // nothing, and TryStart's result is still nil when it starts nothing.
 func TestSteadyCycleZeroAlloc(t *testing.T) {
 	const width = 16
-	s := mustNew(t, width*4, false)
+	s := mustNew(t, width*4)
 	id := 0
 	submit := func() {
 		id++
-		if err := s.Submit(Request{ID: id, Cores: 4, EstRuntime: width}); err != nil {
+		if err := s.Submit(Request{ID: id, Cores: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -163,15 +163,6 @@ func (st *engineState) setAlloc(j *simJob, a float64) {
 	j.allocW = j.power.JobPower(float64(j.cores), a)
 }
 
-// applyOrder puts a reduction order's allocation a in force on j at slot
-// and moves j's expected end in the scheduler to match its new speed.
-func (st *engineState) applyOrder(j *simJob, a float64, slot int) {
-	st.setAlloc(j, a)
-	if j.speed > 0 {
-		st.scheduler.ExtendRuntime(j.idx, int64(slot)+int64(math.Ceil(j.remainingMin/j.speed)))
-	}
-}
-
 // Run executes the simulation and returns its result.
 func Run(cfg Config) (*Result, error) { return drive(cfg, (*engineState).run) }
 
@@ -331,25 +322,16 @@ func newEngineState(cfg *Config) (*engineState, error) {
 
 // step advances the simulation by one slot: the complete per-slot
 // transition, admit's steps 1–2 and then settle's steps 3–6.
-//
-// Steps 1 and 2 sum the jobs' power as they compact and append the active
-// list, unless a delayed order lands this slot or power phases are on:
-// then step 3 sums it in a pass of its own. Either way each job adds its
-// draw in active order.
 func (st *engineState) step(slot int) error {
 	st.steps++
-	fused := st.cfg.PhaseAmp == 0 && !(st.pendingAllocs != nil && slot >= st.pendingApplyAt)
-	demandW, deliveredW, err := st.admit(slot, fused)
-	if err != nil {
+	if err := st.admit(slot); err != nil {
 		return err
 	}
-	return st.settle(slot, fused, demandW, deliveredW)
+	return st.settle(slot)
 }
 
-// admit is steps 1 and 2 of slot: finishes, arrivals and starts. When
-// fused it also returns the demanded and delivered power of the jobs
-// active afterwards, summed in active order.
-func (st *engineState) admit(slot int, fused bool) (demandW, deliveredW float64, err error) {
+// admit is steps 1 and 2 of slot: finishes, arrivals and starts.
+func (st *engineState) admit(slot int) error {
 	cfg := st.cfg
 
 	// 1. Finish jobs that completed their work (compacting the
@@ -358,15 +340,11 @@ func (st *engineState) admit(slot int, fused bool) (demandW, deliveredW float64,
 	for _, j := range st.active {
 		if j.remainingMin <= 1e-9 {
 			if err := st.finishJob(j, slot); err != nil {
-				return 0, 0, err
+				return err
 			}
 			continue
 		}
 		keep = append(keep, j)
-		if fused {
-			demandW += j.fullW
-			deliveredW += j.allocW
-		}
 	}
 	st.active = keep
 
@@ -378,7 +356,7 @@ func (st *engineState) admit(slot int, fused bool) (demandW, deliveredW float64,
 	// to it (the strongest form of Section III-D's early
 	// invocation).
 	if err := st.submitArrivals(slot); err != nil {
-		return 0, 0, err
+		return err
 	}
 	startBudget := cfg.Trace.TotalCores
 	if cfg.Predictive && st.ec.State() == power.StateNormal {
@@ -396,15 +374,10 @@ func (st *engineState) admit(slot int, fused bool) (demandW, deliveredW float64,
 		}
 		startBudget = int(headroomW / maxWPC)
 	}
-	for _, req := range st.scheduler.TryStartBudget(int64(slot), startBudget) {
-		j := st.jobs[req.ID]
-		st.startJob(j, slot)
-		if fused {
-			demandW += j.fullW
-			deliveredW += j.allocW
-		}
+	for _, req := range st.scheduler.TryStartBudget(startBudget) {
+		st.startJob(st.jobs[req.ID], slot)
 	}
-	return demandW, deliveredW, nil
+	return nil
 }
 
 // finishJob ends the running job j at slot.
@@ -424,9 +397,7 @@ func (st *engineState) finishJob(j *simJob, slot int) error {
 func (st *engineState) submitArrivals(slot int) error {
 	for ; st.nextArrival < len(st.arrivals) && st.arrivals[st.nextArrival].submitSlot == slot; st.nextArrival++ {
 		j := st.arrivals[st.nextArrival]
-		if err := st.scheduler.Submit(sched.Request{
-			ID: j.idx, Cores: j.cores, EstRuntime: int64(math.Ceil(j.origMin)),
-		}); err != nil {
+		if err := st.scheduler.Submit(sched.Request{ID: j.idx, Cores: j.cores}); err != nil {
 			return err
 		}
 	}
@@ -443,9 +414,10 @@ func (st *engineState) startJob(j *simJob, slot int) {
 }
 
 // settle is steps 3–6 of slot, after admit: delayed orders, power, the
-// controller and its market, accounting and progress. demandW and
-// deliveredW are admit's sums when fused; otherwise step 3 sums them.
-func (st *engineState) settle(slot int, fused bool, demandW, deliveredW float64) error {
+// controller and its market, accounting and progress. Step 3 is the one
+// place a stepped slot sums its demanded and delivered power, each job
+// adding its draw in active order.
+func (st *engineState) settle(slot int) error {
 	cfg := st.cfg
 	res := st.res
 	st.settles++
@@ -455,11 +427,12 @@ func (st *engineState) settle(slot int, fused bool, demandW, deliveredW float64)
 	if st.pendingAllocs != nil && slot >= st.pendingApplyAt {
 		for _, j := range st.active {
 			if a, ok := st.pendingAllocs[j.idx]; ok {
-				st.applyOrder(j, a, slot)
+				st.setAlloc(j, a)
 			}
 		}
 		st.pendingAllocs = nil
 	}
+	var demandW, deliveredW float64
 	if cfg.PhaseAmp > 0 {
 		// Per-job power phases modulate the dynamic component.
 		omega := 2 * math.Pi / phasePeriodSlots
@@ -470,7 +443,7 @@ func (st *engineState) settle(slot int, fused bool, demandW, deliveredW float64)
 			demandW += static + dyn
 			deliveredW += static + j.alloc*dyn
 		}
-	} else if !fused {
+	} else {
 		for _, j := range st.active {
 			demandW += j.fullW
 			deliveredW += j.allocW
@@ -585,7 +558,7 @@ func (st *engineState) settle(slot int, fused bool, demandW, deliveredW float64)
 				// Immediate orders apply straight from the scratch
 				// selection — no id-keyed map on the hot path.
 				for i, j := range st.scratch.sel {
-					st.applyOrder(j, st.scratch.allocs[i], slot)
+					st.setAlloc(j, st.scratch.allocs[i])
 				}
 			} else {
 				// A raise supersedes the in-flight order's content

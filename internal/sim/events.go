@@ -57,18 +57,19 @@ func (st *engineState) leaveEvents(slot int) {
 // run. It is admit with the finish test read off the projections: one
 // pass over the running jobs finishes those due, sums the power of the
 // others in active order, and finds the next finish; the starts add theirs
-// after it. That sum is step's demand and its delivered power, bit for
-// bit: at full speed allocW and fullW are the same expression. Above the
-// capacity the regime ends and settle takes the slot. Within it the
+// after it. That sum is the demand and the delivered power settle would
+// sum, bit for bit: the same jobs in the same order, and at full speed
+// allocW and fullW are the same expression. Above the capacity the regime
+// ends and settle takes the slot, summing it itself. Within it the
 // controller's step is the identity, no job is charged and every job
 // progresses at unit speed, so nothing changes before the next arrival,
 // finish or the horizon: the slots up to it replay only the
 // used-extra-capacity integral, as the same sequence of additions
 // (k·fl(x) additions ≠ fl(k·x)).
 //
-// Under FCFS no queued job can start in the slots skipped: the queue's
-// head waits for cores, which only a finish frees, or for admission to
-// re-open, which only a lift does, outside the regime.
+// The scheduler is FCFS, so no queued job can start in the slots skipped:
+// the queue's head waits for cores, which only a finish frees, or for
+// admission to re-open, which only a lift does, outside the regime.
 func (st *engineState) eventSlot(slot int) (int, error) {
 	st.steps++
 	var powerW float64
@@ -90,7 +91,7 @@ func (st *engineState) eventSlot(slot int) (int, error) {
 	if err := st.submitArrivals(slot); err != nil {
 		return 0, err
 	}
-	for _, req := range st.scheduler.TryStart(int64(slot)) {
+	for _, req := range st.scheduler.TryStartBudget(st.cfg.Trace.TotalCores) {
 		j := st.jobs[req.ID]
 		st.startJob(j, slot)
 		// Not yet running at step 1 of slot, so it cannot finish before
@@ -103,7 +104,7 @@ func (st *engineState) eventSlot(slot int) (int, error) {
 	}
 	if powerW > st.capW {
 		st.leaveEvents(slot)
-		return slot + 1, st.settle(slot, true, powerW, powerW)
+		return slot + 1, st.settle(slot)
 	}
 
 	if st.nextArrival < len(st.arrivals) {

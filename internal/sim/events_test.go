@@ -570,7 +570,7 @@ func benchLoops(b *testing.B, cfg Config) {
 	for _, l := range []struct {
 		name string
 		run  func(Config) (*Result, error)
-	}{{"skip", Run}, {"fixed", RunFixedStep}} {
+	}{{"event", Run}, {"fixed", RunFixedStep}} {
 		b.Run(l.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
